@@ -8,7 +8,6 @@ from .core import (
     LoopParams,
     LoopVariant,
     PdFlavor,
-    PhaseState,
     SimResult,
     VariantTag,
     pd_period,
@@ -42,7 +41,6 @@ from .detectors import (
 from .filters import (
     DiscreteFilter,
     RationalTF,
-    StateSpaceFilter,
     bilinear,
     freq_response,
     make_leadlag,

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import LoopParams, LoopVariant, PdFlavor, VariantTag
+from .detectors import PdCharacteristic
 from .filters import routh_hurwitz_stable
 
 TWO_PI = 2.0 * math.pi
@@ -60,18 +61,6 @@ class DesignSpec:
             raise DesignError("tau1 and m must be > 0")
 
 
-def variant_kd(variant: LoopVariant, m: float = 1.0) -> float:
-    """Small-signal PD gain used by the design recipe."""
-    tag, flavor = variant.tag, variant.pd_flavor
-    if tag is VariantTag.CONVENTIONAL_BPSK:
-        return m * m
-    if tag is VariantTag.CONVENTIONAL_QPSK:
-        return 2.0 * m
-    if flavor is PdFlavor.COMPLEX_IMAG:
-        return 2.0 * m if variant.is_qpsk else m
-    return 1.0
-
-
 def design(spec: DesignSpec) -> LoopParams:
     """Design loop constants for a 45-degree phase margin.
 
@@ -89,7 +78,7 @@ def design(spec: DesignSpec) -> LoopParams:
     omega_t = spec.omega_t_ratio * omega0
     tau2 = round_sig(1.0 / omega_t, 2)
     omega_c = 1.0 / tau2
-    kd = variant_kd(spec.variant, spec.m)
+    kd = PdCharacteristic(spec.variant, spec.m).kd
     k0 = omega_c**2 * spec.tau1 / kd
     omega3 = 2.0 * TWO_PI * spec.f_symbol if spec.variant.is_conventional else None
     return LoopParams.from_gains(
@@ -238,9 +227,10 @@ def pull_in_time_formula(
 ) -> float:
     """Raw variant pull-in-time formula, no fast-acquisition floor.
 
-    Conventional loops use the log form (valid for lock-in < offset <
-    pull-in; raises outside the upper limit), modified loops the
-    quadratic-in-offset form.  The sweep theory column uses this directly.
+    Conventional loops use the log form, valid for lock-in < offset <
+    pull-in, and raise RangeError outside that interval; modified loops
+    use the quadratic-in-offset form.  The sweep theory column uses this
+    directly.
     """
     if delta_omega0 <= 0:
         raise RangeError("delta_omega0 must be > 0")
@@ -260,6 +250,10 @@ def pull_in_time_formula(
             f"offset {delta_omega0:g} outside the pull-in range {dw_p:g}"
         )
     dw_l = lock_in_range(params, variant)
+    if delta_omega0 <= dw_l:
+        raise RangeError(
+            f"offset {delta_omega0:g} inside the lock-in range {dw_l:g}"
+        )
     const = (
         _QPSK_BEAT_CONSTANT
         if tag is VariantTag.CONVENTIONAL_QPSK
@@ -403,9 +397,6 @@ class PredictionReport:
     delta_omega_p_numeric: Optional[float]
     hold_in: HoldInResult
     formula_ids: dict = field(default_factory=dict)
-
-    def pull_in_time_at(self, delta_omega0: float, params: LoopParams) -> float:
-        return pull_in_time(params, self.variant, delta_omega0)
 
     def to_dict(self) -> dict:
         return {

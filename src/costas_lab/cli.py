@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    DesignError,
     DesignSpec,
     RangeError,
     design,
@@ -38,7 +37,6 @@ from .core import LoopParams, LoopVariant, pd_period
 from .detectors import PdCharacteristic
 from .ode import IntegratorConfig, LockTolerances, integrate, lock_verdict, phase_portrait
 from .signal_sim import (
-    ConfigError,
     DigitalLoop,
     LockDetector,
     ModulatedSource,
@@ -176,17 +174,13 @@ def detector_from_config(cfg: dict, params: LoopParams) -> LockDetector:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_design(args) -> int:
-    try:
-        variant = LoopVariant.from_name(args.variant, args.pd_flavor)
-        spec = DesignSpec(
-            f0=args.f0, f_symbol=args.fs, variant=variant,
-            omega_t_ratio=args.ratio, tau1=args.tau1, m=args.m,
-        )
-        params = design(spec)
-        report = predict(params, variant)
-    except (DesignError, RangeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    variant = LoopVariant.from_name(args.variant, args.pd_flavor)
+    spec = DesignSpec(
+        f0=args.f0, f_symbol=args.fs, variant=variant,
+        omega_t_ratio=args.ratio, tau1=args.tau1, m=args.m,
+    )
+    params = design(spec)
+    report = predict(params, variant)
     out = {
         "schema": 1,
         "params": params.to_dict(),
@@ -200,20 +194,16 @@ def cmd_design(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    try:
-        blob = json.loads(Path(args.params).read_text())
-        pdict = blob.get("params", blob)
-        params = LoopParams.from_dict(pdict)
-        variant = LoopVariant.from_name(args.variant, args.pd_flavor)
-        report = predict(params, variant)
-        out = {"schema": 1, "prediction": report.to_dict()}
-        if args.leadlag:
-            tau1, tau2, omega3 = (float(x) for x in args.leadlag.split(","))
-            hold = hold_in_leadlag(params.k0, params.kd, tau1, tau2, omega3)
-            out["leadlag_hold_in"] = hold.to_dict()
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, DesignError, RangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    blob = json.loads(Path(args.params).read_text())
+    pdict = blob.get("params", blob)
+    params = LoopParams.from_dict(pdict)
+    variant = LoopVariant.from_name(args.variant, args.pd_flavor)
+    report = predict(params, variant)
+    out = {"schema": 1, "prediction": report.to_dict()}
+    if args.leadlag:
+        tau1, tau2, omega3 = (float(x) for x in args.leadlag.split(","))
+        hold = hold_in_leadlag(params.k0, params.kd, tau1, tau2, omega3)
+        out["leadlag_hold_in"] = hold.to_dict()
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
@@ -271,62 +261,52 @@ def _simulate_ode(cfg: dict, variant: LoopVariant, params: LoopParams):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = load_config(args.config, {"delta_f0": args.delta_f0})
-        variant = variant_from_config(cfg)
-        params = params_from_config(cfg, variant)
-        fidelity = cfg["fidelity"]
-        outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        artifacts = []
-        if fidelity == "signal":
-            _require_keys(cfg, _CONFIG_KEYS, {"f_samp", "duration", "f_symbol", "f0"}, "signal config")
-            result, _ = _simulate_signal(cfg, variant, params)
-            export_csv(result, str(outdir / "timeseries.csv"))
-            summary = {"schema": 1, "summary": result.summary(), "params": params.to_dict()}
-            (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-            artifacts = ["timeseries.csv", "summary.json"]
-        elif fidelity in ("phase", "delay"):
-            if "t_end" not in cfg:
-                raise CliError(f"{fidelity} fidelity needs t_end")
-            traj, locked = _simulate_ode(cfg, variant, params)
-            path = outdir / "trajectory.csv"
-            with open(path, "w", newline="") as fh:
-                fh.write("t,x,theta_e\n")
-                for t, y in zip(traj.t, traj.y):
-                    fh.write(f"{_fmt(t)},{_fmt(y[0])},{_fmt(y[1])}\n")
-            slips = sum(1 for e in traj.events if e.kind == "cycle_slip")
-            blown = any(e.kind == "blow_up" for e in traj.events)
-            if blown:
-                raise NumericBlowUp(len(traj.t))
-            summary = {"schema": 1, "locked": locked, "cycle_slips": slips,
-                       "params": params.to_dict()}
-            (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-            artifacts = ["trajectory.csv", "summary.json"]
-        elif fidelity == "averaged":
-            model = AveragedModel(params, variant)
-            dw0 = abs(params.delta_omega0)
-            t_p = averaged_pull_in_time_numeric(model, dw0)
-            summary = {
-                "schema": 1,
-                "pull_in_time_numeric": t_p,
-                "pull_in_time_formula": pull_in_time(params, variant, dw0),
-                "params": params.to_dict(),
-            }
-            (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-            artifacts = ["summary.json"]
-        else:
-            raise CliError(f"unknown fidelity {fidelity!r}")
-        write_manifest(outdir, "simulate", cfg, _effective_seed(cfg), artifacts)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ConfigError, DesignError, RangeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericBlowUp as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    cfg = load_config(args.config, {"delta_f0": args.delta_f0})
+    variant = variant_from_config(cfg)
+    params = params_from_config(cfg, variant)
+    fidelity = cfg["fidelity"]
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    artifacts = []
+    if fidelity == "signal":
+        _require_keys(cfg, _CONFIG_KEYS, {"f_samp", "duration", "f_symbol", "f0"}, "signal config")
+        result, _ = _simulate_signal(cfg, variant, params)
+        export_csv(result, str(outdir / "timeseries.csv"))
+        summary = {"schema": 1, "summary": result.summary(), "params": params.to_dict()}
+        (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        artifacts = ["timeseries.csv", "summary.json"]
+    elif fidelity in ("phase", "delay"):
+        if "t_end" not in cfg:
+            raise CliError(f"{fidelity} fidelity needs t_end")
+        traj, locked = _simulate_ode(cfg, variant, params)
+        path = outdir / "trajectory.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("t,x,theta_e\n")
+            for t, y in zip(traj.t, traj.y):
+                fh.write(f"{_fmt(t)},{_fmt(y[0])},{_fmt(y[1])}\n")
+        slips = sum(1 for e in traj.events if e.kind == "cycle_slip")
+        blown = any(e.kind == "blow_up" for e in traj.events)
+        if blown:
+            raise NumericBlowUp(len(traj.t))
+        summary = {"schema": 1, "locked": locked, "cycle_slips": slips,
+                   "params": params.to_dict()}
+        (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        artifacts = ["trajectory.csv", "summary.json"]
+    elif fidelity == "averaged":
+        model = AveragedModel(params, variant)
+        dw0 = abs(params.delta_omega0)
+        t_p = averaged_pull_in_time_numeric(model, dw0)
+        summary = {
+            "schema": 1,
+            "pull_in_time_numeric": t_p,
+            "pull_in_time_formula": pull_in_time(params, variant, dw0),
+            "params": params.to_dict(),
+        }
+        (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        artifacts = ["summary.json"]
+    else:
+        raise CliError(f"unknown fidelity {fidelity!r}")
+    write_manifest(outdir, "simulate", cfg, _effective_seed(cfg), artifacts)
     print(json.dumps({"outdir": str(outdir), "artifacts": artifacts}))
     return 0
 
@@ -348,79 +328,62 @@ def _sweep_row(task):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        if cfg["fidelity"] != "signal":
-            raise CliError("sweep requires fidelity: signal")
-        offsets = [float(x) for x in args.offsets.split(",") if x.strip()]
-        if not offsets:
-            raise CliError("no offsets given")
-        tasks = [(cfg, f) for f in offsets]
-        if args.jobs > 1:
-            import multiprocessing as mp
+    cfg = load_config(args.config)
+    if cfg["fidelity"] != "signal":
+        raise CliError("sweep requires fidelity: signal")
+    offsets = [float(x) for x in args.offsets.split(",") if x.strip()]
+    if not offsets:
+        raise CliError("no offsets given")
+    tasks = [(cfg, f) for f in offsets]
+    if args.jobs > 1:
+        import multiprocessing as mp
 
-            with mp.Pool(args.jobs) as pool:
-                rows = pool.map(_sweep_row, tasks)
-        else:
-            rows = [_sweep_row(t) for t in tasks]
-        outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / "sweep.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write("delta_f0_hz,t_p_theory_s,t_p_sim_s,locked\n")
-            for delta_f, theory, sim, locked in rows:
-                fh.write(f"{_fmt(delta_f)},{_fmt(theory)},{_fmt(sim)},{int(locked)}\n")
-        write_manifest(outdir, "sweep", {**cfg, "offsets": offsets},
-                       _effective_seed(cfg), ["sweep.csv"])
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ConfigError, DesignError, RangeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericBlowUp as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        with mp.Pool(args.jobs) as pool:
+            rows = pool.map(_sweep_row, tasks)
+    else:
+        rows = [_sweep_row(t) for t in tasks]
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / "sweep.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write("delta_f0_hz,t_p_theory_s,t_p_sim_s,locked\n")
+        for delta_f, theory, sim, locked in rows:
+            fh.write(f"{_fmt(delta_f)},{_fmt(theory)},{_fmt(sim)},{int(locked)}\n")
+    write_manifest(outdir, "sweep", {**cfg, "offsets": offsets},
+                   _effective_seed(cfg), ["sweep.csv"])
     print(json.dumps({"outdir": str(args.output), "rows": len(rows)}))
     return 0
 
 
 def cmd_portrait(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        if cfg["fidelity"] != "phase":
-            raise CliError("portrait requires the 2-state fidelity: phase")
-        variant = variant_from_config(cfg)
-        params = params_from_config(cfg, variant)
-        model = ClassicPhaseModel(params, PdCharacteristic(variant, cfg.get("m", 1.0)))
-        if "states" in cfg:
-            states = [tuple(s) for s in cfg["states"]]
-        elif "grid" in cfg:
-            g = cfg["grid"]
-            _require_keys(g, {"x", "theta_e"}, {"x", "theta_e"}, "grid")
-            xs = np.linspace(g["x"][0], g["x"][1], int(g["x"][2]))
-            ths = np.linspace(g["theta_e"][0], g["theta_e"][1], int(g["theta_e"][2]))
-            states = [(float(x), float(th)) for x in xs for th in ths]
-        else:
-            raise CliError("portrait config needs grid{} or states[]")
-        if not states:
-            raise CliError("portrait grid is empty")
-        portrait = phase_portrait(model, states, cfg["t_end"], locate_cycles=False)
-        outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / "portrait.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write("t,x,theta_e,class\n")
-            for c in portrait.trajectories:
-                for t, y in zip(c.trajectory.t, c.trajectory.y):
-                    fh.write(f"{_fmt(t)},{_fmt(y[0])},{_fmt(y[1])},{c.label}\n")
-        write_manifest(outdir, "portrait", cfg, _effective_seed(cfg), ["portrait.csv"])
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ConfigError, DesignError, RangeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    if cfg["fidelity"] != "phase":
+        raise CliError("portrait requires the 2-state fidelity: phase")
+    variant = variant_from_config(cfg)
+    params = params_from_config(cfg, variant)
+    model = ClassicPhaseModel(params, PdCharacteristic(variant, cfg.get("m", 1.0)))
+    if "states" in cfg:
+        states = [tuple(s) for s in cfg["states"]]
+    elif "grid" in cfg:
+        g = cfg["grid"]
+        _require_keys(g, {"x", "theta_e"}, {"x", "theta_e"}, "grid")
+        xs = np.linspace(g["x"][0], g["x"][1], int(g["x"][2]))
+        ths = np.linspace(g["theta_e"][0], g["theta_e"][1], int(g["theta_e"][2]))
+        states = [(float(x), float(th)) for x in xs for th in ths]
+    else:
+        raise CliError("portrait config needs grid{} or states[]")
+    if not states:
+        raise CliError("portrait grid is empty")
+    portrait = phase_portrait(model, states, cfg["t_end"], locate_cycles=False)
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / "portrait.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write("t,x,theta_e,class\n")
+        for c in portrait.trajectories:
+            for t, y in zip(c.trajectory.t, c.trajectory.y):
+                fh.write(f"{_fmt(t)},{_fmt(y[0])},{_fmt(y[1])},{c.label}\n")
+    write_manifest(outdir, "portrait", cfg, _effective_seed(cfg), ["portrait.csv"])
     print(json.dumps({"outdir": str(args.output),
                       "classes": sorted({c.label for c in portrait.trajectories})}))
     return 0
@@ -480,7 +443,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    # ConfigError, DesignError, RangeError and JSONDecodeError are ValueErrors
+    except (ValueError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericBlowUp as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

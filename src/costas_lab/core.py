@@ -235,21 +235,6 @@ def validate_params(p: LoopParams, rel_tol: float = REL_TOL) -> list[str]:
 
 
 @dataclass
-class PhaseState:
-    """Baseband dynamical state.
-
-    ``theta_e`` is the unwrapped phase error theta1 - theta2; ``x_lf`` is
-    the loop-filter integrator state.  The two LPF states exist only for
-    the conventional loops.
-    """
-
-    theta_e: float = 0.0
-    x_lf: float = 0.0
-    x_lpf_i: float = 0.0
-    x_lpf_q: float = 0.0
-
-
-@dataclass
 class SimResult:
     """Time series plus the acquisition bookkeeping for one loop run."""
 

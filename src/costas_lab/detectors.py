@@ -3,7 +3,7 @@
 Two layers live here: the baseband nonlinearities ``phi_*`` used by the
 ODE models (functions of the phase error alone), and the sample-level PD
 computations used by the signal simulator (functions of the actual branch
-signals).  Both are pure and stateless.
+signals, collected in ``SAMPLE_PD``).  Both are pure and stateless.
 
 Tie-breaks are deterministic so tests are reproducible: sign(0) := +1
 everywhere, the chopped-sine branch boundaries take the left-branch
@@ -12,7 +12,6 @@ limit, and arg() returns its principal value.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -51,8 +50,62 @@ def pd_conventional_bpsk(i2: float, q2: float) -> float:
 
 
 def pd_conventional_qpsk(i2: float, q2: float) -> float:
-    """Hard-limiter cross-product PD of the conventional QPSK loop."""
-    return -q2 * sign(i2) + i2 * sign(q2)
+    """Hard-limiter cross-product PD of the conventional QPSK loop.
+
+    Equals i2*sign(q2) - q2*sign(i2), written with sign flips instead of
+    products.
+    """
+    return (i2 if q2 >= 0.0 else -i2) - (q2 if i2 >= 0.0 else -q2)
+
+
+def _modified_bpsk_phase(re: float, im: float) -> float:
+    di = 1.0 if re >= 0.0 else -1.0
+    vr = re * di
+    vi = im * di
+    if vr == 0.0 and vi == 0.0:
+        return 0.0
+    ud = math.atan2(vi, vr)
+    if ud <= -HALF_PI:  # re==0, im<0 tie: fold to the +pi/2 edge
+        ud += math.pi
+    return ud
+
+
+def _modified_bpsk_imag(re: float, im: float) -> float:
+    return im * (1.0 if re >= 0.0 else -1.0)
+
+
+def _modified_qpsk_phase(re: float, im: float) -> float:
+    di = 1.0 if re >= 0.0 else -1.0
+    dq = 1.0 if im >= 0.0 else -1.0
+    vr = re * di + im * dq
+    vi = im * di - re * dq
+    if vr == 0.0 and vi == 0.0:
+        return 0.0
+    ud = math.atan2(vi, vr)
+    if ud <= -QUARTER_PI:  # ties on the quadrant edges fold to +pi/4
+        ud += HALF_PI
+    return ud
+
+
+def _modified_qpsk_imag(re: float, im: float) -> float:
+    di = 1.0 if re >= 0.0 else -1.0
+    dq = 1.0 if im >= 0.0 else -1.0
+    return im * di - re * dq
+
+
+# The one definition of the sample-level PD arithmetic: (variant tag, PD
+# flavor) -> ud(i, q).  Conventional loops pass the LPF outputs I2, Q2;
+# modified loops pass Re and Im of the rotated envelope um.  The
+# modified-loop phase PDs return 0.0 at um == 0, where the phase is
+# undefined, so a loop never stops on it.
+SAMPLE_PD = {
+    (VariantTag.CONVENTIONAL_BPSK, PdFlavor.MUL_MUL): pd_conventional_bpsk,
+    (VariantTag.CONVENTIONAL_QPSK, PdFlavor.SGN_CROSS): pd_conventional_qpsk,
+    (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_PHASE): _modified_bpsk_phase,
+    (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_IMAG): _modified_bpsk_imag,
+    (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_PHASE): _modified_qpsk_phase,
+    (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_IMAG): _modified_qpsk_imag,
+}
 
 
 def pd_modified_bpsk(um: complex) -> tuple[float, float]:
@@ -64,11 +117,7 @@ def pd_modified_bpsk(um: complex) -> tuple[float, float]:
     """
     if um == 0:
         raise ValueError("phase of zero envelope is undefined")
-    data = sign(um.real)
-    ud = cmath.phase(um * data)
-    if ud <= -HALF_PI:  # re==0, im<0 tie: fold to the +pi/2 edge
-        ud += math.pi
-    return ud, data
+    return _modified_bpsk_phase(um.real, um.imag), sign(um.real)
 
 
 def pd_modified_qpsk(um: complex) -> tuple[float, float, float]:
@@ -80,12 +129,7 @@ def pd_modified_qpsk(um: complex) -> tuple[float, float, float]:
     """
     if um == 0:
         raise ValueError("phase of zero envelope is undefined")
-    data_i = sign(um.real)
-    data_q = sign(um.imag)
-    ud = cmath.phase(um * complex(data_i, -data_q))
-    if ud <= -QUARTER_PI:
-        ud += HALF_PI
-    return ud, data_i, data_q
+    return _modified_qpsk_phase(um.real, um.imag), sign(um.real), sign(um.imag)
 
 
 def pd_modified_imag(um: complex, variant: LoopVariant, m: float = 1.0) -> float:
@@ -97,11 +141,8 @@ def pd_modified_imag(um: complex, variant: LoopVariant, m: float = 1.0) -> float
     and documents the nominal gain only.
     """
     if variant.is_qpsk:
-        data_i = sign(um.real)
-        data_q = sign(um.imag)
-        return (um * complex(data_i, -data_q)).imag
-    data = sign(um.real)
-    return (um * data).imag
+        return _modified_qpsk_imag(um.real, um.imag)
+    return _modified_bpsk_imag(um.real, um.imag)
 
 
 @dataclass(frozen=True)
@@ -137,7 +178,7 @@ class PdCharacteristic:
         """Small-signal PD gain (slope of phi at the lock point)."""
         tag, flavor = self.variant.tag, self.variant.pd_flavor
         if tag is VariantTag.CONVENTIONAL_BPSK:
-            return self.m**2
+            return self.m * self.m
         if tag is VariantTag.CONVENTIONAL_QPSK:
             return 2.0 * self.m
         if flavor is PdFlavor.COMPLEX_IMAG:

@@ -3,8 +3,8 @@
 Covers the three analog prototypes the loops use (PI loop filter,
 first-order LPF, lead-lag), frequency-response evaluation, bilinear
 discretization with per-corner prewarping, a direct-form-II-transposed
-discrete filter, state-space realizations, and a Routh-Hurwitz stability
-test used by the hold-in analysis.
+discrete filter, and a Routh-Hurwitz stability test used by the hold-in
+analysis.
 
 Polynomials are stored in ascending powers of s (coeffs[k] multiplies
 s^k).  Discrete coefficients are in ascending powers of z^-1 with
@@ -136,16 +136,6 @@ class DiscreteFilter:
                 f"state length must be {n - 1}, got {len(self.state)}"
             )
 
-    def reset(self) -> None:
-        self.state = [0.0] * len(self.state)
-
-    def copy(self) -> "DiscreteFilter":
-        return DiscreteFilter(self.b, self.a, self.sample_period, list(self.state))
-
-    def to_json_dict(self) -> dict:
-        """Coefficient export for cross-checking against external tools."""
-        return {"b": list(self.b), "a": list(self.a), "T": self.sample_period}
-
 
 def step_filter(f: DiscreteFilter, u: float) -> float:
     """Advance the filter one sample (direct form II transposed)."""
@@ -249,90 +239,6 @@ def bilinear(
         if k <= deg_d and den[k] != 0.0:
             a[: len(mono)] += den[k] * mono
     return DiscreteFilter(b=tuple(b), a=tuple(a), sample_period=T)
-
-
-@dataclass
-class StateSpaceFilter:
-    """State-space realization x' = A x + b u, y = c^T x + h u."""
-
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    h: float = 0.0
-    x: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.b = np.asarray(self.b, dtype=float).reshape(-1)
-        self.c = np.asarray(self.c, dtype=float).reshape(-1)
-        n = self.A.shape[0]
-        if self.A.shape != (n, n) or len(self.b) != n or len(self.c) != n:
-            raise FilterDesignError("inconsistent state-space dimensions")
-        if self.x is None:
-            self.x = np.zeros(n)
-        else:
-            self.x = np.asarray(self.x, dtype=float).reshape(-1)
-            if len(self.x) != n:
-                raise FilterDesignError("state vector has wrong length")
-
-    @classmethod
-    def from_tf(cls, tf: RationalTF) -> "StateSpaceFilter":
-        """Controllable-canonical realization of a (bi)proper TF.
-
-        The improper PI case is handled by splitting off the feedthrough
-        tau2/tau1 first, exactly like the textbook (A=0, b=1, c=1/tau1,
-        h=tau2/tau1) realization.
-        """
-        deg_n, deg_d = tf.degree
-        if deg_n > deg_d:
-            raise FilterDesignError("cannot realize an improper transfer function")
-        den = list(tf.den[: deg_d + 1])
-        num = list(tf.num) + [0.0] * (deg_d + 1 - len(tf.num))
-        num = num[: deg_d + 1]
-        lead = den[deg_d]
-        den = [d / lead for d in den]
-        num = [x / lead for x in num]
-        h = num[deg_d]
-        rem = [num[k] - h * den[k] for k in range(deg_d)]  # strictly proper part
-        n = deg_d
-        A = np.zeros((n, n))
-        if n > 1:
-            A[:-1, 1:] = np.eye(n - 1)
-        A[-1, :] = [-den[k] for k in range(n)]
-        bvec = np.zeros(n)
-        bvec[-1] = 1.0
-        cvec = np.array(rem)
-        return cls(A, bvec, cvec, h)
-
-    def output(self, u: float = 0.0) -> float:
-        return float(self.c @ self.x + self.h * u)
-
-    def derivative(self, u: float) -> np.ndarray:
-        return self.A @ self.x + self.b * u
-
-    def char_poly(self) -> list[float]:
-        """Characteristic polynomial of A, ascending coefficients."""
-        desc = np.poly(self.A)  # descending, monic
-        return list(reversed(desc))
-
-    def is_stable(self) -> bool:
-        return routh_hurwitz_stable(self.char_poly())
-
-    def step_response(self, t_grid: np.ndarray, u: float = 1.0) -> np.ndarray:
-        """Response to a constant input from zero state, RK4 on the grid."""
-        t_grid = np.asarray(t_grid, dtype=float)
-        x = np.zeros_like(self.x)
-        out = np.empty(len(t_grid))
-        out[0] = float(self.c @ x + self.h * u)
-        for i in range(1, len(t_grid)):
-            hstep = t_grid[i] - t_grid[i - 1]
-            k1 = self.A @ x + self.b * u
-            k2 = self.A @ (x + 0.5 * hstep * k1) + self.b * u
-            k3 = self.A @ (x + 0.5 * hstep * k2) + self.b * u
-            k4 = self.A @ (x + hstep * k3) + self.b * u
-            x = x + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[i] = float(self.c @ x + self.h * u)
-        return out
 
 
 @dataclass(frozen=True)

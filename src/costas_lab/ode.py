@@ -54,7 +54,7 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Event:
-    kind: str           # "lock" | "cycle_slip" | "blow_up"
+    kind: str           # "cycle_slip" | "blow_up"
     t: float
     state: tuple
 
@@ -115,6 +115,10 @@ class SlipWatch:
     component: int
     period: float
 
+    def cell(self, y) -> int:
+        """Index of the period-wide lock cell holding the watched component."""
+        return math.floor(y[self.component] / self.period + 0.5)
+
 
 def _localize_slip(t0, y0, f0, t1, y1, f1, comp, boundary):
     """Bisect the dense output for the crossing of a cell boundary."""
@@ -130,6 +134,19 @@ def _localize_slip(t0, y0, f0, t1, y1, f1, comp, boundary):
     tc = 0.5 * (lo + hi)
     yc = _hermite(t0, y0, f0, t1, y1, f1, tc)
     return tc, yc
+
+
+def _record_slips(watch, k_prev, t0, y0, f0, t1, y1, f1, events) -> int:
+    """Append one localized ``cycle_slip`` event per cell boundary the
+    accepted step [t0, t1] crossed; returns the cell the step ends in."""
+    k_new = watch.cell(y1)
+    step = 1 if k_new > k_prev else -1
+    while k_new != k_prev:
+        boundary = (k_prev + 0.5 * step) * watch.period
+        tc, yc = _localize_slip(t0, y0, f0, t1, y1, f1, watch.component, boundary)
+        events.append(Event("cycle_slip", tc, tuple(yc)))
+        k_prev += step
+    return k_prev
 
 
 def integrate(
@@ -151,10 +168,7 @@ def integrate(
     ts, ys = [0.0], [y.copy()]
     events: list[Event] = []
 
-    def cell(v):
-        return math.floor(v / slip_watch.period + 0.5)
-
-    k_prev = cell(y[slip_watch.component]) if slip_watch else 0
+    k_prev = slip_watch.cell(y) if slip_watch else 0
 
     t = 0.0
     if config.method == "rk4":
@@ -169,15 +183,7 @@ def integrate(
                 break
             f1 = np.asarray(rhs(t + h, y1), dtype=float)
             if slip_watch:
-                k_new = cell(y1[slip_watch.component])
-                step = 1 if k_new > k_prev else -1
-                while k_new != k_prev:
-                    boundary = (k_prev + 0.5 * step) * slip_watch.period
-                    tc, yc = _localize_slip(
-                        t, y, f0, t + h, y1, f1, slip_watch.component, boundary
-                    )
-                    events.append(Event("cycle_slip", tc, tuple(yc)))
-                    k_prev += step
+                k_prev = _record_slips(slip_watch, k_prev, t, y, f0, t + h, y1, f1, events)
             t, y, f0 = t + h, y1, f1
             ts.append(t)
             ys.append(y.copy())
@@ -213,15 +219,7 @@ def integrate(
         if err <= 1.0:
             f1 = k[6] if _DP_C[6] == 1.0 else np.asarray(rhs(t + h, y5), dtype=float)
             if slip_watch:
-                k_new = cell(y5[slip_watch.component])
-                step = 1 if k_new > k_prev else -1
-                while k_new != k_prev:
-                    boundary = (k_prev + 0.5 * step) * slip_watch.period
-                    tc, yc = _localize_slip(
-                        t, y, f0, t + h, y5, f1, slip_watch.component, boundary
-                    )
-                    events.append(Event("cycle_slip", tc, tuple(yc)))
-                    k_prev += step
+                k_prev = _record_slips(slip_watch, k_prev, t, y, f0, t + h, y5, f1, events)
             t, y, f0 = t + h, y5, f1
             ts.append(t)
             ys.append(y.copy())
@@ -269,26 +267,6 @@ def lock_verdict(
         if abs(rate) > tol.tol_f:
             return False
     return True
-
-
-def append_lock_event(
-    traj: Trajectory, rhs: RhsFn, period: float, tol: LockTolerances
-) -> Optional[Event]:
-    """Emit a lock event at the start of the terminal in-tolerance run."""
-    ok = np.zeros(len(traj.t), dtype=bool)
-    for i, (ti, yi) in enumerate(zip(traj.t, traj.y)):
-        ok[i] = (
-            abs(wrap_phase(yi[1], period)) <= tol.tol_p
-            and abs(rhs(ti, yi)[1]) <= tol.tol_f
-        )
-    if not ok[-1]:
-        return None
-    bad = np.nonzero(~ok)[0]
-    start = bad[-1] + 1 if len(bad) else 0
-    ev = Event("lock", float(traj.t[start]), tuple(traj.y[start]))
-    traj.events.append(ev)
-    traj.events.sort(key=lambda e: e.t)
-    return ev
 
 
 # --- step-size sensitivity probe --------------------------------------------

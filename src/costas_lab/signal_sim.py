@@ -27,6 +27,7 @@ from .core import (
     count_cycle_slips,
     pd_period,
 )
+from .detectors import SAMPLE_PD
 from .filters import bilinear, make_lpf1, make_pi_filter
 
 TWO_PI = 2.0 * math.pi
@@ -186,11 +187,7 @@ def run_loop(
     T = 1.0 / loop.f_samp
 
     variant = source.variant
-    if variant.is_conventional:
-        rec = _run_conventional(source, loop, n, T)
-    else:
-        rec = _run_modified(source, loop, n, T)
-    theta1, theta2, ud_arr, uf_arr, i2_arr, q2_arr, blow_at = rec
+    theta1, theta2, ud_arr, uf_arr, i2_arr, q2_arr, blow_at = _run_kernel(source, loop, n, T)
 
     t = np.arange(len(theta2)) * T
     theta_e = theta1[: len(theta2)] - theta2
@@ -248,114 +245,65 @@ def run_loop(
     return result
 
 
-def _run_conventional(source, loop, n, T):
+def _run_kernel(source, loop, n, T):
+    """The sample loop shared by all four variants.
+
+    Only the front end and the PD differ between variants, and both are
+    chosen before the loop: the conventional loops mix one real input
+    against the NCO and low-pass both branches, the modified loops rotate
+    the pre-envelope u_re + j*u_im by the NCO phase.  For the modified
+    loops the recorded ``i2``/``q2`` are Re and Im of the rotated envelope.
+    """
     params = loop.params
-    is_qpsk = source.variant.is_qpsk
-    if params.omega3 is None:
+    variant = source.variant
+    is_qpsk = variant.is_qpsk
+    conventional = variant.is_conventional
+    if conventional and params.omega3 is None:
         raise ConfigError("conventional loops need the LPF corner omega3")
-    lb0, lb1, la1 = _discrete_lpf(params.omega3, T)
-    fb0, fb1 = _discrete_pi(params.tau1, params.tau2, T)
-
-    sym_idx, n_sym = _sample_grid(source, loop.f_samp, n)
-    m1 = source.symbols(n_sym, 0)[sym_idx]
-    w1 = params.omega1
-    th1 = source.theta1_0 + w1 * np.arange(n) * T
-    if is_qpsk:
-        m2 = source.symbols(n_sym, 1)[sym_idx]
-        u1 = (m1 * np.cos(th1) + m2 * np.sin(th1)).tolist()
-    else:
-        u1 = (m1 * np.sin(th1)).tolist()
-
-    sin, cos = math.sin, math.cos
-    wfree_T = params.omega_free * T
-    k0_T = params.k0 * T
-    th2 = loop.nco_phase0
-    zi = zq = zf = 0.0
-    uf = 0.0
-    theta2 = [0.0] * n
-    ud_a = [0.0] * n
-    uf_a = [0.0] * n
-    i2_a = [0.0] * n
-    q2_a = [0.0] * n
-    blow_at = None
-    for k in range(n):
-        theta2[k] = th2
-        u = u1[k]
-        if is_qpsk:
-            i1 = u * 2.0 * cos(th2)
-            q1 = u * 2.0 * sin(th2)
-        else:
-            i1 = u * 2.0 * sin(th2)
-            q1 = u * 2.0 * cos(th2)
-        i2 = lb0 * i1 + zi
-        zi = lb1 * i1 - la1 * i2
-        q2 = lb0 * q1 + zq
-        zq = lb1 * q1 - la1 * q2
-        if is_qpsk:
-            ud = (i2 if q2 >= 0.0 else -i2) - (q2 if i2 >= 0.0 else -q2)
-        else:
-            ud = i2 * q2
-        uf = fb0 * ud + zf
-        zf = fb1 * ud + uf
-        ud_a[k] = ud
-        uf_a[k] = uf
-        i2_a[k] = i2
-        q2_a[k] = q2
-        th2 += wfree_T + k0_T * uf
-        if not (-1e12 < th2 < 1e12):
-            blow_at = k
-            n = k + 1
-            break
-    th1_arr = source.theta1_0 + w1 * np.arange(n) * T
-    return (
-        th1_arr,
-        np.array(theta2[:n]),
-        np.array(ud_a[:n]),
-        np.array(uf_a[:n]),
-        np.array(i2_a[:n]),
-        np.array(q2_a[:n]),
-        blow_at,
-    )
-
-
-def _run_modified(source, loop, n, T):
-    params = loop.params
-    is_qpsk = source.variant.is_qpsk
-    use_imag = source.variant.pd_flavor.value == "complex_imag"
+    pd = SAMPLE_PD[(variant.tag, variant.pd_flavor)]
 
     w1 = params.omega1
     th1 = source.theta1_0 + w1 * np.arange(n) * T
     sym_idx, n_sym = _sample_grid(source, loop.f_samp, n)
     m1 = source.symbols(n_sym, 0)[sym_idx]
     m2 = source.symbols(n_sym, 1)[sym_idx] if is_qpsk else None
-    if is_qpsk:
-        u_re = m1 * np.cos(th1) - m2 * np.sin(th1)
-    else:
-        u_re = m1 * np.cos(th1)
-    if loop.hilbert_mode == "ideal":
+    if conventional:
+        lb0, lb1, la1 = _discrete_lpf(params.omega3, T)
         if is_qpsk:
-            u_im = m1 * np.sin(th1) + m2 * np.cos(th1)
+            u1 = m1 * np.cos(th1) + m2 * np.sin(th1)
         else:
-            u_im = m1 * np.sin(th1)
+            u1 = m1 * np.sin(th1)
+        # VCO branch outputs carry amplitude 2 (exact scaling)
+        u1 = (2.0 * u1).tolist()
     else:
-        n4 = loop.hilbert_delay_samples(source.f_carrier)
-        didx, _ = _sample_grid(source, loop.f_samp, n, delay=n4)
-        th1_d = source.theta1_0 + w1 * (np.arange(n) - n4) * T
-        m1_d = source.symbols(n_sym, 0)[didx]
         if is_qpsk:
-            m2_d = source.symbols(n_sym, 1)[didx]
-            u_im = m1_d * np.cos(th1_d) - m2_d * np.sin(th1_d)
+            u_re = m1 * np.cos(th1) - m2 * np.sin(th1)
         else:
-            u_im = m1_d * np.cos(th1_d)
-    u_re = u_re.tolist()
-    u_im = u_im.tolist()
+            u_re = m1 * np.cos(th1)
+        if loop.hilbert_mode == "ideal":
+            if is_qpsk:
+                u_im = m1 * np.sin(th1) + m2 * np.cos(th1)
+            else:
+                u_im = m1 * np.sin(th1)
+        else:
+            n4 = loop.hilbert_delay_samples(source.f_carrier)
+            didx, _ = _sample_grid(source, loop.f_samp, n, delay=n4)
+            th1_d = source.theta1_0 + w1 * (np.arange(n) - n4) * T
+            m1_d = source.symbols(n_sym, 0)[didx]
+            if is_qpsk:
+                m2_d = source.symbols(n_sym, 1)[didx]
+                u_im = m1_d * np.cos(th1_d) - m2_d * np.sin(th1_d)
+            else:
+                u_im = m1_d * np.cos(th1_d)
+        u_re = u_re.tolist()
+        u_im = u_im.tolist()
 
     fb0, fb1 = _discrete_pi(params.tau1, params.tau2, T)
-    sin, cos, atan2 = math.sin, math.cos, math.atan2
+    sin, cos = math.sin, math.cos
     wfree_T = params.omega_free * T
     k0_T = params.k0 * T
     th2 = loop.nco_phase0
-    zf = 0.0
+    zi = zq = zf = 0.0
     theta2 = [0.0] * n
     ud_a = [0.0] * n
     uf_a = [0.0] * n
@@ -366,28 +314,31 @@ def _run_modified(source, loop, n, T):
         theta2[k] = th2
         c = cos(th2)
         s = sin(th2)
-        # um = (u_re + j*u_im) * exp(-j*th2)
-        re = u_re[k] * c + u_im[k] * s
-        im = u_im[k] * c - u_re[k] * s
-        if is_qpsk:
-            di = 1.0 if re >= 0.0 else -1.0
-            dq = 1.0 if im >= 0.0 else -1.0
-            vr = re * di + im * dq
-            vi = im * di - re * dq
+        if conventional:
+            u = u1[k]
+            if is_qpsk:
+                i1 = u * c
+                q1 = u * s
+            else:
+                i1 = u * s
+                q1 = u * c
+            i2 = lb0 * i1 + zi
+            zi = lb1 * i1 - la1 * i2
+            q2 = lb0 * q1 + zq
+            zq = lb1 * q1 - la1 * q2
         else:
-            di = 1.0 if re >= 0.0 else -1.0
-            vr = re * di
-            vi = im * di
-        if use_imag:
-            ud = vi
-        else:
-            ud = atan2(vi, vr) if (vr != 0.0 or vi != 0.0) else 0.0
+            # um = (u_re + j*u_im) * exp(-j*th2)
+            ur = u_re[k]
+            ui = u_im[k]
+            i2 = ur * c + ui * s
+            q2 = ui * c - ur * s
+        ud = pd(i2, q2)
         uf = fb0 * ud + zf
         zf = fb1 * ud + uf
         ud_a[k] = ud
         uf_a[k] = uf
-        i2_a[k] = re
-        q2_a[k] = im
+        i2_a[k] = i2
+        q2_a[k] = q2
         th2 += wfree_T + k0_T * uf
         if not (-1e12 < th2 < 1e12):
             blow_at = k

@@ -28,7 +28,6 @@ from costas_lab.analysis import (
     leadlag_char_poly,
     leadlag_equilibrium_stable,
     round_sig,
-    variant_kd,
 )
 from costas_lab.core import LoopVariant, PdFlavor, VariantTag
 from costas_lab.filters import freq_response, make_lpf1
@@ -75,14 +74,6 @@ class TestDesign:
         assert round_sig(3.97887e-6, 2) == 4.0e-6
         assert round_sig(1.59155e-6, 2) == 1.6e-6
         assert round_sig(0.0) == 0.0
-
-    def test_variant_kd_values(self):
-        assert variant_kd(CONVENTIONAL_BPSK, 1.0) == 1.0
-        assert variant_kd(CONVENTIONAL_BPSK, 2.0) == 4.0
-        assert variant_kd(CONVENTIONAL_QPSK, 1.0) == 2.0
-        assert variant_kd(MODIFIED_BPSK) == 1.0
-        alt = LoopVariant(VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_IMAG)
-        assert variant_kd(alt, 1.5) == 3.0
 
     def test_open_loop_crossing_gain(self):
         # asymptotic 0 dB crossing at the corner, with the LPF correction
@@ -200,6 +191,17 @@ class TestPullInTime:
         dwp = pull_in_range(bpsk_design, CONVENTIONAL_BPSK)
         with pytest.raises(RangeError):
             pull_in_time(bpsk_design, CONVENTIONAL_BPSK, 1.01 * dwp)
+
+    @pytest.mark.parametrize("variant", [CONVENTIONAL_BPSK, CONVENTIONAL_QPSK])
+    def test_formula_rejects_offsets_inside_lock_in(self, variant):
+        # the log form turns negative there (bpsk: -5 us at 5 kHz)
+        p = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=variant))
+        dwl = lock_in_range(p, variant)
+        for dw in (TWO_PI * 5e3, dwl):
+            with pytest.raises(RangeError):
+                pull_in_time_formula(p, variant, dw)
+        assert pull_in_time_formula(p, variant, 1.01 * dwl) > 0.0
+        assert pull_in_time(p, variant, dwl) == lock_time(p)
 
     def test_monotone_in_offset(self, bpsk_design, qpsk_design,
                                 mod_bpsk_design, mod_qpsk_design):

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from costas_lab import analysis, baseband, cli, core, ode, signal_sim
 from costas_lab.cli import main
 
 BASE_SIGNAL_CFG = {
@@ -199,6 +200,18 @@ class TestSweepCommand:
         b = (tmp_path / "s2" / "sweep.csv").read_bytes()
         assert a == b
 
+    def test_offset_inside_lock_in_has_no_theory_value(self, tmp_path, capsys):
+        # lock-in of the reference bpsk design is 19.9 kHz
+        cfg = write_cfg(tmp_path, {k: v for k, v in BASE_SIGNAL_CFG.items()
+                                   if k != "delta_f0"} | {"duration": 2e-4})
+        assert main(["sweep", "--config", cfg, "--offsets", "5e3,50e3",
+                     "-o", str(tmp_path / "o")]) == 0
+        lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+        inside = lines[1].split(",")
+        assert float(inside[0]) == 5e3
+        assert inside[1] == "nan"
+        assert float(lines[2].split(",")[1]) == pytest.approx(33e-6, rel=0.05)
+
     def test_empty_offsets_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE_SIGNAL_CFG)
         assert main(["sweep", "--config", cfg, "--offsets", "", "-o",
@@ -228,6 +241,13 @@ class TestPortraitCommand:
         cfg = write_cfg(tmp_path, {**self.PORTRAIT_CFG, "states": []})
         assert main(["portrait", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
 
+    def test_missing_t_end_exits_2(self, tmp_path, capsys):
+        cfg_data = {k: v for k, v in self.PORTRAIT_CFG.items() if k != "t_end"}
+        cfg = write_cfg(tmp_path, cfg_data)
+        assert main(["portrait", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "t_end" in err
+
     def test_wrong_fidelity_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**self.PORTRAIT_CFG, "fidelity": "signal"})
         assert main(["portrait", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
@@ -240,3 +260,26 @@ class TestPortraitCommand:
         assert main(["portrait", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
         lines = (tmp_path / "o" / "portrait.csv").read_text().splitlines()
         assert len(lines) > 6
+
+
+# Callers look these functions up on the importing module, and tools that
+# patch them (benchmark/tracer.py) replace every such binding; a binding
+# that stops being the home module's function escapes the patch.
+MODULE_BINDINGS = [
+    (signal_sim, core, "count_cycle_slips"),
+    (cli, signal_sim, "run_loop"),
+    (cli, signal_sim, "export_csv"),
+    (cli, ode, "integrate"),
+    (cli, ode, "lock_verdict"),
+    (cli, ode, "phase_portrait"),
+    (cli, analysis, "design"),
+    (cli, analysis, "pull_in_time_formula"),
+    (cli, baseband, "classic_rhs"),
+    (cli, baseband, "delay_rhs"),
+]
+
+
+@pytest.mark.parametrize("user,home,name", MODULE_BINDINGS,
+                         ids=[f"{u.__name__}.{n}" for u, _, n in MODULE_BINDINGS])
+def test_module_binding_is_home_function(user, home, name):
+    assert getattr(user, name) is getattr(home, name)

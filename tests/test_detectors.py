@@ -14,6 +14,7 @@ from costas_lab import (
     VariantTag,
 )
 from costas_lab.detectors import (
+    SAMPLE_PD,
     PdCharacteristic,
     pd_conventional_bpsk,
     pd_conventional_qpsk,
@@ -135,6 +136,29 @@ class TestModifiedPds:
         assert pd_modified_imag(um, v) / th == pytest.approx(2.0, rel=1e-6)
 
 
+class TestSamplePdTable:
+    """The table the simulator calls, and its agreement with the pd_* API."""
+
+    def test_one_entry_per_variant_and_flavor(self):
+        assert len(SAMPLE_PD) == 6
+        for tag, flavor in SAMPLE_PD:
+            LoopVariant(tag, flavor)  # raises for an invalid pair
+
+    def test_bpsk_tie_folds_to_plus_half_pi(self):
+        phase = SAMPLE_PD[(VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_PHASE)]
+        assert phase(0.0, -1.0) == math.pi / 2
+        assert pd_modified_bpsk(-1j) == (math.pi / 2, 1.0)
+
+    def test_qpsk_tie_folds_to_plus_quarter_pi(self):
+        phase = SAMPLE_PD[(VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_PHASE)]
+        assert phase(1.0, 0.0) == math.pi / 4
+        assert pd_modified_qpsk(1 + 0j) == (math.pi / 4, 1.0, 1.0)
+
+    @pytest.mark.parametrize("key", list(SAMPLE_PD))
+    def test_zero_input_gives_zero(self, key):
+        assert SAMPLE_PD[key](0.0, 0.0) == 0.0
+
+
 class TestPdInvariants:
     """Randomized invariants over the PD characteristics."""
 
@@ -170,6 +194,7 @@ class TestPdInvariants:
             (MODIFIED_QPSK, 1.0, 1.0),
             (LoopVariant(VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_IMAG), 1.3, 1.3),
             (LoopVariant(VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_IMAG), 1.3, 2.6),
+            (CONVENTIONAL_BPSK, 2.0, 4.0),
         ],
     )
     def test_small_angle_gain(self, variant, m, kd):

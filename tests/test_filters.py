@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from costas_lab.filters import (
     FilterDesignError,
     FilterEvaluationError,
     RationalTF,
-    StateSpaceFilter,
     bilinear,
     freq_response,
     make_leadlag,
@@ -189,66 +187,17 @@ class TestDiscreteFilter:
         rng = np.random.default_rng(3)
         u1 = rng.normal(size=64)
         u2 = rng.normal(size=64)
-        proto = bilinear(make_lpf1(3e5), T_SAMP)
-        fa, fb, fc = proto.copy(), proto.copy(), proto.copy()
+        fa, fb, fc = (bilinear(make_lpf1(3e5), T_SAMP) for _ in range(3))
         ya = [step_filter(fa, u) for u in u1]
         yb = [step_filter(fb, u) for u in u2]
         yc = [step_filter(fc, a + b) for a, b in zip(u1, u2)]
         assert np.allclose(np.array(ya) + np.array(yb), yc, atol=1e-12)
-
-    def test_json_export_round_trip(self):
-        f = bilinear(make_lpf1(3e5), T_SAMP)
-        blob = json.dumps(f.to_json_dict())
-        d = json.loads(blob)
-        assert d["a"][0] == 1.0
-        assert d["T"] == T_SAMP
-        assert len(d["b"]) == len(d["a"])
 
     def test_normalization_invariant(self):
         f = DiscreteFilter(b=(2.0, 1.0), a=(2.0, 0.5), sample_period=1.0)
         assert f.a[0] == 1.0
         assert f.b == (1.0, 0.5)
         assert len(f.state) == 1
-
-
-class TestStateSpace:
-    def test_pi_realization_matches_textbook(self):
-        ss = StateSpaceFilter.from_tf(make_pi_filter(20e-6, 4e-6))
-        assert ss.A.shape == (1, 1) and ss.A[0, 0] == 0.0
-        assert ss.b[0] == 1.0
-        assert ss.c[0] == pytest.approx(1.0 / 20e-6)
-        assert ss.h == pytest.approx(0.2)
-
-    def test_lpf1_realization(self):
-        w3 = 1.2566e6
-        ss = StateSpaceFilter.from_tf(make_lpf1(w3))
-        assert ss.A[0, 0] == pytest.approx(-w3)
-        assert ss.c[0] * ss.b[0] == pytest.approx(w3)
-        assert ss.h == 0.0
-
-    def test_step_response_matches_analytic_lpf(self):
-        w3 = 2.0e5
-        ss = StateSpaceFilter.from_tf(make_lpf1(w3))
-        t = np.linspace(0, 5 / w3, 400)
-        y = ss.step_response(t)
-        expected = 1.0 - np.exp(-w3 * t)
-        assert np.max(np.abs(y - expected)) < 1e-6
-
-    def test_step_response_matches_analytic_pi(self):
-        tau1, tau2 = 20e-6, 4e-6
-        ss = StateSpaceFilter.from_tf(make_pi_filter(tau1, tau2))
-        t = np.linspace(0, 1e-4, 200)
-        y = ss.step_response(t)
-        expected = t / tau1 + tau2 / tau1
-        assert np.max(np.abs(y - expected)) < 1e-9
-
-    def test_stability_check(self):
-        assert StateSpaceFilter.from_tf(make_lpf1(1e4)).is_stable()
-        assert not StateSpaceFilter(A=[[1.0]], b=[1.0], c=[1.0]).is_stable()
-
-    def test_improper_tf_rejected(self):
-        with pytest.raises(FilterDesignError):
-            StateSpaceFilter.from_tf(RationalTF(num=(0.0, 0.0, 1.0), den=(1.0, 1.0)))
 
 
 class TestRouthHurwitz:

@@ -8,8 +8,12 @@ from costas_lab import (
     CONVENTIONAL_QPSK,
     MODIFIED_BPSK,
     MODIFIED_QPSK,
+    DesignSpec,
+    LoopVariant,
+    design,
     lock_time,
 )
+from costas_lab.detectors import SAMPLE_PD
 from costas_lab.signal_sim import (
     AveragingGapReport,
     ConfigError,
@@ -199,6 +203,21 @@ class TestModifiedLoops:
         # locked: |um| ~ sqrt(2) for unit-amplitude quadrature data
         mag = np.hypot(r.i2[-500:], r.q2[-500:])
         assert np.median(mag) == pytest.approx(math.sqrt(2), rel=0.05)
+
+
+class TestKernelPd:
+    @pytest.mark.parametrize(
+        "variant",
+        [LoopVariant(tag, flavor) for tag, flavor in SAMPLE_PD],
+        ids=lambda v: f"{v.tag.value}-{v.pd_flavor.value}",
+    )
+    def test_ud_is_the_table_pd_of_recorded_branches(self, variant):
+        p = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=variant))
+        loop = DigitalLoop(p.with_offset(TWO_PI * 50e3), F_SAMP)
+        r = run_loop(ModulatedSource(variant, 400e3, 100e3), loop, 3e-4)
+        pd = SAMPLE_PD[(variant.tag, variant.pd_flavor)]
+        expect = np.array([pd(i, q) for i, q in zip(r.i2.tolist(), r.q2.tolist())])
+        assert expect.tobytes() == r.ud.tobytes()
 
 
 class TestDemod:
