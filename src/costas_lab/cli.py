@@ -35,7 +35,15 @@ from .baseband import AveragedModel, ClassicPhaseModel, DelayModel, classic_rhs,
 from .baseband import averaged_pull_in_time_numeric
 from .core import LoopParams, LoopVariant, pd_period
 from .detectors import PdCharacteristic
-from .ode import IntegratorConfig, LockTolerances, integrate, lock_verdict, phase_portrait
+from .ode import (
+    IntegratorConfig,
+    LockTolerances,
+    SlipWatch,
+    StiffnessError,
+    integrate,
+    lock_verdict,
+    phase_portrait,
+)
 from .signal_sim import (
     DigitalLoop,
     LockDetector,
@@ -242,17 +250,15 @@ def _simulate_ode(cfg: dict, variant: LoopVariant, params: LoopParams):
         model = ClassicPhaseModel(params, pd)
 
         def rhs(t, y):
-            return np.array(classic_rhs(model, (y[0], y[1])))
+            return classic_rhs(model, y)
     else:
         model = DelayModel(params, pd)
         seed = [params.delta_omega0]
 
         def rhs(t, y):
-            dx, dth = delay_rhs(model, (y[0], y[1]), seed[0])
-            seed[0] = dth
-            return np.array([dx, dth])
-
-    from .ode import SlipWatch
+            slope = delay_rhs(model, y, seed[0])
+            seed[0] = slope[1]
+            return slope
 
     traj = integrate(rhs, state0, icfg, SlipWatch(component=1, period=pd_period(variant)))
     tol = LockTolerances.for_model(ClassicPhaseModel(params, pd))
@@ -265,22 +271,22 @@ def cmd_simulate(args) -> int:
     variant = variant_from_config(cfg)
     params = params_from_config(cfg, variant)
     fidelity = cfg["fidelity"]
+    # every branch computes before it creates the output directory, so a
+    # rejected config leaves nothing behind
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
     if fidelity == "signal":
         _require_keys(cfg, _CONFIG_KEYS, {"f_samp", "duration", "f_symbol", "f0"}, "signal config")
         result, _ = _simulate_signal(cfg, variant, params)
+        outdir.mkdir(parents=True, exist_ok=True)
         export_csv(result, str(outdir / "timeseries.csv"))
         summary = {"schema": 1, "summary": result.summary(), "params": params.to_dict()}
-        (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         artifacts = ["timeseries.csv", "summary.json"]
     elif fidelity in ("phase", "delay"):
         if "t_end" not in cfg:
             raise CliError(f"{fidelity} fidelity needs t_end")
         traj, locked = _simulate_ode(cfg, variant, params)
-        path = outdir / "trajectory.csv"
-        with open(path, "w", newline="") as fh:
+        outdir.mkdir(parents=True, exist_ok=True)
+        with open(outdir / "trajectory.csv", "w", newline="") as fh:
             fh.write("t,x,theta_e\n")
             for t, y in zip(traj.t, traj.y):
                 fh.write(f"{_fmt(t)},{_fmt(y[0])},{_fmt(y[1])}\n")
@@ -289,8 +295,10 @@ def cmd_simulate(args) -> int:
         if blown:
             raise NumericBlowUp(len(traj.t))
         summary = {"schema": 1, "locked": locked, "cycle_slips": slips,
+                   "solver": {"steps": len(traj.t) - 1,
+                              "rejected_steps": traj.rejected_steps,
+                              "rhs_calls": traj.rhs_calls},
                    "params": params.to_dict()}
-        (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         artifacts = ["trajectory.csv", "summary.json"]
     elif fidelity == "averaged":
         model = AveragedModel(params, variant)
@@ -302,10 +310,11 @@ def cmd_simulate(args) -> int:
             "pull_in_time_formula": pull_in_time(params, variant, dw0),
             "params": params.to_dict(),
         }
-        (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        outdir.mkdir(parents=True, exist_ok=True)
         artifacts = ["summary.json"]
     else:
         raise CliError(f"unknown fidelity {fidelity!r}")
+    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     write_manifest(outdir, "simulate", cfg, _effective_seed(cfg), artifacts)
     print(json.dumps({"outdir": str(outdir), "artifacts": artifacts}))
     return 0
@@ -452,7 +461,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericBlowUp as exc:
+    except (NumericBlowUp, StiffnessError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

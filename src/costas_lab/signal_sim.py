@@ -489,7 +489,7 @@ def averaging_gap_experiment(
     """
     from .core import CONVENTIONAL_BPSK
     from .detectors import PdCharacteristic
-    from .baseband import ClassicPhaseModel
+    from .baseband import ClassicPhaseModel, classic_rhs
     from .ode import IntegratorConfig, integrate
 
     w3 = omega3 * omega3_scale
@@ -506,9 +506,7 @@ def averaging_gap_experiment(
     model = ClassicPhaseModel(params, PdCharacteristic(CONVENTIONAL_BPSK, m=1.0))
 
     def rhs(t, y):
-        from .baseband import classic_rhs
-
-        return np.array(classic_rhs(model, (y[0], y[1])))
+        return classic_rhs(model, y)
 
     traj = integrate(
         rhs, (0.0, 0.0), IntegratorConfig(t_end=duration, method="rk45", rtol=1e-10, atol=1e-12)

@@ -19,6 +19,17 @@ BASE_SIGNAL_CFG = {
 }
 
 
+PHASE_CFG = {
+    "schema": 1,
+    "fidelity": "phase",
+    "variant": "bpsk",
+    "f0": 400e3,
+    "f_symbol": 100e3,
+    "delta_f0": 10e3,
+    "t_end": 3e-4,
+}
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -150,6 +161,41 @@ class TestSimulateCommand:
             "t_end": 3e-4,
         })
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_solver_counters_in_summary(self, tmp_path, capsys, method):
+        cfg = write_cfg(tmp_path, {**PHASE_CFG, "method": method, "h": 1e-6})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+        solver = json.loads((tmp_path / "o" / "summary.json").read_text())["solver"]
+        rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
+        assert solver["steps"] == len(rows) - 2          # header and t = 0
+        per_attempt = 5 if method == "rk4" else 6
+        attempts = solver["steps"] + solver["rejected_steps"]
+        assert solver["rhs_calls"] == 1 + per_attempt * attempts
+        if method == "rk4":
+            assert solver["rejected_steps"] == 0
+
+    @pytest.mark.parametrize("controls", [
+        {"rtol": math.nan}, {"atol": math.nan}, {"h": math.inf},
+        {"t_end": math.nan}, {"t_end": math.inf, "method": "rk4"},
+    ], ids=["rtol-nan", "atol-nan", "h-inf", "t_end-nan", "t_end-inf-rk4"])
+    def test_non_finite_integrator_controls_exit_2(self, tmp_path, capsys, controls):
+        # json writes these as the NaN and Infinity literals the loader accepts
+        cfg = write_cfg(tmp_path, {**PHASE_CFG, **controls})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_step_size_underflow_exits_3(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**PHASE_CFG, "rtol": 1e-300, "atol": 1e-300})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 3
+        assert "step size underflow" in capsys.readouterr().err
+
+    def test_rejected_config_leaves_no_outdir(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**PHASE_CFG, "fidelity": "bogus"})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        assert "unknown fidelity" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_averaged_fidelity(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {

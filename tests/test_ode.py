@@ -12,6 +12,7 @@ from costas_lab.ode import (
     PITFALL_STATE0,
     PITFALL_T_END,
     SlipWatch,
+    StiffnessError,
     Trajectory,
     integrate,
     lock_verdict,
@@ -123,6 +124,96 @@ class TestIntegrate:
             IntegratorConfig(t_end=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(t_end=1.0, method="euler")
+
+    @pytest.mark.parametrize("controls", [
+        {"t_end": math.nan}, {"t_end": math.inf}, {"h": math.nan}, {"h": math.inf},
+        {"rtol": math.nan}, {"rtol": math.inf}, {"atol": math.nan}, {"atol": math.inf},
+        {"h_min": 0.0}, {"h_min": math.nan}, {"h_max": math.nan},
+    ], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+    def test_non_finite_controls_rejected(self, controls):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**{"t_end": 1.0, **controls})
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_rk45_nan_error_raises_instead_of_spinning(self):
+        # y' = y^2 blows up at t = 1; near it the error estimate turns NaN
+        calls = [0]
+
+        def rhs(t, y):
+            calls[0] += 1
+            if calls[0] > 100_000:
+                raise RuntimeError("controller spins")
+            return np.array([y[0] ** 2])
+
+        with pytest.raises(StiffnessError):
+            integrate(rhs, (1.0,), IntegratorConfig(t_end=10.0, rtol=1e-6))
+
+    def test_rhs_length_must_match_state(self):
+        with pytest.raises(ValueError):
+            integrate(lambda t, y: (0.0,), (1.0, 0.0), IntegratorConfig(t_end=1.0))
+
+
+# --- the rhs contract ----------------------------------------------------------
+
+def _drift_2d(t, y):
+    """Pitfall-model slope: slips under RK4 at h = 2e-2 and under RK45."""
+    return classic_rhs(PITFALL_MODEL, y)
+
+
+def _drift_1d(t, y):
+    return (0.9 + 0.5 * math.sin(y[0]),)
+
+
+PITFALL_MODEL = pitfall_example_model()
+CONTRACT_CASES = {
+    "2d": (_drift_2d, PITFALL_STATE0, SlipWatch(component=1, period=math.pi), 20.0),
+    "1d": (_drift_1d, (0.0,), SlipWatch(component=0, period=math.pi), 30.0),
+}
+CONTRACT_CONFIGS = {
+    "rk4": dict(method="rk4", h=2e-2),
+    "rk45": dict(method="rk45", rtol=1e-9, atol=1e-11),
+}
+
+
+def _run(rhs, state0, watch, t_end, controls):
+    return integrate(rhs, state0, IntegratorConfig(t_end=t_end, **controls), watch)
+
+
+class TestRhsContract:
+    @pytest.mark.parametrize("method", sorted(CONTRACT_CONFIGS))
+    @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+    @pytest.mark.parametrize("container", [list, np.array])
+    def test_any_sequence_gives_same_trajectory(self, case, method, container):
+        rhs, state0, watch, t_end = CONTRACT_CASES[case]
+        controls = CONTRACT_CONFIGS[method]
+        ref = _run(rhs, state0, watch, t_end, controls)
+        other = _run(lambda t, y: container(rhs(t, y)), state0, watch, t_end, controls)
+        assert ref.t.tobytes() == other.t.tobytes()
+        assert ref.y.shape == other.y.shape == (len(ref.t), len(state0))
+        assert ref.y.tobytes() == other.y.tobytes()
+        assert [e.kind for e in ref.events] == [e.kind for e in other.events]
+        assert np.array([(e.t, *e.state) for e in ref.events]).tobytes() == \
+            np.array([(e.t, *e.state) for e in other.events]).tobytes()
+        assert any(e.kind == "cycle_slip" for e in ref.events)
+
+    @pytest.mark.parametrize("method", sorted(CONTRACT_CONFIGS))
+    def test_rhs_call_pattern(self, method):
+        calls = [0]
+
+        def rhs(t, y):
+            calls[0] += 1
+            return _drift_2d(t, y)
+
+        traj = _run(rhs, PITFALL_STATE0, None, 20.0, CONTRACT_CONFIGS[method])
+        steps = len(traj.t) - 1
+        assert traj.rhs_calls == calls[0]
+        if method == "rk4":
+            assert calls[0] == 1 + 5 * steps
+            assert traj.rejected_steps == 0
+        else:
+            # benchmark/tracer.py derives rejected steps from this count
+            assert traj.rejected_steps > 0
+            assert calls[0] == 1 + 6 * (steps + traj.rejected_steps)
 
 
 @pytest.fixture(scope="module")
