@@ -33,7 +33,7 @@ from .analysis import (
 )
 from .baseband import AveragedModel, ClassicPhaseModel, DelayModel, classic_rhs, delay_rhs
 from .baseband import averaged_pull_in_time_numeric
-from .core import LoopParams, LoopVariant, pd_period
+from .core import CSV_FIELD, LoopParams, LoopVariant, pd_period, write_csv_rows
 from .detectors import PdCharacteristic
 from .ode import (
     IntegratorConfig,
@@ -63,10 +63,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_CONFIG):
         super().__init__(message)
         self.code = code
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.11e}"
 
 
 def config_hash(config: dict) -> str:
@@ -107,6 +103,38 @@ _DETECTOR_KEYS = {"freq_window", "freq_tol", "phase_tol"}
 _PARAM_KEYS = {"omega1", "omega_free", "k0", "kd", "tau1", "tau2", "omega3",
                "omega_n", "zeta", "delta_omega0"}
 
+_NUMBER_KEYS = {"f0", "f_symbol", "m", "delta_f0", "f_samp", "duration", "theta1_0",
+                "tau1", "omega_t_ratio", "t_end", "h", "rtol", "atol"}
+
+
+def _check_number(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        finite = False
+    if not finite:
+        raise CliError(f"{name} must be finite, got {value!r}")
+
+
+def _check_types(cfg: dict) -> None:
+    """Reject a config value of the wrong JSON type, or a non-finite number,
+    before any of it is used."""
+    for key in sorted(_NUMBER_KEYS & cfg.keys()):
+        _check_number(cfg[key], key)
+    seed = cfg.get("prbs_seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise CliError(f"prbs_seed must be an integer, got {seed!r}")
+    for key in ("detector", "params"):
+        if key not in cfg:
+            continue
+        if not isinstance(cfg[key], dict):
+            raise CliError(f"{key} must be a JSON object, got {cfg[key]!r}")
+        for name, value in cfg[key].items():
+            if not (name == "omega3" and value is None):
+                _check_number(value, f"{key}.{name}")
+
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
     try:
@@ -118,8 +146,6 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     if cfg.get("schema") != 1:
         raise CliError("config must declare schema: 1")
     _require_keys(cfg, _CONFIG_KEYS, {"schema", "fidelity", "variant"}, "config")
-    if "detector" in cfg:
-        _require_keys(cfg["detector"], _DETECTOR_KEYS, set(), "detector")
     if overrides:
         cfg = {**cfg, **{k: v for k, v in overrides.items() if v is not None}}
     env_seed = os.environ.get(SEED_ENV_VAR)
@@ -128,6 +154,9 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
             cfg["prbs_seed"] = int(env_seed, 0)
         except ValueError:
             raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
+    _check_types(cfg)
+    if "detector" in cfg:
+        _require_keys(cfg["detector"], _DETECTOR_KEYS, set(), "detector")
     return cfg
 
 
@@ -288,8 +317,7 @@ def cmd_simulate(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "trajectory.csv", "w", newline="") as fh:
             fh.write("t,x,theta_e\n")
-            for t, y in zip(traj.t, traj.y):
-                fh.write(f"{_fmt(t)},{_fmt(y[0])},{_fmt(y[1])}\n")
+            write_csv_rows(fh, (traj.t, traj.y[:, 0], traj.y[:, 1]))
         slips = sum(1 for e in traj.events if e.kind == "cycle_slip")
         blown = any(e.kind == "blow_up" for e in traj.events)
         if blown:
@@ -343,6 +371,8 @@ def cmd_sweep(args) -> int:
     offsets = [float(x) for x in args.offsets.split(",") if x.strip()]
     if not offsets:
         raise CliError("no offsets given")
+    for f in offsets:
+        _check_number(f, "offset")
     tasks = [(cfg, f) for f in offsets]
     if args.jobs > 1:
         import multiprocessing as mp
@@ -356,8 +386,7 @@ def cmd_sweep(args) -> int:
     path = outdir / "sweep.csv"
     with open(path, "w", newline="") as fh:
         fh.write("delta_f0_hz,t_p_theory_s,t_p_sim_s,locked\n")
-        for delta_f, theory, sim, locked in rows:
-            fh.write(f"{_fmt(delta_f)},{_fmt(theory)},{_fmt(sim)},{int(locked)}\n")
+        write_csv_rows(fh, list(zip(*rows)), f"{CSV_FIELD},{CSV_FIELD},{CSV_FIELD},%d\n")
     write_manifest(outdir, "sweep", {**cfg, "offsets": offsets},
                    _effective_seed(cfg), ["sweep.csv"])
     print(json.dumps({"outdir": str(args.output), "rows": len(rows)}))
@@ -390,8 +419,8 @@ def cmd_portrait(args) -> int:
     with open(path, "w", newline="") as fh:
         fh.write("t,x,theta_e,class\n")
         for c in portrait.trajectories:
-            for t, y in zip(c.trajectory.t, c.trajectory.y):
-                fh.write(f"{_fmt(t)},{_fmt(y[0])},{_fmt(y[1])},{c.label}\n")
+            write_csv_rows(fh, (c.trajectory.t, c.trajectory.y[:, 0], c.trajectory.y[:, 1]),
+                           f"{CSV_FIELD},{CSV_FIELD},{CSV_FIELD},{c.label}\n")
     write_manifest(outdir, "portrait", cfg, _effective_seed(cfg), ["portrait.csv"])
     print(json.dumps({"outdir": str(args.output),
                       "classes": sorted({c.label for c in portrait.trajectories})}))

@@ -15,6 +15,7 @@ I2 ~ m*cos(theta_e), Q2 ~ m*sin(theta_e).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,11 +27,20 @@ from .core import (
     SimResult,
     count_cycle_slips,
     pd_period,
+    write_csv_rows,
 )
 from .detectors import SAMPLE_PD
 from .filters import bilinear, make_lpf1, make_pi_filter
 
 TWO_PI = 2.0 * math.pi
+
+# Largest run ``run_loop`` accepts.  A run peaks at 116-168 B of traced
+# memory per sample (the 56 B of recorded float64 arrays, the source
+# waveform and the lock-detection windows), so 4e6 samples stay under
+# 0.7 GB, and their CSV (127 B per row) near 0.5 GB.  That is 1.25 s of
+# signal at 3.2 MHz, 52 times the longest run the benchmark or the
+# acceptance gate makes (76,800 samples).
+MAX_SAMPLES = 4_000_000
 
 
 class ConfigError(ValueError):
@@ -103,8 +113,8 @@ class DigitalLoop:
     hilbert_mode: str = "delay"  # "delay" (n/4 samples) | "ideal" (exact quadrature)
 
     def __post_init__(self):
-        if self.f_samp <= 0:
-            raise ConfigError("sampling rate must be > 0")
+        if not 0 < self.f_samp < math.inf:
+            raise ConfigError("sampling rate must be finite and > 0")
         if self.hilbert_mode not in ("delay", "ideal"):
             raise ConfigError(f"unknown hilbert_mode {self.hilbert_mode!r}")
 
@@ -181,7 +191,15 @@ def run_loop(
             f"sampling rate {loop.f_samp:g} must exceed 4x the carrier "
             f"{source.f_carrier:g} (sum-frequency content)"
         )
-    n = int(round(duration * loop.f_samp))
+    samples = duration * loop.f_samp
+    if not math.isfinite(samples):
+        raise ConfigError("duration must be finite")
+    if samples > MAX_SAMPLES:
+        raise ConfigError(
+            f"duration {duration:g} s at {loop.f_samp:g} Hz is {samples:.3g} samples, "
+            f"above the cap of {MAX_SAMPLES}"
+        )
+    n = int(round(samples))
     if n < 16:
         raise ConfigError("duration too short for the sampling rate")
     T = 1.0 / loop.f_samp
@@ -304,11 +322,9 @@ def _run_kernel(source, loop, n, T):
     k0_T = params.k0 * T
     th2 = loop.nco_phase0
     zi = zq = zf = 0.0
-    theta2 = [0.0] * n
-    ud_a = [0.0] * n
-    uf_a = [0.0] * n
-    i2_a = [0.0] * n
-    q2_a = [0.0] * n
+    # typed buffers hold the samples as doubles, not as float objects, and
+    # numpy reads them in place
+    theta2, ud_a, uf_a, i2_a, q2_a = (array("d", [0.0]) * n for _ in range(5))
     blow_at = None
     for k in range(n):
         theta2[k] = th2
@@ -344,15 +360,9 @@ def _run_kernel(source, loop, n, T):
             blow_at = k
             n = k + 1
             break
-    return (
-        th1,
-        np.array(theta2[:n]),
-        np.array(ud_a[:n]),
-        np.array(uf_a[:n]),
-        np.array(i2_a[:n]),
-        np.array(q2_a[:n]),
-        blow_at,
-    )
+    recorded = (np.frombuffer(buf, dtype=np.float64, count=n)
+                for buf in (theta2, ud_a, uf_a, i2_a, q2_a))
+    return (th1, *recorded, blow_at)
 
 
 def measure_pull_in_range(
@@ -539,5 +549,4 @@ def export_csv(result: SimResult, path: str) -> None:
             result.omega2, result.i2, result.q2)
     with open(path, "w", newline="") as fh:
         fh.write("t,theta_e,u_d,u_f,omega2,I2,Q2\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.11e}" for v in row) + "\n")
+        write_csv_rows(fh, cols)

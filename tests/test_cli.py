@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -191,6 +192,35 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 3
         assert "step size underflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [
+        {"f_samp": "fast"}, {"duration": "x"}, {"detector": 5}, {"params": [1, 2]},
+        {"delta_f0": math.nan}, {"duration": 1e9},
+    ], ids=["f_samp-str", "duration-str", "detector-int", "params-list", "delta_f0-nan",
+            "duration-over-cap"])
+    def test_bad_signal_config_exits_2(self, tmp_path, capsys, bad):
+        # duration 1e9 asks for 3.2e15 samples; the cap rejects it before
+        # anything is allocated
+        cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, **bad})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o").exists()
+
+    # SHA-256 of timeseries.csv for the README sim.json, per variant, as the
+    # per-value formatter wrote it; the bytes also rest on libm's sin and cos
+    README_TIMESERIES = {
+        "bpsk": "be4c2c3e64343f2b5b85a3dd11611b285ca00e57fc73340eee40fdfbd146c1be",
+        "qpsk": "34cd1647c12cdca609b78f8891fa38de74815a4a0a86c37b87891913c8d5f188",
+        "mod_bpsk": "f38f22c24100d40078114fe2c6df7c1b0b7505f9597b528e5996859866d73fd3",
+        "mod_qpsk": "39c118e7c204abb3256ee5ab30862760015960b4af5c19060196086cb109d12b",
+    }
+
+    @pytest.mark.parametrize("variant", sorted(README_TIMESERIES))
+    def test_readme_timeseries_digest(self, tmp_path, capsys, variant):
+        cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, "duration": 1.5e-3, "variant": variant})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+        digest = hashlib.sha256((tmp_path / "o" / "timeseries.csv").read_bytes()).hexdigest()
+        assert digest == self.README_TIMESERIES[variant]
+
     def test_rejected_config_leaves_no_outdir(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**PHASE_CFG, "fidelity": "bogus"})
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
@@ -257,6 +287,20 @@ class TestSweepCommand:
         assert float(inside[0]) == 5e3
         assert inside[1] == "nan"
         assert float(lines[2].split(",")[1]) == pytest.approx(33e-6, rel=0.05)
+
+    def test_duration_over_sample_cap_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, "duration": 1e9})
+        assert main(["sweep", "--config", cfg, "--offsets", "50e3",
+                     "-o", str(tmp_path / "o")]) == 2
+        assert "above the cap" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_offset_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE_SIGNAL_CFG)
+        assert main(["sweep", "--config", cfg, "--offsets", "50e3,nan",
+                     "-o", str(tmp_path / "o")]) == 2
+        assert "offset must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_empty_offsets_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE_SIGNAL_CFG)
