@@ -11,7 +11,6 @@ from .core import (
     SimResult,
     VariantTag,
     pd_period,
-    validate_params,
     wrap_phase,
 )
 from .analysis import (

@@ -81,7 +81,7 @@ def design(spec: DesignSpec) -> LoopParams:
     kd = PdCharacteristic(spec.variant, spec.m).kd
     k0 = omega_c**2 * spec.tau1 / kd
     omega3 = 2.0 * TWO_PI * spec.f_symbol if spec.variant.is_conventional else None
-    return LoopParams.from_gains(
+    return LoopParams(
         omega1=omega0,
         omega_free=omega0,
         k0=k0,

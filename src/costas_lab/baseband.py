@@ -27,6 +27,12 @@ from .core import LoopParams, LoopVariant, VariantTag
 from .detectors import PdCharacteristic
 
 
+# fixed-point iterations before the bisection fallback, and the relative
+# convergence tolerance of both
+IMPLICIT_MAX_ITER = 50
+IMPLICIT_REL_TOL = 1e-10
+
+
 class ImplicitSolveError(RuntimeError):
     """The delay model's implicit phase-rate equation failed to converge."""
 
@@ -37,9 +43,6 @@ class ClassicPhaseModel:
 
     params: LoopParams
     pd: PdCharacteristic
-
-    def rhs(self, state) -> tuple[float, float]:
-        return classic_rhs(self, state)
 
     def equilibrium_x(self) -> float:
         """Integrator charge that cancels the detuning at lock."""
@@ -65,15 +68,10 @@ class DelayModel:
 
     params: LoopParams
     pd: PdCharacteristic
-    max_iter: int = 50
-    rel_tol: float = 1e-10
 
     def __post_init__(self):
         if self.params.omega3 is None:
             raise ValueError("delay model needs the LPF corner omega3")
-
-    def rhs(self, state, prev_dtheta: float) -> tuple[float, float]:
-        return delay_rhs(self, state, prev_dtheta)
 
 
 def _delay_phi(model: DelayModel, theta_e: float, dtheta: float) -> float:
@@ -100,9 +98,9 @@ def delay_rhs(model: DelayModel, state, prev_dtheta: float) -> tuple[float, floa
         return base - gain * _delay_phi(model, theta_e, v)
 
     v = prev_dtheta
-    for _ in range(model.max_iter):
+    for _ in range(IMPLICIT_MAX_ITER):
         v_next = g(v)
-        if abs(v_next - v) <= model.rel_tol * max(abs(v_next), 1.0):
+        if abs(v_next - v) <= IMPLICIT_REL_TOL * max(abs(v_next), 1.0):
             return _delay_phi(model, theta_e, v_next), v_next
         v = v_next
 
@@ -125,7 +123,7 @@ def delay_rhs(model: DelayModel, state, prev_dtheta: float) -> tuple[float, floa
                 hi = mid
             else:
                 lo, flo = mid, fm
-            if hi - lo <= model.rel_tol * max(abs(hi), 1.0):
+            if hi - lo <= IMPLICIT_REL_TOL * max(abs(hi), 1.0):
                 break
         v = 0.5 * (lo + hi)
     return _delay_phi(model, theta_e, v), v
@@ -142,13 +140,6 @@ class AveragedModel:
 
     params: LoopParams
     variant: LoopVariant
-
-    @property
-    def k_h(self) -> float:
-        return self.params.k_h
-
-    def rhs(self, delta_omega: float) -> float:
-        return averaged_rhs(self, delta_omega)
 
 
 def averaged_ud(

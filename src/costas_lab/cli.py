@@ -33,7 +33,7 @@ from .analysis import (
 )
 from .baseband import AveragedModel, ClassicPhaseModel, DelayModel, classic_rhs, delay_rhs
 from .baseband import averaged_pull_in_time_numeric
-from .core import CSV_FIELD, LoopParams, LoopVariant, pd_period, write_csv_rows
+from .core import CSV_FIELD, LoopParams, LoopVariant, check_real, pd_period, write_csv_rows
 from .detectors import PdCharacteristic
 from .ode import (
     IntegratorConfig,
@@ -100,40 +100,47 @@ _CONFIG_KEYS = {
 
 _DETECTOR_KEYS = {"freq_window", "freq_tol", "phase_tol"}
 
-_PARAM_KEYS = {"omega1", "omega_free", "k0", "kd", "tau1", "tau2", "omega3",
-               "omega_n", "zeta", "delta_omega0"}
-
 _NUMBER_KEYS = {"f0", "f_symbol", "m", "delta_f0", "f_samp", "duration", "theta1_0",
                 "tau1", "omega_t_ratio", "t_end", "h", "rtol", "atol"}
 
 
-def _check_number(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CliError(f"{name} must be a number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:   # an int beyond the float range
-        finite = False
-    if not finite:
-        raise CliError(f"{name} must be finite, got {value!r}")
+def _check_object(value, name: str) -> None:
+    if not isinstance(value, dict):
+        raise CliError(f"{name} must be a JSON object, got {value!r}")
+
+
+def _check_vector(value, name: str, size: int) -> None:
+    if not isinstance(value, list) or len(value) != size:
+        raise CliError(f"{name} must be a list of {size} numbers, got {value!r}")
+    for i, v in enumerate(value):
+        check_real(v, f"{name}[{i}]")
 
 
 def _check_types(cfg: dict) -> None:
     """Reject a config value of the wrong JSON type, or a non-finite number,
-    before any of it is used."""
+    before any of it is used.  ``params`` is left to LoopParams.from_dict."""
     for key in sorted(_NUMBER_KEYS & cfg.keys()):
-        _check_number(cfg[key], key)
+        check_real(cfg[key], key)
     seed = cfg.get("prbs_seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise CliError(f"prbs_seed must be an integer, got {seed!r}")
-    for key in ("detector", "params"):
-        if key not in cfg:
-            continue
-        if not isinstance(cfg[key], dict):
-            raise CliError(f"{key} must be a JSON object, got {cfg[key]!r}")
-        for name, value in cfg[key].items():
-            if not (name == "omega3" and value is None):
-                _check_number(value, f"{key}.{name}")
+    if "detector" in cfg:
+        _check_object(cfg["detector"], "detector")
+        _require_keys(cfg["detector"], _DETECTOR_KEYS, set(), "detector")
+        for name, value in cfg["detector"].items():
+            check_real(value, f"detector.{name}")
+    if "state0" in cfg:
+        _check_vector(cfg["state0"], "state0", 2)
+    if "states" in cfg:
+        if not isinstance(cfg["states"], list):
+            raise CliError(f"states must be a list of [x, theta_e] pairs, got {cfg['states']!r}")
+        for i, state in enumerate(cfg["states"]):
+            _check_vector(state, f"states[{i}]", 2)
+    if "grid" in cfg:
+        _check_object(cfg["grid"], "grid")
+        _require_keys(cfg["grid"], {"x", "theta_e"}, {"x", "theta_e"}, "grid")
+        for axis in ("x", "theta_e"):
+            _check_vector(cfg["grid"][axis], f"grid.{axis}", 3)
 
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
@@ -143,7 +150,8 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
         raise CliError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise CliError("config must be a JSON object")
-    if cfg.get("schema") != 1:
+    schema = cfg.get("schema")
+    if isinstance(schema, bool) or schema != 1:
         raise CliError("config must declare schema: 1")
     _require_keys(cfg, _CONFIG_KEYS, {"schema", "fidelity", "variant"}, "config")
     if overrides:
@@ -155,8 +163,6 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
         except ValueError:
             raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
     _check_types(cfg)
-    if "detector" in cfg:
-        _require_keys(cfg["detector"], _DETECTOR_KEYS, set(), "detector")
     return cfg
 
 
@@ -173,12 +179,7 @@ def variant_from_config(cfg: dict) -> LoopVariant:
 
 def params_from_config(cfg: dict, variant: LoopVariant) -> LoopParams:
     if "params" in cfg:
-        p = dict(cfg["params"])
-        _require_keys(p, _PARAM_KEYS, {"omega1", "omega_free", "k0", "kd", "tau1", "tau2"}, "params")
-        params = LoopParams.from_gains(
-            omega1=p["omega1"], omega_free=p["omega_free"], k0=p["k0"], kd=p["kd"],
-            tau1=p["tau1"], tau2=p["tau2"], omega3=p.get("omega3"),
-        )
+        params = LoopParams.from_dict(cfg["params"])
     else:
         if "f0" not in cfg or "f_symbol" not in cfg:
             raise CliError("config needs either params{} or f0 + f_symbol for design")
@@ -232,8 +233,10 @@ def cmd_design(args) -> int:
 
 def cmd_predict(args) -> int:
     blob = json.loads(Path(args.params).read_text())
-    pdict = blob.get("params", blob)
-    params = LoopParams.from_dict(pdict)
+    # a design output file, or a bare params object
+    if isinstance(blob, dict) and "params" in blob:
+        blob = blob["params"]
+    params = LoopParams.from_dict(blob)
     variant = LoopVariant.from_name(args.variant, args.pd_flavor)
     report = predict(params, variant)
     out = {"schema": 1, "prediction": report.to_dict()}
@@ -372,7 +375,7 @@ def cmd_sweep(args) -> int:
     if not offsets:
         raise CliError("no offsets given")
     for f in offsets:
-        _check_number(f, "offset")
+        check_real(f, "offset")
     tasks = [(cfg, f) for f in offsets]
     if args.jobs > 1:
         import multiprocessing as mp
@@ -404,7 +407,6 @@ def cmd_portrait(args) -> int:
         states = [tuple(s) for s in cfg["states"]]
     elif "grid" in cfg:
         g = cfg["grid"]
-        _require_keys(g, {"x", "theta_e"}, {"x", "theta_e"}, "grid")
         xs = np.linspace(g["x"][0], g["x"][1], int(g["x"][2]))
         ths = np.linspace(g["theta_e"][0], g["theta_e"][1], int(g["theta_e"][2]))
         states = [(float(x), float(th)) for x in xs for th in ths]

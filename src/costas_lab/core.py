@@ -9,7 +9,7 @@ wrapping is a view operation (see :func:`wrap_phase`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -109,13 +109,29 @@ def wrap_phase(theta, period: float = 2.0 * math.pi):
     return wrapped
 
 
+def check_real(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is a finite int or float (a bool is
+    not a number here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+_GAIN_KEYS = ("omega1", "omega_free", "k0", "kd", "tau1", "tau2")
+_DERIVED_KEYS = ("omega_c", "omega_n", "zeta", "delta_omega0")
+
+
 @dataclass(frozen=True)
 class LoopParams:
-    """All loop constants plus the derived second-order normalization.
+    """All loop constants; the second-order normalization is derived.
 
-    ``omega_n`` and ``zeta`` are stored, not recomputed on the fly; the
-    constructor guarantees they are consistent with the gains and
-    :func:`validate_params` re-checks the relations to 1e-9 relative.
+    ``omega_n`` = sqrt(K0*Kd/tau1) and ``zeta`` = omega_n*tau2/2 are
+    computed from the gains on access, so they cannot disagree with them.
     """
 
     omega1: float        # reference carrier, rad/s
@@ -124,9 +140,17 @@ class LoopParams:
     kd: float            # PD gain, V/rad
     tau1: float          # loop-filter integrator time constant, s
     tau2: float          # loop-filter zero time constant, s
-    omega_n: float       # natural frequency, rad/s
-    zeta: float          # damping factor
     omega3: Optional[float] = None   # LPF corner, rad/s; conventional loops only
+
+    @property
+    def omega_n(self) -> float:
+        """Natural frequency sqrt(K0*Kd/tau1), rad/s."""
+        return math.sqrt(self.k0 * self.kd / self.tau1)
+
+    @property
+    def zeta(self) -> float:
+        """Damping factor omega_n*tau2/2."""
+        return self.omega_n * self.tau2 / 2.0
 
     @property
     def omega_c(self) -> float:
@@ -143,35 +167,9 @@ class LoopParams:
         """High-frequency loop-filter gain tau2/tau1."""
         return self.tau2 / self.tau1
 
-    @classmethod
-    def from_gains(
-        cls,
-        omega1: float,
-        omega_free: float,
-        k0: float,
-        kd: float,
-        tau1: float,
-        tau2: float,
-        omega3: Optional[float] = None,
-    ) -> "LoopParams":
-        """Build params deriving (omega_n, zeta) from the raw gains."""
-        omega_n = math.sqrt(k0 * kd / tau1)
-        zeta = omega_n * tau2 / 2.0
-        return cls(omega1, omega_free, k0, kd, tau1, tau2, omega_n, zeta, omega3)
-
     def with_offset(self, delta_omega0: float) -> "LoopParams":
         """Same loop, retuned so that omega1 - omega_free = delta_omega0."""
-        return LoopParams(
-            self.omega1,
-            self.omega1 - delta_omega0,
-            self.k0,
-            self.kd,
-            self.tau1,
-            self.tau2,
-            self.omega_n,
-            self.zeta,
-            self.omega3,
-        )
+        return replace(self, omega_free=self.omega1 - delta_omega0)
 
     def to_dict(self) -> dict:
         return {
@@ -189,49 +187,44 @@ class LoopParams:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LoopParams":
-        return cls(
-            omega1=d["omega1"],
-            omega_free=d["omega_free"],
-            k0=d["k0"],
-            kd=d["kd"],
-            tau1=d["tau1"],
-            tau2=d["tau2"],
-            omega_n=d["omega_n"],
-            zeta=d["zeta"],
-            omega3=d.get("omega3"),
-        )
+    def from_dict(cls, d) -> "LoopParams":
+        """The one reader of a params object, such as ``design``'s ``params``.
+
+        Accepts exactly the keys :meth:`to_dict` writes and requires the six
+        gains.  Every value must be a finite number; ``omega3`` may be null
+        or absent.  ``tau1``, ``tau2``, ``k0``, ``kd`` and a present
+        ``omega3`` must be > 0.  A derived key (``omega_c``, ``omega_n``,
+        ``zeta``, ``delta_omega0``) is checked against the gains to
+        :data:`REL_TOL` relative, never trusted.  Raises ValueError naming
+        the offending key.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"params must be a JSON object, got {d!r}")
+        unknown = set(d) - {*_GAIN_KEYS, "omega3", *_DERIVED_KEYS}
+        if unknown:
+            raise ValueError(f"unknown params keys: {sorted(unknown)}")
+        missing = [k for k in _GAIN_KEYS if k not in d]
+        if missing:
+            raise ValueError(f"missing params keys: {missing}")
+        for key, value in d.items():
+            if not (key == "omega3" and value is None):
+                check_real(value, f"params.{key}")
+        for key in ("tau1", "tau2", "k0", "kd", "omega3"):
+            if d.get(key) is not None and not d[key] > 0:
+                raise ValueError(f"params.{key} must be > 0, got {d[key]!r}")
+        p = cls(*(d[k] for k in _GAIN_KEYS), d.get("omega3"))
+        for key in _DERIVED_KEYS:
+            if key in d and not _rel_err(d[key], getattr(p, key)) <= REL_TOL:
+                raise ValueError(
+                    f"params.{key} = {d[key]!r} disagrees with the gains, "
+                    f"which give {getattr(p, key)!r}"
+                )
+        return p
 
 
 def _rel_err(actual: float, expected: float) -> float:
     scale = max(abs(actual), abs(expected), 1e-300)
     return abs(actual - expected) / scale
-
-
-def validate_params(p: LoopParams, rel_tol: float = REL_TOL) -> list[str]:
-    """Check every LoopParams invariant; returns a list of violations.
-
-    An empty list means the parameter set is internally consistent to
-    ``rel_tol`` relative accuracy.
-    """
-    violations = []
-    for name in ("tau1", "tau2", "k0", "kd"):
-        if getattr(p, name) <= 0:
-            violations.append(f"{name} must be > 0, got {getattr(p, name)}")
-    if p.omega3 is not None and p.omega3 <= 0:
-        violations.append(f"omega3 must be > 0 when present, got {p.omega3}")
-    if p.tau1 > 0 and p.kd > 0 and p.k0 > 0:
-        if _rel_err(p.omega_n**2 * p.tau1, p.k0 * p.kd) > rel_tol:
-            violations.append(
-                f"omega_n^2*tau1 = {p.omega_n**2 * p.tau1:.6g} "
-                f"!= k0*kd = {p.k0 * p.kd:.6g}"
-            )
-        if _rel_err(2.0 * p.zeta, p.omega_n * p.tau2) > rel_tol:
-            violations.append(
-                f"2*zeta = {2.0 * p.zeta:.6g} != omega_n*tau2 = "
-                f"{p.omega_n * p.tau2:.6g}"
-            )
-    return violations
 
 
 @dataclass

@@ -37,6 +37,9 @@ from .baseband import ClassicPhaseModel
 RhsFn = Callable[[float, Sequence[float]], Sequence[float]]
 
 
+H_MIN = 1e-12   # smallest RK45 step; below it a run ends or raises
+
+
 class StiffnessError(RuntimeError):
     """Adaptive step size underflowed."""
 
@@ -51,8 +54,6 @@ class IntegratorConfig:
     t_end: float
     method: str = "rk45"
     h: float = 1e-3
-    h_min: float = 1e-12
-    h_max: float = math.inf
     rtol: float = 1e-8
     atol: float = 1e-10
 
@@ -63,10 +64,6 @@ class IntegratorConfig:
             raise ValueError("t_end, h, rtol, atol must be finite")
         if self.t_end <= 0 or self.h <= 0 or self.rtol <= 0 or self.atol <= 0:
             raise ValueError("t_end, h, rtol, atol must be > 0")
-        if not self.h_min > 0:
-            raise ValueError("h_min must be > 0")
-        if not self.h_max >= self.h_min:
-            raise ValueError("h_max must be >= h_min")
 
 
 @dataclass(frozen=True)
@@ -201,13 +198,13 @@ def _rk4_steps(rhs, y, f0, config, events, counts):
 def _rk45_steps(rhs, y, f0, config, events, counts):
     """Accepted adaptive steps ``(t, y, slope)`` under the elementary
     controller.  A non-finite attempt quarters the step and a step below
-    ``h_min`` ends the run with a ``blow_up`` event; an error estimate
-    that stays above 1 (or is NaN) at ``h_min`` raises StiffnessError."""
-    t_end, h_min, h_max = config.t_end, config.h_min, config.h_max
+    :data:`H_MIN` ends the run with a ``blow_up`` event; an error estimate
+    that stays above 1 (or is NaN) at :data:`H_MIN` raises StiffnessError."""
+    t_end = config.t_end
     rtol, atol = config.rtol, config.atol
     dim = len(y)
     t = 0.0
-    h = min(config.h, h_max, t_end / 10.0)
+    h = min(config.h, t_end / 10.0)
     while t < t_end:
         h = min(h, t_end - t)
         ks, y5, y4 = _dp_attempt(rhs, t, y, f0, h)
@@ -215,7 +212,7 @@ def _rk45_steps(rhs, y, f0, config, events, counts):
         if y5 is None:
             counts[1] += 1
             h *= 0.25
-            if h < h_min:
+            if h < H_MIN:
                 events.append(Event("blow_up", t, y))
                 return
             continue
@@ -236,8 +233,8 @@ def _rk45_steps(rhs, y, f0, config, events, counts):
         else:                       # NaN: shrink as for an infinite error
             factor = 0.2
         h = h * min(5.0, max(0.2, factor))
-        h = min(max(h, h_min), h_max)
-        if not err <= 1.0 and h <= h_min:
+        h = max(h, H_MIN)
+        if not err <= 1.0 and h <= H_MIN:
             raise StiffnessError(f"step size underflow at t={t:g}")
 
 
@@ -393,7 +390,6 @@ def step_sensitivity_probe(
     state0: Sequence[float],
     h_list: Sequence[float],
     t_end: float,
-    tol: Optional[LockTolerances] = None,
 ) -> ProbeReport:
     """Fixed-step lock verdicts for each h, plus an adaptive reference.
 
@@ -403,7 +399,7 @@ def step_sensitivity_probe(
     """
     from .core import pd_period
 
-    tol = tol or LockTolerances.for_model(model)
+    tol = LockTolerances.for_model(model)
     period = pd_period(model.pd.variant)
     rhs = _phase_rhs(model)
 
@@ -499,9 +495,7 @@ def phase_portrait(
     model: ClassicPhaseModel,
     initial_states: Sequence[Sequence[float]],
     t_end: float,
-    tol: Optional[LockTolerances] = None,
     locate_cycles: bool = True,
-    config: Optional[IntegratorConfig] = None,
 ) -> Portrait:
     """Integrate a grid of initial conditions and classify the limit sets.
 
@@ -512,9 +506,9 @@ def phase_portrait(
     """
     from .core import pd_period
 
-    tol = tol or LockTolerances.for_model(model)
+    tol = LockTolerances.for_model(model)
     period = pd_period(model.pd.variant)
-    cfg = config or IntegratorConfig(t_end=t_end, method="rk45", rtol=1e-9, atol=1e-11)
+    cfg = IntegratorConfig(t_end=t_end, method="rk45", rtol=1e-9, atol=1e-11)
     rhs = _phase_rhs(model)
 
     out = []
@@ -569,7 +563,7 @@ def pitfall_example_model(
 
     tau1 = gain / omega_n**2
     tau2 = 2.0 * zeta / omega_n
-    params = LoopParams.from_gains(
+    params = LoopParams(
         omega1=delta_omega0,
         omega_free=0.0,
         k0=gain,

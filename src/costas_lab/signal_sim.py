@@ -109,7 +109,6 @@ class DigitalLoop:
 
     params: LoopParams
     f_samp: float
-    nco_phase0: float = 0.0
     hilbert_mode: str = "delay"  # "delay" (n/4 samples) | "ideal" (exact quadrature)
 
     def __post_init__(self):
@@ -320,7 +319,7 @@ def _run_kernel(source, loop, n, T):
     sin, cos = math.sin, math.cos
     wfree_T = params.omega_free * T
     k0_T = params.k0 * T
-    th2 = loop.nco_phase0
+    th2 = 0.0
     zi = zq = zf = 0.0
     # typed buffers hold the samples as doubles, not as float objects, and
     # numpy reads them in place
@@ -389,7 +388,7 @@ def measure_pull_in_range(
 
     def locks(delta_f: float) -> bool:
         params = loop.params.with_offset(TWO_PI * delta_f)
-        trial = DigitalLoop(params, loop.f_samp, loop.nco_phase0, loop.hilbert_mode)
+        trial = DigitalLoop(params, loop.f_samp, loop.hilbert_mode)
         return run_loop(source, trial, budget_fn(delta_f), detector).locked
 
     if not locks(lo):
@@ -504,7 +503,7 @@ def averaging_gap_experiment(
 
     w3 = omega3 * omega3_scale
     omega1 = TWO_PI * f_carrier
-    params = LoopParams.from_gains(
+    params = LoopParams(
         omega1=omega1,
         omega_free=omega1 - delta_omega0,
         k0=k0,

@@ -39,7 +39,7 @@ def mod_qpsk_design():
 @pytest.fixture(scope="session")
 def bpsk_reference_params():
     """The reference design quoted for the conventional BPSK loop."""
-    return LoopParams.from_gains(
+    return LoopParams(
         omega1=OMEGA0, omega_free=OMEGA0, k0=1262000.0, kd=1.0,
         tau1=20e-6, tau2=4e-6, omega3=1256000.0,
     )
@@ -47,7 +47,7 @@ def bpsk_reference_params():
 
 @pytest.fixture(scope="session")
 def qpsk_reference_params():
-    return LoopParams.from_gains(
+    return LoopParams(
         omega1=OMEGA0, omega_free=OMEGA0, k0=631000.0, kd=2.0,
         tau1=20e-6, tau2=4e-6, omega3=1256000.0,
     )
@@ -55,7 +55,7 @@ def qpsk_reference_params():
 
 @pytest.fixture(scope="session")
 def modified_reference_params():
-    return LoopParams.from_gains(
+    return LoopParams(
         omega1=OMEGA0, omega_free=OMEGA0, k0=1262000.0, kd=1.0,
         tau1=20e-6, tau2=4e-6,
     )

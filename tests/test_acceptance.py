@@ -71,14 +71,14 @@ VARIANTS = {
 
 # the reference designs the comparison tables were produced with
 REFERENCE_PARAMS = {
-    "bpsk": LoopParams.from_gains(OMEGA0, OMEGA0, 1262000.0, 1.0,
-                                  20e-6, 4e-6, omega3=1256000.0),
-    "qpsk": LoopParams.from_gains(OMEGA0, OMEGA0, 631000.0, 2.0,
-                                  20e-6, 4e-6, omega3=1256000.0),
-    "mod_bpsk": LoopParams.from_gains(OMEGA0, OMEGA0, 1262000.0, 1.0,
-                                      20e-6, 4e-6),
-    "mod_qpsk": LoopParams.from_gains(OMEGA0, OMEGA0, 1262000.0, 1.0,
-                                      20e-6, 4e-6),
+    "bpsk": LoopParams(OMEGA0, OMEGA0, 1262000.0, 1.0,
+                       20e-6, 4e-6, omega3=1256000.0),
+    "qpsk": LoopParams(OMEGA0, OMEGA0, 631000.0, 2.0,
+                       20e-6, 4e-6, omega3=1256000.0),
+    "mod_bpsk": LoopParams(OMEGA0, OMEGA0, 1262000.0, 1.0,
+                           20e-6, 4e-6),
+    "mod_qpsk": LoopParams(OMEGA0, OMEGA0, 1262000.0, 1.0,
+                           20e-6, 4e-6),
 }
 
 # theory tables: (offset Hz, printed value us)
@@ -287,7 +287,7 @@ def test_criterion_5_pull_in_range():
     for _ in range(100):
         omega_c = 10 ** rng.uniform(4, 6)
         omega3 = omega_c * rng.uniform(2.0, 50.0)
-        p = LoopParams.from_gains(0, 0, 1e6, 1.0, 1e-4, 1.0 / omega_c, omega3=omega3)
+        p = LoopParams(0, 0, 1e6, 1.0, 1e-4, 1.0 / omega_c, omega3=omega3)
         for variant in (CONVENTIONAL_BPSK, CONVENTIONAL_QPSK):
             c = pull_in_range(p, variant)
             n = pull_in_range_numeric(p, variant)

@@ -20,7 +20,6 @@ from costas_lab import (
     pull_in_range_numeric,
     pull_in_time,
     pull_in_time_formula,
-    validate_params,
 )
 from costas_lab.analysis import (
     DesignError,
@@ -43,7 +42,7 @@ class TestDesign:
         assert abs(p.k0 - 1262000.0) / 1262000.0 < 0.01
         assert abs(p.omega_n - 251200.0) / 251200.0 < 0.005
         assert abs(p.zeta - 0.5) / 0.5 < 0.005
-        assert validate_params(p) == []
+        assert LoopParams.from_dict(p.to_dict()) == p
 
     def test_reference_qpsk_design(self, qpsk_design):
         assert abs(qpsk_design.k0 - 631000.0) / 631000.0 < 0.01
@@ -112,10 +111,10 @@ class TestLockIn:
     def test_lock_time(self, bpsk_design):
         assert lock_time(bpsk_design) == pytest.approx(TWO_PI / bpsk_design.omega_n)
         assert lock_time(bpsk_design) == pytest.approx(25e-6, rel=0.02)
-        p2 = LoopParams.from_gains(0, 0, 4.0 * bpsk_design.k0, 1.0,
-                                   bpsk_design.tau1, bpsk_design.tau2)
+        p2 = LoopParams(0, 0, 4.0 * bpsk_design.k0, 1.0,
+                        bpsk_design.tau1, bpsk_design.tau2)
         assert lock_time(p2) == pytest.approx(lock_time(bpsk_design) / 2)
-        p3 = LoopParams.from_gains(0, 0, (TWO_PI) ** 2, 1.0, 1.0, 0.1)
+        p3 = LoopParams(0, 0, (TWO_PI) ** 2, 1.0, 1.0, 0.1)
         assert lock_time(p3) == pytest.approx(1.0)
 
 
@@ -135,7 +134,7 @@ class TestPullInRange:
 
     def test_numeric_matches_closed_bpsk_synthetic(self):
         # omega3/omega_c = 5 gives the closed form omega3*sqrt(4/5)
-        p = LoopParams.from_gains(0, 0, 1e6, 1.0, 1e-4, 1.0 / 2e5, omega3=1e6)
+        p = LoopParams(0, 0, 1e6, 1.0, 1e-4, 1.0 / 2e5, omega3=1e6)
         closed = pull_in_range(p, CONVENTIONAL_BPSK)
         assert closed == pytest.approx(1e6 * math.sqrt(0.8), rel=1e-12)
         numeric = pull_in_range_numeric(p, CONVENTIONAL_BPSK)
@@ -148,7 +147,7 @@ class TestPullInRange:
             omega_c = 10 ** rng.uniform(4, 6)
             ratio = rng.uniform(2.0, 50.0)
             omega3 = ratio * omega_c
-            p = LoopParams.from_gains(
+            p = LoopParams(
                 0, 0, 1e6, 1.0, 1e-4, 1.0 / omega_c, omega3=omega3
             )
             closed = pull_in_range(p, variant)
@@ -156,7 +155,7 @@ class TestPullInRange:
             assert abs(numeric - closed) / closed < 1e-6
 
     def test_degenerate_configuration_rejected(self):
-        p = LoopParams.from_gains(0, 0, 1e6, 1.0, 1e-4, 1e-5, omega3=5e4)
+        p = LoopParams(0, 0, 1e6, 1.0, 1e-4, 1e-5, omega3=5e4)
         with pytest.raises(RangeError):
             pull_in_range(p, CONVENTIONAL_BPSK)
 
@@ -241,8 +240,7 @@ class TestHoldIn:
         assert hold.contains(1e9)
 
     def test_zero_gain_degenerate(self):
-        p = LoopParams(omega1=0, omega_free=0, k0=0.0, kd=1.0, tau1=1e-4,
-                       tau2=1e-5, omega_n=0.0, zeta=0.0)
+        p = LoopParams(omega1=0, omega_free=0, k0=0.0, kd=1.0, tau1=1e-4, tau2=1e-5)
         hold = hold_in_pi(p)
         assert not hold.unbounded and hold.intervals == ()
 

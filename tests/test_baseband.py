@@ -139,7 +139,7 @@ class TestDelayRhs:
             DelayModel(modified_reference_params, PdCharacteristic(MODIFIED_BPSK, 1.0))
 
     def test_converges_to_classic_for_wide_lpf(self, bpsk_reference_params):
-        p_wide = LoopParams.from_gains(
+        p_wide = LoopParams(
             bpsk_reference_params.omega1,
             bpsk_reference_params.omega_free - 314159.0,
             bpsk_reference_params.k0,
@@ -243,7 +243,7 @@ class TestAveragedModel:
 
         b = bpsk_reference_params
         dw0 = TWO_PI * 50e3
-        p = LoopParams.from_gains(
+        p = LoopParams(
             b.omega1, b.omega1 - dw0, b.k0 / 50.0, b.kd, b.tau1, b.tau2,
             omega3=b.omega3,
         )

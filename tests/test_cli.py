@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from costas_lab import analysis, baseband, cli, core, ode, signal_sim
@@ -28,6 +29,17 @@ PHASE_CFG = {
     "f_symbol": 100e3,
     "delta_f0": 10e3,
     "t_end": 3e-4,
+}
+
+
+# the params object `design --variant bpsk --f0 400e3 --fs 100e3` writes
+DESIGN_PARAMS = analysis.design(
+    analysis.DesignSpec(400e3, 100e3, core.CONVENTIONAL_BPSK)).to_dict()
+# the designed gains with a stated omega_n and zeta that contradict them
+STATED_NORMALIZATION = {
+    **{k: DESIGN_PARAMS[k]
+       for k in ("omega1", "omega_free", "k0", "kd", "tau1", "tau2", "omega3")},
+    "omega_n": 1.0, "zeta": 5.0,
 }
 
 
@@ -88,6 +100,18 @@ class TestPredictCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["leadlag_hold_in"]["case"] == "wide-lpf"
         assert out["leadlag_hold_in"]["intervals"][0][1] > 0
+
+    @pytest.mark.parametrize("content,named", [
+        ([1, 2], "JSON object"),
+        ({**DESIGN_PARAMS, "tau2": "x"}, "tau2"),
+        ({k: v for k, v in DESIGN_PARAMS.items() if k != "k0"}, "k0"),
+        ({"schema": 1, "params": STATED_NORMALIZATION}, "omega_n"),
+    ], ids=["not-object", "gain-str", "gain-missing", "stated-omega_n-zeta"])
+    def test_bad_params_file_exits_2(self, tmp_path, capsys, content, named):
+        path = write_cfg(tmp_path, content, "p.json")
+        assert main(["predict", "--params", path, "--variant", "bpsk"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
 
 
 class TestSimulateCommand:
@@ -194,9 +218,12 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("bad", [
         {"f_samp": "fast"}, {"duration": "x"}, {"detector": 5}, {"params": [1, 2]},
-        {"delta_f0": math.nan}, {"duration": 1e9},
+        {"delta_f0": math.nan}, {"duration": 1e9}, {"params": STATED_NORMALIZATION},
+        {"states": 5}, {"states": [[0.1, "x"]]}, {"grid": {"x": [0.0, 1.0, 3], "theta_e": 5}},
+        {"state0": 5}, {"state0": [0.0, math.nan]},
     ], ids=["f_samp-str", "duration-str", "detector-int", "params-list", "delta_f0-nan",
-            "duration-over-cap"])
+            "duration-over-cap", "params-stated-omega_n-zeta", "states-int", "states-str-entry",
+            "grid-axis-int", "state0-int", "state0-nan"])
     def test_bad_signal_config_exits_2(self, tmp_path, capsys, bad):
         # duration 1e9 asks for 3.2e15 samples; the cap rejects it before
         # anything is allocated
@@ -220,6 +247,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
         digest = hashlib.sha256((tmp_path / "o" / "timeseries.csv").read_bytes()).hexdigest()
         assert digest == self.README_TIMESERIES[variant]
+
+    def test_design_params_round_trip(self, tmp_path, capsys):
+        pfile = tmp_path / "params.json"
+        assert main(["design", "--variant", "bpsk", "--f0", "400e3", "--fs", "100e3",
+                     "-o", str(pfile)]) == 0
+        designed = json.loads(pfile.read_text())["params"]
+        cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, "params": designed})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+        assert main(["predict", "--params", str(pfile), "--variant", "bpsk"]) == 0
+        retuned = core.LoopParams.from_dict(designed).with_offset(
+            2 * math.pi * BASE_SIGNAL_CFG["delta_f0"])
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["params"] == {**designed, "omega_free": retuned.omega_free,
+                                     "delta_omega0": retuned.delta_omega0}
 
     def test_rejected_config_leaves_no_outdir(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**PHASE_CFG, "fidelity": "bogus"})
@@ -350,6 +391,39 @@ class TestPortraitCommand:
         assert main(["portrait", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
         lines = (tmp_path / "o" / "portrait.csv").read_text().splitlines()
         assert len(lines) > 6
+
+
+# wrong JSON types, NaN, +-inf, zero and negatives: no draw can ask for a
+# long valid run
+FUZZ_POOL = ("x", "", True, False, None, [], [1.0, "x"], {}, {"k": 1},
+             math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5e5)
+
+
+def test_config_boundary_fuzz(tmp_path, capsys):
+    """One key of the README sim.json, the README portrait.json or a design
+    params file replaced by a pool value: every run exits 0, 2 or 3 and
+    never raises, and an exit 2 leaves no output directory."""
+    targets = [
+        ("simulate", {**BASE_SIGNAL_CFG, "duration": 1.5e-3}),
+        ("portrait", TestPortraitCommand.PORTRAIT_CFG),
+        ("predict", DESIGN_PARAMS),
+    ]
+    rng = np.random.default_rng(20261018)
+    for case in range(300):
+        command, base = targets[rng.integers(len(targets))]
+        key = sorted(base)[rng.integers(len(base))]
+        value = FUZZ_POOL[rng.integers(len(FUZZ_POOL))]
+        path = write_cfg(tmp_path, {**base, key: value}, f"case{case}.json")
+        out = tmp_path / f"o{case}"
+        if command == "predict":
+            argv = ["predict", "--params", path, "--variant", "bpsk"]
+        else:
+            argv = [command, "--config", path, "-o", str(out)]
+        rc = main(argv)
+        assert rc in (0, 2, 3), (command, key, value)
+        if rc == 2:
+            assert not out.exists(), (command, key, value)
+    capsys.readouterr()
 
 
 # Callers look these functions up on the importing module, and tools that

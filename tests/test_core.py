@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import costas_lab
 from costas_lab import (
     CONVENTIONAL_BPSK,
     CONVENTIONAL_QPSK,
@@ -13,7 +18,6 @@ from costas_lab import (
     PdFlavor,
     VariantTag,
     pd_period,
-    validate_params,
     wrap_phase,
 )
 from costas_lab.core import count_cycle_slips
@@ -58,39 +62,35 @@ class TestPdPeriod:
             assert pd_period(v) in (math.pi, math.pi / 2)
 
 
+REFERENCE_GAINS = dict(omega1=2.512e6, omega_free=2.512e6, k0=1262000.0, kd=1.0,
+                       tau1=20e-6, tau2=4e-6, omega3=1256000.0)
+
+
 class TestValidateParams:
+    """``LoopParams.from_dict`` is the one reader of a params object: derived
+    keys are checked against the gains, never trusted."""
+
     def test_reference_design_consistent(self):
-        # omega_n stored at the printed 2-figure value is accepted at the
-        # loose tolerance used for quoted figures only
-        p = LoopParams(
-            omega1=2.512e6, omega_free=2.512e6, k0=1262000.0, kd=1.0,
-            tau1=20e-6, tau2=4e-6, omega_n=251000.0, zeta=0.5, omega3=1256000.0,
-        )
-        assert validate_params(p, rel_tol=1e-2) == []
-        assert validate_params(p) != []  # the rounded figures fail at 1e-9
+        # the gains reproduce the printed 2-figure omega_n and zeta, but a
+        # params object stating the rounded omega_n is rejected at 1e-9
+        p = LoopParams.from_dict(REFERENCE_GAINS)
+        assert p.omega_n == pytest.approx(251000.0, rel=1e-2)
+        assert p.zeta == pytest.approx(0.5, rel=1e-2)
+        with pytest.raises(ValueError, match="omega_n"):
+            LoopParams.from_dict({**REFERENCE_GAINS, "omega_n": 251000.0})
 
     def test_qpsk_reference_gains_consistent(self):
-        p = LoopParams.from_gains(
-            omega1=2.512e6, omega_free=2.512e6, k0=631000.0, kd=2.0,
-            tau1=20e-6, tau2=4e-6,
-        )
+        p = LoopParams.from_dict({**REFERENCE_GAINS, "k0": 631000.0, "kd": 2.0})
         assert abs(p.omega_n - 251197.0) < 1.0
-        assert validate_params(p) == []
+        assert LoopParams.from_dict(p.to_dict()) == p
 
     def test_zero_natural_frequency_flagged(self):
-        p = LoopParams(
-            omega1=1.0, omega_free=1.0, k0=1e6, kd=1.0,
-            tau1=20e-6, tau2=4e-6, omega_n=0.0, zeta=0.5,
-        )
-        assert validate_params(p) != []
+        with pytest.raises(ValueError, match="omega_n"):
+            LoopParams.from_dict({**REFERENCE_GAINS, "omega_n": 0.0, "zeta": 0.5})
 
     def test_nonpositive_constants_flagged(self):
-        p = LoopParams.from_gains(1.0, 1.0, 1e6, 1.0, 20e-6, 4e-6)
-        p2 = LoopParams(
-            omega1=1.0, omega_free=1.0, k0=1e6, kd=1.0,
-            tau1=20e-6, tau2=-4e-6, omega_n=p.omega_n, zeta=p.zeta,
-        )
-        assert any("tau2" in v for v in validate_params(p2))
+        with pytest.raises(ValueError, match="tau2"):
+            LoopParams.from_dict({**REFERENCE_GAINS, "tau2": -4e-6})
 
     def test_round_trip_relation(self):
         rng = np.random.default_rng(7)
@@ -99,7 +99,7 @@ class TestValidateParams:
             kd = rng.uniform(0.5, 4.0)
             tau1 = 10 ** rng.uniform(-6, -3)
             tau2 = tau1 * rng.uniform(0.05, 0.9)
-            p = LoopParams.from_gains(0.0, 0.0, k0, kd, tau1, tau2)
+            p = LoopParams(0.0, 0.0, k0, kd, tau1, tau2)
             assert abs(p.omega_n**2 * p.tau1 - k0 * kd) <= 1e-12 * k0 * kd
             assert abs(2 * p.zeta / p.omega_n - tau2) <= 1e-12 * tau2
 
@@ -110,11 +110,11 @@ class TestPhaseHelpers:
         assert wrap_phase(-0.2) == pytest.approx(-0.2)
 
     def test_delta_omega0_exact(self):
-        p = LoopParams.from_gains(2.0e6, 1.7e6, 1e6, 1.0, 2e-5, 4e-6)
+        p = LoopParams(2.0e6, 1.7e6, 1e6, 1.0, 2e-5, 4e-6)
         assert p.delta_omega0 == 0.3e6
 
     def test_with_offset(self):
-        p = LoopParams.from_gains(2.0e6, 2.0e6, 1e6, 1.0, 2e-5, 4e-6)
+        p = LoopParams(2.0e6, 2.0e6, 1e6, 1.0, 2e-5, 4e-6)
         q = p.with_offset(1234.5)
         assert q.delta_omega0 == pytest.approx(1234.5, abs=1e-9)
         assert q.omega_n == p.omega_n
@@ -127,3 +127,29 @@ class TestPhaseHelpers:
         theta = np.array([0.0, 0.6 * math.pi, 0.4 * math.pi, 0.6 * math.pi, 0.0])
         # crossing the pi/2 boundary out, back, out, back = 4 crossings
         assert count_cycle_slips(theta, math.pi) == 4
+
+
+PUBLIC_NAMES = {
+    "AveragedModel", "CONVENTIONAL_BPSK", "CONVENTIONAL_QPSK", "ClassicPhaseModel",
+    "DelayModel", "DesignSpec", "DiscreteFilter", "LoopParams", "LoopVariant",
+    "MODIFIED_BPSK", "MODIFIED_QPSK", "PdCharacteristic", "PdFlavor", "PredictionReport",
+    "RationalTF", "SimResult", "VariantTag", "analysis", "averaged_rhs", "averaged_ud",
+    "baseband", "bilinear", "classic_rhs", "core", "delay_rhs", "design", "detectors",
+    "filters", "freq_response", "hold_in_leadlag", "hold_in_pi", "lock_in_range",
+    "lock_time", "make_leadlag", "make_lpf1", "make_pi_filter", "pd_conventional_bpsk",
+    "pd_conventional_qpsk", "pd_modified_bpsk", "pd_modified_imag", "pd_modified_qpsk",
+    "pd_period", "phi_bpsk", "phi_qpsk", "predict", "pull_in_range",
+    "pull_in_range_numeric", "pull_in_time", "pull_in_time_formula",
+    "routh_hurwitz_stable", "step_filter", "wrap_phase",
+}
+
+
+def test_public_api_pinned():
+    # a fresh interpreter: submodules other tests import (cli, ode,
+    # signal_sim) would otherwise appear as package attributes
+    code = "import costas_lab; print(*sorted(n for n in dir(costas_lab) if n[0] != '_'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(costas_lab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert len(PUBLIC_NAMES) == 52
+    assert out == sorted(PUBLIC_NAMES)

@@ -128,7 +128,6 @@ class TestIntegrate:
     @pytest.mark.parametrize("controls", [
         {"t_end": math.nan}, {"t_end": math.inf}, {"h": math.nan}, {"h": math.inf},
         {"rtol": math.nan}, {"rtol": math.inf}, {"atol": math.nan}, {"atol": math.inf},
-        {"h_min": 0.0}, {"h_min": math.nan}, {"h_max": math.nan},
     ], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
     def test_non_finite_controls_rejected(self, controls):
         with pytest.raises(ValueError):

@@ -94,7 +94,7 @@ class TestConfigValidation:
         # absurd VCO gain drives the accumulator out of range
         from costas_lab import LoopParams
 
-        p = LoopParams.from_gains(
+        p = LoopParams(
             bpsk_reference_params.omega1, bpsk_reference_params.omega_free,
             1e30, 1.0, 20e-6, 4e-6, omega3=1256000.0,
         )
@@ -156,7 +156,7 @@ class TestLockMeasurement:
         from costas_lab import LoopParams
 
         b = bpsk_reference_params
-        p = LoopParams.from_gains(
+        p = LoopParams(
             b.omega1, b.omega_free, b.k0 / 50.0, b.kd, b.tau1, b.tau2,
             omega3=b.omega3,
         ).with_offset(TWO_PI * 30e3)
