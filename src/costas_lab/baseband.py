@@ -39,10 +39,20 @@ class ImplicitSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClassicPhaseModel:
-    """Phase-domain model with PI loop filter, state (x_lf, theta_e)."""
+    """Phase-domain model with PI loop filter, state (x_lf, theta_e).
+
+    The constants ``classic_rhs`` needs are bound once, at construction,
+    outside the dataclass fields: ``__init__``, ``==``, ``hash`` and
+    ``repr`` see only ``params`` and ``pd``.
+    """
 
     params: LoopParams
     pd: PdCharacteristic
+
+    def __post_init__(self):
+        p = self.params
+        object.__setattr__(self, "_rhs_consts",
+                           (p.delta_omega0, p.k0, p.tau1, p.tau2 / p.tau1, *self.pd.kernel))
 
     def equilibrium_x(self) -> float:
         """Integrator charge that cancels the detuning at lock."""
@@ -55,11 +65,9 @@ def classic_rhs(model: ClassicPhaseModel, state) -> tuple[float, float]:
     x' = phi(theta_e);  theta_e' = dw0 - K0*(x/tau1 + (tau2/tau1)*phi).
     """
     x, theta_e = state
-    p = model.params
-    phi = model.pd.phi(theta_e)
-    dx = phi
-    dtheta = p.delta_omega0 - p.k0 * (x / p.tau1 + (p.tau2 / p.tau1) * phi)
-    return dx, dtheta
+    dw0, k0, tau1, ratio, fn, arg = model._rhs_consts
+    phi = fn(theta_e, arg)
+    return phi, dw0 - k0 * (x / tau1 + ratio * phi)
 
 
 @dataclass(frozen=True)

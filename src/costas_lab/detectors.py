@@ -44,6 +44,24 @@ def phi_qpsk(theta_e: float, m: float = 1.0) -> float:
     return 2.0 * m * math.sin(r)
 
 
+def _phi_wrapped(theta_e: float, period: float) -> float:
+    """Modified-loop phase PD: theta_e wrapped into (-period/2, period/2]."""
+    r = theta_e - period * math.floor(theta_e / period + 0.5)
+    if r <= -period / 2.0:
+        r += period
+    return r
+
+
+def _phi_sine_bpsk(theta_e: float, gain: float) -> float:
+    """Modified-BPSK imaginary-part PD: gain*sin of the pi-wrapped phase."""
+    return gain * math.sin(_phi_wrapped(theta_e, math.pi))
+
+
+def _phi_sine_qpsk(theta_e: float, gain: float) -> float:
+    """Modified-QPSK imaginary-part PD: gain*sin of the pi/2-wrapped phase."""
+    return gain * math.sin(_phi_wrapped(theta_e, HALF_PI))
+
+
 def pd_conventional_bpsk(i2: float, q2: float) -> float:
     """Multiplier PD: product of the two LPF outputs."""
     return i2 * q2
@@ -147,7 +165,12 @@ def pd_modified_imag(um: complex, variant: LoopVariant, m: float = 1.0) -> float
 
 @dataclass(frozen=True)
 class PdCharacteristic:
-    """Baseband PD nonlinearity phi(theta_e) for one variant."""
+    """Baseband PD nonlinearity phi(theta_e) for one variant.
+
+    ``kernel`` is the scalar form ``(fn, arg)`` with phi(theta_e) ==
+    fn(theta_e, arg), bound once at construction; it is not a field, so
+    it stays out of ``__init__``, ``==``, ``hash`` and ``repr``.
+    """
 
     variant: LoopVariant
     m: float = 1.0
@@ -155,23 +178,23 @@ class PdCharacteristic:
     def __post_init__(self):
         if self.m <= 0:
             raise ValueError(f"modulation amplitude must be > 0, got {self.m}")
-
-    def phi(self, theta_e: float) -> float:
-        if self.variant.tag is VariantTag.CONVENTIONAL_BPSK:
-            return phi_bpsk(theta_e, self.m)
-        if self.variant.tag is VariantTag.CONVENTIONAL_QPSK:
-            return phi_qpsk(theta_e, self.m)
+        tag = self.variant.tag
+        if tag is VariantTag.CONVENTIONAL_BPSK:
+            kernel = (phi_bpsk, self.m)
+        elif tag is VariantTag.CONVENTIONAL_QPSK:
+            kernel = (phi_qpsk, self.m)
         # Modified loops: the PD reports the wrapped phase error directly
         # (COMPLEX_PHASE) or its sine (COMPLEX_IMAG), periodized by the
         # data-estimate folding.
-        period = math.pi / 2.0 if self.variant.is_qpsk else math.pi
-        r = theta_e - period * math.floor(theta_e / period + 0.5)
-        if r <= -period / 2.0:
-            r += period
-        if self.variant.pd_flavor is PdFlavor.COMPLEX_IMAG:
-            gain = 2.0 * self.m if self.variant.is_qpsk else self.m
-            return gain * math.sin(r)
-        return r
+        elif self.variant.pd_flavor is PdFlavor.COMPLEX_IMAG:
+            kernel = (_phi_sine_qpsk if self.variant.is_qpsk else _phi_sine_bpsk, self.kd)
+        else:
+            kernel = (_phi_wrapped, HALF_PI if self.variant.is_qpsk else math.pi)
+        object.__setattr__(self, "kernel", kernel)
+
+    def phi(self, theta_e: float) -> float:
+        fn, arg = self.kernel
+        return fn(theta_e, arg)
 
     @property
     def kd(self) -> float:

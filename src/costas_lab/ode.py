@@ -12,13 +12,15 @@ The rhs contract: ``rhs(t, y)`` takes the time and the state as a tuple
 of floats and returns the slope as any sequence of floats (a tuple, a
 list or a 1-D ndarray) with one entry per state component.  The
 integrator steps tuples of plain floats and builds the trajectory's
-arrays once, at the end.  Costs: one rhs call at the start, then five
-per RK4 step (four stages and the end slope for the dense output) and
-six per attempted RK45 step (the last stage is the end slope); a
-rejected RK45 attempt costs the same six calls as an accepted one.  On
-the pitfall model, with Python 3.11 on a 2-core x86-64 host, an RK4 step
-takes about 15 us and an accepted RK45 step about 41 us, of which the
-model's rhs takes about 5 and 7 us.
+arrays once, at the end.  Costs: one rhs call at the start, then four
+per RK4 step (three stages and the end slope, which is also the next
+step's first stage: first same as last) and six per attempted RK45 step
+(the last stage is the end slope); a rejected RK45 attempt costs the
+same six calls as an accepted one.  An rhs that carries state from call
+to call, as the delay model's rate seed does, sees exactly this call
+sequence.  On the pitfall model, with Python 3.11 on a 2-core x86-64
+host, an RK4 step takes about 11 us and an accepted RK45 step about
+35 us, of which ``classic_rhs`` takes about 0.6 us per call.
 """
 
 from __future__ import annotations
@@ -89,28 +91,30 @@ class Trajectory:
         return out
 
 
-# Dormand-Prince 5(4): nodes, stage rows, 5th- and 4th-order weights
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# Dormand-Prince 5(4) as module constants: nodes C2..C5 (C6 = C7 = 1),
+# stage coefficients Aij, 5th-order weights Bj (the last stage row) and
+# 4th-order weights Ej.  Zero entries are kept so that every sum has the
+# same terms, in the same order, as the tableau's rows.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+_B1, _B2, _B3, _B4, _B5, _B6, _B7 = (35 / 384, 0.0, 500 / 1113, 125 / 192,
+                                     -2187 / 6784, 11 / 84, 0.0)
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                                     -92097 / 339200, 187 / 2100, 1 / 40)
 
 
 def _finite(v) -> bool:
     return all(map(math.isfinite, v))
 
 
-def _rk4_step(f: RhsFn, t: float, y: tuple, h: float) -> tuple:
+def _rk4_step(f: RhsFn, t: float, y: tuple, k1, h: float) -> tuple:
+    """One classic RK4 step from (t, y), whose slope is k1."""
     hh = 0.5 * h
-    k1 = f(t, y)
     k2 = f(t + hh, tuple([v + hh * p for v, p in zip(y, k1)]))
     k3 = f(t + hh, tuple([v + hh * p for v, p in zip(y, k2)]))
     k4 = f(t + h, tuple([v + h * p for v, p in zip(y, k3)]))
@@ -128,46 +132,43 @@ def _dp_attempt(f: RhsFn, t: float, y: tuple, k1, h: float):
     solution ``y + h*sum(b*k)``, summed term by term, left to right,
     zero coefficients included.
     """
-    c, a, b5, b4 = _DP_C, _DP_A, _DP_B5, _DP_B4
-    ha = h * a[1][0]
-    k2 = f(t + c[1] * h, tuple([v + ha * p1 for v, p1 in zip(y, k1)]))
-    if not _finite(k2):
+    isfinite = math.isfinite
+    ha = h * _A21
+    k2 = f(t + _C2 * h, tuple([v + ha * p1 for v, p1 in zip(y, k1)]))
+    if not all(map(isfinite, k2)):
         return (k1, k2), None, None
-    ha, hb = h * a[2][0], h * a[2][1]
-    k3 = f(t + c[2] * h, tuple([v + ha * p1 + hb * p2 for v, p1, p2 in zip(y, k1, k2)]))
-    if not _finite(k3):
+    ha, hb = h * _A31, h * _A32
+    k3 = f(t + _C3 * h, tuple([v + ha * p1 + hb * p2 for v, p1, p2 in zip(y, k1, k2)]))
+    if not all(map(isfinite, k3)):
         return (k1, k2, k3), None, None
-    ha, hb, hc = h * a[3][0], h * a[3][1], h * a[3][2]
-    k4 = f(t + c[3] * h, tuple([v + ha * p1 + hb * p2 + hc * p3
-                                for v, p1, p2, p3 in zip(y, k1, k2, k3)]))
-    if not _finite(k4):
+    ha, hb, hc = h * _A41, h * _A42, h * _A43
+    k4 = f(t + _C4 * h, tuple([v + ha * p1 + hb * p2 + hc * p3
+                               for v, p1, p2, p3 in zip(y, k1, k2, k3)]))
+    if not all(map(isfinite, k4)):
         return (k1, k2, k3, k4), None, None
-    ha, hb, hc, hd = h * a[4][0], h * a[4][1], h * a[4][2], h * a[4][3]
-    k5 = f(t + c[4] * h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4
-                                for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]))
-    if not _finite(k5):
+    ha, hb, hc, hd = h * _A51, h * _A52, h * _A53, h * _A54
+    k5 = f(t + _C5 * h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4
+                               for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]))
+    if not all(map(isfinite, k5)):
         return (k1, k2, k3, k4, k5), None, None
-    ha, hb, hc, hd, he = (h * a[5][0], h * a[5][1], h * a[5][2], h * a[5][3],
-                          h * a[5][4])
-    k6 = f(t + c[5] * h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5
-                                for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)]))
-    if not _finite(k6):
+    ha, hb, hc, hd, he = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k6 = f(t + h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5
+                         for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)]))
+    if not all(map(isfinite, k6)):
         return (k1, k2, k3, k4, k5, k6), None, None
-    ha, hb, hc, hd, he, hf = (h * a[6][0], h * a[6][1], h * a[6][2], h * a[6][3],
-                              h * a[6][4], h * a[6][5])
-    k7 = f(t + c[6] * h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5 + hf * p6
-                                for v, p1, p2, p3, p4, p5, p6
-                                in zip(y, k1, k2, k3, k4, k5, k6)]))
+    ha, hb, hc, hd, he, hf = h * _B1, h * _B2, h * _B3, h * _B4, h * _B5, h * _B6
+    k7 = f(t + h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5 + hf * p6
+                         for v, p1, p2, p3, p4, p5, p6 in zip(y, k1, k2, k3, k4, k5, k6)]))
     ks = (k1, k2, k3, k4, k5, k6, k7)
-    if not _finite(k7):
+    if not all(map(isfinite, k7)):
         return ks, None, None
-    y5 = tuple([v + h * (0.0 + b5[0] * p1 + b5[1] * p2 + b5[2] * p3 + b5[3] * p4
-                         + b5[4] * p5 + b5[5] * p6 + b5[6] * p7)
+    y5 = tuple([v + h * (0.0 + _B1 * p1 + _B2 * p2 + _B3 * p3 + _B4 * p4
+                         + _B5 * p5 + _B6 * p6 + _B7 * p7)
                 for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, *ks)])
-    if not _finite(y5):
+    if not all(map(isfinite, y5)):
         return ks, None, None
-    y4 = tuple([v + h * (0.0 + b4[0] * p1 + b4[1] * p2 + b4[2] * p3 + b4[3] * p4
-                         + b4[4] * p5 + b4[5] * p6 + b4[6] * p7)
+    y4 = tuple([v + h * (0.0 + _E1 * p1 + _E2 * p2 + _E3 * p3 + _E4 * p4
+                         + _E5 * p5 + _E6 * p6 + _E7 * p7)
                 for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, *ks)])
     return ks, y5, y4
 
@@ -176,23 +177,24 @@ def _rk4_steps(rhs, y, f0, config, events, counts):
     """Accepted fixed steps ``(t, y, slope)``; a non-finite state ends
     the run with a ``blow_up`` event at the end of the failed step.
 
-    Each step evaluates its own first stage, so ``f0`` goes unused.
-    ``counts`` holds the rhs calls and the rejected attempts so far.
+    A step's first stage is the previous step's end slope (``f0`` for the
+    first step): first same as last.  ``counts`` holds the rhs calls and
+    the rejected attempts so far.
     """
     t = 0.0
     for _ in range(max(1, int(round(config.t_end / config.h)))):
         h = min(config.h, config.t_end - t)
         if h <= 0:
             return
-        y1 = _rk4_step(rhs, t, y, h)
+        y1 = _rk4_step(rhs, t, y, f0, h)
         if not _finite(y1):
-            counts[0] += 4
+            counts[0] += 3
             events.append(Event("blow_up", t + h, y))
             return
-        f1 = rhs(t + h, y1)
-        counts[0] += 5
+        f0 = rhs(t + h, y1)
+        counts[0] += 4
         t, y = t + h, y1
-        yield t, y, f1
+        yield t, y, f0
 
 
 def _rk45_steps(rhs, y, f0, config, events, counts):

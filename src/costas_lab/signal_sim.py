@@ -34,10 +34,10 @@ from .filters import bilinear, make_lpf1, make_pi_filter
 
 TWO_PI = 2.0 * math.pi
 
-# Largest run ``run_loop`` accepts.  A run peaks at 116-168 B of traced
+# Largest run ``run_loop`` accepts.  A run peaks at about 116 B of traced
 # memory per sample (the 56 B of recorded float64 arrays, the source
 # waveform and the lock-detection windows), so 4e6 samples stay under
-# 0.7 GB, and their CSV (127 B per row) near 0.5 GB.  That is 1.25 s of
+# 0.5 GB, and their CSV (127 B per row) near 0.5 GB.  That is 1.25 s of
 # signal at 3.2 MHz, 52 times the longest run the benchmark or the
 # acceptance gate makes (76,800 samples).
 MAX_SAMPLES = 4_000_000
@@ -310,10 +310,14 @@ def _run_kernel(source, loop, n, T):
             if is_qpsk:
                 m2_d = source.symbols(n_sym, 1)[didx]
                 u_im = m1_d * np.cos(th1_d) - m2_d * np.sin(th1_d)
+                del m2_d
             else:
                 u_im = m1_d * np.cos(th1_d)
+            del didx, m1_d, th1_d
         u_re = u_re.tolist()
         u_im = u_im.tolist()
+    # the loop reads only the list inputs: free the front-end arrays now
+    del sym_idx, m1, m2
 
     fb0, fb1 = _discrete_pi(params.tau1, params.tau2, T)
     sin, cos = math.sin, math.cos

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,15 +13,20 @@ from costas_lab import (
     ClassicPhaseModel,
     DelayModel,
     LoopParams,
+    LoopVariant,
     averaged_rhs,
     averaged_ud,
     classic_rhs,
     delay_rhs,
     lock_in_range,
+    pd_period,
+    phi_bpsk,
+    phi_qpsk,
     pull_in_time,
 )
 from costas_lab.analysis import RangeError, total_phase_lag
 from costas_lab.baseband import averaged_pull_in_time_numeric
+from costas_lab.core import PdFlavor, VariantTag
 from costas_lab.detectors import PdCharacteristic
 from costas_lab.ode import IntegratorConfig, integrate
 
@@ -61,6 +67,86 @@ class TestClassicRhs:
         tr, det = np.trace(jac), np.linalg.det(jac)
         assert -tr == pytest.approx(2 * p.zeta * p.omega_n, rel=1e-5)
         assert det == pytest.approx(p.omega_n**2, rel=1e-5)
+
+
+VARIANT_FLAVORS = [("bpsk", None), ("qpsk", None),
+                   ("mod_bpsk", "complex_phase"), ("mod_bpsk", "complex_imag"),
+                   ("mod_qpsk", "complex_phase"), ("mod_qpsk", "complex_imag")]
+
+
+def _phi_documented(variant, m, theta_e):
+    """The PD characteristic as detectors.py documents it, dispatched on
+    the variant tag and flavor at every call."""
+    if variant.tag is VariantTag.CONVENTIONAL_BPSK:
+        return phi_bpsk(theta_e, m)
+    if variant.tag is VariantTag.CONVENTIONAL_QPSK:
+        return phi_qpsk(theta_e, m)
+    period = math.pi / 2.0 if variant.is_qpsk else math.pi
+    r = theta_e - period * math.floor(theta_e / period + 0.5)
+    if r <= -period / 2.0:
+        r += period
+    if variant.pd_flavor is PdFlavor.COMPLEX_IMAG:
+        gain = 2.0 * m if variant.is_qpsk else m
+        return gain * math.sin(r)
+    return r
+
+
+def _probe_states(variant):
+    """Seeded states plus the PD jump and tie points of the variant."""
+    rng = np.random.default_rng(8)
+    period = pd_period(variant)
+    thetas = list(rng.uniform(-4 * math.pi, 4 * math.pi, 200))
+    thetas += [s * period / 2 + k * period for s in (-1, 1) for k in range(-3, 4)]
+    thetas += [-math.pi / 4, math.pi / 4, 0.0, -0.0]
+    xs = rng.uniform(-2e-5, 2e-5, len(thetas))
+    return [(float(x), float(th)) for x, th in zip(xs, thetas)]
+
+
+class TestBoundRhs:
+    """``classic_rhs`` and ``PdCharacteristic.phi`` read constants bound at
+    construction; their floats must be the textbook expressions' bit for bit."""
+
+    @pytest.mark.parametrize("m", [0.3, 1.0, 1.7])
+    @pytest.mark.parametrize("name,flavor", VARIANT_FLAVORS)
+    def test_bit_identical_to_textbook(self, bpsk_design, name, flavor, m):
+        variant = LoopVariant.from_name(name, flavor)
+        pd = PdCharacteristic(variant, m)
+        p = bpsk_design.with_offset(TWO_PI * 37e3)
+        model = ClassicPhaseModel(p, pd)
+        fn, arg = pd.kernel
+        got, want, phis, kernel, documented = [], [], [], [], []
+        for x, th in _probe_states(variant):
+            got.append(classic_rhs(model, (x, th)))
+            phi = pd.phi(th)
+            want.append((phi, p.delta_omega0 - p.k0 * (x / p.tau1 + (p.tau2 / p.tau1) * phi)))
+            phis.append(phi)
+            kernel.append(fn(th, arg))
+            documented.append(_phi_documented(variant, m, th))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.array(phis).tobytes() == np.array(kernel).tobytes()
+        assert np.array(phis).tobytes() == np.array(documented).tobytes()
+
+    @pytest.mark.parametrize("name,flavor", VARIANT_FLAVORS)
+    def test_bound_constants_stay_out_of_eq_hash_repr(self, bpsk_design, name, flavor):
+        variant = LoopVariant.from_name(name, flavor)
+        p, pd = bpsk_design, PdCharacteristic(variant, 1.7)
+        a = ClassicPhaseModel(p, pd)
+        b = ClassicPhaseModel(p, PdCharacteristic(variant, 1.7))
+        assert [f.name for f in fields(ClassicPhaseModel)] == ["params", "pd"]
+        assert [f.name for f in fields(PdCharacteristic)] == ["variant", "m"]
+        assert a == b and hash(a) == hash(b) == hash((p, pd))
+        assert hash(pd) == hash((variant, 1.7))
+        assert repr(a) == f"ClassicPhaseModel(params={p!r}, pd={pd!r})"
+        assert repr(pd) == f"PdCharacteristic(variant={variant!r}, m=1.7)"
+        assert a != ClassicPhaseModel(p, PdCharacteristic(variant, 0.3))
+
+    def test_replace_rebinds(self, bpsk_design):
+        a = bpsk_model(bpsk_design)
+        b = replace(a, params=bpsk_design.with_offset(TWO_PI * 10e3),
+                    pd=PdCharacteristic(CONVENTIONAL_BPSK, 0.5))
+        q = b.params
+        assert classic_rhs(b, (0.0, math.pi / 4)) == (
+            0.125, q.delta_omega0 - q.k0 * (0.0 / q.tau1 + (q.tau2 / q.tau1) * 0.125))
 
 
 class TestDelayRhs:

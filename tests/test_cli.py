@@ -194,7 +194,7 @@ class TestSimulateCommand:
         solver = json.loads((tmp_path / "o" / "summary.json").read_text())["solver"]
         rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
         assert solver["steps"] == len(rows) - 2          # header and t = 0
-        per_attempt = 5 if method == "rk4" else 6
+        per_attempt = 4 if method == "rk4" else 6
         attempts = solver["steps"] + solver["rejected_steps"]
         assert solver["rhs_calls"] == 1 + per_attempt * attempts
         if method == "rk4":

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from costas_lab import CONVENTIONAL_BPSK, ClassicPhaseModel, classic_rhs
+from costas_lab import CONVENTIONAL_BPSK, ClassicPhaseModel, baseband, classic_rhs
 from costas_lab.detectors import PdCharacteristic
 from costas_lab.ode import (
     IntegratorConfig,
@@ -207,7 +207,8 @@ class TestRhsContract:
         steps = len(traj.t) - 1
         assert traj.rhs_calls == calls[0]
         if method == "rk4":
-            assert calls[0] == 1 + 5 * steps
+            # first same as last: a step's first stage is the previous end slope
+            assert calls[0] == 1 + 4 * steps
             assert traj.rejected_steps == 0
         else:
             # benchmark/tracer.py derives rejected steps from this count
@@ -216,9 +217,25 @@ class TestRhsContract:
 
 
 @pytest.fixture(scope="module")
-def report():
-    model = pitfall_example_model()
-    return step_sensitivity_probe(model, PITFALL_STATE0, PITFALL_H_LIST, PITFALL_T_END)
+def counted_probe():
+    """The pitfall probe, with every ``baseband.classic_rhs`` call counted
+    through a rebinding of the module name."""
+    calls = [0]
+
+    def counted(model, state):
+        calls[0] += 1
+        return classic_rhs(model, state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baseband, "classic_rhs", counted)
+        report = step_sensitivity_probe(pitfall_example_model(), PITFALL_STATE0,
+                                        PITFALL_H_LIST, PITFALL_T_END)
+    return report, calls[0]
+
+
+@pytest.fixture(scope="module")
+def report(counted_probe):
+    return counted_probe[0]
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +260,12 @@ class TestProbe:
     def test_adaptive_reference_agrees_with_fine(self, report):
         assert report.reference_locked is False
         assert report.solver_sensitive is False
+
+    def test_rhs_calls_pinned(self, counted_probe):
+        # the three RK4 runs take 126,500 steps; at five calls per step the
+        # probe made 1,014,619 calls, at four (first same as last) it makes
+        # one per step fewer
+        assert counted_probe[1] == 1_014_619 - 126_500
 
 
 class TestPortrait:

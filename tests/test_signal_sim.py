@@ -254,6 +254,20 @@ class TestRecording:
             tracemalloc.stop()
         assert peak / len(r.t) < 150
 
+    def test_traced_bytes_per_sample_mod_qpsk_delay_hilbert(self, modified_reference_params):
+        # the delayed front end builds the most arrays: 115 B per sample
+        # measured once they are freed before the sample loop, 168 B with
+        # them kept alive through it
+        p = modified_reference_params.with_offset(TWO_PI * 100e3)
+        loop = DigitalLoop(p, 12.8e6, hilbert_mode="delay")
+        tracemalloc.start()
+        try:
+            r = run_loop(ModulatedSource(MODIFIED_QPSK, 400e3, 100e3), loop, 1.25e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(r.t) < 150
+
 
 class TestDemod:
     def test_bpsk_zero_errors(self, bpsk_reference_params):
