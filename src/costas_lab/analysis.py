@@ -94,24 +94,18 @@ def design(spec: DesignSpec) -> LoopParams:
 
 # --- lock-in ---------------------------------------------------------------
 
-_LOCK_IN_FACTOR = {
-    VariantTag.CONVENTIONAL_BPSK: 1.0,
-    VariantTag.CONVENTIONAL_QPSK: math.sqrt(2.0),
-    VariantTag.MODIFIED_BPSK: math.pi,
-    VariantTag.MODIFIED_QPSK: math.pi / 2.0,
-}
-
-_LOCK_IN_TAG = {
-    VariantTag.CONVENTIONAL_BPSK: "lock-in:zeta*omega_n",
-    VariantTag.CONVENTIONAL_QPSK: "lock-in:sqrt2*zeta*omega_n",
-    VariantTag.MODIFIED_BPSK: "lock-in:pi*zeta*omega_n",
-    VariantTag.MODIFIED_QPSK: "lock-in:pi/2*zeta*omega_n",
+# variant tag -> (factor of zeta*omega_n, formula id)
+_LOCK_IN = {
+    VariantTag.CONVENTIONAL_BPSK: (1.0, "lock-in:zeta*omega_n"),
+    VariantTag.CONVENTIONAL_QPSK: (math.sqrt(2.0), "lock-in:sqrt2*zeta*omega_n"),
+    VariantTag.MODIFIED_BPSK: (math.pi, "lock-in:pi*zeta*omega_n"),
+    VariantTag.MODIFIED_QPSK: (math.pi / 2.0, "lock-in:pi/2*zeta*omega_n"),
 }
 
 
 def lock_in_range(params: LoopParams, variant: LoopVariant) -> float:
     """Largest detuning acquired within one beat note, rad/s."""
-    return _LOCK_IN_FACTOR[variant.tag] * params.zeta * params.omega_n
+    return _LOCK_IN[variant.tag][0] * params.zeta * params.omega_n
 
 
 def lock_time(params: LoopParams) -> float:
@@ -221,6 +215,20 @@ def _beat_note_pull_in_time(
 
 _QPSK_BEAT_CONSTANT = 0.373**2  # asymmetry constant of the chopped-sine beat
 
+# (variant tag, PD flavor) -> (coefficient, formula id).  Conventional
+# loops: the beat-asymmetry constant of the log form; modified loops: the
+# factor of offset^2/(zeta*omega_n^3).
+_PULL_IN_TIME = {
+    (VariantTag.CONVENTIONAL_BPSK, PdFlavor.MUL_MUL): (1.0 / math.pi**2, "tp:beat-log/pi^2"),
+    (VariantTag.CONVENTIONAL_QPSK, PdFlavor.SGN_CROSS): (_QPSK_BEAT_CONSTANT,
+                                                         "tp:beat-log/0.373^2"),
+    (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_PHASE): (2.0 / math.pi**2, "tp:2/pi^2*offset^2"),
+    (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_PHASE): (16.0 / math.pi**2,
+                                                         "tp:16/pi^2*offset^2"),
+    (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_IMAG): (math.pi**2 / 16.0, "tp:pi^2/16*offset^2"),
+    (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_IMAG): (1.78, "tp:1.78*offset^2"),
+}
+
 
 def pull_in_time_formula(
     params: LoopParams, variant: LoopVariant, delta_omega0: float
@@ -234,16 +242,9 @@ def pull_in_time_formula(
     """
     if delta_omega0 <= 0:
         raise RangeError("delta_omega0 must be > 0")
-    zwn3 = params.zeta * params.omega_n**3
-    tag, flavor = variant.tag, variant.pd_flavor
-    if tag is VariantTag.MODIFIED_BPSK:
-        if flavor is PdFlavor.COMPLEX_IMAG:
-            return (math.pi**2 / 16.0) * delta_omega0**2 / zwn3
-        return (2.0 / math.pi**2) * delta_omega0**2 / zwn3
-    if tag is VariantTag.MODIFIED_QPSK:
-        if flavor is PdFlavor.COMPLEX_IMAG:
-            return 1.78 * delta_omega0**2 / zwn3
-        return (16.0 / math.pi**2) * delta_omega0**2 / zwn3
+    coef = _PULL_IN_TIME[(variant.tag, variant.pd_flavor)][0]
+    if variant.is_modified:
+        return coef * delta_omega0**2 / (params.zeta * params.omega_n**3)
     dw_p = pull_in_range(params, variant)
     if delta_omega0 >= dw_p:
         raise RangeError(
@@ -254,12 +255,7 @@ def pull_in_time_formula(
         raise RangeError(
             f"offset {delta_omega0:g} inside the lock-in range {dw_l:g}"
         )
-    const = (
-        _QPSK_BEAT_CONSTANT
-        if tag is VariantTag.CONVENTIONAL_QPSK
-        else 1.0 / math.pi**2
-    )
-    return _beat_note_pull_in_time(params, delta_omega0, dw_l, dw_p, const)
+    return _beat_note_pull_in_time(params, delta_omega0, dw_l, dw_p, coef)
 
 
 def pull_in_time(
@@ -419,16 +415,6 @@ class PredictionReport:
         }
 
 
-_PULL_IN_TIME_TAG = {
-    (VariantTag.CONVENTIONAL_BPSK, PdFlavor.MUL_MUL): "tp:beat-log/pi^2",
-    (VariantTag.CONVENTIONAL_QPSK, PdFlavor.SGN_CROSS): "tp:beat-log/0.373^2",
-    (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_PHASE): "tp:2/pi^2*offset^2",
-    (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_PHASE): "tp:16/pi^2*offset^2",
-    (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_IMAG): "tp:pi^2/16*offset^2",
-    (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_IMAG): "tp:1.78*offset^2",
-}
-
-
 def predict(params: LoopParams, variant: LoopVariant) -> PredictionReport:
     """Full acquisition report for one designed loop."""
     dw_l = lock_in_range(params, variant)
@@ -442,10 +428,10 @@ def predict(params: LoopParams, variant: LoopVariant) -> PredictionReport:
         pullin_tag = "pull-in:phase-lag-pi/2-closed-form"
     hold = hold_in_pi(params)
     formula_ids = {
-        "delta_omega_l": _LOCK_IN_TAG[variant.tag],
+        "delta_omega_l": _LOCK_IN[variant.tag][1],
         "t_l": "lock-time:2pi/omega_n",
         "delta_omega_p": pullin_tag,
-        "t_p": _PULL_IN_TIME_TAG[(variant.tag, variant.pd_flavor)],
+        "t_p": _PULL_IN_TIME[(variant.tag, variant.pd_flavor)][1],
         "hold_in": hold.formula_id,
     }
     if dw_l > dw_p:

@@ -293,7 +293,7 @@ def _simulate_ode(cfg: dict, variant: LoopVariant, params: LoopParams):
             return slope
 
     traj = integrate(rhs, state0, icfg, SlipWatch(component=1, period=pd_period(variant)))
-    tol = LockTolerances.for_model(ClassicPhaseModel(params, pd))
+    tol = LockTolerances.for_params(params)
     locked = lock_verdict(traj, rhs, pd_period(variant), tol)
     return traj, locked
 

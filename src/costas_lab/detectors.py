@@ -31,6 +31,14 @@ def phi_bpsk(theta_e: float, m: float = 1.0) -> float:
     return 0.5 * m * m * math.sin(2.0 * theta_e)
 
 
+def _phi_wrapped(theta_e: float, period: float) -> float:
+    """Modified-loop phase PD: theta_e wrapped into (-period/2, period/2]."""
+    r = theta_e - period * math.floor(theta_e / period + 0.5)
+    if r <= -period / 2.0:  # boundary lands on the left edge: take previous branch
+        r += period
+    return r
+
+
 def phi_qpsk(theta_e: float, m: float = 1.0) -> float:
     """Conventional-QPSK chopped-sine PD characteristic.
 
@@ -38,18 +46,7 @@ def phi_qpsk(theta_e: float, m: float = 1.0) -> float:
     (-pi/4, pi/4]; the half-open reduction realizes the left-branch-limit
     convention at the corners, where the amplitude peaks at sqrt(2)*m.
     """
-    r = theta_e - HALF_PI * math.floor(theta_e / HALF_PI + 0.5)
-    if r <= -QUARTER_PI:  # boundary lands on the left edge: take previous branch
-        r += HALF_PI
-    return 2.0 * m * math.sin(r)
-
-
-def _phi_wrapped(theta_e: float, period: float) -> float:
-    """Modified-loop phase PD: theta_e wrapped into (-period/2, period/2]."""
-    r = theta_e - period * math.floor(theta_e / period + 0.5)
-    if r <= -period / 2.0:
-        r += period
-    return r
+    return 2.0 * m * math.sin(_phi_wrapped(theta_e, HALF_PI))
 
 
 def _phi_sine_bpsk(theta_e: float, gain: float) -> float:
@@ -150,13 +147,12 @@ def pd_modified_qpsk(um: complex) -> tuple[float, float, float]:
     return _modified_qpsk_phase(um.real, um.imag), sign(um.real), sign(um.imag)
 
 
-def pd_modified_imag(um: complex, variant: LoopVariant, m: float = 1.0) -> float:
+def pd_modified_imag(um: complex, variant: LoopVariant) -> float:
     """Alternative modified-loop PD taken from the imaginary part.
 
     BPSK: ud = Im(um * data) = m*sin(theta_e), gain m.  QPSK:
-    ud = Im(um * (data_i - 1j*data_q)) = 2m*sin(theta_e), gain 2m.
-    The ``m`` argument is unused at run time (the amplitude rides on um)
-    and documents the nominal gain only.
+    ud = Im(um * (data_i - 1j*data_q)) = 2m*sin(theta_e), gain 2m.  The
+    amplitude m rides on um.
     """
     if variant.is_qpsk:
         return _modified_qpsk_imag(um.real, um.imag)

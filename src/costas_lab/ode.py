@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import baseband
-from .core import wrap_phase
+from .core import CONVENTIONAL_BPSK, LoopParams, pd_period, wrap_phase
 from .detectors import PdCharacteristic
 from .baseband import ClassicPhaseModel
 
@@ -329,16 +329,17 @@ def integrate(
 
 # --- lock verdicts ----------------------------------------------------------
 
+LOCK_TOL_P = 0.05   # rad on wrapped |theta_e|
+LOCK_TAIL = 0.2     # fraction of t_end examined
+
+
 @dataclass(frozen=True)
 class LockTolerances:
     tol_f: float          # rad/s on |theta_e'|
-    tol_p: float = 0.05   # rad on wrapped |theta_e|
-    tail: float = 0.2     # fraction of t_end examined
 
     @classmethod
-    def for_model(cls, model: ClassicPhaseModel) -> "LockTolerances":
-        p = model.params
-        rate = p.omega_n if p.omega_n > 0 else p.k0
+    def for_params(cls, params: LoopParams) -> "LockTolerances":
+        rate = params.omega_n if params.omega_n > 0 else params.k0
         return cls(tol_f=1e-3 * rate)
 
 
@@ -352,12 +353,12 @@ def lock_verdict(
     if traj.events and traj.events[-1].kind == "blow_up":
         return False
     t_end = traj.t[-1]
-    mask = traj.t >= (1.0 - tol.tail) * t_end
+    mask = traj.t >= (1.0 - LOCK_TAIL) * t_end
     if not np.any(mask):
         return False
     for ti, yi in zip(traj.t[mask], traj.y[mask]):
         theta = yi[1]
-        if abs(wrap_phase(theta, period)) > tol.tol_p:
+        if abs(wrap_phase(theta, period)) > LOCK_TOL_P:
             return False
         rate = rhs(ti, yi)[1]
         if abs(rate) > tol.tol_f:
@@ -399,9 +400,7 @@ def step_sensitivity_probe(
     ten-times-tightened tolerances flags the case solver-sensitive when
     the two adaptive verdicts disagree.
     """
-    from .core import pd_period
-
-    tol = LockTolerances.for_model(model)
+    tol = LockTolerances.for_params(model.params)
     period = pd_period(model.pd.variant)
     rhs = _phase_rhs(model)
 
@@ -483,7 +482,7 @@ def _classify(
     if lock_verdict(traj, rhs, period, tol):
         return "eq"
     t_end = traj.t[-1]
-    t0 = (1.0 - tol.tail) * t_end
+    t0 = (1.0 - LOCK_TAIL) * t_end
     grid = np.linspace(t0, t_end, 4096)
     tail = traj.resample(grid)
     theta = tail[:, 1]
@@ -506,9 +505,7 @@ def phase_portrait(
     locking initial condition: the boundary point rides the unstable
     cycle, while any cycling tail samples the stable one.
     """
-    from .core import pd_period
-
-    tol = LockTolerances.for_model(model)
+    tol = LockTolerances.for_params(model.params)
     period = pd_period(model.pd.variant)
     cfg = IntegratorConfig(t_end=t_end, method="rk45", rtol=1e-9, atol=1e-11)
     rhs = _phase_rhs(model)
@@ -561,8 +558,6 @@ def pitfall_example_model(
     the 1e-2, 1e-3, and tight-adaptive runs stay out until
     t=92.8..93.7 s, so any verdict window inside [88, 92.8] flips.
     """
-    from .core import CONVENTIONAL_BPSK, LoopParams
-
     tau1 = gain / omega_n**2
     tau2 = 2.0 * zeta / omega_n
     params = LoopParams(

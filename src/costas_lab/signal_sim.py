@@ -27,6 +27,7 @@ from .core import (
     SimResult,
     count_cycle_slips,
     pd_period,
+    wrap_phase,
     write_csv_rows,
 )
 from .detectors import SAMPLE_PD
@@ -34,7 +35,7 @@ from .filters import bilinear, make_lpf1, make_pi_filter
 
 TWO_PI = 2.0 * math.pi
 
-# Largest run ``run_loop`` accepts.  A run peaks at about 116 B of traced
+# Largest run ``run_loop`` accepts.  A run peaks at about 113 B of traced
 # memory per sample (the 56 B of recorded float64 arrays, the source
 # waveform and the lock-detection windows), so 4e6 samples stay under
 # 0.5 GB, and their CSV (127 B per row) near 0.5 GB.  That is 1.25 s of
@@ -155,15 +156,6 @@ def _discrete_pi(tau1: float, tau2: float, T: float) -> tuple[float, float]:
     return f.b[0], f.b[1]
 
 
-def _sample_grid(source: ModulatedSource, f_samp: float, n: int, delay: int = 0):
-    """Per-sample symbol values, index-shifted by ``delay`` samples."""
-    sps = f_samp / source.f_symbol
-    idx = np.maximum(np.arange(n) - delay, 0)
-    sym_idx = np.floor(idx / sps).astype(np.int64)
-    n_sym = int(sym_idx[-1]) + 1
-    return sym_idx, n_sym
-
-
 def run_loop(
     source: ModulatedSource,
     loop: DigitalLoop,
@@ -172,16 +164,17 @@ def run_loop(
 ) -> SimResult:
     """Simulate the full loop sample by sample and measure acquisition.
 
-    The lock instant is the first time after which, through the end of
-    the run, every full ``freq_window`` of window-averaged NCO frequency
-    stays within ``freq_tol`` of the carrier and the window-averaged
-    wrapped phase-error distance to the nearest lock point stays inside
-    ``phase_tol``.  Averaging the phase criterion over the same window
-    keeps the measurement anchored to the end of the beat (a slipping
-    window averages near a quarter of the detector period, far above any
-    sensible tolerance) without charging the post-acquisition ring-down
-    to the measured pull-in time.  Cycle slips are counted on the
-    unwrapped phase error over the whole run.
+    A full ``freq_window`` passes when its averaged NCO frequency is
+    within ``freq_tol`` of the carrier and its averaged wrapped
+    phase-error distance to the nearest lock point is inside
+    ``phase_tol``.  The run is locked iff its last window passes, and
+    the lock instant is the start of the window after the last failing
+    one (0 if none fails).  Averaging the phase criterion over the same
+    window keeps the measurement anchored to the end of the beat (a
+    slipping window averages near a quarter of the detector period, far
+    above any sensible tolerance) without charging the post-acquisition
+    ring-down to the measured pull-in time.  Cycle slips are counted on
+    the unwrapped phase error over the whole run.
     """
     params = loop.params
     detector = detector or LockDetector.for_params(params)
@@ -242,19 +235,15 @@ def run_loop(
         return result
     avg_freq = (theta2[w:] - theta2[:-w]) / (w * T)   # window [k, k+w]
     ok_freq = np.abs(params.omega1 - avg_freq) < detector.freq_tol
-    dist = np.abs(theta_e - period * np.round(theta_e / period))
+    dist = np.abs(wrap_phase(theta_e, period))
     csum = np.concatenate([[0.0], np.cumsum(dist)])
     avg_dist = (csum[w:] - csum[:-w]) / w             # window [k, k+w)
     ok_phase = avg_dist < detector.phase_tol
 
-    n_ok = min(len(ok_freq), len(ok_phase))
-    ok = np.ones(len(theta2), dtype=bool)
-    ok[:n_ok] = ok_freq[:n_ok] & ok_phase[:n_ok]
-    ok[n_ok:] = bool(ok[n_ok - 1])
-    suffix = np.logical_and.accumulate(ok[::-1])[::-1]
-    candidates = np.nonzero(suffix)[0]
-    if len(candidates) and candidates[0] <= len(theta2) - 1 - w:
-        k = int(candidates[0])
+    ok = ok_freq & ok_phase[: len(ok_freq)]
+    if ok[-1]:
+        failed = np.flatnonzero(~ok)
+        k = int(failed[-1]) + 1 if len(failed) else 0
         result.locked = True
         result.t_lock = float(t[k])
         result.pull_in_time = float(t[k])
@@ -279,11 +268,20 @@ def _run_kernel(source, loop, n, T):
         raise ConfigError("conventional loops need the LPF corner omega3")
     pd = SAMPLE_PD[(variant.tag, variant.pd_flavor)]
 
-    w1 = params.omega1
-    th1 = source.theta1_0 + w1 * np.arange(n) * T
-    sym_idx, n_sym = _sample_grid(source, loop.f_samp, n)
+    # the delayed Hilbert image is the pre-envelope n4 samples earlier, so
+    # the grid starts at k = -n4 and the pre-envelope is computed once
+    n4 = 0
+    if not conventional and loop.hilbert_mode == "delay":
+        n4 = loop.hilbert_delay_samples(source.f_carrier)
+    k = np.arange(-n4, n)
+    th1 = source.theta1_0 + params.omega1 * k * T
+    # samples before 0 carry the first symbol
+    sym_idx = np.floor(np.maximum(k, 0) / (loop.f_samp / source.f_symbol)).astype(np.int64)
+    n_sym = int(sym_idx[-1]) + 1
     m1 = source.symbols(n_sym, 0)[sym_idx]
     m2 = source.symbols(n_sym, 1)[sym_idx] if is_qpsk else None
+    # the loop reads only the list inputs: free each front-end array once used
+    del k, sym_idx
     if conventional:
         lb0, lb1, la1 = _discrete_lpf(params.omega3, T)
         if is_qpsk:
@@ -294,30 +292,19 @@ def _run_kernel(source, loop, n, T):
         u1 = (2.0 * u1).tolist()
     else:
         if is_qpsk:
-            u_re = m1 * np.cos(th1) - m2 * np.sin(th1)
+            u = m1 * np.cos(th1) - m2 * np.sin(th1)
         else:
-            u_re = m1 * np.cos(th1)
-        if loop.hilbert_mode == "ideal":
-            if is_qpsk:
-                u_im = m1 * np.sin(th1) + m2 * np.cos(th1)
-            else:
-                u_im = m1 * np.sin(th1)
+            u = m1 * np.cos(th1)
+        if n4:
+            u_re, u_im = u[n4:].tolist(), u[:n].tolist()
         else:
-            n4 = loop.hilbert_delay_samples(source.f_carrier)
-            didx, _ = _sample_grid(source, loop.f_samp, n, delay=n4)
-            th1_d = source.theta1_0 + w1 * (np.arange(n) - n4) * T
-            m1_d = source.symbols(n_sym, 0)[didx]
+            u_re = u.tolist()
             if is_qpsk:
-                m2_d = source.symbols(n_sym, 1)[didx]
-                u_im = m1_d * np.cos(th1_d) - m2_d * np.sin(th1_d)
-                del m2_d
+                u_im = (m1 * np.sin(th1) + m2 * np.cos(th1)).tolist()
             else:
-                u_im = m1_d * np.cos(th1_d)
-            del didx, m1_d, th1_d
-        u_re = u_re.tolist()
-        u_im = u_im.tolist()
-    # the loop reads only the list inputs: free the front-end arrays now
-    del sym_idx, m1, m2
+                u_im = (m1 * np.sin(th1)).tolist()
+        del u
+    del m1, m2
 
     fb0, fb1 = _discrete_pi(params.tau1, params.tau2, T)
     sin, cos = math.sin, math.cos
@@ -365,7 +352,7 @@ def _run_kernel(source, loop, n, T):
             break
     recorded = (np.frombuffer(buf, dtype=np.float64, count=n)
                 for buf in (theta2, ud_a, uf_a, i2_a, q2_a))
-    return (th1, *recorded, blow_at)
+    return (th1[n4:], *recorded, blow_at)
 
 
 def measure_pull_in_range(
@@ -433,39 +420,26 @@ def demod_ber(result: SimResult, source: ModulatedSource) -> float:
         raise NotLockedError("not enough post-lock symbols to measure")
 
     n_sym = centers[-1][0] + 4
-    tx_i = np.sign(source.symbols(n_sym, 0))
-    rx_i = np.array([1.0 if result.i2[c] >= 0 else -1.0 for _, c in centers])
+    streams = 2 if source.variant.is_qpsk else 1
+    tx = np.sign([source.symbols(n_sym, s) for s in range(streams)])
+    rx = np.array([[1.0 if branch[c] >= 0 else -1.0 for _, c in centers]
+                   for branch in (result.i2, result.q2)[:streams]])
     syms = np.array([k for k, _ in centers])
-    if source.variant.is_qpsk:
-        tx_q = np.sign(source.symbols(n_sym, 1))
-        rx_q = np.array([1.0 if result.q2[c] >= 0 else -1.0 for _, c in centers])
+    if streams == 2:
         # lock points every pi/2 rotate the complex envelope estimate
-        candidates = [
-            (rx_i, rx_q),
-            (rx_q, -rx_i),
-            (-rx_i, -rx_q),
-            (-rx_q, rx_i),
-        ]
-        best = 1.0
-        for off in range(0, 3):
-            idx = syms - off
-            sel = idx >= 0
-            if not np.any(sel):
-                continue
-            ti, tq = tx_i[idx[sel]], tx_q[idx[sel]]
-            for ci, cq in candidates:
-                err = np.mean((ci[sel] != ti) | (cq[sel] != tq))
-                best = min(best, float(err))
-        return best
+        rx_i, rx_q = rx
+        candidates = [rx, np.array([rx_q, -rx_i]), -rx, np.array([-rx_q, rx_i])]
+    else:
+        candidates = [rx, -rx]
     best = 1.0
     for off in range(0, 3):
         idx = syms - off
         sel = idx >= 0
         if not np.any(sel):
             continue
-        ti = tx_i[idx[sel]]
-        for pol in (1.0, -1.0):
-            err = np.mean(pol * rx_i[sel] != ti)
+        t = tx[:, idx[sel]]
+        for cand in candidates:
+            err = np.mean(np.any(cand[:, sel] != t, axis=0))
             best = min(best, float(err))
     return best
 
@@ -481,20 +455,16 @@ class AveragingGapReport:
 
 
 def averaging_gap_experiment(
-    k0: float = 4.8e6,
-    delta_omega0: float = 600e3,
-    f_carrier: float = 400e3,
     f_samp: float = 3.2e6,
-    tau1: float = 2e-5,
-    tau2: float = 3.9789e-6,
-    omega3: float = 1.2566e6,
     omega3_scale: float = 1.0,
-    duration: float = 400e-6,
 ) -> AveragingGapReport:
     """Same loop at two fidelities from identical initial data.
 
-    The phase-domain model assumes ideal LPFs and parks the phase error
-    exactly on the PD null; the sample-level model keeps the
+    The loop is conventional BPSK on a 400 kHz carrier, detuned by
+    600e3 rad/s, with K0 = 4.8e6, tau1 = 20 us, tau2 = 3.9789 us and the
+    LPF corner 1.2566e6 rad/s times ``omega3_scale``; both fidelities run
+    for 400 us.  The phase-domain model assumes ideal LPFs and parks the
+    phase error exactly on the PD null; the sample-level model keeps the
     double-frequency products the LPFs only partially suppress, and its
     locked phase sits at a (small, nonzero) offset.  The offset grows
     when the LPFs are widened toward the double-frequency region and
@@ -502,47 +472,38 @@ def averaging_gap_experiment(
     """
     from .core import CONVENTIONAL_BPSK
     from .detectors import PdCharacteristic
-    from .baseband import ClassicPhaseModel, classic_rhs
-    from .ode import IntegratorConfig, integrate
+    from .baseband import ClassicPhaseModel
+    from .ode import IntegratorConfig, _phase_rhs, integrate
 
-    w3 = omega3 * omega3_scale
+    f_carrier, duration, period = 400e3, 400e-6, math.pi
     omega1 = TWO_PI * f_carrier
     params = LoopParams(
         omega1=omega1,
-        omega_free=omega1 - delta_omega0,
-        k0=k0,
+        omega_free=omega1 - 600e3,
+        k0=4.8e6,
         kd=1.0,
-        tau1=tau1,
-        tau2=tau2,
-        omega3=w3,
+        tau1=2e-5,
+        tau2=3.9789e-6,
+        omega3=1.2566e6 * omega3_scale,
     )
     model = ClassicPhaseModel(params, PdCharacteristic(CONVENTIONAL_BPSK, m=1.0))
-
-    def rhs(t, y):
-        return classic_rhs(model, y)
-
     traj = integrate(
-        rhs, (0.0, 0.0), IntegratorConfig(t_end=duration, method="rk45", rtol=1e-10, atol=1e-12)
+        _phase_rhs(model), (0.0, 0.0),
+        IntegratorConfig(t_end=duration, method="rk45", rtol=1e-10, atol=1e-12),
     )
-    tail = traj.y[traj.t >= 0.8 * duration, 1]
-    period = math.pi
-    theta_phase = float(np.mean(tail - period * np.round(tail / period)))
+    tail = wrap_phase(traj.y[traj.t >= 0.8 * duration, 1], period)
+    theta_phase = float(np.mean(tail))
 
     source = ModulatedSource(
         CONVENTIONAL_BPSK, f_carrier=f_carrier, f_symbol=f_carrier / 4.0, data_mode="ones"
     )
-    loop = DigitalLoop(params, f_samp)
-    res = run_loop(source, loop, duration)
-    sel = res.t >= 0.8 * duration
-    th = res.theta_e[sel]
-    theta_signal = float(np.mean(th - period * np.round(th / period)))
-
-    phase_locked = bool(np.all(np.abs(tail - period * np.round(tail / period)) < 0.5))
+    res = run_loop(source, DigitalLoop(params, f_samp), duration)
+    theta_signal = float(np.mean(wrap_phase(res.theta_e[res.t >= 0.8 * duration], period)))
     return AveragingGapReport(
         theta_phase_model=theta_phase,
         theta_signal_model=theta_signal,
         gap=abs(theta_signal - theta_phase),
-        locked_both=phase_locked and res.locked,
+        locked_both=bool(np.all(np.abs(tail) < 0.5)) and res.locked,
     )
 
 

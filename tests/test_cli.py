@@ -248,6 +248,24 @@ class TestSimulateCommand:
         digest = hashlib.sha256((tmp_path / "o" / "timeseries.csv").read_bytes()).hexdigest()
         assert digest == self.README_TIMESERIES[variant]
 
+    # the same for the modified loops at a carrier phase of 2.1 rad under
+    # both Hilbert realizations; the delayed image starts n/4 samples
+    # before t = 0, on the first symbol
+    MODIFIED_TIMESERIES = {
+        ("mod_bpsk", "delay"): "2ba756e1829110c550a1805471a4c209d8ba492989b08416be8983f9fa68c4b3",
+        ("mod_bpsk", "ideal"): "f0289bb11dbeca44b3f50a6aa08e49b4d7aa4bd24f12e16d33fd8c7e3954dd0b",
+        ("mod_qpsk", "delay"): "1edf4bb70d829ce77550fa85aecf2a261a7ef678ce3c61b49e84dbc0cde7bdab",
+        ("mod_qpsk", "ideal"): "dc8a70c067fac110cbd861ccdb60aef7bd0df6c08c9ac9270321b421823823a4",
+    }
+
+    @pytest.mark.parametrize("variant,hilbert_mode", sorted(MODIFIED_TIMESERIES))
+    def test_modified_timeseries_digest(self, tmp_path, capsys, variant, hilbert_mode):
+        cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, "duration": 1.5e-3, "variant": variant,
+                                   "hilbert_mode": hilbert_mode, "theta1_0": 2.1})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+        digest = hashlib.sha256((tmp_path / "o" / "timeseries.csv").read_bytes()).hexdigest()
+        assert digest == self.MODIFIED_TIMESERIES[(variant, hilbert_mode)]
+
     def test_design_params_round_trip(self, tmp_path, capsys):
         pfile = tmp_path / "params.json"
         assert main(["design", "--variant", "bpsk", "--f0", "400e3", "--fs", "100e3",

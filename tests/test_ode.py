@@ -312,7 +312,7 @@ class TestLockVerdict:
 
         traj = integrate(rhs, (0.0, 0.2),
                          IntegratorConfig(t_end=200e-6, method="rk45"))
-        tol = LockTolerances.for_model(model)
+        tol = LockTolerances.for_params(bpsk_design)
         assert lock_verdict(traj, rhs, math.pi, tol)
 
     def test_blow_up_never_locked(self):

@@ -243,7 +243,7 @@ class TestRecording:
             assert a.shape == (320,), name
 
     def test_traced_bytes_per_sample(self, bpsk_reference_params):
-        # 116 B per sample measured on this run (the seven recorded float64
+        # 113 B per sample measured on this run (the seven recorded float64
         # arrays are 56 B); recording into Python lists peaked at 264 B
         loop = DigitalLoop(bpsk_reference_params, F_SAMP)
         tracemalloc.start()
@@ -255,9 +255,9 @@ class TestRecording:
         assert peak / len(r.t) < 150
 
     def test_traced_bytes_per_sample_mod_qpsk_delay_hilbert(self, modified_reference_params):
-        # the delayed front end builds the most arrays: 115 B per sample
-        # measured once they are freed before the sample loop, 168 B with
-        # them kept alive through it
+        # the delayed front end: 112 B per sample measured with one
+        # pre-envelope grid and the front-end arrays freed before the sample
+        # loop, 168 B with them kept alive through it
         p = modified_reference_params.with_offset(TWO_PI * 100e3)
         loop = DigitalLoop(p, 12.8e6, hilbert_mode="delay")
         tracemalloc.start()
