@@ -26,6 +26,7 @@ from .analysis import (
     pull_in_range_numeric,
     pull_in_time,
     pull_in_time_formula,
+    routh_hurwitz_stable,
 )
 from .detectors import (
     PdCharacteristic,
@@ -36,17 +37,6 @@ from .detectors import (
     pd_modified_imag,
     phi_bpsk,
     phi_qpsk,
-)
-from .filters import (
-    DiscreteFilter,
-    RationalTF,
-    bilinear,
-    freq_response,
-    make_leadlag,
-    make_lpf1,
-    make_pi_filter,
-    routh_hurwitz_stable,
-    step_filter,
 )
 from .baseband import (
     AveragedModel,

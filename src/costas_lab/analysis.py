@@ -16,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LoopParams, LoopVariant, PdFlavor, VariantTag
+from .core import LoopParams, LoopVariant, PdFlavor, VariantTag, check_real
 from .detectors import PdCharacteristic
-from .filters import routh_hurwitz_stable
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,12 +30,12 @@ class RangeError(ValueError):
     """Requested operating point outside a formula's validity range."""
 
 
-def round_sig(x: float, digits: int = 2) -> float:
-    """Round to a count of significant digits (component-value snapping)."""
+def round_sig(x: float) -> float:
+    """Round to two significant digits (component-value snapping)."""
     if x == 0:
         return 0.0
     exp = math.floor(math.log10(abs(x)))
-    return round(x, digits - 1 - exp)
+    return round(x, 1 - exp)
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,8 @@ class DesignSpec:
     m: float = 1.0                 # modulation amplitude
 
     def validate(self) -> None:
+        for name in ("f0", "f_symbol", "omega_t_ratio", "tau1", "m"):
+            check_real(getattr(self, name), name)
         if self.f0 <= 0 or self.f_symbol <= 0:
             raise DesignError("f0 and f_symbol must be > 0")
         if self.f_symbol >= self.f0:
@@ -76,7 +77,7 @@ def design(spec: DesignSpec) -> LoopParams:
     spec.validate()
     omega0 = TWO_PI * spec.f0
     omega_t = spec.omega_t_ratio * omega0
-    tau2 = round_sig(1.0 / omega_t, 2)
+    tau2 = round_sig(1.0 / omega_t)
     omega_c = 1.0 / tau2
     kd = PdCharacteristic(spec.variant, spec.m).kd
     k0 = omega_c**2 * spec.tau1 / kd
@@ -154,10 +155,9 @@ def total_phase_lag(params: LoopParams, variant: LoopVariant, delta_omega: float
     return n * phi1 + phi2
 
 
-def pull_in_range_numeric(
-    params: LoopParams, variant: LoopVariant, rel_tol: float = 1e-9
-) -> float:
-    """Bisection root of the phase-lag condition lag(delta_omega) = -pi/2.
+def pull_in_range_numeric(params: LoopParams, variant: LoopVariant) -> float:
+    """Bisection root of the phase-lag condition lag(delta_omega) = -pi/2,
+    to a bracket width of 1e-9 relative.
 
     Independent of the closed forms in :func:`pull_in_range`; serves as
     their oracle.
@@ -182,7 +182,7 @@ def pull_in_range_numeric(
             hi = mid
         else:
             lo = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= 1e-9 * hi:
             break
     return 0.5 * (lo + hi)
 
@@ -324,6 +324,49 @@ def leadlag_char_poly(
     ]
 
 
+def routh_hurwitz_stable(coeffs) -> bool:
+    """True iff every root of the real polynomial (ascending coefficients)
+    has strictly negative real part, by the Routh-Hurwitz test.
+
+    The polynomial is first frequency-normalized (s -> wbar*s with wbar
+    the geometric mean root magnitude) so the verdict is invariant to
+    unit choices.  Zero first-column entries are epsilon-perturbed; any
+    first-column entry within 1e-8 of the normalized scale counts as a
+    boundary (marginal) case, never stable.
+    """
+    coeffs = [float(c) for c in coeffs]
+    nonzero = [k for k, c in enumerate(coeffs) if c != 0.0]
+    deg = nonzero[-1] if nonzero else -1
+    if deg < 1:
+        raise ValueError("polynomial must have degree >= 1")
+    coeffs = coeffs[: deg + 1]
+    if coeffs[0] == 0.0:
+        return False  # root at the origin
+    wbar = (abs(coeffs[0]) / abs(coeffs[deg])) ** (1.0 / deg)
+    desc = [c * wbar**k for k, c in enumerate(coeffs)][::-1]
+    if desc[0] < 0:
+        desc = [-c for c in desc]
+    scale = max(abs(c) for c in desc)
+    eps = 1e-30 * scale
+    margin = 1e-8 * scale
+
+    rows = [desc[0::2], desc[1::2]]
+    width = len(rows[0])
+    rows[1] += [0.0] * (width - len(rows[1]))
+    first_col = [rows[0][0], rows[1][0]]
+    for _ in range(deg - 1):
+        upper, lower = rows[-2], rows[-1]
+        pivot = lower[0]
+        if pivot == 0.0:
+            pivot = eps
+        new = [0.0] * width
+        for j in range(width - 1):
+            new[j] = (pivot * upper[j + 1] - upper[0] * lower[j + 1]) / pivot
+        rows.append(new)
+        first_col.append(new[0])
+    return all(v > margin for v in first_col)
+
+
 def hold_in_leadlag(
     k0: float, kd: float, tau1: float, tau2: float, omega3: float
 ) -> HoldInResult:
@@ -337,6 +380,9 @@ def hold_in_leadlag(
     cos(2*theta_eq) below a threshold, which carves the low-detuning core
     out of the interval and leaves a split (annular) hold-in range.
     """
+    for name, value in zip(("k0", "kd", "tau1", "tau2", "omega3"),
+                           (k0, kd, tau1, tau2, omega3)):
+        check_real(value, name)
     if not (tau1 > tau2 > 0):
         raise DesignError("lead-lag requires tau1 > tau2 > 0")
     if omega3 <= 0 or k0 <= 0 or kd <= 0:

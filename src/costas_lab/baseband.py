@@ -182,21 +182,19 @@ def averaged_rhs(model: AveragedModel, delta_omega: float) -> float:
     return -p.k0 * averaged_ud(model.variant, delta_omega, p) / p.tau1
 
 
-def averaged_pull_in_time_numeric(
-    model: AveragedModel, delta_omega0: float, n_steps: int = 20000
-) -> float:
+def averaged_pull_in_time_numeric(model: AveragedModel, delta_omega0: float) -> float:
     """Integrate the averaged ODE from the initial offset down to the
     lock-in range, without the straight-line cosine approximation.
 
     Fourth-order fixed-step integration in the time domain would stall
     near the pull-in limit, so integrate the separated form
-    dt = -d(dw)/rhs(dw) over dw with Simpson's rule instead.
+    dt = -d(dw)/rhs(dw) over dw with Simpson's rule (20,000 intervals)
+    instead.
     """
     dw_l = lock_in_range(model.params, model.variant)
     if delta_omega0 <= dw_l:
         raise RangeError("offset already inside the lock-in range")
-    if n_steps % 2:
-        n_steps += 1
+    n_steps = 20000
     h = (delta_omega0 - dw_l) / n_steps
     total = 0.0
     for k in range(n_steps + 1):

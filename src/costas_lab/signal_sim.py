@@ -2,9 +2,10 @@
 
 Each run builds the whole receive chain the block diagrams describe:
 PRBS modulator, the carrier (plus its quarter-cycle-delay Hilbert image
-for the modified loops), mixers against the NCO, the bilinear-discretized
-LPFs and PI loop filter, the variant's phase detector, and the NCO phase
-accumulator.  Everything is deterministic given the config and seed.
+for the modified loops), mixers against the NCO, the LPFs and PI loop
+filter (prewarped bilinear maps in closed form), the variant's phase
+detector, and the NCO phase accumulator.  Everything is deterministic
+given the config and seed.
 
 Sign conventions: the NCO integrates omega2[n] = omega_free + K0*uf[n]
 with one sample of causal delay (theta2[n+1] = theta2[n] + T*omega2[n]);
@@ -31,16 +32,15 @@ from .core import (
     write_csv_rows,
 )
 from .detectors import SAMPLE_PD
-from .filters import bilinear, make_lpf1, make_pi_filter
 
 TWO_PI = 2.0 * math.pi
 
-# Largest run ``run_loop`` accepts.  A run peaks at about 113 B of traced
-# memory per sample (the 56 B of recorded float64 arrays, the source
-# waveform and the lock-detection windows), so 4e6 samples stay under
-# 0.5 GB, and their CSV (127 B per row) near 0.5 GB.  That is 1.25 s of
-# signal at 3.2 MHz, 52 times the longest run the benchmark or the
-# acceptance gate makes (76,800 samples).
+# Largest run ``run_loop`` accepts.  A run peaks at about 105 B (conventional
+# loops) to 112 B (modified loops) of traced memory per sample (the 56 B of
+# recorded float64 arrays, the source waveform and the lock-detection
+# windows), so 4e6 samples stay under 0.5 GB, and their CSV (127 B per row)
+# near 0.5 GB.  That is 1.25 s of signal at 3.2 MHz, 52 times the longest
+# run the benchmark or the acceptance gate makes (76,800 samples).
 MAX_SAMPLES = 4_000_000
 
 
@@ -145,15 +145,39 @@ class LockDetector:
         )
 
 
+def _check_corner(omega: float, T: float) -> None:
+    """Both maps need 0 < omega*T/2 < pi/2: a corner at or above Nyquist
+    has no prewarped image."""
+    if not 0.0 < omega * T / 2.0 < math.pi / 2.0:
+        raise ConfigError(f"corner {omega:g} rad/s cannot be prewarped at T={T:g}")
+
+
 def _discrete_lpf(omega3: float, T: float) -> tuple[float, float, float]:
-    f = bilinear(make_lpf1(omega3), T, prewarp_at=omega3)
-    return f.b[0], f.b[1], f.a[1]
+    """(b0, b1, a1) of 1/(1 + s/omega3) under the bilinear map
+    s = c(1 - z^-1)/(1 + z^-1), c = 2/T, with the corner prewarped to
+    wp = c*tan(omega3*T/2) so the response at omega3 is exactly 1/(1 + j);
+    a0 is normalized to 1."""
+    _check_corner(omega3, T)
+    c = 2.0 / T
+    # 1/(1/omega3), the root of 1 + s/omega3, may differ from omega3 in the last bit
+    wp = c * math.tan((1.0 / (1.0 / omega3)) * T / 2.0)
+    g = (1.0 / wp) * c
+    a0 = 1.0 + g
+    return 1.0 / a0, 1.0 / a0, (1.0 - g) / a0
 
 
 def _discrete_pi(tau1: float, tau2: float, T: float) -> tuple[float, float]:
-    f = bilinear(make_pi_filter(tau1, tau2), T, prewarp_at=1.0 / tau2)
-    # a == [1, -1] (integrator pole maps to z=1 exactly)
-    return f.b[0], f.b[1]
+    """(b0, b1) of the PI filter (1 + s*tau2)/(s*tau1) under the same map,
+    its zero prewarped at 1/tau2; the integrator pole maps to z = 1
+    exactly, so a == (1, -1)."""
+    if not (tau1 > 0.0 and tau2 > 0.0):
+        raise ConfigError(f"PI time constants must be > 0, got {tau1:g}, {tau2:g}")
+    _check_corner(1.0 / tau2, T)
+    c = 2.0 / T
+    wp = c * math.tan((1.0 / tau2) * T / 2.0)
+    g = (1.0 / wp) * c
+    a0 = tau1 * c
+    return (1.0 + g) / a0, (1.0 - g) / a0
 
 
 def run_loop(
@@ -237,6 +261,7 @@ def run_loop(
     ok_freq = np.abs(params.omega1 - avg_freq) < detector.freq_tol
     dist = np.abs(wrap_phase(theta_e, period))
     csum = np.concatenate([[0.0], np.cumsum(dist)])
+    del dist
     avg_dist = (csum[w:] - csum[:-w]) / w             # window [k, k+w)
     ok_phase = avg_dist < detector.phase_tol
 

@@ -40,7 +40,6 @@ from costas_lab.detectors import (
     phi_bpsk,
     phi_qpsk,
 )
-from costas_lab.filters import bilinear, freq_response, make_leadlag, make_lpf1
 from costas_lab.ode import (
     IntegratorConfig,
     PITFALL_H_LIST,
@@ -54,6 +53,8 @@ from costas_lab.ode import (
 from costas_lab.signal_sim import (
     DigitalLoop,
     ModulatedSource,
+    _discrete_lpf,
+    _discrete_pi,
     demod_ber,
     measure_pull_in_range,
     run_loop,
@@ -418,29 +419,27 @@ def test_criterion_8_property_suites(designs):
         if abs(g - want) / want > 1e-6:
             failures.append(f"small-angle gain {name}: {g}")
 
-    # bilinear pole mapping on random stable filters; the prewarp fixed
-    # point is exact for single-corner prototypes (the loop's LPF and PI),
-    # while multi-corner filters only hold it per corner
+    # the loop's two bilinear maps on random corners: the LPF pole lies
+    # inside the unit circle and the LPF response at the corner is the
+    # analog 1/(1 + j); the PI (tau2 = 1/w) keeps the analog phase -pi/4
+    # at its corner
     t_samp = 1.0 / 3.2e6
     for _ in range(1000):
         w = 10 ** rng.uniform(3.5, 6.2)
         kind = rng.integers(0, 2)
-        tf = make_lpf1(w) if kind == 0 else make_leadlag(1.0 / w, 0.3 / w)
-        f = bilinear(tf, t_samp, prewarp_at=w)
-        a = list(f.a)
-        while a and a[-1] == 0.0:
-            a.pop()
-        roots = np.roots(a[::-1])
-        roots = roots[np.abs(roots) > 0]
-        if len(roots) and np.any(1.0 / np.abs(roots) >= 1.0):
-            failures.append(f"discrete pole on/outside unit circle for w={w:.0f}")
-            break
+        z = np.exp(-1j * w * t_samp)  # z^-1 at the corner
         if kind == 0:
-            z = np.exp(-1j * w * t_samp)
-            num = sum(b * z**k for k, b in enumerate(f.b))
-            den = sum(c * z**k for k, c in enumerate(f.a))
-            if abs(num / den - freq_response(tf, w)) > 1e-9:
+            b0, b1, a1 = _discrete_lpf(w, t_samp)
+            if abs(a1) >= 1.0:
+                failures.append(f"discrete pole on/outside unit circle for w={w:.0f}")
+                break
+            if abs((b0 + b1 * z) / (1.0 + a1 * z) - 1.0 / (1.0 + 1j)) > 1e-9:
                 failures.append(f"prewarp fixed point broken at w={w:.0f}")
+                break
+        else:
+            b0, b1 = _discrete_pi(20e-6, 1.0 / w, t_samp)
+            if abs(np.angle((b0 + b1 * z) / (1.0 - z)) + math.pi / 4) > 1e-9:
+                failures.append(f"PI corner phase off -pi/4 at w={w:.0f}")
                 break
 
     # RK4 order-4 convergence factor

@@ -70,6 +70,20 @@ class TestDesignCommand:
     def test_invalid_spec_exits_2(self, capsys):
         assert main(["design", "--variant", "bpsk", "--f0", "50e3", "--fs", "100e3"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--f0", "inf"), ("--tau1", "inf"), ("--tau1", "nan"), ("--m", "inf"),
+        ("--fs", "nan"), ("--ratio", "nan"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, flag, value):
+        # a repeated flag overrides the earlier value
+        out = tmp_path / "p.json"
+        assert main(["design", "--variant", "bpsk", "--f0", "400e3", "--fs", "100e3",
+                     flag, value, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "must be finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestPredictCommand:
     def test_report_from_params_file(self, tmp_path, capsys):
@@ -100,6 +114,17 @@ class TestPredictCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["leadlag_hold_in"]["case"] == "wide-lpf"
         assert out["leadlag_hold_in"]["intervals"][0][1] > 0
+
+    @pytest.mark.parametrize("leadlag", ["inf,1e-5,1e6", "1e-4,2e-5,nan", "1e-4,nan,1e6"])
+    def test_non_finite_leadlag_exits_2(self, tmp_path, capsys, leadlag):
+        assert main(["design", "--variant", "bpsk", "--f0", "400e3", "--fs", "100e3",
+                     "-o", str(tmp_path / "p.json")]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--params", str(tmp_path / "p.json"),
+                     "--variant", "bpsk", "--leadlag", leadlag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "must be finite" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("content,named", [
         ([1, 2], "JSON object"),
@@ -279,6 +304,15 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["params"] == {**designed, "omega_free": retuned.omega_free,
                                      "delta_omega0": retuned.delta_omega0}
+
+    def test_lpf_corner_beyond_nyquist_exits_2(self, tmp_path, capsys):
+        # omega3 = 1.2e7 rad/s sits above Nyquist at 3.2 MHz (omega3*T/2 > pi/2)
+        cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, "params": {**DESIGN_PARAMS,
+                                                                  "omega3": 1.2e7}})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot be prewarped" in err
+        assert not (tmp_path / "o").exists()
 
     def test_rejected_config_leaves_no_outdir(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**PHASE_CFG, "fidelity": "bogus"})

@@ -131,16 +131,14 @@ class TestPhaseHelpers:
 
 PUBLIC_NAMES = {
     "AveragedModel", "CONVENTIONAL_BPSK", "CONVENTIONAL_QPSK", "ClassicPhaseModel",
-    "DelayModel", "DesignSpec", "DiscreteFilter", "LoopParams", "LoopVariant",
-    "MODIFIED_BPSK", "MODIFIED_QPSK", "PdCharacteristic", "PdFlavor", "PredictionReport",
-    "RationalTF", "SimResult", "VariantTag", "analysis", "averaged_rhs", "averaged_ud",
-    "baseband", "bilinear", "classic_rhs", "core", "delay_rhs", "design", "detectors",
-    "filters", "freq_response", "hold_in_leadlag", "hold_in_pi", "lock_in_range",
-    "lock_time", "make_leadlag", "make_lpf1", "make_pi_filter", "pd_conventional_bpsk",
-    "pd_conventional_qpsk", "pd_modified_bpsk", "pd_modified_imag", "pd_modified_qpsk",
-    "pd_period", "phi_bpsk", "phi_qpsk", "predict", "pull_in_range",
-    "pull_in_range_numeric", "pull_in_time", "pull_in_time_formula",
-    "routh_hurwitz_stable", "step_filter", "wrap_phase",
+    "DelayModel", "DesignSpec", "LoopParams", "LoopVariant", "MODIFIED_BPSK",
+    "MODIFIED_QPSK", "PdCharacteristic", "PdFlavor", "PredictionReport", "SimResult",
+    "VariantTag", "analysis", "averaged_rhs", "averaged_ud", "baseband", "classic_rhs",
+    "core", "delay_rhs", "design", "detectors", "hold_in_leadlag", "hold_in_pi",
+    "lock_in_range", "lock_time", "pd_conventional_bpsk", "pd_conventional_qpsk",
+    "pd_modified_bpsk", "pd_modified_imag", "pd_modified_qpsk", "pd_period", "phi_bpsk",
+    "phi_qpsk", "predict", "pull_in_range", "pull_in_range_numeric", "pull_in_time",
+    "pull_in_time_formula", "routh_hurwitz_stable", "wrap_phase",
 }
 
 
@@ -151,5 +149,5 @@ def test_public_api_pinned():
     env = {**os.environ, "PYTHONPATH": str(Path(costas_lab.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 43
     assert out == sorted(PUBLIC_NAMES)

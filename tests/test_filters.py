@@ -1,203 +1,163 @@
+"""The loop's two filter discretizations, ``signal_sim._discrete_lpf`` and
+``signal_sim._discrete_pi``, and the Routh-Hurwitz test the lead-lag
+hold-in analysis uses."""
+
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from costas_lab.filters import (
-    DiscreteFilter,
-    FilterDesignError,
-    FilterEvaluationError,
-    RationalTF,
-    bilinear,
-    freq_response,
-    make_leadlag,
-    make_lpf1,
-    make_pi_filter,
-    routh_hurwitz,
-    routh_hurwitz_stable,
-    step_filter,
-)
+from costas_lab.analysis import routh_hurwitz_stable
+from costas_lab.signal_sim import ConfigError, _discrete_lpf, _discrete_pi
 
 T_SAMP = 1.0 / 3.2e6
+# the reference design: LPF corner, PI time constants
+OMEGA3, TAU1, TAU2 = 1256000.0, 20e-6, 4e-6
+
+# float.hex of the coefficients for the reference design, per sampling rate
+LPF_BITS = {
+    3.2e6: ("0x1.53a33b8a64244p-3", "0x1.53a33b8a64244p-3", "-0x1.562e623acdedep-1"),
+    12.8e6: ("0x1.7f6a949835683p-5", "0x1.7f6a949835683p-5", "-0x1.d012ad6cf9530p-1"),
+    51.2e6: ("0x1.8d11d1af05ceep-7", "0x1.8d11d1af05ceep-7", "-0x1.f397717287d19p-1"),
+}
+PI_BITS = {
+    3.2e6: ("0x1.a96442e0a8d0bp-3", "-0x1.896442e0a8d0bp-3"),
+    12.8e6: ("0x1.9d964442e0b54p-3", "-0x1.95964442e0b54p-3"),
+    51.2e6: ("0x1.9a99644442e0cp-3", "-0x1.9899644442e0cp-3"),
+}
+
+
+def prewarped(w, T=T_SAMP):
+    return (2.0 / T) * math.tan(w * T / 2.0)
+
+
+def lpf_at(w, omega3=OMEGA3, T=T_SAMP):
+    """Discrete LPF response at angular frequency w."""
+    b0, b1, a1 = _discrete_lpf(omega3, T)
+    z = cmath.exp(-1j * w * T)  # z^-1 on the unit circle
+    return (b0 + b1 * z) / (1.0 + a1 * z)
+
+
+def pi_at(w, tau1=TAU1, tau2=TAU2, T=T_SAMP):
+    """Discrete PI response at angular frequency w (denominator 1 - z^-1)."""
+    b0, b1 = _discrete_pi(tau1, tau2, T)
+    z = cmath.exp(-1j * w * T)
+    return (b0 + b1 * z) / (1.0 - z)
 
 
 class TestPrototypes:
     def test_pi_filter_coefficients(self):
-        tf = make_pi_filter(20e-6, 4e-6)
-        assert tf.num == (1.0, 4e-6)
-        assert tf.den == (0.0, 2e-5)
+        for fs, bits in PI_BITS.items():
+            assert tuple(x.hex() for x in _discrete_pi(TAU1, TAU2, 1.0 / fs)) == bits
 
     def test_pi_high_frequency_gain(self):
-        tf = make_pi_filter(20e-6, 4e-6)
-        assert abs(freq_response(tf, 1e12)) == pytest.approx(0.2, rel=1e-6)
+        # Nyquist (z^-1 = -1) is the image of s = inf: the gain is tau2/tau1
+        # with the zero at its prewarped place
+        b0, b1 = _discrete_pi(TAU1, TAU2, T_SAMP)
+        gain = (b0 - b1) / 2.0
+        assert gain == pytest.approx(1.0 / (prewarped(1.0 / TAU2) * TAU1), rel=1e-12)
+        assert gain == pytest.approx(0.2, rel=1e-3)
 
     def test_pi_unit_constants_magnitude(self):
-        tf = make_pi_filter(1.0, 1.0)
-        assert abs(freq_response(tf, 1.0)) == pytest.approx(math.sqrt(2))
+        # coarse sampling, corner at w*T/2 = 0.5: the magnitude at the corner
+        # is sqrt(2)/(wp*tau1), with the prewarped corner wp
+        h = pi_at(1.0, tau1=1.0, tau2=1.0, T=1.0)
+        assert abs(h) == pytest.approx(math.sqrt(2) / prewarped(1.0, 1.0), rel=1e-12)
+        assert cmath.phase(h) == pytest.approx(-math.pi / 4, abs=1e-12)
 
     def test_pi_rejects_nonpositive(self):
-        with pytest.raises(FilterDesignError):
-            make_pi_filter(-1.0, 1.0)
-        with pytest.raises(FilterDesignError):
-            make_pi_filter(1.0, 0.0)
+        with pytest.raises(ConfigError):
+            _discrete_pi(-1.0, 1.0, T_SAMP)
+        with pytest.raises(ConfigError):
+            _discrete_pi(1.0, 0.0, T_SAMP)
 
     def test_lpf1_dc(self):
-        tf = make_lpf1(1256000.0)
-        h = freq_response(tf, 0.0)
-        assert h == pytest.approx(1.0)
-        assert cmath_phase(h) == 0.0
+        b0, b1, a1 = _discrete_lpf(OMEGA3, T_SAMP)
+        assert (b0 + b1) / (1.0 + a1) == pytest.approx(1.0, rel=1e-14)
+        assert lpf_at(0.0).imag == 0.0
 
     def test_lpf1_corner(self):
-        tf = make_lpf1(1256000.0)
-        h = freq_response(tf, 1256000.0)
-        assert cmath_phase(h) == pytest.approx(-math.pi / 4)
-        assert abs(h) == pytest.approx(1 / math.sqrt(2))
+        h = lpf_at(OMEGA3)
+        assert cmath.phase(h) == pytest.approx(-math.pi / 4, abs=1e-12)
+        assert abs(h) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
     def test_lpf1_phase_law(self):
-        tf = make_lpf1(2.0e5)
+        # the analog law -atan(w/omega3) with both frequencies prewarped
         for w in (1e4, 1e5, 5e5):
-            assert cmath_phase(freq_response(tf, w)) == pytest.approx(
-                -math.atan(w / 2.0e5)
-            )
+            phase = cmath.phase(lpf_at(w, omega3=2.0e5))
+            assert phase == pytest.approx(-math.atan(prewarped(w) / prewarped(2.0e5)),
+                                          abs=1e-12)
+            assert phase == pytest.approx(-math.atan(w / 2.0e5), abs=1e-3)
 
     def test_lpf1_rejects_nonpositive(self):
-        with pytest.raises(FilterDesignError):
-            make_lpf1(0.0)
-
-    def test_leadlag_dc_and_hf(self):
-        tf = make_leadlag(2.0, 1.0)
-        assert abs(freq_response(tf, 0.0)) == pytest.approx(1.0)
-        assert abs(freq_response(tf, 1e9)) == pytest.approx(0.5, rel=1e-6)
-
-    def test_leadlag_ordering_enforced(self):
-        with pytest.raises(FilterDesignError):
-            make_leadlag(1.0, 2.0)
-        with pytest.raises(FilterDesignError):
-            make_leadlag(1.0, 1.0)
-
-    def test_pi_pole_at_origin_raises(self):
-        with pytest.raises(FilterEvaluationError):
-            freq_response(make_pi_filter(20e-6, 4e-6), 0.0)
+        for omega3 in (0.0, -1.0):
+            with pytest.raises(ConfigError):
+                _discrete_lpf(omega3, T_SAMP)
 
     def test_pi_magnitude_at_corner(self):
-        tf = make_pi_filter(20e-6, 4e-6)
-        assert abs(freq_response(tf, 250000.0)) == pytest.approx(
-            math.sqrt(2) * 0.2, rel=1e-9
-        )
-
-
-def cmath_phase(z):
-    return math.atan2(z.imag, z.real)
+        h = pi_at(1.0 / TAU2)
+        assert abs(h) == pytest.approx(math.sqrt(2) / (prewarped(1.0 / TAU2) * TAU1),
+                                       rel=1e-12)
+        assert abs(h) == pytest.approx(math.sqrt(2) * 0.2, rel=1e-3)
+        assert cmath.phase(h) == pytest.approx(-math.pi / 4, abs=1e-12)
 
 
 class TestBilinear:
     def test_lpf_coefficients_closed_form(self):
-        # after normalization a == [1, 1]/(1+c) pattern inverted: the
-        # lowpass keeps its zero at Nyquist, so b carries the [1, 1] pair
-        # and a carries the corner terms; the swapped orientation would
-        # put a pole on the unit circle
-        omega3 = 1256000.0
-        f = bilinear(make_lpf1(omega3), T_SAMP, prewarp_at=omega3)
-        w3p = (2 / T_SAMP) * math.tan(omega3 * T_SAMP / 2)
-        c = 2.0 / (w3p * T_SAMP)
+        # the lowpass keeps its zero at Nyquist, so b carries the [1, 1]
+        # pair and a the corner terms
+        b0, b1, a1 = _discrete_lpf(OMEGA3, T_SAMP)
+        c = 2.0 / (prewarped(OMEGA3) * T_SAMP)
         norm = 1.0 + c
-        assert f.b[0] == pytest.approx(1.0 / norm, rel=1e-12)
-        assert f.b[1] == pytest.approx(1.0 / norm, rel=1e-12)
-        assert f.a == (1.0, pytest.approx((1.0 - c) / norm, rel=1e-12))
+        assert b0 == pytest.approx(1.0 / norm, rel=1e-12)
+        assert b1 == pytest.approx(1.0 / norm, rel=1e-12)
+        assert a1 == pytest.approx((1.0 - c) / norm, rel=1e-12)
+
+    def test_lpf_coefficients_pinned(self):
+        for fs, bits in LPF_BITS.items():
+            assert tuple(x.hex() for x in _discrete_lpf(OMEGA3, 1.0 / fs)) == bits
 
     def test_pi_coefficients_closed_form(self):
-        tau1, tau2 = 20e-6, 4e-6
-        omega_c = 1.0 / tau2
-        f = bilinear(make_pi_filter(tau1, tau2), T_SAMP, prewarp_at=omega_c)
-        wcp = (2 / T_SAMP) * math.tan(omega_c * T_SAMP / 2)
-        norm = 2.0 * tau1 / T_SAMP
-        assert f.a == (1.0, -1.0)
-        assert f.b[0] == pytest.approx((1 + 2 / (wcp * T_SAMP)) / norm, rel=1e-12)
-        assert f.b[1] == pytest.approx((1 - 2 / (wcp * T_SAMP)) / norm, rel=1e-12)
-
-    def test_integrator_backward_difference_form(self):
-        k0 = 1.25e6
-        f = bilinear(RationalTF(num=(k0,), den=(0.0, 1.0)), T_SAMP)
-        assert f.b == (pytest.approx(k0 * T_SAMP), 0.0)
-        assert f.a == (1.0, -1.0)
+        b0, b1 = _discrete_pi(TAU1, TAU2, T_SAMP)
+        g = 2 / (prewarped(1.0 / TAU2) * T_SAMP)
+        norm = 2.0 * TAU1 / T_SAMP
+        assert b0 == pytest.approx((1 + g) / norm, rel=1e-12)
+        assert b1 == pytest.approx((1 - g) / norm, rel=1e-12)
+        # the integrator pole maps to z = 1 with the trapezoidal gain T/tau1
+        assert b0 + b1 == pytest.approx(T_SAMP / TAU1, rel=1e-12)
 
     def test_prewarp_fixed_point(self):
-        # discrete response at the design corner equals the analog response
-        omega3 = 1256000.0
-        analog = make_lpf1(omega3)
-        f = bilinear(analog, T_SAMP, prewarp_at=omega3)
-        z = np.exp(-1j * omega3 * T_SAMP)  # z^-1 at the corner
-        hd = (f.b[0] + f.b[1] * z) / (f.a[0] + f.a[1] * z)
-        ha = freq_response(analog, omega3)
-        assert abs(hd - ha) < 1e-9 * abs(ha)
+        # at its corner the discrete LPF equals the analog 1/(1 + j); the PI
+        # keeps the analog phase -pi/4 there (its pole at s = 0 is exact)
+        assert abs(lpf_at(OMEGA3) - 1 / (1 + 1j)) < 1e-9
+        assert abs(cmath.phase(pi_at(1.0 / TAU2)) + math.pi / 4) < 1e-9
 
     def test_prewarp_fixed_point_random(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             w = 10 ** rng.uniform(4, 6.2)
-            analog = make_lpf1(w)
-            f = bilinear(analog, T_SAMP, prewarp_at=w)
-            z = np.exp(-1j * w * T_SAMP)
-            hd = (f.b[0] + f.b[1] * z) / (f.a[0] + f.a[1] * z)
-            assert abs(hd - freq_response(analog, w)) < 1e-9
+            assert abs(lpf_at(w, omega3=w) - 1 / (1 + 1j)) < 1e-9
+            assert abs(cmath.phase(pi_at(w, tau2=1.0 / w)) + math.pi / 4) < 1e-9
 
     def test_pole_mapping_inside_unit_circle(self):
+        # the LPF pole z = -a1 for corners up to 98% of Nyquist, at rates
+        # from 100 kHz to 100 MHz
         rng = np.random.default_rng(37)
         for _ in range(1000):
-            kind = rng.integers(0, 3)
-            if kind == 0:
-                tf = make_lpf1(10 ** rng.uniform(3, 6.5))
-            elif kind == 1:
-                tau1 = 10 ** rng.uniform(-6, -3)
-                tf = make_leadlag(tau1, tau1 * rng.uniform(0.05, 0.95))
-            else:  # random stable biquad, real poles (ascending coefficients)
-                p1 = -(10 ** rng.uniform(3, 6.5))
-                p2 = -(10 ** rng.uniform(3, 6.5))
-                den = np.convolve([1.0, -1.0 / p1], [1.0, -1.0 / p2])
-                tf = RationalTF(num=(1.0,), den=tuple(den))
-            f = bilinear(tf, T_SAMP)
-            a_asc = list(f.a)
-            while a_asc and a_asc[-1] == 0.0:
-                a_asc.pop()
-            x_roots = np.roots(a_asc[::-1])  # roots in x = z^-1; poles z = 1/x
-            x_roots = x_roots[np.abs(x_roots) > 0]
-            assert np.all(1.0 / np.abs(x_roots) < 1.0 - 1e-12)
+            fs = 10 ** rng.uniform(5, 8)
+            w = 10 ** rng.uniform(math.log10(fs) - 5, math.log10(0.98 * math.pi * fs))
+            _, _, a1 = _discrete_lpf(w, 1.0 / fs)
+            assert abs(a1) < 1.0 - 1e-12
 
-    def test_pole_at_singularity_rejected(self):
-        # pole at s = +2/T is at the bilinear singularity
-        tf = RationalTF(num=(1.0,), den=(1.0, -T_SAMP / 2.0))
-        with pytest.raises(FilterDesignError):
-            bilinear(tf, T_SAMP)
-
-
-class TestDiscreteFilter:
-    def test_zero_state_zero_input(self):
-        f = bilinear(make_lpf1(1e5), T_SAMP)
-        assert step_filter(f, 0.0) == 0.0
-
-    def test_integrator_impulse_holds(self):
-        k0 = 2.0e6
-        f = bilinear(RationalTF(num=(k0,), den=(0.0, 1.0)), T_SAMP)
-        out = [step_filter(f, 1.0 if n == 0 else 0.0) for n in range(6)]
-        assert out[0] == pytest.approx(k0 * T_SAMP)
-        for v in out[1:]:
-            assert v == pytest.approx(k0 * T_SAMP)
-
-    def test_superposition(self):
-        rng = np.random.default_rng(3)
-        u1 = rng.normal(size=64)
-        u2 = rng.normal(size=64)
-        fa, fb, fc = (bilinear(make_lpf1(3e5), T_SAMP) for _ in range(3))
-        ya = [step_filter(fa, u) for u in u1]
-        yb = [step_filter(fb, u) for u in u2]
-        yc = [step_filter(fc, a + b) for a, b in zip(u1, u2)]
-        assert np.allclose(np.array(ya) + np.array(yb), yc, atol=1e-12)
-
-    def test_normalization_invariant(self):
-        f = DiscreteFilter(b=(2.0, 1.0), a=(2.0, 0.5), sample_period=1.0)
-        assert f.a[0] == 1.0
-        assert f.b == (1.0, 0.5)
-        assert len(f.state) == 1
+    @pytest.mark.parametrize("omega3", [1.2e7, math.pi * 3.2e6, math.nan, math.inf])
+    def test_corner_out_of_range_rejected(self, omega3):
+        # a corner at or beyond Nyquist (omega*T/2 >= pi/2) has no prewarped image
+        with pytest.raises(ConfigError, match="cannot be prewarped"):
+            _discrete_lpf(omega3, T_SAMP)
+        if 0.0 < omega3 < math.inf:
+            with pytest.raises(ConfigError, match="cannot be prewarped"):
+                _discrete_pi(TAU1, 1.0 / omega3, T_SAMP)
 
 
 class TestRouthHurwitz:
@@ -222,9 +182,9 @@ class TestRouthHurwitz:
         assert np.all(roots.real < 0)
 
     def test_marginal_reported_not_stable(self):
-        # s^2 + 1: poles on the imaginary axis
-        r = routh_hurwitz([1.0, 0.0, 1.0])
-        assert r.marginal and not r.stable
+        # s^2 + 1: poles on the imaginary axis; s^2 + s: a root at the origin
+        assert not routh_hurwitz_stable([1.0, 0.0, 1.0])
+        assert not routh_hurwitz_stable([0.0, 1.0, 1.0])
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -243,8 +243,10 @@ class TestRecording:
             assert a.shape == (320,), name
 
     def test_traced_bytes_per_sample(self, bpsk_reference_params):
-        # 113 B per sample measured on this run (the seven recorded float64
-        # arrays are 56 B); recording into Python lists peaked at 264 B
+        # 105 B per sample measured on this run (the seven recorded float64
+        # arrays are 56 B), 113 B with the whole-run phase-distance array
+        # kept through lock detection; recording into Python lists peaked
+        # at 264 B
         loop = DigitalLoop(bpsk_reference_params, F_SAMP)
         tracemalloc.start()
         try:
