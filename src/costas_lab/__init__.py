@@ -32,14 +32,10 @@ from .detectors import (
     PdCharacteristic,
     pd_conventional_bpsk,
     pd_conventional_qpsk,
-    pd_modified_bpsk,
-    pd_modified_qpsk,
-    pd_modified_imag,
     phi_bpsk,
     phi_qpsk,
 )
 from .baseband import (
-    AveragedModel,
     ClassicPhaseModel,
     DelayModel,
     averaged_rhs,

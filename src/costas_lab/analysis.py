@@ -11,10 +11,9 @@ result is the oracle the closed forms are tested against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .core import LoopParams, LoopVariant, PdFlavor, VariantTag, check_real
 from .detectors import PdCharacteristic
@@ -28,6 +27,16 @@ class DesignError(ValueError):
 
 class RangeError(ValueError):
     """Requested operating point outside a formula's validity range."""
+
+
+def _derived(name: str, value: float) -> float:
+    """``value``, or DesignError naming it when it is not finite and at
+    least ``sys.float_info.min``: the constant overflowed, underflowed or
+    vanished."""
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise DesignError(f"derived constant {name} = {value!r} is out of range: "
+                          f"it must be finite and at least {sys.float_info.min!r}")
+    return value
 
 
 def round_sig(x: float) -> float:
@@ -72,16 +81,23 @@ def design(spec: DesignSpec) -> LoopParams:
     parameters stay exactly self-consistent.  K0 follows from unity
     open-loop gain at the corner, and the LPF corner sits at twice the
     symbol rate for the conventional loops (the modified loops have no
-    LPF).
+    LPF).  Raises DesignError when a derived constant leaves the float
+    range.
     """
     spec.validate()
-    omega0 = TWO_PI * spec.f0
-    omega_t = spec.omega_t_ratio * omega0
-    tau2 = round_sig(1.0 / omega_t)
-    omega_c = 1.0 / tau2
-    kd = PdCharacteristic(spec.variant, spec.m).kd
-    k0 = omega_c**2 * spec.tau1 / kd
-    omega3 = 2.0 * TWO_PI * spec.f_symbol if spec.variant.is_conventional else None
+    omega0 = _derived("omega0", TWO_PI * spec.f0)
+    omega_t = _derived("omega_t", spec.omega_t_ratio * omega0)
+    tau2 = _derived("tau2", round_sig(1.0 / omega_t))
+    omega_c = _derived("omega_c", 1.0 / tau2)
+    kd = _derived("kd", PdCharacteristic(spec.variant, spec.m).kd)
+    try:
+        omega_c_sq = omega_c**2
+    except OverflowError:       # beyond the float range
+        omega_c_sq = math.inf
+    k0 = _derived("k0", omega_c_sq * spec.tau1 / kd)
+    omega3 = None
+    if spec.variant.is_conventional:
+        omega3 = _derived("omega3", 2.0 * TWO_PI * spec.f_symbol)
     return LoopParams(
         omega1=omega0,
         omega_free=omega0,
@@ -379,6 +395,7 @@ def hold_in_leadlag(
     such equilibrium is stable, while narrow LPFs additionally demand
     cos(2*theta_eq) below a threshold, which carves the low-detuning core
     out of the interval and leaves a split (annular) hold-in range.
+    Raises DesignError when a derived constant leaves the float range.
     """
     for name, value in zip(("k0", "kd", "tau1", "tau2", "omega3"),
                            (k0, kd, tau1, tau2, omega3)):
@@ -387,30 +404,27 @@ def hold_in_leadlag(
         raise DesignError("lead-lag requires tau1 > tau2 > 0")
     if omega3 <= 0 or k0 <= 0 or kd <= 0:
         raise DesignError("omega3, k0, kd must be > 0")
-    cap = k0 * kd / 2.0
+    cap = _derived("cap", k0 * kd / 2.0)
+    if tau1 * tau2 == 0.0:
+        raise DesignError(f"derived constant tau1*tau2 underflows to 0 ({tau1!r} * {tau2!r})")
     omega3_star = (tau1 - tau2) / (tau1 * tau2)
+    inner = 0.0
     if omega3 >= omega3_star:
-        return HoldInResult(
-            ((0.0, cap),),
-            unbounded=False,
-            formula_id="leadlag-routh-hurwitz",
-            case="wide-lpf",
-        )
-    cos_max = (2.0 / (k0 * kd)) * (1.0 + omega3 * tau1) / (tau1 - tau2 - omega3 * tau1 * tau2)
-    if cos_max >= 1.0:
-        return HoldInResult(
-            ((0.0, cap),),
-            unbounded=False,
-            formula_id="leadlag-routh-hurwitz",
-            case="narrow-lpf-full",
-        )
-    inner = cap * math.sqrt(1.0 - cos_max**2)
-    return HoldInResult(
-        ((inner, cap),),
-        unbounded=False,
-        formula_id="leadlag-routh-hurwitz",
-        case="narrow-lpf-split",
-    )
+        case = "wide-lpf"
+    else:
+        # den > 0 below omega3_star, but for rounding where omega3 sits on it
+        den = tau1 - tau2 - omega3 * tau1 * tau2
+        cos_max = (2.0 / (k0 * kd)) * (1.0 + omega3 * tau1) / den if den else math.nan
+        if not cos_max >= -1.0:
+            raise DesignError(f"derived constant cos_max = {cos_max!r} is out of range: "
+                              "it must be at least -1")
+        if cos_max >= 1.0:
+            case = "narrow-lpf-full"
+        else:
+            case = "narrow-lpf-split"
+            inner = _derived("inner", cap * math.sqrt(1.0 - cos_max**2))
+    return HoldInResult(((inner, cap),), unbounded=False,
+                        formula_id="leadlag-routh-hurwitz", case=case)
 
 
 def leadlag_equilibrium_stable(

@@ -8,8 +8,9 @@ Three fidelities, each exposing a right-hand side for the ODE engine:
   frequency-dependent phase lag inside the PD argument, which makes the
   phase-error rate implicit; the solver resolves it by damped fixed-point
   iteration with a bisection fallback.
-* ``AveragedModel`` -- the slow pull-in dynamics of the beat frequency
-  driven by the DC component of the asymmetric PD beat waveform.
+* the averaged model (``averaged_rhs``) -- the slow pull-in dynamics of
+  the beat frequency driven by the DC component of the asymmetric PD beat
+  waveform; valid between the lock-in and pull-in bands.
 """
 
 from __future__ import annotations
@@ -78,6 +79,9 @@ class DelayModel:
     pd: PdCharacteristic
 
     def __post_init__(self):
+        if self.pd.variant.is_modified:
+            raise ValueError("the delay model applies to the conventional loops only: "
+                             "the modified loops have no LPF")
         if self.params.omega3 is None:
             raise ValueError("delay model needs the LPF corner omega3")
 
@@ -137,19 +141,6 @@ def delay_rhs(model: DelayModel, state, prev_dtheta: float) -> tuple[float, floa
     return _delay_phi(model, theta_e, v), v
 
 
-@dataclass(frozen=True)
-class AveragedModel:
-    """Slow pull-in model for the beat frequency delta_omega.
-
-    Valid between the lock-in and pull-in bands; the predictor guards the
-    lower end by switching to the lock-in regime instead of evaluating
-    here.
-    """
-
-    params: LoopParams
-    variant: LoopVariant
-
-
 def averaged_ud(
     variant: LoopVariant, delta_omega: float, params: LoopParams
 ) -> float:
@@ -174,15 +165,16 @@ def averaged_ud(
     return p.k0 * p.kd**2 * kh * cos_tot / (math.pi**2 * delta_omega)
 
 
-def averaged_rhs(model: AveragedModel, delta_omega: float) -> float:
+def averaged_rhs(params: LoopParams, variant: LoopVariant, delta_omega: float) -> float:
     """d(delta_omega)/dt of the averaged pull-in dynamics."""
     if delta_omega <= 0:
         raise RangeError("averaged model is defined for delta_omega > 0")
-    p = model.params
-    return -p.k0 * averaged_ud(model.variant, delta_omega, p) / p.tau1
+    return -params.k0 * averaged_ud(variant, delta_omega, params) / params.tau1
 
 
-def averaged_pull_in_time_numeric(model: AveragedModel, delta_omega0: float) -> float:
+def averaged_pull_in_time_numeric(
+    params: LoopParams, variant: LoopVariant, delta_omega0: float
+) -> float:
     """Integrate the averaged ODE from the initial offset down to the
     lock-in range, without the straight-line cosine approximation.
 
@@ -191,7 +183,7 @@ def averaged_pull_in_time_numeric(model: AveragedModel, delta_omega0: float) -> 
     dt = -d(dw)/rhs(dw) over dw with Simpson's rule (20,000 intervals)
     instead.
     """
-    dw_l = lock_in_range(model.params, model.variant)
+    dw_l = lock_in_range(params, variant)
     if delta_omega0 <= dw_l:
         raise RangeError("offset already inside the lock-in range")
     n_steps = 20000
@@ -200,5 +192,5 @@ def averaged_pull_in_time_numeric(model: AveragedModel, delta_omega0: float) -> 
     for k in range(n_steps + 1):
         dw = dw_l + k * h
         w = 1.0 if k in (0, n_steps) else (4.0 if k % 2 else 2.0)
-        total += w / (-averaged_rhs(model, dw))
+        total += w / (-averaged_rhs(params, variant, dw))
     return total * h / 3.0

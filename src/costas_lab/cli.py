@@ -31,13 +31,12 @@ from .analysis import (
     pull_in_time,
     pull_in_time_formula,
 )
-from .baseband import AveragedModel, ClassicPhaseModel, DelayModel, classic_rhs, delay_rhs
+from .baseband import ClassicPhaseModel, DelayModel, classic_rhs, delay_rhs
 from .baseband import averaged_pull_in_time_numeric
 from .core import CSV_FIELD, LoopParams, LoopVariant, check_real, pd_period, write_csv_rows
 from .detectors import PdCharacteristic
 from .ode import (
     IntegratorConfig,
-    LockTolerances,
     SlipWatch,
     StiffnessError,
     integrate,
@@ -59,10 +58,8 @@ EXIT_NUMERIC = 3
 SEED_ENV_VAR = "COSTAS_LAB_SEED"
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_CONFIG):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A config or command-line value the CLI rejects (exit 2)."""
 
 
 def config_hash(config: dict) -> str:
@@ -293,8 +290,7 @@ def _simulate_ode(cfg: dict, variant: LoopVariant, params: LoopParams):
             return slope
 
     traj = integrate(rhs, state0, icfg, SlipWatch(component=1, period=pd_period(variant)))
-    tol = LockTolerances.for_params(params)
-    locked = lock_verdict(traj, rhs, pd_period(variant), tol)
+    locked = lock_verdict(traj, rhs, params, variant)
     return traj, locked
 
 
@@ -332,9 +328,8 @@ def cmd_simulate(args) -> int:
                    "params": params.to_dict()}
         artifacts = ["trajectory.csv", "summary.json"]
     elif fidelity == "averaged":
-        model = AveragedModel(params, variant)
         dw0 = abs(params.delta_omega0)
-        t_p = averaged_pull_in_time_numeric(model, dw0)
+        t_p = averaged_pull_in_time_numeric(params, variant, dw0)
         summary = {
             "schema": 1,
             "pull_in_time_numeric": t_p,
@@ -414,18 +409,18 @@ def cmd_portrait(args) -> int:
         raise CliError("portrait config needs grid{} or states[]")
     if not states:
         raise CliError("portrait grid is empty")
-    portrait = phase_portrait(model, states, cfg["t_end"], locate_cycles=False)
+    classified = phase_portrait(model, states, cfg["t_end"])
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "portrait.csv"
     with open(path, "w", newline="") as fh:
         fh.write("t,x,theta_e,class\n")
-        for c in portrait.trajectories:
+        for c in classified:
             write_csv_rows(fh, (c.trajectory.t, c.trajectory.y[:, 0], c.trajectory.y[:, 1]),
                            f"{CSV_FIELD},{CSV_FIELD},{CSV_FIELD},{c.label}\n")
     write_manifest(outdir, "portrait", cfg, _effective_seed(cfg), ["portrait.csv"])
     print(json.dumps({"outdir": str(args.output),
-                      "classes": sorted({c.label for c in portrait.trajectories})}))
+                      "classes": sorted({c.label for c in classified})}))
     return 0
 
 
@@ -485,10 +480,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    # ConfigError, DesignError, RangeError and JSONDecodeError are ValueErrors
+    # CliError, ConfigError, DesignError, RangeError and JSONDecodeError are ValueErrors
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

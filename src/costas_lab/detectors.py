@@ -15,15 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import LoopVariant, PdFlavor, VariantTag
+from .core import LoopVariant, PdFlavor, VariantTag, pd_period
 
 HALF_PI = math.pi / 2.0
 QUARTER_PI = math.pi / 4.0
-
-
-def sign(x: float) -> float:
-    """Hard limiter with sign(0) := +1."""
-    return 1.0 if x >= 0.0 else -1.0
 
 
 def phi_bpsk(theta_e: float, m: float = 1.0) -> float:
@@ -52,11 +47,6 @@ def phi_qpsk(theta_e: float, m: float = 1.0) -> float:
 def _phi_sine_bpsk(theta_e: float, gain: float) -> float:
     """Modified-BPSK imaginary-part PD: gain*sin of the pi-wrapped phase."""
     return gain * math.sin(_phi_wrapped(theta_e, math.pi))
-
-
-def _phi_sine_qpsk(theta_e: float, gain: float) -> float:
-    """Modified-QPSK imaginary-part PD: gain*sin of the pi/2-wrapped phase."""
-    return gain * math.sin(_phi_wrapped(theta_e, HALF_PI))
 
 
 def pd_conventional_bpsk(i2: float, q2: float) -> float:
@@ -123,42 +113,6 @@ SAMPLE_PD = {
 }
 
 
-def pd_modified_bpsk(um: complex) -> tuple[float, float]:
-    """Phase-output PD of the modified BPSK loop.
-
-    Returns (ud, data) where data = sign(Re um) is the demodulated symbol
-    estimate and ud = arg(um * data), confined to (-pi/2, pi/2] because the
-    data flip absorbs the pi ambiguity.  PD gain is 1.
-    """
-    if um == 0:
-        raise ValueError("phase of zero envelope is undefined")
-    return _modified_bpsk_phase(um.real, um.imag), sign(um.real)
-
-
-def pd_modified_qpsk(um: complex) -> tuple[float, float, float]:
-    """Phase-output PD of the modified QPSK loop.
-
-    Returns (ud, data_i, data_q); the symbol estimates come from the sign
-    blocks and ud = arg(um * (data_i - 1j*data_q)) lies in (-pi/4, pi/4].
-    PD gain is 1.
-    """
-    if um == 0:
-        raise ValueError("phase of zero envelope is undefined")
-    return _modified_qpsk_phase(um.real, um.imag), sign(um.real), sign(um.imag)
-
-
-def pd_modified_imag(um: complex, variant: LoopVariant) -> float:
-    """Alternative modified-loop PD taken from the imaginary part.
-
-    BPSK: ud = Im(um * data) = m*sin(theta_e), gain m.  QPSK:
-    ud = Im(um * (data_i - 1j*data_q)) = 2m*sin(theta_e), gain 2m.  The
-    amplitude m rides on um.
-    """
-    if variant.is_qpsk:
-        return _modified_qpsk_imag(um.real, um.imag)
-    return _modified_bpsk_imag(um.real, um.imag)
-
-
 @dataclass(frozen=True)
 class PdCharacteristic:
     """Baseband PD nonlinearity phi(theta_e) for one variant.
@@ -174,18 +128,18 @@ class PdCharacteristic:
     def __post_init__(self):
         if self.m <= 0:
             raise ValueError(f"modulation amplitude must be > 0, got {self.m}")
-        tag = self.variant.tag
-        if tag is VariantTag.CONVENTIONAL_BPSK:
-            kernel = (phi_bpsk, self.m)
-        elif tag is VariantTag.CONVENTIONAL_QPSK:
-            kernel = (phi_qpsk, self.m)
         # Modified loops: the PD reports the wrapped phase error directly
         # (COMPLEX_PHASE) or its sine (COMPLEX_IMAG), periodized by the
-        # data-estimate folding.
-        elif self.variant.pd_flavor is PdFlavor.COMPLEX_IMAG:
-            kernel = (_phi_sine_qpsk if self.variant.is_qpsk else _phi_sine_bpsk, self.kd)
+        # data-estimate folding.  The modified-QPSK sine, 2m*sin of the
+        # pi/2-wrapped phase, is the conventional chopped sine.
+        if self.variant.tag is VariantTag.CONVENTIONAL_BPSK:
+            kernel = (phi_bpsk, self.m)
+        elif self.variant.pd_flavor is PdFlavor.COMPLEX_PHASE:
+            kernel = (_phi_wrapped, pd_period(self.variant))
+        elif self.variant.is_qpsk:
+            kernel = (phi_qpsk, self.m)
         else:
-            kernel = (_phi_wrapped, HALF_PI if self.variant.is_qpsk else math.pi)
+            kernel = (_phi_sine_bpsk, self.m)
         object.__setattr__(self, "kernel", kernel)
 
     def phi(self, theta_e: float) -> float:

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import baseband
-from .core import CONVENTIONAL_BPSK, LoopParams, pd_period, wrap_phase
+from .core import CONVENTIONAL_BPSK, LoopParams, LoopVariant, pd_period, wrap_phase
 from .detectors import PdCharacteristic
 from .baseband import ClassicPhaseModel
 
@@ -333,25 +333,19 @@ LOCK_TOL_P = 0.05   # rad on wrapped |theta_e|
 LOCK_TAIL = 0.2     # fraction of t_end examined
 
 
-@dataclass(frozen=True)
-class LockTolerances:
-    tol_f: float          # rad/s on |theta_e'|
-
-    @classmethod
-    def for_params(cls, params: LoopParams) -> "LockTolerances":
-        rate = params.omega_n if params.omega_n > 0 else params.k0
-        return cls(tol_f=1e-3 * rate)
-
-
 def lock_verdict(
     traj: Trajectory,
     rhs: RhsFn,
-    period: float,
-    tol: LockTolerances,
+    params: LoopParams,
+    variant: LoopVariant,
 ) -> bool:
-    """Locked iff phase and rate stay inside tolerance over the tail."""
+    """Locked iff phase and rate stay inside tolerance over the tail: the
+    phase within :data:`LOCK_TOL_P` of a lock point (a multiple of the PD
+    period), the rate within 1e-3 * omega_n (1e-3 * K0 when omega_n is 0)."""
     if traj.events and traj.events[-1].kind == "blow_up":
         return False
+    period = pd_period(variant)
+    tol_f = 1e-3 * (params.omega_n if params.omega_n > 0 else params.k0)
     t_end = traj.t[-1]
     mask = traj.t >= (1.0 - LOCK_TAIL) * t_end
     if not np.any(mask):
@@ -361,7 +355,7 @@ def lock_verdict(
         if abs(wrap_phase(theta, period)) > LOCK_TOL_P:
             return False
         rate = rhs(ti, yi)[1]
-        if abs(rate) > tol.tol_f:
+        if abs(rate) > tol_f:
             return False
     return True
 
@@ -400,24 +394,23 @@ def step_sensitivity_probe(
     ten-times-tightened tolerances flags the case solver-sensitive when
     the two adaptive verdicts disagree.
     """
-    tol = LockTolerances.for_params(model.params)
-    period = pd_period(model.pd.variant)
+    params, variant = model.params, model.pd.variant
     rhs = _phase_rhs(model)
 
     verdicts = []
     for h in h_list:
         traj = integrate(rhs, state0, IntegratorConfig(t_end=t_end, method="rk4", h=h))
         slips = sum(1 for e in traj.events if e.kind == "cycle_slip")
-        verdicts.append(ProbeVerdict(h, lock_verdict(traj, rhs, period, tol), slips))
+        verdicts.append(ProbeVerdict(h, lock_verdict(traj, rhs, params, variant), slips))
 
     ref = integrate(
         rhs, state0, IntegratorConfig(t_end=t_end, method="rk45", rtol=1e-8, atol=1e-10)
     )
-    ref_locked = lock_verdict(ref, rhs, period, tol)
+    ref_locked = lock_verdict(ref, rhs, params, variant)
     tight = integrate(
         rhs, state0, IntegratorConfig(t_end=t_end, method="rk45", rtol=1e-9, atol=1e-11)
     )
-    tight_locked = lock_verdict(tight, rhs, period, tol)
+    tight_locked = lock_verdict(tight, rhs, params, variant)
     return ProbeReport(
         verdicts=verdicts,
         reference_locked=ref_locked,
@@ -444,16 +437,6 @@ class ClassifiedTrajectory:
     trajectory: Trajectory
 
 
-@dataclass
-class Portrait:
-    trajectories: list[ClassifiedTrajectory]
-    stable_cycle_ic: Optional[tuple] = None
-    unstable_cycle_ic: Optional[tuple] = None
-
-    def labels(self) -> set:
-        return {c.label for c in self.trajectories}
-
-
 def _autocorr_peak(x: np.ndarray, min_lag: int) -> float:
     """Largest normalized autocorrelation over lags in [min_lag, n/2]."""
     x = x - x.mean()
@@ -474,19 +457,17 @@ def _autocorr_peak(x: np.ndarray, min_lag: int) -> float:
     return best
 
 
-def _classify(
-    traj: Trajectory, rhs: RhsFn, period: float, tol: LockTolerances
-) -> str:
+def _classify(traj: Trajectory, rhs: RhsFn, params: LoopParams, variant: LoopVariant) -> str:
     if traj.events and traj.events[-1].kind == "blow_up":
         return "undecided"
-    if lock_verdict(traj, rhs, period, tol):
+    if lock_verdict(traj, rhs, params, variant):
         return "eq"
     t_end = traj.t[-1]
     t0 = (1.0 - LOCK_TAIL) * t_end
     grid = np.linspace(t0, t_end, 4096)
     tail = traj.resample(grid)
     theta = tail[:, 1]
-    if abs(theta[-1] - theta[0]) < period:
+    if abs(theta[-1] - theta[0]) < pd_period(variant):
         return "undecided"
     rate = np.array([rhs(ti, yi)[1] for ti, yi in zip(grid, tail)])
     return "cycle" if _autocorr_peak(rate, min_lag=8) > 0.99 else "undecided"
@@ -496,46 +477,19 @@ def phase_portrait(
     model: ClassicPhaseModel,
     initial_states: Sequence[Sequence[float]],
     t_end: float,
-    locate_cycles: bool = True,
-) -> Portrait:
-    """Integrate a grid of initial conditions and classify the limit sets.
-
-    When both behaviors coexist, the stable/unstable cycle pair is
-    bracketed by bisecting the straight line between one cycling and one
-    locking initial condition: the boundary point rides the unstable
-    cycle, while any cycling tail samples the stable one.
-    """
-    tol = LockTolerances.for_params(model.params)
-    period = pd_period(model.pd.variant)
+) -> list[ClassifiedTrajectory]:
+    """Integrate each initial condition and classify its limit set: "eq"
+    (locks), "cycle" (rides a periodic cycle-slipping orbit) or
+    "undecided"."""
+    params, variant = model.params, model.pd.variant
     cfg = IntegratorConfig(t_end=t_end, method="rk45", rtol=1e-9, atol=1e-11)
     rhs = _phase_rhs(model)
 
     out = []
     for s0 in initial_states:
         traj = integrate(rhs, s0, cfg)
-        out.append(ClassifiedTrajectory(tuple(s0), _classify(traj, rhs, period, tol), traj))
-
-    portrait = Portrait(out)
-    if not locate_cycles:
-        return portrait
-    eqs = [c for c in out if c.label == "eq"]
-    cycles = [c for c in out if c.label == "cycle"]
-    if not eqs or not cycles:
-        return portrait
-
-    a = np.array(eqs[0].state0)       # locks
-    b = np.array(cycles[0].state0)    # rides the cycle
-    for _ in range(40):
-        mid = 0.5 * (a + b)
-        traj = integrate(rhs, mid, cfg)
-        if _classify(traj, rhs, period, tol) == "eq":
-            a = mid
-        else:
-            b = mid
-    portrait.unstable_cycle_ic = tuple(0.5 * (a + b))
-    tail_traj = cycles[0].trajectory
-    portrait.stable_cycle_ic = tuple(tail_traj.y[-1])
-    return portrait
+        out.append(ClassifiedTrajectory(tuple(s0), _classify(traj, rhs, params, variant), traj))
+    return out
 
 
 # --- pitfall reproduction parameters ----------------------------------------

@@ -33,13 +33,8 @@ from costas_lab import (
 )
 from costas_lab.analysis import leadlag_char_poly
 from costas_lab.baseband import ClassicPhaseModel, classic_rhs
-from costas_lab.detectors import (
-    PdCharacteristic,
-    pd_modified_bpsk,
-    pd_modified_qpsk,
-    phi_bpsk,
-    phi_qpsk,
-)
+from costas_lab.core import PdFlavor, VariantTag
+from costas_lab.detectors import SAMPLE_PD, PdCharacteristic, phi_bpsk, phi_qpsk
 from costas_lab.ode import (
     IntegratorConfig,
     PITFALL_H_LIST,
@@ -379,10 +374,10 @@ def test_criterion_7_numerical_pitfall():
 
     xeq = model.equilibrium_x()
     states = [(xeq, 0.3), (xeq, -0.25), PITFALL_STATE0, (0.0125, 0.4)]
-    portrait = phase_portrait(model, states, t_end=15.0, locate_cycles=False)
-    if "eq" not in portrait.labels():
+    labels = {c.label for c in phase_portrait(model, states, t_end=15.0)}
+    if "eq" not in labels:
         failures.append("no equilibrium-convergent class")
-    if "cycle" not in portrait.labels():
+    if "cycle" not in labels:
         failures.append("no cycle-convergent class")
     ok = report("7 [numerical-pitfall reproduction]", not failures,
                 "lock at h=2e-2, no-lock at {1e-2, 1e-3}; portrait has both classes"
@@ -409,11 +404,14 @@ def test_criterion_8_property_suites(designs):
     if po > 1e-8:
         failures.append(f"PD odd-symmetry residual {po:.1e}")
     eps = 1e-4
+    mod_phase = SAMPLE_PD[(VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_PHASE)]
+    mod_q_phase = SAMPLE_PD[(VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_PHASE)]
+    um_q = (1 + 1j) * np.exp(1j * eps)      # the QPSK lock point (1 + j), turned by eps
     gains = {
         "bpsk": (phi_bpsk(eps) / eps, 1.0),
         "qpsk": (phi_qpsk(eps) / eps, 2.0),
-        "mod": (pd_modified_bpsk(np.exp(1j * eps))[0] / eps, 1.0),
-        "mod_q": (pd_modified_qpsk((1 + 1j) * np.exp(1j * eps))[0] / eps, 1.0),
+        "mod": (mod_phase(math.cos(eps), math.sin(eps)) / eps, 1.0),
+        "mod_q": (mod_q_phase(um_q.real, um_q.imag) / eps, 1.0),
     }
     for name, (g, want) in gains.items():
         if abs(g - want) / want > 1e-6:

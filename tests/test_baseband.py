@@ -9,7 +9,6 @@ from costas_lab import (
     CONVENTIONAL_QPSK,
     MODIFIED_BPSK,
     MODIFIED_QPSK,
-    AveragedModel,
     ClassicPhaseModel,
     DelayModel,
     LoopParams,
@@ -221,8 +220,15 @@ class TestDelayRhs:
             delay_rhs(dm, (0.0, 0.1), math.inf)
 
     def test_requires_lpf_corner(self, modified_reference_params):
-        with pytest.raises(ValueError):
-            DelayModel(modified_reference_params, PdCharacteristic(MODIFIED_BPSK, 1.0))
+        # the modified loops' params carry no omega3
+        with pytest.raises(ValueError, match="LPF corner omega3"):
+            DelayModel(modified_reference_params, PdCharacteristic(CONVENTIONAL_BPSK, 1.0))
+
+    @pytest.mark.parametrize("variant", [MODIFIED_BPSK, MODIFIED_QPSK])
+    def test_modified_variant_rejected(self, bpsk_reference_params, variant):
+        # the modified loops have no LPF, whatever omega3 the params carry
+        with pytest.raises(ValueError, match="conventional loops only"):
+            DelayModel(bpsk_reference_params, PdCharacteristic(variant, 0.1))
 
     def test_converges_to_classic_for_wide_lpf(self, bpsk_reference_params):
         p_wide = LoopParams(
@@ -290,35 +296,31 @@ class TestAveragedModel:
 
     def test_rhs_signs(self, bpsk_reference_params):
         p = bpsk_reference_params
-        model = AveragedModel(p, CONVENTIONAL_BPSK)
         dwl = lock_in_range(p, CONVENTIONAL_BPSK)
-        assert averaged_rhs(model, 1.2 * dwl) < 0  # strong pull below the limit
+        assert averaged_rhs(p, CONVENTIONAL_BPSK, 1.2 * dwl) < 0  # strong pull below the limit
         from costas_lab import pull_in_range
 
         dwp = pull_in_range(p, CONVENTIONAL_BPSK)
-        assert averaged_rhs(model, dwp) == pytest.approx(0.0, abs=1e-3)
+        assert averaged_rhs(p, CONVENTIONAL_BPSK, dwp) == pytest.approx(0.0, abs=1e-3)
 
     def test_integrated_time_near_reference(self, bpsk_design):
-        model = AveragedModel(bpsk_design, CONVENTIONAL_BPSK)
-        t = averaged_pull_in_time_numeric(model, 314000.0)
+        t = averaged_pull_in_time_numeric(bpsk_design, CONVENTIONAL_BPSK, 314000.0)
         assert t == pytest.approx(33e-6, rel=0.25)
 
     def test_numeric_vs_closed_form_within_band(self, bpsk_design):
         # the straight-line cosine approximation is weakest right above
         # the lock-in end, where the gap peaks at ~24%; the two routes
         # agree to leading order across the reference offsets
-        model = AveragedModel(bpsk_design, CONVENTIONAL_BPSK)
         for f, band in ((50e3, 0.25), (70e3, 0.20), (100e3, 0.20)):
             dw = TWO_PI * f
-            t_num = averaged_pull_in_time_numeric(model, dw)
+            t_num = averaged_pull_in_time_numeric(bpsk_design, CONVENTIONAL_BPSK, dw)
             t_closed = pull_in_time(bpsk_design, CONVENTIONAL_BPSK, dw)
             assert abs(t_num - t_closed) / t_closed < band
 
     def test_guard_below_lock_in(self, bpsk_design):
-        model = AveragedModel(bpsk_design, CONVENTIONAL_BPSK)
         dwl = lock_in_range(bpsk_design, CONVENTIONAL_BPSK)
         with pytest.raises(RangeError):
-            averaged_pull_in_time_numeric(model, 0.9 * dwl)
+            averaged_pull_in_time_numeric(bpsk_design, CONVENTIONAL_BPSK, 0.9 * dwl)
 
     def test_bpsk_formula_against_beat_average(self, bpsk_reference_params):
         # time-domain cross-check: hold the beat quasi-stationary with a

@@ -43,6 +43,22 @@ STATED_NORMALIZATION = {
 }
 
 
+# overflow, underflow and the smallest subnormals, for the numeric flags
+EXTREME_VALUES = ["1e308", "-1e308", "5e-324", "1e-320"]
+DESIGN_EXTREMES = [(flag, value) for flag in ("--f0", "--fs", "--ratio", "--tau1", "--m")
+                   for value in EXTREME_VALUES] + [("--f0", "1e300")]
+# the derived constant each of these extremes drives out of the float range
+DESIGN_NAMED = {
+    ("--f0", "1e308"): "omega0", ("--f0", "1e300"): "k0", ("--ratio", "5e-324"): "omega_t",
+    ("--ratio", "1e-320"): "omega_t", ("--m", "5e-324"): "kd", ("--m", "1e-320"): "kd",
+    ("--m", "1e308"): "kd", ("--tau1", "1e-320"): "k0",
+}
+
+
+def assert_finite_json(text):
+    json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in the output"))
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -83,6 +99,23 @@ class TestDesignCommand:
         assert captured.err.startswith("error:") and "must be finite" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", DESIGN_EXTREMES)
+    def test_extreme_number_exits_0_or_2(self, tmp_path, capsys, flag, value):
+        # a derived constant that overflows, underflows or vanishes names
+        # itself; a run that succeeds writes finite values only
+        out = tmp_path / "p.json"
+        rc = main(["design", "--variant", "bpsk", "--f0", "400e3", "--fs", "100e3",
+                   f"{flag}={value}", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert rc in (0, 2)
+        if rc == 2:
+            assert captured.err.startswith("error:") and captured.out == ""
+            assert not out.exists()
+        else:
+            assert_finite_json(out.read_text())
+        if (flag, value) in DESIGN_NAMED:
+            assert captured.err.startswith(f"error: derived constant {DESIGN_NAMED[flag, value]} = ")
 
 
 class TestPredictCommand:
@@ -125,6 +158,25 @@ class TestPredictCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "must be finite" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("value", EXTREME_VALUES)
+    @pytest.mark.parametrize("field", range(3), ids=["tau1", "tau2", "omega3"])
+    def test_extreme_leadlag_exits_0_or_2(self, tmp_path, capsys, field, value):
+        assert main(["design", "--variant", "bpsk", "--f0", "400e3", "--fs", "100e3",
+                     "-o", str(tmp_path / "p.json")]) == 0
+        capsys.readouterr()
+        leadlag = ["1e-4", "2e-5", "1e6"]
+        leadlag[field] = value
+        rc = main(["predict", "--params", str(tmp_path / "p.json"), "--variant", "bpsk",
+                   "--leadlag=" + ",".join(leadlag)])
+        captured = capsys.readouterr()
+        assert rc in (0, 2)
+        if rc == 2:
+            assert captured.err.startswith("error:") and captured.out == ""
+        else:
+            assert_finite_json(captured.out)
+        if field == 1 and value in ("5e-324", "1e-320"):
+            assert "derived constant tau1*tau2 underflows to 0" in captured.err
 
     @pytest.mark.parametrize("content,named", [
         ([1, 2], "JSON object"),
@@ -211,6 +263,20 @@ class TestSimulateCommand:
             "t_end": 3e-4,
         })
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+
+    def test_delay_fidelity_rejects_modified_loop(self, tmp_path, capsys):
+        # the modified loops have no LPF; an omega3 in explicit params used
+        # to reach the implicit solver, whose bracket misses the phase PD
+        cfg = write_cfg(tmp_path, {
+            "schema": 1, "fidelity": "delay", "variant": "mod_bpsk", "m": 0.1,
+            "params": {"omega1": 1e5, "omega_free": 0.0, "k0": 1e6, "kd": 1.0,
+                       "tau1": 1e-5, "tau2": 1e-5, "omega3": 1e3},
+            "t_end": 1e-4,
+        })
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "conventional loops only" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_solver_counters_in_summary(self, tmp_path, capsys, method):

@@ -18,14 +18,21 @@ from costas_lab.detectors import (
     PdCharacteristic,
     pd_conventional_bpsk,
     pd_conventional_qpsk,
-    pd_modified_bpsk,
-    pd_modified_imag,
-    pd_modified_qpsk,
     phi_bpsk,
     phi_qpsk,
 )
 
 N_RANDOM = 10_000
+
+MOD_BPSK_PHASE = SAMPLE_PD[(VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_PHASE)]
+MOD_BPSK_IMAG = SAMPLE_PD[(VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_IMAG)]
+MOD_QPSK_PHASE = SAMPLE_PD[(VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_PHASE)]
+MOD_QPSK_IMAG = SAMPLE_PD[(VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_IMAG)]
+
+
+def on_envelope(pd, um: complex) -> float:
+    """A sample-level modified-loop PD applied to the rotated envelope um."""
+    return pd(um.real, um.imag)
 
 
 class TestPhiBpsk:
@@ -90,54 +97,40 @@ class TestSampleLevelPds:
 
 class TestModifiedPds:
     def test_bpsk_locked(self):
-        ud, data = pd_modified_bpsk(1 + 0j)
-        assert (ud, data) == (0.0, 1.0)
+        assert on_envelope(MOD_BPSK_PHASE, 1 + 0j) == 0.0
 
     def test_bpsk_data_flip_absorbs_pi(self):
-        ud, data = pd_modified_bpsk(-1 + 0j)
-        assert ud == pytest.approx(0.0, abs=1e-15)
-        assert data == -1.0
+        assert on_envelope(MOD_BPSK_PHASE, -1 + 0j) == pytest.approx(0.0, abs=1e-15)
 
     def test_bpsk_quadrant_one(self):
-        ud, data = pd_modified_bpsk(cmath.exp(1j * math.pi / 6))
-        assert ud == pytest.approx(math.pi / 6)
-        assert data == 1.0
-
-    def test_bpsk_zero_rejected(self):
-        with pytest.raises(ValueError):
-            pd_modified_bpsk(0j)
+        assert on_envelope(MOD_BPSK_PHASE, cmath.exp(1j * math.pi / 6)) == pytest.approx(
+            math.pi / 6)
 
     def test_qpsk_locked(self):
-        ud, di, dq = pd_modified_qpsk(1 + 1j)
-        assert ud == pytest.approx(0.0, abs=1e-15)
-        assert (di, dq) == (1.0, 1.0)
+        assert on_envelope(MOD_QPSK_PHASE, 1 + 1j) == pytest.approx(0.0, abs=1e-15)
 
     def test_qpsk_rotation_within_quadrant(self):
-        ud, di, dq = pd_modified_qpsk(cmath.exp(1j * math.pi / 16) * (1 + 1j))
-        assert ud == pytest.approx(math.pi / 16)
-        assert (di, dq) == (1.0, 1.0)
+        um = cmath.exp(1j * math.pi / 16) * (1 + 1j)
+        assert on_envelope(MOD_QPSK_PHASE, um) == pytest.approx(math.pi / 16)
 
     def test_qpsk_second_quadrant_estimate(self):
-        ud, di, dq = pd_modified_qpsk(-1 + 1j)
-        assert ud == pytest.approx(0.0, abs=1e-15)
-        assert (di, dq) == (-1.0, 1.0)
+        assert on_envelope(MOD_QPSK_PHASE, -1 + 1j) == pytest.approx(0.0, abs=1e-15)
 
     def test_imag_locked(self):
-        assert pd_modified_imag(1 + 0j, MODIFIED_BPSK) == 0.0
+        assert on_envelope(MOD_BPSK_IMAG, 1 + 0j) == 0.0
 
     def test_imag_bpsk_sine(self):
         um = cmath.exp(1j * math.pi / 6)
-        assert pd_modified_imag(um, MODIFIED_BPSK) == pytest.approx(0.5)
+        assert on_envelope(MOD_BPSK_IMAG, um) == pytest.approx(0.5)
 
     def test_imag_qpsk_small_angle_gain(self):
         th = 1e-4
         um = (1 + 1j) * cmath.exp(1j * th)
-        v = MODIFIED_QPSK
-        assert pd_modified_imag(um, v) / th == pytest.approx(2.0, rel=1e-6)
+        assert on_envelope(MOD_QPSK_IMAG, um) / th == pytest.approx(2.0, rel=1e-6)
 
 
 class TestSamplePdTable:
-    """The table the simulator calls, and its agreement with the pd_* API."""
+    """The table the simulator calls."""
 
     def test_one_entry_per_variant_and_flavor(self):
         assert len(SAMPLE_PD) == 6
@@ -145,14 +138,10 @@ class TestSamplePdTable:
             LoopVariant(tag, flavor)  # raises for an invalid pair
 
     def test_bpsk_tie_folds_to_plus_half_pi(self):
-        phase = SAMPLE_PD[(VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_PHASE)]
-        assert phase(0.0, -1.0) == math.pi / 2
-        assert pd_modified_bpsk(-1j) == (math.pi / 2, 1.0)
+        assert MOD_BPSK_PHASE(0.0, -1.0) == math.pi / 2
 
     def test_qpsk_tie_folds_to_plus_quarter_pi(self):
-        phase = SAMPLE_PD[(VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_PHASE)]
-        assert phase(1.0, 0.0) == math.pi / 4
-        assert pd_modified_qpsk(1 + 0j) == (math.pi / 4, 1.0, 1.0)
+        assert MOD_QPSK_PHASE(1.0, 0.0) == math.pi / 4
 
     @pytest.mark.parametrize("key", list(SAMPLE_PD))
     def test_zero_input_gives_zero(self, key):
@@ -236,11 +225,8 @@ class TestPdInvariants:
         for re, im in z:
             if re == 0 and im == 0:
                 continue
-            um = complex(re, im)
-            ud, _ = pd_modified_bpsk(um)
-            assert -math.pi / 2 < ud <= math.pi / 2
-            ud, _, _ = pd_modified_qpsk(um)
-            assert -math.pi / 4 < ud <= math.pi / 4
+            assert -math.pi / 2 < MOD_BPSK_PHASE(re, im) <= math.pi / 2
+            assert -math.pi / 4 < MOD_QPSK_PHASE(re, im) <= math.pi / 4
 
     def test_characteristic_m_validation(self):
         with pytest.raises(ValueError):

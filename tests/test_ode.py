@@ -7,7 +7,6 @@ from costas_lab import CONVENTIONAL_BPSK, ClassicPhaseModel, baseband, classic_r
 from costas_lab.detectors import PdCharacteristic
 from costas_lab.ode import (
     IntegratorConfig,
-    LockTolerances,
     PITFALL_H_LIST,
     PITFALL_STATE0,
     PITFALL_T_END,
@@ -246,7 +245,7 @@ def portrait():
         (xeq, 0.3), (xeq, -0.25), (xeq * 1.02, 0.0),
         PITFALL_STATE0, (0.0125, 0.4), (0.002, 1.0),
     ]
-    return phase_portrait(model, states, t_end=15.0, locate_cycles=True)
+    return phase_portrait(model, states, t_end=15.0)
 
 
 class TestProbe:
@@ -270,37 +269,33 @@ class TestProbe:
 
 class TestPortrait:
     def test_both_classes_present(self, portrait):
-        assert {"eq", "cycle"} <= portrait.labels()
+        assert {"eq", "cycle"} <= {c.label for c in portrait}
 
     def test_equilibrium_neighborhood_converges(self, portrait):
-        labels = {c.state0: c.label for c in portrait.trajectories}
+        labels = {c.state0: c.label for c in portrait}
         model = pitfall_example_model()
         xeq = model.equilibrium_x()
         assert labels[(xeq, 0.3)] == "eq"
 
     def test_demo_state_rides_cycle(self, portrait):
-        labels = {c.state0: c.label for c in portrait.trajectories}
+        labels = {c.state0: c.label for c in portrait}
         assert labels[PITFALL_STATE0] == "cycle"
-
-    def test_cycle_pair_located_between_basins(self, portrait):
-        assert portrait.unstable_cycle_ic is not None
-        assert portrait.stable_cycle_ic is not None
 
     def test_classification_order_invariant(self):
         model = pitfall_example_model()
         xeq = model.equilibrium_x()
         states = [(xeq, 0.3), PITFALL_STATE0, (0.002, 1.0)]
-        a = phase_portrait(model, states, t_end=12.0, locate_cycles=False)
-        b = phase_portrait(model, states[::-1], t_end=12.0, locate_cycles=False)
-        la = {c.state0: c.label for c in a.trajectories}
-        lb = {c.state0: c.label for c in b.trajectories}
+        a = phase_portrait(model, states, t_end=12.0)
+        b = phase_portrait(model, states[::-1], t_end=12.0)
+        la = {c.state0: c.label for c in a}
+        lb = {c.state0: c.label for c in b}
         assert la == lb
 
     def test_zero_detuning_all_converge(self):
         base = pitfall_example_model(delta_omega0=0.0)
         states = [(0.0, 0.4), (0.0, -0.6), (0.001, 1.0)]
-        port = phase_portrait(base, states, t_end=8.0, locate_cycles=False)
-        assert port.labels() == {"eq"}
+        port = phase_portrait(base, states, t_end=8.0)
+        assert {c.label for c in port} == {"eq"}
 
 
 class TestLockVerdict:
@@ -312,12 +307,11 @@ class TestLockVerdict:
 
         traj = integrate(rhs, (0.0, 0.2),
                          IntegratorConfig(t_end=200e-6, method="rk45"))
-        tol = LockTolerances.for_params(bpsk_design)
-        assert lock_verdict(traj, rhs, math.pi, tol)
+        assert lock_verdict(traj, rhs, bpsk_design, CONVENTIONAL_BPSK)
 
-    def test_blow_up_never_locked(self):
+    def test_blow_up_never_locked(self, bpsk_design):
         traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)))
         from costas_lab.ode import Event
 
         traj.events.append(Event("blow_up", 1.0, (0.0, 0.0)))
-        assert not lock_verdict(traj, harmonic_rhs, math.pi, LockTolerances(1.0))
+        assert not lock_verdict(traj, harmonic_rhs, bpsk_design, CONVENTIONAL_BPSK)
