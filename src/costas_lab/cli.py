@@ -34,10 +34,10 @@ from .analysis import (
 from .baseband import ClassicPhaseModel, DelayModel, classic_rhs, delay_rhs
 from .baseband import averaged_pull_in_time_numeric
 from .core import CSV_FIELD, LoopParams, LoopVariant, check_real, pd_period, write_csv_rows
+from .core import count_cycle_slips
 from .detectors import PdCharacteristic
 from .ode import (
     IntegratorConfig,
-    SlipWatch,
     StiffnessError,
     integrate,
     lock_verdict,
@@ -268,13 +268,8 @@ def _simulate_ode(cfg: dict, variant: LoopVariant, params: LoopParams):
     pd = PdCharacteristic(variant, cfg.get("m", 1.0))
     fidelity = cfg["fidelity"]
     state0 = cfg.get("state0", [0.0, 0.0])
-    icfg = IntegratorConfig(
-        t_end=cfg["t_end"],
-        method=cfg.get("method", "rk45"),
-        h=cfg.get("h", 1e-3),
-        rtol=cfg.get("rtol", 1e-8),
-        atol=cfg.get("atol", 1e-10),
-    )
+    controls = {k: cfg[k] for k in ("method", "h", "rtol", "atol") if k in cfg}
+    icfg = IntegratorConfig(t_end=cfg["t_end"], **controls)
     if fidelity == "phase":
         model = ClassicPhaseModel(params, pd)
 
@@ -289,7 +284,7 @@ def _simulate_ode(cfg: dict, variant: LoopVariant, params: LoopParams):
             seed[0] = slope[1]
             return slope
 
-    traj = integrate(rhs, state0, icfg, SlipWatch(component=1, period=pd_period(variant)))
+    traj = integrate(rhs, state0, icfg)
     locked = lock_verdict(traj, rhs, params, variant)
     return traj, locked
 
@@ -317,11 +312,10 @@ def cmd_simulate(args) -> int:
         with open(outdir / "trajectory.csv", "w", newline="") as fh:
             fh.write("t,x,theta_e\n")
             write_csv_rows(fh, (traj.t, traj.y[:, 0], traj.y[:, 1]))
-        slips = sum(1 for e in traj.events if e.kind == "cycle_slip")
-        blown = any(e.kind == "blow_up" for e in traj.events)
-        if blown:
+        if traj.blown_up:
             raise NumericBlowUp(len(traj.t))
-        summary = {"schema": 1, "locked": locked, "cycle_slips": slips,
+        summary = {"schema": 1, "locked": locked,
+                   "cycle_slips": count_cycle_slips(traj.y[:, 1], pd_period(variant)),
                    "solver": {"steps": len(traj.t) - 1,
                               "rejected_steps": traj.rejected_steps,
                               "rhs_calls": traj.rhs_calls},

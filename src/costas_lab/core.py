@@ -102,8 +102,11 @@ def pd_period(variant: LoopVariant) -> float:
 
 
 def wrap_phase(theta, period: float = 2.0 * math.pi):
-    """Distance-preserving wrap of ``theta`` into (-period/2, period/2]."""
-    wrapped = theta - period * np.round(np.asarray(theta, dtype=float) / period)
+    """Distance-preserving wrap of ``theta`` into [-period/2, period/2):
+    ``theta`` less the center of its lock cell, the cell
+    :func:`count_cycle_slips` counts, so a tie at an odd multiple of
+    period/2 wraps to -period/2."""
+    wrapped = theta - period * np.floor(np.asarray(theta, dtype=float) / period + 0.5)
     if np.ndim(theta) == 0:
         return float(wrapped)
     return wrapped
@@ -284,7 +287,9 @@ def count_cycle_slips(theta_e: np.ndarray, period: float) -> int:
 
     A slip is counted every time theta_e leaves one period-wide cell
     centered on a lock point and enters the next; re-crossings count again
-    (the quantity is total crossings, not net displacement).
+    (the quantity is total crossings, not net displacement).  Cell k is
+    ``floor(theta_e/period + 1/2) == k``, the half-open interval
+    [(k - 1/2)*period, (k + 1/2)*period).
     """
-    cells = np.floor((np.asarray(theta_e) + period / 2.0) / period).astype(np.int64)
+    cells = np.floor(np.asarray(theta_e) / period + 0.5).astype(np.int64)
     return int(np.abs(np.diff(cells)).sum())

@@ -1,12 +1,16 @@
-"""Numerical integration of the baseband models with event detection.
+"""Numerical integration of the baseband models.
 
-Provides a fixed-step classic RK4 and an adaptive Dormand-Prince RK45,
-both with cubic-Hermite dense output used to localize cycle-slip events
-inside a step.  On top of the integrator sit the two simulation-pitfall
-harnesses: the step-size-sensitivity probe (a fixed-step lock verdict
-that flips with h near a semistable cycle) and the phase-portrait
-classifier that separates equilibrium-convergent from cycle-convergent
-initial conditions.
+Provides a fixed-step classic RK4 and an adaptive Dormand-Prince RK45
+that record every accepted step; a run that reaches a non-finite state
+ends early, flagged as blown up.  Cycle slips (the probe's and the
+phase/delay ``summary.json``'s ``cycle_slips``) are counted on the
+recorded phase error by :func:`core.count_cycle_slips`: one per
+lock-cell boundary crossed between consecutive accepted steps.  On top
+of the integrator sit the two simulation-pitfall harnesses: the
+step-size-sensitivity probe (a fixed-step lock verdict that flips with h
+near a semistable cycle) and the phase-portrait classifier that
+separates equilibrium-convergent from cycle-convergent initial
+conditions.
 
 The rhs contract: ``rhs(t, y)`` takes the time and the state as a tuple
 of floats and returns the slope as any sequence of floats (a tuple, a
@@ -26,13 +30,14 @@ host, an RK4 step takes about 11 us and an accepted RK45 step about
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import baseband
 from .core import CONVENTIONAL_BPSK, LoopParams, LoopVariant, pd_period, wrap_phase
+from .core import count_cycle_slips
 from .detectors import PdCharacteristic
 from .baseband import ClassicPhaseModel
 
@@ -68,18 +73,11 @@ class IntegratorConfig:
             raise ValueError("t_end, h, rtol, atol must be > 0")
 
 
-@dataclass(frozen=True)
-class Event:
-    kind: str           # "cycle_slip" | "blow_up"
-    t: float
-    state: tuple
-
-
 @dataclass
 class Trajectory:
     t: np.ndarray
     y: np.ndarray                 # shape (n_points, dim)
-    events: list[Event] = field(default_factory=list)
+    blown_up: bool = False        # a non-finite state ended the run early
     rhs_calls: int = 0            # calls the integrator made
     rejected_steps: int = 0       # RK45 attempts not accepted
 
@@ -173,13 +171,13 @@ def _dp_attempt(f: RhsFn, t: float, y: tuple, k1, h: float):
     return ks, y5, y4
 
 
-def _rk4_steps(rhs, y, f0, config, events, counts):
-    """Accepted fixed steps ``(t, y, slope)``; a non-finite state ends
-    the run with a ``blow_up`` event at the end of the failed step.
+def _rk4_steps(rhs, y, f0, config, counts):
+    """Accepted fixed steps ``(t, y)``; a non-finite state ends the run,
+    blown up.
 
     A step's first stage is the previous step's end slope (``f0`` for the
-    first step): first same as last.  ``counts`` holds the rhs calls and
-    the rejected attempts so far.
+    first step): first same as last.  ``counts`` holds the rhs calls, the
+    rejected attempts and whether the run blew up.
     """
     t = 0.0
     for _ in range(max(1, int(round(config.t_end / config.h)))):
@@ -189,19 +187,19 @@ def _rk4_steps(rhs, y, f0, config, events, counts):
         y1 = _rk4_step(rhs, t, y, f0, h)
         if not _finite(y1):
             counts[0] += 3
-            events.append(Event("blow_up", t + h, y))
+            counts[2] = True
             return
         f0 = rhs(t + h, y1)
         counts[0] += 4
         t, y = t + h, y1
-        yield t, y, f0
+        yield t, y
 
 
-def _rk45_steps(rhs, y, f0, config, events, counts):
-    """Accepted adaptive steps ``(t, y, slope)`` under the elementary
-    controller.  A non-finite attempt quarters the step and a step below
-    :data:`H_MIN` ends the run with a ``blow_up`` event; an error estimate
-    that stays above 1 (or is NaN) at :data:`H_MIN` raises StiffnessError."""
+def _rk45_steps(rhs, y, f0, config, counts):
+    """Accepted adaptive steps ``(t, y)`` under the elementary controller.
+    A non-finite attempt quarters the step and a step below :data:`H_MIN`
+    ends the run, blown up; an error estimate that stays above 1 (or is
+    NaN) at :data:`H_MIN` raises StiffnessError."""
     t_end = config.t_end
     rtol, atol = config.rtol, config.atol
     dim = len(y)
@@ -215,7 +213,7 @@ def _rk45_steps(rhs, y, f0, config, events, counts):
             counts[1] += 1
             h *= 0.25
             if h < H_MIN:
-                events.append(Event("blow_up", t, y))
+                counts[2] = True
                 return
             continue
         sq = 0.0
@@ -225,7 +223,7 @@ def _rk45_steps(rhs, y, f0, config, events, counts):
         err = math.sqrt(sq / dim)
         if err <= 1.0:
             t, y, f0 = t + h, y5, ks[6]
-            yield t, y, f0
+            yield t, y
         else:
             counts[1] += 1
         if err > 0:
@@ -240,70 +238,10 @@ def _rk45_steps(rhs, y, f0, config, events, counts):
             raise StiffnessError(f"step size underflow at t={t:g}")
 
 
-def _hermite(t0, y0, f0, t1, y1, f1, t):
-    """Cubic Hermite dense output of one component between two accepted steps."""
-    h = t1 - t0
-    s = (t - t0) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-
-
-@dataclass
-class SlipWatch:
-    """Cycle-slip detector on one phase component of the state."""
-
-    component: int
-    period: float
-
-    def cell(self, y) -> int:
-        """Index of the period-wide lock cell holding the watched component."""
-        return math.floor(y[self.component] / self.period + 0.5)
-
-
-def _localize_slip(t0, y0, f0, t1, y1, f1, comp, boundary):
-    """Bisect the dense output for the crossing of a cell boundary."""
-    a, fa, b, fb = y0[comp], f0[comp], y1[comp], f1[comp]
-    lo, hi = t0, t1
-    g0 = _hermite(t0, a, fa, t1, b, fb, lo) - boundary
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        gm = _hermite(t0, a, fa, t1, b, fb, mid) - boundary
-        if (g0 <= 0) == (gm <= 0):
-            lo, g0 = mid, gm
-        else:
-            hi = mid
-    tc = 0.5 * (lo + hi)
-    yc = tuple([_hermite(t0, a, fa, t1, b, fb, tc) for a, fa, b, fb in zip(y0, f0, y1, f1)])
-    return tc, yc
-
-
-def _record_slips(watch, k_prev, t0, y0, f0, t1, y1, f1, events) -> int:
-    """Append one localized ``cycle_slip`` event per cell boundary the
-    accepted step [t0, t1] crossed; returns the cell the step ends in."""
-    k_new = watch.cell(y1)
-    step = 1 if k_new > k_prev else -1
-    while k_new != k_prev:
-        boundary = (k_prev + 0.5 * step) * watch.period
-        tc, yc = _localize_slip(t0, y0, f0, t1, y1, f1, watch.component, boundary)
-        events.append(Event("cycle_slip", tc, yc))
-        k_prev += step
-    return k_prev
-
-
-def integrate(
-    rhs: RhsFn,
-    state0: Sequence[float],
-    config: IntegratorConfig,
-    slip_watch: Optional[SlipWatch] = None,
-) -> Trajectory:
+def integrate(rhs: RhsFn, state0: Sequence[float], config: IntegratorConfig) -> Trajectory:
     """Integrate state0 to t_end, recording every accepted step.
 
-    A non-finite state stops the run with a ``blow_up`` event; cycle
-    slips, when watched, are localized on the dense output so their times
-    are accurate to well under one step.
+    A non-finite state stops the run early with ``blown_up`` set.
     """
     y = tuple([float(v) for v in state0])
     f0 = rhs(0.0, y)
@@ -312,18 +250,12 @@ def integrate(
     if not _finite(f0):
         raise ValueError("right-hand side not finite at the initial state")
     ts, ys = [0.0], [y]
-    events: list[Event] = []
-    counts = [1, 0]                 # rhs calls, rejected attempts
+    counts = [1, 0, False]          # rhs calls, rejected attempts, blown up
     steps = _rk4_steps if config.method == "rk4" else _rk45_steps
-    k_prev = slip_watch.cell(y) if slip_watch else 0
-    t = 0.0
-    for t1, y1, f1 in steps(rhs, y, f0, config, events, counts):
-        if slip_watch:
-            k_prev = _record_slips(slip_watch, k_prev, t, y, f0, t1, y1, f1, events)
-        t, y, f0 = t1, y1, f1
+    for t, y in steps(rhs, y, f0, config, counts):
         ts.append(t)
         ys.append(y)
-    return Trajectory(np.array(ts), np.array(ys), events,
+    return Trajectory(np.array(ts), np.array(ys), blown_up=counts[2],
                       rhs_calls=counts[0], rejected_steps=counts[1])
 
 
@@ -342,7 +274,7 @@ def lock_verdict(
     """Locked iff phase and rate stay inside tolerance over the tail: the
     phase within :data:`LOCK_TOL_P` of a lock point (a multiple of the PD
     period), the rate within 1e-3 * omega_n (1e-3 * K0 when omega_n is 0)."""
-    if traj.events and traj.events[-1].kind == "blow_up":
+    if traj.blown_up:
         return False
     period = pd_period(variant)
     tol_f = 1e-3 * (params.omega_n if params.omega_n > 0 else params.k0)
@@ -388,7 +320,8 @@ def step_sensitivity_probe(
     h_list: Sequence[float],
     t_end: float,
 ) -> ProbeReport:
-    """Fixed-step lock verdicts for each h, plus an adaptive reference.
+    """Fixed-step lock verdicts and cycle-slip counts for each h, plus an
+    adaptive reference.
 
     The reference verdict comes from RK45; a second RK45 run with
     ten-times-tightened tolerances flags the case solver-sensitive when
@@ -400,7 +333,7 @@ def step_sensitivity_probe(
     verdicts = []
     for h in h_list:
         traj = integrate(rhs, state0, IntegratorConfig(t_end=t_end, method="rk4", h=h))
-        slips = sum(1 for e in traj.events if e.kind == "cycle_slip")
+        slips = count_cycle_slips(traj.y[:, 1], pd_period(variant))
         verdicts.append(ProbeVerdict(h, lock_verdict(traj, rhs, params, variant), slips))
 
     ref = integrate(
@@ -458,7 +391,7 @@ def _autocorr_peak(x: np.ndarray, min_lag: int) -> float:
 
 
 def _classify(traj: Trajectory, rhs: RhsFn, params: LoopParams, variant: LoopVariant) -> str:
-    if traj.events and traj.events[-1].kind == "blow_up":
+    if traj.blown_up:
         return "undecided"
     if lock_verdict(traj, rhs, params, variant):
         return "eq"

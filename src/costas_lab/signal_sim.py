@@ -137,6 +137,12 @@ class LockDetector:
     freq_tol: float              # rad/s
     phase_tol: float = 0.1       # rad
 
+    def __post_init__(self):
+        for name in ("freq_window", "freq_tol", "phase_tol"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"detector {name} must be > 0, got {value!r}")
+
     @classmethod
     def for_params(cls, params: LoopParams) -> "LockDetector":
         return cls(
@@ -254,7 +260,8 @@ def run_loop(
     period = pd_period(variant)
     result.cycle_slips = count_cycle_slips(theta_e, period)
 
-    w = max(10, int(round(detector.freq_window / T)))
+    # a window longer than the run, however long, leaves the run unlocked
+    w = max(10, round(min(detector.freq_window / T, len(theta2))))
     if len(theta2) <= w + 1:
         return result
     avg_freq = (theta2[w:] - theta2[:-w]) / (w * T)   # window [k, k+w]

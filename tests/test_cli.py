@@ -323,6 +323,25 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", [1e308, 0, -1])
+    @pytest.mark.parametrize("field", ["freq_window", "freq_tol", "phase_tol"])
+    def test_detector_field_range(self, tmp_path, capsys, field, value):
+        # README's sim.json with one detector field set: a huge value runs,
+        # and a window longer than the run leaves it unlocked; a value at or
+        # below 0 could never lock and is rejected
+        cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, "duration": 1.5e-3,
+                                   "detector": {field: value}})
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", cfg, "-o", str(out)])
+        if value > 0:
+            assert rc == 0
+            summary = json.loads((out / "summary.json").read_text())["summary"]
+            assert summary["locked"] is (field != "freq_window")
+        else:
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"error: detector {field} must be > 0")
+            assert not out.exists()
+
     # SHA-256 of timeseries.csv for the README sim.json, per variant, as the
     # per-value formatter wrote it; the bytes also rest on libm's sin and cos
     README_TIMESERIES = {

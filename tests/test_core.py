@@ -109,6 +109,15 @@ class TestPhaseHelpers:
         assert wrap_phase(3.6 * math.pi, math.pi) == pytest.approx(-0.4 * math.pi)
         assert wrap_phase(-0.2) == pytest.approx(-0.2)
 
+    @pytest.mark.parametrize("period", [math.pi, math.pi / 2])
+    def test_wrap_phase_ties_wrap_to_lower_edge(self, period):
+        # the range is [-P/2, P/2): an odd multiple of P/2 sits at the lower
+        # edge of the lock cell count_cycle_slips puts it in
+        ties = [0.5 * period, -0.5 * period, 1.5 * period, -1.5 * period]
+        for theta in ties:
+            assert wrap_phase(theta, period) == -period / 2
+        assert wrap_phase(np.array(ties), period).tolist() == [-period / 2] * len(ties)
+
     def test_delta_omega0_exact(self):
         p = LoopParams(2.0e6, 1.7e6, 1e6, 1.0, 2e-5, 4e-6)
         assert p.delta_omega0 == 0.3e6

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from costas_lab import CONVENTIONAL_BPSK, ClassicPhaseModel, baseband, classic_rhs
+from costas_lab.core import count_cycle_slips
 from costas_lab.detectors import PdCharacteristic
 from costas_lab.ode import (
     IntegratorConfig,
     PITFALL_H_LIST,
     PITFALL_STATE0,
     PITFALL_T_END,
-    SlipWatch,
     StiffnessError,
     Trajectory,
     integrate,
@@ -93,7 +93,7 @@ class TestIntegrate:
 
         cfg = IntegratorConfig(t_end=10.0, method="rk4", h=0.1)
         traj = integrate(rhs, (1.0,), cfg)
-        assert traj.events and traj.events[-1].kind == "blow_up"
+        assert traj.blown_up
         assert traj.t[-1] < 10.0
 
     def test_nonfinite_initial_rhs_rejected(self):
@@ -103,20 +103,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(rhs, (1.0,), IntegratorConfig(t_end=1.0))
 
-    def test_cycle_slip_events_localized(self):
-        # pure drift: theta(t) = 0.9 t crosses cell boundaries at known times
+    def test_cycle_slips_counted_on_trajectory(self):
+        # pure drift: theta(t) = 0.9 t crosses the cell boundaries
+        # (k + 1/2)*pi for k = 0..8 before t_end
         def rhs(t, y):
             return np.array([0.0, 0.9])
 
         period = math.pi
-        h = 0.5
-        cfg = IntegratorConfig(t_end=30.0, method="rk4", h=h)
-        traj = integrate(rhs, (0.0, 0.0), cfg, SlipWatch(component=1, period=period))
-        slips = [e for e in traj.events if e.kind == "cycle_slip"]
-        assert len(slips) == math.floor((0.9 * 30.0 + period / 2) / period)
-        for k, e in enumerate(slips):
-            exact = ((k + 0.5) * period) / 0.9
-            assert abs(e.t - exact) <= h
+        cfg = IntegratorConfig(t_end=30.0, method="rk4", h=0.5)
+        traj = integrate(rhs, (0.0, 0.0), cfg)
+        assert not traj.blown_up
+        assert count_cycle_slips(traj.y[:, 1], period) == \
+            math.floor((0.9 * 30.0 + period / 2) / period) == 9
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -163,9 +161,9 @@ def _drift_1d(t, y):
 
 
 PITFALL_MODEL = pitfall_example_model()
-CONTRACT_CASES = {
-    "2d": (_drift_2d, PITFALL_STATE0, SlipWatch(component=1, period=math.pi), 20.0),
-    "1d": (_drift_1d, (0.0,), SlipWatch(component=0, period=math.pi), 30.0),
+CONTRACT_CASES = {               # rhs, state0, phase component, t_end
+    "2d": (_drift_2d, PITFALL_STATE0, 1, 20.0),
+    "1d": (_drift_1d, (0.0,), 0, 30.0),
 }
 CONTRACT_CONFIGS = {
     "rk4": dict(method="rk4", h=2e-2),
@@ -173,8 +171,8 @@ CONTRACT_CONFIGS = {
 }
 
 
-def _run(rhs, state0, watch, t_end, controls):
-    return integrate(rhs, state0, IntegratorConfig(t_end=t_end, **controls), watch)
+def _run(rhs, state0, t_end, controls):
+    return integrate(rhs, state0, IntegratorConfig(t_end=t_end, **controls))
 
 
 class TestRhsContract:
@@ -182,17 +180,17 @@ class TestRhsContract:
     @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
     @pytest.mark.parametrize("container", [list, np.array])
     def test_any_sequence_gives_same_trajectory(self, case, method, container):
-        rhs, state0, watch, t_end = CONTRACT_CASES[case]
+        rhs, state0, comp, t_end = CONTRACT_CASES[case]
         controls = CONTRACT_CONFIGS[method]
-        ref = _run(rhs, state0, watch, t_end, controls)
-        other = _run(lambda t, y: container(rhs(t, y)), state0, watch, t_end, controls)
+        ref = _run(rhs, state0, t_end, controls)
+        other = _run(lambda t, y: container(rhs(t, y)), state0, t_end, controls)
         assert ref.t.tobytes() == other.t.tobytes()
         assert ref.y.shape == other.y.shape == (len(ref.t), len(state0))
         assert ref.y.tobytes() == other.y.tobytes()
-        assert [e.kind for e in ref.events] == [e.kind for e in other.events]
-        assert np.array([(e.t, *e.state) for e in ref.events]).tobytes() == \
-            np.array([(e.t, *e.state) for e in other.events]).tobytes()
-        assert any(e.kind == "cycle_slip" for e in ref.events)
+        assert ref.blown_up is other.blown_up is False
+        slips = count_cycle_slips(ref.y[:, comp], math.pi)
+        assert slips == count_cycle_slips(other.y[:, comp], math.pi)
+        assert slips > 0
 
     @pytest.mark.parametrize("method", sorted(CONTRACT_CONFIGS))
     def test_rhs_call_pattern(self, method):
@@ -202,7 +200,7 @@ class TestRhsContract:
             calls[0] += 1
             return _drift_2d(t, y)
 
-        traj = _run(rhs, PITFALL_STATE0, None, 20.0, CONTRACT_CONFIGS[method])
+        traj = _run(rhs, PITFALL_STATE0, 20.0, CONTRACT_CONFIGS[method])
         steps = len(traj.t) - 1
         assert traj.rhs_calls == calls[0]
         if method == "rk4":
@@ -260,6 +258,11 @@ class TestProbe:
         assert report.reference_locked is False
         assert report.solver_sensitive is False
 
+    def test_cycle_slips_pinned(self, report):
+        # counted on each RK4 run's phase error, lock cells one pi wide
+        assert [(v.h, v.cycle_slips) for v in report.verdicts] == \
+            [(2e-2, 1_398), (1e-2, 1_609), (1e-3, 1_631)]
+
     def test_rhs_calls_pinned(self, counted_probe):
         # the three RK4 runs take 126,500 steps; at five calls per step the
         # probe made 1,014,619 calls, at four (first same as last) it makes
@@ -310,8 +313,5 @@ class TestLockVerdict:
         assert lock_verdict(traj, rhs, bpsk_design, CONVENTIONAL_BPSK)
 
     def test_blow_up_never_locked(self, bpsk_design):
-        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)))
-        from costas_lab.ode import Event
-
-        traj.events.append(Event("blow_up", 1.0, (0.0, 0.0)))
+        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)), blown_up=True)
         assert not lock_verdict(traj, harmonic_rhs, bpsk_design, CONVENTIONAL_BPSK)

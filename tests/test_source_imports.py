@@ -1,0 +1,37 @@
+"""Every import in a ``costas_lab`` module is used by that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import costas_lab
+
+SOURCE = Path(costas_lab.__file__).parent
+# __init__.py imports names only to re-export them
+MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_unused_import_found():
+    tree = ast.parse("import math\nimport os.path\nfrom typing import Optional, Sequence\n"
+                     "def f(x: Sequence) -> float:\n    return os.path.sep\n")
+    assert _unused_imports(tree) == ["line 1: math", "line 3: Optional"]
