@@ -12,19 +12,22 @@ near a semistable cycle) and the phase-portrait classifier that
 separates equilibrium-convergent from cycle-convergent initial
 conditions.
 
-The rhs contract: ``rhs(t, y)`` takes the time and the state as a tuple
-of floats and returns the slope as any sequence of floats (a tuple, a
-list or a 1-D ndarray) with one entry per state component.  The
-integrator steps tuples of plain floats and builds the trajectory's
-arrays once, at the end.  Costs: one rhs call at the start, then four
-per RK4 step (three stages and the end slope, which is also the next
-step's first stage: first same as last) and six per attempted RK45 step
-(the last stage is the end slope); a rejected RK45 attempt costs the
-same six calls as an accepted one.  An rhs that carries state from call
-to call, as the delay model's rate seed does, sees exactly this call
-sequence.  On the pitfall model, with Python 3.11 on a 2-core x86-64
-host, an RK4 step takes about 11 us and an accepted RK45 step about
-35 us, of which ``classic_rhs`` takes about 0.6 us per call.
+The rhs contract: the state has two components, (x_lf, theta_e) in every
+model here.  ``rhs(t, y)`` takes the time and the state as a tuple of two
+floats and returns the slope as any sequence of two floats (a tuple, a
+list or a 1-D ndarray).  The integrator steps the two components as
+plain floats, each stage written out per component, and builds the
+trajectory's arrays once, at the end.  Costs: one rhs call at the start,
+then four per RK4 step (three stages and the end slope, which is also
+the next step's first stage: first same as last) and six per attempted
+RK45 step (the last stage is the end slope); a rejected RK45 attempt
+costs the same six calls as an accepted one.  An rhs that carries state
+from call to call, as the delay model's rate seed does, sees exactly
+this call sequence.  RK4 takes ceil(t_end/h) steps, the last one clipped
+to end on t_end; a run takes at most :data:`MAX_STEPS` RK4 steps or RK45
+attempts.  On the pitfall model, with Python 3.11 on a 2-core x86-64
+host, an RK4 step takes about 1.8 us and an accepted RK45 step about
+9.6 us, of which ``classic_rhs`` takes about 0.3 us per call.
 """
 
 from __future__ import annotations
@@ -46,16 +49,28 @@ RhsFn = Callable[[float, Sequence[float]], Sequence[float]]
 
 H_MIN = 1e-12   # smallest RK45 step; below it a run ends or raises
 
+# Most steps one run may take: RK4 steps (an RK4 config over it is refused
+# before it runs) or RK45 attempts (exceeding it raises StiffnessError).
+# Integrating peaks at about 137 B of traced memory per accepted step (the
+# step lists and the trajectory's arrays), so a run at the cap stays near
+# 140 MB, and its trajectory.csv (about 57 B per row) near 60 MB.  That is
+# 9 times the longest run the tests or the benchmark make (the probe's
+# 110,000 RK4 steps at h = 1e-3; the longest RK45 run makes 37,703 attempts).
+MAX_STEPS = 1_000_000
+
 
 class StiffnessError(RuntimeError):
-    """Adaptive step size underflowed."""
+    """RK45 gave up before t_end: its step size underflowed, or it made more
+    than :data:`MAX_STEPS` attempts."""
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Integration method and controls.
 
-    ``h`` is the fixed RK4 step; the adaptive controls apply to RK45.
+    ``h`` is the fixed RK4 step; the adaptive controls apply to RK45.  An
+    RK4 config that needs more than :data:`MAX_STEPS` steps raises
+    ValueError.
     """
 
     t_end: float
@@ -71,12 +86,14 @@ class IntegratorConfig:
             raise ValueError("t_end, h, rtol, atol must be finite")
         if self.t_end <= 0 or self.h <= 0 or self.rtol <= 0 or self.atol <= 0:
             raise ValueError("t_end, h, rtol, atol must be > 0")
+        if self.method == "rk4":
+            _rk4_step_count(self.t_end, self.h)
 
 
 @dataclass
 class Trajectory:
     t: np.ndarray
-    y: np.ndarray                 # shape (n_points, dim)
+    y: np.ndarray                 # shape (n_points, 2)
     blown_up: bool = False        # a non-finite state ended the run early
     rhs_calls: int = 0            # calls the integrator made
     rejected_steps: int = 0       # RK45 attempts not accepted
@@ -106,126 +123,134 @@ _E1, _E2, _E3, _E4, _E5, _E6, _E7 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                                      -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _finite(v) -> bool:
-    return all(map(math.isfinite, v))
+def _rk4_step_count(t_end: float, h: float) -> int:
+    """Steps of an RK4 run: ``ceil(t_end / h)``, less a relative 1e-9 so
+    that a multiple whose quotient rounds up (2.1/0.15 is
+    14.000000000000002) keeps its count, and at least one.  A count above
+    :data:`MAX_STEPS` raises ValueError."""
+    n = t_end / h * (1.0 - 1e-9)
+    if not n <= MAX_STEPS:
+        raise ValueError(f"t_end/h = {t_end / h:.6g} RK4 steps, above the cap "
+                         f"of {MAX_STEPS} (ode.MAX_STEPS)")
+    return max(1, math.ceil(n))
 
 
-def _rk4_step(f: RhsFn, t: float, y: tuple, k1, h: float) -> tuple:
-    """One classic RK4 step from (t, y), whose slope is k1."""
-    hh = 0.5 * h
-    k2 = f(t + hh, tuple([v + hh * p for v, p in zip(y, k1)]))
-    k3 = f(t + hh, tuple([v + hh * p for v, p in zip(y, k2)]))
-    k4 = f(t + h, tuple([v + h * p for v, p in zip(y, k3)]))
-    h6 = h / 6.0
-    return tuple([v + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-                  for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+class _NonFinite(Exception):
+    """An RK45 attempt met a non-finite stage slope or solution after
+    ``args[0]`` of its six rhs calls."""
 
 
-def _dp_attempt(f: RhsFn, t: float, y: tuple, k1, h: float):
-    """One Dormand-Prince attempt from (t, y), whose slope is k1.
+def _rk4_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
+    """Fixed steps from (0, (a, b)), whose slope is (p1, q1), appended to
+    ``ts``, ``xs`` and ``ths``; returns ``(rhs calls, 0, blown up)``.
 
-    Returns ``(slopes, y5, y4)``.  The slopes stop at the first
-    non-finite one; ``y5`` and ``y4`` are then None, as ``y5`` is when
-    it is not finite.  Each stage state is ``y + sum((h*a)*k)`` and each
-    solution ``y + h*sum(b*k)``, summed term by term, left to right,
-    zero coefficients included.
+    A step's first stage is the previous step's end slope (first same as
+    last); the last step is clipped to end on ``t_end``.  A non-finite
+    state ends the run, blown up.
     """
     isfinite = math.isfinite
-    ha = h * _A21
-    k2 = f(t + _C2 * h, tuple([v + ha * p1 for v, p1 in zip(y, k1)]))
-    if not all(map(isfinite, k2)):
-        return (k1, k2), None, None
-    ha, hb = h * _A31, h * _A32
-    k3 = f(t + _C3 * h, tuple([v + ha * p1 + hb * p2 for v, p1, p2 in zip(y, k1, k2)]))
-    if not all(map(isfinite, k3)):
-        return (k1, k2, k3), None, None
-    ha, hb, hc = h * _A41, h * _A42, h * _A43
-    k4 = f(t + _C4 * h, tuple([v + ha * p1 + hb * p2 + hc * p3
-                               for v, p1, p2, p3 in zip(y, k1, k2, k3)]))
-    if not all(map(isfinite, k4)):
-        return (k1, k2, k3, k4), None, None
-    ha, hb, hc, hd = h * _A51, h * _A52, h * _A53, h * _A54
-    k5 = f(t + _C5 * h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4
-                               for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]))
-    if not all(map(isfinite, k5)):
-        return (k1, k2, k3, k4, k5), None, None
-    ha, hb, hc, hd, he = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
-    k6 = f(t + h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5
-                         for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)]))
-    if not all(map(isfinite, k6)):
-        return (k1, k2, k3, k4, k5, k6), None, None
-    ha, hb, hc, hd, he, hf = h * _B1, h * _B2, h * _B3, h * _B4, h * _B5, h * _B6
-    k7 = f(t + h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5 + hf * p6
-                         for v, p1, p2, p3, p4, p5, p6 in zip(y, k1, k2, k3, k4, k5, k6)]))
-    ks = (k1, k2, k3, k4, k5, k6, k7)
-    if not all(map(isfinite, k7)):
-        return ks, None, None
-    y5 = tuple([v + h * (0.0 + _B1 * p1 + _B2 * p2 + _B3 * p3 + _B4 * p4
-                         + _B5 * p5 + _B6 * p6 + _B7 * p7)
-                for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, *ks)])
-    if not all(map(isfinite, y5)):
-        return ks, None, None
-    y4 = tuple([v + h * (0.0 + _E1 * p1 + _E2 * p2 + _E3 * p3 + _E4 * p4
-                         + _E5 * p5 + _E6 * p6 + _E7 * p7)
-                for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, *ks)])
-    return ks, y5, y4
-
-
-def _rk4_steps(rhs, y, f0, config, counts):
-    """Accepted fixed steps ``(t, y)``; a non-finite state ends the run,
-    blown up.
-
-    A step's first stage is the previous step's end slope (``f0`` for the
-    first step): first same as last.  ``counts`` holds the rhs calls, the
-    rejected attempts and whether the run blew up.
-    """
+    t_end, h0 = config.t_end, config.h
+    put_t, put_x, put_th = ts.append, xs.append, ths.append
     t = 0.0
-    for _ in range(max(1, int(round(config.t_end / config.h)))):
-        h = min(config.h, config.t_end - t)
+    for _ in range(_rk4_step_count(t_end, h0)):
+        r = t_end - t
+        h = r if r < h0 else h0         # min(h0, r) without the call
         if h <= 0:
-            return
-        y1 = _rk4_step(rhs, t, y, f0, h)
-        if not _finite(y1):
-            counts[0] += 3
-            counts[2] = True
-            return
-        f0 = rhs(t + h, y1)
-        counts[0] += 4
-        t, y = t + h, y1
-        yield t, y
+            break
+        hh = 0.5 * h
+        p2, q2 = rhs(t + hh, (a + hh * p1, b + hh * q1))
+        p3, q3 = rhs(t + hh, (a + hh * p2, b + hh * q2))
+        p4, q4 = rhs(t + h, (a + h * p3, b + h * q3))
+        h6 = h / 6.0
+        a = a + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+        b = b + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        if not (isfinite(a) and isfinite(b)):
+            return 4 * (len(ts) - 1) + 3, 0, True
+        t = t + h
+        p1, q1 = rhs(t, (a, b))
+        put_t(t)
+        put_x(a)
+        put_th(b)
+    return 4 * (len(ts) - 1), 0, False
 
 
-def _rk45_steps(rhs, y, f0, config, counts):
-    """Accepted adaptive steps ``(t, y)`` under the elementary controller.
-    A non-finite attempt quarters the step and a step below :data:`H_MIN`
-    ends the run, blown up; an error estimate that stays above 1 (or is
-    NaN) at :data:`H_MIN` raises StiffnessError."""
-    t_end = config.t_end
-    rtol, atol = config.rtol, config.atol
-    dim = len(y)
+def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
+    """Adaptive Dormand-Prince steps under the elementary controller, as
+    :func:`_rk4_steps` records them; returns ``(rhs calls, rejected
+    attempts, blown up)``.
+
+    Each stage state is ``y + (h*a1)*k1 + ...`` and each solution
+    ``y + h*(0.0 + b1*k1 + ...)``, term by term, zero coefficients
+    included.  A non-finite attempt quarters the step and a step below
+    :data:`H_MIN` ends the run, blown up.  An error estimate that stays
+    above 1 (or is NaN) at :data:`H_MIN`, or more than :data:`MAX_STEPS`
+    attempts, raises StiffnessError.
+    """
+    isfinite = math.isfinite
+    t_end, rtol, atol = config.t_end, config.rtol, config.atol
+    put_t, put_x, put_th = ts.append, xs.append, ths.append
+    attempts = short = 0            # attempts, and rhs calls they did not make
     t = 0.0
     h = min(config.h, t_end / 10.0)
     while t < t_end:
         h = min(h, t_end - t)
-        ks, y5, y4 = _dp_attempt(rhs, t, y, f0, h)
-        counts[0] += len(ks) - 1
-        if y5 is None:
-            counts[1] += 1
+        attempts += 1
+        if attempts > MAX_STEPS:
+            raise StiffnessError(f"more than {MAX_STEPS} RK45 attempts (ode.MAX_STEPS) "
+                                 f"before t_end, at t={t:g}")
+        try:
+            ha = h * _A21
+            p2, q2 = rhs(t + _C2 * h, (a + ha * p1, b + ha * q1))
+            if not (isfinite(p2) and isfinite(q2)):
+                raise _NonFinite(1)
+            ha, hb = h * _A31, h * _A32
+            p3, q3 = rhs(t + _C3 * h, (a + ha * p1 + hb * p2, b + ha * q1 + hb * q2))
+            if not (isfinite(p3) and isfinite(q3)):
+                raise _NonFinite(2)
+            ha, hb, hc = h * _A41, h * _A42, h * _A43
+            p4, q4 = rhs(t + _C4 * h, (a + ha * p1 + hb * p2 + hc * p3,
+                                       b + ha * q1 + hb * q2 + hc * q3))
+            if not (isfinite(p4) and isfinite(q4)):
+                raise _NonFinite(3)
+            ha, hb, hc, hd = h * _A51, h * _A52, h * _A53, h * _A54
+            p5, q5 = rhs(t + _C5 * h, (a + ha * p1 + hb * p2 + hc * p3 + hd * p4,
+                                       b + ha * q1 + hb * q2 + hc * q3 + hd * q4))
+            if not (isfinite(p5) and isfinite(q5)):
+                raise _NonFinite(4)
+            ha, hb, hc, hd, he = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+            p6, q6 = rhs(t + h, (a + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5,
+                                 b + ha * q1 + hb * q2 + hc * q3 + hd * q4 + he * q5))
+            if not (isfinite(p6) and isfinite(q6)):
+                raise _NonFinite(5)
+            ha, hb, hc, hd, he, hf = h * _B1, h * _B2, h * _B3, h * _B4, h * _B5, h * _B6
+            p7, q7 = rhs(t + h, (a + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5 + hf * p6,
+                                 b + ha * q1 + hb * q2 + hc * q3 + hd * q4 + he * q5 + hf * q6))
+            if not (isfinite(p7) and isfinite(q7)):
+                raise _NonFinite(6)
+            a5 = a + h * (0.0 + _B1 * p1 + _B2 * p2 + _B3 * p3 + _B4 * p4
+                          + _B5 * p5 + _B6 * p6 + _B7 * p7)
+            b5 = b + h * (0.0 + _B1 * q1 + _B2 * q2 + _B3 * q3 + _B4 * q4
+                          + _B5 * q5 + _B6 * q6 + _B7 * q7)
+            if not (isfinite(a5) and isfinite(b5)):
+                raise _NonFinite(6)
+        except _NonFinite as stop:
+            short += 6 - stop.args[0]
             h *= 0.25
             if h < H_MIN:
-                counts[2] = True
-                return
+                return 6 * attempts - short, attempts - (len(ts) - 1), True
             continue
-        sq = 0.0
-        for v, w, u in zip(y, y5, y4):
-            e = (w - u) / (atol + rtol * max(abs(v), abs(w)))
-            sq += e * e
-        err = math.sqrt(sq / dim)
+        a4 = a + h * (0.0 + _E1 * p1 + _E2 * p2 + _E3 * p3 + _E4 * p4
+                      + _E5 * p5 + _E6 * p6 + _E7 * p7)
+        b4 = b + h * (0.0 + _E1 * q1 + _E2 * q2 + _E3 * q3 + _E4 * q4
+                      + _E5 * q5 + _E6 * q6 + _E7 * q7)
+        ea = (a5 - a4) / (atol + rtol * max(abs(a), abs(a5)))
+        eb = (b5 - b4) / (atol + rtol * max(abs(b), abs(b5)))
+        err = math.sqrt((0.0 + ea * ea + eb * eb) / 2)
         if err <= 1.0:
-            t, y, f0 = t + h, y5, ks[6]
-            yield t, y
-        else:
-            counts[1] += 1
+            t, a, b, p1, q1 = t + h, a5, b5, p7, q7
+            put_t(t)
+            put_x(a)
+            put_th(b)
         if err > 0:
             factor = 0.9 * err ** -0.2
         elif err == 0:
@@ -236,27 +261,29 @@ def _rk45_steps(rhs, y, f0, config, counts):
         h = max(h, H_MIN)
         if not err <= 1.0 and h <= H_MIN:
             raise StiffnessError(f"step size underflow at t={t:g}")
+    return 6 * attempts - short, attempts - (len(ts) - 1), False
 
 
 def integrate(rhs: RhsFn, state0: Sequence[float], config: IntegratorConfig) -> Trajectory:
-    """Integrate state0 to t_end, recording every accepted step.
+    """Integrate the two-component state0 to t_end, recording every
+    accepted step.
 
     A non-finite state stops the run early with ``blown_up`` set.
     """
     y = tuple([float(v) for v in state0])
+    if len(y) != 2:
+        raise ValueError(f"state has {len(y)} components, not 2")
     f0 = rhs(0.0, y)
-    if len(f0) != len(y):
-        raise ValueError(f"right-hand side has {len(f0)} components for a state of {len(y)}")
-    if not _finite(f0):
+    if len(f0) != 2:
+        raise ValueError(f"right-hand side has {len(f0)} components for a state of 2")
+    (a, b), (p, q) = y, f0
+    if not (math.isfinite(p) and math.isfinite(q)):
         raise ValueError("right-hand side not finite at the initial state")
-    ts, ys = [0.0], [y]
-    counts = [1, 0, False]          # rhs calls, rejected attempts, blown up
+    ts, xs, ths = [0.0], [a], [b]
     steps = _rk4_steps if config.method == "rk4" else _rk45_steps
-    for t, y in steps(rhs, y, f0, config, counts):
-        ts.append(t)
-        ys.append(y)
-    return Trajectory(np.array(ts), np.array(ys), blown_up=counts[2],
-                      rhs_calls=counts[0], rejected_steps=counts[1])
+    calls, rejected, blown_up = steps(rhs, a, b, p, q, config, ts, xs, ths)
+    return Trajectory(np.array(ts), np.column_stack((xs, ths)), blown_up=blown_up,
+                      rhs_calls=1 + calls, rejected_steps=rejected)
 
 
 # --- lock verdicts ----------------------------------------------------------

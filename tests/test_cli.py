@@ -302,6 +302,19 @@ class TestSimulateCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_rk4_over_step_cap_exits_2(self, tmp_path, capsys):
+        # 1e18 steps: refused from the config, before anything runs
+        cfg = write_cfg(tmp_path, {**PHASE_CFG, "method": "rk4", "t_end": 1e9, "h": 1e-9})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        assert f"above the cap of {ode.MAX_STEPS}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_rk45_over_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ode, "MAX_STEPS", 10)
+        cfg = write_cfg(tmp_path, PHASE_CFG)
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: more than 10 RK45 attempts")
+
     def test_step_size_underflow_exits_3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**PHASE_CFG, "rtol": 1e-300, "atol": 1e-300})
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 3

@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from costas_lab import CONVENTIONAL_BPSK, ClassicPhaseModel, baseband, classic_rhs
+from costas_lab import (
+    CONVENTIONAL_BPSK,
+    MODIFIED_QPSK,
+    ClassicPhaseModel,
+    DelayModel,
+    DesignSpec,
+    baseband,
+    classic_rhs,
+    delay_rhs,
+    design,
+    ode,
+)
 from costas_lab.core import count_cycle_slips
 from costas_lab.detectors import PdCharacteristic
 from costas_lab.ode import (
@@ -89,19 +100,19 @@ class TestIntegrate:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blow_up_event_halts(self):
         def rhs(t, y):
-            return np.array([y[0] ** 2])
+            return np.array([y[0] ** 2, 0.0])
 
         cfg = IntegratorConfig(t_end=10.0, method="rk4", h=0.1)
-        traj = integrate(rhs, (1.0,), cfg)
+        traj = integrate(rhs, (1.0, 0.0), cfg)
         assert traj.blown_up
         assert traj.t[-1] < 10.0
 
     def test_nonfinite_initial_rhs_rejected(self):
         def rhs(t, y):
-            return np.array([math.inf])
+            return np.array([math.inf, 0.0])
 
         with pytest.raises(ValueError):
-            integrate(rhs, (1.0,), IntegratorConfig(t_end=1.0))
+            integrate(rhs, (1.0, 0.0), IntegratorConfig(t_end=1.0))
 
     def test_cycle_slips_counted_on_trajectory(self):
         # pure drift: theta(t) = 0.9 t crosses the cell boundaries
@@ -139,14 +150,35 @@ class TestIntegrate:
             calls[0] += 1
             if calls[0] > 100_000:
                 raise RuntimeError("controller spins")
-            return np.array([y[0] ** 2])
+            return np.array([y[0] ** 2, 0.0])
 
         with pytest.raises(StiffnessError):
-            integrate(rhs, (1.0,), IntegratorConfig(t_end=10.0, rtol=1e-6))
+            integrate(rhs, (1.0, 0.0), IntegratorConfig(t_end=10.0, rtol=1e-6))
 
     def test_rhs_length_must_match_state(self):
         with pytest.raises(ValueError):
             integrate(lambda t, y: (0.0,), (1.0, 0.0), IntegratorConfig(t_end=1.0))
+
+    @pytest.mark.parametrize("state0", [(1.0,), (1.0, 0.0, 0.0)], ids=["1", "3"])
+    def test_state_must_have_two_components(self, state0):
+        calls = []
+        with pytest.raises(ValueError, match="components, not 2"):
+            integrate(lambda t, y: calls.append(y) or (0.0,) * len(y), state0,
+                      IntegratorConfig(t_end=1.0))
+        assert calls == []
+
+    @pytest.mark.parametrize("t_end,h,steps", [(1.0, 0.4, 3), (1.0, 0.3, 4), (2.1, 0.15, 14)])
+    def test_rk4_ends_on_t_end(self, t_end, h, steps):
+        # 1.0/0.4 and 1.0/0.3 once stopped at 0.8 and 0.9.  2.1/0.15 rounds
+        # up to 14.000000000000002 and keeps its 14 steps, though they sum
+        # to one ulp short of t_end: the end time is the sum of the steps.
+        traj = integrate(lambda t, y: (0.0, 1.0), (0.0, 0.0),
+                         IntegratorConfig(t_end=t_end, method="rk4", h=h))
+        taken = np.diff(traj.t)
+        assert len(taken) == steps
+        assert traj.t[-1] == pytest.approx(t_end, rel=1e-15)
+        np.testing.assert_allclose(taken[:-1], h, rtol=1e-12)
+        assert 0 < taken[-1] <= h * (1 + 1e-12)
 
 
 # --- the rhs contract ----------------------------------------------------------
@@ -157,13 +189,15 @@ def _drift_2d(t, y):
 
 
 def _drift_1d(t, y):
-    return (0.9 + 0.5 * math.sin(y[0]),)
+    """The one-dimensional drift theta' = 0.9 + 0.5 sin(theta) as the phase
+    component, beside a passive x."""
+    return (0.0, 0.9 + 0.5 * math.sin(y[1]))
 
 
 PITFALL_MODEL = pitfall_example_model()
 CONTRACT_CASES = {               # rhs, state0, phase component, t_end
     "2d": (_drift_2d, PITFALL_STATE0, 1, 20.0),
-    "1d": (_drift_1d, (0.0,), 0, 30.0),
+    "1d": (_drift_1d, (0.0, 0.0), 1, 30.0),
 }
 CONTRACT_CONFIGS = {
     "rk4": dict(method="rk4", h=2e-2),
@@ -211,6 +245,268 @@ class TestRhsContract:
             # benchmark/tracer.py derives rejected steps from this count
             assert traj.rejected_steps > 0
             assert calls[0] == 1 + 6 * (steps + traj.rejected_steps)
+
+
+class TestStepCap:
+    def test_rk4_over_cap_refused_from_config(self):
+        # refused at construction, before any step runs
+        IntegratorConfig(t_end=float(ode.MAX_STEPS), method="rk4", h=1.0)
+        for t_end, h in [(ode.MAX_STEPS + 1.0, 1.0), (1e9, 1e-9), (1e300, 1e-300)]:
+            with pytest.raises(ValueError, match=f"above the cap of {ode.MAX_STEPS}"):
+                IntegratorConfig(t_end=t_end, method="rk4", h=h)
+        IntegratorConfig(t_end=1e9, method="rk45", h=1e-9)   # RK45 counts attempts
+
+    def test_rk4_cap_counts_by_the_step_rule(self, monkeypatch):
+        monkeypatch.setattr(ode, "MAX_STEPS", 3)
+        IntegratorConfig(t_end=1.0, method="rk4", h=0.4)     # 3 steps
+        with pytest.raises(ValueError):
+            IntegratorConfig(t_end=1.0, method="rk4", h=0.3)  # 4 steps
+
+    def test_rk45_attempts_capped(self, monkeypatch):
+        cfg = IntegratorConfig(t_end=20.0, **CONTRACT_CONFIGS["rk45"])
+        full = integrate(_drift_2d, PITFALL_STATE0, cfg)
+        attempts = len(full.t) - 1 + full.rejected_steps
+        monkeypatch.setattr(ode, "MAX_STEPS", attempts)
+        again = integrate(_drift_2d, PITFALL_STATE0, cfg)
+        assert again.t.tobytes() == full.t.tobytes()
+        monkeypatch.setattr(ode, "MAX_STEPS", attempts - 1)
+        with pytest.raises(StiffnessError, match=f"more than {attempts - 1} RK45 attempts"):
+            integrate(_drift_2d, PITFALL_STATE0, cfg)
+
+
+# --- equivalence with the generic engine ----------------------------------------
+# The generic per-component tuple engine the two-float steppers replaced, kept
+# as the reference: both must make the same float operations, in the same
+# order, and the same rhs calls.  Every case's t_end is a multiple of its h,
+# where this engine's round(t_end/h) steps and the ceiling rule agree.
+
+_R_C2, _R_C3, _R_C4, _R_C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_R_A21 = 1 / 5
+_R_A31, _R_A32 = 3 / 40, 9 / 40
+_R_A41, _R_A42, _R_A43 = 44 / 45, -56 / 15, 32 / 9
+_R_A51, _R_A52, _R_A53, _R_A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_R_A61, _R_A62, _R_A63, _R_A64, _R_A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                          -5103 / 18656)
+_R_B1, _R_B2, _R_B3, _R_B4, _R_B5, _R_B6, _R_B7 = (35 / 384, 0.0, 500 / 1113, 125 / 192,
+                                                   -2187 / 6784, 11 / 84, 0.0)
+_R_E1, _R_E2, _R_E3, _R_E4, _R_E5, _R_E6, _R_E7 = (5179 / 57600, 0.0, 7571 / 16695,
+                                                   393 / 640, -92097 / 339200, 187 / 2100,
+                                                   1 / 40)
+
+
+def _ref_finite(v):
+    return all(map(math.isfinite, v))
+
+
+def _ref_rk4_step(f, t, y, k1, h):
+    hh = 0.5 * h
+    k2 = f(t + hh, tuple([v + hh * p for v, p in zip(y, k1)]))
+    k3 = f(t + hh, tuple([v + hh * p for v, p in zip(y, k2)]))
+    k4 = f(t + h, tuple([v + h * p for v, p in zip(y, k3)]))
+    h6 = h / 6.0
+    return tuple([v + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+                  for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+
+
+def _ref_dp_attempt(f, t, y, k1, h):
+    isfinite = math.isfinite
+    ha = h * _R_A21
+    k2 = f(t + _R_C2 * h, tuple([v + ha * p1 for v, p1 in zip(y, k1)]))
+    if not all(map(isfinite, k2)):
+        return (k1, k2), None, None
+    ha, hb = h * _R_A31, h * _R_A32
+    k3 = f(t + _R_C3 * h, tuple([v + ha * p1 + hb * p2 for v, p1, p2 in zip(y, k1, k2)]))
+    if not all(map(isfinite, k3)):
+        return (k1, k2, k3), None, None
+    ha, hb, hc = h * _R_A41, h * _R_A42, h * _R_A43
+    k4 = f(t + _R_C4 * h, tuple([v + ha * p1 + hb * p2 + hc * p3
+                                 for v, p1, p2, p3 in zip(y, k1, k2, k3)]))
+    if not all(map(isfinite, k4)):
+        return (k1, k2, k3, k4), None, None
+    ha, hb, hc, hd = h * _R_A51, h * _R_A52, h * _R_A53, h * _R_A54
+    k5 = f(t + _R_C5 * h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4
+                                 for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]))
+    if not all(map(isfinite, k5)):
+        return (k1, k2, k3, k4, k5), None, None
+    ha, hb, hc, hd, he = h * _R_A61, h * _R_A62, h * _R_A63, h * _R_A64, h * _R_A65
+    k6 = f(t + h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5
+                         for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)]))
+    if not all(map(isfinite, k6)):
+        return (k1, k2, k3, k4, k5, k6), None, None
+    ha, hb, hc, hd, he, hf = (h * _R_B1, h * _R_B2, h * _R_B3, h * _R_B4, h * _R_B5,
+                              h * _R_B6)
+    k7 = f(t + h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5 + hf * p6
+                         for v, p1, p2, p3, p4, p5, p6 in zip(y, k1, k2, k3, k4, k5, k6)]))
+    ks = (k1, k2, k3, k4, k5, k6, k7)
+    if not all(map(isfinite, k7)):
+        return ks, None, None
+    y5 = tuple([v + h * (0.0 + _R_B1 * p1 + _R_B2 * p2 + _R_B3 * p3 + _R_B4 * p4
+                         + _R_B5 * p5 + _R_B6 * p6 + _R_B7 * p7)
+                for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, *ks)])
+    if not all(map(isfinite, y5)):
+        return ks, None, None
+    y4 = tuple([v + h * (0.0 + _R_E1 * p1 + _R_E2 * p2 + _R_E3 * p3 + _R_E4 * p4
+                         + _R_E5 * p5 + _R_E6 * p6 + _R_E7 * p7)
+                for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, *ks)])
+    return ks, y5, y4
+
+
+def _ref_rk4_steps(rhs, y, f0, config, counts):
+    t = 0.0
+    for _ in range(max(1, int(round(config.t_end / config.h)))):
+        h = min(config.h, config.t_end - t)
+        if h <= 0:
+            return
+        y1 = _ref_rk4_step(rhs, t, y, f0, h)
+        if not _ref_finite(y1):
+            counts[0] += 3
+            counts[2] = True
+            return
+        f0 = rhs(t + h, y1)
+        counts[0] += 4
+        t, y = t + h, y1
+        yield t, y
+
+
+def _ref_rk45_steps(rhs, y, f0, config, counts):
+    t_end = config.t_end
+    rtol, atol = config.rtol, config.atol
+    dim = len(y)
+    t = 0.0
+    h = min(config.h, t_end / 10.0)
+    while t < t_end:
+        h = min(h, t_end - t)
+        ks, y5, y4 = _ref_dp_attempt(rhs, t, y, f0, h)
+        counts[0] += len(ks) - 1
+        if y5 is None:
+            counts[1] += 1
+            h *= 0.25
+            if h < ode.H_MIN:
+                counts[2] = True
+                return
+            continue
+        sq = 0.0
+        for v, w, u in zip(y, y5, y4):
+            e = (w - u) / (atol + rtol * max(abs(v), abs(w)))
+            sq += e * e
+        err = math.sqrt(sq / dim)
+        if err <= 1.0:
+            t, y, f0 = t + h, y5, ks[6]
+            yield t, y
+        else:
+            counts[1] += 1
+        if err > 0:
+            factor = 0.9 * err ** -0.2
+        elif err == 0:
+            factor = 5.0
+        else:
+            factor = 0.2
+        h = h * min(5.0, max(0.2, factor))
+        h = max(h, ode.H_MIN)
+        if not err <= 1.0 and h <= ode.H_MIN:
+            raise StiffnessError(f"step size underflow at t={t:g}")
+
+
+def _ref_integrate(rhs, state0, config):
+    y = tuple([float(v) for v in state0])
+    f0 = rhs(0.0, y)
+    if not _ref_finite(f0):
+        raise ValueError("right-hand side not finite at the initial state")
+    ts, ys = [0.0], [y]
+    counts = [1, 0, False]
+    steps = _ref_rk4_steps if config.method == "rk4" else _ref_rk45_steps
+    for t, y in steps(rhs, y, f0, config, counts):
+        ts.append(t)
+        ys.append(y)
+    return Trajectory(np.array(ts), np.array(ys), blown_up=counts[2],
+                      rhs_calls=counts[0], rejected_steps=counts[1])
+
+
+def _pitfall_rhs():
+    return _drift_2d
+
+
+def _delay_rhs():
+    """The delay fidelity's rhs as the CLI builds it: each call seeds the
+    implicit solve with the previous call's rate."""
+    params = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=CONVENTIONAL_BPSK))
+    model = DelayModel(params.with_offset(TWO_PI * 30e3), PdCharacteristic(CONVENTIONAL_BPSK, 1.0))
+    seed = [model.params.delta_omega0]
+
+    def rhs(t, y):
+        slope = delay_rhs(model, y, seed[0])
+        seed[0] = slope[1]
+        return slope
+
+    return rhs
+
+
+def _mod_qpsk_rhs():
+    params = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=MODIFIED_QPSK))
+    model = ClassicPhaseModel(params.with_offset(TWO_PI * 80e3),
+                              PdCharacteristic(MODIFIED_QPSK, 1.0))
+    return lambda t, y: classic_rhs(model, y)
+
+
+def _square_rhs():
+    return lambda t, y: (y[0] * y[0], 0.0)
+
+
+def _capped_square_rhs():
+    """x' = x^2 until x reaches 1e3, then a non-finite slope: RK45 attempts
+    stop at non-finite stages until the step falls below H_MIN."""
+    return lambda t, y: (y[0] * y[0] if y[0] < 1e3 else math.inf, 0.0)
+
+
+EQUIVALENCE_CASES = {     # rhs factory, state0, integrator controls
+    "pitfall-rk4": (_pitfall_rhs, PITFALL_STATE0,
+                    dict(t_end=PITFALL_T_END, method="rk4", h=2e-2)),
+    "pitfall-rk45": (_pitfall_rhs, PITFALL_STATE0,
+                     dict(t_end=20.0, method="rk45", rtol=1e-9, atol=1e-11)),
+    "delay-rk45": (_delay_rhs, (0.0, 1.1), dict(t_end=1e-4, method="rk45")),
+    "mod_qpsk-rk45": (_mod_qpsk_rhs, (0.0, 0.3), dict(t_end=1e-4, method="rk45")),
+    "ndarray-rk4": (lambda: harmonic_rhs, (1.0, 0.0),
+                    dict(t_end=TWO_PI, method="rk4", h=1e-2 * TWO_PI)),
+    "ndarray-rk45": (lambda: harmonic_rhs, (1.0, 0.0),
+                     dict(t_end=TWO_PI, method="rk45", rtol=1e-10, atol=1e-12)),
+    "blow_up-rk4": (_square_rhs, (1.0, 0.0), dict(t_end=10.0, method="rk4", h=0.1)),
+    "blow_up-rk45": (_square_rhs, (1.0, 0.0), dict(t_end=10.0, method="rk45", rtol=1e-6)),
+    "nonfinite_stage-rk45": (_capped_square_rhs, (1.0, 0.0),
+                             dict(t_end=10.0, method="rk45", rtol=1e-6, atol=1e-6)),
+}
+
+
+def _outcome(integrator, case):
+    """Everything a run shows: the trajectory's bytes and counters (or the
+    StiffnessError it raised) and the bytes of every rhs argument."""
+    make_rhs, state0, controls = EQUIVALENCE_CASES[case]
+    rhs, seen = make_rhs(), []
+
+    def recorded(t, y):
+        seen.append((t, *y))
+        return rhs(t, y)
+
+    try:
+        traj = integrator(recorded, state0, IntegratorConfig(**controls))
+    except StiffnessError as exc:
+        return str(exc), np.array(seen).tobytes()
+    assert traj.rhs_calls == len(seen)
+    return (traj.t.tobytes(), traj.y.tobytes(), traj.rhs_calls, traj.rejected_steps,
+            traj.blown_up, np.array(seen).tobytes())
+
+
+class TestEquivalence:
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+    def test_same_as_generic_engine(self, case):
+        assert _outcome(integrate, case) == _outcome(_ref_integrate, case)
+
+    def test_cases_reach_every_exit(self):
+        kinds = set()
+        for case in ("blow_up-rk4", "blow_up-rk45", "nonfinite_stage-rk45"):
+            out = _outcome(integrate, case)
+            kinds.add("stiff" if isinstance(out[0], str) else ("blown_up" if out[4] else "ok"))
+        assert kinds == {"stiff", "blown_up"}
 
 
 @pytest.fixture(scope="module")
