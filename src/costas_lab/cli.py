@@ -6,7 +6,16 @@ Every output directory receives a run manifest with a digest of the
 canonicalized config, so reruns with identical inputs produce
 byte-identical artifacts.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure.
+A config carries exactly the keys its fidelity reads: the shared keys
+plus that fidelity's row of ``_FIDELITY_KEYS``; a key left out takes the
+default of the dataclass it configures.
+
+Exit codes: 0 success; 2 config error, including a key the config's
+fidelity does not read and a portrait of more than
+:data:`MAX_PORTRAIT_STATES` initial states; 3 numeric failure: a blow-up
+(also where the rhs raises on a state that left the float range), an
+RK45 step-size underflow or attempt cap, or a failed delay-model
+implicit solve.
 """
 
 from __future__ import annotations
@@ -16,7 +25,9 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +42,10 @@ from .analysis import (
     pull_in_time,
     pull_in_time_formula,
 )
-from .baseband import ClassicPhaseModel, DelayModel, classic_rhs, delay_rhs
+from .baseband import ClassicPhaseModel, DelayModel, ImplicitSolveError, classic_rhs, delay_rhs
 from .baseband import averaged_pull_in_time_numeric
-from .core import CSV_FIELD, LoopParams, LoopVariant, check_real, pd_period, write_csv_rows
-from .core import count_cycle_slips
+from .core import CSV_FIELD, LoopParams, LoopVariant, PdFlavor, VariantTag, check_real
+from .core import count_cycle_slips, pd_period, write_csv_rows
 from .detectors import PdCharacteristic
 from .ode import (
     IntegratorConfig,
@@ -56,6 +67,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 SEED_ENV_VAR = "COSTAS_LAB_SEED"
+
+# Most initial states (or points on one grid axis) a portrait may ask for.
+# Trajectories are written one at a time, so memory holds one (up to about
+# 140 MB at ode.MAX_STEPS); the cap bounds the run time and portrait.csv,
+# up to about 60 MB per state.  The largest portrait the tests or the
+# benchmark make has 6 states; 100 is 16 times that, a 10 x 10 grid.
+MAX_PORTRAIT_STATES = 100
 
 
 class CliError(ValueError):
@@ -88,11 +106,19 @@ def _require_keys(cfg: dict, allowed: set, required: set, context: str):
         raise CliError(f"missing {context} keys: {sorted(missing)}")
 
 
-_CONFIG_KEYS = {
-    "schema", "fidelity", "variant", "pd_flavor", "f0", "f_symbol", "m",
-    "delta_f0", "f_samp", "duration", "prbs_seed", "theta1_0", "data_mode",
-    "hilbert_mode", "detector", "params", "design", "tau1", "omega_t_ratio",
-    "t_end", "method", "h", "rtol", "atol", "state0", "grid", "states",
+# Keys every config may carry: the variant, the seed, the loop constants
+# (``params``, or the design inputs) and the frequency offset.
+_SHARED_KEYS = {"schema", "fidelity", "variant", "pd_flavor", "prbs_seed", "params", "f0",
+                "f_symbol", "tau1", "omega_t_ratio", "m", "delta_f0"}
+
+# {fidelity: (required keys, optional keys)} beside the shared keys: a
+# config carries exactly the keys its fidelity reads.
+_FIDELITY_KEYS = {
+    "signal": ({"f0", "f_symbol", "f_samp", "duration"},
+               {"theta1_0", "data_mode", "hilbert_mode", "detector"}),
+    "phase": ({"t_end"}, {"method", "h", "rtol", "atol", "state0", "grid", "states"}),
+    "delay": ({"t_end"}, {"method", "h", "rtol", "atol", "state0"}),
+    "averaged": (set(), set()),
 }
 
 _DETECTOR_KEYS = {"freq_window", "freq_tol", "phase_tol"}
@@ -150,7 +176,12 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     schema = cfg.get("schema")
     if isinstance(schema, bool) or schema != 1:
         raise CliError("config must declare schema: 1")
-    _require_keys(cfg, _CONFIG_KEYS, {"schema", "fidelity", "variant"}, "config")
+    fidelity = cfg.get("fidelity")
+    if not isinstance(fidelity, str) or fidelity not in _FIDELITY_KEYS:
+        raise CliError(f"unknown fidelity {fidelity!r}, not one of {list(_FIDELITY_KEYS)}")
+    required, optional = _FIDELITY_KEYS[fidelity]
+    _require_keys(cfg, _SHARED_KEYS | required | optional,
+                  {"schema", "fidelity", "variant"} | required, f"{fidelity} config")
     if overrides:
         cfg = {**cfg, **{k: v for k, v in overrides.items() if v is not None}}
     env_seed = os.environ.get(SEED_ENV_VAR)
@@ -161,6 +192,12 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
             raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
     _check_types(cfg)
     return cfg
+
+
+def _given(cfg: dict, *keys: str) -> dict:
+    """The entries of ``cfg`` under ``keys``: a key left out takes the
+    default of the dataclass it is passed to."""
+    return {k: cfg[k] for k in keys if k in cfg}
 
 
 def _effective_seed(cfg: dict) -> int:
@@ -180,30 +217,11 @@ def params_from_config(cfg: dict, variant: LoopVariant) -> LoopParams:
     else:
         if "f0" not in cfg or "f_symbol" not in cfg:
             raise CliError("config needs either params{} or f0 + f_symbol for design")
-        spec = DesignSpec(
-            f0=cfg["f0"],
-            f_symbol=cfg["f_symbol"],
-            variant=variant,
-            omega_t_ratio=cfg.get("omega_t_ratio", 0.1),
-            tau1=cfg.get("tau1", 20e-6),
-            m=cfg.get("m", 1.0),
-        )
-        params = design(spec)
+        params = design(DesignSpec(f0=cfg["f0"], f_symbol=cfg["f_symbol"], variant=variant,
+                                   **_given(cfg, "omega_t_ratio", "tau1", "m")))
     if "delta_f0" in cfg:
         params = params.with_offset(2.0 * math.pi * cfg["delta_f0"])
     return params
-
-
-def detector_from_config(cfg: dict, params: LoopParams) -> LockDetector:
-    base = LockDetector.for_params(params)
-    d = cfg.get("detector")
-    if not d:
-        return base
-    return LockDetector(
-        freq_window=d.get("freq_window", base.freq_window),
-        freq_tol=d.get("freq_tol", base.freq_tol),
-        phase_tol=d.get("phase_tol", base.phase_tol),
-    )
 
 
 # --- subcommands -------------------------------------------------------------
@@ -246,31 +264,18 @@ def cmd_predict(args) -> int:
 
 
 def _simulate_signal(cfg: dict, variant: LoopVariant, params: LoopParams):
-    source = ModulatedSource(
-        variant=variant,
-        f_carrier=cfg["f0"],
-        f_symbol=cfg["f_symbol"],
-        m=cfg.get("m", 1.0),
-        prbs_seed=cfg.get("prbs_seed", ModulatedSource.prbs_seed),
-        theta1_0=cfg.get("theta1_0", 0.0),
-        data_mode=cfg.get("data_mode", "prbs"),
-    )
-    loop = DigitalLoop(
-        params=params,
-        f_samp=cfg["f_samp"],
-        hilbert_mode=cfg.get("hilbert_mode", "delay"),
-    )
-    detector = detector_from_config(cfg, params)
-    return run_loop(source, loop, cfg["duration"], detector), source
+    source = ModulatedSource(variant, cfg["f0"], cfg["f_symbol"],
+                             **_given(cfg, "m", "prbs_seed", "theta1_0", "data_mode"))
+    loop = DigitalLoop(params, cfg["f_samp"], **_given(cfg, "hilbert_mode"))
+    detector = replace(LockDetector.for_params(params), **cfg.get("detector", {}))
+    return run_loop(source, loop, cfg["duration"], detector)
 
 
 def _simulate_ode(cfg: dict, variant: LoopVariant, params: LoopParams):
-    pd = PdCharacteristic(variant, cfg.get("m", 1.0))
-    fidelity = cfg["fidelity"]
+    pd = PdCharacteristic(variant, **_given(cfg, "m"))
     state0 = cfg.get("state0", [0.0, 0.0])
-    controls = {k: cfg[k] for k in ("method", "h", "rtol", "atol") if k in cfg}
-    icfg = IntegratorConfig(t_end=cfg["t_end"], **controls)
-    if fidelity == "phase":
+    icfg = IntegratorConfig(t_end=cfg["t_end"], **_given(cfg, "method", "h", "rtol", "atol"))
+    if cfg["fidelity"] == "phase":
         model = ClassicPhaseModel(params, pd)
 
         def rhs(t, y):
@@ -298,15 +303,12 @@ def cmd_simulate(args) -> int:
     # rejected config leaves nothing behind
     outdir = Path(args.output)
     if fidelity == "signal":
-        _require_keys(cfg, _CONFIG_KEYS, {"f_samp", "duration", "f_symbol", "f0"}, "signal config")
-        result, _ = _simulate_signal(cfg, variant, params)
+        result = _simulate_signal(cfg, variant, params)
         outdir.mkdir(parents=True, exist_ok=True)
         export_csv(result, str(outdir / "timeseries.csv"))
         summary = {"schema": 1, "summary": result.summary(), "params": params.to_dict()}
         artifacts = ["timeseries.csv", "summary.json"]
     elif fidelity in ("phase", "delay"):
-        if "t_end" not in cfg:
-            raise CliError(f"{fidelity} fidelity needs t_end")
         traj, locked = _simulate_ode(cfg, variant, params)
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "trajectory.csv", "w", newline="") as fh:
@@ -321,7 +323,7 @@ def cmd_simulate(args) -> int:
                               "rhs_calls": traj.rhs_calls},
                    "params": params.to_dict()}
         artifacts = ["trajectory.csv", "summary.json"]
-    elif fidelity == "averaged":
+    else:
         dw0 = abs(params.delta_omega0)
         t_p = averaged_pull_in_time_numeric(params, variant, dw0)
         summary = {
@@ -332,8 +334,6 @@ def cmd_simulate(args) -> int:
         }
         outdir.mkdir(parents=True, exist_ok=True)
         artifacts = ["summary.json"]
-    else:
-        raise CliError(f"unknown fidelity {fidelity!r}")
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     write_manifest(outdir, "simulate", cfg, _effective_seed(cfg), artifacts)
     print(json.dumps({"outdir": str(outdir), "artifacts": artifacts}))
@@ -342,16 +342,14 @@ def cmd_simulate(args) -> int:
 
 def _sweep_row(task):
     cfg, delta_f = task
-    variant = LoopVariant.from_name(cfg["variant"], cfg.get("pd_flavor"))
-    params = params_from_config({k: v for k, v in cfg.items() if k != "delta_f0"}, variant)
-    params = params.with_offset(2.0 * math.pi * delta_f)
+    cfg = {**cfg, "delta_f0": delta_f}
+    variant = variant_from_config(cfg)
+    params = params_from_config(cfg, variant)
     try:
         theory = pull_in_time_formula(params, variant, 2.0 * math.pi * delta_f)
     except RangeError:
         theory = math.nan
-    row_cfg = dict(cfg)
-    row_cfg["delta_f0"] = delta_f
-    result, _ = _simulate_signal(row_cfg, variant, params)
+    result = _simulate_signal(cfg, variant, params)
     sim = result.pull_in_time if result.locked else math.nan
     return delta_f, theory, sim, result.locked
 
@@ -391,30 +389,52 @@ def cmd_portrait(args) -> int:
         raise CliError("portrait requires the 2-state fidelity: phase")
     variant = variant_from_config(cfg)
     params = params_from_config(cfg, variant)
-    model = ClassicPhaseModel(params, PdCharacteristic(variant, cfg.get("m", 1.0)))
+    model = ClassicPhaseModel(params, PdCharacteristic(variant, **_given(cfg, "m")))
     if "states" in cfg:
-        states = [tuple(s) for s in cfg["states"]]
+        count = len(cfg["states"])
     elif "grid" in cfg:
-        g = cfg["grid"]
-        xs = np.linspace(g["x"][0], g["x"][1], int(g["x"][2]))
-        ths = np.linspace(g["theta_e"][0], g["theta_e"][1], int(g["theta_e"][2]))
-        states = [(float(x), float(th)) for x in xs for th in ths]
+        nx, nth = int(cfg["grid"]["x"][2]), int(cfg["grid"]["theta_e"][2])
+        count = max(nx, nth, nx * nth)
     else:
         raise CliError("portrait config needs grid{} or states[]")
+    if count > MAX_PORTRAIT_STATES:
+        raise CliError(f"portrait asks for {count} states or grid points, above the cap "
+                       f"of {MAX_PORTRAIT_STATES} (cli.MAX_PORTRAIT_STATES)")
+    if "states" in cfg:
+        states = [tuple(s) for s in cfg["states"]]
+    else:
+        g = cfg["grid"]
+        xs = np.linspace(g["x"][0], g["x"][1], nx)
+        ths = np.linspace(g["theta_e"][0], g["theta_e"][1], nth)
+        states = [(float(x), float(th)) for x in xs for th in ths]
     if not states:
         raise CliError("portrait grid is empty")
-    classified = phase_portrait(model, states, cfg["t_end"])
+    # each trajectory's rows are written before the next state runs; a run
+    # that fails leaves neither the rows nor a directory it made
     outdir = Path(args.output)
+    made = next((d for d in [*reversed(outdir.parents), outdir] if not d.exists()), None)
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "portrait.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x,theta_e,class\n")
-        for c in classified:
-            write_csv_rows(fh, (c.trajectory.t, c.trajectory.y[:, 0], c.trajectory.y[:, 1]),
-                           f"{CSV_FIELD},{CSV_FIELD},{CSV_FIELD},{c.label}\n")
+    part = outdir / "portrait.csv.part"
+    labels = set()
+    try:
+        with open(part, "w", newline="") as fh:
+            fh.write("t,x,theta_e,class\n")
+
+            def emit(c):
+                write_csv_rows(fh, (c.trajectory.t, c.trajectory.y[:, 0], c.trajectory.y[:, 1]),
+                               f"{CSV_FIELD},{CSV_FIELD},{CSV_FIELD},{c.label}\n")
+                labels.add(c.label)
+
+            phase_portrait(model, states, cfg["t_end"], emit)
+    except BaseException:
+        if made is None:
+            part.unlink(missing_ok=True)
+        else:
+            shutil.rmtree(made)
+        raise
+    part.replace(outdir / "portrait.csv")
     write_manifest(outdir, "portrait", cfg, _effective_seed(cfg), ["portrait.csv"])
-    print(json.dumps({"outdir": str(args.output),
-                      "classes": sorted({c.label for c in classified})}))
+    print(json.dumps({"outdir": str(args.output), "classes": sorted(labels)}))
     return 0
 
 
@@ -425,26 +445,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"costas-lab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    variants = [tag.value for tag in VariantTag]
+    flavors = [flavor.value for flavor in PdFlavor]
 
     d = sub.add_parser("design", help="design loop parameters from carrier and symbol rate")
-    d.add_argument("--variant", required=True,
-                   choices=["bpsk", "qpsk", "mod_bpsk", "mod_qpsk"])
+    d.add_argument("--variant", required=True, choices=variants)
     d.add_argument("--f0", type=float, required=True, help="carrier frequency, Hz")
     d.add_argument("--fs", type=float, required=True, help="symbol rate, symbols/s")
-    d.add_argument("--ratio", type=float, default=0.1, help="transit frequency ratio")
-    d.add_argument("--tau1", type=float, default=20e-6)
-    d.add_argument("--m", type=float, default=1.0)
-    d.add_argument("--pd-flavor", default=None,
-                   choices=["mul_mul", "sgn_cross", "complex_phase", "complex_imag"])
+    d.add_argument("--ratio", type=float, default=DesignSpec.omega_t_ratio,
+                   help="transit frequency ratio")
+    d.add_argument("--tau1", type=float, default=DesignSpec.tau1)
+    d.add_argument("--m", type=float, default=DesignSpec.m)
+    d.add_argument("--pd-flavor", default=None, choices=flavors)
     d.add_argument("-o", "--output", default=None)
     d.set_defaults(func=cmd_design)
 
     p = sub.add_parser("predict", help="acquisition metrics for a params file")
     p.add_argument("--params", required=True)
-    p.add_argument("--variant", required=True,
-                   choices=["bpsk", "qpsk", "mod_bpsk", "mod_qpsk"])
-    p.add_argument("--pd-flavor", default=None,
-                   choices=["mul_mul", "sgn_cross", "complex_phase", "complex_imag"])
+    p.add_argument("--variant", required=True, choices=variants)
+    p.add_argument("--pd-flavor", default=None, choices=flavors)
     p.add_argument("--leadlag", default=None, metavar="TAU1,TAU2,OMEGA3",
                    help="also emit the lead-lag hold-in cases")
     p.set_defaults(func=cmd_predict)
@@ -478,7 +497,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericBlowUp, StiffnessError) as exc:
+    except (NumericBlowUp, StiffnessError, ImplicitSolveError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

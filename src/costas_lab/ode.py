@@ -23,7 +23,10 @@ the next step's first stage: first same as last) and six per attempted
 RK45 step (the last stage is the end slope); a rejected RK45 attempt
 costs the same six calls as an accepted one.  An rhs that carries state
 from call to call, as the delay model's rate seed does, sees exactly
-this call sequence.  RK4 takes ceil(t_end/h) steps, the last one clipped
+this call sequence.  An rhs call that raises ArithmeticError or
+ValueError (``math.sin(inf)``: a state that left the float range) counts
+as a non-finite slope: RK4 ends the run blown up, RK45 rejects the
+attempt.  RK4 takes ceil(t_end/h) steps, the last one clipped
 to end on t_end; a run takes at most :data:`MAX_STEPS` RK4 steps or RK45
 attempts.  On the pitfall model, with Python 3.11 on a 2-core x86-64
 host, an RK4 step takes about 1.8 us and an accepted RK45 step about
@@ -121,6 +124,14 @@ _B1, _B2, _B3, _B4, _B5, _B6, _B7 = (35 / 384, 0.0, 500 / 1113, 125 / 192,
                                      -2187 / 6784, 11 / 84, 0.0)
 _E1, _E2, _E3, _E4, _E5, _E6, _E7 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                                      -92097 / 339200, 187 / 2100, 1 / 40)
+# The first coefficient of the rows of stages 2..7: each stage sets
+# ha = h * its first coefficient before its rhs call, so ha names the stage.
+_DP_FIRST = (_A21, _A31, _A41, _A51, _A61, _B1)
+
+# What Python's math functions raise where IEEE arithmetic gives inf or NaN
+# (math.sin(inf), math.floor(inf)): an rhs that raises one at a stage is
+# taken to have returned a non-finite slope there.
+_FLOAT_ERRORS = (ArithmeticError, ValueError)
 
 
 def _rk4_step_count(t_end: float, h: float) -> int:
@@ -146,7 +157,8 @@ def _rk4_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
 
     A step's first stage is the previous step's end slope (first same as
     last); the last step is clipped to end on ``t_end``.  A non-finite
-    state ends the run, blown up.
+    state ends the run, blown up, as does an rhs call that raises one of
+    :data:`_FLOAT_ERRORS`; the run then counts the calls made.
     """
     isfinite = math.isfinite
     t_end, h0 = config.t_end, config.h
@@ -158,19 +170,31 @@ def _rk4_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
         if h <= 0:
             break
         hh = 0.5 * h
-        p2, q2 = rhs(t + hh, (a + hh * p1, b + hh * q1))
-        p3, q3 = rhs(t + hh, (a + hh * p2, b + hh * q2))
-        p4, q4 = rhs(t + h, (a + h * p3, b + h * q3))
+        try:
+            p2, q2 = rhs(t + hh, (a + hh * p1, b + hh * q1))
+        except _FLOAT_ERRORS:
+            return 4 * len(ts) - 3, 0, True
+        try:
+            p3, q3 = rhs(t + hh, (a + hh * p2, b + hh * q2))
+        except _FLOAT_ERRORS:
+            return 4 * len(ts) - 2, 0, True
+        try:
+            p4, q4 = rhs(t + h, (a + h * p3, b + h * q3))
+        except _FLOAT_ERRORS:
+            return 4 * len(ts) - 1, 0, True
         h6 = h / 6.0
         a = a + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
         b = b + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
         if not (isfinite(a) and isfinite(b)):
             return 4 * (len(ts) - 1) + 3, 0, True
         t = t + h
-        p1, q1 = rhs(t, (a, b))
         put_t(t)
         put_x(a)
         put_th(b)
+        try:
+            p1, q1 = rhs(t, (a, b))
+        except _FLOAT_ERRORS:
+            return 4 * (len(ts) - 1), 0, True
     return 4 * (len(ts) - 1), 0, False
 
 
@@ -181,10 +205,12 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
 
     Each stage state is ``y + (h*a1)*k1 + ...`` and each solution
     ``y + h*(0.0 + b1*k1 + ...)``, term by term, zero coefficients
-    included.  A non-finite attempt quarters the step and a step below
-    :data:`H_MIN` ends the run, blown up.  An error estimate that stays
-    above 1 (or is NaN) at :data:`H_MIN`, or more than :data:`MAX_STEPS`
-    attempts, raises StiffnessError.
+    included.  A non-finite attempt (a non-finite stage slope, an rhs call
+    that raises one of :data:`_FLOAT_ERRORS`, or a non-finite solution)
+    quarters the step and a step below :data:`H_MIN` ends the run, blown
+    up.  An error estimate that stays above 1 (or is NaN) at
+    :data:`H_MIN`, or more than :data:`MAX_STEPS` attempts, raises
+    StiffnessError.
     """
     isfinite = math.isfinite
     t_end, rtol, atol = config.t_end, config.rtol, config.atol
@@ -233,8 +259,12 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
                           + _B5 * q5 + _B6 * q6 + _B7 * q7)
             if not (isfinite(a5) and isfinite(b5)):
                 raise _NonFinite(6)
-        except _NonFinite as stop:
-            short += 6 - stop.args[0]
+        except (_NonFinite, *_FLOAT_ERRORS) as stop:
+            if type(stop) is _NonFinite:
+                made = stop.args[0]
+            else:                   # the calls up to the stage ha names
+                made = [h * c for c in _DP_FIRST].index(ha) + 1
+            short += 6 - made
             h *= 0.25
             if h < H_MIN:
                 return 6 * attempts - short, attempts - (len(ts) - 1), True
@@ -437,19 +467,23 @@ def phase_portrait(
     model: ClassicPhaseModel,
     initial_states: Sequence[Sequence[float]],
     t_end: float,
-) -> list[ClassifiedTrajectory]:
+    emit: Callable[[ClassifiedTrajectory], None],
+) -> None:
     """Integrate each initial condition and classify its limit set: "eq"
     (locks), "cycle" (rides a periodic cycle-slipping orbit) or
-    "undecided"."""
+    "undecided".
+
+    Each classified trajectory goes to ``emit`` before the next state is
+    integrated, so one trajectory is held at a time.
+    """
     params, variant = model.params, model.pd.variant
     cfg = IntegratorConfig(t_end=t_end, method="rk45", rtol=1e-9, atol=1e-11)
     rhs = _phase_rhs(model)
 
-    out = []
     for s0 in initial_states:
         traj = integrate(rhs, s0, cfg)
-        out.append(ClassifiedTrajectory(tuple(s0), _classify(traj, rhs, params, variant), traj))
-    return out
+        emit(ClassifiedTrajectory(tuple(s0), _classify(traj, rhs, params, variant), traj))
+        del traj
 
 
 # --- pitfall reproduction parameters ----------------------------------------

@@ -374,7 +374,9 @@ def test_criterion_7_numerical_pitfall():
 
     xeq = model.equilibrium_x()
     states = [(xeq, 0.3), (xeq, -0.25), PITFALL_STATE0, (0.0125, 0.4)]
-    labels = {c.label for c in phase_portrait(model, states, t_end=15.0)}
+    classified = []
+    phase_portrait(model, states, 15.0, classified.append)
+    labels = {c.label for c in classified}
     if "eq" not in labels:
         failures.append("no equilibrium-convergent class")
     if "cycle" not in labels:

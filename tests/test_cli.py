@@ -1,13 +1,18 @@
+import argparse
 import hashlib
 import json
 import math
 import os
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from costas_lab import analysis, baseband, cli, core, ode, signal_sim
 from costas_lab.cli import main
+from costas_lab.core import PdFlavor, VariantTag
+from costas_lab.detectors import PdCharacteristic
 
 BASE_SIGNAL_CFG = {
     "schema": 1,
@@ -32,14 +37,38 @@ PHASE_CFG = {
 }
 
 
+AVERAGED_CFG = {
+    "schema": 1,
+    "fidelity": "averaged",
+    "variant": "bpsk",
+    "f0": 400e3,
+    "f_symbol": 100e3,
+    "delta_f0": 100e3,
+}
+
+
 # the params object `design --variant bpsk --f0 400e3 --fs 100e3` writes
 DESIGN_PARAMS = analysis.design(
     analysis.DesignSpec(400e3, 100e3, core.CONVENTIONAL_BPSK)).to_dict()
+DESIGN_GAINS = {k: DESIGN_PARAMS[k]
+                for k in ("omega1", "omega_free", "k0", "kd", "tau1", "tau2", "omega3")}
 # the designed gains with a stated omega_n and zeta that contradict them
-STATED_NORMALIZATION = {
-    **{k: DESIGN_PARAMS[k]
-       for k in ("omega1", "omega_free", "k0", "kd", "tau1", "tau2", "omega3")},
-    "omega_n": 1.0, "zeta": 5.0,
+STATED_NORMALIZATION = {**DESIGN_GAINS, "omega_n": 1.0, "zeta": 5.0}
+
+# Finite configs whose runs leave the float range: the delay model's
+# implicit solve loses its seed rate, and a detuning of 1e300 rad/s drives
+# theta_e past 9e307, where the PD's math calls raise (sin of an infinite
+# 2*theta_e, floor of an infinite theta_e/P)
+NUMERIC_FAILURES = {
+    "delay-implicit-solve": {"schema": 1, "fidelity": "delay", "variant": "bpsk",
+                             "params": {**DESIGN_GAINS, "k0": 1e300, "tau1": 1e-300,
+                                        "tau2": 1e-301, "omega3": 1e6},
+                             "t_end": 3e-4, "state0": [0.0, 0.5]},
+    **{f"{fidelity}-{variant}-rk4": {"schema": 1, "fidelity": fidelity, "variant": variant,
+                                     "params": {**DESIGN_GAINS, "omega_free": -1e300},
+                                     "method": "rk4", "h": 1e5, "t_end": 1e10}
+       for fidelity, variant in (("phase", "mod_bpsk"), ("phase", "qpsk"),
+                                 ("phase", "bpsk"), ("delay", "bpsk"))},
 }
 
 
@@ -330,11 +359,49 @@ class TestSimulateCommand:
             "grid-axis-int", "state0-int", "state0-nan"])
     def test_bad_signal_config_exits_2(self, tmp_path, capsys, bad):
         # duration 1e9 asks for 3.2e15 samples; the cap rejects it before
-        # anything is allocated
+        # anything is allocated.  states, grid and state0 are keys the
+        # signal fidelity does not read; test_bad_phase_config_exits_2
+        # type-checks them where they are read
         cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, **bad})
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,bad", [
+        ("portrait", {"states": 5}), ("portrait", {"states": [[0.1, "x"]]}),
+        ("portrait", {"grid": {"x": [0.0, 1.0, 3], "theta_e": 5}}),
+        ("simulate", {"state0": 5}), ("simulate", {"state0": [0.0, math.nan]}),
+    ], ids=["states-int", "states-str-entry", "grid-axis-int", "state0-int", "state0-nan"])
+    def test_bad_phase_config_exits_2(self, tmp_path, capsys, command, bad):
+        # the phase fidelity reads these keys, so their values are type-checked
+        base = TestPortraitCommand.PORTRAIT_CFG if command == "portrait" else PHASE_CFG
+        cfg = {k: v for k, v in base.items() if k != "states"} | bad
+        assert main([command, "--config", write_cfg(tmp_path, cfg), "-o", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {next(iter(bad))}") and "must be" in err
+        assert not (tmp_path / "o").exists()
+
+    FIDELITY_CFGS = {"signal": BASE_SIGNAL_CFG, "phase": PHASE_CFG,
+                     "delay": {**PHASE_CFG, "fidelity": "delay"}, "averaged": AVERAGED_CFG}
+    # a key another fidelity reads, per fidelity
+    FOREIGN_KEYS = {"signal": ("t_end", 1e-4), "phase": ("f_samp", 3.2e6),
+                    "delay": ("grid", {"x": [0.0, 1.0, 2], "theta_e": [0.0, 1.0, 2]}),
+                    "averaged": ("state0", [0.0, 0.0])}
+
+    @pytest.mark.parametrize("fidelity", list(FIDELITY_CFGS))
+    @pytest.mark.parametrize("kind", ["other-fidelity", "design"])
+    def test_key_the_fidelity_does_not_read_exits_2(self, tmp_path, capsys, fidelity, kind):
+        key, value = self.FOREIGN_KEYS[fidelity] if kind == "other-fidelity" else ("design", {})
+        cfg = write_cfg(tmp_path, {**self.FIDELITY_CFGS[fidelity], key: value})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: unknown {fidelity} config keys: ['{key}']\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", list(NUMERIC_FAILURES))
+    def test_numeric_failure_exits_3(self, tmp_path, capsys, name):
+        cfg = write_cfg(tmp_path, NUMERIC_FAILURES[name])
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure:")
 
     @pytest.mark.parametrize("value", [1e308, 0, -1])
     @pytest.mark.parametrize("field", ["freq_window", "freq_tol", "phase_tol"])
@@ -419,10 +486,7 @@ class TestSimulateCommand:
         assert not (tmp_path / "o").exists()
 
     def test_averaged_fidelity(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {
-            "schema": 1, "fidelity": "averaged", "variant": "bpsk",
-            "f0": 400e3, "f_symbol": 100e3, "delta_f0": 100e3,
-        })
+        cfg = write_cfg(tmp_path, AVERAGED_CFG)
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["pull_in_time_formula"] == pytest.approx(204e-6, rel=0.05)
@@ -493,6 +557,13 @@ class TestSweepCommand:
         assert "offset must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_missing_f_samp_named(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {k: v for k, v in BASE_SIGNAL_CFG.items() if k != "f_samp"})
+        assert main(["sweep", "--config", cfg, "--offsets", "50e3",
+                     "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: missing signal config keys: ['f_samp']\n"
+        assert not (tmp_path / "o").exists()
+
     def test_empty_offsets_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE_SIGNAL_CFG)
         assert main(["sweep", "--config", cfg, "--offsets", "", "-o",
@@ -526,8 +597,7 @@ class TestPortraitCommand:
         cfg_data = {k: v for k, v in self.PORTRAIT_CFG.items() if k != "t_end"}
         cfg = write_cfg(tmp_path, cfg_data)
         assert main(["portrait", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "t_end" in err
+        assert capsys.readouterr().err == "error: missing phase config keys: ['t_end']\n"
 
     def test_wrong_fidelity_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**self.PORTRAIT_CFG, "fidelity": "signal"})
@@ -543,6 +613,37 @@ class TestPortraitCommand:
         assert len(lines) > 6
 
 
+    @pytest.mark.parametrize("shape", [
+        {"states": [[0.0, 0.0]] * 5},
+        {"grid": {"x": [0.0, 1.0, 3], "theta_e": [0.0, 1.0, 2]}},
+        {"grid": {"x": [0.0, 1.0, 0], "theta_e": [0.0, 1.0, 5]}},
+    ], ids=["states", "grid", "grid-axis"])
+    def test_state_count_over_cap_exits_2(self, tmp_path, capsys, monkeypatch, shape):
+        monkeypatch.setattr(cli, "MAX_PORTRAIT_STATES", 4)
+        monkeypatch.setattr(np, "linspace", lambda *args: pytest.fail("grid built"))
+        cfg = write_cfg(tmp_path, {k: v for k, v in self.PORTRAIT_CFG.items()
+                                   if k != "states"} | shape)
+        assert main(["portrait", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        assert "above the cap of 4 (cli.MAX_PORTRAIT_STATES)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_failure_after_first_trajectory_leaves_no_output(self, tmp_path, capsys):
+        # the second state's rate is -inf: rejected after the first
+        # trajectory's rows were written
+        states = [self.PORTRAIT_CFG["states"][0], [1e308, 0.0]]
+        cfg = write_cfg(tmp_path, {**self.PORTRAIT_CFG, "states": states})
+        assert main(["portrait", "--config", cfg, "-o", str(tmp_path / "new" / "o")]) == 2
+        assert "not finite at the initial state" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        out = tmp_path / "o"
+        # an earlier bundle in the directory stays as it was
+        assert main(["portrait", "--config", write_cfg(tmp_path, self.PORTRAIT_CFG, "ok.json"),
+                     "-o", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["portrait", "--config", cfg, "-o", str(out)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 # wrong JSON types, NaN, +-inf, zero and negatives: no draw can ask for a
 # long valid run
 FUZZ_POOL = ("x", "", True, False, None, [], [1.0, "x"], {}, {"k": 1},
@@ -551,18 +652,27 @@ FUZZ_POOL = ("x", "", True, False, None, [], [1.0, "x"], {}, {"k": 1},
 
 def test_config_boundary_fuzz(tmp_path, capsys):
     """One key of the README sim.json, the README portrait.json or a design
-    params file replaced by a pool value: every run exits 0, 2 or 3 and
-    never raises, and an exit 2 leaves no output directory."""
+    params file replaced by a pool value, or a key the config's fidelity
+    does not read added to a config: every run exits 0, 2 or 3 and never
+    raises, an exit 2 leaves no output directory, and an added key exits 2."""
     targets = [
         ("simulate", {**BASE_SIGNAL_CFG, "duration": 1.5e-3}),
         ("portrait", TestPortraitCommand.PORTRAIT_CFG),
         ("predict", DESIGN_PARAMS),
     ]
+    table_keys = sorted(set().union(*(r | o for r, o in cli._FIDELITY_KEYS.values())))
     rng = np.random.default_rng(20261018)
-    for case in range(300):
+    for case in range(400):
         command, base = targets[rng.integers(len(targets))]
-        key = sorted(base)[rng.integers(len(base))]
         value = FUZZ_POOL[rng.integers(len(FUZZ_POOL))]
+        added = command != "predict" and rng.integers(4) == 0
+        if added:
+            required, optional = cli._FIDELITY_KEYS[base["fidelity"]]
+            unread = [k for k in table_keys + ["design"]
+                      if k not in cli._SHARED_KEYS | required | optional]
+            key = unread[rng.integers(len(unread))]
+        else:
+            key = sorted(base)[rng.integers(len(base))]
         path = write_cfg(tmp_path, {**base, key: value}, f"case{case}.json")
         out = tmp_path / f"o{case}"
         if command == "predict":
@@ -570,10 +680,66 @@ def test_config_boundary_fuzz(tmp_path, capsys):
         else:
             argv = [command, "--config", path, "-o", str(out)]
         rc = main(argv)
-        assert rc in (0, 2, 3), (command, key, value)
+        assert rc in ((2,) if added else (0, 2, 3)), (command, key, value)
         if rc == 2:
             assert not out.exists(), (command, key, value)
     capsys.readouterr()
+
+
+def _defaults(cls, *names):
+    return {f.name: f.default for f in fields(cls) if f.name in names}
+
+
+@pytest.mark.parametrize("base,given,artifacts", [
+    ({**BASE_SIGNAL_CFG, "variant": "mod_bpsk"},
+     {**_defaults(signal_sim.ModulatedSource, "m", "prbs_seed", "theta1_0", "data_mode"),
+      **_defaults(signal_sim.DigitalLoop, "hilbert_mode"),
+      "detector": _defaults(signal_sim.LockDetector, "phase_tol")},
+     ["timeseries.csv", "summary.json"]),
+    (PHASE_CFG,
+     {**_defaults(PdCharacteristic, "m"),
+      **_defaults(ode.IntegratorConfig, "method", "h", "rtol", "atol"), "state0": [0.0, 0.0]},
+     ["trajectory.csv", "summary.json"]),
+    (AVERAGED_CFG, _defaults(analysis.DesignSpec, "omega_t_ratio", "tau1", "m"),
+     ["summary.json"]),
+], ids=["signal", "phase", "design-from-f0"])
+def test_defaults_single_sourced(tmp_path, capsys, base, given, artifacts):
+    """Every optional key written at its dataclass default gives the bytes
+    of the config that leaves it out."""
+    assert given and not set(given) & set(base)
+    runs = []
+    for name, cfg in (("bare", base), ("given", {**base, **given})):
+        out = tmp_path / name
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg, f"{name}.json"),
+                     "-o", str(out)]) == 0
+        runs.append([(out / a).read_bytes() for a in artifacts])
+    assert runs[0] == runs[1]
+
+
+def test_config_table_pinned():
+    """The keys each fidelity accepts, which README must name, and the
+    variant and PD-flavor choices, which must be the enums' values."""
+    assert cli._SHARED_KEYS == {"schema", "fidelity", "variant", "pd_flavor", "prbs_seed",
+                                "params", "f0", "f_symbol", "tau1", "omega_t_ratio", "m",
+                                "delta_f0"}
+    assert cli._FIDELITY_KEYS == {
+        "signal": ({"f0", "f_symbol", "f_samp", "duration"},
+                   {"theta1_0", "data_mode", "hilbert_mode", "detector"}),
+        "phase": ({"t_end"}, {"method", "h", "rtol", "atol", "state0", "grid", "states"}),
+        "delay": ({"t_end"}, {"method", "h", "rtol", "atol", "state0"}),
+        "averaged": (set(), set()),
+    }
+    accepted = {f: cli._SHARED_KEYS | r | o for f, (r, o) in cli._FIDELITY_KEYS.items()}
+    assert {f: len(keys) for f, keys in accepted.items()} == \
+        {"signal": 18, "phase": 20, "delay": 18, "averaged": 12}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert [k for k in sorted(set().union(*accepted.values())) if f"`{k}`" not in readme] == []
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("design", "predict"):
+        choices = {a.dest: a.choices for a in sub.choices[command]._actions}
+        assert choices["variant"] == [tag.value for tag in VariantTag]
+        assert choices["pd_flavor"] == [flavor.value for flavor in PdFlavor]
 
 
 # Callers look these functions up on the importing module, and tools that

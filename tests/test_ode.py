@@ -114,6 +114,39 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(rhs, (1.0, 0.0), IntegratorConfig(t_end=1.0))
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize("call", range(2, 8))
+    def test_float_error_counts_as_non_finite_slope(self, method, call):
+        # Calls 2-4 are RK4's stages and 5 its first end slope; calls 2-7 are
+        # the stages of RK45's first attempt.  A raise ends RK4 blown up
+        # and makes RK45 reject the attempt and quarter the step.
+        seen = []
+
+        def rhs(t, y):
+            seen.append(t)
+            if len(seen) == call:
+                raise ValueError("math domain error")
+            return (0.0, 1.0)
+
+        traj = integrate(rhs, (0.0, 0.0), IntegratorConfig(t_end=1.0, method=method, h=0.1))
+        assert traj.rhs_calls == len(seen)
+        if method == "rk45":
+            assert (traj.blown_up, traj.rejected_steps) == (False, 1)
+            assert traj.t[-1] == 1.0 and traj.y[-1, 1] == pytest.approx(1.0)
+        elif call <= 5:
+            assert traj.blown_up and len(seen) == call
+            assert len(traj.t) == (2 if call == 5 else 1)
+        else:                       # the raise falls in the second step
+            assert traj.blown_up and len(traj.t) == 2
+
+    def test_non_finite_stage_state_blows_up(self):
+        # the first stage state, 5e9 * 1e300, overflows and math.sin raises
+        def rhs(t, y):
+            return (0.0, 1e300 + 0.0 * math.sin(y[1]))
+
+        traj = integrate(rhs, (0.0, 0.0), IntegratorConfig(t_end=1e11, method="rk4", h=1e10))
+        assert traj.blown_up and len(traj.t) == 1 and traj.rhs_calls == 2
+
     def test_cycle_slips_counted_on_trajectory(self):
         # pure drift: theta(t) = 0.9 t crosses the cell boundaries
         # (k + 1/2)*pi for k = 0..8 before t_end
@@ -531,6 +564,13 @@ def report(counted_probe):
     return counted_probe[0]
 
 
+def classified(model, states, t_end):
+    """Every ClassifiedTrajectory ``phase_portrait`` emits, in order."""
+    out = []
+    phase_portrait(model, states, t_end, out.append)
+    return out
+
+
 @pytest.fixture(scope="module")
 def portrait():
     model = pitfall_example_model()
@@ -539,7 +579,7 @@ def portrait():
         (xeq, 0.3), (xeq, -0.25), (xeq * 1.02, 0.0),
         PITFALL_STATE0, (0.0125, 0.4), (0.002, 1.0),
     ]
-    return phase_portrait(model, states, t_end=15.0)
+    return classified(model, states, 15.0)
 
 
 class TestProbe:
@@ -584,16 +624,35 @@ class TestPortrait:
         model = pitfall_example_model()
         xeq = model.equilibrium_x()
         states = [(xeq, 0.3), PITFALL_STATE0, (0.002, 1.0)]
-        a = phase_portrait(model, states, t_end=12.0)
-        b = phase_portrait(model, states[::-1], t_end=12.0)
+        a = classified(model, states, 12.0)
+        b = classified(model, states[::-1], 12.0)
         la = {c.state0: c.label for c in a}
         lb = {c.state0: c.label for c in b}
         assert la == lb
 
+    def test_emits_each_before_the_next_runs(self, monkeypatch):
+        # one trajectory is held at a time: each is emitted before the next
+        # state is integrated
+        runs, emitted = [], []
+
+        def counted(*args):
+            runs.append(args[1])
+            return integrate(*args)
+
+        monkeypatch.setattr(ode, "integrate", counted)
+        states = [(0.0, 0.4), (0.0, -0.6), (0.001, 1.0)]
+
+        def emit(c):
+            emitted.append(c.state0)
+            assert runs == emitted
+
+        phase_portrait(pitfall_example_model(delta_omega0=0.0), states, 1.0, emit)
+        assert emitted == states
+
     def test_zero_detuning_all_converge(self):
         base = pitfall_example_model(delta_omega0=0.0)
         states = [(0.0, 0.4), (0.0, -0.6), (0.001, 1.0)]
-        port = phase_portrait(base, states, t_end=8.0)
+        port = classified(base, states, 8.0)
         assert {c.label for c in port} == {"eq"}
 
 
