@@ -176,7 +176,9 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     schema = cfg.get("schema")
     if isinstance(schema, bool) or schema != 1:
         raise CliError("config must declare schema: 1")
-    fidelity = cfg.get("fidelity")
+    if "fidelity" not in cfg:
+        raise CliError("missing config keys: ['fidelity']")
+    fidelity = cfg["fidelity"]
     if not isinstance(fidelity, str) or fidelity not in _FIDELITY_KEYS:
         raise CliError(f"unknown fidelity {fidelity!r}, not one of {list(_FIDELITY_KEYS)}")
     required, optional = _FIDELITY_KEYS[fidelity]
@@ -412,7 +414,7 @@ def cmd_portrait(args) -> int:
     # each trajectory's rows are written before the next state runs; a run
     # that fails leaves neither the rows nor a directory it made
     outdir = Path(args.output)
-    made = next((d for d in [*reversed(outdir.parents), outdir] if not d.exists()), None)
+    created = next((d for d in [*reversed(outdir.parents), outdir] if not d.exists()), None)
     outdir.mkdir(parents=True, exist_ok=True)
     part = outdir / "portrait.csv.part"
     labels = set()
@@ -427,10 +429,10 @@ def cmd_portrait(args) -> int:
 
             phase_portrait(model, states, cfg["t_end"], emit)
     except BaseException:
-        if made is None:
+        if created is None:
             part.unlink(missing_ok=True)
         else:
-            shutil.rmtree(made)
+            shutil.rmtree(created)
         raise
     part.replace(outdir / "portrait.csv")
     write_manifest(outdir, "portrait", cfg, _effective_seed(cfg), ["portrait.csv"])

@@ -23,14 +23,15 @@ the next step's first stage: first same as last) and six per attempted
 RK45 step (the last stage is the end slope); a rejected RK45 attempt
 costs the same six calls as an accepted one.  An rhs that carries state
 from call to call, as the delay model's rate seed does, sees exactly
-this call sequence.  An rhs call that raises ArithmeticError or
-ValueError (``math.sin(inf)``: a state that left the float range) counts
-as a non-finite slope: RK4 ends the run blown up, RK45 rejects the
-attempt.  RK4 takes ceil(t_end/h) steps, the last one clipped
-to end on t_end; a run takes at most :data:`MAX_STEPS` RK4 steps or RK45
-attempts.  On the pitfall model, with Python 3.11 on a 2-core x86-64
-host, an RK4 step takes about 1.8 us and an accepted RK45 step about
-9.6 us, of which ``classic_rhs`` takes about 0.3 us per call.
+this call sequence.  An rhs call after the first that raises
+ArithmeticError or ValueError (``math.sin(inf)``: a state that left the
+float range) counts as a non-finite slope: RK4 ends the run blown up,
+RK45 rejects the attempt and quarters the step.  RK4 takes ceil(t_end/h)
+steps, the last one clipped to end on t_end; a run takes at most
+:data:`MAX_STEPS` RK4 steps or RK45 attempts.  On the pitfall model,
+with Python 3.11 on a 2-core x86-64 host, an RK4 step takes about 1.8 us
+and an accepted RK45 step about 9.6 us, of which ``classic_rhs`` takes
+about 0.3 us per call.
 """
 
 from __future__ import annotations
