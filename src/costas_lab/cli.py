@@ -44,7 +44,7 @@ from .analysis import (
 )
 from .baseband import ClassicPhaseModel, DelayModel, ImplicitSolveError, classic_rhs, delay_rhs
 from .baseband import averaged_pull_in_time_numeric
-from .core import CSV_FIELD, LoopParams, LoopVariant, PdFlavor, VariantTag, check_real
+from .core import LoopParams, LoopVariant, PdFlavor, VariantTag, check_real
 from .core import count_cycle_slips, pd_period, write_csv_rows
 from .detectors import PdCharacteristic
 from .ode import (
@@ -316,8 +316,8 @@ def cmd_simulate(args) -> int:
         with open(outdir / "trajectory.csv", "w", newline="") as fh:
             fh.write("t,x,theta_e\n")
             write_csv_rows(fh, (traj.t, traj.y[:, 0], traj.y[:, 1]))
-        if traj.blown_up:
-            raise NumericBlowUp(len(traj.t))
+        if traj.blown_up:   # the step after the last recorded row failed
+            raise NumericBlowUp(where=f"step {len(traj.t)}, from t={traj.t[-1]:g}")
         summary = {"schema": 1, "locked": locked,
                    "cycle_slips": count_cycle_slips(traj.y[:, 1], pd_period(variant)),
                    "solver": {"steps": len(traj.t) - 1,
@@ -378,7 +378,7 @@ def cmd_sweep(args) -> int:
     path = outdir / "sweep.csv"
     with open(path, "w", newline="") as fh:
         fh.write("delta_f0_hz,t_p_theory_s,t_p_sim_s,locked\n")
-        write_csv_rows(fh, list(zip(*rows)), f"{CSV_FIELD},{CSV_FIELD},{CSV_FIELD},%d\n")
+        write_csv_rows(fh, list(zip(*rows))[:3], ["%d" % locked for *_, locked in rows])
     write_manifest(outdir, "sweep", {**cfg, "offsets": offsets},
                    _effective_seed(cfg), ["sweep.csv"])
     print(json.dumps({"outdir": str(args.output), "rows": len(rows)}))
@@ -423,8 +423,8 @@ def cmd_portrait(args) -> int:
             fh.write("t,x,theta_e,class\n")
 
             def emit(c):
-                write_csv_rows(fh, (c.trajectory.t, c.trajectory.y[:, 0], c.trajectory.y[:, 1]),
-                               f"{CSV_FIELD},{CSV_FIELD},{CSV_FIELD},{c.label}\n")
+                t, y = c.trajectory.t, c.trajectory.y
+                write_csv_rows(fh, (t, y[:, 0], y[:, 1]), [c.label] * len(t))
                 labels.add(c.label)
 
             phase_portrait(model, states, cfg["t_end"], emit)

@@ -260,26 +260,112 @@ class SimResult:
         }
 
 
-CSV_FIELD = "%.11e"   # 12 significant digits, CPython's format(v, ".11e")
-CSV_BLOCK = 4096      # rows formatted per % operation
+CSV_BLOCK = 4096      # rows formatted per numpy pass
 
 
-def write_csv_rows(fh, columns, row_format: Optional[str] = None) -> None:
-    """Write one CSV line per row of the equal-length ``columns`` to ``fh``.
+# --- the "%.11e" field formatter ---------------------------------------------
+#
+# A field is laid out in five 4-byte words, sign|d0|.|d1, d2-d5, d6-d9,
+# d10|d11|e|exponent sign and exponent|separator, with a space wherever a
+# character is absent (no minus sign, a 2-digit exponent); the spaces are
+# deleted from the whole block at once.  The word tables are built from
+# bytes, and the words are read back as bytes, so the layout does not
+# depend on the byte order.
 
-    ``row_format`` is the printf-style format of one line, newline
-    included; by default every field is :data:`CSV_FIELD`.  Each block of
-    :data:`CSV_BLOCK` rows is formatted by a single ``%`` over the block's
-    values as Python floats, which is ``format(v, ".11e")`` value for value
-    (also for -0.0, nan, inf and subnormals) at a fraction of the per-value
-    cost.
+def _words(text: str) -> np.ndarray:
+    """``text``, whose length is a multiple of 4, as a table of uint32 words."""
+    return np.frombuffer(text.encode("ascii"), np.uint32)
+
+
+_P10_LO = -300
+_P10 = np.array([float(f"1e{j}") for j in range(_P10_LO, 309)])   # correctly rounded
+_PAIRS = [f"{i:02d}" for i in range(100)]
+# 0000..9999: each 2-character word 00..99 beside each, built as words
+# rather than from 10,000 strings, whose objects would cost import time
+_P2 = np.frombuffer("".join(_PAIRS).encode("ascii"), np.uint16)
+_DIGITS4 = np.stack(np.broadcast_arrays(_P2[:, None], _P2), -1).view(np.uint32).ravel()
+# sign|d0|.|d1 at 100 * (x < 0) + d0d1
+_LEAD = _words("".join([f"{sign}{d[0]}.{d[1]}" for sign in " -" for d in _PAIRS]))
+# d10|d11|e|exponent sign at 2 * d10d11 + (exponent < 0)
+_TAIL = _words("".join([f"{d}e{sign}" for d in _PAIRS for sign in "+-"]))
+# exponent|separator at 2 * |exponent| + (last column); a last column ends the line
+_EXP = _words("".join([f"{e:02d}".rjust(3) + sep for e in range(310) for sep in ",\n"]))
+del _PAIRS, _P2
+
+
+def _format_block(v: np.ndarray, text=None) -> str:
+    """The CSV lines of the float rows ``v``, each field ``"%.11e"``, and
+    the strings ``text`` as a last column if given.
+
+    ``e = floor(log10|x|)`` and ``s = |x| * 10**(11 - e)`` in float: both
+    rounding steps are correctly rounded, so ``s`` is within 2.3e-4 of its
+    exact value, and its nearest integer is the exact 12 digits wherever
+    1e-290 < |x| < 1e290, 1e11 <= s < 1e12 - 1 and s is more than 1e-3
+    from a tie (a log10 that is off by one leaves s out of range; an
+    exact s just below 1e11 rounds up to the same digits).  Every other
+    value (0, -0, nan, inf, subnormals, the range edges, near-ties) is
+    formatted by ``"%.11e" %`` into its slot.
     """
-    if row_format is None:
-        row_format = ",".join([CSV_FIELD] * len(columns)) + "\n"
-    n = len(columns[0])
-    for start in range(0, n, CSV_BLOCK):
-        block = np.column_stack([c[start:start + CSV_BLOCK] for c in columns])
-        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+    # temporaries are updated in place and dropped once used: a block's
+    # arrays, not its values, set the writer's peak memory
+    a = np.abs(v)
+    fast = (a > 1e-290) & (a < 1e290)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    s = _P10[11 - _P10_LO - e]
+    s *= a
+    del a
+    r = np.rint(s)
+    fast &= (s >= 1e11) & (s < 1e12 - 1)
+    s -= r
+    fast &= np.abs(s, out=s) < 0.499
+    del s
+    np.copyto(r, 1e11, where=~fast)     # keeps the table indices in range
+    buf = bytearray(20 * v.size)
+    words = np.frombuffer(buf, np.uint32).reshape(v.shape + (5,))
+    hi, lo = np.divmod(r.astype(np.int64), 1000000)     # d0-d5, d6-d11
+    del r
+    q, hi = np.divmod(hi, 10000)                         # d0d1, d2-d5
+    q += 100 * np.signbit(v)
+    words[..., 0] = _LEAD[q]
+    words[..., 1] = _DIGITS4[hi]
+    q, lo = np.divmod(lo, 100)                           # d6-d9, d10d11
+    words[..., 2] = _DIGITS4[q]
+    lo *= 2
+    lo += e < 0
+    words[..., 3] = _TAIL[lo]
+    del q, hi, lo
+    last = np.arange(v.shape[1]) == v.shape[1] - 1
+    np.abs(e, out=e)
+    e *= 2
+    e += last
+    words[..., 4] = _EXP[e]
+    del e
+    slow = np.nonzero(~fast)
+    if len(slow[0]):
+        vals = v[slow].tolist()
+        chars = words.view(np.uint8).reshape(v.shape + (20,))
+        # at most 19 characters ("-1.79769313486e+308"), then the separator
+        fill = ("%-19.11e" * len(vals)) % tuple(vals)
+        chars[slow + (slice(0, 19),)] = np.frombuffer(fill.encode("ascii"), np.uint8).reshape(-1, 19)
+        chars[slow + (19,)] = np.where(last[slow[1]], ord("\n"), ord(","))
+    lines = buf.translate(None, b" ").decode("ascii")
+    if text is None:
+        return lines
+    return "".join([f"{line},{t}\n" for line, t in zip(lines.split("\n"), text)])
+
+
+def write_csv_rows(fh, columns, text=None) -> None:
+    """Write one CSV line per row of the equal-length float ``columns`` to
+    ``fh``, each field CPython's ``format(v, ".11e")`` (also for -0.0,
+    nan, inf and subnormals), in blocks of :data:`CSV_BLOCK` rows.
+
+    ``text``, if given, holds one string per row, written as a last column.
+    """
+    for start in range(0, len(columns[0]), CSV_BLOCK):
+        rows = slice(start, start + CSV_BLOCK)
+        fh.write(_format_block(np.column_stack([c[rows] for c in columns]),
+                               None if text is None else text[rows]))
 
 
 def count_cycle_slips(theta_e: np.ndarray, period: float) -> int:

@@ -130,8 +130,8 @@ _E1, _E2, _E3, _E4, _E5, _E6, _E7 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 _DP_FIRST = (_A21, _A31, _A41, _A51, _A61, _B1)
 
 # What Python's math functions raise where IEEE arithmetic gives inf or NaN
-# (math.sin(inf), math.floor(inf)): an rhs that raises one at a stage is
-# taken to have returned a non-finite slope there.
+# (math.sin(inf), math.floor(inf)): an rhs that raises one at a stage, or
+# at the initial state, is taken to have returned a non-finite slope there.
 _FLOAT_ERRORS = (ArithmeticError, ValueError)
 
 
@@ -299,12 +299,16 @@ def integrate(rhs: RhsFn, state0: Sequence[float], config: IntegratorConfig) -> 
     """Integrate the two-component state0 to t_end, recording every
     accepted step.
 
-    A non-finite state stops the run early with ``blown_up`` set.
+    A non-finite state stops the run early with ``blown_up`` set; a slope
+    that is not finite at the initial state raises ValueError.
     """
     y = tuple([float(v) for v in state0])
     if len(y) != 2:
         raise ValueError(f"state has {len(y)} components, not 2")
-    f0 = rhs(0.0, y)
+    try:
+        f0 = rhs(0.0, y)
+    except _FLOAT_ERRORS:
+        f0 = (math.nan, math.nan)
     if len(f0) != 2:
         raise ValueError(f"right-hand side has {len(f0)} components for a state of 2")
     (a, b), (p, q) = y, f0

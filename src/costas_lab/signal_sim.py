@@ -49,10 +49,11 @@ class ConfigError(ValueError):
 
 
 class NumericBlowUp(RuntimeError):
-    """Loop state left the finite range."""
+    """Loop state left the finite range: at signal sample ``sample_index``,
+    or where ``where`` says (an ODE run's step and time)."""
 
-    def __init__(self, sample_index: int):
-        super().__init__(f"non-finite loop state at sample {sample_index}")
+    def __init__(self, sample_index: Optional[int] = None, where: Optional[str] = None):
+        super().__init__(f"non-finite loop state at {where or f'sample {sample_index}'}")
         self.sample_index = sample_index
 
 

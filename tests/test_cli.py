@@ -56,10 +56,12 @@ DESIGN_GAINS = {k: DESIGN_PARAMS[k]
 STATED_NORMALIZATION = {**DESIGN_GAINS, "omega_n": 1.0, "zeta": 5.0}
 
 # Finite configs whose runs leave the float range: the delay model's
-# implicit solve loses its seed rate, and a detuning of 1e300 rad/s drives
+# implicit solve loses its seed rate, a detuning of 1e300 rad/s drives
 # theta_e past 9e307, where the PD's math calls raise (sin of an infinite
-# 2*theta_e, floor of an infinite theta_e/P)
+# 2*theta_e, floor of an infinite theta_e/P), and a VCO gain of 1e30 drives
+# the signal loop's phase accumulator out of range
 NUMERIC_FAILURES = {
+    "signal-bpsk": {**BASE_SIGNAL_CFG, "params": {**DESIGN_GAINS, "k0": 1e30}},
     "delay-implicit-solve": {"schema": 1, "fidelity": "delay", "variant": "bpsk",
                              "params": {**DESIGN_GAINS, "k0": 1e300, "tau1": 1e-300,
                                         "tau2": 1e-301, "omega3": 1e6},
@@ -69,6 +71,16 @@ NUMERIC_FAILURES = {
                                      "method": "rk4", "h": 1e5, "t_end": 1e10}
        for fidelity, variant in (("phase", "mod_bpsk"), ("phase", "qpsk"),
                                  ("phase", "bpsk"), ("delay", "bpsk"))},
+}
+# the error line each names: the signal sample, the implicit solve, or the
+# ODE step (the one after the last recorded row) and its start time
+NUMERIC_FAILURE_LINES = {
+    "signal-bpsk": "numeric failure: non-finite loop state at sample 1\n",
+    "delay-implicit-solve": "numeric failure: seed rate is not finite\n",
+    "phase-mod_bpsk-rk4": "numeric failure: non-finite loop state at step 2, from t=100000\n",
+    "phase-qpsk-rk4": "numeric failure: non-finite loop state at step 1798, from t=1.797e+08\n",
+    "phase-bpsk-rk4": "numeric failure: non-finite loop state at step 899, from t=8.98e+07\n",
+    "delay-bpsk-rk4": "numeric failure: non-finite loop state at step 899, from t=8.98e+07\n",
 }
 
 
@@ -401,7 +413,17 @@ class TestSimulateCommand:
     def test_numeric_failure_exits_3(self, tmp_path, capsys, name):
         cfg = write_cfg(tmp_path, NUMERIC_FAILURES[name])
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 3
-        assert capsys.readouterr().err.startswith("numeric failure:")
+        assert capsys.readouterr().err == NUMERIC_FAILURE_LINES[name]
+
+    def test_initial_rhs_that_raises_exits_2(self, tmp_path, capsys):
+        # 2*theta_e overflows to inf, where phi_bpsk's math.sin raises at
+        # the initial rhs call: the state is rejected, not the arithmetic
+        cfg = write_cfg(tmp_path, {**PHASE_CFG, "t_end": 1e-4,
+                                   "state0": [0.0, 1e308]})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "error: right-hand side not finite at the initial state\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", [1e308, 0, -1])
     @pytest.mark.parametrize("field", ["freq_window", "freq_tol", "phase_tol"])
@@ -437,6 +459,43 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
         digest = hashlib.sha256((tmp_path / "o" / "timeseries.csv").read_bytes()).hexdigest()
         assert digest == self.README_TIMESERIES[variant]
+
+    # SHA-256 of the other CSVs of README's examples, as the per-value
+    # formatter wrote them: trajectory.csv of the sim.json run at phase and
+    # delay fidelity (its duration as t_end), portrait.csv of portrait.json,
+    # and sweep.csv of the sim.json sweep, at README's offsets and at
+    # offsets that give a nan theory, a nan simulation and an unlocked row
+    README_ODE = {
+        "phase": "9c2b843be8f5dad2c06ce9c45728f0f7cb1ef9370f2172cbe9e192b80caf8712",
+        "delay": "368b7ed79bcf8244289300baf54940d78c32b93c51eae3455a4c30c8c14d9c74",
+    }
+    README_PORTRAIT = "af28c64810cc581d990c922c694f3c6c5e9ade4dc10f592bb175703a20e3bd77"
+    README_SWEEP = {
+        "50e3,70e3,100e3": "cd5c39b9be79ba0240e1fb1758a2efc66868abf0bca48ba712f7df0b96ec7a7c",
+        "5e3,50e3,300e3": "af73b24ed1025158435fe0ed8a1e1c501c3581d8d4d00555bb1dac7e3ed744f4",
+    }
+
+    @pytest.mark.parametrize("fidelity", sorted(README_ODE))
+    def test_readme_trajectory_digest(self, tmp_path, capsys, fidelity):
+        cfg = {k: v for k, v in BASE_SIGNAL_CFG.items() if k not in ("f_samp", "duration")}
+        cfg = write_cfg(tmp_path, {**cfg, "fidelity": fidelity, "t_end": 1.5e-3})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+        digest = hashlib.sha256((tmp_path / "o" / "trajectory.csv").read_bytes()).hexdigest()
+        assert digest == self.README_ODE[fidelity]
+
+    def test_readme_portrait_digest(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TestPortraitCommand.PORTRAIT_CFG)
+        assert main(["portrait", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+        digest = hashlib.sha256((tmp_path / "o" / "portrait.csv").read_bytes()).hexdigest()
+        assert digest == self.README_PORTRAIT
+
+    @pytest.mark.parametrize("offsets", sorted(README_SWEEP))
+    def test_readme_sweep_digest(self, tmp_path, capsys, offsets):
+        cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, "duration": 1.5e-3})
+        assert main(["sweep", "--config", cfg, "--offsets", offsets,
+                     "-o", str(tmp_path / "o")]) == 0
+        digest = hashlib.sha256((tmp_path / "o" / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == self.README_SWEEP[offsets]
 
     # the same for the modified loops at a carrier phase of 2.1 rad under
     # both Hilbert realizations; the delayed image starts n/4 samples

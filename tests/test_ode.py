@@ -192,6 +192,17 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda t, y: (0.0,), (1.0, 0.0), IntegratorConfig(t_end=1.0))
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize("error", [OverflowError, ValueError, ZeroDivisionError])
+    def test_initial_rhs_that_raises_is_not_finite(self, method, error):
+        # a float error at the initial state is a non-finite initial slope,
+        # as it is at any later stage
+        def rhs(t, y):
+            raise error("math domain error")
+
+        with pytest.raises(ValueError, match="not finite at the initial state"):
+            integrate(rhs, (0.0, 1e308), IntegratorConfig(t_end=1.0, method=method))
+
     @pytest.mark.parametrize("state0", [(1.0,), (1.0, 0.0, 0.0)], ids=["1", "3"])
     def test_state_must_have_two_components(self, state0):
         calls = []

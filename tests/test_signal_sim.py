@@ -344,9 +344,28 @@ class TestAveragingGap:
         assert abs(r.theta_phase_model - r.theta_phase_model) == 0.0
 
 
-def reference_rows(columns) -> str:
+def reference_rows(columns, text=None) -> str:
     """The per-value row formatter the block writer replaces."""
-    return "".join(",".join(f"{v:.11e}" for v in row) + "\n" for row in zip(*columns))
+    rows = [[f"{v:.11e}" for v in row] for row in zip(*columns)]
+    if text is not None:
+        rows = [[*row, t] for row, t in zip(rows, text)]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def assert_same_csv(got: str, want: str) -> None:
+    """Fail naming the first line that differs (a plain == on megabytes of
+    text would have pytest diff all of it)."""
+    if got != want:
+        g, w = got.splitlines(), want.splitlines()
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"line {i}: {g[i:i + 1]} != {w[i:i + 1]} ({len(g)} vs {len(w)} lines)")
+
+
+def _ulp_neighbours(x):
+    """x, its neighbours one ulp either side, and their negatives."""
+    x = np.asarray(x, float)
+    near = np.concatenate([np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)])
+    return np.concatenate([near, -near])
 
 
 class TestCsvExport(object):
@@ -361,7 +380,52 @@ class TestCsvExport(object):
         columns = [np.resize(np.roll(cycle, -j), rows) for j in range(7)]
         fh = io.StringIO()
         write_csv_rows(fh, columns)
-        assert fh.getvalue() == reference_rows(columns)
+        assert_same_csv(fh.getvalue(), reference_rows(columns))
+
+    # Values the digit tables must get right or hand to "%": random bit
+    # patterns (every sign, exponent and payload, nan and inf included),
+    # decimals one half-unit past 12 digits (13 digits ending in 5, whose
+    # nearest float sits within half an ulp of the tie), 13-15-digit
+    # integers and half-integers (exact ties), the powers of ten
+    # where floor(log10|x|) turns, and the edges of the fast path's range
+    @staticmethod
+    def _oracle_values(kind):
+        rng = np.random.default_rng(15)
+        if kind == "bit-patterns":
+            return rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+        if kind == "near-ties":
+            digits = rng.integers(10**11, 10**12, size=20_000)
+            exps = rng.integers(-300, 296, size=20_000)
+            return _ulp_neighbours([float(f"{10 * d + 5}e{k}") for d, k in zip(digits, exps)])
+        if kind == "integers":      # exact ties among them, rounded half to even
+            n = rng.integers(10**12, 10**15, size=50_000).astype(float)
+            return np.concatenate([n, n + 0.5, -n])
+        if kind == "powers-of-ten":
+            return _ulp_neighbours([float(f"1e{k}") for k in range(-300, 301)])
+        return _ulp_neighbours([1e-290, 1e290])
+
+    @pytest.mark.parametrize("kind", ["bit-patterns", "near-ties", "integers",
+                                      "powers-of-ten", "range-edges"])
+    @pytest.mark.parametrize("ncols", [1, 7])
+    def test_block_writer_matches_oracle(self, kind, ncols):
+        values = self._oracle_values(kind)
+        rows = -(-len(values) // ncols)
+        values = np.resize(values, rows * ncols)    # every value, wrapping round
+        columns = [values[j * rows:(j + 1) * rows] for j in range(ncols)]
+        fh = io.StringIO()
+        write_csv_rows(fh, columns)
+        assert_same_csv(fh.getvalue(), reference_rows(columns))
+
+    @pytest.mark.parametrize("ncols", [1, 7])
+    def test_text_column_across_a_block_boundary(self, ncols):
+        rows = CSV_BLOCK + 3
+        rng = np.random.default_rng(ncols)
+        values = np.concatenate([self.SPECIALS, rng.normal(scale=1e-3, size=rows * ncols)])
+        columns = [values[j * rows:(j + 1) * rows] for j in range(ncols)]
+        text = [("eq", "cycle", "undecided", "1", "0", "")[i % 6] for i in range(rows)]
+        fh = io.StringIO()
+        write_csv_rows(fh, columns, text)
+        assert_same_csv(fh.getvalue(), reference_rows(columns, text))
 
     def test_format(self, tmp_path, bpsk_reference_params):
         r = run_loop(bpsk_source(), DigitalLoop(bpsk_reference_params, F_SAMP), 1e-4)
