@@ -70,7 +70,7 @@ SEED_ENV_VAR = "COSTAS_LAB_SEED"
 
 # Most initial states (or points on one grid axis) a portrait may ask for.
 # Trajectories are written one at a time, so memory holds one (up to about
-# 140 MB at ode.MAX_STEPS); the cap bounds the run time and portrait.csv,
+# 41 MB at ode.MAX_STEPS); the cap bounds the run time and portrait.csv,
 # up to about 60 MB per state.  The largest portrait the tests or the
 # benchmark make has 6 states; 100 is 16 times that, a 10 x 10 grid.
 MAX_PORTRAIT_STATES = 100
@@ -357,6 +357,8 @@ def _sweep_row(task):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     if cfg["fidelity"] != "signal":
         raise CliError("sweep requires fidelity: signal")
@@ -366,10 +368,11 @@ def cmd_sweep(args) -> int:
     for f in offsets:
         check_real(f, "offset")
     tasks = [(cfg, f) for f in offsets]
-    if args.jobs > 1:
+    workers = min(args.jobs, len(tasks))      # a worker per offset at most
+    if workers > 1:
         import multiprocessing as mp
 
-        with mp.Pool(args.jobs) as pool:
+        with mp.Pool(workers) as pool:
             rows = pool.map(_sweep_row, tasks)
     else:
         rows = [_sweep_row(t) for t in tasks]

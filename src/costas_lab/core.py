@@ -300,11 +300,13 @@ def _format_block(v: np.ndarray, text=None) -> str:
     ``e = floor(log10|x|)`` and ``s = |x| * 10**(11 - e)`` in float: both
     rounding steps are correctly rounded, so ``s`` is within 2.3e-4 of its
     exact value, and its nearest integer is the exact 12 digits wherever
-    1e-290 < |x| < 1e290, 1e11 <= s < 1e12 - 1 and s is more than 1e-3
-    from a tie (a log10 that is off by one leaves s out of range; an
-    exact s just below 1e11 rounds up to the same digits).  Every other
-    value (0, -0, nan, inf, subnormals, the range edges, near-ties) is
-    formatted by ``"%.11e" %`` into its slot.
+    1e-290 < |x| < 1e290, 1e11 <= s < 1e12 and s is more than 1e-3 from a
+    tie (a log10 that is off by one leaves s out of range; an exact s just
+    below 1e11 rounds up to the same digits).  Digits that round up to
+    1e12 (|x| just below a power of ten, as 0.9999999999996 is) carry
+    into the exponent: 1e11 and e + 1.  Every other value (0, -0, nan,
+    inf, subnormals, the range edges, near-ties) is formatted by
+    ``"%.11e" %`` into its slot.
     """
     # temporaries are updated in place and dropped once used: a block's
     # arrays, not its values, set the writer's peak memory
@@ -316,11 +318,15 @@ def _format_block(v: np.ndarray, text=None) -> str:
     s *= a
     del a
     r = np.rint(s)
-    fast &= (s >= 1e11) & (s < 1e12 - 1)
+    fast &= (s >= 1e11) & (s < 1e12)
     s -= r
     fast &= np.abs(s, out=s) < 0.499
     del s
-    np.copyto(r, 1e11, where=~fast)     # keeps the table indices in range
+    top = r == 1e12                     # the decade carry
+    e += top
+    top |= ~fast                        # the rest keeps the table indices in range
+    np.copyto(r, 1e11, where=top)
+    del top
     buf = bytearray(20 * v.size)
     words = np.frombuffer(buf, np.uint32).reshape(v.shape + (5,))
     hi, lo = np.divmod(r.astype(np.int64), 1000000)     # d0-d5, d6-d11

@@ -16,8 +16,9 @@ The rhs contract: the state has two components, (x_lf, theta_e) in every
 model here.  ``rhs(t, y)`` takes the time and the state as a tuple of two
 floats and returns the slope as any sequence of two floats (a tuple, a
 list or a 1-D ndarray).  The integrator steps the two components as
-plain floats, each stage written out per component, and builds the
-trajectory's arrays once, at the end.  Costs: one rhs call at the start,
+plain floats, each stage written out per component, records the
+accepted steps in ``array('d')`` buffers and builds the trajectory's
+arrays from them once, at the end.  Costs: one rhs call at the start,
 then four per RK4 step (three stages and the end slope, which is also
 the next step's first stage: first same as last) and six per attempted
 RK45 step (the last stage is the end slope); a rejected RK45 attempt
@@ -29,14 +30,15 @@ float range) counts as a non-finite slope: RK4 ends the run blown up,
 RK45 rejects the attempt and quarters the step.  RK4 takes ceil(t_end/h)
 steps, the last one clipped to end on t_end; a run takes at most
 :data:`MAX_STEPS` RK4 steps or RK45 attempts.  On the pitfall model,
-with Python 3.11 on a 2-core x86-64 host, an RK4 step takes about 1.8 us
-and an accepted RK45 step about 9.6 us, of which ``classic_rhs`` takes
-about 0.3 us per call.
+with Python 3.11 on a shared 2-core x86-64 host (best of five runs), an
+RK4 step takes about 2.0 us and an accepted RK45 step 5.7-7.5 us, of
+which ``classic_rhs`` takes about 0.33 us per call.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -55,11 +57,12 @@ H_MIN = 1e-12   # smallest RK45 step; below it a run ends or raises
 
 # Most steps one run may take: RK4 steps (an RK4 config over it is refused
 # before it runs) or RK45 attempts (exceeding it raises StiffnessError).
-# Integrating peaks at about 137 B of traced memory per accepted step (the
-# step lists and the trajectory's arrays), so a run at the cap stays near
-# 140 MB, and its trajectory.csv (about 57 B per row) near 60 MB.  That is
-# 9 times the longest run the tests or the benchmark make (the probe's
-# 110,000 RK4 steps at h = 1e-3; the longest RK45 run makes 37,703 attempts).
+# Integrating peaks at about 41 B of traced memory per accepted step (the
+# three step buffers and the trajectory's state array), so a run at the
+# cap stays near 41 MB, and its trajectory.csv (about 57 B per row) near
+# 60 MB.  That is 9 times the longest run the tests or the benchmark make
+# (the probe's 110,000 RK4 steps at h = 1e-3; the longest RK45 run makes
+# 37,703 attempts).
 MAX_STEPS = 1_000_000
 
 
@@ -110,24 +113,24 @@ class Trajectory:
         return out
 
 
-# Dormand-Prince 5(4) as module constants: nodes C2..C5 (C6 = C7 = 1),
-# stage coefficients Aij, 5th-order weights Bj (the last stage row) and
-# 4th-order weights Ej.  Zero entries are kept so that every sum has the
-# same terms, in the same order, as the tableau's rows.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                                -5103 / 18656)
-_B1, _B2, _B3, _B4, _B5, _B6, _B7 = (35 / 384, 0.0, 500 / 1113, 125 / 192,
-                                     -2187 / 6784, 11 / 84, 0.0)
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                                     -92097 / 339200, 187 / 2100, 1 / 40)
-# The first coefficient of the rows of stages 2..7: each stage sets
-# ha = h * its first coefficient before its rhs call, so ha names the stage.
-_DP_FIRST = (_A21, _A31, _A41, _A51, _A61, _B1)
+# The Dormand-Prince 5(4) tableau, in the order _rk45_steps binds it to
+# locals, once per run: nodes C2..C5 (C6 = C7 = 1), the rows Aij of stages
+# 2..6, the 5th-order weights Bj (stage 7's row) and the 4th-order weights
+# Ej.  The stage sums keep every term of their rows, B2 = 0 in stage 7's
+# included: a stage state starts from y, which may be -0.0, and y + (-0.0)
+# differs from y + 0.0 there.  The solution sums leave out their zero
+# weights (b2 = b7 = e2 = 0): each starts 0.0 + ..., so no partial sum is
+# -0.0, and adding a zero to it is exact.
+_TABLEAU = (
+    1 / 5, 3 / 10, 4 / 5, 8 / 9,
+    1 / 5,
+    3 / 40, 9 / 40,
+    44 / 45, -56 / 15, 32 / 9,
+    19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729,
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+    35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,                 # b7 = 0
+    5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40,  # e2 = 0
+)
 
 # What Python's math functions raise where IEEE arithmetic gives inf or NaN
 # (math.sin(inf), math.floor(inf)): an rhs that raises one at a stage, or
@@ -159,9 +162,11 @@ def _rk4_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
     A step's first stage is the previous step's end slope (first same as
     last); the last step is clipped to end on ``t_end``.  A non-finite
     state ends the run, blown up, as does an rhs call that raises one of
-    :data:`_FLOAT_ERRORS`; the run then counts the calls made.
+    :data:`_FLOAT_ERRORS`; the run then counts the calls made.  A float v
+    is tested finite as ``ninf < v < inf``, which a NaN fails, without a
+    call.
     """
-    isfinite = math.isfinite
+    ninf, inf = -math.inf, math.inf
     t_end, h0 = config.t_end, config.h
     put_t, put_x, put_th = ts.append, xs.append, ths.append
     t = 0.0
@@ -186,7 +191,7 @@ def _rk4_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
         h6 = h / 6.0
         a = a + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
         b = b + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-        if not (isfinite(a) and isfinite(b)):
+        if not (ninf < a < inf and ninf < b < inf):
             return 4 * (len(ts) - 1) + 3, 0, True
         t = t + h
         put_t(t)
@@ -205,92 +210,97 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
     attempts, blown up)``.
 
     Each stage state is ``y + (h*a1)*k1 + ...`` and each solution
-    ``y + h*(0.0 + b1*k1 + ...)``, term by term, zero coefficients
-    included.  A non-finite attempt (a non-finite stage slope, an rhs call
-    that raises one of :data:`_FLOAT_ERRORS`, or a non-finite solution)
-    quarters the step and a step below :data:`H_MIN` ends the run, blown
-    up.  An error estimate that stays above 1 (or is NaN) at
-    :data:`H_MIN`, or more than :data:`MAX_STEPS` attempts, raises
-    StiffnessError.
+    ``y + h*(0.0 + b1*k1 + ...)``, term by term.  A non-finite attempt (a
+    non-finite stage slope, an rhs call that raises one of
+    :data:`_FLOAT_ERRORS`, or a non-finite solution) quarters the step and
+    a step below :data:`H_MIN` ends the run, blown up.  An error estimate
+    that stays above 1 (or is NaN) at :data:`H_MIN`, or more than
+    :data:`MAX_STEPS` attempts, raises StiffnessError.  The tableau is
+    bound to locals once per run, and every min and max of the controller
+    is a comparison that picks the same float the builtin would.
     """
-    isfinite = math.isfinite
+    (C2, C3, C4, C5, A21, A31, A32, A41, A42, A43, A51, A52, A53, A54,
+     A61, A62, A63, A64, A65, B1, B2, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7) = _TABLEAU
+    ninf, inf = -math.inf, math.inf
+    sqrt, h_min, max_steps = math.sqrt, H_MIN, MAX_STEPS
     t_end, rtol, atol = config.t_end, config.rtol, config.atol
     put_t, put_x, put_th = ts.append, xs.append, ths.append
     attempts = short = 0            # attempts, and rhs calls they did not make
     t = 0.0
     h = min(config.h, t_end / 10.0)
     while t < t_end:
-        h = min(h, t_end - t)
+        r = t_end - t
+        if r < h:                   # min(h, t_end - t)
+            h = r
         attempts += 1
-        if attempts > MAX_STEPS:
-            raise StiffnessError(f"more than {MAX_STEPS} RK45 attempts (ode.MAX_STEPS) "
+        if attempts > max_steps:
+            raise StiffnessError(f"more than {max_steps} RK45 attempts (ode.MAX_STEPS) "
                                  f"before t_end, at t={t:g}")
         try:
-            ha = h * _A21
-            p2, q2 = rhs(t + _C2 * h, (a + ha * p1, b + ha * q1))
-            if not (isfinite(p2) and isfinite(q2)):
+            ha = h * A21
+            p2, q2 = rhs(t + C2 * h, (a + ha * p1, b + ha * q1))
+            if not (ninf < p2 < inf and ninf < q2 < inf):
                 raise _NonFinite(1)
-            ha, hb = h * _A31, h * _A32
-            p3, q3 = rhs(t + _C3 * h, (a + ha * p1 + hb * p2, b + ha * q1 + hb * q2))
-            if not (isfinite(p3) and isfinite(q3)):
+            ha, hb = h * A31, h * A32
+            p3, q3 = rhs(t + C3 * h, (a + ha * p1 + hb * p2, b + ha * q1 + hb * q2))
+            if not (ninf < p3 < inf and ninf < q3 < inf):
                 raise _NonFinite(2)
-            ha, hb, hc = h * _A41, h * _A42, h * _A43
-            p4, q4 = rhs(t + _C4 * h, (a + ha * p1 + hb * p2 + hc * p3,
-                                       b + ha * q1 + hb * q2 + hc * q3))
-            if not (isfinite(p4) and isfinite(q4)):
+            ha, hb, hc = h * A41, h * A42, h * A43
+            p4, q4 = rhs(t + C4 * h, (a + ha * p1 + hb * p2 + hc * p3,
+                                      b + ha * q1 + hb * q2 + hc * q3))
+            if not (ninf < p4 < inf and ninf < q4 < inf):
                 raise _NonFinite(3)
-            ha, hb, hc, hd = h * _A51, h * _A52, h * _A53, h * _A54
-            p5, q5 = rhs(t + _C5 * h, (a + ha * p1 + hb * p2 + hc * p3 + hd * p4,
-                                       b + ha * q1 + hb * q2 + hc * q3 + hd * q4))
-            if not (isfinite(p5) and isfinite(q5)):
+            ha, hb, hc, hd = h * A51, h * A52, h * A53, h * A54
+            p5, q5 = rhs(t + C5 * h, (a + ha * p1 + hb * p2 + hc * p3 + hd * p4,
+                                      b + ha * q1 + hb * q2 + hc * q3 + hd * q4))
+            if not (ninf < p5 < inf and ninf < q5 < inf):
                 raise _NonFinite(4)
-            ha, hb, hc, hd, he = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+            ha, hb, hc, hd, he = h * A61, h * A62, h * A63, h * A64, h * A65
             p6, q6 = rhs(t + h, (a + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5,
                                  b + ha * q1 + hb * q2 + hc * q3 + hd * q4 + he * q5))
-            if not (isfinite(p6) and isfinite(q6)):
+            if not (ninf < p6 < inf and ninf < q6 < inf):
                 raise _NonFinite(5)
-            ha, hb, hc, hd, he, hf = h * _B1, h * _B2, h * _B3, h * _B4, h * _B5, h * _B6
+            ha, hb, hc, hd, he, hf = h * B1, h * B2, h * B3, h * B4, h * B5, h * B6
             p7, q7 = rhs(t + h, (a + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5 + hf * p6,
                                  b + ha * q1 + hb * q2 + hc * q3 + hd * q4 + he * q5 + hf * q6))
-            if not (isfinite(p7) and isfinite(q7)):
+            if not (ninf < p7 < inf and ninf < q7 < inf):
                 raise _NonFinite(6)
-            a5 = a + h * (0.0 + _B1 * p1 + _B2 * p2 + _B3 * p3 + _B4 * p4
-                          + _B5 * p5 + _B6 * p6 + _B7 * p7)
-            b5 = b + h * (0.0 + _B1 * q1 + _B2 * q2 + _B3 * q3 + _B4 * q4
-                          + _B5 * q5 + _B6 * q6 + _B7 * q7)
-            if not (isfinite(a5) and isfinite(b5)):
+            a5 = a + h * (0.0 + B1 * p1 + B3 * p3 + B4 * p4 + B5 * p5 + B6 * p6)
+            b5 = b + h * (0.0 + B1 * q1 + B3 * q3 + B4 * q4 + B5 * q5 + B6 * q6)
+            if not (ninf < a5 < inf and ninf < b5 < inf):
                 raise _NonFinite(6)
         except (_NonFinite, *_FLOAT_ERRORS) as stop:
             if type(stop) is _NonFinite:
                 made = stop.args[0]
-            else:                   # the calls up to the stage ha names
-                made = [h * c for c in _DP_FIRST].index(ha) + 1
+            else:                   # ha = h * the first coefficient of its stage's row
+                made = [h * c for c in (A21, A31, A41, A51, A61, B1)].index(ha) + 1
             short += 6 - made
             h *= 0.25
-            if h < H_MIN:
+            if h < h_min:
                 return 6 * attempts - short, attempts - (len(ts) - 1), True
             continue
-        a4 = a + h * (0.0 + _E1 * p1 + _E2 * p2 + _E3 * p3 + _E4 * p4
-                      + _E5 * p5 + _E6 * p6 + _E7 * p7)
-        b4 = b + h * (0.0 + _E1 * q1 + _E2 * q2 + _E3 * q3 + _E4 * q4
-                      + _E5 * q5 + _E6 * q6 + _E7 * q7)
-        ea = (a5 - a4) / (atol + rtol * max(abs(a), abs(a5)))
-        eb = (b5 - b4) / (atol + rtol * max(abs(b), abs(b5)))
-        err = math.sqrt((0.0 + ea * ea + eb * eb) / 2)
+        a4 = a + h * (0.0 + E1 * p1 + E3 * p3 + E4 * p4 + E5 * p5 + E6 * p6 + E7 * p7)
+        b4 = b + h * (0.0 + E1 * q1 + E3 * q3 + E4 * q4 + E5 * q5 + E6 * q6 + E7 * q7)
+        sa, s5 = abs(a), abs(a5)
+        ea = (a5 - a4) / (atol + rtol * (s5 if s5 > sa else sa))
+        sa, s5 = abs(b), abs(b5)
+        eb = (b5 - b4) / (atol + rtol * (s5 if s5 > sa else sa))
+        err = sqrt((0.0 + ea * ea + eb * eb) / 2)
         if err <= 1.0:
             t, a, b, p1, q1 = t + h, a5, b5, p7, q7
             put_t(t)
             put_x(a)
             put_th(b)
-        if err > 0:
+        if err > 0:                 # h * min(5.0, max(0.2, 0.9 * err**-0.2))
             factor = 0.9 * err ** -0.2
+            h = h * (5.0 if factor > 5.0 else factor if factor > 0.2 else 0.2)
         elif err == 0:
-            factor = 5.0
+            h = h * 5.0
         else:                       # NaN: shrink as for an infinite error
-            factor = 0.2
-        h = h * min(5.0, max(0.2, factor))
-        h = max(h, H_MIN)
-        if not err <= 1.0 and h <= H_MIN:
+            h = h * 0.2
+        if h < h_min:
+            h = h_min
+        if not err <= 1.0 and h <= h_min:
             raise StiffnessError(f"step size underflow at t={t:g}")
     return 6 * attempts - short, attempts - (len(ts) - 1), False
 
@@ -314,10 +324,10 @@ def integrate(rhs: RhsFn, state0: Sequence[float], config: IntegratorConfig) -> 
     (a, b), (p, q) = y, f0
     if not (math.isfinite(p) and math.isfinite(q)):
         raise ValueError("right-hand side not finite at the initial state")
-    ts, xs, ths = [0.0], [a], [b]
+    ts, xs, ths = array("d", [0.0]), array("d", [a]), array("d", [b])
     steps = _rk4_steps if config.method == "rk4" else _rk45_steps
     calls, rejected, blown_up = steps(rhs, a, b, p, q, config, ts, xs, ths)
-    return Trajectory(np.array(ts), np.column_stack((xs, ths)), blown_up=blown_up,
+    return Trajectory(np.frombuffer(ts), np.column_stack((xs, ths)), blown_up=blown_up,
                       rhs_calls=1 + calls, rejected_steps=rejected)
 
 
@@ -338,20 +348,21 @@ def lock_verdict(
     period), the rate within 1e-3 * omega_n (1e-3 * K0 when omega_n is 0)."""
     if traj.blown_up:
         return False
-    period = pd_period(variant)
     tol_f = 1e-3 * (params.omega_n if params.omega_n > 0 else params.k0)
     t_end = traj.t[-1]
     mask = traj.t >= (1.0 - LOCK_TAIL) * t_end
     if not np.any(mask):
         return False
-    for ti, yi in zip(traj.t[mask], traj.y[mask]):
-        theta = yi[1]
-        if abs(wrap_phase(theta, period)) > LOCK_TOL_P:
+    t_tail, tail = traj.t[mask], traj.y[mask]
+    phase_out = np.abs(wrap_phase(tail[:, 1], pd_period(variant))) > LOCK_TOL_P
+    n_in = int(phase_out.argmax()) if phase_out.any() else len(tail)
+    # the rates of the samples before the first phase out of tolerance, one
+    # rhs call each, in the calls a sample-by-sample scan makes
+    states = zip(tail[:n_in, 0].tolist(), tail[:n_in, 1].tolist())
+    for ti, yi in zip(t_tail[:n_in].tolist(), states):
+        if abs(rhs(ti, yi)[1]) > tol_f:
             return False
-        rate = rhs(ti, yi)[1]
-        if abs(rate) > tol_f:
-            return False
-    return True
+    return n_in == len(tail)
 
 
 # --- step-size sensitivity probe --------------------------------------------
@@ -433,23 +444,26 @@ class ClassifiedTrajectory:
 
 
 def _autocorr_peak(x: np.ndarray, min_lag: int) -> float:
-    """Largest normalized autocorrelation over lags in [min_lag, n/2]."""
+    """Largest normalized autocorrelation over lags in [min_lag, n/2], and
+    0.0 if none is positive.
+
+    A lag is skipped where the energy of x[:n-lag] or of x[lag:] is 0 (or
+    their product underflows to 0); a NaN correlation never wins.
+    """
     x = x - x.mean()
     n = len(x)
     if float(np.dot(x, x)) <= 0:
         return 0.0
     nfft = 1 << (2 * n - 1).bit_length()
     spec = np.fft.rfft(x, nfft)
-    raw = np.fft.irfft(spec * np.conj(spec), nfft)[: n // 2 + 1]
+    lags = np.arange(min_lag, n // 2 + 1)
+    raw = np.fft.irfft(spec * np.conj(spec), nfft)[lags]
     csum = np.concatenate([[0.0], np.cumsum(x * x)])
-    best = 0.0
-    for lag in range(min_lag, n // 2 + 1):
-        ea = csum[n - lag]                # energy of x[:n-lag]
-        eb = csum[n] - csum[lag]          # energy of x[lag:]
-        if ea <= 0 or eb <= 0:
-            continue
-        best = max(best, float(raw[lag]) / math.sqrt(ea * eb))
-    return best
+    energy = csum[n - lags] * (csum[n] - csum[lags])   # of x[:n-lag] times of x[lag:]
+    kept = energy > 0
+    corr = raw[kept] / np.sqrt(energy[kept])
+    corr = corr[corr > 0.0]
+    return float(corr.max()) if len(corr) else 0.0
 
 
 def _classify(traj: Trajectory, rhs: RhsFn, params: LoopParams, variant: LoopVariant) -> str:
@@ -464,7 +478,8 @@ def _classify(traj: Trajectory, rhs: RhsFn, params: LoopParams, variant: LoopVar
     theta = tail[:, 1]
     if abs(theta[-1] - theta[0]) < pd_period(variant):
         return "undecided"
-    rate = np.array([rhs(ti, yi)[1] for ti, yi in zip(grid, tail)])
+    states = zip(tail[:, 0].tolist(), tail[:, 1].tolist())
+    rate = np.array([rhs(ti, yi)[1] for ti, yi in zip(grid.tolist(), states)])
     return "cycle" if _autocorr_peak(rate, min_lag=8) > 0.99 else "undecided"
 
 

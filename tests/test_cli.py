@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 from dataclasses import fields
 from pathlib import Path
@@ -589,6 +590,43 @@ class TestSweepCommand:
         a = (tmp_path / "s1" / "sweep.csv").read_bytes()
         b = (tmp_path / "s2" / "sweep.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        cfg = write_cfg(tmp_path, BASE_SIGNAL_CFG)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--offsets", "50e3", "--jobs", jobs,
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
+
+    def test_jobs_capped_at_one_worker_per_offset(self, tmp_path, capsys, monkeypatch):
+        # a pool that records its size and maps serially: no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        cfg = write_cfg(tmp_path, {k: v for k, v in BASE_SIGNAL_CFG.items()
+                                   if k != "delta_f0"} | {"duration": 2e-4})
+        csv = set()
+        for jobs in ("1", "2", "3", "100000"):
+            assert main(["sweep", "--config", cfg, "--offsets", "30e3,50e3,70e3",
+                         "--jobs", jobs, "-o", str(tmp_path / jobs)]) == 0
+            csv.add((tmp_path / jobs / "sweep.csv").read_bytes())
+        assert sizes == [2, 3, 3]
+        assert len(csv) == 1
 
     def test_offset_inside_lock_in_has_no_theory_value(self, tmp_path, capsys):
         # lock-in of the reference bpsk design is 19.9 kHz

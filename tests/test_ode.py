@@ -15,7 +15,7 @@ from costas_lab import (
     design,
     ode,
 )
-from costas_lab.core import count_cycle_slips
+from costas_lab.core import count_cycle_slips, pd_period, wrap_phase
 from costas_lab.detectors import PdCharacteristic
 from costas_lab.ode import (
     IntegratorConfig,
@@ -290,6 +290,21 @@ class TestRhsContract:
             assert traj.rejected_steps > 0
             assert calls[0] == 1 + 6 * (steps + traj.rejected_steps)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("rhs,state0,controls", [
+        (_drift_2d, PITFALL_STATE0, dict(method="rk4", h=2e-2)),
+        (_drift_2d, PITFALL_STATE0, dict(method="rk45")),
+        (harmonic_rhs, (1.0, 0.0), dict(method="rk45")),       # ndarray slopes
+        (lambda t, y: np.array([y[0] ** 2, 0.0]), (1.0, 0.0), dict(method="rk4", h=0.1)),
+    ], ids=["rk4", "rk45", "ndarray", "blown_up"])
+    def test_trajectory_arrays(self, rhs, state0, controls):
+        traj = integrate(rhs, state0, IntegratorConfig(t_end=2.0, **controls))
+        n = len(traj.t)
+        assert n > 1
+        assert traj.t.dtype == traj.y.dtype == np.float64
+        assert traj.t.shape == (n,) and traj.y.shape == (n, 2)
+        assert traj.t[0] == 0.0 and traj.y[0].tolist() == list(state0)
+
 
 class TestStepCap:
     def test_rk4_over_cap_refused_from_config(self):
@@ -502,6 +517,59 @@ def _capped_square_rhs():
     return lambda t, y: (y[0] * y[0] if y[0] < 1e3 else math.inf, 0.0)
 
 
+def _nan_error_rhs():
+    """Zero slopes, except that the last stage of every other attempt has an
+    x slope of 1.7e308.  At h = 100 that attempt's 4th-order x overflows
+    while its 5th-order x (weight b7 = 0) stays finite, and at rtol 1e300
+    the error scale atol + rtol*|x| overflows too: the error estimate is
+    inf/inf = NaN, and the attempt is rejected."""
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return (1.7e308 if calls[0] % 12 == 7 else 0.0, 0.0)
+
+    return rhs
+
+
+def _late_nonfinite_rhs():
+    """theta' = 1, except that the last stage of every other attempt has an
+    infinite slope: that attempt stops at the stage-7 check."""
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return (math.inf if calls[0] % 12 == 7 else 0.0, 1.0)
+
+    return rhs
+
+
+def _floor_at_h_min_rhs():
+    """Zero slopes, except an infinite one at the first attempt's first
+    stage, which quarters h from 4e-12 to H_MIN, and an x slope of 4.85e5
+    at the next attempt's last stage.  That attempt is accepted with an
+    error near 0.85, so the controller's next step, about 0.93 * H_MIN, is
+    raised to H_MIN, and the run goes on."""
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return {2: (math.inf, 0.0), 8: (4.85e5, 0.0)}.get(calls[0], (0.0, 0.0))
+
+    return rhs
+
+
+# The RK45 controller's branches and the cases that reach them:
+#   err == 0, h grows by the 5.0 cap: mod_qpsk, blow_up, nonfinite_stage
+#   0.9 * err**-0.2 above the 5.0 cap: mod_qpsk, ndarray, blow_up
+#   0.9 * err**-0.2 below the 0.2 floor: delay, mod_qpsk
+#   NaN error, h shrinks by 0.2: nan_error
+#   h floored at H_MIN: h_min_floor, and blow_up, which then raises
+#   StiffnessError
+#   the step clipped to end on t_end: pitfall, delay, mod_qpsk, ndarray,
+#   nan_error, late_nonfinite
+#   a non-finite slope at stages 2-6: nonfinite_stage; at stage 7:
+#   late_nonfinite; a non-finite 5th-order solution: overflow (blown up)
 EQUIVALENCE_CASES = {     # rhs factory, state0, integrator controls
     "pitfall-rk4": (_pitfall_rhs, PITFALL_STATE0,
                     dict(t_end=PITFALL_T_END, method="rk4", h=2e-2)),
@@ -517,6 +585,13 @@ EQUIVALENCE_CASES = {     # rhs factory, state0, integrator controls
     "blow_up-rk45": (_square_rhs, (1.0, 0.0), dict(t_end=10.0, method="rk45", rtol=1e-6)),
     "nonfinite_stage-rk45": (_capped_square_rhs, (1.0, 0.0),
                              dict(t_end=10.0, method="rk45", rtol=1e-6, atol=1e-6)),
+    "nan_error-rk45": (_nan_error_rhs, (1e10, 0.0),
+                       dict(t_end=1000.0, method="rk45", h=100.0, rtol=1e300)),
+    "late_nonfinite-rk45": (_late_nonfinite_rhs, (0.0, 0.0), dict(t_end=1.0, method="rk45")),
+    "overflow-rk45": (lambda: lambda t, y: (1.7e308, 0.0), (0.0, 0.0),
+                      dict(t_end=1.0, method="rk45")),
+    "h_min_floor-rk45": (_floor_at_h_min_rhs, (1.0, 0.0),
+                         dict(t_end=1e-10, method="rk45", h=4e-12)),
 }
 
 
@@ -681,3 +756,169 @@ class TestLockVerdict:
     def test_blow_up_never_locked(self, bpsk_design):
         traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)), blown_up=True)
         assert not lock_verdict(traj, harmonic_rhs, bpsk_design, CONVENTIONAL_BPSK)
+
+    def test_rhs_gets_float_tuples(self, monkeypatch):
+        # the rhs contract holds in the verdict and the classifier too: the
+        # state is a tuple of two floats, the time a float
+        seen = set()
+
+        def recorded(model, y):
+            seen.add((type(y), len(y), *map(type, y)))
+            return classic_rhs(model, y)
+
+        monkeypatch.setattr(baseband, "classic_rhs", recorded)
+        model = pitfall_example_model()
+        labels = [c.label for c in classified(model, [(model.equilibrium_x(), 0.3),
+                                                      PITFALL_STATE0], 15.0)]
+        assert labels == ["eq", "cycle"]     # a lock verdict, then a rate series
+        assert seen == {(tuple, 2, float, float)}
+
+
+def _scan_lock_verdict(traj, rhs, params, variant):
+    """lock_verdict as a sample-by-sample scan: the oracle of its numpy
+    phase check."""
+    if traj.blown_up:
+        return False
+    period = pd_period(variant)
+    tol_f = 1e-3 * (params.omega_n if params.omega_n > 0 else params.k0)
+    mask = traj.t >= (1.0 - ode.LOCK_TAIL) * traj.t[-1]
+    if not np.any(mask):
+        return False
+    for ti, yi in zip(traj.t[mask].tolist(), traj.y[mask].tolist()):
+        if abs(wrap_phase(yi[1], period)) > ode.LOCK_TOL_P:
+            return False
+        if abs(rhs(ti, tuple(yi))[1]) > tol_f:
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def verdict_cases():
+    """Trajectories whose tails lock, leave the phase tolerance, or leave the
+    rate tolerance first, each with an rhs."""
+    model = pitfall_example_model()
+    rhs = ode._phase_rhs(model)
+    cases = {}
+    for h in PITFALL_H_LIST[:2]:
+        cases[f"pitfall-{h}"] = (integrate(rhs, PITFALL_STATE0, IntegratorConfig(
+            t_end=PITFALL_T_END, method="rk4", h=h)), rhs)
+    cases["eq"] = (integrate(rhs, (model.equilibrium_x(), 0.3),
+                             IntegratorConfig(t_end=15.0, rtol=1e-9, atol=1e-11)), rhs)
+
+    def still(t, y):
+        return (0.0, 0.0)
+
+    def late_rate(t, y):                 # out of the 0.012 rate tolerance from t = 0.95
+        return (0.0, 0.02 * (t > 0.95))
+
+    t = np.linspace(0.0, 1.0, 101)
+    for name, theta, rate in [
+        ("locked", np.full(101, math.pi), still),          # on the lock point pi
+        ("phase_out", np.where(t > 0.9, 0.06, -0.01), late_rate),
+        ("rate_out", np.where(t > 0.97, 0.06, 0.0), late_rate),   # the rate fails first
+        ("tie", np.full(101, ode.LOCK_TOL_P), late_rate),  # in tolerance: not above it
+    ]:
+        cases[name] = (Trajectory(t, np.column_stack((np.zeros(101), theta))), rate)
+    return cases
+
+
+class TestLockVerdictScan:
+    @pytest.mark.parametrize("case", ["pitfall-0.02", "pitfall-0.01", "eq", "locked",
+                                      "phase_out", "rate_out", "tie"])
+    def test_same_verdict_and_rhs_calls_as_scan(self, verdict_cases, case):
+        traj, rhs = verdict_cases[case]
+        model = pitfall_example_model()
+        runs = []
+        for verdict in (lock_verdict, _scan_lock_verdict):
+            seen = []
+
+            def recorded(t, y):
+                seen.append((t, *y))
+                return rhs(t, y)
+
+            runs.append((verdict(traj, recorded, model.params, CONVENTIONAL_BPSK),
+                         np.array(seen).tobytes(), len(seen)))
+        assert runs[0] == runs[1]
+        if case in ("pitfall-0.02", "eq", "locked"):
+            assert runs[0][0] is True
+
+
+def _loop_autocorr_peak(x, min_lag):
+    """_autocorr_peak as a loop over the lags: the oracle of its numpy form."""
+    x = x - x.mean()
+    n = len(x)
+    if float(np.dot(x, x)) <= 0:
+        return 0.0
+    nfft = 1 << (2 * n - 1).bit_length()
+    spec = np.fft.rfft(x, nfft)
+    raw = np.fft.irfft(spec * np.conj(spec), nfft)[: n // 2 + 1]
+    csum = np.concatenate([[0.0], np.cumsum(x * x)])
+    best = 0.0
+    for lag in range(min_lag, n // 2 + 1):
+        ea = csum[n - lag]                # energy of x[:n-lag]
+        eb = csum[n] - csum[lag]          # energy of x[lag:]
+        if ea <= 0 or eb <= 0:
+            continue
+        best = max(best, float(raw[lag]) / math.sqrt(ea * eb))
+    return best
+
+
+def _autocorr_inputs():
+    rng = np.random.default_rng(16)
+    inputs = []
+    for k in range(60):
+        n = int(rng.integers(16, 4097))
+        kind = k % 4
+        if kind == 0:
+            x = rng.normal(size=n)
+        elif kind == 1:                  # a cycle: peaks near 1
+            x = np.sin(rng.uniform(0.01, 0.5) * np.arange(n)) + 0.01 * rng.normal(size=n)
+        elif kind == 2:
+            x = np.repeat(rng.normal(size=n // 16 + 1), 16)[:n]
+        else:
+            x = rng.normal(size=n).cumsum()
+        inputs.append((x, int(rng.integers(0, 20))))
+    return inputs
+
+
+class TestAutocorrPeak:
+    @pytest.mark.parametrize("i", range(60))
+    def test_same_as_loop(self, i):
+        x, min_lag = _autocorr_inputs()[i]
+        got = ode._autocorr_peak(x, min_lag)
+        assert type(got) is float
+        assert got.hex() == _loop_autocorr_peak(x, min_lag).hex()
+
+    def test_all_correlations_negative(self):
+        # a unit impulse less its mean correlates to -lag/n**2 at every lag
+        x = np.zeros(100)
+        x[0] = 1.0
+        assert ode._autocorr_peak(x, 1) == _loop_autocorr_peak(x, 1) == 0.0
+
+    def test_zero_energy_lags(self):
+        # zero mean, so the zeros stay zero: x[lag:] has no energy from lag 12
+        x = np.zeros(64)
+        x[[0, 1, 2, 3, 10, 11]] = [1.0, -1.0, 2.0, -2.0, 3.0, -3.0]
+        for min_lag in (1, 8, 12):
+            got = ode._autocorr_peak(x, min_lag)
+            assert got.hex() == _loop_autocorr_peak(x, min_lag).hex()
+        assert ode._autocorr_peak(x, 12) == 0.0 < ode._autocorr_peak(x, 8)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("x,min_lag", [
+        (np.ones(50), 1), (np.arange(10.0), 6),
+        (np.where(np.arange(200) == 5, math.nan, np.sin(0.3 * np.arange(200))), 8),
+        (np.where(np.arange(200) == 5, math.inf, np.sin(0.3 * np.arange(200))), 8),
+        (1e200 * np.sin(0.3 * np.arange(200)), 8),
+    ], ids=["constant", "no-lags", "nan", "inf", "overflow"])
+    def test_nothing_to_correlate(self, x, min_lag):
+        # NaN correlations never win, as they cannot win a max()
+        assert ode._autocorr_peak(x, min_lag) == _loop_autocorr_peak(x, min_lag) == 0.0
+
+    def test_underflowing_energy_product_is_skipped(self):
+        # the energies are subnormal and their product is 0: the loop
+        # divided by zero there, the numpy form skips the lag
+        x = 1e-160 * np.sin(0.3 * np.arange(200))
+        with pytest.raises(ZeroDivisionError):
+            _loop_autocorr_peak(x, 8)
+        assert ode._autocorr_peak(x, 8) == 0.0

@@ -381,6 +381,19 @@ class TestCsvExport(object):
         fh = io.StringIO()
         write_csv_rows(fh, columns)
         assert_same_csv(fh.getvalue(), reference_rows(columns))
+        # the decade carry, 7 columns of it: a few ulps below +-10^k, whose
+        # 12 digits round up to 1.00000000000e(k), and the values either
+        # side of the carry's tie 9.999999999995e(k-1)
+        ks = np.arange(-290, 290)
+        powers = np.array([float(f"1e{k}") for k in ks])
+        below = (powers.view(np.int64) - rng.integers(1, 9, size=len(ks))).view(np.float64)
+        ties = np.array([float(f"{9999999999995 + d}e{k - 13}")
+                         for k, d in zip(ks, rng.integers(-3, 4, size=len(ks)))])
+        carries = np.concatenate([below, -below, _ulp_neighbours(ties)])
+        columns = list(np.resize(carries, (7, -(-len(carries) // 7))))
+        fh = io.StringIO()
+        write_csv_rows(fh, columns)
+        assert_same_csv(fh.getvalue(), reference_rows(columns))
 
     # Values the digit tables must get right or hand to "%": random bit
     # patterns (every sign, exponent and payload, nan and inf included),
