@@ -26,7 +26,6 @@ from .analysis import (
     pull_in_range_numeric,
     pull_in_time,
     pull_in_time_formula,
-    routh_hurwitz_stable,
 )
 from .detectors import (
     PdCharacteristic,

@@ -340,49 +340,6 @@ def leadlag_char_poly(
     ]
 
 
-def routh_hurwitz_stable(coeffs) -> bool:
-    """True iff every root of the real polynomial (ascending coefficients)
-    has strictly negative real part, by the Routh-Hurwitz test.
-
-    The polynomial is first frequency-normalized (s -> wbar*s with wbar
-    the geometric mean root magnitude) so the verdict is invariant to
-    unit choices.  Zero first-column entries are epsilon-perturbed; any
-    first-column entry within 1e-8 of the normalized scale counts as a
-    boundary (marginal) case, never stable.
-    """
-    coeffs = [float(c) for c in coeffs]
-    nonzero = [k for k, c in enumerate(coeffs) if c != 0.0]
-    deg = nonzero[-1] if nonzero else -1
-    if deg < 1:
-        raise ValueError("polynomial must have degree >= 1")
-    coeffs = coeffs[: deg + 1]
-    if coeffs[0] == 0.0:
-        return False  # root at the origin
-    wbar = (abs(coeffs[0]) / abs(coeffs[deg])) ** (1.0 / deg)
-    desc = [c * wbar**k for k, c in enumerate(coeffs)][::-1]
-    if desc[0] < 0:
-        desc = [-c for c in desc]
-    scale = max(abs(c) for c in desc)
-    eps = 1e-30 * scale
-    margin = 1e-8 * scale
-
-    rows = [desc[0::2], desc[1::2]]
-    width = len(rows[0])
-    rows[1] += [0.0] * (width - len(rows[1]))
-    first_col = [rows[0][0], rows[1][0]]
-    for _ in range(deg - 1):
-        upper, lower = rows[-2], rows[-1]
-        pivot = lower[0]
-        if pivot == 0.0:
-            pivot = eps
-        new = [0.0] * width
-        for j in range(width - 1):
-            new[j] = (pivot * upper[j + 1] - upper[0] * lower[j + 1]) / pivot
-        rows.append(new)
-        first_col.append(new[0])
-    return all(v > margin for v in first_col)
-
-
 def hold_in_leadlag(
     k0: float, kd: float, tau1: float, tau2: float, omega3: float
 ) -> HoldInResult:
@@ -425,19 +382,6 @@ def hold_in_leadlag(
             inner = _derived("inner", cap * math.sqrt(1.0 - cos_max**2))
     return HoldInResult(((inner, cap),), unbounded=False,
                         formula_id="leadlag-routh-hurwitz", case=case)
-
-
-def leadlag_equilibrium_stable(
-    k0: float, kd: float, tau1: float, tau2: float, omega3: float, delta_omega0: float
-) -> bool:
-    """Direct stability verdict for one detuning: solve the static phase
-    relation on the cos > 0 branch and Routh-test the linearization cubic."""
-    s = 2.0 * abs(delta_omega0) / (k0 * kd)
-    if s >= 1.0:
-        return False
-    cos2theta = math.sqrt(1.0 - s * s)
-    poly = leadlag_char_poly(k0, kd, tau1, tau2, omega3, cos2theta)
-    return routh_hurwitz_stable(poly)
 
 
 # --- prediction report ------------------------------------------------------

@@ -26,6 +26,7 @@ from .core import (
     LoopParams,
     LoopVariant,
     SimResult,
+    check_real,
     count_cycle_slips,
     pd_period,
     wrap_phase,
@@ -399,15 +400,22 @@ def measure_pull_in_range(
     """Largest frequency offset (Hz) that still locks within the budget.
 
     Bisection on the detuning between a locking low end and a failing
-    high end; raises SearchError when the bracket premise does not hold.
-    ``budget`` is the per-trial simulation time in seconds, either a
-    constant or a callable of the trial offset (Hz) so callers can budget
-    a multiple of the predicted pull-in time.  Deterministic given the
-    PRBS seed.
+    high end, down to ``resolution`` Hz or to adjacent floats; raises
+    SearchError when the bracket premise does not hold or ``resolution``
+    is not a finite number > 0.  ``budget`` is the per-trial simulation
+    time in seconds, either a constant or a callable of the trial offset
+    (Hz) so callers can budget a multiple of the predicted pull-in time.
+    Deterministic given the PRBS seed.
     """
     lo, hi = search
     if not lo < hi:
         raise SearchError("search bracket must satisfy lo < hi")
+    try:
+        check_real(resolution, "resolution")
+    except ValueError as exc:
+        raise SearchError(str(exc)) from None
+    if not resolution > 0:
+        raise SearchError(f"resolution must be > 0, got {resolution!r}")
     budget_fn = budget if callable(budget) else (lambda _f: budget)
 
     def locks(delta_f: float) -> bool:
@@ -421,6 +429,8 @@ def measure_pull_in_range(
         raise SearchError(f"loop must fail at the high end ({hi:g} Hz)")
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break   # lo and hi are adjacent floats
         if locks(mid):
             lo = mid
         else:
@@ -475,69 +485,6 @@ def demod_ber(result: SimResult, source: ModulatedSource) -> float:
             err = np.mean(np.any(cand[:, sel] != t, axis=0))
             best = min(best, float(err))
     return best
-
-
-@dataclass
-class AveragingGapReport:
-    """Steady-state lock phases of the two fidelities and their gap."""
-
-    theta_phase_model: float
-    theta_signal_model: float
-    gap: float
-    locked_both: bool
-
-
-def averaging_gap_experiment(
-    f_samp: float = 3.2e6,
-    omega3_scale: float = 1.0,
-) -> AveragingGapReport:
-    """Same loop at two fidelities from identical initial data.
-
-    The loop is conventional BPSK on a 400 kHz carrier, detuned by
-    600e3 rad/s, with K0 = 4.8e6, tau1 = 20 us, tau2 = 3.9789 us and the
-    LPF corner 1.2566e6 rad/s times ``omega3_scale``; both fidelities run
-    for 400 us.  The phase-domain model assumes ideal LPFs and parks the
-    phase error exactly on the PD null; the sample-level model keeps the
-    double-frequency products the LPFs only partially suppress, and its
-    locked phase sits at a (small, nonzero) offset.  The offset grows
-    when the LPFs are widened toward the double-frequency region and
-    shrinks with finer sampling of the double-frequency content.
-    """
-    from .core import CONVENTIONAL_BPSK
-    from .detectors import PdCharacteristic
-    from .baseband import ClassicPhaseModel
-    from .ode import IntegratorConfig, _phase_rhs, integrate
-
-    f_carrier, duration, period = 400e3, 400e-6, math.pi
-    omega1 = TWO_PI * f_carrier
-    params = LoopParams(
-        omega1=omega1,
-        omega_free=omega1 - 600e3,
-        k0=4.8e6,
-        kd=1.0,
-        tau1=2e-5,
-        tau2=3.9789e-6,
-        omega3=1.2566e6 * omega3_scale,
-    )
-    model = ClassicPhaseModel(params, PdCharacteristic(CONVENTIONAL_BPSK, m=1.0))
-    traj = integrate(
-        _phase_rhs(model), (0.0, 0.0),
-        IntegratorConfig(t_end=duration, method="rk45", rtol=1e-10, atol=1e-12),
-    )
-    tail = wrap_phase(traj.y[traj.t >= 0.8 * duration, 1], period)
-    theta_phase = float(np.mean(tail))
-
-    source = ModulatedSource(
-        CONVENTIONAL_BPSK, f_carrier=f_carrier, f_symbol=f_carrier / 4.0, data_mode="ones"
-    )
-    res = run_loop(source, DigitalLoop(params, f_samp), duration)
-    theta_signal = float(np.mean(wrap_phase(res.theta_e[res.t >= 0.8 * duration], period)))
-    return AveragingGapReport(
-        theta_phase_model=theta_phase,
-        theta_signal_model=theta_signal,
-        gap=abs(theta_signal - theta_phase),
-        locked_both=bool(np.all(np.abs(tail) < 0.5)) and res.locked,
-    )
 
 
 def export_csv(result: SimResult, path: str) -> None:

@@ -25,7 +25,6 @@ from costas_lab.analysis import (
     DesignError,
     RangeError,
     leadlag_char_poly,
-    leadlag_equilibrium_stable,
     round_sig,
 )
 from costas_lab.core import LoopVariant, PdFlavor, VariantTag
@@ -297,12 +296,6 @@ class TestHoldIn:
                 bounds = [b for iv in hold.intervals for b in iv] + [k0 * kd / 2]
                 assert min(abs(dw - b) / (k0 * kd) for b in bounds) < 1e-6
         assert disagreements <= 5  # 0.5% of 1000
-
-    def test_direct_stability_helper(self):
-        k0, kd, tau1, tau2 = 1e6, 1.0, 1e-4, 2e-5
-        omega3 = 2 * (tau1 - tau2) / (tau1 * tau2)
-        assert leadlag_equilibrium_stable(k0, kd, tau1, tau2, omega3, 0.1 * k0)
-        assert not leadlag_equilibrium_stable(k0, kd, tau1, tau2, omega3, 0.51 * k0)
 
 
 class TestPredict:

@@ -1,6 +1,5 @@
 """The loop's two filter discretizations, ``signal_sim._discrete_lpf`` and
-``signal_sim._discrete_pi``, and the Routh-Hurwitz test the lead-lag
-hold-in analysis uses."""
+``signal_sim._discrete_pi``."""
 
 import cmath
 import math
@@ -8,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from costas_lab.analysis import routh_hurwitz_stable
 from costas_lab.signal_sim import ConfigError, _discrete_lpf, _discrete_pi
 
 T_SAMP = 1.0 / 3.2e6
@@ -158,54 +156,3 @@ class TestBilinear:
         if 0.0 < omega3 < math.inf:
             with pytest.raises(ConfigError, match="cannot be prewarped"):
                 _discrete_pi(TAU1, 1.0 / omega3, T_SAMP)
-
-
-class TestRouthHurwitz:
-    def test_second_order_loop_polynomial(self):
-        wn, zeta = 251000.0, 0.5
-        assert routh_hurwitz_stable([wn**2, 2 * zeta * wn, 1.0])
-
-    def test_negative_coefficient_unstable(self):
-        # s^2 - s + 1
-        assert not routh_hurwitz_stable([1.0, -1.0, 1.0])
-
-    def test_appendix_cubic_wide_lpf(self):
-        # cubic from the lead-lag linearization in the wide-LPF regime
-        k0, kd, tau1, tau2 = 1e6, 1.0, 1e-4, 2e-5
-        omega3 = 2 * (tau1 - tau2) / (tau1 * tau2)
-        dw = 0.1 * k0 * kd
-        cos2 = math.sqrt(1 - (2 * dw / (k0 * kd)) ** 2)
-        g = 0.5 * k0 * kd * cos2
-        poly = [g, 1 + g * tau2, tau1 + 1 / omega3, tau1 / omega3]
-        assert routh_hurwitz_stable(poly)
-        roots = np.roots(list(reversed(poly)))
-        assert np.all(roots.real < 0)
-
-    def test_marginal_reported_not_stable(self):
-        # s^2 + 1: poles on the imaginary axis; s^2 + s: a root at the origin
-        assert not routh_hurwitz_stable([1.0, 0.0, 1.0])
-        assert not routh_hurwitz_stable([0.0, 1.0, 1.0])
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            routh_hurwitz_stable([0.0, 0.0])
-
-    def test_negated_leading_coefficient_normalized(self):
-        assert routh_hurwitz_stable([-2.0, -3.0, -1.0])  # -(s^2+3s+2)
-
-    def test_against_companion_roots(self):
-        # oracle: companion-matrix eigenvalues via np.roots
-        rng = np.random.default_rng(11)
-        checked = 0
-        while checked < 1000:
-            deg = int(rng.integers(1, 6))
-            coeffs_desc = rng.normal(scale=2.0, size=deg + 1)
-            if abs(coeffs_desc[0]) < 1e-3:
-                continue
-            actual_roots = np.roots(coeffs_desc)
-            if len(actual_roots) == 0 or np.any(np.abs(actual_roots.real) < 1e-8):
-                continue
-            expected = bool(np.all(actual_roots.real < 0))
-            got = routh_hurwitz_stable(list(coeffs_desc[::-1]))
-            assert got == expected, f"poly {coeffs_desc} roots {actual_roots}"
-            checked += 1

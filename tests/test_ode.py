@@ -175,8 +175,10 @@ class TestIntegrate:
             IntegratorConfig(**{"t_end": 1.0, **controls})
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_rk45_nan_error_raises_instead_of_spinning(self):
-        # y' = y^2 blows up at t = 1; near it the error estimate turns NaN
+    def test_rk45_step_floor_raises_instead_of_spinning(self):
+        # y' = y^2 blows up at t = 1; near it the controller shrinks h to the
+        # H_MIN floor and raises StiffnessError there, not an endless retry.
+        # The NaN error estimate branch is EQUIVALENCE_CASES["nan_error-rk45"].
         calls = [0]
 
         def rhs(t, y):

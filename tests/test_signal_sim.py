@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,16 +11,22 @@ from costas_lab import (
     CONVENTIONAL_QPSK,
     MODIFIED_BPSK,
     MODIFIED_QPSK,
+    ClassicPhaseModel,
     DesignSpec,
+    LoopParams,
     LoopVariant,
+    PdCharacteristic,
+    classic_rhs,
     design,
     lock_time,
+    wrap_phase,
 )
+from costas_lab import signal_sim
 from costas_lab.core import CSV_BLOCK, write_csv_rows
 from costas_lab.detectors import SAMPLE_PD
+from costas_lab.ode import IntegratorConfig, integrate
 from costas_lab.signal_sim import (
     MAX_SAMPLES,
-    AveragingGapReport,
     ConfigError,
     DigitalLoop,
     LockDetector,
@@ -27,7 +34,6 @@ from costas_lab.signal_sim import (
     NotLockedError,
     NumericBlowUp,
     SearchError,
-    averaging_gap_experiment,
     demod_ber,
     export_csv,
     measure_pull_in_range,
@@ -315,33 +321,88 @@ class TestPullInSearch:
         with pytest.raises(SearchError):
             measure_pull_in_range(src, loop, (160e3, 110e3), budget=1e-3)
 
+    @pytest.mark.parametrize("resolution", [0.0, -1e3, math.nan, math.inf])
+    def test_bad_resolution_rejected_before_any_trial(self, bpsk_reference_params,
+                                                      monkeypatch, resolution):
+        def no_trial(*args):
+            raise AssertionError("run_loop called")
+
+        monkeypatch.setattr(signal_sim, "run_loop", no_trial)
+        loop = DigitalLoop(bpsk_reference_params, F_SAMP)
+        with pytest.raises(SearchError, match="resolution"):
+            measure_pull_in_range(bpsk_source(), loop, (110e3, 160e3), budget=1e-3,
+                                  resolution=resolution)
+
+    def test_tiny_resolution_ends_on_adjacent_floats(self, bpsk_reference_params,
+                                                     monkeypatch):
+        # no bisection exists below one ulp: the search stops there
+        limit = TWO_PI * 133e3
+        trials = []
+
+        def stub(source, loop, duration, detector):
+            trials.append(loop.params.delta_omega0)
+            return SimpleNamespace(locked=loop.params.delta_omega0 <= limit)
+
+        monkeypatch.setattr(signal_sim, "run_loop", stub)
+        loop = DigitalLoop(bpsk_reference_params, F_SAMP)
+        f = measure_pull_in_range(bpsk_source(), loop, (110e3, 160e3), budget=1e-3,
+                                  resolution=1e-300)
+        assert len(trials) < 100
+        assert abs(f - 133e3) < 1e-9
+
+
+def averaging_gap(f_samp=3.2e6, omega3_scale=1.0):
+    """Steady-state lock phases (theta_phase, theta_signal, locked_both) of
+    one loop at phase and at signal fidelity, from the same initial data.
+
+    Conventional BPSK on a 400 kHz carrier, detuned by 600e3 rad/s, with
+    K0 = 4.8e6, tau1 = 20 us, tau2 = 3.9789 us and the LPF corner
+    1.2566e6 rad/s times ``omega3_scale``; both run for 400 us.  The phase
+    model assumes ideal LPFs and parks the phase error on the PD null; the
+    signal model keeps the double-frequency products the LPFs only partly
+    suppress, so its locked phase sits at a small offset."""
+    f_carrier, duration, period = 400e3, 400e-6, math.pi
+    omega1 = TWO_PI * f_carrier
+    params = LoopParams(omega1=omega1, omega_free=omega1 - 600e3, k0=4.8e6, kd=1.0,
+                        tau1=2e-5, tau2=3.9789e-6, omega3=1.2566e6 * omega3_scale)
+    model = ClassicPhaseModel(params, PdCharacteristic(CONVENTIONAL_BPSK, m=1.0))
+    traj = integrate(lambda t, y: classic_rhs(model, y), (0.0, 0.0),
+                     IntegratorConfig(t_end=duration, method="rk45", rtol=1e-10, atol=1e-12))
+    tail = wrap_phase(traj.y[traj.t >= 0.8 * duration, 1], period)
+    source = ModulatedSource(CONVENTIONAL_BPSK, f_carrier=f_carrier,
+                             f_symbol=f_carrier / 4.0, data_mode="ones")
+    res = run_loop(source, DigitalLoop(params, f_samp), duration)
+    theta_signal = float(np.mean(wrap_phase(res.theta_e[res.t >= 0.8 * duration], period)))
+    return float(np.mean(tail)), theta_signal, bool(np.all(np.abs(tail) < 0.5)) and res.locked
+
+
+def gap(run) -> float:
+    return abs(run[1] - run[0])
+
 
 @pytest.fixture(scope="module")
-def gap_report():
-    return averaging_gap_experiment()
+def gap_run():
+    return averaging_gap()
 
 
 class TestAveragingGap:
-    def test_both_fidelities_lock(self, gap_report):
-        assert gap_report.locked_both
+    def test_both_fidelities_lock(self, gap_run):
+        assert gap_run[2]
 
-    def test_nonzero_gap(self, gap_report):
-        assert isinstance(gap_report, AveragingGapReport)
-        assert gap_report.gap > 1e-3  # the ideal-LPF assumption is not exact
+    def test_nonzero_gap(self, gap_run):
+        assert gap(gap_run) > 1e-3  # the ideal-LPF assumption is not exact
 
-    def test_wider_lpf_grows_gap(self, gap_report):
+    def test_wider_lpf_grows_gap(self, gap_run):
         # the locked-phase discrepancy is rectified double-frequency
         # leakage, so widening the LPFs toward 2*omega0 makes it worse
-        wide = averaging_gap_experiment(omega3_scale=3.0)
-        assert wide.gap > gap_report.gap
+        assert gap(averaging_gap(omega3_scale=3.0)) > gap(gap_run)
 
-    def test_finer_sampling_shrinks_gap(self, gap_report):
-        fine = averaging_gap_experiment(f_samp=12.8e6)
-        assert fine.gap < gap_report.gap
+    def test_finer_sampling_shrinks_gap(self, gap_run):
+        assert gap(averaging_gap(f_samp=12.8e6)) < gap(gap_run)
 
-    def test_self_comparison_zero(self):
-        r = averaging_gap_experiment()
-        assert abs(r.theta_phase_model - r.theta_phase_model) == 0.0
+    def test_rerun_identical(self, gap_run):
+        # both fidelities are deterministic: a fresh run repeats every float
+        assert averaging_gap() == gap_run
 
 
 def reference_rows(columns, text=None) -> str:

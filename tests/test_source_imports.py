@@ -1,4 +1,6 @@
-"""Every import in a ``costas_lab`` module is used by that module."""
+"""Every import in a ``costas_lab`` module is used by that module, and its
+imports from the package sit at module level, so a module's dependencies
+are the imports at its top."""
 
 import ast
 from pathlib import Path
@@ -26,6 +28,16 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
+def _nested_relative_imports(tree: ast.Module) -> list[str]:
+    """Relative imports inside a function or method body (an absolute one,
+    such as a lazy ``import multiprocessing``, is allowed)."""
+    # a set: an import in a nested function is walked once per enclosing one
+    found = {(node.lineno, "." * node.level + (node.module or ""))
+             for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, ast.ImportFrom) and node.level > 0}
+    return [f"line {line}: from {module}" for line, module in sorted(found)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
@@ -35,3 +47,17 @@ def test_unused_import_found():
     tree = ast.parse("import math\nimport os.path\nfrom typing import Optional, Sequence\n"
                      "def f(x: Sequence) -> float:\n    return os.path.sep\n")
     assert _unused_imports(tree) == ["line 1: math", "line 3: Optional"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_imports_at_module_level(path):
+    assert _nested_relative_imports(ast.parse(path.read_text())) == []
+
+
+def test_nested_relative_import_found():
+    tree = ast.parse("from .core import wrap_phase\n"
+                     "def f():\n    import multiprocessing\n    from . import ode\n"
+                     "    def inner():\n        from .core import pd_period\n"
+                     "class C:\n    def g(self):\n        from ..x.y import z\n")
+    assert _nested_relative_imports(tree) == ["line 4: from .", "line 6: from .core",
+                                              "line 9: from ..x.y"]
