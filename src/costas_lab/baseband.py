@@ -24,7 +24,7 @@ from .analysis import (
     lock_in_range,
     total_phase_lag,
 )
-from .core import LoopParams, LoopVariant, VariantTag
+from .core import LoopParams, LoopVariant, PdFlavor, VariantTag
 from .detectors import PdCharacteristic
 
 
@@ -148,8 +148,13 @@ def averaged_ud(
 
     Conventional loops carry the cos(phi_tot) factor that reverses
     polarity at the pull-in limit; the modified loops have no filter lag
-    in the PD path, hence no cosine and no polarity reversal.
+    in the PD path, hence no cosine and no polarity reversal.  The
+    constants hold for the default PD flavors: the sine-shaped
+    COMPLEX_IMAG flavor raises RangeError.
     """
+    if variant.pd_flavor is PdFlavor.COMPLEX_IMAG:
+        raise RangeError("the averaged model takes the default PD flavors only, "
+                         f"not {variant.pd_flavor.value}")
     if delta_omega == 0:
         raise RangeError("averaged PD output is singular at zero beat frequency")
     p = params

@@ -2,16 +2,17 @@
 
 Subcommands: design | predict | simulate | sweep | portrait.  Frequencies
 are accepted in Hz on the command line and converted to rad/s internally.
-Every output directory receives a run manifest with a digest of the
+A run's inputs are its config file (and a sweep's ``--offsets``); every
+output directory receives a run manifest with a digest of that
 canonicalized config, so reruns with identical inputs produce
 byte-identical artifacts.
 
-A config carries exactly the keys its fidelity reads: the shared keys
-plus that fidelity's row of ``_FIDELITY_KEYS``; a key left out takes the
-default of the dataclass it configures.
+A config carries exactly the keys its command reads at its fidelity: the
+shared keys plus that command's row of ``_CONFIG_KEYS``; a key left out
+takes the default of the dataclass it configures.
 
-Exit codes: 0 success; 2 config error, including a key the config's
-fidelity does not read and a portrait of more than
+Exit codes: 0 success; 2 config error, including a key the command does
+not read at the config's fidelity and a portrait of more than
 :data:`MAX_PORTRAIT_STATES` initial states; 3 numeric failure: a blow-up
 (also where the rhs raises on a state that left the float range), an
 RK45 step-size underflow or attempt cap, or a failed delay-model
@@ -24,7 +25,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import shutil
 import sys
 from dataclasses import replace
@@ -65,8 +65,6 @@ from .signal_sim import (
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-SEED_ENV_VAR = "COSTAS_LAB_SEED"
 
 # Most initial states (or points on one grid axis) a portrait may ask for.
 # Trajectories are written one at a time, so memory holds one (up to about
@@ -111,14 +109,16 @@ def _require_keys(cfg: dict, allowed: set, required: set, context: str):
 _SHARED_KEYS = {"schema", "fidelity", "variant", "pd_flavor", "prbs_seed", "params", "f0",
                 "f_symbol", "tau1", "omega_t_ratio", "m", "delta_f0"}
 
-# {fidelity: (required keys, optional keys)} beside the shared keys: a
-# config carries exactly the keys its fidelity reads.
-_FIDELITY_KEYS = {
-    "signal": ({"f0", "f_symbol", "f_samp", "duration"},
-               {"theta1_0", "data_mode", "hilbert_mode", "detector"}),
-    "phase": ({"t_end"}, {"method", "h", "rtol", "atol", "state0", "grid", "states"}),
-    "delay": ({"t_end"}, {"method", "h", "rtol", "atol", "state0"}),
-    "averaged": (set(), set()),
+# {command: {fidelity: (required keys, optional keys)}} beside the shared
+# keys: a config carries exactly the keys its command reads at its fidelity.
+_SIGNAL_KEYS = ({"f0", "f_symbol", "f_samp", "duration"},
+                {"theta1_0", "data_mode", "hilbert_mode", "detector"})
+_ODE_KEYS = ({"t_end"}, {"method", "h", "rtol", "atol", "state0"})
+_CONFIG_KEYS = {
+    "simulate": {"signal": _SIGNAL_KEYS, "phase": _ODE_KEYS, "delay": _ODE_KEYS,
+                 "averaged": (set(), set())},
+    "sweep": {"signal": _SIGNAL_KEYS},
+    "portrait": {"phase": ({"t_end"}, {"grid", "states"})},
 }
 
 _DETECTOR_KEYS = {"freq_window", "freq_tol", "phase_tol"}
@@ -166,7 +166,11 @@ def _check_types(cfg: dict) -> None:
             _check_vector(cfg["grid"][axis], f"grid.{axis}", 3)
 
 
-def load_config(path: str, overrides: dict | None = None) -> dict:
+def load_config(args) -> dict:
+    """The config file ``args.config`` of a simulate, sweep or portrait
+    command line, the run's whole input: it carries exactly the keys
+    ``args.command`` reads at its fidelity, each of the right type."""
+    path = args.config
     try:
         cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -178,20 +182,13 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
         raise CliError("config must declare schema: 1")
     if "fidelity" not in cfg:
         raise CliError("missing config keys: ['fidelity']")
-    fidelity = cfg["fidelity"]
-    if not isinstance(fidelity, str) or fidelity not in _FIDELITY_KEYS:
-        raise CliError(f"unknown fidelity {fidelity!r}, not one of {list(_FIDELITY_KEYS)}")
-    required, optional = _FIDELITY_KEYS[fidelity]
+    fidelity, fidelities = cfg["fidelity"], _CONFIG_KEYS[args.command]
+    if not isinstance(fidelity, str) or fidelity not in fidelities:
+        raise CliError(f"unknown fidelity {fidelity!r} for {args.command}, "
+                       f"not one of {list(fidelities)}")
+    required, optional = fidelities[fidelity]
     _require_keys(cfg, _SHARED_KEYS | required | optional,
                   {"schema", "fidelity", "variant"} | required, f"{fidelity} config")
-    if overrides:
-        cfg = {**cfg, **{k: v for k, v in overrides.items() if v is not None}}
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            cfg["prbs_seed"] = int(env_seed, 0)
-        except ValueError:
-            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
     _check_types(cfg)
     return cfg
 
@@ -297,7 +294,7 @@ def _simulate_ode(cfg: dict, variant: LoopVariant, params: LoopParams):
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, {"delta_f0": args.delta_f0})
+    cfg = load_config(args)
     variant = variant_from_config(cfg)
     params = params_from_config(cfg, variant)
     fidelity = cfg["fidelity"]
@@ -359,9 +356,7 @@ def _sweep_row(task):
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
-    cfg = load_config(args.config)
-    if cfg["fidelity"] != "signal":
-        raise CliError("sweep requires fidelity: signal")
+    cfg = load_config(args)
     offsets = [float(x) for x in args.offsets.split(",") if x.strip()]
     if not offsets:
         raise CliError("no offsets given")
@@ -389,19 +384,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_portrait(args) -> int:
-    cfg = load_config(args.config)
-    if cfg["fidelity"] != "phase":
-        raise CliError("portrait requires the 2-state fidelity: phase")
+    cfg = load_config(args)
     variant = variant_from_config(cfg)
     params = params_from_config(cfg, variant)
     model = ClassicPhaseModel(params, PdCharacteristic(variant, **_given(cfg, "m")))
+    if ("states" in cfg) == ("grid" in cfg):
+        raise CliError("portrait config needs exactly one of grid{} and states[]")
     if "states" in cfg:
         count = len(cfg["states"])
-    elif "grid" in cfg:
+    else:
         nx, nth = int(cfg["grid"]["x"][2]), int(cfg["grid"]["theta_e"][2])
         count = max(nx, nth, nx * nth)
-    else:
-        raise CliError("portrait config needs grid{} or states[]")
     if count > MAX_PORTRAIT_STATES:
         raise CliError(f"portrait asks for {count} states or grid points, above the cap "
                        f"of {MAX_PORTRAIT_STATES} (cli.MAX_PORTRAIT_STATES)")
@@ -475,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="run one loop simulation from a JSON config")
     s.add_argument("--config", required=True)
-    s.add_argument("--delta-f0", type=float, default=None, dest="delta_f0",
-                   help="override the config's frequency offset, Hz")
     s.add_argument("-o", "--output", default="out")
     s.set_defaults(func=cmd_simulate)
 

@@ -9,7 +9,7 @@ wrapping is a view operation (see :func:`wrap_phase`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -242,11 +242,15 @@ class SimResult:
     i2: np.ndarray
     q2: np.ndarray
     locked: bool
-    t_lock: Optional[float]
-    pull_in_time: Optional[float]
+    t_lock: Optional[float]     # the one lock instant; None when unlocked
     cycle_slips: int
     final_freq_error: float
-    meta: dict = field(default_factory=dict)
+    f_samp: float               # sampling rate of the time series, Hz
+
+    @property
+    def pull_in_time(self) -> Optional[float]:
+        """The acquisition's pull-in time: the lock instant ``t_lock``."""
+        return self.t_lock
 
     def summary(self) -> dict:
         return {

@@ -508,12 +508,7 @@ def phase_portrait(
 
 # --- pitfall reproduction parameters ----------------------------------------
 
-def pitfall_example_model(
-    delta_omega0: float = 89.45,
-    gain: float = 1000.0,
-    zeta: float = 0.10,
-    omega_n: float = 12.0,
-) -> ClassicPhaseModel:
+def pitfall_example_model(delta_omega0: float = 89.45) -> ClassicPhaseModel:
     """Classic BPSK phase model for the step-size-sensitivity pitfall.
 
     A small detuning against a slowly-bleeding integrator charge makes
@@ -526,6 +521,7 @@ def pitfall_example_model(
     the 1e-2, 1e-3, and tight-adaptive runs stay out until
     t=92.8..93.7 s, so any verdict window inside [88, 92.8] flips.
     """
+    gain, zeta, omega_n = 1000.0, 0.10, 12.0
     tau1 = gain / omega_n**2
     tau2 = 2.0 * zeta / omega_n
     params = LoopParams(

@@ -230,59 +230,36 @@ def run_loop(
 
     variant = source.variant
     theta1, theta2, ud_arr, uf_arr, i2_arr, q2_arr, blow_at = _run_kernel(source, loop, n, T)
+    if blow_at is not None:
+        raise NumericBlowUp(blow_at)
 
     t = np.arange(len(theta2)) * T
     theta_e = theta1[: len(theta2)] - theta2
     omega2 = params.omega_free + params.k0 * uf_arr
-    result = SimResult(
-        t=t,
-        theta_e=theta_e,
-        ud=ud_arr,
-        uf=uf_arr,
-        omega2=omega2,
-        i2=i2_arr,
-        q2=q2_arr,
-        locked=False,
-        t_lock=None,
-        pull_in_time=None,
-        cycle_slips=0,
-        final_freq_error=math.nan,
-        meta={
-            "f_samp": loop.f_samp,
-            "f_carrier": source.f_carrier,
-            "f_symbol": source.f_symbol,
-            "variant": variant.tag.value,
-            "delta_omega0": params.delta_omega0,
-            "duration": duration,
-        },
-    )
-    if blow_at is not None:
-        raise NumericBlowUp(blow_at)
-
     period = pd_period(variant)
-    result.cycle_slips = count_cycle_slips(theta_e, period)
+    cycle_slips = count_cycle_slips(theta_e, period)
 
+    t_lock, final_freq_error = None, math.nan
     # a window longer than the run, however long, leaves the run unlocked
     w = max(10, round(min(detector.freq_window / T, len(theta2))))
-    if len(theta2) <= w + 1:
-        return result
-    avg_freq = (theta2[w:] - theta2[:-w]) / (w * T)   # window [k, k+w]
-    ok_freq = np.abs(params.omega1 - avg_freq) < detector.freq_tol
-    dist = np.abs(wrap_phase(theta_e, period))
-    csum = np.concatenate([[0.0], np.cumsum(dist)])
-    del dist
-    avg_dist = (csum[w:] - csum[:-w]) / w             # window [k, k+w)
-    ok_phase = avg_dist < detector.phase_tol
+    if len(theta2) > w + 1:
+        avg_freq = (theta2[w:] - theta2[:-w]) / (w * T)   # window [k, k+w]
+        ok_freq = np.abs(params.omega1 - avg_freq) < detector.freq_tol
+        dist = np.abs(wrap_phase(theta_e, period))
+        csum = np.concatenate([[0.0], np.cumsum(dist)])
+        del dist
+        avg_dist = (csum[w:] - csum[:-w]) / w             # window [k, k+w)
+        ok_phase = avg_dist < detector.phase_tol
 
-    ok = ok_freq & ok_phase[: len(ok_freq)]
-    if ok[-1]:
-        failed = np.flatnonzero(~ok)
-        k = int(failed[-1]) + 1 if len(failed) else 0
-        result.locked = True
-        result.t_lock = float(t[k])
-        result.pull_in_time = float(t[k])
-    result.final_freq_error = float(params.omega1 - avg_freq[-1])
-    return result
+        ok = ok_freq & ok_phase[: len(ok_freq)]
+        if ok[-1]:
+            failed = np.flatnonzero(~ok)
+            t_lock = float(t[int(failed[-1]) + 1 if len(failed) else 0])
+        final_freq_error = float(params.omega1 - avg_freq[-1])
+    return SimResult(t=t, theta_e=theta_e, ud=ud_arr, uf=uf_arr, omega2=omega2, i2=i2_arr,
+                     q2=q2_arr, locked=t_lock is not None, t_lock=t_lock,
+                     cycle_slips=cycle_slips, final_freq_error=final_freq_error,
+                     f_samp=loop.f_samp)
 
 
 def _run_kernel(source, loop, n, T):
@@ -448,7 +425,7 @@ def demod_ber(result: SimResult, source: ModulatedSource) -> float:
     """
     if not result.locked:
         raise NotLockedError("demodulation check requires a locked run")
-    f_samp = result.meta["f_samp"]
+    f_samp = result.f_samp
     sps = f_samp / source.f_symbol
     start = int(math.ceil((result.t_lock * f_samp) / sps)) + 1
     centers = []

@@ -267,6 +267,18 @@ class TestAveragedModel:
         with pytest.raises(RangeError):
             averaged_ud(CONVENTIONAL_BPSK, 0.0, bpsk_reference_params)
 
+    @pytest.mark.parametrize("tag", [VariantTag.MODIFIED_BPSK, VariantTag.MODIFIED_QPSK])
+    def test_imag_flavor_rejected(self, modified_reference_params, tag):
+        # the averaged constants are the complex_phase PD's
+        variant = LoopVariant(tag, PdFlavor.COMPLEX_IMAG)
+        dw = TWO_PI * 100e3
+        with pytest.raises(RangeError, match="not complex_imag"):
+            averaged_ud(variant, dw, modified_reference_params)
+        with pytest.raises(RangeError, match="not complex_imag"):
+            averaged_pull_in_time_numeric(modified_reference_params, variant, dw)
+        phase = LoopVariant(tag, PdFlavor.COMPLEX_PHASE)
+        assert averaged_pull_in_time_numeric(modified_reference_params, phase, dw) > 0
+
     def test_bpsk_zero_at_pull_in_limit(self, bpsk_reference_params):
         from costas_lab import pull_in_range
 

@@ -265,26 +265,25 @@ class TestSimulateCommand:
         cfg = write_cfg(tmp_path, bad)
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
 
-    def test_offset_override_flag(self, tmp_path, capsys):
+    def test_environment_seed_ignored(self, tmp_path, capsys, monkeypatch):
+        # the config file is the run's whole input: a seed in the
+        # environment changes no artifact
         cfg = write_cfg(tmp_path, BASE_SIGNAL_CFG)
-        assert main(["simulate", "--config", cfg, "--delta-f0", "70e3",
-                     "-o", str(tmp_path / "o")]) == 0
-        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-        assert summary["params"]["delta_omega0"] == pytest.approx(
-            2 * math.pi * 70e3
-        )
+        runs = []
+        for name, seed in (("bare", None), ("env", "0x1234")):
+            if seed is not None:
+                monkeypatch.setenv("COSTAS_LAB_SEED", seed)
+            assert main(["simulate", "--config", cfg, "-o", str(tmp_path / name)]) == 0
+            runs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert runs[0] == runs[1]
+        assert set(runs[0]) == {"timeseries.csv", "summary.json", "manifest.json"}
 
-    def test_invalid_env_seed_rejected(self, tmp_path, capsys, monkeypatch):
+    def test_offset_flag_refused(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE_SIGNAL_CFG)
-        monkeypatch.setenv("COSTAS_LAB_SEED", "not-a-number")
-        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
-
-    def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
-        cfg = write_cfg(tmp_path, BASE_SIGNAL_CFG)
-        monkeypatch.setenv("COSTAS_LAB_SEED", "0x1234")
-        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
-        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        assert manifest["seed"] == 0x1234
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--config", cfg, "--delta-f0", "70e3", "-o", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_phase_fidelity(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
@@ -408,6 +407,22 @@ class TestSimulateCommand:
         cfg = write_cfg(tmp_path, {**self.FIDELITY_CFGS[fidelity], key: value})
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: unknown {fidelity} config keys: ['{key}']\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("portrait", "method", "rk4"), ("portrait", "h", 0.5), ("portrait", "rtol", 1e-3),
+        ("portrait", "atol", 1e-12), ("portrait", "state0", [0.0, 0.3]),
+        ("simulate", "states", [[0.0, 0.3]]),
+        ("simulate", "grid", {"x": [0.0, 1.0, 2], "theta_e": [0.0, 1.0, 2]}),
+    ], ids=["portrait-method", "portrait-h", "portrait-rtol", "portrait-atol", "portrait-state0",
+            "simulate-states", "simulate-grid"])
+    def test_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, key, value):
+        # a phase portrait integrates with its own RK45 settings from its own
+        # states, and simulate integrates one state0: neither reads the other's keys
+        base = TestPortraitCommand.PORTRAIT_CFG if command == "portrait" else PHASE_CFG
+        cfg = write_cfg(tmp_path, {**base, key: value})
+        assert main([command, "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: unknown phase config keys: ['{key}']\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", list(NUMERIC_FAILURES))
@@ -553,6 +568,17 @@ class TestSimulateCommand:
         assert summary["pull_in_time_numeric"] == pytest.approx(
             summary["pull_in_time_formula"], rel=0.25
         )
+
+    @pytest.mark.parametrize("variant", ["mod_bpsk", "mod_qpsk"])
+    def test_averaged_fidelity_refuses_imag_flavor(self, tmp_path, capsys, variant):
+        # the averaged constants are the complex_phase PD's; the sine-shaped
+        # complex_imag PD would put its formula beside a complex_phase integral
+        cfg = write_cfg(tmp_path, {**AVERAGED_CFG, "variant": variant,
+                                   "pd_flavor": "complex_imag"})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not complex_imag" in err
+        assert not (tmp_path / "o").exists()
 
     def test_blow_up_exits_3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
@@ -709,6 +735,13 @@ class TestPortraitCommand:
         lines = (tmp_path / "o" / "portrait.csv").read_text().splitlines()
         assert len(lines) > 6
 
+    def test_states_and_grid_together_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**self.PORTRAIT_CFG,
+                                   "grid": {"x": [0.0, 0.7, 3], "theta_e": [-3.5, 0.5, 2]}})
+        assert main(["portrait", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "error: portrait config needs exactly one of grid{} and states[]\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("shape", [
         {"states": [[0.0, 0.0]] * 5},
@@ -749,22 +782,24 @@ FUZZ_POOL = ("x", "", True, False, None, [], [1.0, "x"], {}, {"k": 1},
 
 def test_config_boundary_fuzz(tmp_path, capsys):
     """One key of the README sim.json, the README portrait.json or a design
-    params file replaced by a pool value, or a key the config's fidelity
-    does not read added to a config: every run exits 0, 2 or 3 and never
-    raises, an exit 2 leaves no output directory, and an added key exits 2."""
+    params file replaced by a pool value, or a key the command does not
+    read at the config's fidelity added to a config: every run exits 0, 2
+    or 3 and never raises, an exit 2 leaves no output directory, and an
+    added key exits 2."""
     targets = [
         ("simulate", {**BASE_SIGNAL_CFG, "duration": 1.5e-3}),
         ("portrait", TestPortraitCommand.PORTRAIT_CFG),
         ("predict", DESIGN_PARAMS),
     ]
-    table_keys = sorted(set().union(*(r | o for r, o in cli._FIDELITY_KEYS.values())))
+    table_keys = sorted(set().union(*(r | o for rows in cli._CONFIG_KEYS.values()
+                                      for r, o in rows.values())))
     rng = np.random.default_rng(20261018)
     for case in range(400):
         command, base = targets[rng.integers(len(targets))]
         value = FUZZ_POOL[rng.integers(len(FUZZ_POOL))]
         added = command != "predict" and rng.integers(4) == 0
         if added:
-            required, optional = cli._FIDELITY_KEYS[base["fidelity"]]
+            required, optional = cli._CONFIG_KEYS[command][base["fidelity"]]
             unread = [k for k in table_keys + ["design"]
                       if k not in cli._SHARED_KEYS | required | optional]
             key = unread[rng.integers(len(unread))]
@@ -814,21 +849,26 @@ def test_defaults_single_sourced(tmp_path, capsys, base, given, artifacts):
 
 
 def test_config_table_pinned():
-    """The keys each fidelity accepts, which README must name, and the
-    variant and PD-flavor choices, which must be the enums' values."""
+    """The keys each command accepts at each fidelity, which README must
+    name, and the variant and PD-flavor choices, which must be the enums'
+    values."""
     assert cli._SHARED_KEYS == {"schema", "fidelity", "variant", "pd_flavor", "prbs_seed",
                                 "params", "f0", "f_symbol", "tau1", "omega_t_ratio", "m",
                                 "delta_f0"}
-    assert cli._FIDELITY_KEYS == {
-        "signal": ({"f0", "f_symbol", "f_samp", "duration"},
-                   {"theta1_0", "data_mode", "hilbert_mode", "detector"}),
-        "phase": ({"t_end"}, {"method", "h", "rtol", "atol", "state0", "grid", "states"}),
-        "delay": ({"t_end"}, {"method", "h", "rtol", "atol", "state0"}),
-        "averaged": (set(), set()),
+    signal = ({"f0", "f_symbol", "f_samp", "duration"},
+              {"theta1_0", "data_mode", "hilbert_mode", "detector"})
+    ode_keys = ({"t_end"}, {"method", "h", "rtol", "atol", "state0"})
+    assert cli._CONFIG_KEYS == {
+        "simulate": {"signal": signal, "phase": ode_keys, "delay": ode_keys,
+                     "averaged": (set(), set())},
+        "sweep": {"signal": signal},
+        "portrait": {"phase": ({"t_end"}, {"grid", "states"})},
     }
-    accepted = {f: cli._SHARED_KEYS | r | o for f, (r, o) in cli._FIDELITY_KEYS.items()}
-    assert {f: len(keys) for f, keys in accepted.items()} == \
-        {"signal": 18, "phase": 20, "delay": 18, "averaged": 12}
+    accepted = {(c, f): cli._SHARED_KEYS | r | o
+                for c, rows in cli._CONFIG_KEYS.items() for f, (r, o) in rows.items()}
+    assert {cf: len(keys) for cf, keys in accepted.items()} == {
+        ("simulate", "signal"): 18, ("simulate", "phase"): 18, ("simulate", "delay"): 18,
+        ("simulate", "averaged"): 12, ("sweep", "signal"): 18, ("portrait", "phase"): 15}
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert [k for k in sorted(set().union(*accepted.values())) if f"`{k}`" not in readme] == []
     sub = next(a for a in cli.build_parser()._actions
@@ -837,6 +877,20 @@ def test_config_table_pinned():
         choices = {a.dest: a.choices for a in sub.choices[command]._actions}
         assert choices["variant"] == [tag.value for tag in VariantTag]
         assert choices["pd_flavor"] == [flavor.value for flavor in PdFlavor]
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("simulate", BASE_SIGNAL_CFG), ("simulate", PHASE_CFG),
+    ("portrait", TestPortraitCommand.PORTRAIT_CFG),
+], ids=["simulate-signal", "simulate-phase", "portrait"])
+def test_manifest_hashes_the_config_file(tmp_path, capsys, monkeypatch, command, cfg):
+    # the file is the run's whole input, whatever the environment holds
+    monkeypatch.setenv("COSTAS_LAB_SEED", "0x1234")
+    path = write_cfg(tmp_path, cfg)
+    assert main([command, "--config", path, "-o", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    with open(path) as fh:
+        assert manifest["config_hash"] == cli.config_hash(json.load(fh))
 
 
 # Callers look these functions up on the importing module, and tools that

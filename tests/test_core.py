@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from costas_lab import (
     LoopParams,
     LoopVariant,
     PdFlavor,
+    SimResult,
     VariantTag,
     pd_period,
     wrap_phase,
@@ -159,3 +161,12 @@ def test_public_api_pinned():
                          text=True, check=True).stdout.split()
     assert len(PUBLIC_NAMES) == 38
     assert out == sorted(PUBLIC_NAMES)
+
+
+def test_sim_result_fields_pinned():
+    # each result is stored once: the lock instant is t_lock, and
+    # pull_in_time reads it
+    assert [f.name for f in fields(SimResult)] == [
+        "t", "theta_e", "ud", "uf", "omega2", "i2", "q2", "locked", "t_lock",
+        "cycle_slips", "final_freq_error", "f_samp"]
+    assert isinstance(SimResult.pull_in_time, property)

@@ -1,6 +1,7 @@
 """Every import in a ``costas_lab`` module is used by that module, and its
 imports from the package sit at module level, so a module's dependencies
-are the imports at its top."""
+are the imports at its top.  No module reads the process environment: a
+run's inputs are its config file and its command line."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,26 @@ def test_nested_relative_import_found():
                      "class C:\n    def g(self):\n        from ..x.y import z\n")
     assert _nested_relative_imports(tree) == ["line 4: from .", "line 6: from .core",
                                               "line 9: from ..x.y"]
+
+
+def _environment_reads(tree: ast.Module) -> list[str]:
+    """Reads of the process environment: ``os.environ``, ``os.getenv``, or
+    an ``environ`` or ``getenv`` imported by name."""
+    found = set()
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in ("environ", "getenv"):
+            found.add((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_read(path):
+    assert _environment_reads(ast.parse(path.read_text())) == []
+
+
+def test_environment_read_found():
+    tree = ast.parse("import os\nfrom os import getenv\n"
+                     "def f():\n    return os.environ.get('A'), os.path.sep\n"
+                     "seed = getenv('B')\n")
+    assert _environment_reads(tree) == ["line 4: environ", "line 5: getenv"]
