@@ -60,14 +60,17 @@ class ClassicPhaseModel:
         return self.params.delta_omega0 * self.params.tau1 / self.params.k0
 
 
-def classic_rhs(model: ClassicPhaseModel, state) -> tuple[float, float]:
-    """Right-hand side of the classic 2-state phase model.
+def classic_rhs(model: ClassicPhaseModel, t: float, state) -> tuple[float, float]:
+    """Right-hand side of the classic 2-state phase model, in the
+    integrator's ``rhs(t, y)`` form after the model: the model is
+    autonomous, so ``t`` is not read.  ``types.MethodType(classic_rhs,
+    model)`` is that rhs with no frame of its own.
 
     x' = phi(theta_e);  theta_e' = dw0 - K0*(x/tau1 + (tau2/tau1)*phi).
     """
     x, theta_e = state
-    dw0, k0, tau1, ratio, fn, arg = model._rhs_consts
-    phi = fn(theta_e, arg)
+    dw0, k0, tau1, ratio, scale, freq, fn = model._rhs_consts
+    phi = scale * fn(freq * theta_e)
     return phi, dw0 - k0 * (x / tau1 + ratio * phi)
 
 

@@ -29,6 +29,7 @@ import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import MethodType
 
 import numpy as np
 
@@ -275,10 +276,9 @@ def _simulate_ode(cfg: dict, variant: LoopVariant, params: LoopParams):
     state0 = cfg.get("state0", [0.0, 0.0])
     icfg = IntegratorConfig(t_end=cfg["t_end"], **_given(cfg, "method", "h", "rtol", "atol"))
     if cfg["fidelity"] == "phase":
-        model = ClassicPhaseModel(params, pd)
-
-        def rhs(t, y):
-            return classic_rhs(model, y)
+        # as ode's probe binds it: read here, so a rebinding of
+        # cli.classic_rhs made before the run sees every call
+        rhs = MethodType(classic_rhs, ClassicPhaseModel(params, pd))
     else:
         model = DelayModel(params, pd)
         seed = [params.delta_omega0]

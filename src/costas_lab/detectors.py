@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .core import LoopVariant, PdFlavor, VariantTag, pd_period
+from .core import LoopVariant, PdFlavor, VariantTag, check_real, pd_period
 
 HALF_PI = math.pi / 2.0
 QUARTER_PI = math.pi / 4.0
@@ -117,15 +118,20 @@ SAMPLE_PD = {
 class PdCharacteristic:
     """Baseband PD nonlinearity phi(theta_e) for one variant.
 
-    ``kernel`` is the scalar form ``(fn, arg)`` with phi(theta_e) ==
-    fn(theta_e, arg), bound once at construction; it is not a field, so
-    it stays out of ``__init__``, ``==``, ``hash`` and ``repr``.
+    ``kernel`` is the scalar form ``(scale, freq, fn)`` with phi(theta_e)
+    == scale * fn(freq * theta_e), bound once at construction; it is not a
+    field, so it stays out of ``__init__``, ``==``, ``hash`` and ``repr``.
+    Conventional BPSK is ``(0.5*m*m, 2.0, math.sin)``, the floats of
+    ``phi_bpsk`` with no Python frame; every other shape is
+    ``(1.0, 1.0, fn)`` with ``fn`` its documented function, argument bound,
+    and ``1.0 * v == v`` keeps it bit for bit.
     """
 
     variant: LoopVariant
     m: float = 1.0
 
     def __post_init__(self):
+        check_real(self.m, "m")
         if self.m <= 0:
             raise ValueError(f"modulation amplitude must be > 0, got {self.m}")
         # Modified loops: the PD reports the wrapped phase error directly
@@ -133,18 +139,18 @@ class PdCharacteristic:
         # data-estimate folding.  The modified-QPSK sine, 2m*sin of the
         # pi/2-wrapped phase, is the conventional chopped sine.
         if self.variant.tag is VariantTag.CONVENTIONAL_BPSK:
-            kernel = (phi_bpsk, self.m)
+            kernel = (0.5 * self.m * self.m, 2.0, math.sin)
         elif self.variant.pd_flavor is PdFlavor.COMPLEX_PHASE:
-            kernel = (_phi_wrapped, pd_period(self.variant))
+            kernel = (1.0, 1.0, partial(_phi_wrapped, period=pd_period(self.variant)))
         elif self.variant.is_qpsk:
-            kernel = (phi_qpsk, self.m)
+            kernel = (1.0, 1.0, partial(phi_qpsk, m=self.m))
         else:
-            kernel = (_phi_sine_bpsk, self.m)
+            kernel = (1.0, 1.0, partial(_phi_sine_bpsk, gain=self.m))
         object.__setattr__(self, "kernel", kernel)
 
     def phi(self, theta_e: float) -> float:
-        fn, arg = self.kernel
-        return fn(theta_e, arg)
+        scale, freq, fn = self.kernel
+        return scale * fn(freq * theta_e)
 
     @property
     def kd(self) -> float:

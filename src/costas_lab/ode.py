@@ -29,10 +29,18 @@ ArithmeticError or ValueError (``math.sin(inf)``: a state that left the
 float range) counts as a non-finite slope: RK4 ends the run blown up,
 RK45 rejects the attempt and quarters the step.  RK4 takes ceil(t_end/h)
 steps, the last one clipped to end on t_end; a run takes at most
-:data:`MAX_STEPS` RK4 steps or RK45 attempts.  On the pitfall model,
-with Python 3.11 on a shared 2-core x86-64 host (best of five runs), an
-RK4 step takes about 2.0 us and an accepted RK45 step 5.7-7.5 us, of
-which ``classic_rhs`` takes about 0.33 us per call.
+:data:`MAX_STEPS` RK4 steps or RK45 attempts.
+
+The probe and the portrait give the integrator, the lock verdict and
+the classifier one phase-model rhs, ``types.MethodType(
+baseband.classic_rhs, model)``, built when the run starts: CPython calls
+it with no Python frame of its own, and a rebinding of
+``baseband.classic_rhs`` made before the run (where a tracer counts the
+phase rhs) sees every call.  On the pitfall model, with Python 3.11 on
+a shared 2-core x86-64 host (the best of 15 runs, in each of two
+processes), an RK4 step takes about 1.8 us and an accepted RK45 step
+5.7-6.2 us (rtol 1e-8 and 1e-9), of which the phase rhs takes about
+0.27 us per call.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from types import MethodType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -401,7 +410,7 @@ def step_sensitivity_probe(
     the two adaptive verdicts disagree.
     """
     params, variant = model.params, model.pd.variant
-    rhs = _phase_rhs(model)
+    rhs = MethodType(baseband.classic_rhs, model)
 
     verdicts = []
     for h in h_list:
@@ -422,16 +431,6 @@ def step_sensitivity_probe(
         reference_locked=ref_locked,
         solver_sensitive=ref_locked != tight_locked,
     )
-
-
-def _phase_rhs(model: ClassicPhaseModel) -> RhsFn:
-    """The classic phase model as an rhs; ``baseband.classic_rhs`` is looked
-    up on every call, so a rebinding of it sees every call."""
-
-    def rhs(t, y):
-        return baseband.classic_rhs(model, y)
-
-    return rhs
 
 
 # --- phase portrait ----------------------------------------------------------
@@ -498,7 +497,7 @@ def phase_portrait(
     """
     params, variant = model.params, model.pd.variant
     cfg = IntegratorConfig(t_end=t_end, method="rk45", rtol=1e-9, atol=1e-11)
-    rhs = _phase_rhs(model)
+    rhs = MethodType(baseband.classic_rhs, model)
 
     for s0 in initial_states:
         traj = integrate(rhs, s0, cfg)

@@ -94,6 +94,10 @@ class ModulatedSource:
     def __post_init__(self):
         if self.f_symbol >= self.f_carrier:
             raise ConfigError("symbol rate must be below the carrier frequency")
+        try:
+            check_real(self.m, "m")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.m <= 0:
             raise ConfigError("modulation amplitude must be > 0")
         if self.data_mode not in ("prbs", "ones"):

@@ -1,4 +1,7 @@
 import math
+from collections import Counter
+from contextlib import contextmanager
+from types import MethodType
 
 import pytest
 
@@ -9,6 +12,8 @@ from costas_lab import (
     MODIFIED_QPSK,
     DesignSpec,
     LoopParams,
+    baseband,
+    cli,
     design,
 )
 
@@ -59,3 +64,55 @@ def modified_reference_params():
         omega1=OMEGA0, omega_free=OMEGA0, k0=1262000.0, kd=1.0,
         tau1=20e-6, tau2=4e-6,
     )
+
+
+@contextmanager
+def _counted_phase_rhs(sites):
+    """Count the phase model's rhs calls at its measurement point and at
+    the sites that make them.
+
+    ``baseband.classic_rhs`` and ``cli.classic_rhs``, the names a tracer
+    patches, are rebound to a counter (``counts["classic_rhs"]``).  Each
+    ``(module, function name, rhs argument index)`` in ``sites`` is
+    wrapped so that its rhs argument counts its calls under the function's
+    name; ``counts["rhs_calls"]`` sums the ``rhs_calls`` of the
+    trajectories ``integrate`` returns.  Yields ``(counts, rhs_seen)``,
+    where ``rhs_seen`` lists the rhs each site was given, each of which
+    must be the counter bound to its model.
+    """
+    counts, seen = Counter(), []
+    home = baseband.classic_rhs
+
+    def counted(model, t, state):
+        counts["classic_rhs"] += 1
+        return home(model, t, state)
+
+    def site(fn, name, index):
+        def wrapped(*args):
+            rhs = args[index]
+            seen.append(rhs)
+            assert type(rhs) is MethodType and rhs.__func__ is counted
+
+            def site_rhs(t, y):
+                counts[name] += 1
+                return rhs(t, y)
+
+            out = fn(*args[:index], site_rhs, *args[index + 1:])
+            if name == "integrate":
+                counts["rhs_calls"] += out.rhs_calls
+            return out
+
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baseband, "classic_rhs", counted)
+        mp.setattr(cli, "classic_rhs", counted)
+        for module, name, index in sites:
+            mp.setattr(module, name, site(getattr(module, name), name, index))
+        yield counts, seen
+
+
+@pytest.fixture(scope="session")
+def counted_phase_rhs():
+    """The context manager :func:`_counted_phase_rhs`."""
+    return _counted_phase_rhs

@@ -447,7 +447,7 @@ def test_criterion_8_property_suites(designs):
     model = ClassicPhaseModel(p, PdCharacteristic(CONVENTIONAL_BPSK, 1.0))
 
     def rhs(t, y):
-        return np.array(classic_rhs(model, (y[0], y[1])))
+        return np.array(classic_rhs(model, t, (y[0], y[1])))
 
     t_end = 50e-6
     ref = integrate(rhs, (0.0, 0.0),
@@ -467,8 +467,8 @@ def test_criterion_8_property_suites(designs):
     h = 1e-6
     jac = np.zeros((2, 2))
     for j, e in enumerate(np.eye(2)):
-        plus = np.array(classic_rhs(model, (h * e[0], h * e[1])))
-        minus = np.array(classic_rhs(model, (-h * e[0], -h * e[1])))
+        plus = np.array(classic_rhs(model, 0.0, (h * e[0], h * e[1])))
+        minus = np.array(classic_rhs(model, 0.0, (-h * e[0], -h * e[1])))
         jac[:, j] = (plus - minus) / (2 * h)
     analytic = np.array([[0.0, p.kd],
                          [-p.k0 / p.tau1, -p.k0 * p.kd * p.tau2 / p.tau1]])

@@ -39,12 +39,12 @@ def bpsk_model(params):
 class TestClassicRhs:
     def test_lock_fixed_point(self, bpsk_design):
         m = bpsk_model(bpsk_design)
-        assert classic_rhs(m, (0.0, 0.0)) == (0.0, 0.0)
+        assert classic_rhs(m, 0.0, (0.0, 0.0)) == (0.0, 0.0)
 
     def test_direct_substitution(self, bpsk_design):
         p = bpsk_design
         m = bpsk_model(p)
-        dx, dth = classic_rhs(m, (0.0, math.pi / 4))
+        dx, dth = classic_rhs(m, 0.0, (0.0, math.pi / 4))
         assert dx == pytest.approx(0.5)
         assert dth == pytest.approx(-p.k0 * p.tau2 / (2 * p.tau1))
 
@@ -54,8 +54,8 @@ class TestClassicRhs:
         h = 1e-6
         jac = np.zeros((2, 2))
         for j, e in enumerate(np.eye(2)):
-            plus = np.array(classic_rhs(m, (h * e[0], h * e[1])))
-            minus = np.array(classic_rhs(m, (-h * e[0], -h * e[1])))
+            plus = np.array(classic_rhs(m, 0.0, (h * e[0], h * e[1])))
+            minus = np.array(classic_rhs(m, 0.0, (-h * e[0], -h * e[1])))
             jac[:, j] = (plus - minus) / (2 * h)
         analytic = np.array(
             [[0.0, p.kd], [-p.k0 / p.tau1, -p.k0 * p.kd * p.tau2 / p.tau1]]
@@ -91,39 +91,70 @@ def _phi_documented(variant, m, theta_e):
 
 
 def _probe_states(variant):
-    """Seeded states plus the PD jump and tie points of the variant."""
+    """Seeded states plus the PD jump and tie points of the variant, and
+    the non-finite phases."""
     rng = np.random.default_rng(8)
     period = pd_period(variant)
     thetas = list(rng.uniform(-4 * math.pi, 4 * math.pi, 200))
     thetas += [s * period / 2 + k * period for s in (-1, 1) for k in range(-3, 4)]
     thetas += [-math.pi / 4, math.pi / 4, 0.0, -0.0]
     xs = rng.uniform(-2e-5, 2e-5, len(thetas))
-    return [(float(x), float(th)) for x, th in zip(xs, thetas)]
+    states = [(float(x), float(th)) for x, th in zip(xs, thetas)]
+    return states + [(0.0, math.inf), (0.0, -math.inf), (0.0, math.nan), (1e-5, math.nan)]
+
+
+def _outcome(fn, *args):
+    """The bytes of the floats ``fn(*args)`` returns, or the type and
+    message of the float error it raises."""
+    try:
+        return np.array(fn(*args), dtype=float).tobytes()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 class TestBoundRhs:
     """``classic_rhs`` and ``PdCharacteristic.phi`` read constants bound at
-    construction; their floats must be the textbook expressions' bit for bit."""
+    construction; their floats must be the textbook expressions' bit for
+    bit, and so must what they raise: at theta_e = +-inf and NaN, and at an
+    m whose 0.5*m*m overflows (1e160)."""
 
-    @pytest.mark.parametrize("m", [0.3, 1.0, 1.7])
+    @pytest.mark.parametrize("m", [0.3, 1.0, 1.7, 1e160])
     @pytest.mark.parametrize("name,flavor", VARIANT_FLAVORS)
     def test_bit_identical_to_textbook(self, bpsk_design, name, flavor, m):
         variant = LoopVariant.from_name(name, flavor)
         pd = PdCharacteristic(variant, m)
         p = bpsk_design.with_offset(TWO_PI * 37e3)
         model = ClassicPhaseModel(p, pd)
-        fn, arg = pd.kernel
+        scale, freq, fn = pd.kernel
+
+        def textbook(x, th):
+            phi = _phi_documented(variant, m, th)
+            return phi, p.delta_omega0 - p.k0 * (x / p.tau1 + (p.tau2 / p.tau1) * phi)
+
         got, want, phis, kernel, documented = [], [], [], [], []
         for x, th in _probe_states(variant):
-            got.append(classic_rhs(model, (x, th)))
-            phi = pd.phi(th)
-            want.append((phi, p.delta_omega0 - p.k0 * (x / p.tau1 + (p.tau2 / p.tau1) * phi)))
-            phis.append(phi)
-            kernel.append(fn(th, arg))
-            documented.append(_phi_documented(variant, m, th))
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-        assert np.array(phis).tobytes() == np.array(kernel).tobytes()
-        assert np.array(phis).tobytes() == np.array(documented).tobytes()
+            got.append(_outcome(classic_rhs, model, 0.0, (x, th)))
+            want.append(_outcome(textbook, x, th))
+            phis.append(_outcome(pd.phi, th))
+            kernel.append(_outcome(lambda v: scale * fn(freq * v), th))
+            documented.append(_outcome(_phi_documented, variant, m, th))
+        assert got == want
+        assert phis == kernel == documented
+
+    def test_edge_outcomes(self, bpsk_design):
+        # what the bit-for-bit checks cover at the edges, for bpsk
+        unit = bpsk_model(bpsk_design)
+        with pytest.raises(ValueError, match="math domain error"):
+            classic_rhs(unit, 0.0, (0.0, -math.inf))
+        assert all(math.isnan(v) for v in classic_rhs(unit, 0.0, (0.0, math.nan)))
+        big = ClassicPhaseModel(bpsk_design, PdCharacteristic(CONVENTIONAL_BPSK, 1e160))
+        assert big.pd.kernel[0] == math.inf
+        assert classic_rhs(big, 0.0, (0.0, 0.3)) == (math.inf, -math.inf)
+        assert all(math.isnan(v) for v in classic_rhs(big, 0.0, (0.0, 0.0)))
+
+    def test_bpsk_kernel_is_the_builtin_sine(self):
+        # no Python frame between classic_rhs and math.sin
+        assert PdCharacteristic(CONVENTIONAL_BPSK, 0.3).kernel == (0.5 * 0.3 * 0.3, 2.0, math.sin)
 
     @pytest.mark.parametrize("name,flavor", VARIANT_FLAVORS)
     def test_bound_constants_stay_out_of_eq_hash_repr(self, bpsk_design, name, flavor):
@@ -144,7 +175,7 @@ class TestBoundRhs:
         b = replace(a, params=bpsk_design.with_offset(TWO_PI * 10e3),
                     pd=PdCharacteristic(CONVENTIONAL_BPSK, 0.5))
         q = b.params
-        assert classic_rhs(b, (0.0, math.pi / 4)) == (
+        assert classic_rhs(b, 0.0, (0.0, math.pi / 4)) == (
             0.125, q.delta_omega0 - q.k0 * (0.0 / q.tau1 + (q.tau2 / q.tau1) * 0.125))
 
 
@@ -157,7 +188,7 @@ class TestDelayRhs:
         # theta_e = pi/4 maximizes phi; choose x so base cancels gain*phi
         x = (p.delta_omega0 - p.k0 * p.tau2 / p.tau1 * 0.5) * p.tau1 / p.k0
         dx_d, dth_d = delay_rhs(dm, (x, math.pi / 4), 0.0)
-        dx_c, dth_c = classic_rhs(cm, (x, math.pi / 4))
+        dx_c, dth_c = classic_rhs(cm, 0.0, (x, math.pi / 4))
         assert dth_c == pytest.approx(0.0, abs=1e-9)
         assert dth_d == pytest.approx(0.0, abs=1e-6)
         assert dx_d == pytest.approx(dx_c, rel=1e-9)
@@ -251,7 +282,7 @@ class TestDelayRhs:
             return np.array([dx, dth])
 
         def rhs_classic(t, y):
-            return np.array(classic_rhs(cm, (y[0], y[1])))
+            return np.array(classic_rhs(cm, t, (y[0], y[1])))
 
         cfg = IntegratorConfig(t_end=100e-6, method="rk45", rtol=1e-10, atol=1e-12)
         td = integrate(rhs_delay, (0.0, 0.0), cfg)

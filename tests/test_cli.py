@@ -6,6 +6,7 @@ import multiprocessing
 import os
 from dataclasses import fields
 from pathlib import Path
+from types import MethodType
 
 import numpy as np
 import pytest
@@ -296,6 +297,34 @@ class TestSimulateCommand:
         assert summary["locked"] is True
         header = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,x,theta_e"
+
+    def test_phase_rhs_is_the_bound_home_function(self, tmp_path, capsys, monkeypatch):
+        given = []
+
+        def spy(rhs, *args):
+            given.append(rhs)
+            return ode.integrate(rhs, *args)
+
+        monkeypatch.setattr(cli, "integrate", spy)
+        cfg = write_cfg(tmp_path, PHASE_CFG)
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+        [rhs] = given
+        assert type(rhs) is MethodType and rhs.__func__ is baseband.classic_rhs
+        assert isinstance(rhs.__self__, baseband.ClassicPhaseModel)
+
+    def test_phase_rhs_counted_at_classic_rhs(self, tmp_path, capsys, counted_phase_rhs):
+        # the rhs is cli.classic_rhs bound to the model when the run starts,
+        # so a rebinding of it sees the integrator's calls and the verdict's
+        cfg = write_cfg(tmp_path, PHASE_CFG)
+        sites = [(cli, "integrate", 0), (cli, "lock_verdict", 1)]
+        with counted_phase_rhs(sites) as (counts, seen):
+            assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["locked"] is True
+        assert counts["integrate"] == counts["rhs_calls"] == summary["solver"]["rhs_calls"]
+        assert counts["lock_verdict"] > 0
+        assert counts["classic_rhs"] == counts["integrate"] + counts["lock_verdict"]
+        assert len(seen) == 2 and seen[0] is seen[1]
 
     def test_delay_fidelity(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {

@@ -231,3 +231,9 @@ class TestPdInvariants:
     def test_characteristic_m_validation(self):
         with pytest.raises(ValueError):
             PdCharacteristic(CONVENTIONAL_BPSK, m=0.0)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, 0.0, -0.5, True])
+    def test_characteristic_m_must_be_finite_and_positive(self, m):
+        # a NaN m fails no comparison, so it needs the finiteness check
+        with pytest.raises(ValueError, match=r"m must be|must be > 0"):
+            PdCharacteristic(CONVENTIONAL_BPSK, m=m)

@@ -1,4 +1,5 @@
 import math
+from types import MethodType
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ class TestIntegrate:
         )
 
         def rhs(t, y):
-            return np.array(classic_rhs(model, (y[0], y[1])))
+            return np.array(classic_rhs(model, t, (y[0], y[1])))
 
         t_end = 100e-6
         h = 2e-9
@@ -80,7 +81,7 @@ class TestIntegrate:
         )
 
         def rhs(t, y):
-            return np.array(classic_rhs(model, (y[0], y[1])))
+            return np.array(classic_rhs(model, t, (y[0], y[1])))
 
         t_end = 50e-6
         ref = integrate(rhs, (0.0, 0.0),
@@ -231,7 +232,7 @@ class TestIntegrate:
 
 def _drift_2d(t, y):
     """Pitfall-model slope: slips under RK4 at h = 2e-2 and under RK45."""
-    return classic_rhs(PITFALL_MODEL, y)
+    return classic_rhs(PITFALL_MODEL, t, y)
 
 
 def _drift_1d(t, y):
@@ -506,7 +507,7 @@ def _mod_qpsk_rhs():
     params = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=MODIFIED_QPSK))
     model = ClassicPhaseModel(params.with_offset(TWO_PI * 80e3),
                               PdCharacteristic(MODIFIED_QPSK, 1.0))
-    return lambda t, y: classic_rhs(model, y)
+    return lambda t, y: classic_rhs(model, t, y)
 
 
 def _square_rhs():
@@ -631,20 +632,13 @@ class TestEquivalence:
 
 
 @pytest.fixture(scope="module")
-def counted_probe():
-    """The pitfall probe, with every ``baseband.classic_rhs`` call counted
-    through a rebinding of the module name."""
-    calls = [0]
-
-    def counted(model, state):
-        calls[0] += 1
-        return classic_rhs(model, state)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(baseband, "classic_rhs", counted)
+def counted_probe(counted_phase_rhs):
+    """The pitfall probe, with every phase rhs call counted at
+    ``baseband.classic_rhs`` and at the integrator and the lock verdict."""
+    with counted_phase_rhs([(ode, "integrate", 0), (ode, "lock_verdict", 1)]) as (counts, seen):
         report = step_sensitivity_probe(pitfall_example_model(), PITFALL_STATE0,
                                         PITFALL_H_LIST, PITFALL_T_END)
-    return report, calls[0]
+    return report, counts, seen
 
 
 @pytest.fixture(scope="module")
@@ -660,14 +654,23 @@ def classified(model, states, t_end):
 
 
 @pytest.fixture(scope="module")
-def portrait():
+def counted_portrait(counted_phase_rhs):
+    """A portrait, with every phase rhs call counted at
+    ``baseband.classic_rhs`` and at the integrator and the classifier."""
     model = pitfall_example_model()
     xeq = model.equilibrium_x()
     states = [
         (xeq, 0.3), (xeq, -0.25), (xeq * 1.02, 0.0),
         PITFALL_STATE0, (0.0125, 0.4), (0.002, 1.0),
     ]
-    return classified(model, states, 15.0)
+    with counted_phase_rhs([(ode, "integrate", 0), (ode, "_classify", 1)]) as (counts, seen):
+        port = classified(model, states, 15.0)
+    return port, counts, seen
+
+
+@pytest.fixture(scope="module")
+def portrait(counted_portrait):
+    return counted_portrait[0]
 
 
 class TestProbe:
@@ -691,7 +694,17 @@ class TestProbe:
         # the three RK4 runs take 126,500 steps; at five calls per step the
         # probe made 1,014,619 calls, at four (first same as last) it makes
         # one per step fewer
-        assert counted_probe[1] == 1_014_619 - 126_500
+        assert counted_probe[1]["classic_rhs"] == 1_014_619 - 126_500
+
+    def test_measurement_point_sees_every_call(self, counted_probe):
+        # a rebinding of baseband.classic_rhs made before the probe counts
+        # the integrator's own rhs_calls plus the lock verdicts' calls
+        _, counts, seen = counted_probe
+        assert counts["integrate"] == counts["rhs_calls"]
+        assert counts["classic_rhs"] == counts["integrate"] + counts["lock_verdict"]
+        assert counts["lock_verdict"] > 0
+        # one rhs, bound once, for the five runs and their five verdicts
+        assert len(seen) == 10 and all(rhs is seen[0] for rhs in seen)
 
 
 class TestPortrait:
@@ -744,12 +757,46 @@ class TestPortrait:
         assert {c.label for c in port} == {"eq"}
 
 
+class TestPhaseRhsBinding:
+    """The probe and the portrait bind ``baseband.classic_rhs`` to the model
+    once per run, so a rebinding of that name made before the run, the
+    point a tracer patches, sees every phase rhs call."""
+
+    def test_probe_and_portrait_bind_the_home_function(self, monkeypatch):
+        given = []
+
+        def spy(rhs, *args):
+            given.append(rhs)
+            return integrate(rhs, *args)
+
+        monkeypatch.setattr(ode, "integrate", spy)
+        model = pitfall_example_model()
+        step_sensitivity_probe(model, PITFALL_STATE0, [0.5], 2.0)
+        phase_portrait(model, [(0.0, 0.4), (0.0, -0.6)], 1.0, lambda c: None)
+        assert len(given) == 5
+        for rhs in given:
+            assert type(rhs) is MethodType
+            assert rhs.__func__ is baseband.classic_rhs and rhs.__self__ is model
+        assert given[0] is given[1] is given[2] and given[3] is given[4]
+
+    def test_portrait_counts(self, counted_portrait):
+        # the integrator's rhs_calls plus the classifier's (its lock
+        # verdicts and the rate series of the cycles), all at the
+        # measurement point
+        port, counts, seen = counted_portrait
+        assert counts["integrate"] == counts["rhs_calls"]
+        cycles = sum(c.label == "cycle" for c in port)
+        assert cycles and counts["_classify"] > 4096 * cycles
+        assert counts["classic_rhs"] == counts["integrate"] + counts["_classify"]
+        assert len(seen) == 2 * len(port) and all(rhs is seen[0] for rhs in seen)
+
+
 class TestLockVerdict:
     def test_settled_trajectory_locked(self, bpsk_design):
         model = ClassicPhaseModel(bpsk_design, PdCharacteristic(CONVENTIONAL_BPSK, 1.0))
 
         def rhs(t, y):
-            return np.array(classic_rhs(model, (y[0], y[1])))
+            return np.array(classic_rhs(model, t, (y[0], y[1])))
 
         traj = integrate(rhs, (0.0, 0.2),
                          IntegratorConfig(t_end=200e-6, method="rk45"))
@@ -764,16 +811,16 @@ class TestLockVerdict:
         # state is a tuple of two floats, the time a float
         seen = set()
 
-        def recorded(model, y):
-            seen.add((type(y), len(y), *map(type, y)))
-            return classic_rhs(model, y)
+        def recorded(model, t, y):
+            seen.add((type(t), type(y), len(y), *map(type, y)))
+            return classic_rhs(model, t, y)
 
         monkeypatch.setattr(baseband, "classic_rhs", recorded)
         model = pitfall_example_model()
         labels = [c.label for c in classified(model, [(model.equilibrium_x(), 0.3),
                                                       PITFALL_STATE0], 15.0)]
         assert labels == ["eq", "cycle"]     # a lock verdict, then a rate series
-        assert seen == {(tuple, 2, float, float)}
+        assert seen == {(float, tuple, 2, float, float)}
 
 
 def _scan_lock_verdict(traj, rhs, params, variant):
@@ -799,7 +846,7 @@ def verdict_cases():
     """Trajectories whose tails lock, leave the phase tolerance, or leave the
     rate tolerance first, each with an rhs."""
     model = pitfall_example_model()
-    rhs = ode._phase_rhs(model)
+    rhs = MethodType(classic_rhs, model)
     cases = {}
     for h in PITFALL_H_LIST[:2]:
         cases[f"pitfall-{h}"] = (integrate(rhs, PITFALL_STATE0, IntegratorConfig(

@@ -79,6 +79,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ModulatedSource(CONVENTIONAL_BPSK, f_carrier=100e3, f_symbol=200e3)
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_modulation_amplitude_must_be_finite_and_positive(self, m):
+        # the CLI's check_real path: 0 < m < inf, raised as ConfigError
+        with pytest.raises(ConfigError, match=r"m must be finite|must be > 0"):
+            bpsk_source(m=m)
+
     def test_nyquist_guard(self, bpsk_reference_params):
         src = bpsk_source()
         loop = DigitalLoop(bpsk_reference_params, f_samp=1.2e6)
@@ -366,7 +372,7 @@ def averaging_gap(f_samp=3.2e6, omega3_scale=1.0):
     params = LoopParams(omega1=omega1, omega_free=omega1 - 600e3, k0=4.8e6, kd=1.0,
                         tau1=2e-5, tau2=3.9789e-6, omega3=1.2566e6 * omega3_scale)
     model = ClassicPhaseModel(params, PdCharacteristic(CONVENTIONAL_BPSK, m=1.0))
-    traj = integrate(lambda t, y: classic_rhs(model, y), (0.0, 0.0),
+    traj = integrate(lambda t, y: classic_rhs(model, t, y), (0.0, 0.0),
                      IntegratorConfig(t_end=duration, method="rk45", rtol=1e-10, atol=1e-12))
     tail = wrap_phase(traj.y[traj.t >= 0.8 * duration, 1], period)
     source = ModulatedSource(CONVENTIONAL_BPSK, f_carrier=f_carrier,
