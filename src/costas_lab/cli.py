@@ -2,10 +2,10 @@
 
 Subcommands: design | predict | simulate | sweep | portrait.  Frequencies
 are accepted in Hz on the command line and converted to rad/s internally.
-A run's inputs are its config file (and a sweep's ``--offsets``); every
-output directory receives a run manifest with a digest of that
-canonicalized config, so reruns with identical inputs produce
-byte-identical artifacts.
+A run's inputs are its config file (and a sweep's ``--offsets``, whose
+rows run in order, in one process); every output directory receives a
+run manifest with a digest of that canonicalized config, so reruns with
+identical inputs produce byte-identical artifacts.
 
 A config carries exactly the keys its command reads at its fidelity: the
 shared keys plus that command's row of ``_CONFIG_KEYS``; a key left out
@@ -105,21 +105,23 @@ def _require_keys(cfg: dict, allowed: set, required: set, context: str):
         raise CliError(f"missing {context} keys: {sorted(missing)}")
 
 
-# Keys every config may carry: the variant, the seed, the loop constants
-# (``params``, or the design inputs) and the frequency offset.
+# Keys every config may carry: the variant, the seed and the loop
+# constants (``params``, or the design inputs).
 _SHARED_KEYS = {"schema", "fidelity", "variant", "pd_flavor", "prbs_seed", "params", "f0",
-                "f_symbol", "tau1", "omega_t_ratio", "m", "delta_f0"}
+                "f_symbol", "tau1", "omega_t_ratio", "m"}
 
 # {command: {fidelity: (required keys, optional keys)}} beside the shared
 # keys: a config carries exactly the keys its command reads at its fidelity.
-_SIGNAL_KEYS = ({"f0", "f_symbol", "f_samp", "duration"},
-                {"theta1_0", "data_mode", "hilbert_mode", "detector"})
-_ODE_KEYS = ({"t_end"}, {"method", "h", "rtol", "atol", "state0"})
+# Every run but a sweep's reads the frequency offset delta_f0; a sweep
+# takes one per row from --offsets.
+_SIGNAL_REQUIRED = {"f0", "f_symbol", "f_samp", "duration"}
+_SIGNAL_OPTIONAL = {"theta1_0", "data_mode", "hilbert_mode", "detector"}
+_ODE_KEYS = ({"t_end"}, {"method", "h", "rtol", "atol", "state0", "delta_f0"})
 _CONFIG_KEYS = {
-    "simulate": {"signal": _SIGNAL_KEYS, "phase": _ODE_KEYS, "delay": _ODE_KEYS,
-                 "averaged": (set(), set())},
-    "sweep": {"signal": _SIGNAL_KEYS},
-    "portrait": {"phase": ({"t_end"}, {"grid", "states"})},
+    "simulate": {"signal": (_SIGNAL_REQUIRED, _SIGNAL_OPTIONAL | {"delta_f0"}),
+                 "phase": _ODE_KEYS, "delay": _ODE_KEYS, "averaged": (set(), {"delta_f0"})},
+    "sweep": {"signal": (_SIGNAL_REQUIRED, _SIGNAL_OPTIONAL)},
+    "portrait": {"phase": ({"t_end"}, {"grid", "states", "delta_f0"})},
 }
 
 _DETECTOR_KEYS = {"freq_window", "freq_tol", "phase_tol"}
@@ -289,8 +291,9 @@ def _simulate_ode(cfg: dict, variant: LoopVariant, params: LoopParams):
             return slope
 
     traj = integrate(rhs, state0, icfg)
-    locked = lock_verdict(traj, rhs, params, variant)
-    return traj, locked
+    if traj.blown_up:   # the step after the last recorded row failed
+        raise NumericBlowUp(where=f"step {len(traj.t)}, from t={traj.t[-1]:g}")
+    return traj, lock_verdict(traj, rhs, params, variant)
 
 
 def cmd_simulate(args) -> int:
@@ -299,7 +302,7 @@ def cmd_simulate(args) -> int:
     params = params_from_config(cfg, variant)
     fidelity = cfg["fidelity"]
     # every branch computes before it creates the output directory, so a
-    # rejected config leaves nothing behind
+    # rejected config or a failed run leaves nothing behind
     outdir = Path(args.output)
     if fidelity == "signal":
         result = _simulate_signal(cfg, variant, params)
@@ -313,8 +316,6 @@ def cmd_simulate(args) -> int:
         with open(outdir / "trajectory.csv", "w", newline="") as fh:
             fh.write("t,x,theta_e\n")
             write_csv_rows(fh, (traj.t, traj.y[:, 0], traj.y[:, 1]))
-        if traj.blown_up:   # the step after the last recorded row failed
-            raise NumericBlowUp(where=f"step {len(traj.t)}, from t={traj.t[-1]:g}")
         summary = {"schema": 1, "locked": locked,
                    "cycle_slips": count_cycle_slips(traj.y[:, 1], pd_period(variant)),
                    "solver": {"steps": len(traj.t) - 1,
@@ -339,42 +340,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_row(task):
-    cfg, delta_f = task
-    cfg = {**cfg, "delta_f0": delta_f}
-    variant = variant_from_config(cfg)
-    params = params_from_config(cfg, variant)
-    try:
-        theory = pull_in_time_formula(params, variant, 2.0 * math.pi * delta_f)
-    except RangeError:
-        theory = math.nan
-    result = _simulate_signal(cfg, variant, params)
-    sim = result.pull_in_time if result.locked else math.nan
-    return delta_f, theory, sim, result.locked
-
-
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args)
     offsets = [float(x) for x in args.offsets.split(",") if x.strip()]
     if not offsets:
         raise CliError("no offsets given")
     for f in offsets:
         check_real(f, "offset")
-    tasks = [(cfg, f) for f in offsets]
-    workers = min(args.jobs, len(tasks))      # a worker per offset at most
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            rows = pool.map(_sweep_row, tasks)
-    else:
-        rows = [_sweep_row(t) for t in tasks]
+    variant = variant_from_config(cfg)
+    designed = params_from_config(cfg, variant)
+    rows = []
+    for f in offsets:
+        dw0 = 2.0 * math.pi * f
+        params = designed.with_offset(dw0)
+        try:
+            theory = pull_in_time_formula(params, variant, dw0)
+        except RangeError:
+            theory = math.nan
+        result = _simulate_signal(cfg, variant, params)
+        rows.append((f, theory, result.pull_in_time if result.locked else math.nan,
+                     result.locked))
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "sweep.csv"
-    with open(path, "w", newline="") as fh:
+    with open(outdir / "sweep.csv", "w", newline="") as fh:
         fh.write("delta_f0_hz,t_p_theory_s,t_p_sim_s,locked\n")
         write_csv_rows(fh, list(zip(*rows))[:3], ["%d" % locked for *_, locked in rows])
     write_manifest(outdir, "sweep", {**cfg, "offsets": offsets},
@@ -474,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("sweep", help="sweep frequency offsets, theory vs simulation")
     w.add_argument("--config", required=True)
     w.add_argument("--offsets", required=True, help="comma-separated offsets, Hz")
-    w.add_argument("--jobs", type=int, default=1)
     w.add_argument("-o", "--output", default="out")
     w.set_defaults(func=cmd_sweep)
 
@@ -490,7 +477,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # CliError, ConfigError, DesignError, RangeError and JSONDecodeError are ValueErrors
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericBlowUp, StiffnessError, ImplicitSolveError) as exc:

@@ -21,8 +21,10 @@ accepted steps in ``array('d')`` buffers and builds the trajectory's
 arrays from them once, at the end.  Costs: one rhs call at the start,
 then four per RK4 step (three stages and the end slope, which is also
 the next step's first stage: first same as last) and six per attempted
-RK45 step (the last stage is the end slope); a rejected RK45 attempt
-costs the same six calls as an accepted one.  An rhs that carries state
+RK45 step (the last stage is the end slope).  A rejected RK45 attempt
+costs the same six calls as an accepted one, unless it stops at a stage
+whose slope is not finite or whose rhs call raises: then it counts only
+the calls it made.  An rhs that carries state
 from call to call, as the delay model's rate seed does, sees exactly
 this call sequence.  An rhs call after the first that raises
 ArithmeticError or ValueError (``math.sin(inf)``: a state that left the

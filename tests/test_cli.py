@@ -2,8 +2,6 @@ import argparse
 import hashlib
 import json
 import math
-import multiprocessing
-import os
 from dataclasses import fields
 from pathlib import Path
 from types import MethodType
@@ -26,6 +24,10 @@ BASE_SIGNAL_CFG = {
     "duration": 6e-4,
     "delta_f0": 50e3,
 }
+
+# README's sweep.json: the sim.json above without delta_f0, which a sweep
+# takes per row from --offsets
+SWEEP_CFG = {k: v for k, v in BASE_SIGNAL_CFG.items() if k != "delta_f0"}
 
 
 PHASE_CFG = {
@@ -456,9 +458,22 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("name", list(NUMERIC_FAILURES))
     def test_numeric_failure_exits_3(self, tmp_path, capsys, name):
+        # the run fails before the output directory is made
         cfg = write_cfg(tmp_path, NUMERIC_FAILURES[name])
-        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 3
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "new" / "o")]) == 3
         assert capsys.readouterr().err == NUMERIC_FAILURE_LINES[name]
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("name", list(NUMERIC_FAILURES))
+    def test_numeric_failure_keeps_existing_bundle(self, tmp_path, capsys, name):
+        # a failed run writes nothing into a directory that holds a bundle
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_cfg(tmp_path, PHASE_CFG, "ok.json"),
+                     "-o", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = write_cfg(tmp_path, NUMERIC_FAILURES[name])
+        assert main(["simulate", "--config", cfg, "-o", str(out)]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_initial_rhs_that_raises_exits_2(self, tmp_path, capsys):
         # 2*theta_e overflows to inf, where phi_bpsk's math.sin raises at
@@ -508,7 +523,7 @@ class TestSimulateCommand:
     # SHA-256 of the other CSVs of README's examples, as the per-value
     # formatter wrote them: trajectory.csv of the sim.json run at phase and
     # delay fidelity (its duration as t_end), portrait.csv of portrait.json,
-    # and sweep.csv of the sim.json sweep, at README's offsets and at
+    # and sweep.csv of the sweep.json sweep, at README's offsets and at
     # offsets that give a nan theory, a nan simulation and an unlocked row
     README_ODE = {
         "phase": "9c2b843be8f5dad2c06ce9c45728f0f7cb1ef9370f2172cbe9e192b80caf8712",
@@ -536,7 +551,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("offsets", sorted(README_SWEEP))
     def test_readme_sweep_digest(self, tmp_path, capsys, offsets):
-        cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, "duration": 1.5e-3})
+        cfg = write_cfg(tmp_path, {**SWEEP_CFG, "duration": 1.5e-3})
         assert main(["sweep", "--config", cfg, "--offsets", offsets,
                      "-o", str(tmp_path / "o")]) == 0
         digest = hashlib.sha256((tmp_path / "o" / "sweep.csv").read_bytes()).hexdigest()
@@ -623,8 +638,7 @@ class TestSimulateCommand:
 
 class TestSweepCommand:
     def test_rows_in_order(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {k: v for k, v in BASE_SIGNAL_CFG.items()
-                                   if k != "delta_f0"} | {"duration": 1.5e-3})
+        cfg = write_cfg(tmp_path, {**SWEEP_CFG, "duration": 1.5e-3})
         out = str(tmp_path / "o")
         assert main(["sweep", "--config", cfg, "--offsets", "50e3,70e3", "-o", out]) == 0
         lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
@@ -635,58 +649,26 @@ class TestSweepCommand:
         assert f1[1] == pytest.approx(33e-6, rel=0.05)
         assert f1[3] == 1.0
 
-    def test_jobs_flag_same_output(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {k: v for k, v in BASE_SIGNAL_CFG.items()
-                                   if k != "delta_f0"})
-        assert main(["sweep", "--config", cfg, "--offsets", "30e3,50e3",
-                     "-o", str(tmp_path / "s1")]) == 0
-        assert main(["sweep", "--config", cfg, "--offsets", "30e3,50e3",
-                     "--jobs", "2", "-o", str(tmp_path / "s2")]) == 0
-        a = (tmp_path / "s1" / "sweep.csv").read_bytes()
-        b = (tmp_path / "s2" / "sweep.csv").read_bytes()
-        assert a == b
+    def test_jobs_flag_refused(self, tmp_path, capsys):
+        # a sweep runs its rows in order in one process
+        cfg = write_cfg(tmp_path, SWEEP_CFG)
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--config", cfg, "--offsets", "50e3", "--jobs", "2",
+                  "-o", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+    def test_offset_key_refused(self, tmp_path, capsys):
+        # each row's offset comes from --offsets; the config's would go unread
         cfg = write_cfg(tmp_path, BASE_SIGNAL_CFG)
-        out = tmp_path / "o"
-        assert main(["sweep", "--config", cfg, "--offsets", "50e3", "--jobs", jobs,
-                     "-o", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
-        assert not out.exists()
-
-    def test_jobs_capped_at_one_worker_per_offset(self, tmp_path, capsys, monkeypatch):
-        # a pool that records its size and maps serially: no process starts
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return [fn(t) for t in tasks]
-
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-        cfg = write_cfg(tmp_path, {k: v for k, v in BASE_SIGNAL_CFG.items()
-                                   if k != "delta_f0"} | {"duration": 2e-4})
-        csv = set()
-        for jobs in ("1", "2", "3", "100000"):
-            assert main(["sweep", "--config", cfg, "--offsets", "30e3,50e3,70e3",
-                         "--jobs", jobs, "-o", str(tmp_path / jobs)]) == 0
-            csv.add((tmp_path / jobs / "sweep.csv").read_bytes())
-        assert sizes == [2, 3, 3]
-        assert len(csv) == 1
+        assert main(["sweep", "--config", cfg, "--offsets", "50e3",
+                     "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: unknown signal config keys: ['delta_f0']\n"
+        assert not (tmp_path / "o").exists()
 
     def test_offset_inside_lock_in_has_no_theory_value(self, tmp_path, capsys):
         # lock-in of the reference bpsk design is 19.9 kHz
-        cfg = write_cfg(tmp_path, {k: v for k, v in BASE_SIGNAL_CFG.items()
-                                   if k != "delta_f0"} | {"duration": 2e-4})
+        cfg = write_cfg(tmp_path, {**SWEEP_CFG, "duration": 2e-4})
         assert main(["sweep", "--config", cfg, "--offsets", "5e3,50e3",
                      "-o", str(tmp_path / "o")]) == 0
         lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
@@ -696,30 +678,31 @@ class TestSweepCommand:
         assert float(lines[2].split(",")[1]) == pytest.approx(33e-6, rel=0.05)
 
     def test_duration_over_sample_cap_exits_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, "duration": 1e9})
+        cfg = write_cfg(tmp_path, {**SWEEP_CFG, "duration": 1e9})
         assert main(["sweep", "--config", cfg, "--offsets", "50e3",
                      "-o", str(tmp_path / "o")]) == 2
         assert "above the cap" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_offset_exits_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, BASE_SIGNAL_CFG)
+        cfg = write_cfg(tmp_path, SWEEP_CFG)
         assert main(["sweep", "--config", cfg, "--offsets", "50e3,nan",
                      "-o", str(tmp_path / "o")]) == 2
         assert "offset must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_f_samp_named(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {k: v for k, v in BASE_SIGNAL_CFG.items() if k != "f_samp"})
+        cfg = write_cfg(tmp_path, {k: v for k, v in SWEEP_CFG.items() if k != "f_samp"})
         assert main(["sweep", "--config", cfg, "--offsets", "50e3",
                      "-o", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: missing signal config keys: ['f_samp']\n"
         assert not (tmp_path / "o").exists()
 
     def test_empty_offsets_rejected(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, BASE_SIGNAL_CFG)
+        cfg = write_cfg(tmp_path, SWEEP_CFG)
         assert main(["sweep", "--config", cfg, "--offsets", "", "-o",
                      str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: no offsets given\n"
 
 
 class TestPortraitCommand:
@@ -810,14 +793,27 @@ FUZZ_POOL = ("x", "", True, False, None, [], [1.0, "x"], {}, {"k": 1},
 
 
 def test_config_boundary_fuzz(tmp_path, capsys):
-    """One key of the README sim.json, the README portrait.json or a design
-    params file replaced by a pool value, or a key the command does not
-    read at the config's fidelity added to a config: every run exits 0, 2
-    or 3 and never raises, an exit 2 leaves no output directory, and an
-    added key exits 2."""
+    """One entry of a config replaced by a pool value (a top-level key, or
+    a key inside its ``params``, ``detector`` or ``grid`` object), or a key
+    the command does not read at the config's fidelity added to it.  The
+    configs are README's sim.json at each simulate fidelity, its sweep.json,
+    its portrait.json with states and with a grid (at a short t_end) and a
+    design params file.  Every run exits 0, 2 or 3 and never raises (a
+    KeyError is a program fault, not a config error), an exit 2 leaves no
+    output directory, and an added key exits 2."""
+    portrait = {**TestPortraitCommand.PORTRAIT_CFG, "t_end": 5e-3}
+    grid = {k: v for k, v in portrait.items() if k != "states"} | {
+        "grid": {"x": [0.0, 0.7, 2], "theta_e": [-3.5, 0.5, 1]}}
     targets = [
-        ("simulate", {**BASE_SIGNAL_CFG, "duration": 1.5e-3}),
-        ("portrait", TestPortraitCommand.PORTRAIT_CFG),
+        ("simulate", {**BASE_SIGNAL_CFG, "duration": 1.5e-3,
+                      "detector": _defaults(signal_sim.LockDetector, "phase_tol")}),
+        ("simulate", PHASE_CFG),
+        ("simulate", {"schema": 1, "fidelity": "delay", "variant": "bpsk",
+                      "params": DESIGN_GAINS, "delta_f0": 10e3, "t_end": 3e-4}),
+        ("simulate", AVERAGED_CFG),
+        ("sweep", {**SWEEP_CFG, "duration": 1.5e-3}),
+        ("portrait", portrait),
+        ("portrait", grid),
         ("predict", DESIGN_PARAMS),
     ]
     table_keys = sorted(set().union(*(r | o for rows in cli._CONFIG_KEYS.values()
@@ -827,17 +823,28 @@ def test_config_boundary_fuzz(tmp_path, capsys):
         command, base = targets[rng.integers(len(targets))]
         value = FUZZ_POOL[rng.integers(len(FUZZ_POOL))]
         added = command != "predict" and rng.integers(4) == 0
+        cfg = dict(base)
         if added:
             required, optional = cli._CONFIG_KEYS[command][base["fidelity"]]
             unread = [k for k in table_keys + ["design"]
                       if k not in cli._SHARED_KEYS | required | optional]
             key = unread[rng.integers(len(unread))]
+            cfg[key] = value
         else:
-            key = sorted(base)[rng.integers(len(base))]
-        path = write_cfg(tmp_path, {**base, key: value}, f"case{case}.json")
+            paths = [(k,) for k in sorted(base)] + [
+                (k, sub) for k in sorted(base) if isinstance(base[k], dict)
+                for sub in sorted(base[k])]
+            key = paths[rng.integers(len(paths))]
+            if len(key) == 1:
+                cfg[key[0]] = value
+            else:
+                cfg[key[0]] = {**base[key[0]], key[1]: value}
+        path = write_cfg(tmp_path, cfg, f"case{case}.json")
         out = tmp_path / f"o{case}"
         if command == "predict":
             argv = ["predict", "--params", path, "--variant", "bpsk"]
+        elif command == "sweep":
+            argv = ["sweep", "--config", path, "--offsets", "50e3", "-o", str(out)]
         else:
             argv = [command, "--config", path, "-o", str(out)]
         rc = main(argv)
@@ -882,22 +889,21 @@ def test_config_table_pinned():
     name, and the variant and PD-flavor choices, which must be the enums'
     values."""
     assert cli._SHARED_KEYS == {"schema", "fidelity", "variant", "pd_flavor", "prbs_seed",
-                                "params", "f0", "f_symbol", "tau1", "omega_t_ratio", "m",
-                                "delta_f0"}
+                                "params", "f0", "f_symbol", "tau1", "omega_t_ratio", "m"}
     signal = ({"f0", "f_symbol", "f_samp", "duration"},
               {"theta1_0", "data_mode", "hilbert_mode", "detector"})
-    ode_keys = ({"t_end"}, {"method", "h", "rtol", "atol", "state0"})
+    ode_keys = ({"t_end"}, {"method", "h", "rtol", "atol", "state0", "delta_f0"})
     assert cli._CONFIG_KEYS == {
-        "simulate": {"signal": signal, "phase": ode_keys, "delay": ode_keys,
-                     "averaged": (set(), set())},
+        "simulate": {"signal": (signal[0], signal[1] | {"delta_f0"}), "phase": ode_keys,
+                     "delay": ode_keys, "averaged": (set(), {"delta_f0"})},
         "sweep": {"signal": signal},
-        "portrait": {"phase": ({"t_end"}, {"grid", "states"})},
+        "portrait": {"phase": ({"t_end"}, {"grid", "states", "delta_f0"})},
     }
     accepted = {(c, f): cli._SHARED_KEYS | r | o
                 for c, rows in cli._CONFIG_KEYS.items() for f, (r, o) in rows.items()}
     assert {cf: len(keys) for cf, keys in accepted.items()} == {
         ("simulate", "signal"): 18, ("simulate", "phase"): 18, ("simulate", "delay"): 18,
-        ("simulate", "averaged"): 12, ("sweep", "signal"): 18, ("portrait", "phase"): 15}
+        ("simulate", "averaged"): 12, ("sweep", "signal"): 17, ("portrait", "phase"): 15}
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert [k for k in sorted(set().union(*accepted.values())) if f"`{k}`" not in readme] == []
     sub = next(a for a in cli.build_parser()._actions

@@ -1,7 +1,9 @@
-"""Every import in a ``costas_lab`` module is used by that module, and its
-imports from the package sit at module level, so a module's dependencies
-are the imports at its top.  No module reads the process environment: a
-run's inputs are its config file and its command line."""
+"""Every import in a ``costas_lab`` module is used by that module, and
+every import sits at module level, so a module's dependencies are the
+imports at its top.  No module reads the process environment: a run's
+inputs are its config file and its command line.  No module imports
+``multiprocessing``, ``subprocess`` or ``concurrent``: a run is one
+process."""
 
 import ast
 from pathlib import Path
@@ -29,14 +31,20 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
-def _nested_relative_imports(tree: ast.Module) -> list[str]:
-    """Relative imports inside a function or method body (an absolute one,
-    such as a lazy ``import multiprocessing``, is allowed)."""
+def _imported(node) -> str:
+    """The module an import statement names, as written."""
+    if isinstance(node, ast.Import):
+        return "import " + ", ".join(alias.name for alias in node.names)
+    return "from " + "." * node.level + (node.module or "")
+
+
+def _nested_imports(tree: ast.Module) -> list[str]:
+    """Imports inside a function or method body, relative or absolute."""
     # a set: an import in a nested function is walked once per enclosing one
-    found = {(node.lineno, "." * node.level + (node.module or ""))
+    found = {(node.lineno, _imported(node))
              for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-             for node in ast.walk(fn) if isinstance(node, ast.ImportFrom) and node.level > 0}
-    return [f"line {line}: from {module}" for line, module in sorted(found)]
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return [f"line {line}: {text}" for line, text in sorted(found)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -52,16 +60,52 @@ def test_unused_import_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_package_imports_at_module_level(path):
-    assert _nested_relative_imports(ast.parse(path.read_text())) == []
+    assert _nested_imports(ast.parse(path.read_text())) == []
 
 
 def test_nested_relative_import_found():
+    # absolute imports count too, such as a lazy ``import multiprocessing``
     tree = ast.parse("from .core import wrap_phase\n"
-                     "def f():\n    import multiprocessing\n    from . import ode\n"
+                     "def f():\n    import multiprocessing as mp, os\n    from . import ode\n"
                      "    def inner():\n        from .core import pd_period\n"
-                     "class C:\n    def g(self):\n        from ..x.y import z\n")
-    assert _nested_relative_imports(tree) == ["line 4: from .", "line 6: from .core",
-                                              "line 9: from ..x.y"]
+                     "class C:\n    async def g(self):\n        from ..x.y import z\n"
+                     "        from numpy import linspace\n")
+    assert _nested_imports(tree) == ["line 3: import multiprocessing, os", "line 4: from .",
+                                     "line 6: from .core", "line 9: from ..x.y",
+                                     "line 10: from numpy"]
+
+
+# the packages that start worker processes, child programs or executor pools
+POOL_MODULES = {"multiprocessing", "subprocess", "concurrent"}
+
+
+def _pool_imports(tree: ast.Module) -> list[str]:
+    """Imports, at any depth, of a module under :data:`POOL_MODULES`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in POOL_MODULES for name in names):
+            found.append((node.lineno, _imported(node)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_pool_import(path):
+    assert _pool_imports(ast.parse(path.read_text())) == []
+
+
+def test_pool_import_found():
+    tree = ast.parse("import math, subprocess\nfrom concurrent.futures import ProcessPoolExecutor\n"
+                     "from .multiprocessing import x\nimport multiprocessingx\n"
+                     "def f():\n    import multiprocessing.pool as mp\n")
+    assert _pool_imports(tree) == ["line 1: import math, subprocess",
+                                   "line 2: from concurrent.futures",
+                                   "line 6: import multiprocessing.pool"]
 
 
 def _environment_reads(tree: ast.Module) -> list[str]:
