@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import LoopParams, LoopVariant, PdFlavor, VariantTag, check_real
+from .core import LoopParams, LoopVariant, PdFlavor, VariantTag, bisect, check_real
 from .detectors import PdCharacteristic
 
 TWO_PI = 2.0 * math.pi
@@ -172,8 +172,9 @@ def total_phase_lag(params: LoopParams, variant: LoopVariant, delta_omega: float
 
 
 def pull_in_range_numeric(params: LoopParams, variant: LoopVariant) -> float:
-    """Bisection root of the phase-lag condition lag(delta_omega) = -pi/2,
-    to a bracket width of 1e-9 relative.
+    """Bisection root of the phase-lag condition lag(delta_omega) = -pi/2:
+    the midpoint of the :func:`core.bisect` bracket from (0, 100*omega3),
+    stopped at a width of at most 1e-9 of its high end.
 
     Independent of the closed forms in :func:`pull_in_range`; serves as
     their oracle.
@@ -184,22 +185,14 @@ def pull_in_range_numeric(params: LoopParams, variant: LoopVariant) -> float:
     n = 4 if variant.is_qpsk else 2
 
     def f(dw: float) -> float:
-        return n * math.atan(dw / params.omega3) - math.atan(
-            n * dw / params.omega_c
-        )
+        return n * math.atan(dw / params.omega3) - math.atan(n * dw / params.omega_c)
 
-    lo, hi = 0.0, 100.0 * params.omega3
+    hi = 100.0 * params.omega3
     if f(hi) <= 0.0:
         raise RangeError("no sign change in the pull-in bisection bracket")
     # f(0+) < 0 because omega_c < omega3
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-9 * hi:
-            break
+    lo, hi = bisect(lambda dw: not f(dw) > 0.0, 0.0, hi,
+                    lambda lo, hi: hi - lo <= 1e-9 * hi)
     return 0.5 * (lo + hi)
 
 

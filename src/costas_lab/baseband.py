@@ -24,7 +24,7 @@ from .analysis import (
     lock_in_range,
     total_phase_lag,
 )
-from .core import LoopParams, LoopVariant, PdFlavor, VariantTag
+from .core import LoopParams, LoopVariant, PdFlavor, VariantTag, bisect
 from .detectors import PdCharacteristic
 
 
@@ -99,8 +99,10 @@ def delay_rhs(model: DelayModel, state, prev_dtheta: float) -> tuple[float, floa
 
     theta_e' = dw0 - K0*(x/tau1 + (tau2/tau1)*phi(theta_e + lag(theta_e')))
     is solved for theta_e' by fixed-point iteration seeded with the
-    previous step's rate; if the iteration stalls, the root is bracketed
-    (the right side is bounded by the PD amplitude) and bisected.
+    previous step's rate, until a step moves it by at most IMPLICIT_REL_TOL
+    of max(|rate|, 1).  After IMPLICIT_MAX_ITER steps the root is bracketed
+    (the right side is bounded by the PD amplitude), :func:`core.bisect`
+    narrows the bracket to that width, and its midpoint is the rate.
     """
     if not math.isfinite(prev_dtheta):
         raise ImplicitSolveError("seed rate is not finite")
@@ -122,8 +124,7 @@ def delay_rhs(model: DelayModel, state, prev_dtheta: float) -> tuple[float, floa
     # amplitude bound of phi gives a hard bracket for the root of g(v) - v
     amp = 2.0 * model.pd.m * max(1.0, model.pd.m)
     lo, hi = base - gain * amp, base + gain * amp
-    flo = g(lo) - lo
-    fhi = g(hi) - hi
+    flo, fhi = g(lo) - lo, g(hi) - hi
     if flo == 0.0:
         v = lo
     elif fhi == 0.0:
@@ -131,15 +132,8 @@ def delay_rhs(model: DelayModel, state, prev_dtheta: float) -> tuple[float, floa
     elif flo * fhi > 0.0:
         raise ImplicitSolveError("implicit rate equation lost its bracket")
     else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = g(mid) - mid
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-            if hi - lo <= IMPLICIT_REL_TOL * max(abs(hi), 1.0):
-                break
+        lo, hi = bisect(lambda v: flo * (g(v) - v) > 0.0, lo, hi,
+                        lambda lo, hi: hi - lo <= IMPLICIT_REL_TOL * max(abs(hi), 1.0))
         v = 0.5 * (lo + hi)
     return _delay_phi(model, theta_e, v), v
 

@@ -258,7 +258,10 @@ def cmd_predict(args) -> int:
     report = predict(params, variant)
     out = {"schema": 1, "prediction": report.to_dict()}
     if args.leadlag:
-        tau1, tau2, omega3 = (float(x) for x in args.leadlag.split(","))
+        try:
+            tau1, tau2, omega3 = (float(x) for x in args.leadlag.split(","))
+        except ValueError:   # not three values, or not numbers
+            raise CliError(f"--leadlag takes TAU1,TAU2,OMEGA3, got {args.leadlag!r}") from None
         hold = hold_in_leadlag(params.k0, params.kd, tau1, tau2, omega3)
         out["leadlag_hold_in"] = hold.to_dict()
     print(json.dumps(out, indent=2, sort_keys=True))

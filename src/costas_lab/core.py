@@ -389,3 +389,19 @@ def count_cycle_slips(theta_e: np.ndarray, period: float) -> int:
     """
     cells = np.floor(np.asarray(theta_e) / period + 0.5).astype(np.int64)
     return int(np.abs(np.diff(cells)).sum())
+
+
+def bisect(on_lo_side, lo: float, hi: float, done) -> tuple[float, float]:
+    """Halve the bracket (lo, hi) at its midpoint until ``done(lo, hi)`` or
+    lo and hi are adjacent floats, and return the last bracket.  A midpoint
+    where ``on_lo_side`` is true becomes lo, any other hi.  The ends are
+    never evaluated: the caller checks its own bracket."""
+    while not done(lo, hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break   # lo and hi are adjacent floats
+        if on_lo_side(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -26,6 +26,7 @@ from .core import (
     LoopParams,
     LoopVariant,
     SimResult,
+    bisect,
     check_real,
     count_cycle_slips,
     pd_period,
@@ -380,7 +381,7 @@ def measure_pull_in_range(
 ) -> float:
     """Largest frequency offset (Hz) that still locks within the budget.
 
-    Bisection on the detuning between a locking low end and a failing
+    :func:`core.bisect` on the detuning, from a locking low end to a failing
     high end, down to ``resolution`` Hz or to adjacent floats; raises
     SearchError when the bracket premise does not hold or ``resolution``
     is not a finite number > 0.  ``budget`` is the per-trial simulation
@@ -408,15 +409,7 @@ def measure_pull_in_range(
         raise SearchError(f"loop must lock at the low end ({lo:g} Hz)")
     if locks(hi):
         raise SearchError(f"loop must fail at the high end ({hi:g} Hz)")
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break   # lo and hi are adjacent floats
-        if locks(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect(locks, lo, hi, lambda lo, hi: hi - lo <= resolution)[0]
 
 
 def demod_ber(result: SimResult, source: ModulatedSource) -> float:

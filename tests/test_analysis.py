@@ -152,6 +152,30 @@ class TestPullInRange:
             numeric = pull_in_range_numeric(p, variant)
             assert abs(numeric - closed) / closed < 1e-6
 
+    @pytest.mark.parametrize("variant", [CONVENTIONAL_BPSK, CONVENTIONAL_QPSK])
+    def test_numeric_is_the_hand_written_bisection(self, variant):
+        # the loop core.bisect replaced, bit for bit, on 600 seeded designs
+        n = 4 if variant.is_qpsk else 2
+        rng = np.random.default_rng(0xB15EC7)
+        for _ in range(600):
+            omega_c = 10 ** rng.uniform(2, 8)
+            p = LoopParams(0, 0, 1e6, 1.0, 1e-4, 1.0 / omega_c,
+                           omega3=omega_c * 10 ** rng.uniform(1e-3, 4))
+
+            def f(dw):
+                return n * math.atan(dw / p.omega3) - math.atan(n * dw / p.omega_c)
+
+            lo, hi = 0.0, 100.0 * p.omega3
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if f(mid) > 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+                if hi - lo <= 1e-9 * hi:
+                    break
+            assert pull_in_range_numeric(p, variant) == 0.5 * (lo + hi)
+
     def test_degenerate_configuration_rejected(self):
         p = LoopParams(0, 0, 1e6, 1.0, 1e-4, 1e-5, omega3=5e4)
         with pytest.raises(RangeError):

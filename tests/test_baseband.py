@@ -15,6 +15,7 @@ from costas_lab import (
     LoopVariant,
     averaged_rhs,
     averaged_ud,
+    baseband,
     classic_rhs,
     delay_rhs,
     lock_in_range,
@@ -179,6 +180,37 @@ class TestBoundRhs:
             0.125, q.delta_omega0 - q.k0 * (0.0 / q.tau1 + (q.tau2 / q.tau1) * 0.125))
 
 
+def delay_states(p, count):
+    """``count`` seeded states (x, theta_e) and seed rates for the delay model."""
+    rng = np.random.default_rng(0xD1CE)
+    for _ in range(count):
+        x = rng.normal() * 5.0 * p.delta_omega0 * p.tau1 / p.k0
+        yield x, rng.uniform(-math.pi, math.pi), rng.normal() * 1e5
+
+
+def delay_rate_oracle(dm, x, th):
+    """The delay model's phase-error rate by plain bisection of g(v) - v
+    to adjacent floats, on the bracket that |phi| <= 2 gives at m = 1."""
+    p = dm.params
+    base = p.delta_omega0 - p.k0 * x / p.tau1
+    gain = p.k0 * p.tau2 / p.tau1
+
+    def g(v):
+        return base - gain * dm.pd.phi(th - math.atan(v / p.omega3))
+
+    lo, hi = base - 2.0 * gain, base + 2.0 * gain
+    flo = g(lo) - lo
+    assert flo * (g(hi) - hi) <= 0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = g(mid) - mid
+        if fm * flo <= 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
 class TestDelayRhs:
     def test_zero_rate_reduces_to_classic(self, bpsk_reference_params):
         p = bpsk_reference_params
@@ -213,35 +245,24 @@ class TestDelayRhs:
         assert dx == pytest.approx(dm.pd.phi(th + lag), rel=1e-9)
 
     def test_fixed_point_matches_bisection_oracle(self, bpsk_reference_params):
-        p = bpsk_reference_params
-        dm = DelayModel(p, PdCharacteristic(CONVENTIONAL_BPSK, 1.0))
-        rng = np.random.default_rng(0xD1CE)
-        for _ in range(100):
-            x = rng.normal() * 5.0 * p.delta_omega0 * p.tau1 / p.k0
-            th = rng.uniform(-math.pi, math.pi)
-            seed = rng.normal() * 1e5
+        dm = DelayModel(bpsk_reference_params, PdCharacteristic(CONVENTIONAL_BPSK, 1.0))
+        for x, th, seed in delay_states(bpsk_reference_params, 100):
             _, v = delay_rhs(dm, (x, th), seed)
-
-            # independent oracle: plain bisection on g(v) - v
-            base = p.delta_omega0 - p.k0 * x / p.tau1
-            gain = p.k0 * p.tau2 / p.tau1
-
-            def g(vv):
-                lag = -math.atan(vv / p.omega3)
-                return base - gain * dm.pd.phi(th + lag)
-
-            lo = base - gain * 1.0
-            hi = base + gain * 1.0
-            flo, fhi = g(lo) - lo, g(hi) - hi
-            assert flo * fhi <= 0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if (g(mid) - mid) * flo <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, g(lo) - lo
-            oracle = 0.5 * (lo + hi)
+            oracle = delay_rate_oracle(dm, x, th)
             assert abs(v - oracle) <= 1e-8 * max(1.0, abs(oracle))
+
+    @pytest.mark.parametrize("variant", [CONVENTIONAL_BPSK, CONVENTIONAL_QPSK])
+    def test_bisection_fallback_matches_oracle(self, bpsk_reference_params,
+                                               qpsk_reference_params, monkeypatch, variant):
+        # no fixed-point step: every call solves by the bracket and bisection
+        monkeypatch.setattr(baseband, "IMPLICIT_MAX_ITER", 0)
+        p = qpsk_reference_params if variant.is_qpsk else bpsk_reference_params
+        dm = DelayModel(p, PdCharacteristic(variant, 1.0))
+        for x, th, seed in delay_states(p, 300):
+            dx, v = delay_rhs(dm, (x, th), seed)
+            oracle = delay_rate_oracle(dm, x, th)
+            assert abs(v - oracle) <= 1e-9 * max(1.0, abs(oracle))
+            assert dx == dm.pd.phi(th - math.atan(v / p.omega3))
 
     def test_nonfinite_seed_rejected(self, bpsk_reference_params):
         from costas_lab.baseband import ImplicitSolveError

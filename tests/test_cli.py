@@ -204,6 +204,17 @@ class TestPredictCommand:
         assert captured.err.startswith("error:") and "must be finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("leadlag", ["1e-4,2e-5", "1e-4,2e-5,1e6,1e6", "a,b,c"])
+    def test_malformed_leadlag_names_the_flag(self, tmp_path, capsys, leadlag):
+        assert main(["design", "--variant", "bpsk", "--f0", "400e3", "--fs", "100e3",
+                     "-o", str(tmp_path / "p.json")]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--params", str(tmp_path / "p.json"),
+                     "--variant", "bpsk", "--leadlag", leadlag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --leadlag takes TAU1,TAU2,OMEGA3, got {leadlag!r}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", EXTREME_VALUES)
     @pytest.mark.parametrize("field", range(3), ids=["tau1", "tau2", "omega3"])
     def test_extreme_leadlag_exits_0_or_2(self, tmp_path, capsys, field, value):
@@ -335,6 +346,22 @@ class TestSimulateCommand:
             "t_end": 3e-4,
         })
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+
+    def test_delay_qpsk_bisection_fallback_digest(self, tmp_path, capsys):
+        # the chopped-sine PD stalls the fixed-point solve at 1,919 of this
+        # run's rhs calls, which the bracket and bisection resolve; at
+        # 40 kHz only two stall, and their rates move no byte of the bundle
+        cfg = write_cfg(tmp_path, {
+            "schema": 1, "fidelity": "delay", "variant": "qpsk",
+            "f0": 400e3, "f_symbol": 100e3, "delta_f0": 46e3, "t_end": 3e-4,
+        })
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+                   for name in ("trajectory.csv", "summary.json")}
+        assert digests == {
+            "trajectory.csv": "c413559173e7547bbd5e8294c3a2a46629a0d9901b9ae91a0724d81638f5e6c9",
+            "summary.json": "ec15f8f23b379e923d275cf7ca44afcf359cf34590e2e5e1c462ff8915597e5c",
+        }
 
     def test_delay_fidelity_rejects_modified_loop(self, tmp_path, capsys):
         # the modified loops have no LPF; an omega3 in explicit params used

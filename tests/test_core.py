@@ -22,7 +22,7 @@ from costas_lab import (
     pd_period,
     wrap_phase,
 )
-from costas_lab.core import count_cycle_slips
+from costas_lab.core import bisect, count_cycle_slips
 
 
 class TestLoopVariant:
@@ -138,6 +138,32 @@ class TestPhaseHelpers:
         theta = np.array([0.0, 0.6 * math.pi, 0.4 * math.pi, 0.6 * math.pi, 0.0])
         # crossing the pi/2 boundary out, back, out, back = 4 crossings
         assert count_cycle_slips(theta, math.pi) == 4
+
+
+class TestBisect:
+    def test_halves_until_done(self):
+        seen = []
+
+        def below(x):
+            seen.append(x)
+            return x < 2.5
+
+        assert bisect(below, 0.0, 8.0, lambda lo, hi: hi - lo <= 1.0) == (2.0, 3.0)
+        # the ends are the caller's: only midpoints are evaluated
+        assert seen == [4.0, 2.0, 3.0]
+
+    def test_done_at_entry_evaluates_nothing(self):
+        def never(x):
+            raise AssertionError("evaluated")
+
+        assert bisect(never, 1.0, 2.0, lambda lo, hi: True) == (1.0, 2.0)
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 2.0), (-3e300, 5e-300), (0.0, 5e-324),
+                                       (1e16, 1e16 + 64.0)])
+    def test_stops_on_adjacent_floats(self, lo, hi):
+        root = lo + (hi - lo) / 3.0
+        lo2, hi2 = bisect(lambda x: x <= root, lo, hi, lambda lo, hi: False)
+        assert lo2 <= root < hi2 and math.nextafter(lo2, math.inf) == hi2
 
 
 PUBLIC_NAMES = {

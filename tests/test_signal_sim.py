@@ -339,6 +339,17 @@ class TestPullInSearch:
             measure_pull_in_range(bpsk_source(), loop, (110e3, 160e3), budget=1e-3,
                                   resolution=resolution)
 
+    def test_trial_sequence(self, bpsk_reference_params, monkeypatch):
+        # the ends, then one trial per halving of the 128 kHz bracket to 1 kHz
+        trials = []
+        monkeypatch.setattr(signal_sim, "run_loop", lambda source, loop, duration, detector:
+                            SimpleNamespace(locked=loop.params.delta_omega0 <= TWO_PI * 133e3))
+        loop = DigitalLoop(bpsk_reference_params, F_SAMP)
+        f = measure_pull_in_range(bpsk_source(), loop, (60e3, 188e3),
+                                  budget=lambda f: trials.append(f) or 1e-3)
+        assert f == 133e3
+        assert trials == [60e3, 188e3, 124e3, 156e3, 140e3, 132e3, 136e3, 134e3, 133e3]
+
     def test_tiny_resolution_ends_on_adjacent_floats(self, bpsk_reference_params,
                                                      monkeypatch):
         # no bisection exists below one ulp: the search stops there

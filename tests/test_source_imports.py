@@ -3,14 +3,17 @@ every import sits at module level, so a module's dependencies are the
 imports at its top.  No module reads the process environment: a run's
 inputs are its config file and its command line.  No module imports
 ``multiprocessing``, ``subprocess`` or ``concurrent``: a run is one
-process."""
+process.  The one bisection loop is ``core.bisect``: every edge search
+shares its adjacent-float stop."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import costas_lab
+from costas_lab import core
 
 SOURCE = Path(costas_lab.__file__).parent
 # __init__.py imports names only to re-export them
@@ -129,3 +132,57 @@ def test_environment_read_found():
                      "def f():\n    return os.environ.get('A'), os.path.sep\n"
                      "seed = getenv('B')\n")
     assert _environment_reads(tree) == ["line 4: environ", "line 5: getenv"]
+
+
+# a midpoint's operands: values, not arithmetic
+_OPERANDS = (ast.Name, ast.Attribute, ast.Subscript)
+
+
+def _is_midpoint(node) -> bool:
+    """``0.5 * (a + b)``, ``(a + b) * 0.5`` or ``(a + b) / 2`` of two values."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Mult):
+        pairs, half = [(node.left, node.right), (node.right, node.left)], 0.5
+    elif isinstance(node.op, ast.Div):
+        pairs, half = [(node.right, node.left)], 2
+    else:
+        return False
+    return any(isinstance(c, ast.Constant) and c.value == half
+               and isinstance(s, ast.BinOp) and isinstance(s.op, ast.Add)
+               and isinstance(s.left, _OPERANDS) and isinstance(s.right, _OPERANDS)
+               for c, s in pairs)
+
+
+def _bisection_steps(tree: ast.Module) -> list[tuple[int, str]]:
+    """Midpoints computed inside a ``for`` or ``while`` loop: the step of a
+    hand-written bisection.  A midpoint outside a loop, such as the
+    estimate a caller takes from its last bracket, is not one."""
+    found = {(node.lineno, ast.unparse(node))
+             for loop in ast.walk(tree) if isinstance(loop, (ast.For, ast.While))
+             for node in ast.walk(loop) if _is_midpoint(node)}
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_bisection_only_in_core(path):
+    found = _bisection_steps(ast.parse(path.read_text()))
+    if path.name != "core.py":
+        assert found == []
+        return
+    body, first = inspect.getsourcelines(core.bisect)
+    assert len(found) == 1 and first <= found[0][0] < first + len(body)
+
+
+def test_bisection_step_found():
+    tree = ast.parse("def f(lo, hi):\n"
+                     "    while hi - lo > 1e-9:\n"
+                     "        mid = 0.5 * (lo + hi)\n"
+                     "        lo, hi = (lo, mid) if g(mid) else (mid, hi)\n"
+                     "    for _ in range(9):\n"
+                     "        c = (a + b) / 2\n"
+                     "        d = (s.lo + b[0]) * 0.5 + 0.5 * (a + 2 * b)\n"
+                     "        e = 0.5 * h + (a + b + c) / 2 + (a - b) / 2 + (a + b) / 3\n"
+                     "    return 0.5 * (lo + hi)\n")
+    assert _bisection_steps(tree) == [(3, "0.5 * (lo + hi)"), (6, "(a + b) / 2"),
+                                      (7, "(s.lo + b[0]) * 0.5")]
