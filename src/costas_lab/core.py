@@ -385,9 +385,10 @@ def count_cycle_slips(theta_e: np.ndarray, period: float) -> int:
     centered on a lock point and enters the next; re-crossings count again
     (the quantity is total crossings, not net displacement).  Cell k is
     ``floor(theta_e/period + 1/2) == k``, the half-open interval
-    [(k - 1/2)*period, (k + 1/2)*period).
+    [(k - 1/2)*period, (k + 1/2)*period), kept as a float: no overflow past
+    2**63 cells, and exact while |theta_e/period| < 2**53.
     """
-    cells = np.floor(np.asarray(theta_e) / period + 0.5).astype(np.int64)
+    cells = np.floor(np.asarray(theta_e) / period + 0.5)
     return int(np.abs(np.diff(cells)).sum())
 
 

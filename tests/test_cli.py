@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from types import MethodType
@@ -338,6 +339,18 @@ class TestSimulateCommand:
         assert counts["lock_verdict"] > 0
         assert counts["classic_rhs"] == counts["integrate"] + counts["lock_verdict"]
         assert len(seen) == 2 and seen[0] is seen[1]
+
+    @pytest.mark.parametrize("fidelity", ["phase", "delay"])
+    def test_cycle_slips_past_int64_cells(self, tmp_path, capsys, fidelity):
+        # theta_e reaches about 6e296 rad, past 2**63 lock cells: the count
+        # is a non-negative int, with no warning from an integer cast
+        cfg = write_cfg(tmp_path, {**PHASE_CFG, "fidelity": fidelity, "delta_f0": 1e300,
+                                   "t_end": 1e-4})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+        slips = json.loads((tmp_path / "o" / "summary.json").read_text())["cycle_slips"]
+        assert type(slips) is int and slips > 2**63
 
     def test_delay_fidelity(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {

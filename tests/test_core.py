@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -138,6 +139,21 @@ class TestPhaseHelpers:
         theta = np.array([0.0, 0.6 * math.pi, 0.4 * math.pi, 0.6 * math.pi, 0.0])
         # crossing the pi/2 boundary out, back, out, back = 4 crossings
         assert count_cycle_slips(theta, math.pi) == 4
+
+    def test_cycle_slip_count_past_int64_cells(self):
+        # 1e300/pi cells is past 2**63: counted on the float cells, without
+        # an integer cast that overflows to a negative count and warns
+        cells = math.floor(1e300 / math.pi + 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for theta in ([0.0, 1e300], [0.0, -1e300], [1e300, 0.0]):
+                assert count_cycle_slips(np.array(theta), math.pi) == cells > 2**63
+
+    def test_cycle_slip_count_same_as_integer_cells(self):
+        # below 2**53 cells the float count is the integer count
+        theta = np.cumsum(np.random.default_rng(5).normal(0.0, 4.0, 10_000)) * 1e9
+        cells = np.floor(theta / math.pi + 0.5).astype(np.int64)
+        assert count_cycle_slips(theta, math.pi) == int(np.abs(np.diff(cells)).sum())
 
 
 class TestBisect:

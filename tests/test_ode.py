@@ -1,5 +1,6 @@
 import math
-from types import MethodType
+import sys
+from types import FunctionType, MethodType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from costas_lab import (
     design,
     ode,
 )
-from costas_lab.core import count_cycle_slips, pd_period, wrap_phase
+from costas_lab.core import (LoopVariant, PdFlavor, VariantTag, count_cycle_slips, pd_period,
+                             wrap_phase)
 from costas_lab.detectors import PdCharacteristic
 from costas_lab.ode import (
     IntegratorConfig,
@@ -789,6 +791,139 @@ class TestPhaseRhsBinding:
         assert cycles and counts["_classify"] > 4096 * cycles
         assert counts["classic_rhs"] == counts["integrate"] + counts["_classify"]
         assert len(seen) == 2 * len(port) and all(rhs is seen[0] for rhs in seen)
+
+
+# The six (variant, PD flavor) pairs of the phase model.
+PHASE_PDS = [LoopVariant(tag, flavor) for tag, flavor in (
+    (VariantTag.CONVENTIONAL_BPSK, PdFlavor.MUL_MUL),
+    (VariantTag.CONVENTIONAL_QPSK, PdFlavor.SGN_CROSS),
+    (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_PHASE),
+    (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_IMAG),
+    (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_PHASE),
+    (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_IMAG),
+)]
+INLINE_METHODS = {
+    "rk4": dict(t_end=1e-4, method="rk4", h=1e-7),
+    # the portrait's tolerances, at which conventional QPSK's PD jump makes
+    # the step underflow
+    "rk45": dict(t_end=1e-4, method="rk45", rtol=1e-9, atol=1e-11),
+}
+
+
+def _phase_run(rhs, state0, controls):
+    """A run's bytes and counters, or the StiffnessError or ValueError it
+    raised."""
+    try:
+        traj = integrate(rhs, state0, IntegratorConfig(**controls))
+    except (StiffnessError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return (traj.t.tobytes(), traj.y.tobytes(), traj.rhs_calls, traj.rejected_steps,
+            traj.blown_up)
+
+
+@pytest.fixture(scope="module")
+def inline_runs():
+    """For each PD, m in (1, 1e160) and method: the runs from four states
+    on the bound classic_rhs (inline steppers) and on a function around it
+    (generic steppers), in pairs, and how many of the function's calls
+    raised.
+
+    The fourth state starts theta_e 1e303 inside the float range of the
+    PD's argument, at a slope near -2e307: about halfway to t_end a stage's
+    fn raises or the state overflows.  At m = 1e160 conventional BPSK's
+    slope is not finite at the start (0.5*m*m overflows)."""
+    runs = {}
+    for variant in PHASE_PDS:
+        params = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=LoopVariant(variant.tag)))
+        params = params.with_offset(TWO_PI * 60e3)
+        for m in (1.0, 1e160):
+            model = ClassicPhaseModel(params, PdCharacteristic(variant, m))
+            freq = model.pd.kernel[1]
+            states = [(0.0, 0.3), (0.0, 1.0), (0.0, -2.0),
+                      ((params.delta_omega0 + 2e307) * params.tau1 / params.k0,
+                       -sys.float_info.max / freq + 1e303)]
+            raised = [0]
+
+            def generic(t, y, model=model, raised=raised):
+                try:
+                    return classic_rhs(model, t, y)
+                except (ArithmeticError, ValueError):
+                    raised[0] += 1
+                    raise
+
+            for method, controls in INLINE_METHODS.items():
+                raised[0] = 0
+                pairs = [(_phase_run(MethodType(classic_rhs, model), s0, controls),
+                          _phase_run(generic, s0, controls)) for s0 in states]
+                runs[variant, m, method] = pairs, raised[0]
+    return runs
+
+
+class TestInlinePhaseSteppers:
+    """``integrate`` runs the bound original ``classic_rhs`` on steppers
+    that compute its slope inline, and any other rhs on the generic ones:
+    the same bytes, counters and errors either way."""
+
+    @pytest.mark.parametrize("method", sorted(INLINE_METHODS))
+    @pytest.mark.parametrize("m", [1.0, 1e160])
+    @pytest.mark.parametrize("variant", PHASE_PDS,
+                             ids=lambda v: f"{v.tag.value}-{v.pd_flavor.value}")
+    def test_same_as_generic(self, inline_runs, variant, m, method):
+        for inline, generic in inline_runs[variant, m, method][0]:
+            assert inline == generic
+
+    def test_runs_reach_every_exit(self, inline_runs):
+        outcomes = [inline for pairs, _ in inline_runs.values() for inline, _ in pairs]
+        kinds = {out[0] if isinstance(out[0], str) else ("blown_up" if out[4] else "ok")
+                 for out in outcomes}
+        assert kinds == {"ok", "blown_up", "StiffnessError", "ValueError"}
+        # a mid-run blow-up, with accepted steps before it
+        assert any(out[4] and len(out[0]) > 8 * 100 for out in outcomes
+                   if not isinstance(out[0], str))
+        # a stage call whose fn raised
+        assert sum(raised for _, raised in inline_runs.values()) > 0
+
+    def test_qpsk_pd_jump_stiffness_error(self, inline_runs):
+        inline, generic = inline_runs[PHASE_PDS[1], 1.0, "rk45"][0][0]
+        assert inline == generic == ("StiffnessError", "step size underflow at t=2.34563e-06")
+
+    @staticmethod
+    def _code_calls(rhs, method):
+        """A pitfall run's rhs_calls, and its Python calls of classic_rhs's
+        code."""
+        code, calls = classic_rhs.__code__, [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls[0] += 1
+
+        config = IntegratorConfig(t_end=20.0, method=method, h=2e-2)
+        sys.setprofile(profile)
+        try:
+            traj = integrate(rhs, PITFALL_STATE0, config)
+        finally:
+            sys.setprofile(None)
+        return traj.rhs_calls, calls[0]
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_bound_rhs_called_once(self, method):
+        rhs_calls, code_calls = self._code_calls(
+            MethodType(classic_rhs, pitfall_example_model()), method)
+        assert code_calls == 1 and rhs_calls > 1000
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize("bound", ["rebound", "not_a_model"])
+    def test_other_rhs_called_at_every_slope(self, method, bound):
+        # a copy of classic_rhs, or the original bound to something that is
+        # not a ClassicPhaseModel, runs on the generic steppers
+        model = pitfall_example_model()
+        if bound == "rebound":
+            rhs = MethodType(FunctionType(classic_rhs.__code__, classic_rhs.__globals__), model)
+        else:
+            rhs = MethodType(classic_rhs, SimpleNamespace(_rhs_consts=model._rhs_consts))
+        rhs_calls, code_calls = self._code_calls(rhs, method)
+        assert code_calls == rhs_calls > 1000
+        assert rhs_calls == self._code_calls(MethodType(classic_rhs, model), method)[0]
 
 
 class TestLockVerdict:

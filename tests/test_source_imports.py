@@ -4,16 +4,20 @@ imports at its top.  No module reads the process environment: a run's
 inputs are its config file and its command line.  No module imports
 ``multiprocessing``, ``subprocess`` or ``concurrent``: a run is one
 process.  The one bisection loop is ``core.bisect``: every edge search
-shares its adjacent-float stop."""
+shares its adjacent-float stop.  Each of ``ode``'s inline phase-model
+steppers is its generic stepper with the stage calls written out, so a
+change to one stepper is a change to its twin."""
 
 import ast
+import copy
 import inspect
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
 
 import costas_lab
-from costas_lab import core
+from costas_lab import core, ode
 
 SOURCE = Path(costas_lab.__file__).parent
 # __init__.py imports names only to re-export them
@@ -186,3 +190,104 @@ def test_bisection_step_found():
                      "    return 0.5 * (lo + hi)\n")
     assert _bisection_steps(tree) == [(3, "0.5 * (lo + hi)"), (6, "(a + b) / 2"),
                                       (7, "(s.lo + b[0]) * 0.5")]
+
+
+# ode's inline phase-model steppers, each with the generic stepper it copies
+INLINE_TWINS = [("_rk4_phase", "_rk4_steps"), ("_rk45_phase", "_rk45_steps")]
+# an inline stepper's first statement: ClassicPhaseModel._rhs_consts unpacked
+UNPACK_CONSTS = "dw0, k0, tau1, ratio, scale, freq, fn = consts"
+
+
+class _InlineStage(ast.NodeTransformer):
+    """Write each stage call ``pN, qN = rhs(T, (X, Y))`` out as the phase
+    model's slope, ``classic_rhs`` on the unpacked constants."""
+
+    def visit_Assign(self, node):
+        call = node.value
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "rhs"):
+            return node
+        (p, q), (x, y) = node.targets[0].elts, call.args[1].elts
+        return ast.parse(f"{p.id} = scale * fn(freq * ({ast.unparse(y)}))\n"
+                         f"{q.id} = dw0 - k0 * (({ast.unparse(x)}) / tau1 + ratio * {p.id})").body
+
+
+def _statements(body) -> list[tuple[int, str]]:
+    """Each statement of ``body``, then the statements nested in it, in
+    source order: its line and its dump without the nested statements."""
+    out = []
+    for node in body:
+        shallow, nested = copy.copy(node), []
+        for name, value in ast.iter_fields(node):
+            if value and isinstance(value, list) and isinstance(value[0], (ast.stmt,
+                                                                           ast.excepthandler)):
+                nested.append(value)
+                setattr(shallow, name, [])
+        out.append((node.lineno, ast.dump(shallow)))
+        for block in nested:
+            out.extend(_statements(block))
+    return out
+
+
+def _twin_mismatches(tree: ast.Module, inline: str, generic: str) -> list[str]:
+    """Where the function ``inline`` differs from ``generic`` with its stage
+    calls written out: past their docstrings, ``inline`` takes ``consts``
+    for ``rhs``, unpacks it first and then runs the same statements."""
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    twin = funcs[inline]
+    base = _InlineStage().visit(copy.deepcopy(funcs[generic]))
+    found = []
+    if [a.arg for a in twin.args.args] != ["consts"] + [a.arg for a in base.args.args[1:]]:
+        found.append(f"line {twin.lineno}: arguments")
+    if ast.unparse(twin.body[1]) != UNPACK_CONSTS:
+        found.append(f"line {twin.body[1].lineno}: not {UNPACK_CONSTS}")
+    for mine, theirs in zip_longest(_statements(twin.body[2:]), _statements(base.body[1:])):
+        if mine is None or theirs is None or mine[1] != theirs[1]:
+            found.append(f"line {mine[0]}" if mine else f"missing line {theirs[0]}")
+    return found
+
+
+@pytest.mark.parametrize("inline,generic", INLINE_TWINS)
+def test_inline_stepper_is_its_generic_twin(inline, generic):
+    assert _twin_mismatches(ast.parse(Path(ode.__file__).read_text()), inline, generic) == []
+
+
+_TWINS_SOURCE = """
+def _steps(rhs, a, b, h):
+    \"\"\"Generic.\"\"\"
+    while a < 1.0:
+        try:
+            p2, q2 = rhs(a, (a + h * b, b))
+        except ValueError:
+            return None
+        h = h * (5.0 if p2 > 5.0 else 0.2)
+    return a
+
+def _phase(consts, a, b, h):
+    \"\"\"Inline.\"\"\"
+    dw0, k0, tau1, ratio, scale, freq, fn = consts
+    while a < 1.0:
+        try:
+            p2 = scale * fn(freq * b)
+            q2 = dw0 - k0 * ((a + h * b) / tau1 + ratio * p2)
+        except ValueError:
+            return None
+        h = h * (5.0 if p2 > 5.0 else 0.2)
+    return a
+"""
+
+
+def test_twin_mismatch_found():
+    assert _twin_mismatches(ast.parse(_TWINS_SOURCE), "_phase", "_steps") == []
+    # a controller constant changed in the inline twin only
+    head, _, tail = _TWINS_SOURCE.rpartition("else 0.2)")
+    changed = head + "else 0.25)" + tail
+    assert _twin_mismatches(ast.parse(changed), "_phase", "_steps") == ["line 21"]
+    # a stage that reads the wrong slope, and a stepper whose
+    # arguments or constants differ
+    assert _twin_mismatches(ast.parse(_TWINS_SOURCE.replace("ratio * p2", "ratio * q2")),
+                            "_phase", "_steps") == ["line 18"]
+    moved = _TWINS_SOURCE.replace("consts, a, b, h", "consts, b, a, h").replace(
+        "fn = consts", "fn = c")
+    assert _twin_mismatches(ast.parse(moved), "_phase", "_steps") == [
+        "line 12: arguments", "line 14: not " + UNPACK_CONSTS]
