@@ -268,12 +268,13 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _simulate_signal(cfg: dict, variant: LoopVariant, params: LoopParams):
+def _simulate_signal(cfg: dict, variant: LoopVariant, params: LoopParams,
+                     signals: bool = False):
     source = ModulatedSource(variant, cfg["f0"], cfg["f_symbol"],
                              **_given(cfg, "m", "prbs_seed", "theta1_0", "data_mode"))
     loop = DigitalLoop(params, cfg["f_samp"], **_given(cfg, "hilbert_mode"))
     detector = replace(LockDetector.for_params(params), **cfg.get("detector", {}))
-    return run_loop(source, loop, cfg["duration"], detector)
+    return run_loop(source, loop, cfg["duration"], detector, signals=signals)
 
 
 def _simulate_ode(cfg: dict, variant: LoopVariant, params: LoopParams):
@@ -308,7 +309,7 @@ def cmd_simulate(args) -> int:
     # rejected config or a failed run leaves nothing behind
     outdir = Path(args.output)
     if fidelity == "signal":
-        result = _simulate_signal(cfg, variant, params)
+        result = _simulate_signal(cfg, variant, params, signals=True)
         outdir.mkdir(parents=True, exist_ok=True)
         export_csv(result, str(outdir / "timeseries.csv"))
         summary = {"schema": 1, "summary": result.summary(), "params": params.to_dict()}

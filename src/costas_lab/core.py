@@ -232,15 +232,20 @@ def _rel_err(actual: float, expected: float) -> float:
 
 @dataclass
 class SimResult:
-    """Time series plus the acquisition bookkeeping for one loop run."""
+    """Time series plus the acquisition bookkeeping for one loop run.
+
+    ``ud``, ``i2`` and ``q2`` (the PD output and the two branch signals)
+    are None for a run recorded without them (``run_loop``'s
+    ``signals``); every other field is always set.
+    """
 
     t: np.ndarray
     theta_e: np.ndarray
-    ud: np.ndarray
+    ud: Optional[np.ndarray]
     uf: np.ndarray
     omega2: np.ndarray
-    i2: np.ndarray
-    q2: np.ndarray
+    i2: Optional[np.ndarray]
+    q2: Optional[np.ndarray]
     locked: bool
     t_lock: Optional[float]     # the one lock instant; None when unlocked
     cycle_slips: int
@@ -308,13 +313,15 @@ def _format_block(v: np.ndarray, text=None) -> str:
     tie (a log10 that is off by one leaves s out of range; an exact s just
     below 1e11 rounds up to the same digits).  Digits that round up to
     1e12 (|x| just below a power of ten, as 0.9999999999996 is) carry
-    into the exponent: 1e11 and e + 1.  Every other value (0, -0, nan,
-    inf, subnormals, the range edges, near-ties) is formatted by
-    ``"%.11e" %`` into its slot.
+    into the exponent: 1e11 and e + 1.  Zeros, signed by their sign bit,
+    are the digits 0 and the exponent +00.  Every other value (nan, inf,
+    subnormals, the range edges, near-ties) is formatted by ``"%.11e" %``
+    into its slot.
     """
     # temporaries are updated in place and dropped once used: a block's
     # arrays, not its values, set the writer's peak memory
     a = np.abs(v)
+    zero = a == 0.0
     fast = (a > 1e-290) & (a < 1e290)
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
@@ -326,6 +333,10 @@ def _format_block(v: np.ndarray, text=None) -> str:
     s -= r
     fast &= np.abs(s, out=s) < 0.499
     del s
+    # +-0 is the digits 0 and the exponent +00 (e is 0 from the 1.0 above)
+    np.copyto(r, 0.0, where=zero)
+    fast |= zero
+    del zero
     top = r == 1e12                     # the decade carry
     e += top
     top |= ~fast                        # the rest keeps the table indices in range

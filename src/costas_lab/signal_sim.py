@@ -11,6 +11,11 @@ Sign conventions: the NCO integrates omega2[n] = omega_free + K0*uf[n]
 with one sample of causal delay (theta2[n+1] = theta2[n] + T*omega2[n]);
 VCO branch outputs carry amplitude 2 so the unity-DC-gain LPFs deliver
 I2 ~ m*cos(theta_e), Q2 ~ m*sin(theta_e).
+
+A run always records the loop-filter output uf, from which the NCO phase,
+the phase error and the NCO frequency follow; the branch signals (u_d, I2,
+Q2) are recorded only for callers that read them (``run_loop``'s
+``signals``: the CSV export and the demodulation check).
 """
 
 from __future__ import annotations
@@ -37,12 +42,14 @@ from .detectors import SAMPLE_PD
 
 TWO_PI = 2.0 * math.pi
 
-# Largest run ``run_loop`` accepts.  A run peaks at about 105 B (conventional
-# loops) to 112 B (modified loops) of traced memory per sample (the 56 B of
-# recorded float64 arrays, the source waveform and the lock-detection
-# windows), so 4e6 samples stay under 0.5 GB, and their CSV (127 B per row)
-# near 0.5 GB.  That is 1.25 s of signal at 3.2 MHz, 52 times the longest
-# run the benchmark or the acceptance gate makes (76,800 samples).
+# Largest run ``run_loop`` accepts.  Without the branch signals a run peaks
+# at about 81 B (conventional loops) to 96 B (modified loops; 104 B for
+# mod_qpsk with the ideal Hilbert) of traced memory per sample, and with
+# them at 105 B to 112 B (the recorded float64 arrays, 8 B each, the source
+# waveform and the lock-detection windows).  So 4e6 samples stay under
+# 0.5 GB, and their CSV (127 B per row) near 0.5 GB.  That is 1.25 s of
+# signal at 3.2 MHz, 52 times the longest run the benchmark or the
+# acceptance gate makes (76,800 samples).
 MAX_SAMPLES = 4_000_000
 
 
@@ -93,8 +100,11 @@ class ModulatedSource:
     data_mode: str = "prbs"      # "prbs" | "ones" (constant +1 data)
 
     def __post_init__(self):
-        if self.f_symbol >= self.f_carrier:
-            raise ConfigError("symbol rate must be below the carrier frequency")
+        if not self.f_carrier > 0:
+            raise ConfigError(f"carrier frequency f_carrier must be > 0, got {self.f_carrier!r}")
+        if not 0 < self.f_symbol < self.f_carrier:
+            raise ConfigError(f"symbol rate f_symbol must be > 0 and below the carrier "
+                              f"frequency {self.f_carrier!r}, got {self.f_symbol!r}")
         try:
             check_real(self.m, "m")
         except ValueError as exc:
@@ -198,8 +208,16 @@ def run_loop(
     loop: DigitalLoop,
     duration: float,
     detector: Optional[LockDetector] = None,
+    signals: bool = False,
 ) -> SimResult:
     """Simulate the full loop sample by sample and measure acquisition.
+
+    The result always holds ``t``, ``theta_e``, ``uf``, ``omega2`` and the
+    acquisition verdicts.  The branch signals ``ud``, ``i2`` and ``q2``
+    are recorded only with ``signals=True`` (for :func:`export_csv` and
+    :func:`demod_ber`), and are None otherwise; the verdicts do not
+    depend on it.  Raises :class:`NumericBlowUp` at the first sample
+    whose NCO phase leaves (-1e12, 1e12).
 
     A full ``freq_window`` passes when its averaged NCO frequency is
     within ``freq_tol`` of the carrier and its averaged wrapped
@@ -234,20 +252,17 @@ def run_loop(
     T = 1.0 / loop.f_samp
 
     variant = source.variant
-    theta1, theta2, ud_arr, uf_arr, i2_arr, q2_arr, blow_at = _run_kernel(source, loop, n, T)
-    if blow_at is not None:
-        raise NumericBlowUp(blow_at)
-
-    t = np.arange(len(theta2)) * T
-    theta_e = theta1[: len(theta2)] - theta2
+    theta1, theta2, uf_arr, ud_arr, i2_arr, q2_arr = _run_kernel(source, loop, n, T, signals)
+    t = np.arange(n) * T
+    theta_e = theta1 - theta2
     omega2 = params.omega_free + params.k0 * uf_arr
     period = pd_period(variant)
     cycle_slips = count_cycle_slips(theta_e, period)
 
     t_lock, final_freq_error = None, math.nan
     # a window longer than the run, however long, leaves the run unlocked
-    w = max(10, round(min(detector.freq_window / T, len(theta2))))
-    if len(theta2) > w + 1:
+    w = max(10, round(min(detector.freq_window / T, n)))
+    if n > w + 1:
         avg_freq = (theta2[w:] - theta2[:-w]) / (w * T)   # window [k, k+w]
         ok_freq = np.abs(params.omega1 - avg_freq) < detector.freq_tol
         dist = np.abs(wrap_phase(theta_e, period))
@@ -267,14 +282,17 @@ def run_loop(
                      f_samp=loop.f_samp)
 
 
-def _run_kernel(source, loop, n, T):
-    """The sample loop shared by all four variants.
+def _run_kernel(source, loop, n, T, signals):
+    """The sample loop shared by all four variants: (theta1, theta2, uf,
+    ud, i2, q2), the last three None unless ``signals``.
 
     Only the front end and the PD differ between variants, and both are
     chosen before the loop: the conventional loops mix one real input
     against the NCO and low-pass both branches, the modified loops rotate
     the pre-envelope u_re + j*u_im by the NCO phase.  For the modified
     loops the recorded ``i2``/``q2`` are Re and Im of the rotated envelope.
+    The loop stores ``uf`` alone on every sample; the NCO phase is
+    rebuilt from it afterwards.
     """
     params = loop.params
     variant = source.variant
@@ -330,10 +348,10 @@ def _run_kernel(source, loop, n, T):
     zi = zq = zf = 0.0
     # typed buffers hold the samples as doubles, not as float objects, and
     # numpy reads them in place
-    theta2, ud_a, uf_a, i2_a, q2_a = (array("d", [0.0]) * n for _ in range(5))
-    blow_at = None
+    uf_a = array("d", [0.0]) * n
+    if signals:
+        ud_a, i2_a, q2_a = (array("d", [0.0]) * n for _ in range(3))
     for k in range(n):
-        theta2[k] = th2
         c = cos(th2)
         s = sin(th2)
         if conventional:
@@ -357,18 +375,26 @@ def _run_kernel(source, loop, n, T):
         ud = pd(i2, q2)
         uf = fb0 * ud + zf
         zf = fb1 * ud + uf
-        ud_a[k] = ud
         uf_a[k] = uf
-        i2_a[k] = i2
-        q2_a[k] = q2
+        if signals:
+            ud_a[k] = ud
+            i2_a[k] = i2
+            q2_a[k] = q2
         th2 += wfree_T + k0_T * uf
         if not (-1e12 < th2 < 1e12):
-            blow_at = k
-            n = k + 1
-            break
-    recorded = (np.frombuffer(buf, dtype=np.float64, count=n)
-                for buf in (theta2, ud_a, uf_a, i2_a, q2_a))
-    return (th1[n4:], *recorded, blow_at)
+            raise NumericBlowUp(k)
+    uf_arr = np.frombuffer(uf_a, dtype=np.float64)
+    # theta2[k] is the phase before sample k's update: the loop's own
+    # additions in its own order (float64 cumsum is a sequential
+    # accumulate), so every value is the one th2 held
+    theta2 = np.empty(n)
+    theta2[0] = 0.0
+    np.multiply(k0_T, uf_arr[:-1], out=theta2[1:])
+    theta2[1:] += wfree_T
+    np.cumsum(theta2, out=theta2)
+    branches = ((np.frombuffer(buf, dtype=np.float64) for buf in (ud_a, i2_a, q2_a))
+                if signals else (None, None, None))
+    return (th1[n4:], theta2, uf_arr, *branches)
 
 
 def measure_pull_in_range(
@@ -412,14 +438,21 @@ def measure_pull_in_range(
     return bisect(locks, lo, hi, lambda lo, hi: hi - lo <= resolution)[0]
 
 
+def _check_signals(result: SimResult) -> None:
+    if result.i2 is None:
+        raise ValueError("run recorded without signals=True: it has no branch signals")
+
+
 def demod_ber(result: SimResult, source: ModulatedSource) -> float:
     """Symbol error fraction of the demodulated stream after lock.
 
     Slices the recorded I (and Q) branch at symbol centers, searches a
     small integer symbol alignment, folds out the variant's lock-point
     ambiguity (sign flip for BPSK, four rotations for QPSK), and returns
-    the best-case error fraction.
+    the best-case error fraction.  ``result`` must come from
+    ``run_loop(..., signals=True)`` (ValueError otherwise).
     """
+    _check_signals(result)
     if not result.locked:
         raise NotLockedError("demodulation check requires a locked run")
     f_samp = result.f_samp
@@ -462,7 +495,11 @@ def demod_ber(result: SimResult, source: ModulatedSource) -> float:
 
 
 def export_csv(result: SimResult, path: str) -> None:
-    """Time-series export, RFC 4180 with LF endings, 12 significant digits."""
+    """Time-series export, RFC 4180 with LF endings, 12 significant digits.
+
+    ``result`` must come from ``run_loop(..., signals=True)`` (ValueError
+    otherwise)."""
+    _check_signals(result)
     cols = (result.t, result.theta_e, result.ud, result.uf,
             result.omega2, result.i2, result.q2)
     with open(path, "w", newline="") as fh:

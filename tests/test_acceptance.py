@@ -486,7 +486,7 @@ def test_criterion_8_property_suites(designs):
         source = ModulatedSource(VARIANTS[name], 400e3, 100e3)
         loop = DigitalLoop(REFERENCE_PARAMS[name].with_offset(TWO_PI * f_off),
                            fs, hilbert_mode=hmode)
-        r = run_loop(source, loop, dur)
+        r = run_loop(source, loop, dur, signals=True)
         if not r.locked:
             failures.append(f"{name} demod run failed to lock")
         elif demod_ber(r, source) != 0.0:

@@ -400,7 +400,7 @@ class TestAveragedModel:
             omega3=b.omega3,
         )
         src = ModulatedSource(CONVENTIONAL_BPSK, 400e3, 100e3, data_mode="ones")
-        r = run_loop(src, DigitalLoop(p, 3.2e6), 1.2e-3)
+        r = run_loop(src, DigitalLoop(p, 3.2e6), 1.2e-3, signals=True)
         beat = math.pi / dw0
         sel = (r.t >= 2 * beat) & (r.t < 102 * beat)
         measured = float(r.ud[sel].mean())

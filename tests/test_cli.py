@@ -689,6 +689,22 @@ class TestSweepCommand:
         assert f1[1] == pytest.approx(33e-6, rel=0.05)
         assert f1[3] == 1.0
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("bad,named", [
+        ({"f_symbol": 0}, "f_symbol"), ({"f_symbol": -100e3}, "f_symbol"),
+        ({"f0": -400e3}, "f_carrier"),
+    ], ids=["f_symbol-zero", "f_symbol-negative", "f0-negative"])
+    def test_source_rates_refused_beside_params(self, tmp_path, capsys, command, bad, named):
+        # a config that carries params skips design()'s rate checks: the
+        # source refuses the rates itself, before any output is made
+        base = BASE_SIGNAL_CFG if command == "simulate" else SWEEP_CFG
+        cfg = write_cfg(tmp_path, {**base, "params": DESIGN_GAINS, **bad})
+        offsets = ["--offsets", "50e3"] if command == "sweep" else []
+        assert main([command, "--config", cfg, *offsets, "-o", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_jobs_flag_refused(self, tmp_path, capsys):
         # a sweep runs its rows in order in one process
         cfg = write_cfg(tmp_path, SWEEP_CFG)

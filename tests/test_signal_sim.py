@@ -1,6 +1,10 @@
+import inspect
 import io
+import itertools
+import json
 import math
 import tracemalloc
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +25,7 @@ from costas_lab import (
     lock_time,
     wrap_phase,
 )
-from costas_lab import signal_sim
+from costas_lab import cli, signal_sim
 from costas_lab.core import CSV_BLOCK, write_csv_rows
 from costas_lab.detectors import SAMPLE_PD
 from costas_lab.ode import IntegratorConfig, integrate
@@ -78,6 +82,14 @@ class TestConfigValidation:
     def test_symbol_rate_above_carrier_rejected(self):
         with pytest.raises(ConfigError):
             ModulatedSource(CONVENTIONAL_BPSK, f_carrier=100e3, f_symbol=200e3)
+
+    @pytest.mark.parametrize("f_carrier,f_symbol,named", [
+        (400e3, 0.0, "f_symbol"), (400e3, -100e3, "f_symbol"), (400e3, math.nan, "f_symbol"),
+        (-400e3, 100e3, "f_carrier"), (0.0, 100e3, "f_carrier"), (math.nan, 100e3, "f_carrier"),
+    ])
+    def test_non_positive_rates_rejected(self, f_carrier, f_symbol, named):
+        with pytest.raises(ConfigError, match=named):
+            ModulatedSource(CONVENTIONAL_BPSK, f_carrier=f_carrier, f_symbol=f_symbol)
 
     @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, 0.0, -0.5])
     def test_modulation_amplitude_must_be_finite_and_positive(self, m):
@@ -173,7 +185,7 @@ class TestLockMeasurement:
             omega3=b.omega3,
         ).with_offset(TWO_PI * 30e3)
         src = bpsk_source(data_mode="ones")
-        r = run_loop(src, DigitalLoop(p, F_SAMP), 4e-4)
+        r = run_loop(src, DigitalLoop(p, F_SAMP), 4e-4, signals=True)
         dw = p.delta_omega0
         beat = int(round(math.pi / dw * F_SAMP))  # one period of sin(2 dw t)
         sel = slice(beat, 4 * beat)               # skip the LPF charge-up
@@ -221,7 +233,7 @@ class TestModifiedLoops:
     def test_i2_q2_carry_envelope(self, modified_reference_params):
         src = ModulatedSource(MODIFIED_QPSK, 400e3, 100e3)
         r = run_loop(src, DigitalLoop(modified_reference_params, F_SAMP,
-                                      hilbert_mode="ideal"), 4e-4)
+                                      hilbert_mode="ideal"), 4e-4, signals=True)
         # locked: |um| ~ sqrt(2) for unit-amplitude quadrature data
         mag = np.hypot(r.i2[-500:], r.q2[-500:])
         assert np.median(mag) == pytest.approx(math.sqrt(2), rel=0.05)
@@ -236,7 +248,7 @@ class TestKernelPd:
     def test_ud_is_the_table_pd_of_recorded_branches(self, variant):
         p = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=variant))
         loop = DigitalLoop(p.with_offset(TWO_PI * 50e3), F_SAMP)
-        r = run_loop(ModulatedSource(variant, 400e3, 100e3), loop, 3e-4)
+        r = run_loop(ModulatedSource(variant, 400e3, 100e3), loop, 3e-4, signals=True)
         pd = SAMPLE_PD[(variant.tag, variant.pd_flavor)]
         expect = np.array([pd(i, q) for i, q in zip(r.i2.tolist(), r.q2.tolist())])
         assert expect.tobytes() == r.ud.tobytes()
@@ -248,17 +260,18 @@ class TestRecording:
                              ids=lambda v: v.tag.value)
     def test_arrays_are_contiguous_float64_of_length_n(self, variant):
         p = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=variant))
-        r = run_loop(ModulatedSource(variant, 400e3, 100e3), DigitalLoop(p, F_SAMP), 1e-4)
+        r = run_loop(ModulatedSource(variant, 400e3, 100e3), DigitalLoop(p, F_SAMP), 1e-4,
+                     signals=True)
         for name in ("t", "theta_e", "ud", "uf", "omega2", "i2", "q2"):
             a = getattr(r, name)
             assert a.dtype == np.float64 and a.flags.c_contiguous, name
             assert a.shape == (320,), name
 
     def test_traced_bytes_per_sample(self, bpsk_reference_params):
-        # 105 B per sample measured on this run (the seven recorded float64
-        # arrays are 56 B), 113 B with the whole-run phase-distance array
-        # kept through lock detection; recording into Python lists peaked
-        # at 264 B
+        # 81 B per sample measured on this run without the branch signals
+        # and 105 B with them (the seven recorded float64 arrays are 56 B),
+        # 113 B with the whole-run phase-distance array kept through lock
+        # detection; recording into Python lists peaked at 264 B
         loop = DigitalLoop(bpsk_reference_params, F_SAMP)
         tracemalloc.start()
         try:
@@ -269,9 +282,10 @@ class TestRecording:
         assert peak / len(r.t) < 150
 
     def test_traced_bytes_per_sample_mod_qpsk_delay_hilbert(self, modified_reference_params):
-        # the delayed front end: 112 B per sample measured with one
-        # pre-envelope grid and the front-end arrays freed before the sample
-        # loop, 168 B with them kept alive through it
+        # the delayed front end: 96 B per sample measured without the branch
+        # signals (112 B with them) with one pre-envelope grid and the
+        # front-end arrays freed before the sample loop, 168 B with them
+        # kept alive through it
         p = modified_reference_params.with_offset(TWO_PI * 100e3)
         loop = DigitalLoop(p, 12.8e6, hilbert_mode="delay")
         tracemalloc.start()
@@ -283,30 +297,253 @@ class TestRecording:
         assert peak / len(r.t) < 150
 
 
+def parent_kernel(source, loop, n, T):
+    """The sample loop as it was when it stored the NCO phase and all four
+    branch signals on every sample: the reference the recording options
+    must reproduce bit for bit.  Returns (theta1, theta2, ud, uf, i2, q2,
+    blow_at), the arrays cut at a blow-up sample."""
+    params = loop.params
+    variant = source.variant
+    is_qpsk = variant.is_qpsk
+    conventional = variant.is_conventional
+    pd = SAMPLE_PD[(variant.tag, variant.pd_flavor)]
+    n4 = 0
+    if not conventional and loop.hilbert_mode == "delay":
+        n4 = loop.hilbert_delay_samples(source.f_carrier)
+    k = np.arange(-n4, n)
+    th1 = source.theta1_0 + params.omega1 * k * T
+    sym_idx = np.floor(np.maximum(k, 0) / (loop.f_samp / source.f_symbol)).astype(np.int64)
+    n_sym = int(sym_idx[-1]) + 1
+    m1 = source.symbols(n_sym, 0)[sym_idx]
+    m2 = source.symbols(n_sym, 1)[sym_idx] if is_qpsk else None
+    if conventional:
+        lb0, lb1, la1 = signal_sim._discrete_lpf(params.omega3, T)
+        if is_qpsk:
+            u1 = m1 * np.cos(th1) + m2 * np.sin(th1)
+        else:
+            u1 = m1 * np.sin(th1)
+        u1 = (2.0 * u1).tolist()
+    else:
+        if is_qpsk:
+            u = m1 * np.cos(th1) - m2 * np.sin(th1)
+        else:
+            u = m1 * np.cos(th1)
+        if n4:
+            u_re, u_im = u[n4:].tolist(), u[:n].tolist()
+        else:
+            u_re = u.tolist()
+            if is_qpsk:
+                u_im = (m1 * np.sin(th1) + m2 * np.cos(th1)).tolist()
+            else:
+                u_im = (m1 * np.sin(th1)).tolist()
+    fb0, fb1 = signal_sim._discrete_pi(params.tau1, params.tau2, T)
+    wfree_T = params.omega_free * T
+    k0_T = params.k0 * T
+    th2 = 0.0
+    zi = zq = zf = 0.0
+    theta2, ud_a, uf_a, i2_a, q2_a = (array("d", [0.0]) * n for _ in range(5))
+    blow_at = None
+    for k in range(n):
+        theta2[k] = th2
+        c = math.cos(th2)
+        s = math.sin(th2)
+        if conventional:
+            u = u1[k]
+            if is_qpsk:
+                i1 = u * c
+                q1 = u * s
+            else:
+                i1 = u * s
+                q1 = u * c
+            i2 = lb0 * i1 + zi
+            zi = lb1 * i1 - la1 * i2
+            q2 = lb0 * q1 + zq
+            zq = lb1 * q1 - la1 * q2
+        else:
+            ur = u_re[k]
+            ui = u_im[k]
+            i2 = ur * c + ui * s
+            q2 = ui * c - ur * s
+        ud = pd(i2, q2)
+        uf = fb0 * ud + zf
+        zf = fb1 * ud + uf
+        ud_a[k] = ud
+        uf_a[k] = uf
+        i2_a[k] = i2
+        q2_a[k] = q2
+        th2 += wfree_T + k0_T * uf
+        if not (-1e12 < th2 < 1e12):
+            blow_at = k
+            n = k + 1
+            break
+    recorded = (np.frombuffer(buf, dtype=np.float64, count=n)
+                for buf in (theta2, ud_a, uf_a, i2_a, q2_a))
+    return (th1[n4:], *recorded, blow_at)
+
+
+def parent_run_loop(source, loop, duration):
+    """``run_loop`` with :func:`parent_kernel` in place of the kernel: the
+    verdicts the parent kernel's arrays give."""
+    def kernel(source, loop, n, T, signals):
+        theta1, theta2, ud, uf, i2, q2, blow_at = parent_kernel(source, loop, n, T)
+        if blow_at is not None:
+            raise NumericBlowUp(blow_at)
+        return theta1, theta2, uf, ud, i2, q2
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signal_sim, "_run_kernel", kernel)
+        return run_loop(source, loop, duration, signals=True)
+
+
+def result_bytes(r, fields=("t", "theta_e", "ud", "uf", "omega2", "i2", "q2")):
+    """Every field of a SimResult as bytes (None where not recorded)."""
+    out = {name: None if getattr(r, name) is None else getattr(r, name).tobytes()
+           for name in fields}
+    out.update(locked=r.locked, t_lock=r.t_lock, cycle_slips=r.cycle_slips,
+               final_freq_error=np.float64(r.final_freq_error).tobytes(), f_samp=r.f_samp)
+    return out
+
+
+BRANCHES = ("ud", "i2", "q2")
+# every (variant, flavor) pair, the modified loops under both Hilbert modes
+RECORDING_CASES = [(LoopVariant(tag, flavor), mode, f_samp)
+                   for tag, flavor in SAMPLE_PD
+                   for mode, f_samp in ((("delay", F_SAMP),) if tag.value in ("bpsk", "qpsk")
+                                        else (("delay", F_SAMP), ("ideal", 12.8e6)))]
+
+
+class TestRecordingEquivalence:
+    """The kernel stores uf alone and rebuilds the NCO phase from it, and
+    stores the branch signals on request; every array and verdict is the
+    parent kernel's, with and without them."""
+
+    @pytest.mark.parametrize("variant,mode,f_samp", RECORDING_CASES,
+                             ids=[f"{v.tag.value}-{v.pd_flavor.value}-{m}"
+                                  for v, m, _ in RECORDING_CASES])
+    def test_matches_parent_kernel(self, variant, mode, f_samp):
+        p = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=variant))
+        sources = [ModulatedSource(variant, 400e3, 100e3),
+                   ModulatedSource(variant, 400e3, 100e3, data_mode="ones", theta1_0=2.1)]
+        for offset in (35e3, 200e3):
+            loop = DigitalLoop(p.with_offset(TWO_PI * offset), f_samp, hilbert_mode=mode)
+            for src in sources:
+                n, T = int(round(1.2e-3 * f_samp)), 1.0 / f_samp
+                theta1, theta2, ud, uf, i2, q2, blow_at = parent_kernel(src, loop, n, T)
+                assert blow_at is None
+                for signals in (False, True):
+                    got = signal_sim._run_kernel(src, loop, n, T, signals)
+                    assert [a.tobytes() for a in got[:3]] == [
+                        a.tobytes() for a in (theta1, theta2, uf)]
+                    if signals:
+                        assert [a.tobytes() for a in got[3:]] == [
+                            a.tobytes() for a in (ud, i2, q2)]
+                    else:
+                        assert got[3:] == (None, None, None)
+                want = result_bytes(parent_run_loop(src, loop, 1.2e-3))
+                full = result_bytes(run_loop(src, loop, 1.2e-3, signals=True))
+                bare = result_bytes(run_loop(src, loop, 1.2e-3))
+                assert full == want
+                assert bare == {**want, **dict.fromkeys(BRANCHES)}
+
+    @pytest.mark.parametrize("variant", [CONVENTIONAL_BPSK, MODIFIED_QPSK],
+                             ids=lambda v: v.tag.value)
+    @pytest.mark.parametrize("signals", [False, True])
+    def test_blow_up_at_the_parent_sample(self, variant, signals):
+        p = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=variant))
+        p = LoopParams(p.omega1, p.omega_free, 1e30, p.kd, p.tau1, p.tau2, p.omega3)
+        src, loop = ModulatedSource(variant, 400e3, 100e3), DigitalLoop(p, F_SAMP)
+        blow_at = parent_kernel(src, loop, 320, 1.0 / F_SAMP)[-1]
+        assert blow_at is not None
+        with pytest.raises(NumericBlowUp) as err:
+            run_loop(src, loop, 1e-4, signals=signals)
+        assert err.value.sample_index == blow_at
+
+    def test_cumsum_is_a_sequential_running_sum(self):
+        # the kernel's NCO phase is np.cumsum of its increments: that holds
+        # bit for bit only if float64 cumsum adds one value at a time, in
+        # order, as the sample loop does; a host whose numpy reassociates
+        # the sum fails here
+        rng = np.random.default_rng(24)
+        n = 1 << 20
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-15, 16, size=n)
+        x[::7] = 2.5e6 * 3.125e-7 + 1.2e6 * 3.125e-7 * rng.standard_normal(len(x[::7]))
+        expect = np.array(list(itertools.accumulate(x.tolist())))
+        assert np.cumsum(x).tobytes() == expect.tobytes()
+        out = x.copy()
+        np.cumsum(out, out=out)
+        assert out.tobytes() == expect.tobytes()
+
+    def test_callers_record_only_what_they_read(self, tmp_path, capsys, monkeypatch,
+                                                bpsk_reference_params):
+        # the pull-in search and sweep read the verdicts alone; simulate
+        # writes the branch signals to its CSV
+        calls = []
+        real = signal_sim.run_loop
+        bind = inspect.signature(real).bind
+
+        def spy(*args, **kwargs):
+            bound = bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments["signals"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(signal_sim, "run_loop", spy)
+        monkeypatch.setattr(cli, "run_loop", spy)
+        measure_pull_in_range(bpsk_source(), DigitalLoop(bpsk_reference_params, F_SAMP),
+                              (60e3, 188e3), budget=1e-3, resolution=32e3)
+        assert calls and not any(calls)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": 1, "fidelity": "signal", "variant": "bpsk",
+                                   "f0": 400e3, "f_symbol": 100e3, "f_samp": 3.2e6,
+                                   "duration": 2e-4}))
+        calls.clear()
+        assert cli.main(["sweep", "--config", str(cfg), "--offsets", "50e3,70e3",
+                         "-o", str(tmp_path / "sweep")]) == 0
+        assert calls == [False, False]
+        calls.clear()
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "delta_f0": 50e3}))
+        assert cli.main(["simulate", "--config", str(cfg), "-o", str(tmp_path / "sim")]) == 0
+        assert calls == [True]
+
+    @pytest.mark.parametrize("consumer", ["demod_ber", "export_csv"])
+    def test_consumers_refuse_a_run_without_signals(self, tmp_path, consumer,
+                                                    bpsk_reference_params):
+        src = bpsk_source()
+        r = run_loop(src, DigitalLoop(bpsk_reference_params, F_SAMP), 1e-3)
+        assert r.locked and r.ud is None and r.i2 is None and r.q2 is None
+        path = tmp_path / "ts.csv"
+        with pytest.raises(ValueError, match=r"run recorded without signals=True"):
+            if consumer == "demod_ber":
+                demod_ber(r, src)
+            else:
+                export_csv(r, str(path))
+        assert not path.exists()
+
+
 class TestDemod:
     def test_bpsk_zero_errors(self, bpsk_reference_params):
         p = bpsk_reference_params.with_offset(TWO_PI * 50e3)
         src = bpsk_source()
-        r = run_loop(src, DigitalLoop(p, F_SAMP), 1.5e-3)
+        r = run_loop(src, DigitalLoop(p, F_SAMP), 1.5e-3, signals=True)
         assert demod_ber(r, src) == 0.0
 
     def test_qpsk_zero_errors_under_rotation(self, qpsk_reference_params):
         src = ModulatedSource(CONVENTIONAL_QPSK, 400e3, 100e3)
         p = qpsk_reference_params.with_offset(TWO_PI * 40e3)
-        r = run_loop(src, DigitalLoop(p, F_SAMP), 1.5e-3)
+        r = run_loop(src, DigitalLoop(p, F_SAMP), 1.5e-3, signals=True)
         assert r.locked
         assert demod_ber(r, src) == 0.0
 
     def test_modified_qpsk_zero_errors(self, modified_reference_params):
         src = ModulatedSource(MODIFIED_QPSK, 400e3, 100e3)
         p = modified_reference_params.with_offset(TWO_PI * 30e3)
-        r = run_loop(src, DigitalLoop(p, 12.8e6, hilbert_mode="ideal"), 1.2e-3)
+        r = run_loop(src, DigitalLoop(p, 12.8e6, hilbert_mode="ideal"), 1.2e-3, signals=True)
         assert demod_ber(r, src) == 0.0
 
     def test_unlocked_rejected(self, bpsk_reference_params):
         p = bpsk_reference_params.with_offset(TWO_PI * 180e3)
         src = bpsk_source()
-        r = run_loop(src, DigitalLoop(p, F_SAMP), 1e-3)
+        r = run_loop(src, DigitalLoop(p, F_SAMP), 1e-3, signals=True)
         assert not r.locked
         with pytest.raises(NotLockedError):
             demod_ber(r, src)
@@ -507,6 +744,22 @@ class TestCsvExport(object):
         write_csv_rows(fh, columns)
         assert_same_csv(fh.getvalue(), reference_rows(columns))
 
+    def test_signed_zeros_and_their_neighbours(self):
+        # a locked modified loop can hold theta_e, u_d and Q2 at exactly
+        # 0.0 for half its rows: both zeros, every sign, beside the smallest
+        # and largest values around them, in every column position
+        near = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-290,
+                np.nextafter(1e-290, 1.0), 1e-11, -0.5, 1.0, 9.999999999995e-1]
+        rng = np.random.default_rng(0)
+        values = rng.choice(near, size=(7, CSV_BLOCK + 5))
+        values[:, :64] = rng.choice([0.0, -0.0], size=(7, 64))     # whole rows of zeros
+        columns = list(values)
+        fh = io.StringIO()
+        write_csv_rows(fh, columns)
+        lines = fh.getvalue().splitlines()
+        assert lines == [",".join(format(v, ".11e") for v in row) for row in zip(*columns)]
+        assert lines[0].count("0.00000000000e+00") == 7
+
     @pytest.mark.parametrize("ncols", [1, 7])
     def test_text_column_across_a_block_boundary(self, ncols):
         rows = CSV_BLOCK + 3
@@ -519,7 +772,8 @@ class TestCsvExport(object):
         assert_same_csv(fh.getvalue(), reference_rows(columns, text))
 
     def test_format(self, tmp_path, bpsk_reference_params):
-        r = run_loop(bpsk_source(), DigitalLoop(bpsk_reference_params, F_SAMP), 1e-4)
+        r = run_loop(bpsk_source(), DigitalLoop(bpsk_reference_params, F_SAMP), 1e-4,
+                     signals=True)
         path = tmp_path / "ts.csv"
         export_csv(r, str(path))
         raw = path.read_bytes()
