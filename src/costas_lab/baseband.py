@@ -63,8 +63,8 @@ class ClassicPhaseModel:
 def classic_rhs(model: ClassicPhaseModel, t: float, state) -> tuple[float, float]:
     """Right-hand side of the classic 2-state phase model, in the
     integrator's ``rhs(t, y)`` form after the model: the model is
-    autonomous, so ``t`` is not read.  ``types.MethodType(classic_rhs,
-    model)`` is that rhs, which ``ode.integrate`` evaluates inline.
+    autonomous, so ``t`` is not read.  ``ode.integrate`` runs this rhs on
+    steppers that repeat its arithmetic (``ode._STAGE``): change both.
 
     x' = phi(theta_e);  theta_e' = dw0 - K0*(x/tau1 + (tau2/tau1)*phi).
     """

@@ -394,11 +394,14 @@ def cmd_portrait(args) -> int:
         states = [tuple(s) for s in cfg["states"]]
     else:
         g = cfg["grid"]
+        for axis in ("x", "theta_e"):
+            if isinstance(g[axis][2], float) or g[axis][2] < 1:
+                raise CliError(f"grid.{axis}[2] must be an integer >= 1, got {g[axis][2]!r}")
         xs = np.linspace(g["x"][0], g["x"][1], nx)
         ths = np.linspace(g["theta_e"][0], g["theta_e"][1], nth)
         states = [(float(x), float(th)) for x in xs for th in ths]
     if not states:
-        raise CliError("portrait grid is empty")
+        raise CliError("portrait states[] is empty")
     # each trajectory's rows are written before the next state runs; a run
     # that fails leaves neither the rows nor a directory it made
     outdir = Path(args.output)

@@ -33,23 +33,26 @@ RK45 rejects the attempt and quarters the step.  RK4 takes ceil(t_end/h)
 steps, the last one clipped to end on t_end; a run takes at most
 :data:`MAX_STEPS` RK4 steps or RK45 attempts.
 
-The probe, the portrait and the CLI's phase fidelity build one phase
-rhs per run, ``types.MethodType(baseband.classic_rhs, model)``.  When its
+The probe, the portrait and the CLI's phase fidelity build one phase rhs
+per run, ``types.MethodType(baseband.classic_rhs, model)``.  When its
 function is the ``classic_rhs`` imported here and its object a
-``ClassicPhaseModel``, ``integrate`` runs it on stepper twins
-(``_rk4_phase``, ``_rk45_phase``) that compute each slope inline from
-``model._rhs_consts`` in the same float operations and order: the same
-trajectory, counters and errors, with one Python call of ``classic_rhs``.
-Any other rhs, a rebinding of ``baseband.classic_rhs`` made before the
-run (where a tracer counts the phase rhs) included, runs on the generic
-steppers and sees every call; ``rhs_calls`` counts slope evaluations on
-both paths.  On the pitfall model (Python 3.11, shared 2-core x86-64,
-best of 15 runs in each of two processes) an RK4 step takes about
-1.0-1.4 us and an accepted RK45 step 4.5-6.8 us (rtol 1e-8 and 1e-9).
+``ClassicPhaseModel``, ``integrate`` runs it on the generic stepper
+rebuilt from its source with each stage's slope written out on
+``model._rhs_consts`` (:func:`_inline_phase`): the same trajectory,
+counters and errors, with one Python call of ``classic_rhs``.  Any other
+rhs, a rebinding of ``baseband.classic_rhs`` made before the run (where
+a tracer counts the phase rhs) included, runs on the generic steppers
+and sees every call; ``rhs_calls`` counts slope evaluations on both
+paths.  On the pitfall model (Python 3.11, shared 2-core x86-64, best of
+15 runs in each of two processes) an RK4 step takes about 1.0-1.4 us and
+an accepted RK45 step 4.5-6.8 us (rtol 1e-8 and 1e-9).
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import linecache
 import math
 from array import array
 from dataclasses import dataclass
@@ -221,51 +224,6 @@ def _rk4_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
     return 4 * (len(ts) - 1), 0, False
 
 
-def _rk4_phase(consts, a, b, p1, q1, config, ts, xs, ths):
-    """:func:`_rk4_steps`, each ``classic_rhs`` written out on ``consts``."""
-    dw0, k0, tau1, ratio, scale, freq, fn = consts
-    ninf, inf = -math.inf, math.inf
-    t_end, h0 = config.t_end, config.h
-    put_t, put_x, put_th = ts.append, xs.append, ths.append
-    t = 0.0
-    for _ in range(_rk4_step_count(t_end, h0)):
-        r = t_end - t
-        h = r if r < h0 else h0         # min(h0, r) without the call
-        if h <= 0:
-            break
-        hh = 0.5 * h
-        try:
-            p2 = scale * fn(freq * (b + hh * q1))
-            q2 = dw0 - k0 * ((a + hh * p1) / tau1 + ratio * p2)
-        except _FLOAT_ERRORS:
-            return 4 * len(ts) - 3, 0, True
-        try:
-            p3 = scale * fn(freq * (b + hh * q2))
-            q3 = dw0 - k0 * ((a + hh * p2) / tau1 + ratio * p3)
-        except _FLOAT_ERRORS:
-            return 4 * len(ts) - 2, 0, True
-        try:
-            p4 = scale * fn(freq * (b + h * q3))
-            q4 = dw0 - k0 * ((a + h * p3) / tau1 + ratio * p4)
-        except _FLOAT_ERRORS:
-            return 4 * len(ts) - 1, 0, True
-        h6 = h / 6.0
-        a = a + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-        b = b + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-        if not (ninf < a < inf and ninf < b < inf):
-            return 4 * (len(ts) - 1) + 3, 0, True
-        t = t + h
-        put_t(t)
-        put_x(a)
-        put_th(b)
-        try:
-            p1 = scale * fn(freq * b)
-            q1 = dw0 - k0 * (a / tau1 + ratio * p1)
-        except _FLOAT_ERRORS:
-            return 4 * (len(ts) - 1), 0, True
-    return 4 * (len(ts) - 1), 0, False
-
-
 def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
     """Adaptive Dormand-Prince steps under the elementary controller, as
     :func:`_rk4_steps` records them; returns ``(rhs calls, rejected
@@ -367,97 +325,53 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
     return 6 * attempts - short, attempts - (len(ts) - 1), False
 
 
-def _rk45_phase(consts, a, b, p1, q1, config, ts, xs, ths):
-    """:func:`_rk45_steps`, each ``classic_rhs`` written out on ``consts``."""
-    dw0, k0, tau1, ratio, scale, freq, fn = consts
-    (C2, C3, C4, C5, A21, A31, A32, A41, A42, A43, A51, A52, A53, A54,
-     A61, A62, A63, A64, A65, B1, B2, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7) = _TABLEAU
-    ninf, inf = -math.inf, math.inf
-    sqrt, h_min, max_steps = math.sqrt, H_MIN, MAX_STEPS
-    t_end, rtol, atol = config.t_end, config.rtol, config.atol
-    put_t, put_x, put_th = ts.append, xs.append, ths.append
-    attempts = short = 0            # attempts, and rhs calls they did not make
-    t = 0.0
-    h = min(config.h, t_end / 10.0)
-    while t < t_end:
-        r = t_end - t
-        if r < h:                   # min(h, t_end - t)
-            h = r
-        attempts += 1
-        if attempts > max_steps:
-            raise StiffnessError(f"more than {max_steps} RK45 attempts (ode.MAX_STEPS) "
-                                 f"before t_end, at t={t:g}")
-        try:
-            ha = h * A21
-            p2 = scale * fn(freq * (b + ha * q1))
-            q2 = dw0 - k0 * ((a + ha * p1) / tau1 + ratio * p2)
-            if not (ninf < p2 < inf and ninf < q2 < inf):
-                raise _NonFinite(1)
-            ha, hb = h * A31, h * A32
-            p3 = scale * fn(freq * (b + ha * q1 + hb * q2))
-            q3 = dw0 - k0 * ((a + ha * p1 + hb * p2) / tau1 + ratio * p3)
-            if not (ninf < p3 < inf and ninf < q3 < inf):
-                raise _NonFinite(2)
-            ha, hb, hc = h * A41, h * A42, h * A43
-            p4 = scale * fn(freq * (b + ha * q1 + hb * q2 + hc * q3))
-            q4 = dw0 - k0 * ((a + ha * p1 + hb * p2 + hc * p3) / tau1 + ratio * p4)
-            if not (ninf < p4 < inf and ninf < q4 < inf):
-                raise _NonFinite(3)
-            ha, hb, hc, hd = h * A51, h * A52, h * A53, h * A54
-            p5 = scale * fn(freq * (b + ha * q1 + hb * q2 + hc * q3 + hd * q4))
-            q5 = dw0 - k0 * ((a + ha * p1 + hb * p2 + hc * p3 + hd * p4) / tau1 + ratio * p5)
-            if not (ninf < p5 < inf and ninf < q5 < inf):
-                raise _NonFinite(4)
-            ha, hb, hc, hd, he = h * A61, h * A62, h * A63, h * A64, h * A65
-            p6 = scale * fn(freq * (b + ha * q1 + hb * q2 + hc * q3 + hd * q4 + he * q5))
-            q6 = dw0 - k0 * ((a + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5) / tau1
-                             + ratio * p6)
-            if not (ninf < p6 < inf and ninf < q6 < inf):
-                raise _NonFinite(5)
-            ha, hb, hc, hd, he, hf = h * B1, h * B2, h * B3, h * B4, h * B5, h * B6
-            p7 = scale * fn(freq * (b + ha * q1 + hb * q2 + hc * q3 + hd * q4 + he * q5 + hf * q6))
-            q7 = dw0 - k0 * ((a + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5 + hf * p6)
-                             / tau1 + ratio * p7)
-            if not (ninf < p7 < inf and ninf < q7 < inf):
-                raise _NonFinite(6)
-            a5 = a + h * (0.0 + B1 * p1 + B3 * p3 + B4 * p4 + B5 * p5 + B6 * p6)
-            b5 = b + h * (0.0 + B1 * q1 + B3 * q3 + B4 * q4 + B5 * q5 + B6 * q6)
-            if not (ninf < a5 < inf and ninf < b5 < inf):
-                raise _NonFinite(6)
-        except (_NonFinite, *_FLOAT_ERRORS) as stop:
-            if type(stop) is _NonFinite:
-                made = stop.args[0]
-            else:                   # ha = h * the first coefficient of its stage's row
-                made = [h * c for c in (A21, A31, A41, A51, A61, B1)].index(ha) + 1
-            short += 6 - made
-            h *= 0.25
-            if h < h_min:
-                return 6 * attempts - short, attempts - (len(ts) - 1), True
-            continue
-        a4 = a + h * (0.0 + E1 * p1 + E3 * p3 + E4 * p4 + E5 * p5 + E6 * p6 + E7 * p7)
-        b4 = b + h * (0.0 + E1 * q1 + E3 * q3 + E4 * q4 + E5 * q5 + E6 * q6 + E7 * q7)
-        sa, s5 = abs(a), abs(a5)
-        ea = (a5 - a4) / (atol + rtol * (s5 if s5 > sa else sa))
-        sa, s5 = abs(b), abs(b5)
-        eb = (b5 - b4) / (atol + rtol * (s5 if s5 > sa else sa))
-        err = sqrt((0.0 + ea * ea + eb * eb) / 2)
-        if err <= 1.0:
-            t, a, b, p1, q1 = t + h, a5, b5, p7, q7
-            put_t(t)
-            put_x(a)
-            put_th(b)
-        if err > 0:                 # h * min(5.0, max(0.2, 0.9 * err**-0.2))
-            factor = 0.9 * err ** -0.2
-            h = h * (5.0 if factor > 5.0 else factor if factor > 0.2 else 0.2)
-        elif err == 0:
-            h = h * 5.0
-        else:                       # NaN: shrink as for an infinite error
-            h = h * 0.2
-        if h < h_min:
-            h = h_min
-        if not err <= 1.0 and h <= h_min:
-            raise StiffnessError(f"step size underflow at t={t:g}")
-    return 6 * attempts - short, attempts - (len(ts) - 1), False
+# A generic stepper's stage call ``pN, qN = rhs(T, (X, Y))`` written out as
+# classic_rhs computes it on ClassicPhaseModel._rhs_consts, unpacked first: the
+# same float operations in the same order (the model is autonomous: T unread)
+_STAGE = "{p} = scale * fn(freq * ({y}))\n{q} = dw0 - k0 * (({x}) / tau1 + ratio * {p})"
+
+
+def _placed(source: str, at: ast.AST) -> list[ast.stmt]:
+    """The statements of ``source``, each node at ``at``'s source position."""
+    body = ast.parse(source).body
+    for node in ast.walk(ast.Module(body, [])):
+        ast.copy_location(node, at)
+    return body
+
+
+class _InlineStages(ast.NodeTransformer):
+    """Writes each stage call out as :data:`_STAGE`, at the call's position."""
+
+    def visit_Assign(self, node):
+        match node:
+            case ast.Assign(targets=[ast.Tuple(elts=[ast.Name(id=p), ast.Name(id=q)])],
+                            value=ast.Call(func=ast.Name(id="rhs"), keywords=[],
+                                           args=[_, ast.Tuple(elts=[x, y])])):
+                return _placed(_STAGE.format(p=p, q=q, x=ast.unparse(x), y=ast.unparse(y)), node)
+        return node
+
+
+@functools.cache
+def _inline_phase(steps):
+    """``steps`` taking ``consts`` (``ClassicPhaseModel._rhs_consts``) for
+    ``rhs``, each stage's slope written out on it: its source rebuilt and
+    compiled under its file name and line numbers, so a traceback points
+    into ``steps``.  Any other use of ``rhs`` raises ValueError.  Built on
+    first use: importing the module parses nothing."""
+    code = steps.__code__
+    first, last = code.co_firstlineno, max(line for *_, line in code.co_lines() if line)
+    # def to last line with bytecode (cut short, it fails to parse), numbered as in the file
+    source = "\n" * (first - 1) + "".join(linecache.getlines(code.co_filename)[first - 1:last])
+    func = _InlineStages().visit(ast.parse(source).body[0])
+    left = [n.lineno for n in ast.walk(func) if isinstance(n, ast.Name) and n.id == "rhs"]
+    if left:
+        raise ValueError(f"{steps.__name__} line {min(left)}: rhs not in pN, qN = rhs(T, (X, Y))")
+    func.name = steps.__name__.replace("_steps", "_phase")
+    func.args.args[0].arg = "consts"
+    func.body[1:1] = _placed("dw0, k0, tau1, ratio, scale, freq, fn = consts", func)
+    namespace = {}
+    exec(compile(ast.Module([func], []), code.co_filename, "exec"), globals(), namespace)
+    return namespace[func.name]
 
 
 def integrate(rhs: RhsFn, state0: Sequence[float], config: IntegratorConfig) -> Trajectory:
@@ -480,12 +394,10 @@ def integrate(rhs: RhsFn, state0: Sequence[float], config: IntegratorConfig) -> 
     if not (math.isfinite(p) and math.isfinite(q)):
         raise ValueError("right-hand side not finite at the initial state")
     ts, xs, ths = array("d", [0.0]), array("d", [a]), array("d", [b])
-    rk4 = config.method == "rk4"
+    steps = _rk4_steps if config.method == "rk4" else _rk45_steps
     if (type(rhs) is MethodType and rhs.__func__ is _CLASSIC_RHS
             and isinstance(rhs.__self__, ClassicPhaseModel)):
-        rhs, steps = rhs.__self__._rhs_consts, (_rk4_phase if rk4 else _rk45_phase)
-    else:
-        steps = _rk4_steps if rk4 else _rk45_steps
+        rhs, steps = rhs.__self__._rhs_consts, _inline_phase(steps)
     calls, rejected, blown_up = steps(rhs, a, b, p, q, config, ts, xs, ths)
     return Trajectory(np.frombuffer(ts), np.column_stack((xs, ths)), blown_up=blown_up,
                       rhs_calls=1 + calls, rejected_steps=rejected)

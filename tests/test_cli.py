@@ -783,6 +783,7 @@ class TestPortraitCommand:
     def test_empty_grid_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**self.PORTRAIT_CFG, "states": []})
         assert main(["portrait", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: portrait states[] is empty\n"
 
     def test_missing_t_end_exits_2(self, tmp_path, capsys):
         cfg_data = {k: v for k, v in self.PORTRAIT_CFG.items() if k != "t_end"}
@@ -824,6 +825,19 @@ class TestPortraitCommand:
         assert main(["portrait", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
         assert "above the cap of 4 (cli.MAX_PORTRAIT_STATES)" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("axis,count", [("x", 2.5), ("theta_e", -1), ("x", 0),
+                                            ("theta_e", 2.0)])
+    def test_grid_count_not_a_positive_integer_exits_2(self, tmp_path, capsys, axis, count):
+        # 2.5 ran 2 points per axis; -1 stopped in np.linspace
+        grid = {"x": [0.0, 0.7, 2], "theta_e": [-3.5, 0.5, 2]}
+        grid[axis] = [*grid[axis][:2], count]
+        cfg = write_cfg(tmp_path, {k: v for k, v in self.PORTRAIT_CFG.items()
+                                   if k != "states"} | {"grid": grid})
+        assert main(["portrait", "--config", cfg, "-o", str(tmp_path / "new" / "o")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: grid.{axis}[2] must be an integer >= 1, got {count!r}\n"
+        assert not (tmp_path / "new").exists()
 
     def test_failure_after_first_trajectory_leaves_no_output(self, tmp_path, capsys):
         # the second state's rate is -inf: rejected after the first

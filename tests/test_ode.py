@@ -1,6 +1,12 @@
+import importlib.util
+import inspect
 import math
+import os
+import subprocess
 import sys
-from types import FunctionType, MethodType, SimpleNamespace
+import traceback
+from pathlib import Path
+from types import CodeType, FunctionType, MethodType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -924,6 +930,96 @@ class TestInlinePhaseSteppers:
         rhs_calls, code_calls = self._code_calls(rhs, method)
         assert code_calls == rhs_calls > 1000
         assert rhs_calls == self._code_calls(MethodType(classic_rhs, model), method)[0]
+
+
+# a stepper with one good stage call before the line under test (line 5)
+_STEPPER_SOURCE = '''
+def steps(rhs, a, b, t):
+    """Doc."""
+    p1, q1 = rhs(t, (a, b + 1.0))
+    {line}
+    return p1, q1
+'''
+
+
+def _stepper_from(tmp_path, line):
+    """``steps`` of :data:`_STEPPER_SOURCE` with ``line``, loaded from a file
+    (the build reads a stepper's source)."""
+    path = tmp_path / "steppers.py"
+    path.write_text(_STEPPER_SOURCE.format(line=line))
+    spec = importlib.util.spec_from_file_location("steppers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.steps
+
+
+class _StageError(Exception):
+    pass
+
+
+class TestInlineBuild:
+    """``ode._inline_phase`` builds the phase-model steppers from the generic
+    ones: the stage calls written out on ``consts``, nothing else changed."""
+
+    GENERIC = [ode._rk4_steps, ode._rk45_steps]
+
+    @pytest.mark.parametrize("steps", GENERIC, ids=lambda f: f.__name__)
+    def test_built_stepper_refers_to_no_rhs(self, steps):
+        built = ode._inline_phase(steps).__code__
+        assert "rhs" in steps.__code__.co_varnames and built.co_varnames[0] == "consts"
+        codes = [built, *(c for c in built.co_consts if isinstance(c, CodeType))]
+        assert all("rhs" not in c.co_names + c.co_varnames + c.co_freevars for c in codes)
+
+    def test_stage_call_written_out_as_classic_rhs(self, tmp_path):
+        model = pitfall_example_model()
+        built = ode._inline_phase(_stepper_from(tmp_path, "pass"))
+        assert built(model._rhs_consts, 0.25, -1.5, 0.0) == classic_rhs(model, 0.0, (0.25, -0.5))
+
+    @pytest.mark.parametrize("line", [
+        "f = rhs(t, (a, b))",
+        "p2, q2 = rhs(t, y)",
+        "p2, q2 = rhs(t, (a, b), 1)",
+        "p2, q2 = rhs(t, y=(a, b))",
+        "p2 = q2 = rhs(t, (a, b))",
+        "(p2, q2), = [rhs(t, (a, b))]",
+        "p2, q2 = rhs(t, (a, b))[::-1]",
+        "g = rhs",
+    ])
+    def test_other_rhs_use_refused(self, tmp_path, line):
+        # the good stage on line 4 is written out; the build refuses, so no
+        # stepper with a stray call is returned
+        with pytest.raises(ValueError, match=r"^steps line 5: rhs not in pN, qN = rhs"):
+            ode._inline_phase(_stepper_from(tmp_path, line))
+
+    @pytest.mark.parametrize("steps", GENERIC, ids=lambda f: f.__name__)
+    def test_stage_error_traceback_in_generic_source(self, steps):
+        def fn(v):
+            raise _StageError
+
+        consts = pitfall_example_model()._rhs_consts[:-1] + (fn,)
+        config = IntegratorConfig(t_end=1.0, method="rk4" if steps is ode._rk4_steps else "rk45")
+        with pytest.raises(_StageError) as info:
+            ode._inline_phase(steps)(consts, 0.0, 0.0, 1.0, 1.0, config, [0.0], [0.0], [0.0])
+        frame = traceback.extract_tb(info.value.__traceback__)[-2]
+        lines, first = inspect.getsourcelines(steps)
+        assert frame.filename == ode.__file__
+        assert first <= frame.lineno < first + len(lines)
+        # the first stage call of the generic stepper
+        assert frame.line.startswith("p2, q2 = rhs(")
+
+    def test_nothing_built_by_import_design_or_predict(self, tmp_path):
+        code = ("import costas_lab\n"
+                "from costas_lab import cli, ode\n"
+                "assert ode._inline_phase.cache_info().currsize == 0\n"
+                f"p = {str(tmp_path / 'p.json')!r}\n"
+                "assert cli.main(['design', '--variant', 'bpsk', '--f0', '400e3', "
+                "'--fs', '100e3', '-o', p]) == 0\n"
+                "assert cli.main(['predict', '--params', p, '--variant', 'bpsk']) == 0\n"
+                "print(ode._inline_phase.cache_info().currsize)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(ode.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines()[-1] == "0"
 
 
 class TestLockVerdict:
