@@ -8,6 +8,8 @@ wrapping is a view operation (see :func:`wrap_phase`).
 
 from __future__ import annotations
 
+import ast
+import linecache
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -417,3 +419,36 @@ def bisect(on_lo_side, lo: float, hi: float, done) -> tuple[float, float]:
         else:
             hi = mid
     return lo, hi
+
+
+# --- functions rebuilt from their own source ----------------------------------
+
+
+def source_def(func) -> ast.FunctionDef:
+    """The ``def`` of the module-level function ``func``, parsed from its
+    file, every node numbered as in the file."""
+    code = func.__code__
+    first, last = code.co_firstlineno, max(line for *_, line in code.co_lines() if line)
+    # def to last line with bytecode (cut short, it fails to parse), numbered as in the file
+    source = "\n" * (first - 1) + "".join(linecache.getlines(code.co_filename)[first - 1:last])
+    return ast.parse(source).body[0]
+
+
+def placed(source: str, at: ast.AST) -> list[ast.stmt]:
+    """The statements of ``source``, each node at ``at``'s source position."""
+    body = ast.parse(source).body
+    for node in ast.walk(ast.Module(body, [])):
+        ast.copy_location(node, at)
+    return body
+
+
+def rebuild(func, transform):
+    """The function made by ``transform(source_def(func))``, a ``def`` node,
+    compiled under ``func``'s file name (so a traceback points into
+    ``func``'s source) and executed in ``func``'s module globals.  The one
+    place in the package that makes code at run time."""
+    node = transform(source_def(func))
+    namespace = {}
+    exec(compile(ast.Module([node], []), func.__code__.co_filename, "exec"),
+         func.__globals__, namespace)
+    return namespace[node.name]

@@ -2,8 +2,9 @@
 
 Two layers live here: the baseband nonlinearities ``phi_*`` used by the
 ODE models (functions of the phase error alone), and the sample-level PD
-computations used by the signal simulator (functions of the actual branch
-signals, collected in ``SAMPLE_PD``).  Both are pure and stateless.
+computations the signal simulator inlines into its sample loop
+(functions of the actual branch signals, collected in ``SAMPLE_PD``).
+Both are pure and stateless.
 
 Tie-breaks are deterministic so tests are reproducible: sign(0) := +1
 everywhere, the chopped-sine branch boundaries take the left-branch
@@ -69,11 +70,12 @@ def _modified_bpsk_phase(re: float, im: float) -> float:
     vr = re * di
     vi = im * di
     if vr == 0.0 and vi == 0.0:
-        return 0.0
-    ud = math.atan2(vi, vr)
-    if ud <= -HALF_PI:  # re==0, im<0 tie: fold to the +pi/2 edge
-        ud += math.pi
-    return ud
+        ph = 0.0
+    else:
+        ph = math.atan2(vi, vr)
+        if ph <= -HALF_PI:  # re==0, im<0 tie: fold to the +pi/2 edge
+            ph += math.pi
+    return ph
 
 
 def _modified_bpsk_imag(re: float, im: float) -> float:
@@ -86,11 +88,12 @@ def _modified_qpsk_phase(re: float, im: float) -> float:
     vr = re * di + im * dq
     vi = im * di - re * dq
     if vr == 0.0 and vi == 0.0:
-        return 0.0
-    ud = math.atan2(vi, vr)
-    if ud <= -QUARTER_PI:  # ties on the quadrant edges fold to +pi/4
-        ud += HALF_PI
-    return ud
+        ph = 0.0
+    else:
+        ph = math.atan2(vi, vr)
+        if ph <= -QUARTER_PI:  # ties on the quadrant edges fold to +pi/4
+            ph += HALF_PI
+    return ph
 
 
 def _modified_qpsk_imag(re: float, im: float) -> float:
@@ -103,7 +106,11 @@ def _modified_qpsk_imag(re: float, im: float) -> float:
 # flavor) -> ud(i, q).  Conventional loops pass the LPF outputs I2, Q2;
 # modified loops pass Re and Im of the rotated envelope um.  The
 # modified-loop phase PDs return 0.0 at um == 0, where the phase is
-# undefined, so a loop never stops on it.
+# undefined, so a loop never stops on it.  The signal simulator writes
+# each function's body into its sample loop (signal_sim._kernel_loop), so
+# each has one exit, its final ``return``, and assigns neither parameter
+# nor a name the loop uses; the module names it reads (math.atan2,
+# HALF_PI) are bound once per run.
 SAMPLE_PD = {
     (VariantTag.CONVENTIONAL_BPSK, PdFlavor.MUL_MUL): pd_conventional_bpsk,
     (VariantTag.CONVENTIONAL_QPSK, PdFlavor.SGN_CROSS): pd_conventional_qpsk,

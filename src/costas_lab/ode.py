@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import ast
 import functools
-import linecache
 import math
 from array import array
 from dataclasses import dataclass
@@ -63,7 +62,7 @@ import numpy as np
 
 from . import baseband
 from .core import CONVENTIONAL_BPSK, LoopParams, LoopVariant, pd_period, wrap_phase
-from .core import count_cycle_slips
+from .core import count_cycle_slips, placed, rebuild
 from .detectors import PdCharacteristic
 from .baseband import ClassicPhaseModel
 
@@ -331,14 +330,6 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
 _STAGE = "{p} = scale * fn(freq * ({y}))\n{q} = dw0 - k0 * (({x}) / tau1 + ratio * {p})"
 
 
-def _placed(source: str, at: ast.AST) -> list[ast.stmt]:
-    """The statements of ``source``, each node at ``at``'s source position."""
-    body = ast.parse(source).body
-    for node in ast.walk(ast.Module(body, [])):
-        ast.copy_location(node, at)
-    return body
-
-
 class _InlineStages(ast.NodeTransformer):
     """Writes each stage call out as :data:`_STAGE`, at the call's position."""
 
@@ -347,31 +338,29 @@ class _InlineStages(ast.NodeTransformer):
             case ast.Assign(targets=[ast.Tuple(elts=[ast.Name(id=p), ast.Name(id=q)])],
                             value=ast.Call(func=ast.Name(id="rhs"), keywords=[],
                                            args=[_, ast.Tuple(elts=[x, y])])):
-                return _placed(_STAGE.format(p=p, q=q, x=ast.unparse(x), y=ast.unparse(y)), node)
+                return placed(_STAGE.format(p=p, q=q, x=ast.unparse(x), y=ast.unparse(y)), node)
         return node
 
 
 @functools.cache
 def _inline_phase(steps):
     """``steps`` taking ``consts`` (``ClassicPhaseModel._rhs_consts``) for
-    ``rhs``, each stage's slope written out on it: its source rebuilt and
-    compiled under its file name and line numbers, so a traceback points
-    into ``steps``.  Any other use of ``rhs`` raises ValueError.  Built on
-    first use: importing the module parses nothing."""
-    code = steps.__code__
-    first, last = code.co_firstlineno, max(line for *_, line in code.co_lines() if line)
-    # def to last line with bytecode (cut short, it fails to parse), numbered as in the file
-    source = "\n" * (first - 1) + "".join(linecache.getlines(code.co_filename)[first - 1:last])
-    func = _InlineStages().visit(ast.parse(source).body[0])
-    left = [n.lineno for n in ast.walk(func) if isinstance(n, ast.Name) and n.id == "rhs"]
-    if left:
-        raise ValueError(f"{steps.__name__} line {min(left)}: rhs not in pN, qN = rhs(T, (X, Y))")
-    func.name = steps.__name__.replace("_steps", "_phase")
-    func.args.args[0].arg = "consts"
-    func.body[1:1] = _placed("dw0, k0, tau1, ratio, scale, freq, fn = consts", func)
-    namespace = {}
-    exec(compile(ast.Module([func], []), code.co_filename, "exec"), globals(), namespace)
-    return namespace[func.name]
+    ``rhs``, each stage's slope written out on it: rebuilt from its source
+    by :func:`core.rebuild`, so a traceback points into ``steps``.  Any
+    other use of ``rhs`` raises ValueError.  Built on first use: importing
+    the module parses nothing."""
+    def transform(func):
+        func = _InlineStages().visit(func)
+        left = [n.lineno for n in ast.walk(func) if isinstance(n, ast.Name) and n.id == "rhs"]
+        if left:
+            raise ValueError(f"{steps.__name__} line {min(left)}: "
+                             "rhs not in pN, qN = rhs(T, (X, Y))")
+        func.name = steps.__name__.replace("_steps", "_phase")
+        func.args.args[0].arg = "consts"
+        func.body[1:1] = placed("dw0, k0, tau1, ratio, scale, freq, fn = consts", func)
+        return func
+
+    return rebuild(steps, transform)
 
 
 def integrate(rhs: RhsFn, state0: Sequence[float], config: IntegratorConfig) -> Trajectory:

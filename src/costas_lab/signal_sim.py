@@ -16,13 +16,25 @@ A run always records the loop-filter output uf, from which the NCO phase,
 the phase error and the NCO frequency follow; the branch signals (u_d, I2,
 Q2) are recorded only for callers that read them (``run_loop``'s
 ``signals``: the CSV export and the demodulation check).
+
+The sample loop is kept once, as the source of ``_sample_loop``, and run
+as a copy built from it per (variant tag, PD flavor, signals) on first
+use (``_kernel_loop``): the run's fixed flags made constants and their
+dead branches dropped, and the variant's ``detectors.SAMPLE_PD`` function
+written into the loop in place of its call.  The NCO range check runs on
+the phase rebuilt after the loop, so a run that leaves the range runs on
+to its last sample (or to a ``cos`` of an infinite phase) and then raises
+``NumericBlowUp`` at the first sample that left it.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
 import math
 from array import array
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Optional
 
 import numpy as np
@@ -35,6 +47,9 @@ from .core import (
     check_real,
     count_cycle_slips,
     pd_period,
+    placed,
+    rebuild,
+    source_def,
     wrap_phase,
     write_csv_rows,
 )
@@ -175,18 +190,18 @@ def _check_corner(omega: float, T: float) -> None:
         raise ConfigError(f"corner {omega:g} rad/s cannot be prewarped at T={T:g}")
 
 
-def _discrete_lpf(omega3: float, T: float) -> tuple[float, float, float]:
-    """(b0, b1, a1) of 1/(1 + s/omega3) under the bilinear map
+def _discrete_lpf(omega3: float, T: float) -> tuple[float, float]:
+    """(b, a1) of 1/(1 + s/omega3) under the bilinear map
     s = c(1 - z^-1)/(1 + z^-1), c = 2/T, with the corner prewarped to
     wp = c*tan(omega3*T/2) so the response at omega3 is exactly 1/(1 + j);
-    a0 is normalized to 1."""
+    a0 is normalized to 1, and the two numerator taps are the one float b."""
     _check_corner(omega3, T)
     c = 2.0 / T
     # 1/(1/omega3), the root of 1 + s/omega3, may differ from omega3 in the last bit
     wp = c * math.tan((1.0 / (1.0 / omega3)) * T / 2.0)
     g = (1.0 / wp) * c
     a0 = 1.0 + g
-    return 1.0 / a0, 1.0 / a0, (1.0 - g) / a0
+    return 1.0 / a0, (1.0 - g) / a0
 
 
 def _discrete_pi(tau1: float, tau2: float, T: float) -> tuple[float, float]:
@@ -217,7 +232,8 @@ def run_loop(
     are recorded only with ``signals=True`` (for :func:`export_csv` and
     :func:`demod_ber`), and are None otherwise; the verdicts do not
     depend on it.  Raises :class:`NumericBlowUp` at the first sample
-    whose NCO phase leaves (-1e12, 1e12).
+    whose NCO phase leaves (-1e12, 1e12), found after the sample loop
+    has run on.
 
     A full ``freq_window`` passes when its averaged NCO frequency is
     within ``freq_tol`` of the carrier and its averaged wrapped
@@ -291,8 +307,12 @@ def _run_kernel(source, loop, n, T, signals):
     against the NCO and low-pass both branches, the modified loops rotate
     the pre-envelope u_re + j*u_im by the NCO phase.  For the modified
     loops the recorded ``i2``/``q2`` are Re and Im of the rotated envelope.
-    The loop stores ``uf`` alone on every sample; the NCO phase is
-    rebuilt from it afterwards.
+    The loop is :func:`_sample_loop` as built for the run's (variant tag,
+    PD flavor, signals) by :func:`_kernel_loop`.  It stores ``uf`` alone on
+    every sample; the NCO phase is rebuilt from it afterwards, and the
+    range check runs on that rebuild, so a run that blows up runs to
+    sample ``n`` (or to a ``cos`` of an infinite phase) before it raises
+    :class:`NumericBlowUp`.
     """
     params = loop.params
     variant = source.variant
@@ -300,7 +320,6 @@ def _run_kernel(source, loop, n, T, signals):
     conventional = variant.is_conventional
     if conventional and params.omega3 is None:
         raise ConfigError("conventional loops need the LPF corner omega3")
-    pd = SAMPLE_PD[(variant.tag, variant.pd_flavor)]
 
     # the delayed Hilbert image is the pre-envelope n4 samples earlier, so
     # the grid starts at k = -n4 and the pre-envelope is computed once
@@ -316,14 +335,16 @@ def _run_kernel(source, loop, n, T, signals):
     m2 = source.symbols(n_sym, 1)[sym_idx] if is_qpsk else None
     # the loop reads only the list inputs: free each front-end array once used
     del k, sym_idx
+    b = la1 = None
     if conventional:
-        lb0, lb1, la1 = _discrete_lpf(params.omega3, T)
+        b, la1 = _discrete_lpf(params.omega3, T)
         if is_qpsk:
             u1 = m1 * np.cos(th1) + m2 * np.sin(th1)
         else:
             u1 = m1 * np.sin(th1)
         # VCO branch outputs carry amplitude 2 (exact scaling)
-        u1 = (2.0 * u1).tolist()
+        front = (2.0 * u1).tolist()
+        del u1
     else:
         if is_qpsk:
             u = m1 * np.cos(th1) - m2 * np.sin(th1)
@@ -338,63 +359,206 @@ def _run_kernel(source, loop, n, T, signals):
             else:
                 u_im = (m1 * np.sin(th1)).tolist()
         del u
+        front = zip(u_re, u_im)
     del m1, m2
 
     fb0, fb1 = _discrete_pi(params.tau1, params.tau2, T)
-    sin, cos = math.sin, math.cos
     wfree_T = params.omega_free * T
     k0_T = params.k0 * T
-    th2 = 0.0
-    zi = zq = zf = 0.0
     # typed buffers hold the samples as doubles, not as float objects, and
     # numpy reads them in place
-    uf_a = array("d", [0.0]) * n
+    uf_a = array("d")
+    ud_a, i2_a, q2_a = (array("d") for _ in range(3)) if signals else (None, None, None)
+    sample_loop = _kernel_loop(variant.tag, variant.pd_flavor, signals)
+    try:
+        sample_loop(SAMPLE_PD[(variant.tag, variant.pd_flavor)], front, b, la1, fb0, fb1,
+                    wfree_T, k0_T, uf_a, ud_a, i2_a, q2_a)
+        stopped = None
+    except ValueError as exc:
+        # cos or sin of an infinite phase, which the range check below
+        # finds; any other ValueError is re-raised after it
+        stopped = exc
+    uf_arr = np.frombuffer(uf_a, dtype=np.float64)
+    # theta2[k] is the phase before sample k's update and theta2[k + 1] the
+    # phase after it: the loop's own additions in its own order (float64
+    # cumsum is a sequential accumulate), so every value is the one th2 held
+    theta2 = np.empty(len(uf_arr) + 1)
+    theta2[0] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(k0_T, uf_arr, out=theta2[1:])
+        theta2[1:] += wfree_T
+        np.cumsum(theta2, out=theta2)
+    # the NCO range check: the first sample whose updated phase leaves
+    # (-1e12, 1e12), NaN counted outside (theta2[0] is 0.0)
+    if not (-1e12 < theta2.min() and theta2.max() < 1e12):
+        inside = (theta2[1:] > -1e12) & (theta2[1:] < 1e12)
+        raise NumericBlowUp(int(np.argmin(inside)))
+    if stopped is not None:
+        raise stopped
+    branches = ((np.frombuffer(buf, dtype=np.float64) for buf in (ud_a, i2_a, q2_a))
+                if signals else (None, None, None))
+    return (th1[n4:], theta2[:n], uf_arr, *branches)
+
+
+def _sample_loop(conventional, is_qpsk, signals, pd, front, b, la1, fb0, fb1, wfree_T, k0_T,
+                 uf_a, ud_a, i2_a, q2_a):
+    """The per-sample loop of every variant, as source: runs take the copies
+    :func:`_kernel_loop` builds from it.  ``front`` holds the conventional
+    loops' mixer input or the modified loops' (u_re, u_im) pairs; ``uf``
+    (and, under ``signals``, ``ud``, ``i2`` and ``q2``) is appended to its
+    buffer on every sample."""
+    sin, cos = math.sin, math.cos
+    put_uf = uf_a.append
     if signals:
-        ud_a, i2_a, q2_a = (array("d", [0.0]) * n for _ in range(3))
-    for k in range(n):
+        put_ud, put_i2, put_q2 = ud_a.append, i2_a.append, q2_a.append
+    th2 = 0.0
+    zi = zq = zf = 0.0
+    for u in front:
         c = cos(th2)
         s = sin(th2)
         if conventional:
-            u = u1[k]
             if is_qpsk:
                 i1 = u * c
                 q1 = u * s
             else:
                 i1 = u * s
                 q1 = u * c
-            i2 = lb0 * i1 + zi
-            zi = lb1 * i1 - la1 * i2
-            q2 = lb0 * q1 + zq
-            zq = lb1 * q1 - la1 * q2
+            # the LPF's two numerator taps are the one float b
+            g = b * i1
+            i2 = g + zi
+            zi = g - la1 * i2
+            g = b * q1
+            q2 = g + zq
+            zq = g - la1 * q2
         else:
             # um = (u_re + j*u_im) * exp(-j*th2)
-            ur = u_re[k]
-            ui = u_im[k]
+            ur, ui = u
+            del u       # a pair no name holds is reused by zip
             i2 = ur * c + ui * s
             q2 = ui * c - ur * s
         ud = pd(i2, q2)
         uf = fb0 * ud + zf
         zf = fb1 * ud + uf
-        uf_a[k] = uf
+        put_uf(uf)
         if signals:
-            ud_a[k] = ud
-            i2_a[k] = i2
-            q2_a[k] = q2
+            put_ud(ud)
+            put_i2(i2)
+            put_q2(q2)
         th2 += wfree_T + k0_T * uf
-        if not (-1e12 < th2 < 1e12):
-            raise NumericBlowUp(k)
-    uf_arr = np.frombuffer(uf_a, dtype=np.float64)
-    # theta2[k] is the phase before sample k's update: the loop's own
-    # additions in its own order (float64 cumsum is a sequential
-    # accumulate), so every value is the one th2 held
-    theta2 = np.empty(n)
-    theta2[0] = 0.0
-    np.multiply(k0_T, uf_arr[:-1], out=theta2[1:])
-    theta2[1:] += wfree_T
-    np.cumsum(theta2, out=theta2)
-    branches = ((np.frombuffer(buf, dtype=np.float64) for buf in (ud_a, i2_a, q2_a))
-                if signals else (None, None, None))
-    return (th1[n4:], theta2, uf_arr, *branches)
+
+
+class _Specialize(ast.NodeTransformer):
+    """Makes each flag read its constant, cuts each ``if`` on a constant to
+    the branch it takes, and writes ``ud = pd(i2, q2)`` out as ``inline(at)``
+    returns it."""
+
+    def __init__(self, flags, inline):
+        self.flags, self.inline = flags, inline
+
+    def visit_Name(self, node):
+        if node.id in self.flags:
+            return ast.copy_location(ast.Constant(self.flags[node.id]), node)
+        return node
+
+    def visit_If(self, node):
+        self.generic_visit(node)
+        if isinstance(node.test, ast.Constant):
+            return node.body if node.test.value else node.orelse
+        return node
+
+    def visit_Assign(self, node):
+        match node:
+            case ast.Assign(targets=[ast.Name(id="ud")], value=ast.Call(
+                    func=ast.Name(id="pd"), args=[ast.Name(id="i2"), ast.Name(id="q2")],
+                    keywords=[])):
+                return self.inline(node)
+        return self.generic_visit(node)
+
+
+def _inlined_pd(pd, kernel_names, at):
+    """``ud = pd(i2, q2)`` written out at ``at``'s position: ``pd``'s body
+    with its parameters renamed ``i2`` and ``q2`` and its final ``return e``
+    made ``ud = e``, after the statements that bind the module names it
+    reads (``math.atan2`` as ``atan2``, ``HALF_PI``) from ``pd.__globals__``.
+    ValueError, naming ``pd``'s line, for any other ``return`` or for a name
+    the body binds that the kernel uses."""
+    func = source_def(pd)
+    *body, last = func.body[1:] if ast.get_docstring(func) is not None else func.body
+    early = [n.lineno for n in ast.walk(ast.Module(body, [])) if isinstance(n, ast.Return)]
+    if early or not (isinstance(last, ast.Return) and last.value):
+        raise ValueError(f"{pd.__name__} line {min(early, default=last.lineno)}: "
+                         "a sample PD returns once, at its end")
+    params = dict(zip([a.arg for a in func.args.args], ("i2", "q2")))
+    local = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Store)} | set(params)
+    glob = pd.__globals__
+    bound = {}       # name -> (its value's expression, the line that reads it)
+
+    class Names(ast.NodeTransformer):
+        def visit_Name(self, node):
+            if node.id in params:
+                node.id = params[node.id]
+            elif node.id not in local and node.id in glob:
+                bound.setdefault(node.id, (f"pd.__globals__[{node.id!r}]", node.lineno))
+            return node
+
+        def visit_Attribute(self, node):
+            match node:
+                case ast.Attribute(value=ast.Name(id=name), ctx=ast.Load()) if (
+                        name not in local and isinstance(glob.get(name), ModuleType)):
+                    bound.setdefault(node.attr, (f"pd.__globals__[{name!r}].{node.attr}",
+                                                 node.lineno))
+                    return ast.Name(node.attr, ast.Load())
+            return self.generic_visit(node)
+
+    body = [Names().visit(stmt) for stmt in [*body, last]]
+    stored = [(n.id, n.lineno) for n in ast.walk(ast.Module(body, []))
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    reads = [(name, line) for name, (_, line) in bound.items()]
+    clashes = [line for name, line in stored + reads if name in kernel_names]
+    clashes += [line for name, line in stored if name in bound]
+    if clashes:
+        raise ValueError(f"{pd.__name__} line {min(clashes)}: a name the kernel uses")
+    body[-1] = ast.Assign([ast.Name("ud", ast.Store())], body[-1].value)
+    for node in ast.walk(ast.Module(body, [])):
+        ast.copy_location(node, at)
+    return placed("".join(f"{k} = {v}\n" for k, (v, _) in bound.items()), at), body
+
+
+@functools.cache
+def _kernel_loop(tag, flavor, signals):
+    """:func:`_sample_loop` for one (variant tag, PD flavor, signals): its
+    flags made constants and their dead branches dropped, and the call of
+    ``SAMPLE_PD[(tag, flavor)]`` replaced by that function's body
+    (:func:`_inlined_pd`).  Rebuilt from its source by
+    :func:`core.rebuild`, so a traceback points into ``_sample_loop``, an
+    inlined PD statement at its ``ud = pd(i2, q2)`` line.  The flags leave
+    its arguments.  Built on first use: importing the module parses
+    nothing."""
+    variant = LoopVariant(tag, flavor)
+    flags = {"conventional": variant.is_conventional, "is_qpsk": variant.is_qpsk,
+             "signals": signals}
+
+    def transform(func):
+        kernel_names = ({n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+                        | {a.arg for a in func.args.args})
+        prelude = []
+
+        def inline(at):
+            bind, body = _inlined_pd(SAMPLE_PD[(tag, flavor)], kernel_names, at)
+            prelude.extend(bind)
+            return body
+
+        func = _Specialize(flags, inline).visit(func)
+        left = [n.lineno for n in ast.walk(func) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "pd"]
+        if left:
+            raise ValueError(f"_sample_loop line {min(left)}: pd not in ud = pd(i2, q2)")
+        func.args.args = [a for a in func.args.args if a.arg not in flags]
+        func.body[1:1] = prelude
+        return func
+
+    return rebuild(_sample_loop, transform)
 
 
 def measure_pull_in_range(
@@ -408,20 +572,24 @@ def measure_pull_in_range(
     """Largest frequency offset (Hz) that still locks within the budget.
 
     :func:`core.bisect` on the detuning, from a locking low end to a failing
-    high end, down to ``resolution`` Hz or to adjacent floats; raises
-    SearchError when the bracket premise does not hold or ``resolution``
-    is not a finite number > 0.  ``budget`` is the per-trial simulation
-    time in seconds, either a constant or a callable of the trial offset
-    (Hz) so callers can budget a multiple of the predicted pull-in time.
-    Deterministic given the PRBS seed.
+    high end, down to ``resolution`` Hz or to adjacent floats.  Raises
+    SearchError before any trial when an end of the bracket is not a
+    finite number, lo >= hi, or ``resolution`` is not a finite number > 0,
+    and after the end trials when the bracket premise does not hold.
+    ``budget`` is the per-trial simulation time in seconds, either a
+    constant or a callable of the trial offset (Hz) so callers can budget
+    a multiple of the predicted pull-in time.  Deterministic given the
+    PRBS seed.
     """
     lo, hi = search
-    if not lo < hi:
-        raise SearchError("search bracket must satisfy lo < hi")
     try:
-        check_real(resolution, "resolution")
+        for value, name in ((lo, "search low end"), (hi, "search high end"),
+                            (resolution, "resolution")):
+            check_real(value, name)
     except ValueError as exc:
         raise SearchError(str(exc)) from None
+    if not lo < hi:
+        raise SearchError("search bracket must satisfy lo < hi")
     if not resolution > 0:
         raise SearchError(f"resolution must be > 0, got {resolution!r}")
     budget_fn = budget if callable(budget) else (lambda _f: budget)

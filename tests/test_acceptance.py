@@ -429,11 +429,11 @@ def test_criterion_8_property_suites(designs):
         kind = rng.integers(0, 2)
         z = np.exp(-1j * w * t_samp)  # z^-1 at the corner
         if kind == 0:
-            b0, b1, a1 = _discrete_lpf(w, t_samp)
+            b, a1 = _discrete_lpf(w, t_samp)
             if abs(a1) >= 1.0:
                 failures.append(f"discrete pole on/outside unit circle for w={w:.0f}")
                 break
-            if abs((b0 + b1 * z) / (1.0 + a1 * z) - 1.0 / (1.0 + 1j)) > 1e-9:
+            if abs((b + b * z) / (1.0 + a1 * z) - 1.0 / (1.0 + 1j)) > 1e-9:
                 failures.append(f"prewarp fixed point broken at w={w:.0f}")
                 break
         else:

@@ -14,10 +14,11 @@ T_SAMP = 1.0 / 3.2e6
 OMEGA3, TAU1, TAU2 = 1256000.0, 20e-6, 4e-6
 
 # float.hex of the coefficients for the reference design, per sampling rate
+# (the LPF's one numerator tap b and a1)
 LPF_BITS = {
-    3.2e6: ("0x1.53a33b8a64244p-3", "0x1.53a33b8a64244p-3", "-0x1.562e623acdedep-1"),
-    12.8e6: ("0x1.7f6a949835683p-5", "0x1.7f6a949835683p-5", "-0x1.d012ad6cf9530p-1"),
-    51.2e6: ("0x1.8d11d1af05ceep-7", "0x1.8d11d1af05ceep-7", "-0x1.f397717287d19p-1"),
+    3.2e6: ("0x1.53a33b8a64244p-3", "-0x1.562e623acdedep-1"),
+    12.8e6: ("0x1.7f6a949835683p-5", "-0x1.d012ad6cf9530p-1"),
+    51.2e6: ("0x1.8d11d1af05ceep-7", "-0x1.f397717287d19p-1"),
 }
 PI_BITS = {
     3.2e6: ("0x1.a96442e0a8d0bp-3", "-0x1.896442e0a8d0bp-3"),
@@ -31,10 +32,10 @@ def prewarped(w, T=T_SAMP):
 
 
 def lpf_at(w, omega3=OMEGA3, T=T_SAMP):
-    """Discrete LPF response at angular frequency w."""
-    b0, b1, a1 = _discrete_lpf(omega3, T)
+    """Discrete LPF response at angular frequency w (numerator b*(1 + z^-1))."""
+    b, a1 = _discrete_lpf(omega3, T)
     z = cmath.exp(-1j * w * T)  # z^-1 on the unit circle
-    return (b0 + b1 * z) / (1.0 + a1 * z)
+    return (b + b * z) / (1.0 + a1 * z)
 
 
 def pi_at(w, tau1=TAU1, tau2=TAU2, T=T_SAMP):
@@ -71,8 +72,8 @@ class TestPrototypes:
             _discrete_pi(1.0, 0.0, T_SAMP)
 
     def test_lpf1_dc(self):
-        b0, b1, a1 = _discrete_lpf(OMEGA3, T_SAMP)
-        assert (b0 + b1) / (1.0 + a1) == pytest.approx(1.0, rel=1e-14)
+        b, a1 = _discrete_lpf(OMEGA3, T_SAMP)
+        assert (b + b) / (1.0 + a1) == pytest.approx(1.0, rel=1e-14)
         assert lpf_at(0.0).imag == 0.0
 
     def test_lpf1_corner(self):
@@ -103,13 +104,12 @@ class TestPrototypes:
 
 class TestBilinear:
     def test_lpf_coefficients_closed_form(self):
-        # the lowpass keeps its zero at Nyquist, so b carries the [1, 1]
-        # pair and a the corner terms
-        b0, b1, a1 = _discrete_lpf(OMEGA3, T_SAMP)
+        # the lowpass keeps its zero at Nyquist, so both numerator taps are
+        # the one b, and a carries the corner terms
+        b, a1 = _discrete_lpf(OMEGA3, T_SAMP)
         c = 2.0 / (prewarped(OMEGA3) * T_SAMP)
         norm = 1.0 + c
-        assert b0 == pytest.approx(1.0 / norm, rel=1e-12)
-        assert b1 == pytest.approx(1.0 / norm, rel=1e-12)
+        assert b == pytest.approx(1.0 / norm, rel=1e-12)
         assert a1 == pytest.approx((1.0 - c) / norm, rel=1e-12)
 
     def test_lpf_coefficients_pinned(self):
@@ -145,7 +145,7 @@ class TestBilinear:
         for _ in range(1000):
             fs = 10 ** rng.uniform(5, 8)
             w = 10 ** rng.uniform(math.log10(fs) - 5, math.log10(0.98 * math.pi * fs))
-            _, _, a1 = _discrete_lpf(w, 1.0 / fs)
+            _, a1 = _discrete_lpf(w, 1.0 / fs)
             assert abs(a1) < 1.0 - 1e-12
 
     @pytest.mark.parametrize("omega3", [1.2e7, math.pi * 3.2e6, math.nan, math.inf])

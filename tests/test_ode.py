@@ -1008,18 +1008,20 @@ class TestInlineBuild:
         assert frame.line.startswith("p2, q2 = rhs(")
 
     def test_nothing_built_by_import_design_or_predict(self, tmp_path):
+        # neither the phase steppers nor signal_sim's sample-loop kernels
         code = ("import costas_lab\n"
-                "from costas_lab import cli, ode\n"
-                "assert ode._inline_phase.cache_info().currsize == 0\n"
+                "from costas_lab import cli, ode, signal_sim\n"
+                "built = [ode._inline_phase, signal_sim._kernel_loop]\n"
+                "assert [b.cache_info().currsize for b in built] == [0, 0]\n"
                 f"p = {str(tmp_path / 'p.json')!r}\n"
                 "assert cli.main(['design', '--variant', 'bpsk', '--f0', '400e3', "
                 "'--fs', '100e3', '-o', p]) == 0\n"
                 "assert cli.main(['predict', '--params', p, '--variant', 'bpsk']) == 0\n"
-                "print(ode._inline_phase.cache_info().currsize)\n")
+                "print(*[b.cache_info().currsize for b in built])\n")
         env = {**os.environ, "PYTHONPATH": str(Path(ode.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out.splitlines()[-1] == "0"
+        assert out.splitlines()[-1] == "0 0"
 
 
 class TestLockVerdict:

@@ -1,8 +1,10 @@
+import importlib.util
 import inspect
 import io
 import itertools
 import json
 import math
+import traceback
 import tracemalloc
 from array import array
 from types import SimpleNamespace
@@ -20,6 +22,7 @@ from costas_lab import (
     LoopParams,
     LoopVariant,
     PdCharacteristic,
+    PdFlavor,
     classic_rhs,
     design,
     lock_time,
@@ -317,7 +320,9 @@ def parent_kernel(source, loop, n, T):
     m1 = source.symbols(n_sym, 0)[sym_idx]
     m2 = source.symbols(n_sym, 1)[sym_idx] if is_qpsk else None
     if conventional:
-        lb0, lb1, la1 = signal_sim._discrete_lpf(params.omega3, T)
+        # the parent's two numerator taps, the one float b
+        lb0, la1 = signal_sim._discrete_lpf(params.omega3, T)
+        lb1 = lb0
         if is_qpsk:
             u1 = m1 * np.cos(th1) + m2 * np.sin(th1)
         else:
@@ -405,6 +410,13 @@ def result_bytes(r, fields=("t", "theta_e", "ud", "uf", "omega2", "i2", "q2")):
 
 
 BRANCHES = ("ud", "i2", "q2")
+# every (variant, flavor) pair; a default flavor's id is its variant's name
+PAIRS = [LoopVariant(tag, flavor) for tag, flavor in SAMPLE_PD]
+
+
+def pair_id(v):
+    return v.tag.value if v == LoopVariant(v.tag) else f"{v.tag.value}-{v.pd_flavor.value}"
+
 # every (variant, flavor) pair, the modified loops under both Hilbert modes
 RECORDING_CASES = [(LoopVariant(tag, flavor), mode, f_samp)
                    for tag, flavor in SAMPLE_PD
@@ -445,10 +457,11 @@ class TestRecordingEquivalence:
                 assert full == want
                 assert bare == {**want, **dict.fromkeys(BRANCHES)}
 
-    @pytest.mark.parametrize("variant", [CONVENTIONAL_BPSK, MODIFIED_QPSK],
-                             ids=lambda v: v.tag.value)
+    @pytest.mark.parametrize("variant", PAIRS, ids=pair_id)
     @pytest.mark.parametrize("signals", [False, True])
     def test_blow_up_at_the_parent_sample(self, variant, signals):
+        # the phase leaves the range and the loop runs on to n: the range
+        # check after it names the sample the parent stopped at
         p = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=variant))
         p = LoopParams(p.omega1, p.omega_free, 1e30, p.kd, p.tau1, p.tau2, p.omega3)
         src, loop = ModulatedSource(variant, 400e3, 100e3), DigitalLoop(p, F_SAMP)
@@ -457,6 +470,59 @@ class TestRecordingEquivalence:
         with pytest.raises(NumericBlowUp) as err:
             run_loop(src, loop, 1e-4, signals=signals)
         assert err.value.sample_index == blow_at
+
+    # the phase PDs are bounded by pi/2: no gain overflows their loops' phase
+    @pytest.mark.parametrize("variant", [v for v in PAIRS
+                                         if v.pd_flavor is not PdFlavor.COMPLEX_PHASE],
+                             ids=pair_id)
+    @pytest.mark.parametrize("signals", [False, True])
+    def test_phase_overflow_at_the_parent_sample(self, variant, signals, monkeypatch):
+        # k0 = 1.7e308 and a large amplitude overflow the phase to inf (bpsk
+        # in the update that first leaves the range, the others later), and
+        # the next sample's cos(inf) raises ValueError; the default
+        # detector's omega_n would overflow too, so one is given
+        p = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=variant))
+        p = LoopParams(p.omega1, p.omega_free, 1.7e308, p.kd, p.tau1, p.tau2, p.omega3)
+        src, loop = ModulatedSource(variant, 400e3, 100e3, m=1e6), DigitalLoop(p, F_SAMP)
+        blow_at = parent_kernel(src, loop, 320, 1.0 / F_SAMP)[-1]
+        assert blow_at is not None
+        stopped = []
+        built = signal_sim._kernel_loop
+
+        def spy(*key):
+            def run(*args):
+                try:
+                    return built(*key)(*args)
+                except ValueError as exc:
+                    stopped.append((len(args[8]), str(exc)))
+                    raise
+            return run
+
+        monkeypatch.setattr(signal_sim, "_kernel_loop", spy)
+        with pytest.raises(NumericBlowUp) as err:
+            run_loop(src, loop, 1e-4, LockDetector(1e-5, 1.0), signals=signals)
+        assert err.value.sample_index == blow_at
+        [(ran, message)] = stopped
+        assert message == "math domain error" and ran > blow_at
+        if variant == CONVENTIONAL_BPSK:
+            assert ran == blow_at + 1
+
+    def test_value_error_without_blow_up_propagates(self, bpsk_reference_params,
+                                                    monkeypatch):
+        # a ValueError with every phase in range is no blow-up: re-raised
+        calls = []
+        cos = math.cos
+
+        def failing_cos(x):
+            calls.append(x)
+            if len(calls) == 100:
+                raise ValueError("cos failed mid-run")
+            return cos(x)
+
+        monkeypatch.setattr(math, "cos", failing_cos)
+        with pytest.raises(ValueError, match="^cos failed mid-run$"):
+            run_loop(bpsk_source(), DigitalLoop(bpsk_reference_params, F_SAMP), 1e-4)
+        assert len(calls) == 100
 
     def test_cumsum_is_a_sequential_running_sum(self):
         # the kernel's NCO phase is np.cumsum of its increments: that holds
@@ -520,6 +586,103 @@ class TestRecordingEquivalence:
         assert not path.exists()
 
 
+_PD_SOURCE = '''
+import math
+SCALE = 2.0
+def pd(re, im):
+    """Doc."""
+    {line}
+    return SCALE * math.atan2(im, re) + x
+'''
+
+
+def _pd_from(tmp_path, line):
+    """``pd`` of :data:`_PD_SOURCE` with ``line``, loaded from a file (the
+    build reads a PD's source)."""
+    path = tmp_path / "pds.py"
+    path.write_text(_PD_SOURCE.format(line=line))
+    spec = importlib.util.spec_from_file_location("pds", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.pd
+
+
+# a key whose loop passes (re, im) straight to the PD
+KEY = (MODIFIED_BPSK.tag, PdFlavor.COMPLEX_IMAG)
+
+
+def _run_built(loop, pd, front, signals=True):
+    """A built loop run on ``front``, (u_re, u_im) pairs, with a frozen NCO
+    (k0_T = wfree_T = 0): the recorded (uf, ud, i2, q2) as lists."""
+    bufs = [array("d") for _ in range(4)]
+    loop(pd, iter(front), None, None, 0.5, -0.25, 0.0, 0.0,
+         *(bufs if signals else (bufs[0], None, None, None)))
+    return [b.tolist() for b in bufs]
+
+
+class TestKernelBuild:
+    """``signal_sim._kernel_loop`` builds one sample loop per (variant tag,
+    PD flavor, signals) from ``_sample_loop``: the flags made constants,
+    their dead branches dropped, the PD's body written in."""
+
+    @pytest.mark.parametrize("signals", [False, True])
+    @pytest.mark.parametrize("key", list(SAMPLE_PD), ids=lambda k: f"{k[0].value}-{k[1].value}")
+    def test_flags_gone_and_pd_not_called(self, key, signals):
+        code = signal_sim._kernel_loop(*key, signals).__code__
+        assert not {"conventional", "is_qpsk", "signals"} & set(code.co_varnames)
+        assert ("put_ud" in code.co_varnames) is signals
+        assert ("i1" in code.co_varnames) is (key[0].value in ("bpsk", "qpsk"))
+        # a pd that cannot be called: the body is inlined
+        pd = SAMPLE_PD[key]
+        stand_in = SimpleNamespace(__globals__=pd.__globals__)
+        front = [1.0, -0.5, 0.25] if key[0].value in ("bpsk", "qpsk") else [(1.0, -0.5)] * 3
+        uf_a = array("d")
+        ud_a, i2_a, q2_a = (array("d") for _ in range(3)) if signals else (None,) * 3
+        signal_sim._kernel_loop(*key, signals)(stand_in, front, 0.5, -0.25, 0.5, -0.25,
+                                               0.1, 0.01, uf_a, ud_a, i2_a, q2_a)
+        assert len(uf_a) == 3
+        if signals:
+            assert ud_a.tolist() == [pd(i, q) for i, q in zip(i2_a, q2_a)]
+
+    def test_module_names_read_from_the_pd_module(self, tmp_path, monkeypatch):
+        # SCALE and math.atan2 bound from the PD's own module, once per call
+        pd = _pd_from(tmp_path, "x = 0.5")
+        monkeypatch.setitem(SAMPLE_PD, KEY, pd)
+        loop = signal_sim._kernel_loop.__wrapped__(*KEY, True)
+        assert {"SCALE", "atan2"} <= set(loop.__code__.co_varnames)
+        front = [(1.0, -0.5), (-0.3, 0.2), (0.0, 0.0)]
+        uf, ud, i2, q2 = _run_built(loop, pd, front)
+        assert ud == [pd(i, q) for i, q in zip(i2, q2)]
+        monkeypatch.setattr(pd.__globals__["math"], "atan2", lambda y, x: 0.0)
+        assert _run_built(loop, pd, front)[1] == [0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize("line,message", [
+        ("if re > 0.0: return 1.0", "a sample PD returns once, at its end"),
+        ("x = c = 0.5", "a name the kernel uses"),
+        ("re = x = 0.5", "a name the kernel uses"),
+        ("x = SCALE; cos = 1.0", "a name the kernel uses"),
+        ("x = atan2 = 0.5", "a name the kernel uses"),
+    ])
+    def test_unsafe_pd_refused(self, tmp_path, monkeypatch, line, message):
+        # an early exit, a local the kernel uses (c, i2 for the parameter re,
+        # cos) or one a module name is bound to (atan2): refused with the line
+        monkeypatch.setitem(SAMPLE_PD, KEY, _pd_from(tmp_path, line))
+        with pytest.raises(ValueError, match=f"^pd line 6: {message}$"):
+            signal_sim._kernel_loop.__wrapped__(*KEY, False)
+
+    def test_pd_error_traceback_at_the_pd_call(self, tmp_path, monkeypatch):
+        pd = _pd_from(tmp_path, "x = 1.0 / (re - re)")
+        monkeypatch.setitem(SAMPLE_PD, KEY, pd)
+        loop = signal_sim._kernel_loop.__wrapped__(*KEY, False)
+        with pytest.raises(ZeroDivisionError) as info:
+            _run_built(loop, pd, [(1.0, 0.5)], signals=False)
+        frame = traceback.extract_tb(info.value.__traceback__)[-1]
+        lines, first = inspect.getsourcelines(signal_sim._sample_loop)
+        assert frame.filename == signal_sim.__file__
+        assert first <= frame.lineno < first + len(lines)
+        assert frame.line == "ud = pd(i2, q2)"
+
+
 class TestDemod:
     def test_bpsk_zero_errors(self, bpsk_reference_params):
         p = bpsk_reference_params.with_offset(TWO_PI * 50e3)
@@ -563,6 +726,19 @@ class TestPullInSearch:
             measure_pull_in_range(src, loop, (300e3, 400e3), budget=1e-3)
         with pytest.raises(SearchError):
             measure_pull_in_range(src, loop, (160e3, 110e3), budget=1e-3)
+
+    @pytest.mark.parametrize("search", [(60e3, math.inf), (-math.inf, 188e3), (True, 188e3)])
+    def test_bracket_ends_checked_before_any_trial(self, bpsk_reference_params, monkeypatch,
+                                                   search):
+        # an infinite end used to reach the kernel (NumericBlowUp at sample
+        # 0), and True searched from 1 Hz
+        def no_trial(*args):
+            raise AssertionError("run_loop called")
+
+        monkeypatch.setattr(signal_sim, "run_loop", no_trial)
+        loop = DigitalLoop(bpsk_reference_params, F_SAMP)
+        with pytest.raises(SearchError, match=r"^search (low|high) end must be"):
+            measure_pull_in_range(bpsk_source(), loop, search, budget=1e-3)
 
     @pytest.mark.parametrize("resolution", [0.0, -1e3, math.nan, math.inf])
     def test_bad_resolution_rejected_before_any_trial(self, bpsk_reference_params,
