@@ -27,7 +27,6 @@ import json
 import math
 import shutil
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import MethodType
 
@@ -273,7 +272,7 @@ def _simulate_signal(cfg: dict, variant: LoopVariant, params: LoopParams,
     source = ModulatedSource(variant, cfg["f0"], cfg["f_symbol"],
                              **_given(cfg, "m", "prbs_seed", "theta1_0", "data_mode"))
     loop = DigitalLoop(params, cfg["f_samp"], **_given(cfg, "hilbert_mode"))
-    detector = replace(LockDetector.for_params(params), **cfg.get("detector", {}))
+    detector = LockDetector.for_params(params, **cfg.get("detector", {}))
     return run_loop(source, loop, cfg["duration"], detector, signals=signals)
 
 

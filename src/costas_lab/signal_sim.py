@@ -15,7 +15,9 @@ I2 ~ m*cos(theta_e), Q2 ~ m*sin(theta_e).
 A run always records the loop-filter output uf, from which the NCO phase,
 the phase error and the NCO frequency follow; the branch signals (u_d, I2,
 Q2) are recorded only for callers that read them (``run_loop``'s
-``signals``: the CSV export and the demodulation check).
+``signals``: the CSV export and the demodulation check).  Each recorded
+signal is one float64 array of the run's n samples, allocated before the
+loop, which stores sample k at index k.
 
 The sample loop is kept once, as the source of ``_sample_loop``, and run
 as a copy built from it per (variant tag, PD flavor, signals) on first
@@ -32,7 +34,6 @@ from __future__ import annotations
 import ast
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 from types import ModuleType
 from typing import Optional
@@ -58,11 +59,11 @@ from .detectors import SAMPLE_PD
 TWO_PI = 2.0 * math.pi
 
 # Largest run ``run_loop`` accepts.  Without the branch signals a run peaks
-# at about 81 B (conventional loops) to 96 B (modified loops; 104 B for
+# at about 81 B (conventional loops) to 88-104 B (modified loops; 104 B for
 # mod_qpsk with the ideal Hilbert) of traced memory per sample, and with
-# them at 105 B to 112 B (the recorded float64 arrays, 8 B each, the source
-# waveform and the lock-detection windows).  So 4e6 samples stay under
-# 0.5 GB, and their CSV (127 B per row) near 0.5 GB.  That is 1.25 s of
+# them at 105 B for every loop (the recorded float64 arrays, 8 B each, the
+# source waveform and the lock-detection windows).  So 4e6 samples stay
+# under 0.5 GB, and their CSV (127 B per row) near 0.5 GB.  That is 1.25 s of
 # signal at 3.2 MHz, 52 times the longest run the benchmark or the
 # acceptance gate makes (76,800 samples).
 MAX_SAMPLES = 4_000_000
@@ -176,11 +177,14 @@ class LockDetector:
                 raise ConfigError(f"detector {name} must be > 0, got {value!r}")
 
     @classmethod
-    def for_params(cls, params: LoopParams) -> "LockDetector":
-        return cls(
-            freq_window=4.0 * TWO_PI / params.omega_n,
-            freq_tol=0.01 * params.omega_n,
-        )
+    def for_params(cls, params: LoopParams, **given) -> "LockDetector":
+        """The detector for ``params``: the fields in ``given``, and the
+        defaults from omega_n for those it leaves out, validated once."""
+        if "freq_window" not in given:
+            given["freq_window"] = 4.0 * TWO_PI / params.omega_n
+        if "freq_tol" not in given:
+            given["freq_tol"] = 0.01 * params.omega_n
+        return cls(**given)
 
 
 def _check_corner(omega: float, T: float) -> None:
@@ -309,9 +313,11 @@ def _run_kernel(source, loop, n, T, signals):
     loops the recorded ``i2``/``q2`` are Re and Im of the rotated envelope.
     The loop is :func:`_sample_loop` as built for the run's (variant tag,
     PD flavor, signals) by :func:`_kernel_loop`.  It stores ``uf`` alone on
-    every sample; the NCO phase is rebuilt from it afterwards, and the
-    range check runs on that rebuild, so a run that blows up runs to
-    sample ``n`` (or to a ``cos`` of an infinite phase) before it raises
+    every sample, at its index in an array of ``n`` (the branch signals
+    likewise under ``signals``), and returns how many samples it stored;
+    the NCO phase is rebuilt from those afterwards, and the range check
+    runs on that rebuild, so a run that blows up runs to sample ``n`` (or
+    to a ``cos`` of an infinite phase) before it raises
     :class:`NumericBlowUp`.
     """
     params = loop.params
@@ -343,7 +349,7 @@ def _run_kernel(source, loop, n, T, signals):
         else:
             u1 = m1 * np.sin(th1)
         # VCO branch outputs carry amplitude 2 (exact scaling)
-        front = (2.0 * u1).tolist()
+        front = zip(range(n), (2.0 * u1).tolist())
         del u1
     else:
         if is_qpsk:
@@ -359,33 +365,36 @@ def _run_kernel(source, loop, n, T, signals):
             else:
                 u_im = (m1 * np.sin(th1)).tolist()
         del u
-        front = zip(u_re, u_im)
+        front = zip(range(n), u_re, u_im)
+        del u_re, u_im
     del m1, m2
 
     fb0, fb1 = _discrete_pi(params.tau1, params.tau2, T)
     wfree_T = params.omega_free * T
     k0_T = params.k0 * T
-    # typed buffers hold the samples as doubles, not as float objects, and
-    # numpy reads them in place
-    uf_a = array("d")
-    ud_a, i2_a, q2_a = (array("d") for _ in range(3)) if signals else (None, None, None)
+    # one float64 array of n samples per recorded signal, allocated once;
+    # the loop stores sample k at index k through a memoryview, whose item
+    # store costs less than an ndarray's or than array.append (which parses
+    # a format string on every call)
+    uf_arr = np.empty(n)
+    branches = (np.empty(n), np.empty(n), np.empty(n)) if signals else (None, None, None)
+    views = [None if a is None else memoryview(a) for a in (uf_arr, *branches)]
     sample_loop = _kernel_loop(variant.tag, variant.pd_flavor, signals)
-    try:
-        sample_loop(SAMPLE_PD[(variant.tag, variant.pd_flavor)], front, b, la1, fb0, fb1,
-                    wfree_T, k0_T, uf_a, ud_a, i2_a, q2_a)
-        stopped = None
-    except ValueError as exc:
-        # cos or sin of an infinite phase, which the range check below
-        # finds; any other ValueError is re-raised after it
-        stopped = exc
-    uf_arr = np.frombuffer(uf_a, dtype=np.float64)
+    stored, stopped = sample_loop(SAMPLE_PD[(variant.tag, variant.pd_flavor)], front, b, la1,
+                                  fb0, fb1, wfree_T, k0_T, *views)
+    # stopped: a ValueError out of the loop after ``stored`` samples, a cos
+    # or sin of an infinite phase that the range check below finds; any
+    # other ValueError is re-raised after it.  The input lists go first: kept
+    # through the phase rebuild, the modified loops' two set the peak under
+    # ``signals`` (112 B per sample, not 105 B)
+    del front
     # theta2[k] is the phase before sample k's update and theta2[k + 1] the
     # phase after it: the loop's own additions in its own order (float64
     # cumsum is a sequential accumulate), so every value is the one th2 held
-    theta2 = np.empty(len(uf_arr) + 1)
+    theta2 = np.empty(stored + 1)
     theta2[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(k0_T, uf_arr, out=theta2[1:])
+        np.multiply(k0_T, uf_arr[:stored], out=theta2[1:])
         theta2[1:] += wfree_T
         np.cumsum(theta2, out=theta2)
     # the NCO range check: the first sample whose updated phase leaves
@@ -395,56 +404,62 @@ def _run_kernel(source, loop, n, T, signals):
         raise NumericBlowUp(int(np.argmin(inside)))
     if stopped is not None:
         raise stopped
-    branches = ((np.frombuffer(buf, dtype=np.float64) for buf in (ud_a, i2_a, q2_a))
-                if signals else (None, None, None))
     return (th1[n4:], theta2[:n], uf_arr, *branches)
 
 
 def _sample_loop(conventional, is_qpsk, signals, pd, front, b, la1, fb0, fb1, wfree_T, k0_T,
                  uf_a, ud_a, i2_a, q2_a):
     """The per-sample loop of every variant, as source: runs take the copies
-    :func:`_kernel_loop` builds from it.  ``front`` holds the conventional
-    loops' mixer input or the modified loops' (u_re, u_im) pairs; ``uf``
-    (and, under ``signals``, ``ud``, ``i2`` and ``q2``) is appended to its
-    buffer on every sample."""
+    :func:`_kernel_loop` builds from it.  ``front`` yields (k, u), the
+    conventional loops' mixer input, or (k, u_re, u_im), the modified
+    loops' pre-envelope, for sample k; its ``uf`` (and, under ``signals``,
+    ``ud``, ``i2`` and ``q2``) is stored at index k of its buffer.  Returns
+    (samples stored, None), or (samples stored, the ValueError) for a
+    ValueError that stops the run."""
     sin, cos = math.sin, math.cos
-    put_uf = uf_a.append
-    if signals:
-        put_ud, put_i2, put_q2 = ud_a.append, i2_a.append, q2_a.append
     th2 = 0.0
     zi = zq = zf = 0.0
-    for u in front:
-        c = cos(th2)
-        s = sin(th2)
-        if conventional:
-            if is_qpsk:
-                i1 = u * c
-                q1 = u * s
+    k = -1
+    try:
+        for sample in front:
+            if conventional:
+                k, u = sample
             else:
-                i1 = u * s
-                q1 = u * c
-            # the LPF's two numerator taps are the one float b
-            g = b * i1
-            i2 = g + zi
-            zi = g - la1 * i2
-            g = b * q1
-            q2 = g + zq
-            zq = g - la1 * q2
-        else:
-            # um = (u_re + j*u_im) * exp(-j*th2)
-            ur, ui = u
-            del u       # a pair no name holds is reused by zip
-            i2 = ur * c + ui * s
-            q2 = ui * c - ur * s
-        ud = pd(i2, q2)
-        uf = fb0 * ud + zf
-        zf = fb1 * ud + uf
-        put_uf(uf)
-        if signals:
-            put_ud(ud)
-            put_i2(i2)
-            put_q2(q2)
-        th2 += wfree_T + k0_T * uf
+                k, ur, ui = sample
+            del sample      # a tuple no name holds is reused by zip
+            c = cos(th2)
+            s = sin(th2)
+            if conventional:
+                if is_qpsk:
+                    i1 = u * c
+                    q1 = u * s
+                else:
+                    i1 = u * s
+                    q1 = u * c
+                # the LPF's two numerator taps are the one float b
+                g = b * i1
+                i2 = g + zi
+                zi = g - la1 * i2
+                g = b * q1
+                q2 = g + zq
+                zq = g - la1 * q2
+            else:
+                # um = (u_re + j*u_im) * exp(-j*th2)
+                i2 = ur * c + ui * s
+                q2 = ui * c - ur * s
+            ud = pd(i2, q2)
+            uf = fb0 * ud + zf
+            zf = fb1 * ud + uf
+            uf_a[k] = uf
+            if signals:
+                ud_a[k] = ud
+                i2_a[k] = i2
+                q2_a[k] = q2
+            th2 += wfree_T + k0_T * uf
+    except ValueError as exc:
+        # sample k did not reach its stores
+        return k, exc
+    return k + 1, None
 
 
 class _Specialize(ast.NodeTransformer):

@@ -675,6 +675,27 @@ class TestSimulateCommand:
         })
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 3
 
+    OVERFLOW_PARAMS = {"omega1": 2 * math.pi * 400e3, "omega_free": 2 * math.pi * 400e3,
+                       "k0": 1.7e308, "kd": 1.0, "tau1": 2e-5, "tau2": 4e-6,
+                       "omega3": 1256000.0}
+
+    def test_given_detector_replaces_the_overflowing_default(self, tmp_path, capsys):
+        # omega_n overflows, so the default freq_window would be 0.0: a
+        # config that gives all three fields reaches the loop and blows up
+        cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, "params": self.OVERFLOW_PARAMS,
+                                   "detector": {"freq_window": 1e-5, "freq_tol": 1.0,
+                                                "phase_tol": 0.1}})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: non-finite loop state")
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_detector_field_defaults_from_overflowing_params(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, "params": self.OVERFLOW_PARAMS,
+                                   "detector": {"freq_tol": 1.0}})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: detector freq_window must be > 0, got 0.0\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestSweepCommand:
     def test_rows_in_order(self, tmp_path, capsys):

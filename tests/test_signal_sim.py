@@ -1,3 +1,4 @@
+import dis
 import importlib.util
 import inspect
 import io
@@ -284,9 +285,36 @@ class TestRecording:
             tracemalloc.stop()
         assert peak / len(r.t) < 150
 
+    def test_recorded_arrays_allocated_once_at_n(self, modified_reference_params):
+        # 104.6 B per sample measured on this 16,000-sample run with the
+        # branch signals, each recorded array allocated once at n samples;
+        # buffers grown by append peaked at 113.0 B (a reallocation holds
+        # the old and the new block), and the loop's input lists kept
+        # through the phase rebuild at 112.1 B.  Pinned at 110 B: about 5%
+        # of margin
+        p = modified_reference_params.with_offset(TWO_PI * 100e3)
+        loop = DigitalLoop(p, 12.8e6, hilbert_mode="delay")
+        # built outside the trace: the first build of a loop parses its source
+        signal_sim._kernel_loop(MODIFIED_QPSK.tag, MODIFIED_QPSK.pd_flavor, True)
+        tracemalloc.start()
+        try:
+            r = run_loop(ModulatedSource(MODIFIED_QPSK, 400e3, 100e3), loop, 1.25e-3,
+                         signals=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(r.t) == 16_000
+        assert peak / len(r.t) < 110
+        for name in ("uf", "ud", "i2", "q2"):
+            a = getattr(r, name)
+            # a float64 array that owns exactly n samples: no view into a
+            # larger buffer
+            assert a.dtype == np.float64 and a.flags.owndata, name
+            assert a.shape == (16_000,) and a.nbytes == 8 * 16_000, name
+
     def test_traced_bytes_per_sample_mod_qpsk_delay_hilbert(self, modified_reference_params):
         # the delayed front end: 96 B per sample measured without the branch
-        # signals (112 B with them) with one pre-envelope grid and the
+        # signals (105 B with them) with one pre-envelope grid and the
         # front-end arrays freed before the sample loop, 168 B with them
         # kept alive through it
         p = modified_reference_params.with_offset(TWO_PI * 100e3)
@@ -484,45 +512,66 @@ class TestRecordingEquivalence:
         p = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=variant))
         p = LoopParams(p.omega1, p.omega_free, 1.7e308, p.kd, p.tau1, p.tau2, p.omega3)
         src, loop = ModulatedSource(variant, 400e3, 100e3, m=1e6), DigitalLoop(p, F_SAMP)
-        blow_at = parent_kernel(src, loop, 320, 1.0 / F_SAMP)[-1]
+        *_, parent_uf, _, _, blow_at = parent_kernel(src, loop, 320, 1.0 / F_SAMP)
         assert blow_at is not None
         stopped = []
         built = signal_sim._kernel_loop
 
         def spy(*key):
             def run(*args):
-                try:
-                    return built(*key)(*args)
-                except ValueError as exc:
-                    stopped.append((len(args[8]), str(exc)))
-                    raise
+                ran, exc = built(*key)(*args)
+                # the samples stored before the ValueError: the parent's up
+                # to its blow-up sample
+                uf = np.asarray(args[8])[:ran]
+                stopped.append((ran, exc, uf[: blow_at + 1].tobytes()))
+                return ran, exc
             return run
 
         monkeypatch.setattr(signal_sim, "_kernel_loop", spy)
         with pytest.raises(NumericBlowUp) as err:
             run_loop(src, loop, 1e-4, LockDetector(1e-5, 1.0), signals=signals)
         assert err.value.sample_index == blow_at
-        [(ran, message)] = stopped
-        assert message == "math domain error" and ran > blow_at
+        [(ran, exc, prefix)] = stopped
+        assert type(exc) is ValueError and str(exc) == "math domain error"
+        assert ran > blow_at and prefix == parent_uf.tobytes()
         if variant == CONVENTIONAL_BPSK:
             assert ran == blow_at + 1
 
-    def test_value_error_without_blow_up_propagates(self, bpsk_reference_params,
-                                                    monkeypatch):
-        # a ValueError with every phase in range is no blow-up: re-raised
+    def test_value_error_without_blow_up_propagates(self, monkeypatch):
+        # a ValueError with every phase in range is no blow-up: on every
+        # (variant, flavor) pair, with and without the branch signals, the
+        # one the loop raised is re-raised, after the 99 samples it stored
+        raised = ValueError("cos failed mid-run")
         calls = []
         cos = math.cos
 
         def failing_cos(x):
             calls.append(x)
             if len(calls) == 100:
-                raise ValueError("cos failed mid-run")
+                raise raised
             return cos(x)
 
-        monkeypatch.setattr(math, "cos", failing_cos)
-        with pytest.raises(ValueError, match="^cos failed mid-run$"):
-            run_loop(bpsk_source(), DigitalLoop(bpsk_reference_params, F_SAMP), 1e-4)
-        assert len(calls) == 100
+        stored = []
+        built = signal_sim._kernel_loop
+
+        def spy(*key):
+            def run(*args):
+                stored.append(built(*key)(*args))
+                return stored[-1]
+            return run
+
+        monkeypatch.setattr(signal_sim, "_kernel_loop", spy)
+        for variant, signals in itertools.product(PAIRS, (False, True)):
+            p = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=variant))
+            src, loop = ModulatedSource(variant, 400e3, 100e3), DigitalLoop(p, F_SAMP)
+            calls.clear()
+            stored.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(math, "cos", failing_cos)
+                with pytest.raises(ValueError) as err:
+                    run_loop(src, loop, 1e-4, signals=signals)
+            assert err.value is raised, (variant, signals)
+            assert len(calls) == 100 and stored == [(99, raised)], (variant, signals)
 
     def test_cumsum_is_a_sequential_running_sum(self):
         # the kernel's NCO phase is np.cumsum of its increments: that holds
@@ -611,12 +660,22 @@ def _pd_from(tmp_path, line):
 KEY = (MODIFIED_BPSK.tag, PdFlavor.COMPLEX_IMAG)
 
 
+def _buffers(n, signals):
+    """The recording arrays of an n-sample run, NaN until stored, and the
+    memoryviews a built loop stores through (None for a signal it does not
+    record)."""
+    bufs = [np.full(n, np.nan) for _ in range(4 if signals else 1)]
+    return bufs, [memoryview(b) for b in bufs] + [None] * (4 - len(bufs))
+
+
 def _run_built(loop, pd, front, signals=True):
     """A built loop run on ``front``, (u_re, u_im) pairs, with a frozen NCO
-    (k0_T = wfree_T = 0): the recorded (uf, ud, i2, q2) as lists."""
-    bufs = [array("d") for _ in range(4)]
-    loop(pd, iter(front), None, None, 0.5, -0.25, 0.0, 0.0,
-         *(bufs if signals else (bufs[0], None, None, None)))
+    (k0_T = wfree_T = 0): the recorded (uf, ud, i2, q2) as lists, after it
+    reports every sample stored."""
+    bufs, views = _buffers(len(front), signals)
+    ran = loop(pd, zip(range(len(front)), *zip(*front)), None, None, 0.5, -0.25, 0.0, 0.0,
+               *views)
+    assert ran == (len(front), None)
     return [b.tolist() for b in bufs]
 
 
@@ -630,19 +689,25 @@ class TestKernelBuild:
     def test_flags_gone_and_pd_not_called(self, key, signals):
         code = signal_sim._kernel_loop(*key, signals).__code__
         assert not {"conventional", "is_qpsk", "signals"} & set(code.co_varnames)
-        assert ("put_ud" in code.co_varnames) is signals
+        # the branch buffers are read (stored through) only under signals
+        loaded = {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_FAST"}
+        branches = {"ud_a", "i2_a", "q2_a"}
+        assert "uf_a" in loaded and (branches & loaded) == (branches if signals else set())
         assert ("i1" in code.co_varnames) is (key[0].value in ("bpsk", "qpsk"))
         # a pd that cannot be called: the body is inlined
         pd = SAMPLE_PD[key]
         stand_in = SimpleNamespace(__globals__=pd.__globals__)
-        front = [1.0, -0.5, 0.25] if key[0].value in ("bpsk", "qpsk") else [(1.0, -0.5)] * 3
-        uf_a = array("d")
-        ud_a, i2_a, q2_a = (array("d") for _ in range(3)) if signals else (None,) * 3
-        signal_sim._kernel_loop(*key, signals)(stand_in, front, 0.5, -0.25, 0.5, -0.25,
-                                               0.1, 0.01, uf_a, ud_a, i2_a, q2_a)
-        assert len(uf_a) == 3
+        if key[0].value in ("bpsk", "qpsk"):
+            front = zip(range(3), [1.0, -0.5, 0.25])
+        else:
+            front = zip(range(3), [1.0] * 3, [-0.5] * 3)
+        bufs, views = _buffers(3, signals)
+        ran = signal_sim._kernel_loop(*key, signals)(stand_in, front, 0.5, -0.25, 0.5, -0.25,
+                                                     0.1, 0.01, *views)
+        assert ran == (3, None) and not np.isnan(bufs[0]).any()
         if signals:
-            assert ud_a.tolist() == [pd(i, q) for i, q in zip(i2_a, q2_a)]
+            uf, ud, i2, q2 = (b.tolist() for b in bufs)
+            assert ud == [pd(i, q) for i, q in zip(i2, q2)]
 
     def test_module_names_read_from_the_pd_module(self, tmp_path, monkeypatch):
         # SCALE and math.atan2 bound from the PD's own module, once per call
