@@ -29,8 +29,6 @@ from .analysis import (
 )
 from .detectors import (
     PdCharacteristic,
-    pd_conventional_bpsk,
-    pd_conventional_qpsk,
     phi_bpsk,
     phi_qpsk,
 )

@@ -126,8 +126,9 @@ def lock_in_range(params: LoopParams, variant: LoopVariant) -> float:
 
 
 def lock_time(params: LoopParams) -> float:
-    """One period of the natural frequency, the fast-acquisition estimate."""
-    return TWO_PI / params.omega_n
+    """One period of the natural frequency, the fast-acquisition estimate.
+    DesignError when omega_n is out of the float range (:func:`_derived`)."""
+    return TWO_PI / _derived("omega_n", params.omega_n)
 
 
 # --- pull-in range ---------------------------------------------------------
@@ -212,7 +213,8 @@ def _beat_note_pull_in_time(
     straight-line cosine approximation turns the slow-pull ODE into the
     closed log expression below.
     """
-    pref = delta_omega_p / (2.0 * averaged_constant * params.zeta * params.omega_n**3)
+    pref = delta_omega_p / _derived("2*C*zeta*omega_n^3",
+                                    2.0 * averaged_constant * params.zeta * params.omega_n**3)
     bracket = (
         delta_omega_p
         * math.log((delta_omega_p - delta_omega_l) / (delta_omega_p - delta_omega0))
@@ -247,13 +249,15 @@ def pull_in_time_formula(
     Conventional loops use the log form, valid for lock-in < offset <
     pull-in, and raise RangeError outside that interval; modified loops
     use the quadratic-in-offset form.  The sweep theory column uses this
-    directly.
+    directly.  DesignError when the formula's divisor, zeta*omega_n^3
+    times a constant, is out of the float range (:func:`_derived`).
     """
     if delta_omega0 <= 0:
         raise RangeError("delta_omega0 must be > 0")
     coef = _PULL_IN_TIME[(variant.tag, variant.pd_flavor)][0]
     if variant.is_modified:
-        return coef * delta_omega0**2 / (params.zeta * params.omega_n**3)
+        return coef * delta_omega0**2 / _derived("zeta*omega_n^3",
+                                                 params.zeta * params.omega_n**3)
     dw_p = pull_in_range(params, variant)
     if delta_omega0 >= dw_p:
         raise RangeError(

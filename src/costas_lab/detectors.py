@@ -1,14 +1,12 @@
 """Phase-detector characteristics for all loop variants.
 
-Two layers live here: the baseband nonlinearities ``phi_*`` used by the
-ODE models (functions of the phase error alone), and the sample-level PD
-computations the signal simulator inlines into its sample loop
-(functions of the actual branch signals, collected in ``SAMPLE_PD``).
-Both are pure and stateless.
+The baseband nonlinearities ``phi_*`` used by the ODE models (functions of
+the phase error alone) and the small-signal PD gains.  The sample-level
+PDs, functions of the actual branch signals, are branches of the signal
+simulator's sample loop (``signal_sim``).  All are pure and stateless.
 
-Tie-breaks are deterministic so tests are reproducible: sign(0) := +1
-everywhere, the chopped-sine branch boundaries take the left-branch
-limit, and arg() returns its principal value.
+Tie-breaks are deterministic so tests are reproducible: the chopped-sine
+branch boundaries take the left-branch limit.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from functools import partial
 from .core import LoopVariant, PdFlavor, VariantTag, check_real, pd_period
 
 HALF_PI = math.pi / 2.0
-QUARTER_PI = math.pi / 4.0
 
 
 def phi_bpsk(theta_e: float, m: float = 1.0) -> float:
@@ -49,76 +46,6 @@ def phi_qpsk(theta_e: float, m: float = 1.0) -> float:
 def _phi_sine_bpsk(theta_e: float, gain: float) -> float:
     """Modified-BPSK imaginary-part PD: gain*sin of the pi-wrapped phase."""
     return gain * math.sin(_phi_wrapped(theta_e, math.pi))
-
-
-def pd_conventional_bpsk(i2: float, q2: float) -> float:
-    """Multiplier PD: product of the two LPF outputs."""
-    return i2 * q2
-
-
-def pd_conventional_qpsk(i2: float, q2: float) -> float:
-    """Hard-limiter cross-product PD of the conventional QPSK loop.
-
-    Equals i2*sign(q2) - q2*sign(i2), written with sign flips instead of
-    products.
-    """
-    return (i2 if q2 >= 0.0 else -i2) - (q2 if i2 >= 0.0 else -q2)
-
-
-def _modified_bpsk_phase(re: float, im: float) -> float:
-    di = 1.0 if re >= 0.0 else -1.0
-    vr = re * di
-    vi = im * di
-    if vr == 0.0 and vi == 0.0:
-        ph = 0.0
-    else:
-        ph = math.atan2(vi, vr)
-        if ph <= -HALF_PI:  # re==0, im<0 tie: fold to the +pi/2 edge
-            ph += math.pi
-    return ph
-
-
-def _modified_bpsk_imag(re: float, im: float) -> float:
-    return im * (1.0 if re >= 0.0 else -1.0)
-
-
-def _modified_qpsk_phase(re: float, im: float) -> float:
-    di = 1.0 if re >= 0.0 else -1.0
-    dq = 1.0 if im >= 0.0 else -1.0
-    vr = re * di + im * dq
-    vi = im * di - re * dq
-    if vr == 0.0 and vi == 0.0:
-        ph = 0.0
-    else:
-        ph = math.atan2(vi, vr)
-        if ph <= -QUARTER_PI:  # ties on the quadrant edges fold to +pi/4
-            ph += HALF_PI
-    return ph
-
-
-def _modified_qpsk_imag(re: float, im: float) -> float:
-    di = 1.0 if re >= 0.0 else -1.0
-    dq = 1.0 if im >= 0.0 else -1.0
-    return im * di - re * dq
-
-
-# The one definition of the sample-level PD arithmetic: (variant tag, PD
-# flavor) -> ud(i, q).  Conventional loops pass the LPF outputs I2, Q2;
-# modified loops pass Re and Im of the rotated envelope um.  The
-# modified-loop phase PDs return 0.0 at um == 0, where the phase is
-# undefined, so a loop never stops on it.  The signal simulator writes
-# each function's body into its sample loop (signal_sim._kernel_loop), so
-# each has one exit, its final ``return``, and assigns neither parameter
-# nor a name the loop uses; the module names it reads (math.atan2,
-# HALF_PI) are bound once per run.
-SAMPLE_PD = {
-    (VariantTag.CONVENTIONAL_BPSK, PdFlavor.MUL_MUL): pd_conventional_bpsk,
-    (VariantTag.CONVENTIONAL_QPSK, PdFlavor.SGN_CROSS): pd_conventional_qpsk,
-    (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_PHASE): _modified_bpsk_phase,
-    (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_IMAG): _modified_bpsk_imag,
-    (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_PHASE): _modified_qpsk_phase,
-    (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_IMAG): _modified_qpsk_imag,
-}
 
 
 @dataclass(frozen=True)

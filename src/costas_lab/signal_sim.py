@@ -22,11 +22,23 @@ loop, which stores sample k at index k.
 The sample loop is kept once, as the source of ``_sample_loop``, and run
 as a copy built from it per (variant tag, PD flavor, signals) on first
 use (``_kernel_loop``): the run's fixed flags made constants and their
-dead branches dropped, and the variant's ``detectors.SAMPLE_PD`` function
-written into the loop in place of its call.  The NCO range check runs on
-the phase rebuilt after the loop, so a run that leaves the range runs on
-to its last sample (or to a ``cos`` of an infinite phase) and then raises
+dead branches dropped, so each copy holds its variant's front end and
+phase detector and no other.  The NCO range check runs on the phase
+rebuilt after the loop, so a run that leaves the range runs on to its last
+sample (or to a ``cos`` of an infinite phase) and then raises
 ``NumericBlowUp`` at the first sample that left it.
+
+The sample-level phase detectors, ud of the branch signals: conventional
+loops pass the LPF outputs I2, Q2, modified loops Re and Im of the rotated
+envelope um.  Conventional BPSK multiplies them, conventional QPSK forms
+the hard-limiter cross product I2*sign(Q2) - Q2*sign(I2); the modified
+loops take v = um times the conjugate of the data decision (sign(Re), plus
+j*sign(Im) for QPSK), and report Im(v) (COMPLEX_IMAG) or arg(v)
+(COMPLEX_PHASE).  Tie-breaks are deterministic so tests are reproducible:
+sign(0) := +1 everywhere, and arg() returns its principal value, with a
+tie on the -P/2 edge of the PD period P folded to +P/2.  The
+modified-loop phase PDs return 0.0 at um == 0, where the phase is
+undefined, so a loop never stops on it.
 """
 
 from __future__ import annotations
@@ -35,7 +47,6 @@ import ast
 import functools
 import math
 from dataclasses import dataclass
-from types import ModuleType
 from typing import Optional
 
 import numpy as np
@@ -43,18 +54,16 @@ import numpy as np
 from .core import (
     LoopParams,
     LoopVariant,
+    PdFlavor,
     SimResult,
     bisect,
     check_real,
     count_cycle_slips,
     pd_period,
-    placed,
     rebuild,
-    source_def,
     wrap_phase,
     write_csv_rows,
 )
-from .detectors import SAMPLE_PD
 
 TWO_PI = 2.0 * math.pi
 
@@ -179,8 +188,13 @@ class LockDetector:
     @classmethod
     def for_params(cls, params: LoopParams, **given) -> "LockDetector":
         """The detector for ``params``: the fields in ``given``, and the
-        defaults from omega_n for those it leaves out, validated once."""
+        defaults from omega_n for those it leaves out, validated once.
+        ConfigError when the gains underflow omega_n to 0.0 and
+        ``freq_window`` is left out: its default would divide by it."""
         if "freq_window" not in given:
+            if params.omega_n == 0.0:
+                raise ConfigError("loop gains underflow omega_n to 0.0: no default "
+                                  "detector freq_window")
             given["freq_window"] = 4.0 * TWO_PI / params.omega_n
         if "freq_tol" not in given:
             given["freq_tol"] = 0.01 * params.omega_n
@@ -380,8 +394,8 @@ def _run_kernel(source, loop, n, T, signals):
     branches = (np.empty(n), np.empty(n), np.empty(n)) if signals else (None, None, None)
     views = [None if a is None else memoryview(a) for a in (uf_arr, *branches)]
     sample_loop = _kernel_loop(variant.tag, variant.pd_flavor, signals)
-    stored, stopped = sample_loop(SAMPLE_PD[(variant.tag, variant.pd_flavor)], front, b, la1,
-                                  fb0, fb1, wfree_T, k0_T, *views)
+    stored, stopped = sample_loop(front, b, la1, fb0, fb1, wfree_T, k0_T, pd_period(variant),
+                                  *views)
     # stopped: a ValueError out of the loop after ``stored`` samples, a cos
     # or sin of an infinite phase that the range check below finds; any
     # other ValueError is re-raised after it.  The input lists go first: kept
@@ -407,16 +421,20 @@ def _run_kernel(source, loop, n, T, signals):
     return (th1[n4:], theta2[:n], uf_arr, *branches)
 
 
-def _sample_loop(conventional, is_qpsk, signals, pd, front, b, la1, fb0, fb1, wfree_T, k0_T,
-                 uf_a, ud_a, i2_a, q2_a):
+def _sample_loop(conventional, is_qpsk, phase_pd, signals, front, b, la1, fb0, fb1, wfree_T,
+                 k0_T, period, uf_a, ud_a, i2_a, q2_a):
     """The per-sample loop of every variant, as source: runs take the copies
     :func:`_kernel_loop` builds from it.  ``front`` yields (k, u), the
     conventional loops' mixer input, or (k, u_re, u_im), the modified
     loops' pre-envelope, for sample k; its ``uf`` (and, under ``signals``,
-    ``ud``, ``i2`` and ``q2``) is stored at index k of its buffer.  Returns
-    (samples stored, None), or (samples stored, the ValueError) for a
-    ValueError that stops the run."""
+    ``ud``, ``i2`` and ``q2``) is stored at index k of its buffer.  The
+    phase PDs fold a tie to the +P/2 edge of ``period``, the PD period P.
+    Returns (samples stored, None), or (samples stored, the ValueError) for
+    a ValueError that stops the run."""
     sin, cos = math.sin, math.cos
+    if phase_pd:
+        atan2 = math.atan2
+        half_period = period / 2.0
     th2 = 0.0
     zi = zq = zf = 0.0
     k = -1
@@ -443,11 +461,36 @@ def _sample_loop(conventional, is_qpsk, signals, pd, front, b, la1, fb0, fb1, wf
                 g = b * q1
                 q2 = g + zq
                 zq = g - la1 * q2
+                if is_qpsk:
+                    # hard-limiter cross product i2*sign(q2) - q2*sign(i2)
+                    ud = (i2 if q2 >= 0.0 else -i2) - (q2 if i2 >= 0.0 else -q2)
+                else:
+                    # multiplier: the product of the two LPF outputs
+                    ud = i2 * q2
             else:
-                # um = (u_re + j*u_im) * exp(-j*th2)
+                # um = (u_re + j*u_im) * exp(-j*th2), and v = um times the
+                # conjugate of the data decision sign(i2) (+ j*sign(q2))
                 i2 = ur * c + ui * s
                 q2 = ui * c - ur * s
-            ud = pd(i2, q2)
+                di = 1.0 if i2 >= 0.0 else -1.0
+                if is_qpsk:
+                    dq = 1.0 if q2 >= 0.0 else -1.0
+                    vi = q2 * di - i2 * dq
+                else:
+                    vi = q2 * di
+                if phase_pd:
+                    if is_qpsk:
+                        vr = i2 * di + q2 * dq
+                    else:
+                        vr = i2 * di
+                    if vr == 0.0 and vi == 0.0:
+                        ud = 0.0
+                    else:
+                        ud = atan2(vi, vr)
+                        if ud <= -half_period:
+                            ud += period
+                else:
+                    ud = vi
             uf = fb0 * ud + zf
             zf = fb1 * ud + uf
             uf_a[k] = uf
@@ -463,12 +506,11 @@ def _sample_loop(conventional, is_qpsk, signals, pd, front, b, la1, fb0, fb1, wf
 
 
 class _Specialize(ast.NodeTransformer):
-    """Makes each flag read its constant, cuts each ``if`` on a constant to
-    the branch it takes, and writes ``ud = pd(i2, q2)`` out as ``inline(at)``
-    returns it."""
+    """Makes each flag read its constant and cuts each ``if`` on a constant
+    to the branch it takes."""
 
-    def __init__(self, flags, inline):
-        self.flags, self.inline = flags, inline
+    def __init__(self, flags):
+        self.flags = flags
 
     def visit_Name(self, node):
         if node.id in self.flags:
@@ -481,96 +523,22 @@ class _Specialize(ast.NodeTransformer):
             return node.body if node.test.value else node.orelse
         return node
 
-    def visit_Assign(self, node):
-        match node:
-            case ast.Assign(targets=[ast.Name(id="ud")], value=ast.Call(
-                    func=ast.Name(id="pd"), args=[ast.Name(id="i2"), ast.Name(id="q2")],
-                    keywords=[])):
-                return self.inline(node)
-        return self.generic_visit(node)
-
-
-def _inlined_pd(pd, kernel_names, at):
-    """``ud = pd(i2, q2)`` written out at ``at``'s position: ``pd``'s body
-    with its parameters renamed ``i2`` and ``q2`` and its final ``return e``
-    made ``ud = e``, after the statements that bind the module names it
-    reads (``math.atan2`` as ``atan2``, ``HALF_PI``) from ``pd.__globals__``.
-    ValueError, naming ``pd``'s line, for any other ``return`` or for a name
-    the body binds that the kernel uses."""
-    func = source_def(pd)
-    *body, last = func.body[1:] if ast.get_docstring(func) is not None else func.body
-    early = [n.lineno for n in ast.walk(ast.Module(body, [])) if isinstance(n, ast.Return)]
-    if early or not (isinstance(last, ast.Return) and last.value):
-        raise ValueError(f"{pd.__name__} line {min(early, default=last.lineno)}: "
-                         "a sample PD returns once, at its end")
-    params = dict(zip([a.arg for a in func.args.args], ("i2", "q2")))
-    local = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)
-             and isinstance(n.ctx, ast.Store)} | set(params)
-    glob = pd.__globals__
-    bound = {}       # name -> (its value's expression, the line that reads it)
-
-    class Names(ast.NodeTransformer):
-        def visit_Name(self, node):
-            if node.id in params:
-                node.id = params[node.id]
-            elif node.id not in local and node.id in glob:
-                bound.setdefault(node.id, (f"pd.__globals__[{node.id!r}]", node.lineno))
-            return node
-
-        def visit_Attribute(self, node):
-            match node:
-                case ast.Attribute(value=ast.Name(id=name), ctx=ast.Load()) if (
-                        name not in local and isinstance(glob.get(name), ModuleType)):
-                    bound.setdefault(node.attr, (f"pd.__globals__[{name!r}].{node.attr}",
-                                                 node.lineno))
-                    return ast.Name(node.attr, ast.Load())
-            return self.generic_visit(node)
-
-    body = [Names().visit(stmt) for stmt in [*body, last]]
-    stored = [(n.id, n.lineno) for n in ast.walk(ast.Module(body, []))
-              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
-    reads = [(name, line) for name, (_, line) in bound.items()]
-    clashes = [line for name, line in stored + reads if name in kernel_names]
-    clashes += [line for name, line in stored if name in bound]
-    if clashes:
-        raise ValueError(f"{pd.__name__} line {min(clashes)}: a name the kernel uses")
-    body[-1] = ast.Assign([ast.Name("ud", ast.Store())], body[-1].value)
-    for node in ast.walk(ast.Module(body, [])):
-        ast.copy_location(node, at)
-    return placed("".join(f"{k} = {v}\n" for k, (v, _) in bound.items()), at), body
-
 
 @functools.cache
 def _kernel_loop(tag, flavor, signals):
     """:func:`_sample_loop` for one (variant tag, PD flavor, signals): its
-    flags made constants and their dead branches dropped, and the call of
-    ``SAMPLE_PD[(tag, flavor)]`` replaced by that function's body
-    (:func:`_inlined_pd`).  Rebuilt from its source by
-    :func:`core.rebuild`, so a traceback points into ``_sample_loop``, an
-    inlined PD statement at its ``ud = pd(i2, q2)`` line.  The flags leave
-    its arguments.  Built on first use: importing the module parses
-    nothing."""
+    flags made constants and their dead branches dropped, so the copy holds
+    the one front end and the one PD its variant runs.  Rebuilt from its
+    source by :func:`core.rebuild`, so a traceback points into
+    ``_sample_loop``.  The flags leave its arguments.  Built on first use:
+    importing the module parses nothing."""
     variant = LoopVariant(tag, flavor)
     flags = {"conventional": variant.is_conventional, "is_qpsk": variant.is_qpsk,
-             "signals": signals}
+             "phase_pd": flavor is PdFlavor.COMPLEX_PHASE, "signals": signals}
 
     def transform(func):
-        kernel_names = ({n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
-                        | {a.arg for a in func.args.args})
-        prelude = []
-
-        def inline(at):
-            bind, body = _inlined_pd(SAMPLE_PD[(tag, flavor)], kernel_names, at)
-            prelude.extend(bind)
-            return body
-
-        func = _Specialize(flags, inline).visit(func)
-        left = [n.lineno for n in ast.walk(func) if isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Name) and n.func.id == "pd"]
-        if left:
-            raise ValueError(f"_sample_loop line {min(left)}: pd not in ud = pd(i2, q2)")
+        func = _Specialize(flags).visit(func)
         func.args.args = [a for a in func.args.args if a.arg not in flags]
-        func.body[1:1] = prelude
         return func
 
     return rebuild(_sample_loop, transform)

@@ -3,6 +3,7 @@ from collections import Counter
 from contextlib import contextmanager
 from types import MethodType
 
+import numpy as np
 import pytest
 
 from costas_lab import (
@@ -15,6 +16,8 @@ from costas_lab import (
     baseband,
     cli,
     design,
+    pd_period,
+    signal_sim,
 )
 
 OMEGA0 = 2.0 * math.pi * 400e3
@@ -116,3 +119,30 @@ def _counted_phase_rhs(sites):
 def counted_phase_rhs():
     """The context manager :func:`_counted_phase_rhs`."""
     return _counted_phase_rhs
+
+
+def _pd_sample(variant, *u, th2=0.0):
+    """(ud, i2, q2) of one sample of ``variant``'s sample loop, as
+    ``signal_sim._kernel_loop(tag, flavor, True)`` builds it: ``u`` is the
+    sample's front end, the mixer input (conventional loops) or (u_re,
+    u_im) (modified loops), met at NCO phase ``th2``.  A sample at phase 0
+    runs first and turns the NCO to ``th2``.  The LPFs pass their input
+    through (b = a1 = 1), so the conventional loops hand their PD the
+    mixer outputs, (u*sin(th2), u*cos(th2)) for BPSK and (u*cos(th2),
+    u*sin(th2)) for QPSK, and at th2 = 0 the modified loops hand theirs
+    (u_re*1.0 + u_im*0.0, u_im*1.0 - u_re*0.0): (u_re, u_im) exactly, but
+    for the sign of a zero."""
+    loop = signal_sim._kernel_loop(variant.tag, variant.pd_flavor, True)
+    bufs = [np.full(2, np.nan) for _ in range(4)]
+    front = zip(range(2), *([x, x] for x in u))
+    ran = loop(front, 1.0, 1.0, 0.5, -0.25, th2, 0.0, pd_period(variant),
+               *map(memoryview, bufs))
+    assert ran == (2, None)
+    _, ud, i2, q2 = (b[1] for b in bufs)
+    return float(ud), float(i2), float(q2)
+
+
+@pytest.fixture(scope="session")
+def pd_sample():
+    """The function :func:`_pd_sample`."""
+    return _pd_sample

@@ -33,8 +33,7 @@ from costas_lab import (
 )
 from costas_lab.analysis import leadlag_char_poly
 from costas_lab.baseband import ClassicPhaseModel, classic_rhs
-from costas_lab.core import PdFlavor, VariantTag
-from costas_lab.detectors import SAMPLE_PD, PdCharacteristic, phi_bpsk, phi_qpsk
+from costas_lab.detectors import PdCharacteristic, phi_bpsk, phi_qpsk
 from costas_lab.ode import (
     IntegratorConfig,
     PITFALL_H_LIST,
@@ -387,7 +386,7 @@ def test_criterion_7_numerical_pitfall():
     assert ok, failures
 
 
-def test_criterion_8_property_suites(designs):
+def test_criterion_8_property_suites(designs, pd_sample):
     failures = []
     rng = np.random.default_rng(0x8888)
 
@@ -406,14 +405,14 @@ def test_criterion_8_property_suites(designs):
     if po > 1e-8:
         failures.append(f"PD odd-symmetry residual {po:.1e}")
     eps = 1e-4
-    mod_phase = SAMPLE_PD[(VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_PHASE)]
-    mod_q_phase = SAMPLE_PD[(VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_PHASE)]
     um_q = (1 + 1j) * np.exp(1j * eps)      # the QPSK lock point (1 + j), turned by eps
+    # the modified loops' phase PDs: one sample of the built loop at NCO
+    # phase 0, which hands the PD the envelope it is given
     gains = {
         "bpsk": (phi_bpsk(eps) / eps, 1.0),
         "qpsk": (phi_qpsk(eps) / eps, 2.0),
-        "mod": (mod_phase(math.cos(eps), math.sin(eps)) / eps, 1.0),
-        "mod_q": (mod_q_phase(um_q.real, um_q.imag) / eps, 1.0),
+        "mod": (pd_sample(MODIFIED_BPSK, math.cos(eps), math.sin(eps))[0] / eps, 1.0),
+        "mod_q": (pd_sample(MODIFIED_QPSK, float(um_q.real), float(um_q.imag))[0] / eps, 1.0),
     }
     for name, (g, want) in gains.items():
         if abs(g - want) / want > 1e-6:

@@ -59,6 +59,8 @@ DESIGN_GAINS = {k: DESIGN_PARAMS[k]
                 for k in ("omega1", "omega_free", "k0", "kd", "tau1", "tau2", "omega3")}
 # the designed gains with a stated omega_n and zeta that contradict them
 STATED_NORMALIZATION = {**DESIGN_GAINS, "omega_n": 1.0, "zeta": 5.0}
+# gains whose product k0*kd underflows, and omega_n with it, to 0.0
+TINY_GAINS = {**DESIGN_GAINS, "k0": 1e-200, "kd": 1e-200}
 
 # Finite configs whose runs leave the float range: the delay model's
 # implicit solve loses its seed rate, a detuning of 1e300 rad/s drives
@@ -165,6 +167,15 @@ class TestDesignCommand:
 
 
 class TestPredictCommand:
+    def test_gains_underflowing_omega_n_exit_2(self, tmp_path, capsys):
+        # lock_time divided by omega_n = 0.0 (a ZeroDivisionError, exit 1)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(TINY_GAINS))
+        assert main(["predict", "--params", str(path), "--variant", "bpsk"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: derived constant omega_n = 0.0 is out of range")
+        assert captured.out == ""
+
     def test_report_from_params_file(self, tmp_path, capsys):
         assert main(["design", "--variant", "bpsk", "--f0", "400e3", "--fs", "100e3",
                      "-o", str(tmp_path / "p.json")]) == 0
@@ -675,6 +686,18 @@ class TestSimulateCommand:
         })
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 3
 
+    def test_gains_underflowing_omega_n_refused_at_signal_fidelity(self, tmp_path, capsys):
+        # the default detector's freq_window divided by omega_n = 0.0 (a
+        # ZeroDivisionError, exit 1); the phase model has its K0 fallback
+        cfg = write_cfg(tmp_path, {**BASE_SIGNAL_CFG, "params": TINY_GAINS})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("error: loop gains underflow omega_n to 0.0: "
+                                           "no default detector freq_window\n")
+        assert not (tmp_path / "o").exists()
+        phase = {k: v for k, v in PHASE_CFG.items() if k not in ("f0", "f_symbol")}
+        cfg = write_cfg(tmp_path, {**phase, "params": TINY_GAINS})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+
     OVERFLOW_PARAMS = {"omega1": 2 * math.pi * 400e3, "omega_free": 2 * math.pi * 400e3,
                        "k0": 1.7e308, "kd": 1.0, "tau1": 2e-5, "tau2": 4e-6,
                        "omega3": 1256000.0}
@@ -698,6 +721,18 @@ class TestSimulateCommand:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("variant,divisor", [("bpsk", "2*C*zeta*omega_n^3"),
+                                                 ("mod_bpsk", "zeta*omega_n^3")])
+    def test_gains_underflowing_omega_n_exit_2(self, tmp_path, capsys, variant, divisor):
+        # the theory column's pull-in-time formula divided by 0.0 (a
+        # ZeroDivisionError, exit 1)
+        cfg = write_cfg(tmp_path, {**SWEEP_CFG, "variant": variant, "params": TINY_GAINS})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--offsets", "50e3", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: derived constant {divisor} = 0.0 is out of range")
+        assert not out.exists()
+
     def test_rows_in_order(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**SWEEP_CFG, "duration": 1.5e-3})
         out = str(tmp_path / "o")

@@ -188,9 +188,8 @@ PUBLIC_NAMES = {
     "PdCharacteristic", "PdFlavor", "PredictionReport", "SimResult", "VariantTag",
     "analysis", "averaged_rhs", "averaged_ud", "baseband", "classic_rhs", "core",
     "delay_rhs", "design", "detectors", "hold_in_leadlag", "hold_in_pi", "lock_in_range",
-    "lock_time", "pd_conventional_bpsk", "pd_conventional_qpsk", "pd_period", "phi_bpsk",
-    "phi_qpsk", "predict", "pull_in_range", "pull_in_range_numeric", "pull_in_time",
-    "pull_in_time_formula", "wrap_phase",
+    "lock_time", "pd_period", "phi_bpsk", "phi_qpsk", "predict", "pull_in_range",
+    "pull_in_range_numeric", "pull_in_time", "pull_in_time_formula", "wrap_phase",
 }
 
 
@@ -201,7 +200,7 @@ def test_public_api_pinned():
     env = {**os.environ, "PYTHONPATH": str(Path(costas_lab.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 36
     assert out == sorted(PUBLIC_NAMES)
 
 

@@ -1,11 +1,10 @@
 import dis
-import importlib.util
 import inspect
 import io
 import itertools
 import json
 import math
-import traceback
+import sys
 import tracemalloc
 from array import array
 from types import SimpleNamespace
@@ -27,11 +26,11 @@ from costas_lab import (
     classic_rhs,
     design,
     lock_time,
+    pd_period,
     wrap_phase,
 )
 from costas_lab import cli, signal_sim
 from costas_lab.core import CSV_BLOCK, write_csv_rows
-from costas_lab.detectors import SAMPLE_PD
 from costas_lab.ode import IntegratorConfig, integrate
 from costas_lab.signal_sim import (
     MAX_SAMPLES,
@@ -51,6 +50,43 @@ from costas_lab.signal_sim import (
 
 TWO_PI = 2.0 * math.pi
 F_SAMP = 3.2e6
+# every (variant, flavor) pair; a default flavor's id is its variant's name
+PAIRS = [CONVENTIONAL_BPSK, CONVENTIONAL_QPSK, MODIFIED_BPSK,
+         LoopVariant(MODIFIED_BPSK.tag, PdFlavor.COMPLEX_IMAG), MODIFIED_QPSK,
+         LoopVariant(MODIFIED_QPSK.tag, PdFlavor.COMPLEX_IMAG)]
+
+
+def _sign(x):
+    """sign(x) with sign(0) := +1."""
+    return 1.0 if x >= 0.0 else -1.0
+
+
+def textbook_pd(variant):
+    """The sample-level PD ud(i2, q2) of ``variant``, written from its
+    definition: the reference the sample loop's PD must match bit for bit.
+    Conventional loops pass the LPF outputs, modified loops Re and Im of
+    the rotated envelope um."""
+    if variant.is_conventional:
+        if variant.is_qpsk:
+            return lambda i2, q2: i2 * _sign(q2) - q2 * _sign(i2)
+        return lambda i2, q2: i2 * q2
+    period = pd_period(variant)
+
+    def modified(re, im):
+        # v = um times the conjugate of the data decision sign(re) (+ j*sign(im))
+        if variant.is_qpsk:
+            vr, vi = re * _sign(re) + im * _sign(im), im * _sign(re) - re * _sign(im)
+        else:
+            vr, vi = re * _sign(re), im * _sign(re)
+        if variant.pd_flavor is PdFlavor.COMPLEX_IMAG:
+            return vi
+        if vr == 0.0 and vi == 0.0:
+            return 0.0      # um == 0 has no phase
+        # arg(v), its principal value with the -P/2 edge folded to +P/2
+        ph = math.atan2(vi, vr)
+        return ph + period if ph <= -period / 2 else ph
+
+    return modified
 
 
 def bpsk_source(**kw):
@@ -244,16 +280,13 @@ class TestModifiedLoops:
 
 
 class TestKernelPd:
-    @pytest.mark.parametrize(
-        "variant",
-        [LoopVariant(tag, flavor) for tag, flavor in SAMPLE_PD],
-        ids=lambda v: f"{v.tag.value}-{v.pd_flavor.value}",
-    )
+    @pytest.mark.parametrize("variant", PAIRS, ids=lambda v: f"{v.tag.value}-{v.pd_flavor.value}")
     def test_ud_is_the_table_pd_of_recorded_branches(self, variant):
+        # the table: textbook_pd, one PD per (variant, flavor)
         p = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=variant))
         loop = DigitalLoop(p.with_offset(TWO_PI * 50e3), F_SAMP)
         r = run_loop(ModulatedSource(variant, 400e3, 100e3), loop, 3e-4, signals=True)
-        pd = SAMPLE_PD[(variant.tag, variant.pd_flavor)]
+        pd = textbook_pd(variant)
         expect = np.array([pd(i, q) for i, q in zip(r.i2.tolist(), r.q2.tolist())])
         assert expect.tobytes() == r.ud.tobytes()
 
@@ -272,18 +305,21 @@ class TestRecording:
             assert a.shape == (320,), name
 
     def test_traced_bytes_per_sample(self, bpsk_reference_params):
-        # 81 B per sample measured on this run without the branch signals
+        # 81.3 B per sample measured on this run without the branch signals
         # and 105 B with them (the seven recorded float64 arrays are 56 B),
         # 113 B with the whole-run phase-distance array kept through lock
-        # detection; recording into Python lists peaked at 264 B
+        # detection; recording into Python lists peaked at 264 B.  Pinned
+        # at 85 B: about 5% of margin
         loop = DigitalLoop(bpsk_reference_params, F_SAMP)
+        # built outside the trace: the first build of a loop parses its source
+        signal_sim._kernel_loop(CONVENTIONAL_BPSK.tag, CONVENTIONAL_BPSK.pd_flavor, False)
         tracemalloc.start()
         try:
             r = run_loop(bpsk_source(), loop, 5e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(r.t) < 150
+        assert peak / len(r.t) < 85
 
     def test_recorded_arrays_allocated_once_at_n(self, modified_reference_params):
         # 104.6 B per sample measured on this 16,000-sample run with the
@@ -313,19 +349,21 @@ class TestRecording:
             assert a.shape == (16_000,) and a.nbytes == 8 * 16_000, name
 
     def test_traced_bytes_per_sample_mod_qpsk_delay_hilbert(self, modified_reference_params):
-        # the delayed front end: 96 B per sample measured without the branch
-        # signals (105 B with them) with one pre-envelope grid and the
+        # the delayed front end: 96.0 B per sample measured without the
+        # branch signals (105 B with them) with one pre-envelope grid and the
         # front-end arrays freed before the sample loop, 168 B with them
-        # kept alive through it
+        # kept alive through it.  Pinned at 101 B: about 5% of margin
         p = modified_reference_params.with_offset(TWO_PI * 100e3)
         loop = DigitalLoop(p, 12.8e6, hilbert_mode="delay")
+        # built outside the trace, as above
+        signal_sim._kernel_loop(MODIFIED_QPSK.tag, MODIFIED_QPSK.pd_flavor, False)
         tracemalloc.start()
         try:
             r = run_loop(ModulatedSource(MODIFIED_QPSK, 400e3, 100e3), loop, 1.25e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(r.t) < 150
+        assert peak / len(r.t) < 101
 
 
 def parent_kernel(source, loop, n, T):
@@ -337,7 +375,7 @@ def parent_kernel(source, loop, n, T):
     variant = source.variant
     is_qpsk = variant.is_qpsk
     conventional = variant.is_conventional
-    pd = SAMPLE_PD[(variant.tag, variant.pd_flavor)]
+    pd = textbook_pd(variant)
     n4 = 0
     if not conventional and loop.hilbert_mode == "delay":
         n4 = loop.hilbert_delay_samples(source.f_carrier)
@@ -438,17 +476,14 @@ def result_bytes(r, fields=("t", "theta_e", "ud", "uf", "omega2", "i2", "q2")):
 
 
 BRANCHES = ("ud", "i2", "q2")
-# every (variant, flavor) pair; a default flavor's id is its variant's name
-PAIRS = [LoopVariant(tag, flavor) for tag, flavor in SAMPLE_PD]
 
 
 def pair_id(v):
     return v.tag.value if v == LoopVariant(v.tag) else f"{v.tag.value}-{v.pd_flavor.value}"
 
 # every (variant, flavor) pair, the modified loops under both Hilbert modes
-RECORDING_CASES = [(LoopVariant(tag, flavor), mode, f_samp)
-                   for tag, flavor in SAMPLE_PD
-                   for mode, f_samp in ((("delay", F_SAMP),) if tag.value in ("bpsk", "qpsk")
+RECORDING_CASES = [(v, mode, f_samp) for v in PAIRS
+                   for mode, f_samp in ((("delay", F_SAMP),) if v.is_conventional
                                         else (("delay", F_SAMP), ("ideal", 12.8e6)))]
 
 
@@ -635,31 +670,6 @@ class TestRecordingEquivalence:
         assert not path.exists()
 
 
-_PD_SOURCE = '''
-import math
-SCALE = 2.0
-def pd(re, im):
-    """Doc."""
-    {line}
-    return SCALE * math.atan2(im, re) + x
-'''
-
-
-def _pd_from(tmp_path, line):
-    """``pd`` of :data:`_PD_SOURCE` with ``line``, loaded from a file (the
-    build reads a PD's source)."""
-    path = tmp_path / "pds.py"
-    path.write_text(_PD_SOURCE.format(line=line))
-    spec = importlib.util.spec_from_file_location("pds", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.pd
-
-
-# a key whose loop passes (re, im) straight to the PD
-KEY = (MODIFIED_BPSK.tag, PdFlavor.COMPLEX_IMAG)
-
-
 def _buffers(n, signals):
     """The recording arrays of an n-sample run, NaN until stored, and the
     memoryviews a built loop stores through (None for a signal it does not
@@ -668,84 +678,70 @@ def _buffers(n, signals):
     return bufs, [memoryview(b) for b in bufs] + [None] * (4 - len(bufs))
 
 
-def _run_built(loop, pd, front, signals=True):
-    """A built loop run on ``front``, (u_re, u_im) pairs, with a frozen NCO
-    (k0_T = wfree_T = 0): the recorded (uf, ud, i2, q2) as lists, after it
-    reports every sample stored."""
-    bufs, views = _buffers(len(front), signals)
-    ran = loop(pd, zip(range(len(front)), *zip(*front)), None, None, 0.5, -0.25, 0.0, 0.0,
-               *views)
-    assert ran == (len(front), None)
-    return [b.tolist() for b in bufs]
+def _front(variant, n):
+    """An n-sample front end: (k, u) for the conventional loops, (k, u_re,
+    u_im) for the modified loops."""
+    if variant.is_conventional:
+        return zip(range(n), [1.0, -0.5, 0.25, 0.0][:n])
+    return zip(range(n), [1.0, 0.0, -0.3, 0.0][:n], [-0.5, -1.0, 0.2, 0.0][:n])
 
 
 class TestKernelBuild:
     """``signal_sim._kernel_loop`` builds one sample loop per (variant tag,
-    PD flavor, signals) from ``_sample_loop``: the flags made constants,
-    their dead branches dropped, the PD's body written in."""
+    PD flavor, signals) from ``_sample_loop``: the flags made constants and
+    their dead branches dropped, so the loop holds one front end and one
+    PD."""
 
     @pytest.mark.parametrize("signals", [False, True])
-    @pytest.mark.parametrize("key", list(SAMPLE_PD), ids=lambda k: f"{k[0].value}-{k[1].value}")
+    @pytest.mark.parametrize("key", [(v.tag, v.pd_flavor) for v in PAIRS],
+                             ids=lambda k: f"{k[0].value}-{k[1].value}")
     def test_flags_gone_and_pd_not_called(self, key, signals):
+        variant = LoopVariant(*key)
         code = signal_sim._kernel_loop(*key, signals).__code__
-        assert not {"conventional", "is_qpsk", "signals"} & set(code.co_varnames)
+        assert not {"conventional", "is_qpsk", "phase_pd", "signals"} & set(code.co_varnames)
         # the branch buffers are read (stored through) only under signals
         loaded = {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_FAST"}
         branches = {"ud_a", "i2_a", "q2_a"}
         assert "uf_a" in loaded and (branches & loaded) == (branches if signals else set())
-        assert ("i1" in code.co_varnames) is (key[0].value in ("bpsk", "qpsk"))
-        # a pd that cannot be called: the body is inlined
-        pd = SAMPLE_PD[key]
-        stand_in = SimpleNamespace(__globals__=pd.__globals__)
-        if key[0].value in ("bpsk", "qpsk"):
-            front = zip(range(3), [1.0, -0.5, 0.25])
-        else:
-            front = zip(range(3), [1.0] * 3, [-0.5] * 3)
-        bufs, views = _buffers(3, signals)
-        ran = signal_sim._kernel_loop(*key, signals)(stand_in, front, 0.5, -0.25, 0.5, -0.25,
-                                                     0.1, 0.01, *views)
-        assert ran == (3, None) and not np.isnan(bufs[0]).any()
+        assert ("i1" in loaded) is variant.is_conventional
+        assert ("atan2" in loaded) is (variant.pd_flavor is PdFlavor.COMPLEX_PHASE)
+        bufs, views = _buffers(4, signals)
+        ran = signal_sim._kernel_loop(*key, signals)(_front(variant, 4), 0.5, -0.25, 0.5, -0.25,
+                                                     0.1, 0.01, pd_period(variant), *views)
+        assert ran == (4, None) and not np.isnan(bufs[0]).any()
         if signals:
             uf, ud, i2, q2 = (b.tolist() for b in bufs)
-            assert ud == [pd(i, q) for i, q in zip(i2, q2)]
+            pd = textbook_pd(variant)
+            assert [x.hex() for x in ud] == [pd(i, q).hex() for i, q in zip(i2, q2)]
 
-    def test_module_names_read_from_the_pd_module(self, tmp_path, monkeypatch):
-        # SCALE and math.atan2 bound from the PD's own module, once per call
-        pd = _pd_from(tmp_path, "x = 0.5")
-        monkeypatch.setitem(SAMPLE_PD, KEY, pd)
-        loop = signal_sim._kernel_loop.__wrapped__(*KEY, True)
-        assert {"SCALE", "atan2"} <= set(loop.__code__.co_varnames)
-        front = [(1.0, -0.5), (-0.3, 0.2), (0.0, 0.0)]
-        uf, ud, i2, q2 = _run_built(loop, pd, front)
-        assert ud == [pd(i, q) for i, q in zip(i2, q2)]
-        monkeypatch.setattr(pd.__globals__["math"], "atan2", lambda y, x: 0.0)
-        assert _run_built(loop, pd, front)[1] == [0.5, 0.5, 0.5]
+    @pytest.mark.parametrize("signals", [False, True])
+    @pytest.mark.parametrize("variant", PAIRS, ids=pair_id)
+    def test_loop_calls_only_sin_cos_and_atan2(self, variant, signals):
+        # the PD is written into the loop: its only calls are the NCO's cos
+        # and sin, and atan2 in the phase PDs (run on a tie, a zero envelope
+        # and a general sample)
+        loop = signal_sim._kernel_loop(variant.tag, variant.pd_flavor, signals)
+        _, views = _buffers(4, signals)
+        args = (_front(variant, 4), 0.5, -0.25, 0.5, -0.25, 0.0, 0.0, pd_period(variant), *views)
+        called = []
 
-    @pytest.mark.parametrize("line,message", [
-        ("if re > 0.0: return 1.0", "a sample PD returns once, at its end"),
-        ("x = c = 0.5", "a name the kernel uses"),
-        ("re = x = 0.5", "a name the kernel uses"),
-        ("x = SCALE; cos = 1.0", "a name the kernel uses"),
-        ("x = atan2 = 0.5", "a name the kernel uses"),
-    ])
-    def test_unsafe_pd_refused(self, tmp_path, monkeypatch, line, message):
-        # an early exit, a local the kernel uses (c, i2 for the parameter re,
-        # cos) or one a module name is bound to (atan2): refused with the line
-        monkeypatch.setitem(SAMPLE_PD, KEY, _pd_from(tmp_path, line))
-        with pytest.raises(ValueError, match=f"^pd line 6: {message}$"):
-            signal_sim._kernel_loop.__wrapped__(*KEY, False)
+        def profile(frame, event, arg):
+            if event == "c_call":
+                called.append(arg)
+            elif event == "call" and frame.f_code is not loop.__code__:
+                called.append(frame.f_code)
 
-    def test_pd_error_traceback_at_the_pd_call(self, tmp_path, monkeypatch):
-        pd = _pd_from(tmp_path, "x = 1.0 / (re - re)")
-        monkeypatch.setitem(SAMPLE_PD, KEY, pd)
-        loop = signal_sim._kernel_loop.__wrapped__(*KEY, False)
-        with pytest.raises(ZeroDivisionError) as info:
-            _run_built(loop, pd, [(1.0, 0.5)], signals=False)
-        frame = traceback.extract_tb(info.value.__traceback__)[-1]
-        lines, first = inspect.getsourcelines(signal_sim._sample_loop)
-        assert frame.filename == signal_sim.__file__
-        assert first <= frame.lineno < first + len(lines)
-        assert frame.line == "ud = pd(i2, q2)"
+        sys.setprofile(profile)
+        try:
+            ran = loop(*args)
+        finally:
+            sys.setprofile(None)
+        assert ran == (4, None)
+        want = {math.sin, math.cos}
+        if variant.pd_flavor is PdFlavor.COMPLEX_PHASE:
+            want.add(math.atan2)
+        assert set(called[:-1]) == want and called[-1] is sys.setprofile
+        assert len(called) == 2 * 4 + (3 if math.atan2 in want else 0) + 1
 
 
 class TestDemod:

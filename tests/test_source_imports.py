@@ -7,7 +7,8 @@ process.  The one bisection loop is ``core.bisect``: every edge search
 shares its adjacent-float stop.  Code is made at run time (``exec``,
 ``eval``, ``compile``) only in ``core.rebuild``, which builds ``ode``'s
 inline phase-model steppers and ``signal_sim``'s sample-loop kernels
-from their source."""
+from their source: a kernel is ``_sample_loop`` with its flags folded
+and its dead branches, front ends and phase detectors alike, pruned."""
 
 import ast
 import inspect
