@@ -199,6 +199,15 @@ def pull_in_range_numeric(params: LoopParams, variant: LoopVariant) -> float:
 
 # --- pull-in time ----------------------------------------------------------
 
+def _cubed(x: float) -> float:
+    """``x**3``, or inf where it overflows (float ``**`` raises
+    OverflowError there), for :func:`_derived` to refuse."""
+    try:
+        return x**3
+    except OverflowError:
+        return math.inf
+
+
 def _beat_note_pull_in_time(
     params: LoopParams,
     delta_omega0: float,
@@ -214,7 +223,7 @@ def _beat_note_pull_in_time(
     closed log expression below.
     """
     pref = delta_omega_p / _derived("2*C*zeta*omega_n^3",
-                                    2.0 * averaged_constant * params.zeta * params.omega_n**3)
+                                    2.0 * averaged_constant * params.zeta * _cubed(params.omega_n))
     bracket = (
         delta_omega_p
         * math.log((delta_omega_p - delta_omega_l) / (delta_omega_p - delta_omega0))
@@ -257,7 +266,7 @@ def pull_in_time_formula(
     coef = _PULL_IN_TIME[(variant.tag, variant.pd_flavor)][0]
     if variant.is_modified:
         return coef * delta_omega0**2 / _derived("zeta*omega_n^3",
-                                                 params.zeta * params.omega_n**3)
+                                                 params.zeta * _cubed(params.omega_n))
     dw_p = pull_in_range(params, variant)
     if delta_omega0 >= dw_p:
         raise RangeError(

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .analysis import (
     _QPSK_BEAT_CONSTANT,
     RangeError,
+    _derived,
     lock_in_range,
     total_phase_lag,
 )
@@ -183,8 +184,11 @@ def averaged_pull_in_time_numeric(
     Fourth-order fixed-step integration in the time domain would stall
     near the pull-in limit, so integrate the separated form
     dt = -d(dw)/rhs(dw) over dw with Simpson's rule (20,000 intervals)
-    instead.
+    instead.  DesignError when omega_n is out of the float range
+    (:func:`analysis._derived`): gains that underflow it to 0.0 leave no
+    lock-in range to integrate down to.
     """
+    _derived("omega_n", params.omega_n)
     dw_l = lock_in_range(params, variant)
     if delta_omega0 <= dw_l:
         raise RangeError("offset already inside the lock-in range")

@@ -103,12 +103,25 @@ def pd_period(variant: LoopVariant) -> float:
     return math.pi
 
 
+def lock_cells(theta, period: float, out=None):
+    """The lock cell of each phase in ``theta``: ``floor(theta/period +
+    1/2)``, so cell k is the half-open interval [(k - 1/2)*period,
+    (k + 1/2)*period) centered on the lock point k*period, and a tie at an
+    odd multiple of period/2 falls in the cell above it.  Kept as a float:
+    no overflow past 2**63 cells, and exact while |theta/period| < 2**53.
+    Written into ``out``, a float64 array shaped like ``theta``, when given.
+    The one lock-cell computation: :func:`wrap_phase` and
+    :func:`count_cycle_slips` both take their cells from it."""
+    cells = np.divide(np.asarray(theta, dtype=float), period, out=out)
+    cells += 0.5
+    return np.floor(cells, out=out)
+
+
 def wrap_phase(theta, period: float = 2.0 * math.pi):
     """Distance-preserving wrap of ``theta`` into [-period/2, period/2):
-    ``theta`` less the center of its lock cell, the cell
-    :func:`count_cycle_slips` counts, so a tie at an odd multiple of
-    period/2 wraps to -period/2."""
-    wrapped = theta - period * np.floor(np.asarray(theta, dtype=float) / period + 0.5)
+    ``theta`` less the center of its lock cell (:func:`lock_cells`), so a
+    tie at an odd multiple of period/2 wraps to -period/2."""
+    wrapped = theta - period * lock_cells(theta, period)
     if np.ndim(theta) == 0:
         return float(wrapped)
     return wrapped
@@ -391,18 +404,17 @@ def write_csv_rows(fh, columns, text=None) -> None:
                                None if text is None else text[rows]))
 
 
-def count_cycle_slips(theta_e: np.ndarray, period: float) -> int:
+def count_cycle_slips(theta_e: np.ndarray, period: float, out=None) -> int:
     """Number of lock-cell boundary crossings of the unwrapped phase error.
 
     A slip is counted every time theta_e leaves one period-wide cell
-    centered on a lock point and enters the next; re-crossings count again
-    (the quantity is total crossings, not net displacement).  Cell k is
-    ``floor(theta_e/period + 1/2) == k``, the half-open interval
-    [(k - 1/2)*period, (k + 1/2)*period), kept as a float: no overflow past
-    2**63 cells, and exact while |theta_e/period| < 2**53.
+    centered on a lock point (:func:`lock_cells`) and enters the next;
+    re-crossings count again (the quantity is total crossings, not net
+    displacement).  ``out``, a float64 array shaped like ``theta_e``,
+    receives the cells when given, for a caller that reads them too.
     """
-    cells = np.floor(np.asarray(theta_e) / period + 0.5)
-    return int(np.abs(np.diff(cells)).sum())
+    steps = np.diff(lock_cells(theta_e, period, out))
+    return int(np.abs(steps, out=steps).sum())
 
 
 def bisect(on_lo_side, lo: float, hi: float, done) -> tuple[float, float]:

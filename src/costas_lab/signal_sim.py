@@ -17,7 +17,11 @@ the phase error and the NCO frequency follow; the branch signals (u_d, I2,
 Q2) are recorded only for callers that read them (``run_loop``'s
 ``signals``: the CSV export and the demodulation check).  Each recorded
 signal is one float64 array of the run's n samples, allocated before the
-loop, which stores sample k at index k.
+loop, which stores sample k at index k.  The loop reads its input (the
+mixer input, or the pre-envelope and its Hilbert image) through
+memoryviews of float64 arrays, and the lock windows are computed in place
+after it, from one lock-cell pass: a run peaks at about 34 B of traced
+memory per sample, 58 B with the branch signals (see ``MAX_SAMPLES``).
 
 The sample loop is kept once, as the source of ``_sample_loop``, and run
 as a copy built from it per (variant tag, PD flavor, signals) on first
@@ -61,18 +65,17 @@ from .core import (
     count_cycle_slips,
     pd_period,
     rebuild,
-    wrap_phase,
     write_csv_rows,
 )
 
 TWO_PI = 2.0 * math.pi
 
 # Largest run ``run_loop`` accepts.  Without the branch signals a run peaks
-# at about 81 B (conventional loops) to 88-104 B (modified loops; 104 B for
-# mod_qpsk with the ideal Hilbert) of traced memory per sample, and with
-# them at 105 B for every loop (the recorded float64 arrays, 8 B each, the
-# source waveform and the lock-detection windows).  So 4e6 samples stay
-# under 0.5 GB, and their CSV (127 B per row) near 0.5 GB.  That is 1.25 s of
+# at about 34 B of traced memory per sample (40 B for mod_qpsk with the
+# ideal Hilbert, whose front end holds five float64 arrays at once), and
+# with them at 58 B for every loop: the result's float64 arrays, 8 B each,
+# beside one lock window and its bool masks.  So 4e6 samples stay under
+# 0.25 GB, and their CSV (127 B per row) near 0.5 GB.  That is 1.25 s of
 # signal at 3.2 MHz, 52 times the longest run the benchmark or the
 # acceptance gate makes (76,800 samples).
 MAX_SAMPLES = 4_000_000
@@ -287,29 +290,49 @@ def run_loop(
 
     variant = source.variant
     theta1, theta2, uf_arr, ud_arr, i2_arr, q2_arr = _run_kernel(source, loop, n, T, signals)
-    t = np.arange(n) * T
-    theta_e = theta1 - theta2
-    omega2 = params.omega_free + params.k0 * uf_arr
     period = pd_period(variant)
-    cycle_slips = count_cycle_slips(theta_e, period)
 
+    # the windows are computed in place, each float operation the one the
+    # whole-array formula makes, in its order; every whole-run temporary is
+    # dropped before the result's t and omega2 are allocated
     t_lock, final_freq_error = None, math.nan
     # a window longer than the run, however long, leaves the run unlocked
     w = max(10, round(min(detector.freq_window / T, n)))
+    ok = None
     if n > w + 1:
-        avg_freq = (theta2[w:] - theta2[:-w]) / (w * T)   # window [k, k+w]
-        ok_freq = np.abs(params.omega1 - avg_freq) < detector.freq_tol
-        dist = np.abs(wrap_phase(theta_e, period))
-        csum = np.concatenate([[0.0], np.cumsum(dist)])
-        del dist
-        avg_dist = (csum[w:] - csum[:-w]) / w             # window [k, k+w)
-        ok_phase = avg_dist < detector.phase_tol
-
-        ok = ok_freq & ok_phase[: len(ok_freq)]
-        if ok[-1]:
-            failed = np.flatnonzero(~ok)
-            t_lock = float(t[int(failed[-1]) + 1 if len(failed) else 0])
+        avg_freq = theta2[w:] - theta2[:-w]         # window [k, k+w]
+        avg_freq /= w * T
         final_freq_error = float(params.omega1 - avg_freq[-1])
+        np.subtract(params.omega1, avg_freq, out=avg_freq)
+        ok = np.abs(avg_freq, out=avg_freq) < detector.freq_tol
+        del avg_freq
+    # theta_e replaces the rebuilt NCO phase in its buffer
+    theta_e = np.subtract(theta1, theta2, out=theta2)
+    del theta1, theta2
+    # one lock-cell pass: the cells count the slips, then become the
+    # wrapped distance |theta_e - period*cell| (wrap_phase) and its running
+    # sum, behind a leading 0.0
+    csum = np.empty(n + 1)
+    csum[0] = 0.0
+    cycle_slips = count_cycle_slips(theta_e, period, out=csum[1:])
+    if ok is not None:
+        dist = csum[1:]
+        dist *= period
+        np.subtract(theta_e, dist, out=dist)
+        np.abs(dist, out=dist)
+        np.cumsum(csum, out=csum)
+        avg_dist = csum[w:n] - csum[:n - w]         # window [k, k+w)
+        avg_dist /= w
+        ok &= avg_dist < detector.phase_tol
+        del dist, avg_dist
+    del csum
+    t = np.arange(n, dtype=float)
+    t *= T
+    if ok is not None and ok[-1]:
+        failed = np.flatnonzero(~ok)
+        t_lock = float(t[int(failed[-1]) + 1 if len(failed) else 0])
+    omega2 = np.multiply(params.k0, uf_arr)
+    omega2 += params.omega_free
     return SimResult(t=t, theta_e=theta_e, ud=ud_arr, uf=uf_arr, omega2=omega2, i2=i2_arr,
                      q2=q2_arr, locked=t_lock is not None, t_lock=t_lock,
                      cycle_slips=cycle_slips, final_freq_error=final_freq_error,
@@ -342,46 +365,50 @@ def _run_kernel(source, loop, n, T, signals):
         raise ConfigError("conventional loops need the LPF corner omega3")
 
     # the delayed Hilbert image is the pre-envelope n4 samples earlier, so
-    # the grid starts at k = -n4 and the pre-envelope is computed once
+    # the grid starts at k = -n4 and the pre-envelope is computed once.
+    # Each front-end array is built in place and freed once used: the loop
+    # reads its inputs through memoryviews of float64 arrays, each item the
+    # Python float a list of them would hold
     n4 = 0
     if not conventional and loop.hilbert_mode == "delay":
         n4 = loop.hilbert_delay_samples(source.f_carrier)
     k = np.arange(-n4, n)
-    th1 = source.theta1_0 + params.omega1 * k * T
+    th1 = params.omega1 * k
+    th1 *= T
+    th1 += source.theta1_0
     # samples before 0 carry the first symbol
-    sym_idx = np.floor(np.maximum(k, 0) / (loop.f_samp / source.f_symbol)).astype(np.int64)
+    sym_idx = np.maximum(k, 0, out=k) / (loop.f_samp / source.f_symbol)
+    del k
+    sym_idx = np.floor(sym_idx, out=sym_idx).astype(np.int64)
     n_sym = int(sym_idx[-1]) + 1
     m1 = source.symbols(n_sym, 0)[sym_idx]
     m2 = source.symbols(n_sym, 1)[sym_idx] if is_qpsk else None
-    # the loop reads only the list inputs: free each front-end array once used
-    del k, sym_idx
+    del sym_idx
     b = la1 = None
     if conventional:
         b, la1 = _discrete_lpf(params.omega3, T)
+        # m1*sin(th1) (BPSK) or m1*cos(th1) + m2*sin(th1) (QPSK)
+        u = _product(np.cos if is_qpsk else np.sin, th1, m1)
+        del m1
         if is_qpsk:
-            u1 = m1 * np.cos(th1) + m2 * np.sin(th1)
-        else:
-            u1 = m1 * np.sin(th1)
+            u += _product(np.sin, th1, m2)
         # VCO branch outputs carry amplitude 2 (exact scaling)
-        front = zip(range(n), (2.0 * u1).tolist())
-        del u1
+        u *= 2.0
+        front = zip(range(n), memoryview(u))
     else:
+        # the pre-envelope (m1 + j*m2)*exp(j*th1), m2 = 0 for BPSK: u_re =
+        # m1*cos(th1) - m2*sin(th1); the ideal image u_im = m1*sin(th1) +
+        # m2*cos(th1), the delayed one u_re n4 samples earlier
+        u = _product(np.cos, th1, m1)
+        u_im = None if n4 else _product(np.sin, th1, m1)
+        del m1
         if is_qpsk:
-            u = m1 * np.cos(th1) - m2 * np.sin(th1)
-        else:
-            u = m1 * np.cos(th1)
-        if n4:
-            u_re, u_im = u[n4:].tolist(), u[:n].tolist()
-        else:
-            u_re = u.tolist()
-            if is_qpsk:
-                u_im = (m1 * np.sin(th1) + m2 * np.cos(th1)).tolist()
-            else:
-                u_im = (m1 * np.sin(th1)).tolist()
-        del u
-        front = zip(range(n), u_re, u_im)
-        del u_re, u_im
-    del m1, m2
+            u -= _product(np.sin, th1, m2)
+            if u_im is not None:
+                u_im += _product(np.cos, th1, m2)
+        front = zip(range(n), memoryview(u[n4:]), memoryview(u[:n] if n4 else u_im))
+        del u_im
+    del u, m2
 
     fb0, fb1 = _discrete_pi(params.tau1, params.tau2, T)
     wfree_T = params.omega_free * T
@@ -398,9 +425,8 @@ def _run_kernel(source, loop, n, T, signals):
                                   *views)
     # stopped: a ValueError out of the loop after ``stored`` samples, a cos
     # or sin of an infinite phase that the range check below finds; any
-    # other ValueError is re-raised after it.  The input lists go first: kept
-    # through the phase rebuild, the modified loops' two set the peak under
-    # ``signals`` (112 B per sample, not 105 B)
+    # other ValueError is re-raised after it.  The input arrays go first,
+    # before the phase rebuild
     del front
     # theta2[k] is the phase before sample k's update and theta2[k + 1] the
     # phase after it: the loop's own additions in its own order (float64
@@ -419,6 +445,13 @@ def _run_kernel(source, loop, n, T, signals):
     if stopped is not None:
         raise stopped
     return (th1[n4:], theta2[:n], uf_arr, *branches)
+
+
+def _product(trig, th1, m):
+    """``m * trig(th1)`` with one temporary."""
+    out = trig(th1)
+    out *= m
+    return out
 
 
 def _sample_loop(conventional, is_qpsk, phase_pd, signals, front, b, la1, fb0, fb1, wfree_T,
@@ -444,7 +477,9 @@ def _sample_loop(conventional, is_qpsk, phase_pd, signals, front, b, la1, fb0, f
                 k, u = sample
             else:
                 k, ur, ui = sample
-            del sample      # a tuple no name holds is reused by zip
+            # _Specialize makes the unpacking the for target: a tuple no
+            # name holds is reused by zip
+            del sample
             c = cos(th2)
             s = sin(th2)
             if conventional:
@@ -506,8 +541,9 @@ def _sample_loop(conventional, is_qpsk, phase_pd, signals, front, b, la1, fb0, f
 
 
 class _Specialize(ast.NodeTransformer):
-    """Makes each flag read its constant and cuts each ``if`` on a constant
-    to the branch it takes."""
+    """Makes each flag read its constant, cuts each ``if`` on a constant to
+    the branch it takes, and moves a loop body's leading ``target = item;
+    del item`` into the ``for`` target."""
 
     def __init__(self, flags):
         self.flags = flags
@@ -521,6 +557,16 @@ class _Specialize(ast.NodeTransformer):
         self.generic_visit(node)
         if isinstance(node.test, ast.Constant):
             return node.body if node.test.value else node.orelse
+        return node
+
+    def visit_For(self, node):
+        self.generic_visit(node)
+        match node:
+            case ast.For(target=ast.Name(id=item),
+                         body=[ast.Assign(targets=[target], value=ast.Name(id=read)),
+                               ast.Delete(targets=[ast.Name(id=gone)]), *rest]) \
+                    if item == read == gone:
+                node.target, node.body = target, rest
         return node
 
 

@@ -24,6 +24,7 @@ from costas_lab import (
 from costas_lab.analysis import (
     DesignError,
     RangeError,
+    _beat_note_pull_in_time,
     leadlag_char_poly,
     round_sig,
 )
@@ -252,6 +253,21 @@ class TestPullInTime:
         assert pull_in_time_formula(p, alt_q, dw) == pytest.approx(
             1.78 * dw**2 / zwn3
         )
+
+
+    def test_omega_n_cubed_overflow_is_a_design_error(self, modified_reference_params):
+        # float ** raises OverflowError past omega_n of about 5.6e102; the
+        # divisor reads inf there, refused by name, and a finite one is
+        # still zeta*omega_n**3
+        p = modified_reference_params
+        dw = TWO_PI * 200e3
+        assert pull_in_time_formula(p, MODIFIED_BPSK, dw) == \
+            (2.0 / math.pi**2) * dw**2 / (p.zeta * p.omega_n**3)
+        big = LoopParams(p.omega1, p.omega_free, 1e250, 1.0, p.tau1, p.tau2)
+        with pytest.raises(DesignError, match=r"zeta\*omega_n\^3 = inf is out of range"):
+            pull_in_time_formula(big, MODIFIED_BPSK, dw)
+        with pytest.raises(DesignError, match=r"2\*C\*zeta\*omega_n\^3 = inf is out of range"):
+            _beat_note_pull_in_time(big, 2.0, 1.0, 3.0, 1.0 / math.pi**2)
 
 
 class TestHoldIn:

@@ -664,6 +664,15 @@ class TestSimulateCommand:
             summary["pull_in_time_formula"], rel=0.25
         )
 
+    def test_averaged_fidelity_names_underflowing_omega_n(self, tmp_path, capsys):
+        # the lock-in range underflowed to 0.0 with omega_n, and the line
+        # named only the averaged model's delta_omega > 0
+        cfg = write_cfg(tmp_path, {**AVERAGED_CFG, "delta_f0": 1e3, "params": TINY_GAINS})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: derived constant omega_n = 0.0 is out of range")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("variant", ["mod_bpsk", "mod_qpsk"])
     def test_averaged_fidelity_refuses_imag_flavor(self, tmp_path, capsys, variant):
         # the averaged constants are the complex_phase PD's; the sine-shaped
@@ -731,6 +740,18 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--offsets", "50e3", "-o", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: derived constant {divisor} = 0.0 is out of range")
+        assert not out.exists()
+
+    def test_gains_overflowing_omega_n_cubed_exit_2(self, tmp_path, capsys):
+        # omega_n**3 in the theory column's formula raised OverflowError (a
+        # traceback, exit 1); bpsk with the same gains exits 3, its row
+        # inside the lock-in range
+        params = {**DESIGN_GAINS, "k0": 1e250, "kd": 1.0}
+        cfg = write_cfg(tmp_path, {**SWEEP_CFG, "variant": "mod_bpsk", "params": params})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--offsets", "50e3", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: derived constant zeta*omega_n^3 = inf is out of range")
         assert not out.exists()
 
     def test_rows_in_order(self, tmp_path, capsys):

@@ -23,7 +23,7 @@ from costas_lab import (
     pd_period,
     wrap_phase,
 )
-from costas_lab.core import bisect, count_cycle_slips
+from costas_lab.core import bisect, count_cycle_slips, lock_cells
 
 
 class TestLoopVariant:
@@ -154,6 +154,76 @@ class TestPhaseHelpers:
         theta = np.cumsum(np.random.default_rng(5).normal(0.0, 4.0, 10_000)) * 1e9
         cells = np.floor(theta / math.pi + 0.5).astype(np.int64)
         assert count_cycle_slips(theta, math.pi) == int(np.abs(np.diff(cells)).sum())
+
+
+def parent_wrap_phase(theta, period):
+    """``wrap_phase`` as it was before it shared :func:`lock_cells`."""
+    return theta - period * np.floor(np.asarray(theta, dtype=float) / period + 0.5)
+
+
+def parent_count_cycle_slips(theta_e, period):
+    """``count_cycle_slips`` as it was before it shared :func:`lock_cells`."""
+    return int(np.abs(np.diff(np.floor(np.asarray(theta_e) / period + 0.5))).sum())
+
+
+def _edge_phases(period):
+    """Ties (k + 1/2)*P and their neighbouring floats, signed zeros, the
+    smallest subnormals and offsets near 1e300 (past 2**63 cells)."""
+    ties = [(k + 0.5) * period * sign for k in range(4) for sign in (1.0, -1.0)]
+    near = [math.nextafter(x, to) for x in ties for to in (-math.inf, math.inf)]
+    return ties + near + [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+                          math.nextafter(1e300, 0.0), 2.5e300]
+
+
+class TestLockCells:
+    """``lock_cells`` is the one floor(theta/P + 1/2): ``wrap_phase`` and
+    ``count_cycle_slips`` return what they returned with their own."""
+
+    PERIODS = [math.pi, math.pi / 2]
+
+    @pytest.mark.parametrize("period", PERIODS)
+    def test_wrap_phase_edges(self, period):
+        edges = _edge_phases(period)
+        for theta in edges:
+            assert wrap_phase(theta, period).hex() == float(parent_wrap_phase(theta, period)).hex()
+        want = parent_wrap_phase(np.array(edges), period)
+        assert wrap_phase(np.array(edges), period).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("period", PERIODS)
+    def test_count_cycle_slips_edges(self, period):
+        edges = _edge_phases(period)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in edges:
+                for b in edges:
+                    theta = np.array([a, b, 0.0, a])
+                    assert count_cycle_slips(theta, period) == \
+                        parent_count_cycle_slips(theta, period)
+            assert count_cycle_slips(np.array(edges), period) == \
+                parent_count_cycle_slips(np.array(edges), period)
+
+    @pytest.mark.parametrize("period", PERIODS)
+    def test_nan(self, period):
+        # a NaN phase wraps to NaN, and its cells leave no slip count
+        assert math.isnan(wrap_phase(math.nan, period))
+        theta = np.array([0.0, math.nan, 2.0 * period])
+        assert np.isnan(wrap_phase(theta, period)).tolist() == [False, True, False]
+        with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
+            parent_count_cycle_slips(theta, period)
+        with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
+            count_cycle_slips(theta, period)
+
+    @pytest.mark.parametrize("period", PERIODS)
+    def test_cells_written_into_out(self, period):
+        theta = np.array(_edge_phases(period))
+        want = np.floor(theta / period + 0.5)
+        assert lock_cells(theta, period).tobytes() == want.tobytes()
+        out = np.full(len(theta), np.nan)
+        assert lock_cells(theta, period, out) is out and out.tobytes() == want.tobytes()
+        out[:] = np.nan
+        assert count_cycle_slips(theta, period, out=out) == \
+            parent_count_cycle_slips(theta, period)
+        assert out.tobytes() == want.tobytes()
 
 
 class TestBisect:

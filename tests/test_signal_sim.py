@@ -1,3 +1,4 @@
+import ast
 import dis
 import inspect
 import io
@@ -305,11 +306,12 @@ class TestRecording:
             assert a.shape == (320,), name
 
     def test_traced_bytes_per_sample(self, bpsk_reference_params):
-        # 81.3 B per sample measured on this run without the branch signals
-        # and 105 B with them (the seven recorded float64 arrays are 56 B),
-        # 113 B with the whole-run phase-distance array kept through lock
-        # detection; recording into Python lists peaked at 264 B.  Pinned
-        # at 85 B: about 5% of margin
+        # 34.1 B per sample measured on this run without the branch signals
+        # and 58.0 B with them, set in lock detection by four float64
+        # arrays (theta_e, uf, the lock-cell running sum and one window
+        # average) and two bool masks; the loop reading Python float lists
+        # with whole-array windows peaked at 81.3 B, recording into lists
+        # at 264 B.  Pinned at 36 B: about 5% of margin
         loop = DigitalLoop(bpsk_reference_params, F_SAMP)
         # built outside the trace: the first build of a loop parses its source
         signal_sim._kernel_loop(CONVENTIONAL_BPSK.tag, CONVENTIONAL_BPSK.pd_flavor, False)
@@ -319,15 +321,15 @@ class TestRecording:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(r.t) < 85
+        assert peak / len(r.t) < 36
 
     def test_recorded_arrays_allocated_once_at_n(self, modified_reference_params):
-        # 104.6 B per sample measured on this 16,000-sample run with the
-        # branch signals, each recorded array allocated once at n samples;
-        # buffers grown by append peaked at 113.0 B (a reallocation holds
-        # the old and the new block), and the loop's input lists kept
-        # through the phase rebuild at 112.1 B.  Pinned at 110 B: about 5%
-        # of margin
+        # 57.5 B per sample measured on this 16,000-sample run with the
+        # branch signals, each recorded array allocated once at n samples:
+        # the three branch arrays (24 B) beside the 33.4 B of a run without
+        # them.  Input lists and whole-array windows peaked at 104.6 B,
+        # buffers grown by append at 113.0 B (a reallocation holds the old
+        # and the new block).  Pinned at 60 B: about 5% of margin
         p = modified_reference_params.with_offset(TWO_PI * 100e3)
         loop = DigitalLoop(p, 12.8e6, hilbert_mode="delay")
         # built outside the trace: the first build of a loop parses its source
@@ -340,7 +342,7 @@ class TestRecording:
         finally:
             tracemalloc.stop()
         assert len(r.t) == 16_000
-        assert peak / len(r.t) < 110
+        assert peak / len(r.t) < 60
         for name in ("uf", "ud", "i2", "q2"):
             a = getattr(r, name)
             # a float64 array that owns exactly n samples: no view into a
@@ -349,10 +351,12 @@ class TestRecording:
             assert a.shape == (16_000,) and a.nbytes == 8 * 16_000, name
 
     def test_traced_bytes_per_sample_mod_qpsk_delay_hilbert(self, modified_reference_params):
-        # the delayed front end: 96.0 B per sample measured without the
-        # branch signals (105 B with them) with one pre-envelope grid and the
-        # front-end arrays freed before the sample loop, 168 B with them
-        # kept alive through it.  Pinned at 101 B: about 5% of margin
+        # the delayed front end: 33.4 B per sample measured without the
+        # branch signals (57.5 B with them), with one pre-envelope grid,
+        # each front-end array built in place and freed once used, and the
+        # loop reading the grid through memoryviews; 96.0 B with it read as
+        # two Python float lists, 168 B with the front-end arrays kept
+        # alive through the loop.  Pinned at 35 B: about 5% of margin
         p = modified_reference_params.with_offset(TWO_PI * 100e3)
         loop = DigitalLoop(p, 12.8e6, hilbert_mode="delay")
         # built outside the trace, as above
@@ -363,7 +367,7 @@ class TestRecording:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(r.t) < 101
+        assert peak / len(r.t) < 35
 
 
 def parent_kernel(source, loop, n, T):
@@ -464,6 +468,31 @@ def parent_run_loop(source, loop, duration):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signal_sim, "_run_kernel", kernel)
         return run_loop(source, loop, duration, signals=True)
+
+
+def parent_lock_detection(theta1, theta2, uf, params, detector, period, T):
+    """``run_loop``'s result arrays and verdicts as the whole-array
+    formulas wrote them before the windows were computed in place: (t,
+    theta_e, omega2, locked, t_lock, cycle_slips, final_freq_error)."""
+    n = len(theta2)
+    t = np.arange(n) * T
+    theta_e = theta1 - theta2
+    omega2 = params.omega_free + params.k0 * uf
+    cycle_slips = int(np.abs(np.diff(np.floor(theta_e / period + 0.5))).sum())
+    t_lock, final_freq_error = None, math.nan
+    w = max(10, round(min(detector.freq_window / T, n)))
+    if n > w + 1:
+        avg_freq = (theta2[w:] - theta2[:-w]) / (w * T)
+        ok_freq = np.abs(params.omega1 - avg_freq) < detector.freq_tol
+        dist = np.abs(theta_e - period * np.floor(theta_e / period + 0.5))
+        csum = np.concatenate([[0.0], np.cumsum(dist)])
+        avg_dist = (csum[w:] - csum[:-w]) / w
+        ok = ok_freq & (avg_dist < detector.phase_tol)[: len(ok_freq)]
+        if ok[-1]:
+            failed = np.flatnonzero(~ok)
+            t_lock = float(t[int(failed[-1]) + 1 if len(failed) else 0])
+        final_freq_error = float(params.omega1 - avg_freq[-1])
+    return t, theta_e, omega2, t_lock is not None, t_lock, cycle_slips, final_freq_error
 
 
 def result_bytes(r, fields=("t", "theta_e", "ud", "uf", "omega2", "i2", "q2")):
@@ -670,6 +699,43 @@ class TestRecordingEquivalence:
         assert not path.exists()
 
 
+class TestLockDetectionInPlace:
+    """``run_loop`` computes its lock windows in place from one lock-cell
+    pass; its arrays and verdicts are the whole-array formulas', bit for
+    bit, on the kernel's own output."""
+
+    @pytest.mark.parametrize("variant,mode,f_samp", RECORDING_CASES,
+                             ids=[f"{v.tag.value}-{v.pd_flavor.value}-{m}"
+                                  for v, m, _ in RECORDING_CASES])
+    def test_matches_whole_array_formulas(self, variant, mode, f_samp):
+        p = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=variant))
+        period, T = pd_period(variant), 1.0 / f_samp
+        seen = set()
+        for offset, duration in ((35e3, 1.2e-3), (200e3, 1.2e-3), (900e3, 4e-4)):
+            params = p.with_offset(TWO_PI * offset)
+            loop = DigitalLoop(params, f_samp, hilbert_mode=mode)
+            src = ModulatedSource(variant, 400e3, 100e3)
+            n = int(round(duration * f_samp))
+            theta1, theta2, uf, *_ = signal_sim._run_kernel(src, loop, n, T, False)
+            # the default detector, a phase tolerance few windows pass, and
+            # a window longer than the run
+            for detector in (LockDetector.for_params(params),
+                             LockDetector.for_params(params, phase_tol=0.02),
+                             LockDetector(2 * duration, 1.0)):
+                want = parent_lock_detection(theta1, theta2, uf, params, detector, period, T)
+                r = run_loop(src, loop, duration, detector)
+                got = (r.t, r.theta_e, r.omega2, r.locked, r.t_lock, r.cycle_slips,
+                       r.final_freq_error)
+                assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]]
+                assert got[3:6] == want[3:6]
+                assert np.float64(got[6]).tobytes() == np.float64(want[6]).tobytes()
+                seen.add((r.locked, r.t_lock == 0.0, r.cycle_slips > 0,
+                          math.isnan(r.final_freq_error)))
+        # locked after a failing window, unlocked and slipping, and no window
+        assert {(True, False, False, False), (False, False, True, False)} <= seen
+        assert any(nan for *_, nan in seen)
+
+
 def _buffers(n, signals):
     """The recording arrays of an n-sample run, NaN until stored, and the
     memoryviews a built loop stores through (None for a signal it does not
@@ -713,6 +779,29 @@ class TestKernelBuild:
             uf, ud, i2, q2 = (b.tolist() for b in bufs)
             pd = textbook_pd(variant)
             assert [x.hex() for x in ud] == [pd(i, q).hex() for i, q in zip(i2, q2)]
+
+    @pytest.mark.parametrize("signals", [False, True])
+    @pytest.mark.parametrize("variant", PAIRS, ids=pair_id)
+    def test_input_unpacked_in_the_for_target(self, variant, signals):
+        # the loop unpacks each (k, u) or (k, u_re, u_im) as it takes it: no
+        # name holds the item tuple, and no statement of the body unpacks it
+        code = signal_sim._kernel_loop(variant.tag, variant.pd_flavor, signals).__code__
+        ops = [i.opname for i in dis.get_instructions(code)]
+        at = ops.index("FOR_ITER")
+        assert ops[at + 1] == "UNPACK_SEQUENCE" and ops.count("UNPACK_SEQUENCE") == 1
+        assert "sample" not in code.co_varnames
+
+    @pytest.mark.parametrize("body", ["a = x\n    del y", "a = y\n    del y", "a = x\n    f(x)",
+                                      "del x\n    a = x"])
+    def test_for_target_left_unless_the_pair_leads(self, body):
+        # only a leading ``target = item; del item`` moves into the target
+        source = f"for x in z:\n    {body}\n    g()\n"
+        tree = signal_sim._Specialize({}).visit(ast.parse(source))
+        assert ast.unparse(tree) == ast.unparse(ast.parse(source))
+
+    def test_leading_pair_moved_into_the_for_target(self):
+        tree = ast.parse("for x in z:\n    a, b = x\n    del x\n    g(a)\n")
+        assert ast.unparse(signal_sim._Specialize({}).visit(tree)) == "for a, b in z:\n    g(a)"
 
     @pytest.mark.parametrize("signals", [False, True])
     @pytest.mark.parametrize("variant", PAIRS, ids=pair_id)

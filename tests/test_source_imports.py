@@ -8,7 +8,10 @@ shares its adjacent-float stop.  Code is made at run time (``exec``,
 ``eval``, ``compile``) only in ``core.rebuild``, which builds ``ode``'s
 inline phase-model steppers and ``signal_sim``'s sample-loop kernels
 from their source: a kernel is ``_sample_loop`` with its flags folded
-and its dead branches, front ends and phase detectors alike, pruned."""
+and its dead branches, front ends and phase detectors alike, pruned.
+``signal_sim`` calls no ``.tolist()``: the sample loop reads its inputs
+through memoryviews of float64 arrays, not from Python float lists (32 B
+a value, where the array holds 8 B)."""
 
 import ast
 import inspect
@@ -221,3 +224,21 @@ def test_dynamic_code_found():
                      "def f(src):\n    return eval(compile(src, 'f', 'eval'))\n"
                      "pattern = re.compile('a+')\n")
     assert _dynamic_code(tree) == [(2, "exec"), (4, "compile"), (4, "eval")]
+
+
+def _tolist_calls(tree: ast.Module) -> list[int]:
+    """Lines that call a ``.tolist()`` method, on any object."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "tolist")
+
+
+def test_signal_sim_makes_no_list_inputs():
+    assert _tolist_calls(ast.parse((SOURCE / "signal_sim.py").read_text())) == []
+
+
+def test_tolist_call_found():
+    tree = ast.parse("import numpy as np\nu = np.cos(x).tolist()\n"
+                     "def f(a):\n    return zip(range(3), a[1:].tolist(), memoryview(a))\n"
+                     "g = a.tolist\n")
+    assert _tolist_calls(tree) == [2, 4]
