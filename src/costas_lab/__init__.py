@@ -16,6 +16,8 @@ from .core import (
 from .analysis import (
     DesignSpec,
     PredictionReport,
+    averaged_rhs,
+    averaged_ud,
     design,
     hold_in_leadlag,
     hold_in_pi,
@@ -35,8 +37,6 @@ from .detectors import (
 from .baseband import (
     ClassicPhaseModel,
     DelayModel,
-    averaged_rhs,
-    averaged_ud,
     classic_rhs,
     delay_rhs,
 )

@@ -6,6 +6,12 @@ corner), and evaluates the lock-in, pull-in, and hold-in metrics for all
 four loop variants.  The transcendental pull-in condition has both a
 closed-form solution and an independent bisection solver; the bisection
 result is the oracle the closed forms are tested against.
+
+The pull-in time comes from one averaged beat-note model, the beat
+frequency driven by the PD's DC output during a beat (``averaged_ud``):
+:func:`pull_in_time_formula` is its closed-form integral, and
+:func:`averaged_pull_in_time_numeric` integrates it numerically, both
+with the beat constants of ``_PULL_IN_TIME``.
 """
 
 from __future__ import annotations
@@ -90,11 +96,7 @@ def design(spec: DesignSpec) -> LoopParams:
     tau2 = _derived("tau2", round_sig(1.0 / omega_t))
     omega_c = _derived("omega_c", 1.0 / tau2)
     kd = _derived("kd", PdCharacteristic(spec.variant, spec.m).kd)
-    try:
-        omega_c_sq = omega_c**2
-    except OverflowError:       # beyond the float range
-        omega_c_sq = math.inf
-    k0 = _derived("k0", omega_c_sq * spec.tau1 / kd)
+    k0 = _derived("k0", _pow(omega_c, 2) * spec.tau1 / kd)
     omega3 = None
     if spec.variant.is_conventional:
         omega3 = _derived("omega3", 2.0 * TWO_PI * spec.f_symbol)
@@ -199,11 +201,11 @@ def pull_in_range_numeric(params: LoopParams, variant: LoopVariant) -> float:
 
 # --- pull-in time ----------------------------------------------------------
 
-def _cubed(x: float) -> float:
-    """``x**3``, or inf where it overflows (float ``**`` raises
+def _pow(x: float, n: int) -> float:
+    """``x**n``, or inf where it overflows (float ``**`` raises
     OverflowError there), for :func:`_derived` to refuse."""
     try:
-        return x**3
+        return x**n
     except OverflowError:
         return math.inf
 
@@ -222,8 +224,8 @@ def _beat_note_pull_in_time(
     straight-line cosine approximation turns the slow-pull ODE into the
     closed log expression below.
     """
-    pref = delta_omega_p / _derived("2*C*zeta*omega_n^3",
-                                    2.0 * averaged_constant * params.zeta * _cubed(params.omega_n))
+    pref = delta_omega_p / _derived(
+        "2*C*zeta*omega_n^3", 2.0 * averaged_constant * params.zeta * _pow(params.omega_n, 3))
     bracket = (
         delta_omega_p
         * math.log((delta_omega_p - delta_omega_l) / (delta_omega_p - delta_omega0))
@@ -233,21 +235,33 @@ def _beat_note_pull_in_time(
     return pref * bracket
 
 
-_QPSK_BEAT_CONSTANT = 0.373**2  # asymmetry constant of the chopped-sine beat
-
-# (variant tag, PD flavor) -> (coefficient, formula id).  Conventional
-# loops: the beat-asymmetry constant of the log form; modified loops: the
-# factor of offset^2/(zeta*omega_n^3).
+# (variant tag, PD flavor) -> (coefficient, formula id), the one source of
+# each beat constant c of the averaged model (:func:`averaged_ud`).
+# Conventional loops: the beat-asymmetry constant of the log form (0.373^2
+# for the chopped-sine QPSK beat); modified loops: the factor of
+# offset^2/(zeta*omega_n^3).
 _PULL_IN_TIME = {
     (VariantTag.CONVENTIONAL_BPSK, PdFlavor.MUL_MUL): (1.0 / math.pi**2, "tp:beat-log/pi^2"),
-    (VariantTag.CONVENTIONAL_QPSK, PdFlavor.SGN_CROSS): (_QPSK_BEAT_CONSTANT,
-                                                         "tp:beat-log/0.373^2"),
+    (VariantTag.CONVENTIONAL_QPSK, PdFlavor.SGN_CROSS): (0.373**2, "tp:beat-log/0.373^2"),
     (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_PHASE): (2.0 / math.pi**2, "tp:2/pi^2*offset^2"),
     (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_PHASE): (16.0 / math.pi**2,
                                                          "tp:16/pi^2*offset^2"),
     (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_IMAG): (math.pi**2 / 16.0, "tp:pi^2/16*offset^2"),
     (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_IMAG): (1.78, "tp:1.78*offset^2"),
 }
+
+
+def _beat_band(params: LoopParams, variant: LoopVariant,
+               delta_omega0: float) -> tuple[float, float]:
+    """(lock-in range, pull-in range), or RangeError when ``delta_omega0``
+    is at or past the pull-in range, or at or below the lock-in range."""
+    dw_p = pull_in_range(params, variant)
+    if delta_omega0 >= dw_p:
+        raise RangeError(f"offset {delta_omega0:g} outside the pull-in range {dw_p:g}")
+    dw_l = lock_in_range(params, variant)
+    if delta_omega0 <= dw_l:
+        raise RangeError(f"offset {delta_omega0:g} inside the lock-in range {dw_l:g}")
+    return dw_l, dw_p
 
 
 def pull_in_time_formula(
@@ -259,24 +273,16 @@ def pull_in_time_formula(
     pull-in, and raise RangeError outside that interval; modified loops
     use the quadratic-in-offset form.  The sweep theory column uses this
     directly.  DesignError when the formula's divisor, zeta*omega_n^3
-    times a constant, is out of the float range (:func:`_derived`).
+    times a constant, or a modified loop's offset^2 is out of the float
+    range (:func:`_derived`).
     """
     if delta_omega0 <= 0:
         raise RangeError("delta_omega0 must be > 0")
     coef = _PULL_IN_TIME[(variant.tag, variant.pd_flavor)][0]
     if variant.is_modified:
-        return coef * delta_omega0**2 / _derived("zeta*omega_n^3",
-                                                 params.zeta * _cubed(params.omega_n))
-    dw_p = pull_in_range(params, variant)
-    if delta_omega0 >= dw_p:
-        raise RangeError(
-            f"offset {delta_omega0:g} outside the pull-in range {dw_p:g}"
-        )
-    dw_l = lock_in_range(params, variant)
-    if delta_omega0 <= dw_l:
-        raise RangeError(
-            f"offset {delta_omega0:g} inside the lock-in range {dw_l:g}"
-        )
+        return coef * _derived("delta_omega0^2", _pow(delta_omega0, 2)) / _derived(
+            "zeta*omega_n^3", params.zeta * _pow(params.omega_n, 3))
+    dw_l, dw_p = _beat_band(params, variant, delta_omega0)
     return _beat_note_pull_in_time(params, delta_omega0, dw_l, dw_p, coef)
 
 
@@ -292,6 +298,67 @@ def pull_in_time(
     if delta_omega0 <= lock_in_range(params, variant):
         return lock_time(params)
     return pull_in_time_formula(params, variant, delta_omega0)
+
+
+# --- averaged pull-in model -------------------------------------------------
+
+def averaged_ud(variant: LoopVariant, delta_omega: float, params: LoopParams) -> float:
+    """DC component of the PD output during a beat, volts, with the beat
+    constant c of ``_PULL_IN_TIME``.
+
+    Conventional loops: c*K0*Kd^2*KH*cos(phi_tot)/delta_omega, whose cosine
+    reverses polarity at the pull-in limit.  The modified loops have no
+    filter lag in the PD path, hence no cosine and no polarity reversal:
+    Kd^2/(4c)*K0*KH/delta_omega, for which the integral down to the
+    lock-in range dw_L is :func:`pull_in_time_formula` times
+    1 - (dw_L/delta_omega0)^2.  The constants hold for the default PD
+    flavors: the sine-shaped COMPLEX_IMAG flavor raises RangeError.
+    DesignError when Kd^2 is out of the float range (:func:`_derived`).
+    """
+    if variant.pd_flavor is PdFlavor.COMPLEX_IMAG:
+        raise RangeError("the averaged model takes the default PD flavors only, "
+                         f"not {variant.pd_flavor.value}")
+    if delta_omega == 0:
+        raise RangeError("averaged PD output is singular at zero beat frequency")
+    c = _PULL_IN_TIME[(variant.tag, variant.pd_flavor)][0]
+    kd_sq = _derived("kd^2", _pow(params.kd, 2))
+    if variant.is_modified:
+        return kd_sq / (4.0 * c) * params.k0 * params.k_h / delta_omega
+    cos_tot = math.cos(total_phase_lag(params, variant, abs(delta_omega)))
+    return c * params.k0 * kd_sq * params.k_h * cos_tot / delta_omega
+
+
+def averaged_rhs(params: LoopParams, variant: LoopVariant, delta_omega: float) -> float:
+    """d(delta_omega)/dt of the averaged pull-in dynamics."""
+    if delta_omega <= 0:
+        raise RangeError("averaged model is defined for delta_omega > 0")
+    return -params.k0 * averaged_ud(variant, delta_omega, params) / params.tau1
+
+
+def averaged_pull_in_time_numeric(params: LoopParams, variant: LoopVariant,
+                                  delta_omega0: float) -> float:
+    """Integrate the averaged ODE from the initial offset down to the
+    lock-in range, without the straight-line cosine approximation.
+
+    Fourth-order fixed-step integration in the time domain would stall
+    near the pull-in limit, so integrate the separated form
+    dt = -d(dw)/rhs(dw) over dw with Simpson's rule (20,000 intervals)
+    instead.  RangeError outside the band between the lock-in and pull-in
+    ranges, as the conventional loops' :func:`pull_in_time_formula`
+    raises it.  DesignError when omega_n, delta_omega0 or the slope at a
+    node is out of the float range (:func:`_derived`): gains that
+    underflow omega_n to 0.0 leave no lock-in range to integrate down to.
+    """
+    _derived("omega_n", params.omega_n)
+    dw_l = _beat_band(params, variant, _derived("delta_omega0", delta_omega0))[0]
+    n_steps = 20000
+    h = (delta_omega0 - dw_l) / n_steps
+    total = 0.0
+    for k in range(n_steps + 1):
+        dw = dw_l + k * h
+        w = 1.0 if k in (0, n_steps) else (4.0 if k % 2 else 2.0)
+        total += w / _derived("-d(delta_omega)/dt", -averaged_rhs(params, variant, dw))
+    return total * h / 3.0
 
 
 # --- hold-in ---------------------------------------------------------------

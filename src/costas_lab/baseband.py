@@ -1,6 +1,6 @@
 """Nonlinear baseband dynamical models of the loops.
 
-Three fidelities, each exposing a right-hand side for the ODE engine:
+Two ODE models, each exposing a right-hand side for the ODE engine:
 
 * ``ClassicPhaseModel`` -- the 2-state phase-domain ODE (loop-filter
   integrator state and phase error) with the ideal-LPF assumption.
@@ -8,9 +8,9 @@ Three fidelities, each exposing a right-hand side for the ODE engine:
   frequency-dependent phase lag inside the PD argument, which makes the
   phase-error rate implicit; the solver resolves it by damped fixed-point
   iteration with a bisection fallback.
-* the averaged model (``averaged_rhs``) -- the slow pull-in dynamics of
-  the beat frequency driven by the DC component of the asymmetric PD beat
-  waveform; valid between the lock-in and pull-in bands.
+
+The averaged beat-note model of the pull-in dynamics lives in
+``analysis``, beside the closed form it integrates.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import (
-    _QPSK_BEAT_CONSTANT,
-    RangeError,
-    _derived,
-    lock_in_range,
-    total_phase_lag,
-)
-from .core import LoopParams, LoopVariant, PdFlavor, VariantTag, bisect
+from .core import LoopParams, bisect
 from .detectors import PdCharacteristic
 
 
@@ -138,65 +131,3 @@ def delay_rhs(model: DelayModel, state, prev_dtheta: float) -> tuple[float, floa
         v = 0.5 * (lo + hi)
     return _delay_phi(model, theta_e, v), v
 
-
-def averaged_ud(
-    variant: LoopVariant, delta_omega: float, params: LoopParams
-) -> float:
-    """DC component of the PD output during a beat, volts.
-
-    Conventional loops carry the cos(phi_tot) factor that reverses
-    polarity at the pull-in limit; the modified loops have no filter lag
-    in the PD path, hence no cosine and no polarity reversal.  The
-    constants hold for the default PD flavors: the sine-shaped
-    COMPLEX_IMAG flavor raises RangeError.
-    """
-    if variant.pd_flavor is PdFlavor.COMPLEX_IMAG:
-        raise RangeError("the averaged model takes the default PD flavors only, "
-                         f"not {variant.pd_flavor.value}")
-    if delta_omega == 0:
-        raise RangeError("averaged PD output is singular at zero beat frequency")
-    p = params
-    kh = p.k_h
-    tag = variant.tag
-    if tag is VariantTag.MODIFIED_BPSK:
-        return math.pi**2 * p.kd * p.k0 * kh / (8.0 * delta_omega)
-    if tag is VariantTag.MODIFIED_QPSK:
-        return math.pi**2 * p.kd**2 * p.k0 * kh / (64.0 * delta_omega)
-    cos_tot = math.cos(total_phase_lag(p, variant, abs(delta_omega)))
-    if tag is VariantTag.CONVENTIONAL_QPSK:
-        return _QPSK_BEAT_CONSTANT * p.k0 * p.kd**2 * kh * cos_tot / delta_omega
-    return p.k0 * p.kd**2 * kh * cos_tot / (math.pi**2 * delta_omega)
-
-
-def averaged_rhs(params: LoopParams, variant: LoopVariant, delta_omega: float) -> float:
-    """d(delta_omega)/dt of the averaged pull-in dynamics."""
-    if delta_omega <= 0:
-        raise RangeError("averaged model is defined for delta_omega > 0")
-    return -params.k0 * averaged_ud(variant, delta_omega, params) / params.tau1
-
-
-def averaged_pull_in_time_numeric(
-    params: LoopParams, variant: LoopVariant, delta_omega0: float
-) -> float:
-    """Integrate the averaged ODE from the initial offset down to the
-    lock-in range, without the straight-line cosine approximation.
-
-    Fourth-order fixed-step integration in the time domain would stall
-    near the pull-in limit, so integrate the separated form
-    dt = -d(dw)/rhs(dw) over dw with Simpson's rule (20,000 intervals)
-    instead.  DesignError when omega_n is out of the float range
-    (:func:`analysis._derived`): gains that underflow it to 0.0 leave no
-    lock-in range to integrate down to.
-    """
-    _derived("omega_n", params.omega_n)
-    dw_l = lock_in_range(params, variant)
-    if delta_omega0 <= dw_l:
-        raise RangeError("offset already inside the lock-in range")
-    n_steps = 20000
-    h = (delta_omega0 - dw_l) / n_steps
-    total = 0.0
-    for k in range(n_steps + 1):
-        dw = dw_l + k * h
-        w = 1.0 if k in (0, n_steps) else (4.0 if k % 2 else 2.0)
-        total += w / (-averaged_rhs(params, variant, dw))
-    return total * h / 3.0

@@ -36,6 +36,7 @@ from . import __version__
 from .analysis import (
     DesignSpec,
     RangeError,
+    averaged_pull_in_time_numeric,
     design,
     hold_in_leadlag,
     predict,
@@ -43,7 +44,6 @@ from .analysis import (
     pull_in_time_formula,
 )
 from .baseband import ClassicPhaseModel, DelayModel, ImplicitSolveError, classic_rhs, delay_rhs
-from .baseband import averaged_pull_in_time_numeric
 from .core import LoopParams, LoopVariant, PdFlavor, VariantTag, check_real
 from .core import count_cycle_slips, pd_period, write_csv_rows
 from .detectors import PdCharacteristic

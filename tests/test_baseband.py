@@ -22,10 +22,11 @@ from costas_lab import (
     pd_period,
     phi_bpsk,
     phi_qpsk,
+    pull_in_range,
     pull_in_time,
+    pull_in_time_formula,
 )
-from costas_lab.analysis import RangeError, total_phase_lag
-from costas_lab.baseband import averaged_pull_in_time_numeric
+from costas_lab.analysis import RangeError, averaged_pull_in_time_numeric, total_phase_lag
 from costas_lab.core import PdFlavor, VariantTag
 from costas_lab.detectors import PdCharacteristic
 from costas_lab.ode import IntegratorConfig, integrate
@@ -332,8 +333,6 @@ class TestAveragedModel:
         assert averaged_pull_in_time_numeric(modified_reference_params, phase, dw) > 0
 
     def test_bpsk_zero_at_pull_in_limit(self, bpsk_reference_params):
-        from costas_lab import pull_in_range
-
         p = bpsk_reference_params
         dwp = pull_in_range(p, CONVENTIONAL_BPSK)
         assert total_phase_lag(p, CONVENTIONAL_BPSK, dwp) == pytest.approx(
@@ -362,8 +361,6 @@ class TestAveragedModel:
         p = bpsk_reference_params
         dwl = lock_in_range(p, CONVENTIONAL_BPSK)
         assert averaged_rhs(p, CONVENTIONAL_BPSK, 1.2 * dwl) < 0  # strong pull below the limit
-        from costas_lab import pull_in_range
-
         dwp = pull_in_range(p, CONVENTIONAL_BPSK)
         assert averaged_rhs(p, CONVENTIONAL_BPSK, dwp) == pytest.approx(0.0, abs=1e-3)
 
@@ -407,6 +404,30 @@ class TestAveragedModel:
         formula = averaged_ud(CONVENTIONAL_BPSK, dw0, p)
         assert measured > 0 and formula > 0
         assert 0.4 < measured / formula < 2.5
+
+    @pytest.mark.parametrize("variant", [MODIFIED_BPSK, MODIFIED_QPSK],
+                             ids=["mod_bpsk", "mod_qpsk"])
+    @pytest.mark.parametrize("kd", [1.0, 4.0])
+    def test_modified_integral_is_the_closed_form(self, modified_reference_params, variant, kd):
+        # the modified loops' averaged constant is Kd^2/(4c) with the
+        # closed form's c, so the integral down to the lock-in range is the
+        # closed form times 1 - (dw_L/dw0)^2; K0*Kd, hence omega_n and the
+        # lock-in range, stays fixed while Kd changes
+        b = modified_reference_params
+        p = replace(b, k0=b.k0 * b.kd / kd, kd=kd)
+        dw0 = TWO_PI * 150e3
+        r = lock_in_range(p, variant) / dw0
+        expected = pull_in_time_formula(p, variant, dw0) * (1.0 - r * r)
+        assert averaged_pull_in_time_numeric(p, variant, dw0) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("factor", [1.01, 2.0])
+    def test_refused_past_the_pull_in_range(self, bpsk_design, qpsk_design, factor):
+        # the closed form's pull-in-side check: past the range the averaged
+        # integral gave a time (4.11 ms for bpsk at 1.01x) or a negative one
+        for p, variant in ((bpsk_design, CONVENTIONAL_BPSK), (qpsk_design, CONVENTIONAL_QPSK)):
+            dw0 = factor * pull_in_range(p, variant)
+            with pytest.raises(RangeError, match="outside the pull-in range"):
+                averaged_pull_in_time_numeric(p, variant, dw0)
 
     def test_qpsk_constant(self, qpsk_reference_params):
         p = qpsk_reference_params

@@ -113,6 +113,16 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def assert_derived_refusal(tmp_path, capsys, argv, cfg, name):
+    """``argv`` run on the config ``cfg`` exits 2 with the error line of
+    ``analysis._derived`` for the constant ``name``, and leaves no output
+    directory."""
+    out = tmp_path / "o"
+    assert main([*argv, "--config", write_cfg(tmp_path, cfg), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: derived constant {name}")
+    assert not out.exists()
+
+
 class TestDesignCommand:
     def test_reference_bpsk(self, capsys):
         assert main(["design", "--variant", "bpsk", "--f0", "400e3", "--fs", "100e3"]) == 0
@@ -684,6 +694,34 @@ class TestSimulateCommand:
         assert err.startswith("error:") and "not complex_imag" in err
         assert not (tmp_path / "o").exists()
 
+    # The beat-note formulas at float-range inputs, each of which raised
+    # ZeroDivisionError or OverflowError (a traceback, exit 1)
+    @pytest.mark.parametrize("variant", ["bpsk", "qpsk", "mod_bpsk", "mod_qpsk"])
+    def test_averaged_fidelity_refuses_infinite_offset(self, tmp_path, capsys, variant):
+        # 2*pi*1.7e308 overflows to inf, and the slope 1/inf became a divisor
+        assert_derived_refusal(tmp_path, capsys, ["simulate"], {
+            **AVERAGED_CFG, "variant": variant, "delta_f0": 1.7e308}, "delta_omega0 = inf")
+
+    @pytest.mark.parametrize("variant", ["mod_bpsk", "mod_qpsk"])
+    def test_averaged_fidelity_refuses_overflowing_offset_squared(self, tmp_path, capsys,
+                                                                  variant):
+        assert_derived_refusal(tmp_path, capsys, ["simulate"], {
+            **AVERAGED_CFG, "variant": variant, "delta_f0": 1e300}, "delta_omega0^2 = inf")
+
+    @pytest.mark.parametrize("m,kd_sq", [(1e300, "inf"), (1e-300, "0.0")])
+    def test_averaged_fidelity_refuses_kd_squared_out_of_range(self, tmp_path, capsys, m,
+                                                               kd_sq):
+        assert_derived_refusal(tmp_path, capsys, ["simulate"], {
+            **AVERAGED_CFG, "variant": "qpsk", "delta_f0": 50e3, "m": m}, f"kd^2 = {kd_sq}")
+
+    def test_averaged_fidelity_refuses_underflowing_slope(self, tmp_path, capsys):
+        # K0*ud/tau1 underflows where tau1 is 1e300
+        cfg = {k: v for k, v in AVERAGED_CFG.items() if k not in ("f0", "f_symbol")}
+        params = {**DESIGN_GAINS, "k0": 1e6, "kd": 1.0, "tau1": 1e300, "tau2": 4e-6,
+                  "omega3": 1.2e6}
+        assert_derived_refusal(tmp_path, capsys, ["simulate"], {**cfg, "params": params},
+                               "-d(delta_omega)/dt = ")
+
     def test_blow_up_exits_3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             **BASE_SIGNAL_CFG,
@@ -753,6 +791,13 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith(
             "error: derived constant zeta*omega_n^3 = inf is out of range")
         assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ["mod_bpsk", "mod_qpsk"])
+    def test_offset_squared_overflowing_exit_2(self, tmp_path, capsys, variant):
+        # the theory column's offset**2 raised OverflowError (a traceback,
+        # exit 1)
+        assert_derived_refusal(tmp_path, capsys, ["sweep", "--offsets", "1e300"],
+                               {**SWEEP_CFG, "variant": variant}, "delta_omega0^2 = inf")
 
     def test_rows_in_order(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**SWEEP_CFG, "duration": 1.5e-3})
@@ -931,6 +976,32 @@ class TestPortraitCommand:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert main(["portrait", "--config", cfg, "-o", str(out)]) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# the averaged fidelity's loop inputs, and float-range values for each
+AVERAGED_GRID_KEYS = ("delta_f0", "m", "tau1", "omega_t_ratio", "f0", "f_symbol")
+FLOAT_RANGE_VALUES = (0, -1, 5e-324, 1e-300, 1e300, 1.7e308)
+
+
+def test_averaged_and_theory_float_range_grid(tmp_path, capsys):
+    """Every averaged config with one of AVERAGED_GRID_KEYS set to one of
+    FLOAT_RANGE_VALUES, on each loop, and a sweep at a 1e300 Hz offset on
+    each loop, ends with exit 0, 2 or 3; a failed run prints an error line,
+    no traceback, and leaves no output directory."""
+    variants = [tag.value for tag in VariantTag]
+    runs = [(["simulate"], {**AVERAGED_CFG, "variant": variant, key: value})
+            for variant in variants for key in AVERAGED_GRID_KEYS for value in FLOAT_RANGE_VALUES]
+    runs += [(["sweep", "--offsets", "1e300"], {**SWEEP_CFG, "variant": variant})
+             for variant in variants]
+    assert len(runs) == 148
+    for i, (argv, cfg) in enumerate(runs):
+        out = tmp_path / f"o{i}"
+        code = main([*argv, "--config", write_cfg(tmp_path, cfg), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (cfg, err)
+        if code:
+            assert err.startswith(("error:", "numeric failure:")), (cfg, err)
+            assert "Traceback" not in err and not out.exists(), cfg
 
 
 # wrong JSON types, NaN, +-inf, zero and negatives: no draw can ask for a

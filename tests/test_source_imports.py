@@ -11,7 +11,11 @@ from their source: a kernel is ``_sample_loop`` with its flags folded
 and its dead branches, front ends and phase detectors alike, pruned.
 ``signal_sim`` calls no ``.tolist()``: the sample loop reads its inputs
 through memoryviews of float64 arrays, not from Python float lists (32 B
-a value, where the array holds 8 B)."""
+a value, where the array holds 8 B).  No module imports another module's
+underscore name (``__version__`` aside): a name one module shares with
+another is public.  ``baseband`` imports nothing from ``analysis``: the
+ODE models do not depend on the closed forms, and the averaged beat-note
+model lives beside the closed form it integrates."""
 
 import ast
 import inspect
@@ -242,3 +246,49 @@ def test_tolist_call_found():
                      "def f(a):\n    return zip(range(3), a[1:].tolist(), memoryview(a))\n"
                      "g = a.tolist\n")
     assert _tolist_calls(tree) == [2, 4]
+
+
+def _package_imports(tree: ast.Module) -> list[ast.ImportFrom]:
+    """``from`` imports out of this package, relative or by its name."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "costas_lab")]
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Underscore names imported from another package module, ``__version__``
+    aside."""
+    return [f"line {node.lineno}: {alias.name}" for node in _package_imports(tree)
+            for alias in node.names if alias.name[0] == "_" and alias.name != "__version__"]
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_import(path):
+    assert _private_imports(ast.parse(path.read_text())) == []
+
+
+def test_private_import_found():
+    tree = ast.parse("from __future__ import annotations\nfrom . import __version__\n"
+                     "from .analysis import _derived, RangeError\nfrom .core import _x as x\n"
+                     "from costas_lab.ode import _STAGE\nfrom os import _exit\n")
+    assert _private_imports(tree) == ["line 3: _derived", "line 4: _x", "line 5: _STAGE"]
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The package modules a module imports names from, or imports whole."""
+    found = set()
+    for node in _package_imports(tree):
+        if node.module in (None, "costas_lab"):     # from . import analysis
+            found.update(alias.name for alias in node.names)
+        else:
+            found.add(node.module.split(".")[-1])
+    return found
+
+
+def test_baseband_imports_nothing_from_analysis():
+    assert "analysis" not in _imported_modules(ast.parse((SOURCE / "baseband.py").read_text()))
+
+
+def test_imported_module_found():
+    tree = ast.parse("import math\nfrom .core import bisect\nfrom . import analysis, ode\n"
+                     "from costas_lab.detectors import phi_bpsk\nfrom costas_lab import cli\n")
+    assert _imported_modules(tree) == {"core", "analysis", "ode", "detectors", "cli"}
