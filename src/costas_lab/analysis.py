@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .core import CONVENTIONAL_BPSK, CONVENTIONAL_QPSK, MODIFIED_BPSK, MODIFIED_QPSK
 from .core import LoopParams, LoopVariant, PdFlavor, VariantTag, bisect, check_real
 from .detectors import PdCharacteristic
 
@@ -113,18 +114,29 @@ def design(spec: DesignSpec) -> LoopParams:
 
 # --- lock-in ---------------------------------------------------------------
 
-# variant tag -> (factor of zeta*omega_n, formula id)
-_LOCK_IN = {
-    VariantTag.CONVENTIONAL_BPSK: (1.0, "lock-in:zeta*omega_n"),
-    VariantTag.CONVENTIONAL_QPSK: (math.sqrt(2.0), "lock-in:sqrt2*zeta*omega_n"),
-    VariantTag.MODIFIED_BPSK: (math.pi, "lock-in:pi*zeta*omega_n"),
-    VariantTag.MODIFIED_QPSK: (math.pi / 2.0, "lock-in:pi/2*zeta*omega_n"),
+# variant (tag and PD flavor) -> (lock-in factor of zeta*omega_n, its
+# formula id, beat constant c, its formula id): the one source of each
+# lock-in range, K0*(tau2/tau1)*max|phi|, and of each beat constant c of the
+# averaged pull-in model (:func:`averaged_ud`).  Conventional loops: c is
+# the beat-asymmetry constant of the log form (0.373^2 for the chopped-sine
+# QPSK beat); modified loops: the factor of offset^2/(zeta*omega_n^3).
+_PULL_IN_TIME = {
+    CONVENTIONAL_BPSK: (1.0, "lock-in:zeta*omega_n", 1.0 / math.pi**2, "tp:beat-log/pi^2"),
+    CONVENTIONAL_QPSK: (math.sqrt(2.0), "lock-in:sqrt2*zeta*omega_n",
+                        0.373**2, "tp:beat-log/0.373^2"),
+    MODIFIED_BPSK: (math.pi, "lock-in:pi*zeta*omega_n", 2.0 / math.pi**2, "tp:2/pi^2*offset^2"),
+    MODIFIED_QPSK: (math.pi / 2.0, "lock-in:pi/2*zeta*omega_n",
+                    16.0 / math.pi**2, "tp:16/pi^2*offset^2"),
+    LoopVariant(VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_IMAG):
+        (2.0, "lock-in:2*zeta*omega_n", math.pi**2 / 16.0, "tp:pi^2/16*offset^2"),
+    LoopVariant(VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_IMAG):
+        (math.sqrt(2.0), "lock-in:sqrt2*zeta*omega_n", 1.78, "tp:1.78*offset^2"),
 }
 
 
 def lock_in_range(params: LoopParams, variant: LoopVariant) -> float:
     """Largest detuning acquired within one beat note, rad/s."""
-    return _LOCK_IN[variant.tag][0] * params.zeta * params.omega_n
+    return _PULL_IN_TIME[variant][0] * params.zeta * params.omega_n
 
 
 def lock_time(params: LoopParams) -> float:
@@ -235,22 +247,6 @@ def _beat_note_pull_in_time(
     return pref * bracket
 
 
-# (variant tag, PD flavor) -> (coefficient, formula id), the one source of
-# each beat constant c of the averaged model (:func:`averaged_ud`).
-# Conventional loops: the beat-asymmetry constant of the log form (0.373^2
-# for the chopped-sine QPSK beat); modified loops: the factor of
-# offset^2/(zeta*omega_n^3).
-_PULL_IN_TIME = {
-    (VariantTag.CONVENTIONAL_BPSK, PdFlavor.MUL_MUL): (1.0 / math.pi**2, "tp:beat-log/pi^2"),
-    (VariantTag.CONVENTIONAL_QPSK, PdFlavor.SGN_CROSS): (0.373**2, "tp:beat-log/0.373^2"),
-    (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_PHASE): (2.0 / math.pi**2, "tp:2/pi^2*offset^2"),
-    (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_PHASE): (16.0 / math.pi**2,
-                                                         "tp:16/pi^2*offset^2"),
-    (VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_IMAG): (math.pi**2 / 16.0, "tp:pi^2/16*offset^2"),
-    (VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_IMAG): (1.78, "tp:1.78*offset^2"),
-}
-
-
 def _beat_band(params: LoopParams, variant: LoopVariant,
                delta_omega0: float) -> tuple[float, float]:
     """(lock-in range, pull-in range), or RangeError when ``delta_omega0``
@@ -278,7 +274,7 @@ def pull_in_time_formula(
     """
     if delta_omega0 <= 0:
         raise RangeError("delta_omega0 must be > 0")
-    coef = _PULL_IN_TIME[(variant.tag, variant.pd_flavor)][0]
+    coef = _PULL_IN_TIME[variant][2]
     if variant.is_modified:
         return coef * _derived("delta_omega0^2", _pow(delta_omega0, 2)) / _derived(
             "zeta*omega_n^3", params.zeta * _pow(params.omega_n, 3))
@@ -320,7 +316,7 @@ def averaged_ud(variant: LoopVariant, delta_omega: float, params: LoopParams) ->
                          f"not {variant.pd_flavor.value}")
     if delta_omega == 0:
         raise RangeError("averaged PD output is singular at zero beat frequency")
-    c = _PULL_IN_TIME[(variant.tag, variant.pd_flavor)][0]
+    c = _PULL_IN_TIME[variant][2]
     kd_sq = _derived("kd^2", _pow(params.kd, 2))
     if variant.is_modified:
         return kd_sq / (4.0 * c) * params.k0 * params.k_h / delta_omega
@@ -345,9 +341,10 @@ def averaged_pull_in_time_numeric(params: LoopParams, variant: LoopVariant,
     dt = -d(dw)/rhs(dw) over dw with Simpson's rule (20,000 intervals)
     instead.  RangeError outside the band between the lock-in and pull-in
     ranges, as the conventional loops' :func:`pull_in_time_formula`
-    raises it.  DesignError when omega_n, delta_omega0 or the slope at a
-    node is out of the float range (:func:`_derived`): gains that
-    underflow omega_n to 0.0 leave no lock-in range to integrate down to.
+    raises it.  DesignError when omega_n, delta_omega0, the slope at a
+    node or the time itself is out of the float range (:func:`_derived`):
+    gains that underflow omega_n to 0.0 leave no lock-in range to integrate
+    down to.
     """
     _derived("omega_n", params.omega_n)
     dw_l = _beat_band(params, variant, _derived("delta_omega0", delta_omega0))[0]
@@ -358,7 +355,7 @@ def averaged_pull_in_time_numeric(params: LoopParams, variant: LoopVariant,
         dw = dw_l + k * h
         w = 1.0 if k in (0, n_steps) else (4.0 if k % 2 else 2.0)
         total += w / _derived("-d(delta_omega)/dt", -averaged_rhs(params, variant, dw))
-    return total * h / 3.0
+    return _derived("pull_in_time_numeric", total * h / 3.0)
 
 
 # --- hold-in ---------------------------------------------------------------
@@ -504,11 +501,12 @@ def predict(params: LoopParams, variant: LoopVariant) -> PredictionReport:
         dw_p_num = pull_in_range_numeric(params, variant)
         pullin_tag = "pull-in:phase-lag-pi/2-closed-form"
     hold = hold_in_pi(params)
+    _, lock_in_id, _, pull_in_time_id = _PULL_IN_TIME[variant]
     formula_ids = {
-        "delta_omega_l": _LOCK_IN[variant.tag][1],
+        "delta_omega_l": lock_in_id,
         "t_l": "lock-time:2pi/omega_n",
         "delta_omega_p": pullin_tag,
-        "t_p": _PULL_IN_TIME[(variant.tag, variant.pd_flavor)][1],
+        "t_p": pull_in_time_id,
         "hold_in": hold.formula_id,
     }
     if dw_l > dw_p:

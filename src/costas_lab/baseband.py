@@ -6,8 +6,8 @@ Two ODE models, each exposing a right-hand side for the ODE engine:
   integrator state and phase error) with the ideal-LPF assumption.
 * ``DelayModel`` -- same states, but the LPFs reappear as a
   frequency-dependent phase lag inside the PD argument, which makes the
-  phase-error rate implicit; the solver resolves it by damped fixed-point
-  iteration with a bisection fallback.
+  phase-error rate implicit; the solver resolves it by plain fixed-point
+  iteration, v <- g(v), with a bisection fallback.
 
 The averaged beat-note model of the pull-in dynamics lives in
 ``analysis``, beside the closed form it integrates.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import LoopParams, bisect
+from .core import LoopParams, NumericFailure, bisect
 from .detectors import PdCharacteristic
 
 
@@ -28,7 +28,7 @@ IMPLICIT_MAX_ITER = 50
 IMPLICIT_REL_TOL = 1e-10
 
 
-class ImplicitSolveError(RuntimeError):
+class ImplicitSolveError(NumericFailure):
     """The delay model's implicit phase-rate equation failed to converge."""
 
 

@@ -11,12 +11,12 @@ A config carries exactly the keys its command reads at its fidelity: the
 shared keys plus that command's row of ``_CONFIG_KEYS``; a key left out
 takes the default of the dataclass it configures.
 
-Exit codes: 0 success; 2 config error, including a key the command does
-not read at the config's fidelity and a portrait of more than
-:data:`MAX_PORTRAIT_STATES` initial states; 3 numeric failure: a blow-up
-(also where the rhs raises on a state that left the float range), an
-RK45 step-size underflow or attempt cap, or a failed delay-model
-implicit solve.
+Exit codes: 0 success; 2 config error (any ValueError or OSError),
+including a key the command does not read at the config's fidelity and a
+portrait of more than :data:`MAX_PORTRAIT_STATES` initial states; 3 any
+:class:`core.NumericFailure`: a blow-up (also where the rhs raises on a
+state that left the float range), an RK45 step-size underflow or attempt
+cap, or a failed delay-model implicit solve.
 """
 
 from __future__ import annotations
@@ -43,17 +43,11 @@ from .analysis import (
     pull_in_time,
     pull_in_time_formula,
 )
-from .baseband import ClassicPhaseModel, DelayModel, ImplicitSolveError, classic_rhs, delay_rhs
-from .core import LoopParams, LoopVariant, PdFlavor, VariantTag, check_real
+from .baseband import ClassicPhaseModel, DelayModel, classic_rhs, delay_rhs
+from .core import LoopParams, LoopVariant, NumericFailure, PdFlavor, VariantTag, check_real
 from .core import count_cycle_slips, pd_period, write_csv_rows
 from .detectors import PdCharacteristic
-from .ode import (
-    IntegratorConfig,
-    StiffnessError,
-    integrate,
-    lock_verdict,
-    phase_portrait,
-)
+from .ode import IntegratorConfig, integrate, lock_verdict, phase_portrait
 from .signal_sim import (
     DigitalLoop,
     LockDetector,
@@ -205,13 +199,6 @@ def _effective_seed(cfg: dict) -> int:
     return cfg.get("prbs_seed", ModulatedSource.prbs_seed)
 
 
-def variant_from_config(cfg: dict) -> LoopVariant:
-    try:
-        return LoopVariant.from_name(cfg["variant"], cfg.get("pd_flavor"))
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
 def params_from_config(cfg: dict, variant: LoopVariant) -> LoopParams:
     if "params" in cfg:
         params = LoopParams.from_dict(cfg["params"])
@@ -301,7 +288,7 @@ def _simulate_ode(cfg: dict, variant: LoopVariant, params: LoopParams):
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
-    variant = variant_from_config(cfg)
+    variant = LoopVariant.from_name(cfg["variant"], cfg.get("pd_flavor"))
     params = params_from_config(cfg, variant)
     fidelity = cfg["fidelity"]
     # every branch computes before it creates the output directory, so a
@@ -350,7 +337,7 @@ def cmd_sweep(args) -> int:
         raise CliError("no offsets given")
     for f in offsets:
         check_real(f, "offset")
-    variant = variant_from_config(cfg)
+    variant = LoopVariant.from_name(cfg["variant"], cfg.get("pd_flavor"))
     designed = params_from_config(cfg, variant)
     rows = []
     for f in offsets:
@@ -376,7 +363,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_portrait(args) -> int:
     cfg = load_config(args)
-    variant = variant_from_config(cfg)
+    variant = LoopVariant.from_name(cfg["variant"], cfg.get("pd_flavor"))
     params = params_from_config(cfg, variant)
     model = ClassicPhaseModel(params, PdCharacteristic(variant, **_given(cfg, "m")))
     if ("states" in cfg) == ("grid" in cfg):
@@ -486,7 +473,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericBlowUp, StiffnessError, ImplicitSolveError) as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -20,6 +20,11 @@ import numpy as np
 REL_TOL = 1e-9
 
 
+class NumericFailure(RuntimeError):
+    """A run that failed numerically, not on its inputs (the CLI's exit 3).
+    Every other error the package raises on purpose is a ValueError."""
+
+
 class VariantTag(Enum):
     CONVENTIONAL_BPSK = "bpsk"
     CONVENTIONAL_QPSK = "qpsk"
@@ -36,18 +41,12 @@ class PdFlavor(Enum):
     COMPLEX_IMAG = "complex_imag"    # Im() of the rotated complex envelope
 
 
-_VALID_FLAVORS = {
-    VariantTag.CONVENTIONAL_BPSK: {PdFlavor.MUL_MUL},
-    VariantTag.CONVENTIONAL_QPSK: {PdFlavor.SGN_CROSS},
-    VariantTag.MODIFIED_BPSK: {PdFlavor.COMPLEX_PHASE, PdFlavor.COMPLEX_IMAG},
-    VariantTag.MODIFIED_QPSK: {PdFlavor.COMPLEX_PHASE, PdFlavor.COMPLEX_IMAG},
-}
-
-_DEFAULT_FLAVOR = {
-    VariantTag.CONVENTIONAL_BPSK: PdFlavor.MUL_MUL,
-    VariantTag.CONVENTIONAL_QPSK: PdFlavor.SGN_CROSS,
-    VariantTag.MODIFIED_BPSK: PdFlavor.COMPLEX_PHASE,
-    VariantTag.MODIFIED_QPSK: PdFlavor.COMPLEX_PHASE,
+# variant tag -> (default PD flavor, *the other flavors the variant takes)
+_FLAVORS = {
+    VariantTag.CONVENTIONAL_BPSK: (PdFlavor.MUL_MUL,),
+    VariantTag.CONVENTIONAL_QPSK: (PdFlavor.SGN_CROSS,),
+    VariantTag.MODIFIED_BPSK: (PdFlavor.COMPLEX_PHASE, PdFlavor.COMPLEX_IMAG),
+    VariantTag.MODIFIED_QPSK: (PdFlavor.COMPLEX_PHASE, PdFlavor.COMPLEX_IMAG),
 }
 
 
@@ -60,8 +59,8 @@ class LoopVariant:
 
     def __post_init__(self):
         if self.pd_flavor is None:
-            object.__setattr__(self, "pd_flavor", _DEFAULT_FLAVOR[self.tag])
-        if self.pd_flavor not in _VALID_FLAVORS[self.tag]:
+            object.__setattr__(self, "pd_flavor", _FLAVORS[self.tag][0])
+        if self.pd_flavor not in _FLAVORS[self.tag]:
             raise ValueError(
                 f"pd_flavor {self.pd_flavor.value} is not valid for {self.tag.value}"
             )
@@ -142,6 +141,8 @@ def check_real(value, name: str) -> None:
 
 _GAIN_KEYS = ("omega1", "omega_free", "k0", "kd", "tau1", "tau2")
 _DERIVED_KEYS = ("omega_c", "omega_n", "zeta", "delta_omega0")
+# every key of a params object, in the order :meth:`LoopParams.to_dict` writes them
+_PARAMS_KEYS = (*_GAIN_KEYS, "omega3", *_DERIVED_KEYS)
 
 
 @dataclass(frozen=True)
@@ -186,23 +187,16 @@ class LoopParams:
         return self.tau2 / self.tau1
 
     def with_offset(self, delta_omega0: float) -> "LoopParams":
-        """Same loop, retuned so that omega1 - omega_free = delta_omega0."""
-        return replace(self, omega_free=self.omega1 - delta_omega0)
+        """Same loop, retuned so that omega1 - omega_free = delta_omega0.
+        ValueError when that omega_free is not finite."""
+        omega_free = self.omega1 - delta_omega0
+        if not math.isfinite(omega_free):
+            raise ValueError(f"derived constant delta_omega0 = {delta_omega0!r} is out of "
+                             f"range: omega1 - delta_omega0 must be finite")
+        return replace(self, omega_free=omega_free)
 
     def to_dict(self) -> dict:
-        return {
-            "omega1": self.omega1,
-            "omega_free": self.omega_free,
-            "k0": self.k0,
-            "kd": self.kd,
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-            "omega3": self.omega3,
-            "omega_c": self.omega_c,
-            "omega_n": self.omega_n,
-            "zeta": self.zeta,
-            "delta_omega0": self.delta_omega0,
-        }
+        return {key: getattr(self, key) for key in _PARAMS_KEYS}
 
     @classmethod
     def from_dict(cls, d) -> "LoopParams":
@@ -218,7 +212,7 @@ class LoopParams:
         """
         if not isinstance(d, dict):
             raise ValueError(f"params must be a JSON object, got {d!r}")
-        unknown = set(d) - {*_GAIN_KEYS, "omega3", *_DERIVED_KEYS}
+        unknown = set(d) - set(_PARAMS_KEYS)
         if unknown:
             raise ValueError(f"unknown params keys: {sorted(unknown)}")
         missing = [k for k in _GAIN_KEYS if k not in d]

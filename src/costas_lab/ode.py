@@ -61,8 +61,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import baseband
-from .core import CONVENTIONAL_BPSK, LoopParams, LoopVariant, pd_period, wrap_phase
-from .core import count_cycle_slips, placed, rebuild
+from .core import CONVENTIONAL_BPSK, LoopParams, LoopVariant, NumericFailure, pd_period
+from .core import count_cycle_slips, placed, rebuild, wrap_phase
 from .detectors import PdCharacteristic
 from .baseband import ClassicPhaseModel
 
@@ -82,7 +82,7 @@ H_MIN = 1e-12   # smallest RK45 step; below it a run ends or raises
 MAX_STEPS = 1_000_000
 
 
-class StiffnessError(RuntimeError):
+class StiffnessError(NumericFailure):
     """RK45 gave up before t_end: its step size underflowed, or it made more
     than :data:`MAX_STEPS` attempts."""
 

@@ -58,6 +58,7 @@ import numpy as np
 from .core import (
     LoopParams,
     LoopVariant,
+    NumericFailure,
     PdFlavor,
     SimResult,
     bisect,
@@ -85,7 +86,7 @@ class ConfigError(ValueError):
     """Invalid simulation configuration (sampling, delay alignment)."""
 
 
-class NumericBlowUp(RuntimeError):
+class NumericBlowUp(NumericFailure):
     """Loop state left the finite range: at signal sample ``sample_index``,
     or where ``where`` says (an ODE run's step and time)."""
 

@@ -10,11 +10,13 @@ from costas_lab import (
     MODIFIED_QPSK,
     DesignSpec,
     LoopParams,
+    PdCharacteristic,
     design,
     hold_in_leadlag,
     hold_in_pi,
     lock_in_range,
     lock_time,
+    pd_period,
     predict,
     pull_in_range,
     pull_in_range_numeric,
@@ -97,6 +99,34 @@ class TestLockIn:
         assert lock_in_range(bpsk_design, MODIFIED_QPSK) / zwn == pytest.approx(
             math.pi / 2, rel=1e-12
         )
+
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    @pytest.mark.parametrize("variant", [
+        CONVENTIONAL_BPSK, CONVENTIONAL_QPSK, MODIFIED_BPSK, MODIFIED_QPSK,
+        LoopVariant(VariantTag.MODIFIED_BPSK, PdFlavor.COMPLEX_IMAG),
+        LoopVariant(VariantTag.MODIFIED_QPSK, PdFlavor.COMPLEX_IMAG)],
+        ids=lambda v: f"{v.tag.value}-{v.pd_flavor.value}")
+    def test_factor_is_the_pd_peak(self, variant, m):
+        # the lock-in range is the proportional path's largest correction,
+        # K0*(tau2/tau1)*max|phi|, for every PD shape and amplitude; the
+        # peak is taken over one PD period, edges included
+        pd = PdCharacteristic(variant, m)
+        p = LoopParams(0.0, 0.0, 1.262e6, pd.kd, 20e-6, 4e-6)
+        period = pd_period(variant)
+        peak = max(abs(pd.phi(th)) for th in np.linspace(-period / 2, period / 2, 4097))
+        assert lock_in_range(p, variant) == pytest.approx(p.k0 * p.k_h * peak, rel=1e-12)
+
+    def test_imag_flavor_report(self, mod_bpsk_design, mod_qpsk_design):
+        # the sine-shaped PDs peak at 2 and sqrt2 times zeta*omega_n, the
+        # conventional loops' factors, not at the sawtooth's pi and pi/2
+        for p, tag, factor, formula in (
+                (mod_bpsk_design, VariantTag.MODIFIED_BPSK, 2.0, "lock-in:2*zeta*omega_n"),
+                (mod_qpsk_design, VariantTag.MODIFIED_QPSK, math.sqrt(2.0),
+                 "lock-in:sqrt2*zeta*omega_n")):
+            d = predict(p, LoopVariant(tag, PdFlavor.COMPLEX_IMAG)).to_dict()
+            assert d["delta_omega_l"] == factor * p.zeta * p.omega_n
+            assert d["lock_in_hz"] == d["delta_omega_l"] / TWO_PI
+            assert d["formula_ids"]["delta_omega_l"] == formula
 
     def test_reference_values(self, bpsk_reference_params, qpsk_reference_params):
         # printed reference: 125'000 (rounded) for BPSK, 177'483 for QPSK

@@ -26,7 +26,8 @@ from costas_lab import (
     pull_in_time,
     pull_in_time_formula,
 )
-from costas_lab.analysis import RangeError, averaged_pull_in_time_numeric, total_phase_lag
+from costas_lab.analysis import (DesignError, RangeError, averaged_pull_in_time_numeric,
+                                 total_phase_lag)
 from costas_lab.core import PdFlavor, VariantTag
 from costas_lab.detectors import PdCharacteristic
 from costas_lab.ode import IntegratorConfig, integrate
@@ -428,6 +429,14 @@ class TestAveragedModel:
             dw0 = factor * pull_in_range(p, variant)
             with pytest.raises(RangeError, match="outside the pull-in range"):
                 averaged_pull_in_time_numeric(p, variant, dw0)
+
+    @pytest.mark.parametrize("variant", [MODIFIED_BPSK, MODIFIED_QPSK],
+                             ids=["mod_bpsk", "mod_qpsk"])
+    def test_overflowing_integral_refused(self, modified_reference_params, variant):
+        # the integral from 2*pi*1e300 down to the lock-in range overflows
+        # to inf: no pull-in time to return
+        with pytest.raises(DesignError, match="pull_in_time_numeric = inf is out of range"):
+            averaged_pull_in_time_numeric(modified_reference_params, variant, TWO_PI * 1e300)
 
     def test_qpsk_constant(self, qpsk_reference_params):
         p = qpsk_reference_params

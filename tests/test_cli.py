@@ -705,8 +705,9 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("variant", ["mod_bpsk", "mod_qpsk"])
     def test_averaged_fidelity_refuses_overflowing_offset_squared(self, tmp_path, capsys,
                                                                   variant):
+        # the integral overflows before the formula's offset^2 does
         assert_derived_refusal(tmp_path, capsys, ["simulate"], {
-            **AVERAGED_CFG, "variant": variant, "delta_f0": 1e300}, "delta_omega0^2 = inf")
+            **AVERAGED_CFG, "variant": variant, "delta_f0": 1e300}, "pull_in_time_numeric = inf")
 
     @pytest.mark.parametrize("m,kd_sq", [(1e300, "inf"), (1e-300, "0.0")])
     def test_averaged_fidelity_refuses_kd_squared_out_of_range(self, tmp_path, capsys, m,
@@ -765,6 +766,21 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: detector freq_window must be > 0, got 0.0\n"
         assert not (tmp_path / "o").exists()
+
+
+# An offset whose rad/s value (2*pi*1e308) overflows is a config error at
+# every entry that reads one: LoopParams.with_offset refuses it before a run
+# can end in a numeric failure
+@pytest.mark.parametrize("argv,cfg", [
+    (["simulate"], BASE_SIGNAL_CFG), (["simulate"], PHASE_CFG),
+    (["simulate"], {**PHASE_CFG, "fidelity": "delay"}), (["simulate"], AVERAGED_CFG),
+    (["sweep", "--offsets", "1e308"], SWEEP_CFG),
+    (["portrait"], {**PHASE_CFG, "states": [[0.0, 0.0]]}),
+], ids=["signal", "phase", "delay", "averaged", "sweep", "portrait"])
+def test_offset_past_the_float_range_exits_2(tmp_path, capsys, argv, cfg):
+    if "sweep" not in argv:
+        cfg = {**cfg, "delta_f0": 1e308}
+    assert_derived_refusal(tmp_path, capsys, argv, cfg, "delta_omega0 = inf is out of range")
 
 
 class TestSweepCommand:

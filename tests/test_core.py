@@ -131,6 +131,13 @@ class TestPhaseHelpers:
         assert q.delta_omega0 == pytest.approx(1234.5, abs=1e-9)
         assert q.omega_n == p.omega_n
 
+    @pytest.mark.parametrize("delta_omega0", [math.inf, -math.inf, math.nan, -1.7e308])
+    def test_with_offset_refuses_non_finite_omega_free(self, delta_omega0):
+        p = LoopParams(1.7e308, 1.7e308, 1e6, 1.0, 2e-5, 4e-6)
+        with pytest.raises(ValueError, match=r"derived constant delta_omega0 = .* is out of "
+                                             r"range: omega1 - delta_omega0 must be finite"):
+            p.with_offset(delta_omega0)
+
     def test_cycle_slip_count_monotone_ramp(self):
         theta = np.linspace(0.0, 5.2 * math.pi, 4000)
         assert count_cycle_slips(theta, math.pi) == 5

@@ -8,6 +8,7 @@ import math
 import sys
 import tracemalloc
 from array import array
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -983,6 +984,65 @@ class TestAveragingGap:
     def test_rerun_identical(self, gap_run):
         # both fidelities are deterministic: a fresh run repeats every float
         assert averaging_gap() == gap_run
+
+
+def open_loop_ud(variant, theta, data_mode):
+    """Mean PD output of ``variant``'s designed loop opened by k0 = 1e-30,
+    after the first fifth of a 1.2 ms run at carrier phase ``theta``.
+
+    The NCO free-runs at the carrier, so theta_e stays at ``theta`` (to
+    1e-9 rad, asserted) and the mean reads the PD's DC output there.
+    Conventional loops run at 3.2 MHz, modified loops at 12.8 MHz with the
+    ideal Hilbert."""
+    params = replace(design(DesignSpec(400e3, 100e3, variant)), k0=1e-30)
+    f_samp, mode = (3.2e6, "delay") if variant.is_conventional else (12.8e6, "ideal")
+    source = ModulatedSource(variant, 400e3, 100e3, theta1_0=theta, data_mode=data_mode)
+    r = run_loop(source, DigitalLoop(params, f_samp, mode), 1.2e-3, signals=True)
+    assert np.max(np.abs(r.theta_e - theta)) < 1e-9
+    return float(np.mean(r.ud[len(r.t) // 5:]))
+
+
+class TestOpenLoopPd:
+    """The sample loop's PD against the phase model's ``PdCharacteristic.phi``."""
+
+    # phases at least 0.25 rad from a jump: pi/4 + k*pi/2 for the QPSK PDs,
+    # pi/2 + k*pi for mod_bpsk's
+    PHASES = {CONVENTIONAL_BPSK: [-1.2, -math.pi / 4, 0.0, math.pi / 8, 3 * math.pi / 8, 1.4],
+              CONVENTIONAL_QPSK: [-0.5, -0.2, 0.0, math.pi / 16, math.pi / 8, 0.5, 1.1],
+              MODIFIED_BPSK: [-1.2, -0.5, 0.3, 1.0],
+              MODIFIED_QPSK: [-0.5, 0.2, 0.5, 1.2]}
+
+    @pytest.mark.parametrize("variant", PHASES, ids=lambda v: v.tag.value)
+    def test_constant_data_reads_phi(self, variant):
+        pd = PdCharacteristic(variant)
+        for theta in self.PHASES[variant]:
+            assert open_loop_ud(variant, theta, "ones") == pytest.approx(pd.phi(theta), abs=1e-9)
+
+    @pytest.mark.parametrize("variant", [MODIFIED_BPSK, MODIFIED_QPSK],
+                             ids=["mod_bpsk", "mod_qpsk"])
+    def test_modified_loops_read_phi_on_prbs_data(self, variant):
+        # the data decision on the rotated envelope strips the data exactly
+        pd = PdCharacteristic(variant)
+        for theta in self.PHASES[variant]:
+            assert open_loop_ud(variant, theta, "prbs") == pytest.approx(pd.phi(theta), abs=1e-9)
+
+    @pytest.mark.parametrize("variant,phases", [
+        (CONVENTIONAL_BPSK, [math.pi / 8, math.pi / 4, 3 * math.pi / 8]),
+        (CONVENTIONAL_QPSK, [math.pi / 16, math.pi / 8])], ids=["bpsk", "qpsk"])
+    def test_conventional_loops_lose_gain_on_prbs_data(self, variant, phases):
+        # the arm LPFs (corner 200 kHz, 100 kHz symbols) smear each symbol
+        # transition: the DC reads 0.915-0.935 of phi, a loss of Kd that
+        # no model in the package carries
+        pd = PdCharacteristic(variant)
+        for theta in phases:
+            assert 0.90 <= open_loop_ud(variant, theta, "prbs") / pd.phi(theta) <= 0.95
+
+    def test_qpsk_jump_is_straddled(self):
+        # at the jump theta_e = pi/4 the 2*omega ripple of the sum product
+        # crosses the switching surface, so the mean is neither branch,
+        # +-sqrt(2), but 0.108
+        mean = open_loop_ud(CONVENTIONAL_QPSK, math.pi / 4, "ones")
+        assert mean == pytest.approx(0.108, abs=5e-4)
 
 
 def reference_rows(columns, text=None) -> str:

@@ -15,16 +15,20 @@ a value, where the array holds 8 B).  No module imports another module's
 underscore name (``__version__`` aside): a name one module shares with
 another is public.  ``baseband`` imports nothing from ``analysis``: the
 ODE models do not depend on the closed forms, and the averaged beat-note
-model lives beside the closed form it integrates."""
+model lives beside the closed form it integrates.  Every public exception
+class derives from ValueError or ``core.NumericFailure``, the two that
+``cli.main`` maps to exit codes 2 and 3."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 import costas_lab
-from costas_lab import core
+from costas_lab import cli, core
 
 SOURCE = Path(costas_lab.__file__).parent
 # __init__.py imports names only to re-export them
@@ -292,3 +296,36 @@ def test_imported_module_found():
     tree = ast.parse("import math\nfrom .core import bisect\nfrom . import analysis, ode\n"
                      "from costas_lab.detectors import phi_bpsk\nfrom costas_lab import cli\n")
     assert _imported_modules(tree) == {"core", "analysis", "ode", "detectors", "cli"}
+
+
+def _stray_exceptions(module) -> list[str]:
+    """Public exception classes defined in ``module`` that derive from
+    neither ValueError nor ``core.NumericFailure``: an error ``cli.main``
+    would not map to an exit code.  A private class is caught where it is
+    raised."""
+    return sorted(name for name, obj in vars(module).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__ and name[0] != "_"
+                  and not issubclass(obj, (ValueError, core.NumericFailure)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exceptions_map_to_exit_codes(path):
+    assert _stray_exceptions(importlib.import_module(f"costas_lab.{path.stem}")) == []
+
+
+def test_cli_main_catches_the_two_bases():
+    # with the guard above, these clauses cover every error raised on purpose
+    tree = ast.parse(inspect.getsource(cli.main))
+    assert [ast.unparse(node.type) for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler)] == ["(ValueError, OSError)", "NumericFailure"]
+
+
+def test_stray_exception_found():
+    module = ModuleType("stray")
+    for name, bases in (("Bad", (RuntimeError,)), ("Overflowed", (ArithmeticError,)),
+                        ("Fine", (KeyError, ValueError)), ("Failure", (core.NumericFailure,)),
+                        ("_Caught", (Exception,))):
+        setattr(module, name, type(name, bases, {"__module__": "stray"}))
+    module.Imported = RuntimeError      # a name imported, not defined, here
+    assert _stray_exceptions(module) == ["Bad", "Overflowed"]
