@@ -30,8 +30,9 @@ this call sequence.  An rhs call after the first that raises
 ArithmeticError or ValueError (``math.sin(inf)``: a state that left the
 float range) counts as a non-finite slope: RK4 ends the run blown up,
 RK45 rejects the attempt and quarters the step.  RK4 takes ceil(t_end/h)
-steps, the last one clipped to end on t_end; a run takes at most
-:data:`MAX_STEPS` RK4 steps or RK45 attempts.
+steps, each h or, where less time is left, the time left; the run ends
+at the sum of its steps, which may miss t_end by rounding.  A run takes
+at most :data:`MAX_STEPS` RK4 steps or RK45 attempts.
 
 The probe, the portrait and the CLI's phase fidelity build one phase rhs
 per run, ``types.MethodType(baseband.classic_rhs, model)``.  When its
@@ -43,9 +44,14 @@ counters and errors, with one Python call of ``classic_rhs``.  Any other
 rhs, a rebinding of ``baseband.classic_rhs`` made before the run (where
 a tracer counts the phase rhs) included, runs on the generic steppers
 and sees every call; ``rhs_calls`` counts slope evaluations on both
-paths.  On the pitfall model (Python 3.11, shared 2-core x86-64, best of
-15 runs in each of two processes) an RK4 step takes about 1.0-1.4 us and
-an accepted RK45 step 4.5-6.8 us (rtol 1e-8 and 1e-9).
+paths.  RK4 tests each new state finite.  The generic RK45 tests each
+stage slope as it comes, and the solution, so an rhs sees no call after
+a non-finite slope.  The built one tests none on its accepted path: a
+non-finite slope or solution leaves its error estimate NaN or inf, and
+only then, or when a stage raises, does it look for the first one.  On
+the pitfall model (Python 3.11, shared 2-core x86-64, best of 15 runs in
+each of two processes) an RK4 step takes about 0.9 us and an accepted
+RK45 step 3.1-3.4 us (rtol 1e-9 and 1e-8).
 """
 
 from __future__ import annotations
@@ -170,8 +176,7 @@ def _rk4_step_count(t_end: float, h: float) -> int:
 
 
 class _NonFinite(Exception):
-    """An RK45 attempt met a non-finite stage slope or solution after
-    ``args[0]`` of its six rhs calls."""
+    """An RK45 attempt met a non-finite stage slope or solution."""
 
 
 def _rk4_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
@@ -179,7 +184,9 @@ def _rk4_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
     ``ts``, ``xs`` and ``ths``; returns ``(rhs calls, 0, blown up)``.
 
     A step's first stage is the previous step's end slope (first same as
-    last); the last step is clipped to end on ``t_end``.  A non-finite
+    last).  A step is ``h`` or, where less time is left, ``t_end - t``;
+    the run ends at the sum of its steps.  ``0.5 * h`` and ``h / 6.0`` are
+    computed once, and again only for a shortened step.  A non-finite
     state ends the run, blown up, as does an rhs call that raises one of
     :data:`_FLOAT_ERRORS`; the run then counts the calls made.  A float v
     is tested finite as ``ninf < v < inf``, which a NaN fails, without a
@@ -189,12 +196,13 @@ def _rk4_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
     t_end, h0 = config.t_end, config.h
     put_t, put_x, put_th = ts.append, xs.append, ths.append
     t = 0.0
+    h, hh, h6 = h0, 0.5 * h0, h0 / 6.0
     for _ in range(_rk4_step_count(t_end, h0)):
         r = t_end - t
-        h = r if r < h0 else h0         # min(h0, r) without the call
-        if h <= 0:
-            break
-        hh = 0.5 * h
+        if r < h0:
+            if r <= 0:
+                break
+            h, hh, h6 = r, 0.5 * r, r / 6.0
         try:
             p2, q2 = rhs(t + hh, (a + hh * p1, b + hh * q1))
         except _FLOAT_ERRORS:
@@ -207,7 +215,6 @@ def _rk4_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
             p4, q4 = rhs(t + h, (a + h * p3, b + h * q3))
         except _FLOAT_ERRORS:
             return 4 * len(ts) - 1, 0, True
-        h6 = h / 6.0
         a = a + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
         b = b + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
         if not (ninf < a < inf and ninf < b < inf):
@@ -235,16 +242,22 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
     a step below :data:`H_MIN` ends the run, blown up.  An error estimate
     that stays above 1 (or is NaN) at :data:`H_MIN`, or more than
     :data:`MAX_STEPS` attempts, raises StiffnessError.  The tableau is
-    bound to locals once per run, and every min and max of the controller
-    is a comparison that picks the same float the builtin would.
+    bound to locals once per run, and every min, max and abs of the
+    controller is a comparison that picks the same float the builtin
+    would, up to the sign of a zero the error scale adds to ``atol > 0``.
+    The build of :func:`_inline_phase` drops the finiteness tests of the
+    slopes and the solution: an attempt stopped by a raise, or whose error
+    estimate is not finite, then finds the first non-finite slope by stage
+    order and counts the rhs calls the tests would have let it make.
     """
     (C2, C3, C4, C5, A21, A31, A32, A41, A42, A43, A51, A52, A53, A54,
      A61, A62, A63, A64, A65, B1, B2, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7) = _TABLEAU
     ninf, inf = -math.inf, math.inf
-    sqrt, h_min, max_steps = math.sqrt, H_MIN, MAX_STEPS
+    sqrt, isfinite, h_min, max_steps = math.sqrt, math.isfinite, H_MIN, MAX_STEPS
     t_end, rtol, atol = config.t_end, config.rtol, config.atol
     put_t, put_x, put_th = ts.append, xs.append, ths.append
     attempts = short = 0            # attempts, and rhs calls they did not make
+    p2 = q2 = p3 = q3 = p4 = q4 = p5 = q5 = p6 = q6 = 0.0   # read when an attempt stops
     t = 0.0
     h = min(config.h, t_end / 10.0)
     while t < t_end:
@@ -259,68 +272,80 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
             ha = h * A21
             p2, q2 = rhs(t + C2 * h, (a + ha * p1, b + ha * q1))
             if not (ninf < p2 < inf and ninf < q2 < inf):
-                raise _NonFinite(1)
+                raise _NonFinite
             ha, hb = h * A31, h * A32
             p3, q3 = rhs(t + C3 * h, (a + ha * p1 + hb * p2, b + ha * q1 + hb * q2))
             if not (ninf < p3 < inf and ninf < q3 < inf):
-                raise _NonFinite(2)
+                raise _NonFinite
             ha, hb, hc = h * A41, h * A42, h * A43
             p4, q4 = rhs(t + C4 * h, (a + ha * p1 + hb * p2 + hc * p3,
                                       b + ha * q1 + hb * q2 + hc * q3))
             if not (ninf < p4 < inf and ninf < q4 < inf):
-                raise _NonFinite(3)
-            ha, hb, hc, hd = h * A51, h * A52, h * A53, h * A54
+                raise _NonFinite
+            ha, hb, hc = h * A51, h * A52, h * A53
+            hd = h * A54
             p5, q5 = rhs(t + C5 * h, (a + ha * p1 + hb * p2 + hc * p3 + hd * p4,
                                       b + ha * q1 + hb * q2 + hc * q3 + hd * q4))
             if not (ninf < p5 < inf and ninf < q5 < inf):
-                raise _NonFinite(4)
-            ha, hb, hc, hd, he = h * A61, h * A62, h * A63, h * A64, h * A65
+                raise _NonFinite
+            ha, hb, hc = h * A61, h * A62, h * A63
+            hd, he = h * A64, h * A65
             p6, q6 = rhs(t + h, (a + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5,
                                  b + ha * q1 + hb * q2 + hc * q3 + hd * q4 + he * q5))
             if not (ninf < p6 < inf and ninf < q6 < inf):
-                raise _NonFinite(5)
-            ha, hb, hc, hd, he, hf = h * B1, h * B2, h * B3, h * B4, h * B5, h * B6
+                raise _NonFinite
+            ha, hb, hc = h * B1, h * B2, h * B3
+            hd, he, hf = h * B4, h * B5, h * B6
             p7, q7 = rhs(t + h, (a + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5 + hf * p6,
                                  b + ha * q1 + hb * q2 + hc * q3 + hd * q4 + he * q5 + hf * q6))
             if not (ninf < p7 < inf and ninf < q7 < inf):
-                raise _NonFinite(6)
+                raise _NonFinite
             a5 = a + h * (0.0 + B1 * p1 + B3 * p3 + B4 * p4 + B5 * p5 + B6 * p6)
             b5 = b + h * (0.0 + B1 * q1 + B3 * q3 + B4 * q4 + B5 * q5 + B6 * q6)
             if not (ninf < a5 < inf and ninf < b5 < inf):
-                raise _NonFinite(6)
-        except (_NonFinite, *_FLOAT_ERRORS) as stop:
-            if type(stop) is _NonFinite:
-                made = stop.args[0]
-            else:                   # ha = h * the first coefficient of its stage's row
-                made = [h * c for c in (A21, A31, A41, A51, A61, B1)].index(ha) + 1
-            short += 6 - made
-            h *= 0.25
-            if h < h_min:
-                return 6 * attempts - short, attempts - (len(ts) - 1), True
-            continue
-        a4 = a + h * (0.0 + E1 * p1 + E3 * p3 + E4 * p4 + E5 * p5 + E6 * p6 + E7 * p7)
-        b4 = b + h * (0.0 + E1 * q1 + E3 * q3 + E4 * q4 + E5 * q5 + E6 * q6 + E7 * q7)
-        sa, s5 = abs(a), abs(a5)
-        ea = (a5 - a4) / (atol + rtol * (s5 if s5 > sa else sa))
-        sa, s5 = abs(b), abs(b5)
-        eb = (b5 - b4) / (atol + rtol * (s5 if s5 > sa else sa))
-        err = sqrt((0.0 + ea * ea + eb * eb) / 2)
-        if err <= 1.0:
-            t, a, b, p1, q1 = t + h, a5, b5, p7, q7
-            put_t(t)
-            put_x(a)
-            put_th(b)
-        if err > 0:                 # h * min(5.0, max(0.2, 0.9 * err**-0.2))
-            factor = 0.9 * err ** -0.2
-            h = h * (5.0 if factor > 5.0 else factor if factor > 0.2 else 0.2)
-        elif err == 0:
-            h = h * 5.0
-        else:                       # NaN: shrink as for an infinite error
-            h = h * 0.2
+                raise _NonFinite
+        except (_NonFinite, *_FLOAT_ERRORS):
+            # stopped at the stage whose row ha starts (stage 7's at the solution)
+            made = (h * A21, h * A31, h * A41, h * A51, h * A61, h * B1).index(ha) + 1
+        else:
+            a4 = a + h * (0.0 + E1 * p1 + E3 * p3 + E4 * p4 + E5 * p5 + E6 * p6 + E7 * p7)
+            b4 = b + h * (0.0 + E1 * q1 + E3 * q3 + E4 * q4 + E5 * q5 + E6 * q6 + E7 * q7)
+            sa = a if a > 0 else -a     # abs(a), or -0.0 for 0.0
+            s5 = a5 if a5 > 0 else -a5
+            ea = (a5 - a4) / (atol + rtol * (s5 if s5 > sa else sa))
+            sa = b if b > 0 else -b
+            s5 = b5 if b5 > 0 else -b5
+            eb = (b5 - b4) / (atol + rtol * (s5 if s5 > sa else sa))
+            err = sqrt((0.0 + ea * ea + eb * eb) / 2)
+            if err < inf or all(map(isfinite, (p2, q2, p3, q3, p4, q4, p5, q5, p6, q6,
+                                                p7, q7, a5, b5))):
+                if err <= 1.0:
+                    t, a, b = t + h, a5, b5
+                    p1, q1 = p7, q7
+                    put_t(t)
+                    put_x(a)
+                    put_th(b)
+                if err > 0:         # h * min(5.0, max(0.2, 0.9 * err**-0.2))
+                    factor = 0.9 * err ** -0.2
+                    h = h * (5.0 if factor > 5.0 else factor if factor > 0.2 else 0.2)
+                elif err == 0:
+                    h = h * 5.0
+                else:               # NaN: shrink as for an infinite error
+                    h = h * 0.2
+                if h < h_min:
+                    h = h_min
+                if not err <= 1.0 and h <= h_min:
+                    raise StiffnessError(f"step size underflow at t={t:g}")
+                continue
+            made = 6                # a slope or the solution is not finite
+        for k, v in enumerate((p2, q2, p3, q3, p4, q4, p5, q5, p6, q6)[:2 * made - 2]):
+            if not ninf < v < inf:  # an earlier stage a built stepper did not test
+                made = k // 2 + 1
+                break
+        short += 6 - made
+        h *= 0.25
         if h < h_min:
-            h = h_min
-        if not err <= 1.0 and h <= h_min:
-            raise StiffnessError(f"step size underflow at t={t:g}")
+            return 6 * attempts - short, attempts - (len(ts) - 1), True
     return 6 * attempts - short, attempts - (len(ts) - 1), False
 
 
@@ -331,7 +356,16 @@ _STAGE = "{p} = scale * fn(freq * ({y}))\n{q} = dw0 - k0 * (({x}) / tau1 + ratio
 
 
 class _InlineStages(ast.NodeTransformer):
-    """Writes each stage call out as :data:`_STAGE`, at the call's position."""
+    """Writes each stage call out as :data:`_STAGE`, at the call's position,
+    and drops the tests ``if ...: raise _NonFinite``: a written-out stage
+    makes no call to stop, and every PD function gives NaN or raises on a
+    non-finite argument, so a non-finite slope reaches the error estimate."""
+
+    def visit_If(self, node):
+        match node:
+            case ast.If(body=[ast.Raise(exc=ast.Name(id="_NonFinite"))], orelse=[]):
+                return None
+        return self.generic_visit(node)
 
     def visit_Assign(self, node):
         match node:

@@ -604,8 +604,9 @@ def measure_pull_in_range(
     :func:`core.bisect` on the detuning, from a locking low end to a failing
     high end, down to ``resolution`` Hz or to adjacent floats.  Raises
     SearchError before any trial when an end of the bracket is not a
-    finite number, lo >= hi, or ``resolution`` is not a finite number > 0,
-    and after the end trials when the bracket premise does not hold.
+    finite number or its loop is refused by :meth:`LoopParams.with_offset`,
+    lo >= hi, or ``resolution`` is not a finite number > 0, and after the
+    end trials when the bracket premise does not hold.
     ``budget`` is the per-trial simulation time in seconds, either a
     constant or a callable of the trial offset (Hz) so callers can budget
     a multiple of the predicted pull-in time.  Deterministic given the
@@ -618,6 +619,11 @@ def measure_pull_in_range(
             check_real(value, name)
     except ValueError as exc:
         raise SearchError(str(exc)) from None
+    for value, name in ((lo, "low"), (hi, "high")):
+        try:                        # the loop the end's trial would run
+            loop.params.with_offset(TWO_PI * value)
+        except ValueError as exc:
+            raise SearchError(f"search {name} end {value:g} Hz: {exc}") from None
     if not lo < hi:
         raise SearchError("search bracket must satisfy lo < hi")
     if not resolution > 0:

@@ -1,9 +1,12 @@
+import ast
+import dis
 import importlib.util
 import inspect
 import math
 import os
 import subprocess
 import sys
+import textwrap
 import traceback
 from pathlib import Path
 from types import CodeType, FunctionType, MethodType, SimpleNamespace
@@ -931,6 +934,51 @@ class TestInlinePhaseSteppers:
         assert code_calls == rhs_calls > 1000
         assert rhs_calls == self._code_calls(MethodType(classic_rhs, model), method)[0]
 
+    # The built RK45 tests no slope as it goes.  The first two cases swap
+    # the pitfall model's PD function for one that gives NaN past
+    # 2*theta_e = -6, which the run reaches within 5 ms: an attempt whose
+    # stage state crosses it has a NaN slope there, where the generic
+    # stepper stops.  The built one runs on, to the end of the attempt
+    # (sin(nan) is NaN) or to the next stage, which raises (floor(nan)
+    # does).  From (1.1e306, 0.0) every slope is finite, near -1.6e308, and
+    # only the sums of the solution overflow.
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    @pytest.mark.parametrize("case", ["nan_completes", "nan_then_raises", "solution_only"])
+    def test_nonfinite_attempts_same_as_generic_and_reference(self, case, tol):
+        raised = []
+
+        def nan_past(v):
+            if case == "nan_then_raises" and math.isnan(v):
+                raised.append(v)
+                math.floor(v)
+            return math.nan if v > -6.0 else math.sin(v)
+
+        model, state0 = pitfall_example_model(), PITFALL_STATE0
+        if case == "solution_only":
+            state0 = (1.1e306, 0.0)
+        else:
+            object.__setattr__(model, "_rhs_consts", model._rhs_consts[:-1] + (nan_past,))
+        controls = dict(t_end=1.0, method="rk45", rtol=tol, atol=1e-2 * tol)
+        built = _phase_run(MethodType(classic_rhs, model), state0, controls)
+        built_raised, slopes = len(raised), []
+
+        def generic(t, y):
+            slopes.extend(classic_rhs(model, t, y))
+            return slopes[-2:]
+
+        assert built == _phase_run(generic, state0, controls)
+        ref = _ref_integrate(lambda t, y: classic_rhs(model, t, y), state0,
+                             IntegratorConfig(**controls))
+        assert built == (ref.t.tobytes(), ref.y.tobytes(), ref.rhs_calls, ref.rejected_steps,
+                         ref.blown_up)
+        # each run ends blown up; the generic stepper never raised, and it
+        # stopped attempts short of six calls exactly where a slope was NaN
+        attempts = len(ref.t) - 1 + ref.rejected_steps
+        assert ref.blown_up and len(raised) == built_raised
+        assert (ref.rhs_calls < 1 + 6 * attempts) == (case != "solution_only")
+        assert all(map(math.isfinite, slopes)) == (case == "solution_only")
+        assert (built_raised > 0) == (case == "nan_then_raises")
+
 
 # a stepper with one good stage call before the line under test (line 5)
 _STEPPER_SOURCE = '''
@@ -969,6 +1017,35 @@ class TestInlineBuild:
         assert "rhs" in steps.__code__.co_varnames and built.co_varnames[0] == "consts"
         codes = [built, *(c for c in built.co_consts if isinstance(c, CodeType))]
         assert all("rhs" not in c.co_names + c.co_varnames + c.co_freevars for c in codes)
+
+    def test_built_steppers_keep_no_cells_and_rk45_no_slope_tests(self):
+        # a cell variable turns each load of its name into a LOAD_DEREF; the
+        # built RK45 leaves its finiteness tests to its reject path
+        for steps in self.GENERIC:
+            built = ode._inline_phase(steps).__code__
+            assert built.co_cellvars == built.co_freevars == ()
+
+        def nonfinite_raises(func):
+            ops = list(dis.get_instructions(func))
+            return sum(op.opname == "LOAD_GLOBAL" and op.argval == "_NonFinite"
+                       and after.opname == "RAISE_VARARGS" for op, after in zip(ops, ops[1:]))
+
+        assert nonfinite_raises(ode._inline_phase(ode._rk45_steps)) == 0
+        assert nonfinite_raises(ode._rk45_steps) == 7
+
+    def test_generic_rk45_tests_each_slope_and_the_solution(self):
+        # right after the statement that computes it, so that an rhs sees
+        # no call after a non-finite slope
+        tree = ast.parse(textwrap.dedent(inspect.getsource(ode._rk45_steps)))
+        attempt = next(node for node in ast.walk(tree) if isinstance(node, ast.Try)).body
+        pairs = [(f"p{k}", f"q{k}") for k in range(2, 8)] + [("a5", "b5")]
+        tests = [(ast.unparse(before), ast.unparse(node))
+                 for before, node in zip(attempt, attempt[1:]) if isinstance(node, ast.If)]
+        assert [test for _, test in tests] == [
+            f"if not (ninf < {p} < inf and ninf < {q} < inf):\n    raise _NonFinite"
+            for p, q in pairs]
+        assert [before.split(" = ")[0] for before, _ in tests] == \
+            [f"{p}, {q}" for p, q in pairs[:-1]] + ["b5"]
 
     def test_stage_call_written_out_as_classic_rhs(self, tmp_path):
         model = pitfall_example_model()

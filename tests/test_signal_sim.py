@@ -891,6 +891,18 @@ class TestPullInSearch:
         with pytest.raises(SearchError, match=r"^search (low|high) end must be"):
             measure_pull_in_range(bpsk_source(), loop, search, budget=1e-3)
 
+    @pytest.mark.parametrize("search, end", [((60e3, 1e308), "high"), ((-1e308, 60e3), "low")])
+    def test_end_out_of_rad_range_refused_before_any_trial(self, bpsk_reference_params,
+                                                           monkeypatch, search, end):
+        # a finite end whose rad/s offset overflows: the low-end trial used
+        # to run, and the high end then raised a plain ValueError
+        calls = []
+        monkeypatch.setattr(signal_sim, "run_loop", lambda *args: calls.append(args))
+        loop = DigitalLoop(bpsk_reference_params, F_SAMP)
+        with pytest.raises(SearchError, match=rf"^search {end} end .* Hz: derived constant"):
+            measure_pull_in_range(bpsk_source(), loop, search, budget=1e-3)
+        assert calls == []
+
     @pytest.mark.parametrize("resolution", [0.0, -1e3, math.nan, math.inf])
     def test_bad_resolution_rejected_before_any_trial(self, bpsk_reference_params,
                                                       monkeypatch, resolution):
