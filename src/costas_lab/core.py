@@ -188,11 +188,14 @@ class LoopParams:
 
     def with_offset(self, delta_omega0: float) -> "LoopParams":
         """Same loop, retuned so that omega1 - omega_free = delta_omega0.
-        ValueError when that omega_free is not finite."""
+        ValueError when that omega_free is not finite or loses an offset != 0."""
         omega_free = self.omega1 - delta_omega0
         if not math.isfinite(omega_free):
             raise ValueError(f"derived constant delta_omega0 = {delta_omega0!r} is out of "
                              f"range: omega1 - delta_omega0 must be finite")
+        if delta_omega0 != 0 and self.omega1 - omega_free == 0:
+            raise ValueError(f"offset delta_omega0 = {delta_omega0!r} rad/s is below the "
+                             f"resolution of omega1 = {self.omega1!r} rad/s: it retunes to 0.0")
         return replace(self, omega_free=omega_free)
 
     def to_dict(self) -> dict:

@@ -13,20 +13,20 @@ separates equilibrium-convergent from cycle-convergent initial
 conditions.
 
 The rhs contract: the state has two components, (x_lf, theta_e) in every
-model here.  ``rhs(t, y)`` takes the time and the state as a tuple of two
-floats and returns the slope as any sequence of two floats (a tuple, a
-list or a 1-D ndarray).  The integrator steps the two components as
-plain floats, each stage written out per component, records the
-accepted steps in ``array('d')`` buffers and builds the trajectory's
-arrays from them once, at the end.  Costs: one rhs call at the start,
-then four per RK4 step (three stages and the end slope, which is also
-the next step's first stage: first same as last) and six per attempted
-RK45 step (the last stage is the end slope).  A rejected RK45 attempt
-costs the same six calls as an accepted one, unless it stops at a stage
-whose slope is not finite or whose rhs call raises: then it counts only
-the calls it made.  An rhs that carries state
-from call to call, as the delay model's rate seed does, sees exactly
-this call sequence.  An rhs call after the first that raises
+model here.  ``rhs(t, y)`` takes the time and the state as a tuple of
+two floats and returns the slope as any sequence of two floats (a tuple,
+a list or a 1-D ndarray).  The integrator steps the two components as
+plain floats, each stage written out per component.  RK4 takes its step
+times from one cumsum and stores state k in row k of the trajectory;
+RK45 appends its accepted steps to ``array('d')`` buffers.  Costs: one
+rhs call at the start, then four per RK4 step (three stages and the end
+slope, which is also the next step's first stage: first same as last)
+and six per attempted RK45 step (the last stage is the end slope).  A
+rejected RK45 attempt costs the same six calls as an accepted one,
+unless it stops at a stage whose slope is not finite or whose rhs call
+raises: then it counts only the calls it made.  An rhs that carries
+state from call to call, as the delay model's rate seed does, sees
+exactly this call sequence.  An rhs call after the first that raises
 ArithmeticError or ValueError (``math.sin(inf)``: a state that left the
 float range) counts as a non-finite slope: RK4 ends the run blown up,
 RK45 rejects the attempt and quarters the step.  RK4 takes ceil(t_end/h)
@@ -44,14 +44,16 @@ counters and errors, with one Python call of ``classic_rhs``.  Any other
 rhs, a rebinding of ``baseband.classic_rhs`` made before the run (where
 a tracer counts the phase rhs) included, runs on the generic steppers
 and sees every call; ``rhs_calls`` counts slope evaluations on both
-paths.  RK4 tests each new state finite.  The generic RK45 tests each
-stage slope as it comes, and the solution, so an rhs sees no call after
-a non-finite slope.  The built one tests none on its accepted path: a
-non-finite slope or solution leaves its error estimate NaN or inf, and
-only then, or when a stage raises, does it look for the first one.  On
-the pitfall model (Python 3.11, shared 2-core x86-64, best of 15 runs in
-each of two processes) an RK4 step takes about 0.9 us and an accepted
-RK45 step 3.1-3.4 us (rtol 1e-9 and 1e-8).
+paths.  The generic RK4 tests each new state finite; after a built run,
+``integrate`` ends the trajectory at the first non-finite state, found
+in one pass.  The generic RK45 tests each stage slope as it comes, and
+the solution, so an rhs sees no call after a non-finite slope.  The
+built one tests none on its accepted path: a non-finite slope or
+solution leaves its error estimate NaN or inf, and only then, or when a
+stage raises, does it look for the first one.  On the pitfall model
+(Python 3.11, shared 2-core x86-64, best of 15 runs in each of two
+processes) an RK4 step takes about 0.7 us and an accepted RK45 step
+3.1-3.4 us (rtol 1e-9 and 1e-8).
 """
 
 from __future__ import annotations
@@ -79,12 +81,13 @@ H_MIN = 1e-12   # smallest RK45 step; below it a run ends or raises
 
 # Most steps one run may take: RK4 steps (an RK4 config over it is refused
 # before it runs) or RK45 attempts (exceeding it raises StiffnessError).
-# Integrating peaks at about 41 B of traced memory per accepted step (the
-# three step buffers and the trajectory's state array), so a run at the
-# cap stays near 41 MB, and its trajectory.csv (about 57 B per row) near
-# 60 MB.  That is 9 times the longest run the tests or the benchmark make
-# (the probe's 110,000 RK4 steps at h = 1e-3; the longest RK45 run makes
-# 37,703 attempts).
+# An RK4 run peaks at about 26 B of traced memory per step (the
+# trajectory's times and states, and the built run's finiteness scan) and
+# an RK45 run at about 41 B per accepted step (three array('d') buffers
+# and the trajectory's state array): near 26 and 41 MB at the cap, with a
+# trajectory.csv (about 57 B per row) near 60 MB.  That is 9 times the
+# longest run the tests or the benchmark make (the probe's 110,000 RK4
+# steps at h = 1e-3; the longest RK45 run makes 37,703 attempts).
 MAX_STEPS = 1_000_000
 
 
@@ -176,64 +179,73 @@ def _rk4_step_count(t_end: float, h: float) -> int:
 
 
 class _NonFinite(Exception):
-    """An RK45 attempt met a non-finite stage slope or solution."""
+    """An RK4 state, or an RK45 stage slope or solution, is not finite."""
 
 
-def _rk4_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
-    """Fixed steps from (0, (a, b)), whose slope is (p1, q1), appended to
-    ``ts``, ``xs`` and ``ths``; returns ``(rhs calls, 0, blown up)``.
-
-    A step's first stage is the previous step's end slope (first same as
-    last).  A step is ``h`` or, where less time is left, ``t_end - t``;
-    the run ends at the sum of its steps.  ``0.5 * h`` and ``h / 6.0`` are
-    computed once, and again only for a shortened step.  A non-finite
-    state ends the run, blown up, as does an rhs call that raises one of
-    :data:`_FLOAT_ERRORS`; the run then counts the calls made.  A float v
-    is tested finite as ``ninf < v < inf``, which a NaN fails, without a
-    call.
-    """
-    ninf, inf = -math.inf, math.inf
-    t_end, h0 = config.t_end, config.h
-    put_t, put_x, put_th = ts.append, xs.append, ths.append
-    t = 0.0
-    h, hh, h6 = h0, 0.5 * h0, h0 / 6.0
-    for _ in range(_rk4_step_count(t_end, h0)):
+def _rk4_grid(t_end: float, h0: float):
+    """An RK4 run's step times and its ``(step indices, h)`` segments: the
+    full steps' times are one cumsum of h0, bit for bit ``t = t + h0``, and
+    each shortened last step (usually none or one) is the time left."""
+    n = _rk4_step_count(t_end, h0)
+    ts = np.full(n + 1, h0)
+    ts[0] = 0.0
+    np.cumsum(ts, out=ts)
+    k = next((k for k in range(n, 0, -1) if t_end - ts[k - 1] >= h0), 0)   # 1..k are full
+    segments, t, h = [(range(1, k + 1), h0)], float(ts[k]), h0
+    for k in range(k + 1, n + 1):
         r = t_end - t
         if r < h0:
             if r <= 0:
-                break
-            h, hh, h6 = r, 0.5 * r, r / 6.0
-        try:
-            p2, q2 = rhs(t + hh, (a + hh * p1, b + hh * q1))
-        except _FLOAT_ERRORS:
-            return 4 * len(ts) - 3, 0, True
-        try:
-            p3, q3 = rhs(t + hh, (a + hh * p2, b + hh * q2))
-        except _FLOAT_ERRORS:
-            return 4 * len(ts) - 2, 0, True
-        try:
-            p4, q4 = rhs(t + h, (a + h * p3, b + h * q3))
-        except _FLOAT_ERRORS:
-            return 4 * len(ts) - 1, 0, True
-        a = a + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-        b = b + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-        if not (ninf < a < inf and ninf < b < inf):
-            return 4 * (len(ts) - 1) + 3, 0, True
-        t = t + h
-        put_t(t)
-        put_x(a)
-        put_th(b)
-        try:
-            p1, q1 = rhs(t, (a, b))
-        except _FLOAT_ERRORS:
-            return 4 * (len(ts) - 1), 0, True
-    return 4 * (len(ts) - 1), 0, False
+                return ts[:k], segments
+            h = r
+        t = ts[k] = t + h
+        segments.append((range(k, k + 1), h))
+    return ts, segments
+
+
+def _rk4_steps(rhs, a, b, p1, q1, segments, ts, xs, ths):
+    """Fixed steps from (0, (a, b)), whose slope is (p1, q1), over the
+    segments of :func:`_rk4_grid`, step k ending at ``ts[k]`` with its
+    state in ``xs[k]`` and ``ths[k]``; returns ``(rhs calls, blown up)``,
+    and the run keeps ``calls // 4 + 1`` states.  A step's first stage is
+    the previous end slope (first same as last).  A non-finite state ends
+    the run, blown up, as does an rhs call that raises one of
+    :data:`_FLOAT_ERRORS`; the run then counts the calls made.  A float v
+    is tested finite as ``ninf < v < inf``, which a NaN fails, without a
+    call.  The build of :func:`_inline_phase` drops that test, and its
+    stages read no step time."""
+    ninf, inf = -math.inf, math.inf
+    for ks, h in segments:
+        hh, h6 = 0.5 * h, h / 6.0
+        for k in ks:
+            try:
+                p2, q2 = rhs(ts[k - 1] + hh, (a + hh * p1, b + hh * q1))
+            except _FLOAT_ERRORS:
+                return 4 * k - 3, True
+            try:
+                p3, q3 = rhs(ts[k - 1] + hh, (a + hh * p2, b + hh * q2))
+            except _FLOAT_ERRORS:
+                return 4 * k - 2, True
+            try:
+                p4, q4 = rhs(ts[k], (a + h * p3, b + h * q3))
+                a = a + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+                b = b + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+                if not (ninf < a < inf and ninf < b < inf):
+                    raise _NonFinite
+            except (_NonFinite, *_FLOAT_ERRORS):    # either way, three calls made
+                return 4 * k - 1, True
+            xs[k], ths[k] = a, b
+            try:
+                p1, q1 = rhs(ts[k], (a, b))
+            except _FLOAT_ERRORS:
+                return 4 * k, True
+    return 4 * (len(xs) - 1), False
 
 
 def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
-    """Adaptive Dormand-Prince steps under the elementary controller, as
-    :func:`_rk4_steps` records them; returns ``(rhs calls, rejected
-    attempts, blown up)``.
+    """Adaptive Dormand-Prince steps under the elementary controller, each
+    accepted step appended to ``ts``, ``xs`` and ``ths``; returns ``(rhs
+    calls, rejected attempts, blown up)``.
 
     Each stage state is ``y + (h*a1)*k1 + ...`` and each solution
     ``y + h*(0.0 + b1*k1 + ...)``, term by term.  A non-finite attempt (a
@@ -359,7 +371,8 @@ class _InlineStages(ast.NodeTransformer):
     """Writes each stage call out as :data:`_STAGE`, at the call's position,
     and drops the tests ``if ...: raise _NonFinite``: a written-out stage
     makes no call to stop, and every PD function gives NaN or raises on a
-    non-finite argument, so a non-finite slope reaches the error estimate."""
+    non-finite argument, so a non-finite slope reaches RK45's error
+    estimate or RK4's state."""
 
     def visit_If(self, node):
         match node:
@@ -416,14 +429,28 @@ def integrate(rhs: RhsFn, state0: Sequence[float], config: IntegratorConfig) -> 
     (a, b), (p, q) = y, f0
     if not (math.isfinite(p) and math.isfinite(q)):
         raise ValueError("right-hand side not finite at the initial state")
-    ts, xs, ths = array("d", [0.0]), array("d", [a]), array("d", [b])
     steps = _rk4_steps if config.method == "rk4" else _rk45_steps
-    if (type(rhs) is MethodType and rhs.__func__ is _CLASSIC_RHS
-            and isinstance(rhs.__self__, ClassicPhaseModel)):
+    built = (type(rhs) is MethodType and rhs.__func__ is _CLASSIC_RHS
+             and isinstance(rhs.__self__, ClassicPhaseModel))
+    if built:
         rhs, steps = rhs.__self__._rhs_consts, _inline_phase(steps)
-    calls, rejected, blown_up = steps(rhs, a, b, p, q, config, ts, xs, ths)
-    return Trajectory(np.frombuffer(ts), np.column_stack((xs, ths)), blown_up=blown_up,
-                      rhs_calls=1 + calls, rejected_steps=rejected)
+    if config.method == "rk45":
+        ts, xs, ths = array("d", [0.0]), array("d", [a]), array("d", [b])
+        calls, rejected, blown_up = steps(rhs, a, b, p, q, config, ts, xs, ths)
+        return Trajectory(np.frombuffer(ts), np.column_stack((xs, ths)), blown_up=blown_up,
+                          rhs_calls=1 + calls, rejected_steps=rejected)
+    ts, segments = _rk4_grid(config.t_end, config.h)
+    ys = np.empty((len(ts), 2))
+    ys[0] = y
+    views = memoryview(ts), memoryview(ys[:, 0]), memoryview(ys[:, 1])
+    calls, blown_up = steps(rhs, a, b, p, q, segments, *views)
+    if built:                       # the state test the build dropped, in one pass
+        ok = np.isfinite(ys[1:calls // 4 + 1].ravel())
+        if not ok.all():
+            calls, blown_up = 4 * (int(ok.argmin()) // 2 + 1) - 1, True
+    n = calls // 4 + 1              # a run that ended early keeps only its own steps
+    kept = (ts, ys) if n == len(ts) else (ts[:n].copy(), ys[:n].copy())
+    return Trajectory(*kept, blown_up=blown_up, rhs_calls=1 + calls)
 
 
 # --- lock verdicts ----------------------------------------------------------

@@ -783,6 +783,21 @@ def test_offset_past_the_float_range_exits_2(tmp_path, capsys, argv, cfg):
     assert_derived_refusal(tmp_path, capsys, argv, cfg, "delta_omega0 = inf is out of range")
 
 
+# An offset below half an ulp of the designed omega1 (2.3e-10 rad/s at
+# 400 kHz) retuned the loop to a zero offset: the averaged fidelity refused
+# it as a derived zero, and the signal fidelity ran at zero offset
+@pytest.mark.parametrize("cfg", [{**AVERAGED_CFG, "delta_f0": 1e-300},
+                                 {**BASE_SIGNAL_CFG, "delta_f0": 1e-12}],
+                         ids=["averaged", "signal"])
+def test_offset_below_omega1_resolution_exits_2(tmp_path, capsys, cfg):
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: offset delta_omega0 = {2.0 * math.pi * cfg['delta_f0']!r} "
+                          "rad/s is below the resolution of omega1 = ")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
 class TestSweepCommand:
     @pytest.mark.parametrize("variant,divisor", [("bpsk", "2*C*zeta*omega_n^3"),
                                                  ("mod_bpsk", "zeta*omega_n^3")])

@@ -138,6 +138,17 @@ class TestPhaseHelpers:
                                              r"range: omega1 - delta_omega0 must be finite"):
             p.with_offset(delta_omega0)
 
+    def test_with_offset_refuses_an_offset_lost_in_omega1(self):
+        # at 400 kHz half an ulp of omega1 is 2.3e-10 rad/s: 2e-10 would
+        # retune to a zero offset, 1e-9 to 9.3e-10
+        p = LoopParams(2 * math.pi * 400e3, 2 * math.pi * 400e3, 1e6, 1.0, 2e-5, 4e-6)
+        with pytest.raises(ValueError, match=r"^offset delta_omega0 = 2e-10 rad/s is below the "
+                                             r"resolution of omega1 = 2513274.1228718343 rad/s"):
+            p.with_offset(2e-10)
+        assert p.with_offset(0.0).delta_omega0 == 0.0
+        assert p.with_offset(1e-9).delta_omega0 == pytest.approx(1e-9, rel=0.1)
+        assert p.with_offset(1e-9).delta_omega0 != 1e-9
+
     def test_cycle_slip_count_monotone_ramp(self):
         theta = np.linspace(0.0, 5.2 * math.pi, 4000)
         assert count_cycle_slips(theta, math.pi) == 5

@@ -118,6 +118,9 @@ class TestIntegrate:
         traj = integrate(rhs, (1.0, 0.0), cfg)
         assert traj.blown_up
         assert traj.t[-1] < 10.0
+        # it holds only its own steps, not the arrays of a 100-step run
+        for a in (traj.t, traj.y):
+            assert a.base is None or memoryview(a.base).nbytes == a.nbytes
 
     def test_nonfinite_initial_rhs_rejected(self):
         def rhs(t, y):
@@ -350,8 +353,8 @@ class TestStepCap:
 # --- equivalence with the generic engine ----------------------------------------
 # The generic per-component tuple engine the two-float steppers replaced, kept
 # as the reference: both must make the same float operations, in the same
-# order, and the same rhs calls.  Every case's t_end is a multiple of its h,
-# where this engine's round(t_end/h) steps and the ceiling rule agree.
+# order, and the same rhs calls.  Its RK4 takes the documented step count,
+# ceil(t_end/h * (1 - 1e-9)) and at least one, each step h or the time left.
 
 _R_C2, _R_C3, _R_C4, _R_C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _R_A21 = 1 / 5
@@ -425,20 +428,29 @@ def _ref_dp_attempt(f, t, y, k1, h):
 
 
 def _ref_rk4_steps(rhs, y, f0, config, counts):
+    calls = []
+
+    def f(t, y):                # rhs, counting every call, one that raises too
+        calls.append(t)
+        return rhs(t, y)
+
     t = 0.0
-    for _ in range(max(1, int(round(config.t_end / config.h)))):
+    for _ in range(max(1, math.ceil(config.t_end / config.h * (1.0 - 1e-9)))):
         h = min(config.h, config.t_end - t)
         if h <= 0:
-            return
-        y1 = _ref_rk4_step(rhs, t, y, f0, h)
-        if not _ref_finite(y1):
-            counts[0] += 3
+            break
+        try:
+            y1 = _ref_rk4_step(f, t, y, f0, h)
+            if not _ref_finite(y1):
+                counts[2] = True
+                break
+            t, y = t + h, y1
+            yield t, y
+            f0 = f(t, y)
+        except (ArithmeticError, ValueError):   # a float error ends the run
             counts[2] = True
-            return
-        f0 = rhs(t + h, y1)
-        counts[0] += 4
-        t, y = t + h, y1
-        yield t, y
+            break
+    counts[0] += len(calls)
 
 
 def _ref_rk45_steps(rhs, y, f0, config, counts):
@@ -587,6 +599,11 @@ def _floor_at_h_min_rhs():
 EQUIVALENCE_CASES = {     # rhs factory, state0, integrator controls
     "pitfall-rk4": (_pitfall_rhs, PITFALL_STATE0,
                     dict(t_end=PITFALL_T_END, method="rk4", h=2e-2)),
+    # off the grid: a shortened last step of 0.1, and 14 steps where
+    # 2.1/0.15 is 14.000000000000002
+    "off_grid-rk4": (_pitfall_rhs, PITFALL_STATE0, dict(t_end=1.0, method="rk4", h=0.3)),
+    "off_grid_rounded-rk4": (_pitfall_rhs, PITFALL_STATE0,
+                             dict(t_end=2.1, method="rk4", h=0.15)),
     "pitfall-rk45": (_pitfall_rhs, PITFALL_STATE0,
                      dict(t_end=20.0, method="rk45", rtol=1e-9, atol=1e-11)),
     "delay-rk45": (_delay_rhs, (0.0, 1.1), dict(t_end=1e-4, method="rk45")),
@@ -979,6 +996,49 @@ class TestInlinePhaseSteppers:
         assert all(map(math.isfinite, slopes)) == (case == "solution_only")
         assert (built_raised > 0) == (case == "nan_then_raises")
 
+    # The built RK4 tests no state: integrate finds the first non-finite
+    # one after the run.  Each case swaps the pitfall model's PD function
+    # for one that, past 2*theta_e = -6 (5 ms into the run), gives NaN (the
+    # state turns NaN, and the built run goes on to the end of its grid),
+    # gives 1.5e308 (theta_e's slope overflows, the state turns infinite
+    # and the next stage's sin(-inf) raises) or raises while the state is
+    # finite.
+    @pytest.mark.parametrize("case", ["nan_state", "inf_state_then_raises", "raise_at_finite"])
+    def test_rk4_nonfinite_states_same_as_generic_and_reference(self, case):
+        calls, raised = [], []
+
+        def past(v):
+            calls.append(v)
+            if v > -6.0:
+                if case == "raise_at_finite":
+                    raised.append(v)
+                    raise ValueError("math domain error")
+                return math.nan if case == "nan_state" else 1.5e308
+            try:
+                return math.sin(v)
+            except ValueError:
+                raised.append(v)
+                raise
+
+        model = pitfall_example_model()
+        object.__setattr__(model, "_rhs_consts", model._rhs_consts[:-1] + (past,))
+        controls = dict(t_end=1.0, method="rk4", h=1e-3)
+        built = _phase_run(MethodType(classic_rhs, model), PITFALL_STATE0, controls)
+        built_calls, built_raised = len(calls), len(raised)
+        assert built == _phase_run(lambda t, y: classic_rhs(model, t, y), PITFALL_STATE0, controls)
+        generic_raised = len(raised) - built_raised
+        ref = _ref_integrate(lambda t, y: classic_rhs(model, t, y), PITFALL_STATE0,
+                             IntegratorConfig(**controls))
+        assert built == (ref.t.tobytes(), ref.y.tobytes(), ref.rhs_calls, 0, ref.blown_up)
+        assert ref.blown_up and 2 < len(ref.t) < 100 and np.isfinite(ref.y).all()
+        # where each run stopped: the built NaN run went through its 1,000
+        # steps, the built inf run raised at the stage after the state
+        # overflowed (the generic one stopped at its test), and both
+        # raising runs raised
+        assert (built_calls == 1 + 4 * 1000) == (case == "nan_state")
+        assert (built_raised, generic_raised) == {
+            "nan_state": (0, 0), "inf_state_then_raises": (1, 0), "raise_at_finite": (1, 1)}[case]
+
 
 # a stepper with one good stage call before the line under test (line 5)
 _STEPPER_SOURCE = '''
@@ -1032,6 +1092,14 @@ class TestInlineBuild:
 
         assert nonfinite_raises(ode._inline_phase(ode._rk45_steps)) == 0
         assert nonfinite_raises(ode._rk45_steps) == 7
+        # the built RK4 tests no state, appends nothing and reads no step
+        # time: the times appear only in the stage calls it writes out
+        built = ode._inline_phase(ode._rk4_steps)
+        assert nonfinite_raises(built) == 0 and nonfinite_raises(ode._rk4_steps) == 1
+        for steps in (built, ode._rk4_steps):
+            reads = {op.argval for op in dis.get_instructions(steps) if op.opname == "LOAD_FAST"}
+            assert "append" not in steps.__code__.co_names and "t" not in reads
+            assert ("ts" in reads) == (steps is ode._rk4_steps)
 
     def test_generic_rk45_tests_each_slope_and_the_solution(self):
         # right after the statement that computes it, so that an rhs sees
@@ -1074,9 +1142,13 @@ class TestInlineBuild:
             raise _StageError
 
         consts = pitfall_example_model()._rhs_consts[:-1] + (fn,)
-        config = IntegratorConfig(t_end=1.0, method="rk4" if steps is ode._rk4_steps else "rk45")
+        if steps is ode._rk4_steps:
+            t, segments = ode._rk4_grid(1.0, 1e-3)
+            run = (segments, memoryview(t), *(memoryview(np.empty(len(t))) for _ in "xy"))
+        else:
+            run = (IntegratorConfig(t_end=1.0), [0.0], [0.0], [0.0])
         with pytest.raises(_StageError) as info:
-            ode._inline_phase(steps)(consts, 0.0, 0.0, 1.0, 1.0, config, [0.0], [0.0], [0.0])
+            ode._inline_phase(steps)(consts, 0.0, 0.0, 1.0, 1.0, *run)
         frame = traceback.extract_tb(info.value.__traceback__)[-2]
         lines, first = inspect.getsourcelines(steps)
         assert frame.filename == ode.__file__

@@ -652,6 +652,18 @@ class TestRecordingEquivalence:
         out = x.copy()
         np.cumsum(out, out=out)
         assert out.tobytes() == expect.tobytes()
+        # ode's RK4 grid: 0.0 and then a constant h, summed in place, is the
+        # running t = t + h over the probe's 110 s and README's 1.0 and 2.1 s
+        for h in (2e-2, 1e-2, 1e-3, 0.3, 0.15):
+            for t_end in (110.0, 1.0, 2.1):
+                grid = np.full(math.ceil(t_end / h) + 1, h)
+                grid[0] = 0.0
+                np.cumsum(grid, out=grid)
+                t, expect = 0.0, [0.0]
+                for _ in range(len(grid) - 1):
+                    t = t + h
+                    expect.append(t)
+                assert grid.tobytes() == np.array(expect).tobytes(), (h, t_end)
 
     def test_callers_record_only_what_they_read(self, tmp_path, capsys, monkeypatch,
                                                 bpsk_reference_params):
