@@ -136,6 +136,43 @@ class TestDesignCommand:
         out = json.loads(capsys.readouterr().out)
         assert abs(out["params"]["k0"] - 6.31e5) / 6.31e5 < 0.01
 
+    # SHA-256 of `design --variant V --pd-flavor F --f0 400e3 --fs 100e3
+    # --m M` stdout, for each (variant, PD flavor) pair at m = 1 and 0.7:
+    # the params and the prediction report, as the report's JSON writes them
+    DESIGN_STDOUT = {
+        ("bpsk", "mul_mul", "1"):
+            "46aa9278403d4f1bdbb9850b18a5697aa6879a38284c593259ac1cd027ce5d19",
+        ("bpsk", "mul_mul", "0.7"):
+            "084374262af44b53f49caffb3fe64c458f55c63273334068c87c4aef9ed6799c",
+        ("qpsk", "sgn_cross", "1"):
+            "fbdfc0d454e15306d4189852da89f826dbf7068391fd35e3cf131f17355efd52",
+        ("qpsk", "sgn_cross", "0.7"):
+            "c3a4f60960d56db4917cd7e3438e9dccfa86266364120527ff2b50b66418edb1",
+        ("mod_bpsk", "complex_phase", "1"):
+            "53cae47b68e7a79d0ce34498350716c8ba9dc61b007b84b3d8f9e906e07f3c00",
+        ("mod_bpsk", "complex_phase", "0.7"):
+            "53cae47b68e7a79d0ce34498350716c8ba9dc61b007b84b3d8f9e906e07f3c00",
+        ("mod_bpsk", "complex_imag", "1"):
+            "684414b166669c98aa094c5b57e4db93b1dd365466a2dbafdb7d69239fac27b2",
+        ("mod_bpsk", "complex_imag", "0.7"):
+            "60b344914c91f0c77df18d14111c6136792efb8428b7a3189981c1c9ececb845",
+        ("mod_qpsk", "complex_phase", "1"):
+            "b8f7907221631cb52eba6d1923941dc36291fde235569231dcd9a113217b1dc6",
+        ("mod_qpsk", "complex_phase", "0.7"):
+            "b8f7907221631cb52eba6d1923941dc36291fde235569231dcd9a113217b1dc6",
+        ("mod_qpsk", "complex_imag", "1"):
+            "d7eb6fbd8c79e4ad0d666f5bcdfe6f1e5dbda86460c8c371675d916f0bbc2fbd",
+        ("mod_qpsk", "complex_imag", "0.7"):
+            "423e3325068764f78f64fed7be059c6f41efd30285e37f48ac861242c417548f",
+    }
+
+    @pytest.mark.parametrize("variant,flavor,m", sorted(DESIGN_STDOUT))
+    def test_stdout_digest(self, capsys, variant, flavor, m):
+        assert main(["design", "--variant", variant, "--pd-flavor", flavor,
+                     "--f0", "400e3", "--fs", "100e3", "--m", m]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.DESIGN_STDOUT[(variant, flavor, m)]
+
     def test_missing_f0_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["design", "--variant", "bpsk", "--fs", "100e3"])
@@ -214,6 +251,30 @@ class TestPredictCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["leadlag_hold_in"]["case"] == "wide-lpf"
         assert out["leadlag_hold_in"]["intervals"][0][1] > 0
+
+    # SHA-256 of `predict --params <designed bpsk> --variant bpsk --leadlag
+    # L` stdout for one lead-lag case each: the report and the hold-in
+    # intervals as the JSON writes them
+    LEADLAG_STDOUT = {
+        "1e-4,2e-5,1e6": ("wide-lpf",
+                          "a1778fe0248e8cb780a4662d0af0c85acab74a8678d884145feef51c5092d307"),
+        "1e-4,2e-5,3.99e4": ("narrow-lpf-full",
+                             "899e9261840d956df1141a64be02458eb0c588c6ba803e3dc6e23c8f89d1105d"),
+        "1e-4,2e-5,1e4": ("narrow-lpf-split",
+                          "196e19fe700e4cdd4b934b2471fb124deb45ba6fba49391be5aa189787ccc480"),
+    }
+
+    @pytest.mark.parametrize("leadlag", sorted(LEADLAG_STDOUT))
+    def test_leadlag_stdout_digest(self, tmp_path, capsys, leadlag):
+        assert main(["design", "--variant", "bpsk", "--f0", "400e3", "--fs", "100e3",
+                     "-o", str(tmp_path / "p.json")]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--params", str(tmp_path / "p.json"),
+                     "--variant", "bpsk", "--leadlag", leadlag]) == 0
+        out = capsys.readouterr().out
+        case, digest = self.LEADLAG_STDOUT[leadlag]
+        assert json.loads(out)["leadlag_hold_in"]["case"] == case
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("leadlag", ["inf,1e-5,1e6", "1e-4,2e-5,nan", "1e-4,nan,1e6"])
     def test_non_finite_leadlag_exits_2(self, tmp_path, capsys, leadlag):
