@@ -15,7 +15,6 @@ from .core import (
 )
 from .analysis import (
     DesignSpec,
-    PredictionReport,
     averaged_rhs,
     averaged_ud,
     design,

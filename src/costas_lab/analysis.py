@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
 
 from .core import CONVENTIONAL_BPSK, CONVENTIONAL_QPSK, MODIFIED_BPSK, MODIFIED_QPSK
 from .core import LoopParams, LoopVariant, PdFlavor, VariantTag, bisect, check_real
@@ -362,7 +361,8 @@ def averaged_pull_in_time_numeric(params: LoopParams, variant: LoopVariant,
 
 @dataclass(frozen=True)
 class HoldInResult:
-    """Hold-in ranges as intervals of |delta_omega0|, with provenance."""
+    """Hold-in ranges as intervals of |delta_omega0|, with provenance;
+    ``dataclasses.asdict`` gives its JSON object."""
 
     intervals: tuple[tuple[float, float], ...]
     unbounded: bool
@@ -374,14 +374,6 @@ class HoldInResult:
         if self.unbounded:
             return True
         return any(lo < v < hi for lo, hi in self.intervals)
-
-    def to_dict(self) -> dict:
-        return {
-            "intervals": [list(iv) for iv in self.intervals],
-            "unbounded": self.unbounded,
-            "formula_id": self.formula_id,
-            "case": self.case,
-        }
 
 
 def hold_in_pi(params: LoopParams) -> HoldInResult:
@@ -456,41 +448,11 @@ def hold_in_leadlag(
 
 # --- prediction report ------------------------------------------------------
 
-@dataclass
-class PredictionReport:
-    """Closed-form acquisition metrics for one variant, with provenance."""
-
-    variant: LoopVariant
-    delta_omega_l: float
-    t_l: float
-    delta_omega_p: float            # math.inf marks the unbounded case
-    delta_omega_p_numeric: Optional[float]
-    hold_in: HoldInResult
-    formula_ids: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant.tag.value,
-            "pd_flavor": self.variant.pd_flavor.value,
-            "delta_omega_l": self.delta_omega_l,
-            "lock_in_hz": self.delta_omega_l / TWO_PI,
-            "t_l": self.t_l,
-            "delta_omega_p": (
-                "unbounded" if math.isinf(self.delta_omega_p) else self.delta_omega_p
-            ),
-            "delta_omega_p_numeric": self.delta_omega_p_numeric,
-            "pull_in_hz": (
-                "unbounded"
-                if math.isinf(self.delta_omega_p)
-                else self.delta_omega_p / TWO_PI
-            ),
-            "hold_in": self.hold_in.to_dict(),
-            "formula_ids": self.formula_ids,
-        }
-
-
-def predict(params: LoopParams, variant: LoopVariant) -> PredictionReport:
-    """Full acquisition report for one designed loop."""
+def predict(params: LoopParams, variant: LoopVariant) -> dict:
+    """Acquisition report for one designed loop, the dict ``design`` and
+    ``predict`` print: the lock-in range and time, the pull-in range
+    (``"unbounded"`` for the modified loops) beside its bisection oracle,
+    the hold-in range, and each value's formula id."""
     dw_l = lock_in_range(params, variant)
     t_l = lock_time(params)
     if variant.is_modified:
@@ -501,22 +463,24 @@ def predict(params: LoopParams, variant: LoopVariant) -> PredictionReport:
         dw_p_num = pull_in_range_numeric(params, variant)
         pullin_tag = "pull-in:phase-lag-pi/2-closed-form"
     hold = hold_in_pi(params)
-    _, lock_in_id, _, pull_in_time_id = _PULL_IN_TIME[variant]
-    formula_ids = {
-        "delta_omega_l": lock_in_id,
-        "t_l": "lock-time:2pi/omega_n",
-        "delta_omega_p": pullin_tag,
-        "t_p": pull_in_time_id,
-        "hold_in": hold.formula_id,
-    }
     if dw_l > dw_p:
         raise RangeError("lock-in range exceeds pull-in range; degenerate design")
-    return PredictionReport(
-        variant=variant,
-        delta_omega_l=dw_l,
-        t_l=t_l,
-        delta_omega_p=dw_p,
-        delta_omega_p_numeric=dw_p_num,
-        hold_in=hold,
-        formula_ids=formula_ids,
-    )
+    _, lock_in_id, _, pull_in_time_id = _PULL_IN_TIME[variant]
+    return {
+        "variant": variant.tag.value,
+        "pd_flavor": variant.pd_flavor.value,
+        "delta_omega_l": dw_l,
+        "lock_in_hz": dw_l / TWO_PI,
+        "t_l": t_l,
+        "delta_omega_p": "unbounded" if math.isinf(dw_p) else dw_p,
+        "delta_omega_p_numeric": dw_p_num,
+        "pull_in_hz": "unbounded" if math.isinf(dw_p) else dw_p / TWO_PI,
+        "hold_in": asdict(hold),
+        "formula_ids": {
+            "delta_omega_l": lock_in_id,
+            "t_l": "lock-time:2pi/omega_n",
+            "delta_omega_p": pullin_tag,
+            "t_p": pull_in_time_id,
+            "hold_in": hold.formula_id,
+        },
+    }

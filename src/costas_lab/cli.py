@@ -27,6 +27,7 @@ import json
 import math
 import shutil
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from types import MethodType
 
@@ -40,7 +41,6 @@ from .analysis import (
     design,
     hold_in_leadlag,
     predict,
-    pull_in_time,
     pull_in_time_formula,
 )
 from .baseband import ClassicPhaseModel, DelayModel, classic_rhs, delay_rhs
@@ -221,12 +221,7 @@ def cmd_design(args) -> int:
         omega_t_ratio=args.ratio, tau1=args.tau1, m=args.m,
     )
     params = design(spec)
-    report = predict(params, variant)
-    out = {
-        "schema": 1,
-        "params": params.to_dict(),
-        "prediction": report.to_dict(),
-    }
+    out = {"schema": 1, "params": params.to_dict(), "prediction": predict(params, variant)}
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.output:
         Path(args.output).write_text(text + "\n")
@@ -241,15 +236,13 @@ def cmd_predict(args) -> int:
         blob = blob["params"]
     params = LoopParams.from_dict(blob)
     variant = LoopVariant.from_name(args.variant, args.pd_flavor)
-    report = predict(params, variant)
-    out = {"schema": 1, "prediction": report.to_dict()}
+    out = {"schema": 1, "prediction": predict(params, variant)}
     if args.leadlag:
         try:
             tau1, tau2, omega3 = (float(x) for x in args.leadlag.split(","))
         except ValueError:   # not three values, or not numbers
             raise CliError(f"--leadlag takes TAU1,TAU2,OMEGA3, got {args.leadlag!r}") from None
-        hold = hold_in_leadlag(params.k0, params.kd, tau1, tau2, omega3)
-        out["leadlag_hold_in"] = hold.to_dict()
+        out["leadlag_hold_in"] = asdict(hold_in_leadlag(params.k0, params.kd, tau1, tau2, omega3))
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
@@ -319,7 +312,7 @@ def cmd_simulate(args) -> int:
         summary = {
             "schema": 1,
             "pull_in_time_numeric": t_p,
-            "pull_in_time_formula": pull_in_time(params, variant, dw0),
+            "pull_in_time_formula": pull_in_time_formula(params, variant, dw0),
             "params": params.to_dict(),
         }
         outdir.mkdir(parents=True, exist_ok=True)
