@@ -30,9 +30,10 @@ exactly this call sequence.  An rhs call after the first that raises
 ArithmeticError or ValueError (``math.sin(inf)``: a state that left the
 float range) counts as a non-finite slope: RK4 ends the run blown up,
 RK45 rejects the attempt and quarters the step.  RK4 takes ceil(t_end/h)
-steps, each h or, where less time is left, the time left; the run ends
-at the sum of its steps, which may miss t_end by rounding.  A run takes
-at most :data:`MAX_STEPS` RK4 steps or RK45 attempts.
+steps, each h but at most the last, which is the time left where less
+than h is left and then ends exactly on t_end; a run whose last step is
+a full h ends at the sum of its steps, which may miss t_end by rounding.
+A run takes at most :data:`MAX_STEPS` RK4 steps or RK45 attempts.
 
 The probe, the portrait and the CLI's phase fidelity build one phase rhs
 per run, ``types.MethodType(baseband.classic_rhs, model)``.  When its
@@ -184,23 +185,20 @@ class _NonFinite(Exception):
 
 def _rk4_grid(t_end: float, h0: float):
     """An RK4 run's step times and its ``(step indices, h)`` segments: the
-    full steps' times are one cumsum of h0, bit for bit ``t = t + h0``, and
-    each shortened last step (usually none or one) is the time left."""
+    steps' times are one cumsum of h0, bit for bit ``t = t + h0``, but at
+    most the last step, which is the time left where less than h0 is left
+    and then ends exactly on t_end.  The count's 1e-9 margin leaves every
+    earlier step at least that fraction of t_end short of it, far more than
+    the cumsum's rounding over :data:`MAX_STEPS` steps."""
     n = _rk4_step_count(t_end, h0)
     ts = np.full(n + 1, h0)
     ts[0] = 0.0
     np.cumsum(ts, out=ts)
-    k = next((k for k in range(n, 0, -1) if t_end - ts[k - 1] >= h0), 0)   # 1..k are full
-    segments, t, h = [(range(1, k + 1), h0)], float(ts[k]), h0
-    for k in range(k + 1, n + 1):
-        r = t_end - t
-        if r < h0:
-            if r <= 0:
-                return ts[:k], segments
-            h = r
-        t = ts[k] = t + h
-        segments.append((range(k, k + 1), h))
-    return ts, segments
+    r = t_end - float(ts[n - 1])
+    if r >= h0:
+        return ts, [(range(1, n + 1), h0)]
+    ts[n] = ts[n - 1] + r
+    return ts, [(range(1, n), h0), (range(n, n + 1), r)]
 
 
 def _rk4_steps(rhs, a, b, p1, q1, segments, ts, xs, ths):

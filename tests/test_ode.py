@@ -109,6 +109,28 @@ class TestIntegrate:
         factor = err(h) / err(h / 2)
         assert 12.0 <= factor <= 20.0
 
+    def test_rk4_times_are_the_running_min_of_h_and_the_time_left(self):
+        # exact multiples of h, multiples off by 1e-9 relative either way,
+        # and fractional t_end/h (below one step too): every step but the
+        # last is h, and a shortened last step ends exactly on t_end
+        rng = np.random.default_rng(34)
+        draws = []
+        for kind in ("exact", "above", "below", "fraction"):
+            for _ in range(40):
+                h = 10.0 ** rng.uniform(-6.0, 2.0)
+                k = int(rng.integers(0 if kind == "fraction" else 1, 5000))
+                scale = {"above": 1.0 + 1e-9, "below": 1.0 - 1e-9}.get(kind, 1.0)
+                t_end = (k + rng.uniform(0.0, 1.0)) * h if kind == "fraction" else k * h * scale
+                draws.append((t_end, h))
+        for t_end, h in draws:
+            cfg = IntegratorConfig(t_end=t_end, method="rk4", h=h)
+            t = integrate(lambda t, y: (0.0, 0.0), (0.0, 0.0), cfg).t
+            expect = [0.0]
+            for _ in range(max(1, math.ceil(t_end / h * (1.0 - 1e-9)))):
+                expect.append(expect[-1] + min(h, t_end - expect[-1]))
+            assert t.tobytes() == np.array(expect).tobytes(), (t_end, h)
+            assert t[-1] == t_end or t[-1] == t[-2] + h, (t_end, h)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blow_up_event_halts(self):
         def rhs(t, y):
