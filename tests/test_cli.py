@@ -1224,6 +1224,18 @@ def test_config_table_pinned():
         assert choices["pd_flavor"] == [flavor.value for flavor in PdFlavor]
 
 
+def test_readme_library_block_runs(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    report = analysis.predict(analysis.design(analysis.DesignSpec(
+        400e3, 100e3, core.CONVENTIONAL_BPSK)), core.CONVENTIONAL_BPSK)
+    assert lines[0] == f"{report['lock_in_hz']} {report['pull_in_hz']} True"
+    assert len(lines) == 3 and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,cfg", [
     ("simulate", BASE_SIGNAL_CFG), ("simulate", PHASE_CFG),
     ("portrait", TestPortraitCommand.PORTRAIT_CFG),

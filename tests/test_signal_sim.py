@@ -1069,6 +1069,55 @@ class TestOpenLoopPd:
         assert mean == pytest.approx(0.108, abs=5e-4)
 
 
+class TestPullInTimeInSampling:
+    """Criterion 4's modified-loop rows (its design, source and durations)
+    run at 12.8, 25.6 and 51.2 MHz with the delay and the ideal Hilbert."""
+
+    # tests/test_acceptance.py REFERENCE_PARAMS of both modified loops
+    PARAMS = LoopParams(TWO_PI * 400e3, TWO_PI * 400e3, 1262000.0, 1.0, 20e-6, 4e-6)
+    F_SAMPS = (12.8e6, 25.6e6, 51.2e6)
+    # (variant, offset Hz, duration s, Hilbert) -> pull-in time in us at
+    # F_SAMPS, rounded to 0.1 us
+    ROWS = {
+        (MODIFIED_QPSK, 200e3, 2.2e-3, "delay"): [293.8, 265.5, 241.2],
+        (MODIFIED_QPSK, 200e3, 2.2e-3, "ideal"): [252.9, 241.6, 237.9],
+        (MODIFIED_QPSK, 100e3, 2.2e-3, "delay"): [54.6, 55.6, 53.8],
+        (MODIFIED_QPSK, 100e3, 2.2e-3, "ideal"): [51.8, 52.7, 53.4],
+        (MODIFIED_BPSK, 200e3, 1.2e-3, "delay"): [52.4, 55.5, 55.7],
+        (MODIFIED_BPSK, 200e3, 1.2e-3, "ideal"): [53.2, 54.2, 55.0],
+    }
+
+    @pytest.fixture(scope="class")
+    def measured(self):
+        out = {}
+        for variant, f_off, duration, mode in self.ROWS:
+            params = self.PARAMS.with_offset(TWO_PI * f_off)
+            source = ModulatedSource(variant, 400e3, 100e3)
+            runs = [run_loop(source, DigitalLoop(params, f_samp, mode), duration)
+                    for f_samp in self.F_SAMPS]
+            assert all(r.locked for r in runs)
+            out[variant, f_off, duration, mode] = [r.pull_in_time * 1e6 for r in runs]
+        return out
+
+    def test_values_pinned(self, measured):
+        assert {k: [round(t, 1) for t in row] for k, row in measured.items()} == self.ROWS
+
+    def test_200khz_qpsk_row_falls_and_its_hilbert_gap_shrinks(self, measured):
+        delay = measured[MODIFIED_QPSK, 200e3, 2.2e-3, "delay"]
+        ideal = measured[MODIFIED_QPSK, 200e3, 2.2e-3, "ideal"]
+        for row in (delay, ideal):
+            assert row[0] > row[1] > row[2]
+        gaps = [d - i for d, i in zip(delay, ideal)]
+        assert gaps[0] > gaps[1] > gaps[2] > 0.0
+
+    def test_100khz_qpsk_row_stays_off_its_reference(self, measured):
+        # criterion 4's failing row (80 +- 24 us) does not move with the
+        # sampling rate or the Hilbert mode: its gap is the 16/pi^2
+        # coefficient, not the discretization
+        for mode in ("delay", "ideal"):
+            assert all(51.0 <= t <= 56.0 for t in measured[MODIFIED_QPSK, 100e3, 2.2e-3, mode])
+
+
 def reference_rows(columns, text=None) -> str:
     """The per-value row formatter the block writer replaces."""
     rows = [[f"{v:.11e}" for v in row] for row in zip(*columns)]
