@@ -29,6 +29,7 @@ from costas_lab.analysis import (
     _beat_note_pull_in_time,
     leadlag_char_poly,
     round_sig,
+    total_phase_lag,
 )
 from costas_lab.core import LoopVariant, PdFlavor, VariantTag
 
@@ -161,6 +162,14 @@ class TestPullInRange:
         assert math.isinf(pull_in_range(modified_reference_params, MODIFIED_BPSK))
         assert math.isinf(pull_in_range(modified_reference_params, MODIFIED_QPSK))
 
+    @pytest.mark.parametrize("variant", [MODIFIED_BPSK, MODIFIED_QPSK])
+    def test_numeric_modified_unbounded(self, modified_reference_params, variant):
+        assert pull_in_range_numeric(modified_reference_params, variant) == math.inf
+
+    def test_phase_lag_needs_omega3(self, modified_reference_params):
+        with pytest.raises(RangeError, match="conventional loops only"):
+            total_phase_lag(modified_reference_params, CONVENTIONAL_BPSK, 1e5)
+
     def test_numeric_matches_closed_bpsk_synthetic(self):
         # omega3/omega_c = 5 gives the closed form omega3*sqrt(4/5)
         p = LoopParams(0, 0, 1e6, 1.0, 1e-4, 1.0 / 2e5, omega3=1e6)
@@ -219,6 +228,12 @@ class TestPullInRange:
 
 
 class TestPullInTime:
+    @pytest.mark.parametrize("dw", [0.0, -1.0])
+    @pytest.mark.parametrize("variant", [CONVENTIONAL_BPSK, MODIFIED_BPSK])
+    def test_formula_refuses_offset_at_or_below_0(self, bpsk_design, variant, dw):
+        with pytest.raises(RangeError, match=r"^delta_omega0 must be > 0$"):
+            pull_in_time_formula(bpsk_design, variant, dw)
+
     def test_table_values_bpsk(self, bpsk_design):
         expect = {50e3: 33.0, 70e3: 78.0, 100e3: 204.0}
         for f, val in expect.items():

@@ -1,7 +1,9 @@
 import argparse
 import hashlib
+import importlib
 import json
 import math
+import re
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -679,6 +681,49 @@ class TestSimulateCommand:
         digest = hashlib.sha256((tmp_path / "o" / "sweep.csv").read_bytes()).hexdigest()
         assert digest == self.README_SWEEP[offsets]
 
+    # SHA-256 of the JSON files of README's examples, which cli shapes:
+    # summary.json and manifest.json of sim.json at each simulate fidelity
+    # (its duration as t_end at phase and delay fidelity, without f_samp
+    # and duration at averaged fidelity) and of sim.json on mod_qpsk with a
+    # prbs_seed, and manifest.json of the sweep.json sweep and of
+    # portrait.json (their CSVs are pinned above)
+    README_BUNDLES = {
+        "signal": (["simulate"], {"fidelity": "signal"}, {
+            "summary.json": "7070a39635f326e68fad9ae8722c84755cf21035751288639370540d8e4c5467",
+            "manifest.json": "6fd7056e4cd5665a9b1cab7460910e946c72d4861b317c876d7e72a334d08a32"}),
+        "signal-mod_qpsk-seed": (["simulate"], {"variant": "mod_qpsk", "prbs_seed": 7}, {
+            "summary.json": "bedea661efc855c1466a7b19e0d17f8b01ecf863700bf23b6ec8abe541078eb9",
+            "manifest.json": "6cd7d998ca1c4f46cffa2a691dd8b83c99cd44e605f664dad35c6ab0e007fafd"}),
+        "phase": (["simulate"], {"fidelity": "phase", "t_end": 1.5e-3}, {
+            "summary.json": "a70e30787c6e3369953d534a41494f84e44ba9368b7b8529083e65f0086e3e99",
+            "manifest.json": "a5b3431328275616bc963c066f5c593b71f0769ef41675de0741214fd35e48d3"}),
+        "delay": (["simulate"], {"fidelity": "delay", "t_end": 1.5e-3}, {
+            "summary.json": "b2f61b580f51f87c4fb89abca7009ff031d0bbb5e42eaa1224ad613ef91e6062",
+            "manifest.json": "617584ddd9f4683bc3ad47b3d3c688e69c2cf90598555f96e478f9b0fc2f11b3"}),
+        "averaged": (["simulate"], {"fidelity": "averaged"}, {
+            "summary.json": "6f452acab3b958bade4c47be5b567ad976418fa1c0380c3591c7498adef3ce08",
+            "manifest.json": "08b12004dd544b793d880629d63396f9bafe7bd05ba008c86c5232ab67fc397a"}),
+        "sweep": (["sweep", "--offsets", "50e3,70e3,100e3"], {"delta_f0": None}, {
+            "manifest.json": "bfb10544a40beee61e86a312bfc58308a7aadf872ed39b3654624cf68c8099de"}),
+        "portrait": (["portrait"], None, {
+            "manifest.json": "5880ade8be011fe50e58996eb2ef92cd8e90eefca59919f39a30ec2f5215abac"}),
+    }
+
+    @pytest.mark.parametrize("name", list(README_BUNDLES))
+    def test_readme_bundle_json_digest(self, tmp_path, capsys, name):
+        (command, *flags), change, digests = self.README_BUNDLES[name]
+        if change is None:
+            cfg = TestPortraitCommand.PORTRAIT_CFG
+        else:
+            cfg = {**BASE_SIGNAL_CFG, "duration": 1.5e-3, **change}
+            if cfg["fidelity"] != "signal":   # the keys the ODE fidelities do not read
+                del cfg["f_samp"], cfg["duration"]
+            cfg = {k: v for k, v in cfg.items() if v is not None}
+        assert main([command, "--config", write_cfg(tmp_path, cfg), *flags,
+                     "-o", str(tmp_path / "o")]) == 0
+        assert {f: hashlib.sha256((tmp_path / "o" / f).read_bytes()).hexdigest()
+                for f in digests} == digests
+
     # the same for the modified loops at a carrier phase of 2.1 rad under
     # both Hilbert realizations; the delayed image starts n/4 samples
     # before t = 0, on the first symbol
@@ -856,6 +901,64 @@ def test_offset_below_omega1_resolution_exits_2(tmp_path, capsys, cfg):
     err = capsys.readouterr().err
     assert err.startswith(f"error: offset delta_omega0 = {2.0 * math.pi * cfg['delta_f0']!r} "
                           "rad/s is below the resolution of omega1 = ")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
+GAINS_WITHOUT_OMEGA3 = {k: v for k, v in DESIGN_GAINS.items() if k != "omega3"}
+# (command, the config or params file it reads, its error line): each
+# exits 2 and leaves no output directory
+REFUSAL_LINES = {
+    "delta_f0-int-past-float-range": (
+        "simulate", {**BASE_SIGNAL_CFG, "delta_f0": 10**400},
+        f"error: delta_f0 must be finite, got {10**400!r}\n"),
+    "params-unknown-key": (
+        "simulate", {**BASE_SIGNAL_CFG, "params": {**DESIGN_GAINS, "k1": 1.0}},
+        "error: unknown params keys: ['k1']\n"),
+    "prbs_seed-float": (
+        "simulate", {**BASE_SIGNAL_CFG, "prbs_seed": 1.5},
+        "error: prbs_seed must be an integer, got 1.5\n"),
+    "config-list": ("simulate", [1, 2], "error: config must be a JSON object\n"),
+    "no-fidelity": (
+        "simulate", {k: v for k, v in PHASE_CFG.items() if k != "fidelity"},
+        "error: missing config keys: ['fidelity']\n"),
+    "no-loop-constants": (
+        "simulate", {k: v for k, v in PHASE_CFG.items() if k not in ("f0", "f_symbol")},
+        "error: config needs either params{} or f0 + f_symbol for design\n"),
+    "data_mode": (
+        "simulate", {**BASE_SIGNAL_CFG, "data_mode": "zeros"},
+        "error: unknown data_mode 'zeros'\n"),
+    "signal-without-omega3": (
+        "simulate", {**BASE_SIGNAL_CFG, "params": GAINS_WITHOUT_OMEGA3},
+        "error: conventional loops need the LPF corner omega3\n"),
+    "predict-without-omega3": (
+        "predict", GAINS_WITHOUT_OMEGA3,
+        "error: conventional-loop pull-in needs an LPF corner omega3\n"),
+    # lock-in 5.0e6 rad/s, pull-in 1.4e6 rad/s
+    "predict-lock-in-past-pull-in": (
+        "predict", {**DESIGN_GAINS, "k0": 1e13, "kd": 1.0, "tau1": 1.0, "tau2": 1e-6,
+                    "omega3": 2e6},
+        "error: lock-in range exceeds pull-in range; degenerate design\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSAL_LINES))
+def test_refusal_line(tmp_path, capsys, name):
+    command, content, line = REFUSAL_LINES[name]
+    path, out = write_cfg(tmp_path, content), tmp_path / "o"
+    if command == "predict":
+        argv = ["predict", "--params", path, "--variant", "bpsk"]
+    else:
+        argv = [command, "--config", path, "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    path, out = tmp_path / "absent.json", tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {path}: ") and "No such file" in err
     assert len(err.splitlines()) == 1 and not out.exists()
 
 
@@ -1234,6 +1337,33 @@ def test_readme_library_block_runs(tmp_path, capsys, monkeypatch):
         400e3, 100e3, core.CONVENTIONAL_BPSK)), core.CONVENTIONAL_BPSK)
     assert lines[0] == f"{report['lock_in_hz']} {report['pull_in_hz']} True"
     assert len(lines) == 3 and list(tmp_path.iterdir()) == []
+
+
+PACKAGE_MODULES = ("analysis", "baseband", "cli", "core", "detectors", "ode", "signal_sim")
+# the parameter names the Library table quotes as calls: core's lock cell
+# floor(...) and stop rule done(lo, hi), the detectors kernel's fn and the
+# integrator's rhs
+README_PARAMETER_CALLS = {"done", "floor", "fn", "rhs"}
+
+
+def test_readme_names_resolve():
+    """Outside fenced code blocks, every backticked ``<module>.<name>`` of a
+    package module (a ``.py`` file name aside) is an attribute of that
+    module, and every call ``name(`` in a backticked span of a Library
+    table row names an attribute of that row's module, or is one of the
+    table's parameter names."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    prose = "".join(readme.split("```")[0::2])
+    modules = {m: importlib.import_module(f"costas_lab.{m}") for m in PACKAGE_MODULES}
+    dotted = re.findall(rf"`({'|'.join(PACKAGE_MODULES)})\.(\w+)", prose)
+    assert dotted
+    assert [f"{m}.{n}" for m, n in dotted if n != "py" and not hasattr(modules[m], n)] == []
+    rows = re.findall(r"^\| `costas_lab\.(\w+)` \|(.*)$", prose, re.MULTILINE)
+    assert {m for m, _ in rows} == set(PACKAGE_MODULES) - {"cli"}
+    unresolved = {name for m, row in rows for span in re.findall(r"`([^`]*)`", row)
+                  for name in re.findall(r"(?<![\w.])(\w+)\(", span)
+                  if not hasattr(modules[m], name)}
+    assert unresolved == README_PARAMETER_CALLS
 
 
 @pytest.mark.parametrize("command,cfg", [

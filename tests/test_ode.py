@@ -731,6 +731,10 @@ class TestProbe:
         assert report.locked_at(1e-2) is False
         assert report.locked_at(1e-3) is False
 
+    def test_unrecorded_step_size_raises(self, report):
+        with pytest.raises(KeyError, match="no verdict recorded for h=0.5"):
+            report.locked_at(0.5)
+
     def test_adaptive_reference_agrees_with_fine(self, report):
         assert report.reference_locked is False
         assert report.solver_sensitive is False

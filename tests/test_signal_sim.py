@@ -874,6 +874,17 @@ class TestDemod:
         with pytest.raises(NotLockedError):
             demod_ber(r, src)
 
+    def test_too_few_post_lock_symbols_rejected(self, bpsk_reference_params):
+        # the lock instant moved to 7 symbols before the end leaves 6 whole
+        # symbols after it
+        p = bpsk_reference_params.with_offset(TWO_PI * 50e3)
+        src = bpsk_source()
+        r = run_loop(src, DigitalLoop(p, F_SAMP), 1.5e-3, signals=True)
+        late = replace(r, t_lock=float(r.t[-1]) - 7 / src.f_symbol)
+        assert late.locked
+        with pytest.raises(NotLockedError, match="not enough post-lock symbols"):
+            demod_ber(late, src)
+
 
 class TestPullInSearch:
     def test_reference_bpsk_range(self, bpsk_reference_params):
@@ -926,6 +937,15 @@ class TestPullInSearch:
         with pytest.raises(SearchError, match="resolution"):
             measure_pull_in_range(bpsk_source(), loop, (110e3, 160e3), budget=1e-3,
                                   resolution=resolution)
+
+    def test_high_end_that_locks_rejected(self, bpsk_reference_params, monkeypatch):
+        trials = []
+        monkeypatch.setattr(signal_sim, "run_loop",
+                            lambda *args: trials.append(args) or SimpleNamespace(locked=True))
+        loop = DigitalLoop(bpsk_reference_params, F_SAMP)
+        with pytest.raises(SearchError, match=r"^loop must fail at the high end \(188000 Hz\)$"):
+            measure_pull_in_range(bpsk_source(), loop, (60e3, 188e3), budget=1e-3)
+        assert len(trials) == 2
 
     def test_trial_sequence(self, bpsk_reference_params, monkeypatch):
         # the ends, then one trial per halving of the 128 kHz bracket to 1 kHz
