@@ -15,7 +15,6 @@ from .core import (
 )
 from .analysis import (
     DesignSpec,
-    averaged_rhs,
     averaged_ud,
     design,
     hold_in_leadlag,

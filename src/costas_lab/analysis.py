@@ -221,31 +221,6 @@ def _pow(x: float, n: int) -> float:
         return math.inf
 
 
-def _beat_note_pull_in_time(
-    params: LoopParams,
-    delta_omega0: float,
-    delta_omega_l: float,
-    delta_omega_p: float,
-    averaged_constant: float,
-) -> float:
-    """Common log-form pull-in time of the conventional loops.
-
-    ``averaged_constant`` is the variant's beat-asymmetry constant C in
-    ud_mean = C * K0 * Kd^2 * KH * cos(phi_tot)/delta_omega; the
-    straight-line cosine approximation turns the slow-pull ODE into the
-    closed log expression below.
-    """
-    pref = delta_omega_p / _derived(
-        "2*C*zeta*omega_n^3", 2.0 * averaged_constant * params.zeta * _pow(params.omega_n, 3))
-    bracket = (
-        delta_omega_p
-        * math.log((delta_omega_p - delta_omega_l) / (delta_omega_p - delta_omega0))
-        - delta_omega0
-        + delta_omega_l
-    )
-    return pref * bracket
-
-
 def _beat_band(params: LoopParams, variant: LoopVariant,
                delta_omega0: float) -> tuple[float, float]:
     """(lock-in range, pull-in range), or RangeError when ``delta_omega0``
@@ -277,8 +252,13 @@ def pull_in_time_formula(
     if variant.is_modified:
         return coef * _derived("delta_omega0^2", _pow(delta_omega0, 2)) / _derived(
             "zeta*omega_n^3", params.zeta * _pow(params.omega_n, 3))
+    # conventional loops: coef is the beat-asymmetry constant C of
+    # averaged_ud, whose straight-line cosine approximation integrates to
+    # the closed log form
     dw_l, dw_p = _beat_band(params, variant, delta_omega0)
-    return _beat_note_pull_in_time(params, delta_omega0, dw_l, dw_p, coef)
+    pref = dw_p / _derived("2*C*zeta*omega_n^3",
+                           2.0 * coef * params.zeta * _pow(params.omega_n, 3))
+    return pref * (dw_p * math.log((dw_p - dw_l) / (dw_p - delta_omega0)) - delta_omega0 + dw_l)
 
 
 def pull_in_time(
@@ -323,13 +303,6 @@ def averaged_ud(variant: LoopVariant, delta_omega: float, params: LoopParams) ->
     return c * params.k0 * kd_sq * params.k_h * cos_tot / delta_omega
 
 
-def averaged_rhs(params: LoopParams, variant: LoopVariant, delta_omega: float) -> float:
-    """d(delta_omega)/dt of the averaged pull-in dynamics."""
-    if delta_omega <= 0:
-        raise RangeError("averaged model is defined for delta_omega > 0")
-    return -params.k0 * averaged_ud(variant, delta_omega, params) / params.tau1
-
-
 def averaged_pull_in_time_numeric(params: LoopParams, variant: LoopVariant,
                                   delta_omega0: float) -> float:
     """Integrate the averaged ODE from the initial offset down to the
@@ -337,23 +310,27 @@ def averaged_pull_in_time_numeric(params: LoopParams, variant: LoopVariant,
 
     Fourth-order fixed-step integration in the time domain would stall
     near the pull-in limit, so integrate the separated form
-    dt = -d(dw)/rhs(dw) over dw with Simpson's rule (20,000 intervals)
-    instead.  RangeError outside the band between the lock-in and pull-in
-    ranges, as the conventional loops' :func:`pull_in_time_formula`
-    raises it.  DesignError when omega_n, delta_omega0, the slope at a
-    node or the time itself is out of the float range (:func:`_derived`):
-    gains that underflow omega_n to 0.0 leave no lock-in range to integrate
-    down to.
+    dt = tau1*d(dw)/(K0*ud(dw)) (:func:`averaged_ud`) over dw with
+    Simpson's rule (20,000 intervals) instead.  RangeError outside the
+    band between the lock-in and pull-in ranges, as the conventional
+    loops' :func:`pull_in_time_formula` raises it, and where zeta*omega_n
+    underflows the lock-in range to 0.0, a zero beat at the first node.
+    DesignError when omega_n, delta_omega0, the slope at a node or the
+    time itself is out of the float range (:func:`_derived`): gains that
+    underflow omega_n to 0.0 leave no lock-in range to integrate down to.
     """
     _derived("omega_n", params.omega_n)
     dw_l = _beat_band(params, variant, _derived("delta_omega0", delta_omega0))[0]
+    if dw_l <= 0:
+        raise RangeError("averaged model is defined for delta_omega > 0")
     n_steps = 20000
     h = (delta_omega0 - dw_l) / n_steps
     total = 0.0
     for k in range(n_steps + 1):
         dw = dw_l + k * h
         w = 1.0 if k in (0, n_steps) else (4.0 if k % 2 else 2.0)
-        total += w / _derived("-d(delta_omega)/dt", -averaged_rhs(params, variant, dw))
+        rate = params.k0 * averaged_ud(variant, dw, params) / params.tau1
+        total += w / _derived("-d(delta_omega)/dt", rate)
     return _derived("pull_in_time_numeric", total * h / 3.0)
 
 

@@ -77,12 +77,12 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def write_manifest(outdir: Path, command: str, config: dict, seed: int, artifacts: list[str]):
+def write_manifest(outdir: Path, command: str, config: dict, artifacts: list[str]):
     manifest = {
         "schema": 1,
         "command": command,
         "config_hash": config_hash(config),
-        "seed": seed,
+        "seed": config.get("prbs_seed", ModulatedSource.prbs_seed),
         "artifacts": artifacts,
         "version": __version__,
     }
@@ -195,10 +195,6 @@ def _given(cfg: dict, *keys: str) -> dict:
     return {k: cfg[k] for k in keys if k in cfg}
 
 
-def _effective_seed(cfg: dict) -> int:
-    return cfg.get("prbs_seed", ModulatedSource.prbs_seed)
-
-
 def params_from_config(cfg: dict, variant: LoopVariant) -> LoopParams:
     if "params" in cfg:
         params = LoopParams.from_dict(cfg["params"])
@@ -291,7 +287,10 @@ def cmd_simulate(args) -> int:
         result = _simulate_signal(cfg, variant, params, signals=True)
         outdir.mkdir(parents=True, exist_ok=True)
         export_csv(result, str(outdir / "timeseries.csv"))
-        summary = {"schema": 1, "summary": result.summary(), "params": params.to_dict()}
+        summary = {"schema": 1, "params": params.to_dict(), "summary": {
+            "locked": result.locked, "t_lock": result.t_lock, "pull_in_time": result.pull_in_time,
+            "cycle_slips": result.cycle_slips, "final_freq_error": result.final_freq_error,
+            "duration": float(result.t[-1]), "samples": len(result.t)}}
         artifacts = ["timeseries.csv", "summary.json"]
     elif fidelity in ("phase", "delay"):
         traj, locked = _simulate_ode(cfg, variant, params)
@@ -318,7 +317,7 @@ def cmd_simulate(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         artifacts = ["summary.json"]
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    write_manifest(outdir, "simulate", cfg, _effective_seed(cfg), artifacts)
+    write_manifest(outdir, "simulate", cfg, artifacts)
     print(json.dumps({"outdir": str(outdir), "artifacts": artifacts}))
     return 0
 
@@ -348,8 +347,7 @@ def cmd_sweep(args) -> int:
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         fh.write("delta_f0_hz,t_p_theory_s,t_p_sim_s,locked\n")
         write_csv_rows(fh, list(zip(*rows))[:3], ["%d" % locked for *_, locked in rows])
-    write_manifest(outdir, "sweep", {**cfg, "offsets": offsets},
-                   _effective_seed(cfg), ["sweep.csv"])
+    write_manifest(outdir, "sweep", {**cfg, "offsets": offsets}, ["sweep.csv"])
     print(json.dumps({"outdir": str(args.output), "rows": len(rows)}))
     return 0
 
@@ -405,7 +403,7 @@ def cmd_portrait(args) -> int:
             shutil.rmtree(created)
         raise
     part.replace(outdir / "portrait.csv")
-    write_manifest(outdir, "portrait", cfg, _effective_seed(cfg), ["portrait.csv"])
+    write_manifest(outdir, "portrait", cfg, ["portrait.csv"])
     print(json.dumps({"outdir": str(args.output), "classes": sorted(labels)}))
     return 0
 

@@ -258,27 +258,20 @@ class SimResult:
     omega2: np.ndarray
     i2: Optional[np.ndarray]
     q2: Optional[np.ndarray]
-    locked: bool
     t_lock: Optional[float]     # the one lock instant; None when unlocked
     cycle_slips: int
     final_freq_error: float
     f_samp: float               # sampling rate of the time series, Hz
 
     @property
+    def locked(self) -> bool:
+        """Whether the run locked: it has a lock instant ``t_lock``."""
+        return self.t_lock is not None
+
+    @property
     def pull_in_time(self) -> Optional[float]:
         """The acquisition's pull-in time: the lock instant ``t_lock``."""
         return self.t_lock
-
-    def summary(self) -> dict:
-        return {
-            "locked": self.locked,
-            "t_lock": self.t_lock,
-            "pull_in_time": self.pull_in_time,
-            "cycle_slips": self.cycle_slips,
-            "final_freq_error": self.final_freq_error,
-            "duration": float(self.t[-1]) if len(self.t) else 0.0,
-            "samples": int(len(self.t)),
-        }
 
 
 CSV_BLOCK = 4096      # rows formatted per numpy pass

@@ -40,12 +40,12 @@ def phi_qpsk(theta_e: float, m: float = 1.0) -> float:
     (-pi/4, pi/4]; the half-open reduction realizes the left-branch-limit
     convention at the corners, where the amplitude peaks at sqrt(2)*m.
     """
-    return 2.0 * m * math.sin(_phi_wrapped(theta_e, HALF_PI))
+    return _phi_sine(theta_e, HALF_PI, 2.0 * m)
 
 
-def _phi_sine_bpsk(theta_e: float, gain: float) -> float:
-    """Modified-BPSK imaginary-part PD: gain*sin of the pi-wrapped phase."""
-    return gain * math.sin(_phi_wrapped(theta_e, math.pi))
+def _phi_sine(theta_e: float, period: float, gain: float) -> float:
+    """Sine-shaped PD: gain*sin of theta_e wrapped by :func:`_phi_wrapped`."""
+    return gain * math.sin(_phi_wrapped(theta_e, period))
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,14 @@ class PdCharacteristic:
             raise ValueError(f"modulation amplitude must be > 0, got {self.m}")
         # Modified loops: the PD reports the wrapped phase error directly
         # (COMPLEX_PHASE) or its sine (COMPLEX_IMAG), periodized by the
-        # data-estimate folding.  The modified-QPSK sine, 2m*sin of the
-        # pi/2-wrapped phase, is the conventional chopped sine.
+        # data-estimate folding.  Every sine PD is kd*sin of the wrapped
+        # phase; the modified-QPSK one is the conventional chopped sine.
         if self.variant.tag is VariantTag.CONVENTIONAL_BPSK:
             kernel = (0.5 * self.m * self.m, 2.0, math.sin)
         elif self.variant.pd_flavor is PdFlavor.COMPLEX_PHASE:
             kernel = (1.0, 1.0, partial(_phi_wrapped, period=pd_period(self.variant)))
-        elif self.variant.is_qpsk:
-            kernel = (1.0, 1.0, partial(phi_qpsk, m=self.m))
         else:
-            kernel = (1.0, 1.0, partial(_phi_sine_bpsk, gain=self.m))
+            kernel = (1.0, 1.0, partial(_phi_sine, period=pd_period(self.variant), gain=self.kd))
         object.__setattr__(self, "kernel", kernel)
 
     def phi(self, theta_e: float) -> float:

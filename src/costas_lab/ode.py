@@ -471,8 +471,6 @@ def lock_verdict(
     tol_f = 1e-3 * (params.omega_n if params.omega_n > 0 else params.k0)
     t_end = traj.t[-1]
     mask = traj.t >= (1.0 - LOCK_TAIL) * t_end
-    if not np.any(mask):
-        return False
     t_tail, tail = traj.t[mask], traj.y[mask]
     phase_out = np.abs(wrap_phase(tail[:, 1], pd_period(variant))) > LOCK_TOL_P
     n_in = int(phase_out.argmax()) if phase_out.any() else len(tail)

@@ -335,9 +335,8 @@ def run_loop(
     omega2 = np.multiply(params.k0, uf_arr)
     omega2 += params.omega_free
     return SimResult(t=t, theta_e=theta_e, ud=ud_arr, uf=uf_arr, omega2=omega2, i2=i2_arr,
-                     q2=q2_arr, locked=t_lock is not None, t_lock=t_lock,
-                     cycle_slips=cycle_slips, final_freq_error=final_freq_error,
-                     f_samp=loop.f_samp)
+                     q2=q2_arr, t_lock=t_lock, cycle_slips=cycle_slips,
+                     final_freq_error=final_freq_error, f_samp=loop.f_samp)
 
 
 def _run_kernel(source, loop, n, T, signals):
@@ -596,7 +595,6 @@ def measure_pull_in_range(
     loop: DigitalLoop,
     search: tuple[float, float],
     budget,
-    detector: Optional[LockDetector] = None,
     resolution: float = 1e3,
 ) -> float:
     """Largest frequency offset (Hz) that still locks within the budget.
@@ -609,8 +607,9 @@ def measure_pull_in_range(
     end trials when the bracket premise does not hold.
     ``budget`` is the per-trial simulation time in seconds, either a
     constant or a callable of the trial offset (Hz) so callers can budget
-    a multiple of the predicted pull-in time.  Deterministic given the
-    PRBS seed.
+    a multiple of the predicted pull-in time.  Each trial judges lock by
+    ``run_loop``'s default, :meth:`LockDetector.for_params` of its loop.
+    Deterministic given the PRBS seed.
     """
     lo, hi = search
     try:
@@ -633,7 +632,7 @@ def measure_pull_in_range(
     def locks(delta_f: float) -> bool:
         params = loop.params.with_offset(TWO_PI * delta_f)
         trial = DigitalLoop(params, loop.f_samp, loop.hilbert_mode)
-        return run_loop(source, trial, budget_fn(delta_f), detector).locked
+        return run_loop(source, trial, budget_fn(delta_f)).locked
 
     if not locks(lo):
         raise SearchError(f"loop must lock at the low end ({lo:g} Hz)")
@@ -689,8 +688,6 @@ def demod_ber(result: SimResult, source: ModulatedSource) -> float:
     for off in range(0, 3):
         idx = syms - off
         sel = idx >= 0
-        if not np.any(sel):
-            continue
         t = tx[:, idx[sel]]
         for cand in candidates:
             err = np.mean(np.any(cand[:, sel] != t, axis=0))

@@ -26,7 +26,6 @@ from costas_lab import (
 from costas_lab.analysis import (
     DesignError,
     RangeError,
-    _beat_note_pull_in_time,
     leadlag_char_poly,
     round_sig,
     total_phase_lag,
@@ -311,8 +310,12 @@ class TestPullInTime:
         big = LoopParams(p.omega1, p.omega_free, 1e250, 1.0, p.tau1, p.tau2)
         with pytest.raises(DesignError, match=r"zeta\*omega_n\^3 = inf is out of range"):
             pull_in_time_formula(big, MODIFIED_BPSK, dw)
+        # a conventional offset inside its band, where omega_n**3 overflows
+        conventional = LoopParams(0, 0, 2e304, 1, 1, 1e-299, omega3=1e300)
+        assert lock_in_range(conventional, CONVENTIONAL_BPSK) == pytest.approx(1e5)
+        assert pull_in_range(conventional, CONVENTIONAL_BPSK) == pytest.approx(9.487e299, rel=1e-3)
         with pytest.raises(DesignError, match=r"2\*C\*zeta\*omega_n\^3 = inf is out of range"):
-            _beat_note_pull_in_time(big, 2.0, 1.0, 3.0, 1.0 / math.pi**2)
+            pull_in_time_formula(conventional, CONVENTIONAL_BPSK, 2e5)
 
 
 class TestHoldIn:

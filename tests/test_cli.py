@@ -686,9 +686,9 @@ class TestSimulateCommand:
     # (its duration as t_end at phase and delay fidelity, without f_samp
     # and duration at averaged fidelity) and of sim.json on mod_qpsk with a
     # prbs_seed, and manifest.json of the sweep.json sweep and of
-    # portrait.json (their CSVs are pinned above)
+    # portrait.json (their CSVs are pinned above); a None drops the key
     README_BUNDLES = {
-        "signal": (["simulate"], {"fidelity": "signal"}, {
+        "signal": (["simulate"], {}, {
             "summary.json": "7070a39635f326e68fad9ae8722c84755cf21035751288639370540d8e4c5467",
             "manifest.json": "6fd7056e4cd5665a9b1cab7460910e946c72d4861b317c876d7e72a334d08a32"}),
         "signal-mod_qpsk-seed": (["simulate"], {"variant": "mod_qpsk", "prbs_seed": 7}, {
@@ -930,6 +930,10 @@ REFUSAL_LINES = {
     "signal-without-omega3": (
         "simulate", {**BASE_SIGNAL_CFG, "params": GAINS_WITHOUT_OMEGA3},
         "error: conventional loops need the LPF corner omega3\n"),
+    # a subnormal k0 leaves omega_n at 5e-160 rad/s and underflows the lock-in range to 0.0
+    "averaged-lock-in-range-underflow": (
+        "simulate", {**AVERAGED_CFG, "params": {**DESIGN_GAINS, "k0": 5e-324}},
+        "error: averaged model is defined for delta_omega > 0\n"),
     "predict-without-omega3": (
         "predict", GAINS_WITHOUT_OMEGA3,
         "error: conventional-loop pull-in needs an LPF corner omega3\n"),

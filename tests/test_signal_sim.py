@@ -950,7 +950,7 @@ class TestPullInSearch:
     def test_trial_sequence(self, bpsk_reference_params, monkeypatch):
         # the ends, then one trial per halving of the 128 kHz bracket to 1 kHz
         trials = []
-        monkeypatch.setattr(signal_sim, "run_loop", lambda source, loop, duration, detector:
+        monkeypatch.setattr(signal_sim, "run_loop", lambda source, loop, duration:
                             SimpleNamespace(locked=loop.params.delta_omega0 <= TWO_PI * 133e3))
         loop = DigitalLoop(bpsk_reference_params, F_SAMP)
         f = measure_pull_in_range(bpsk_source(), loop, (60e3, 188e3),
@@ -964,7 +964,7 @@ class TestPullInSearch:
         limit = TWO_PI * 133e3
         trials = []
 
-        def stub(source, loop, duration, detector):
+        def stub(source, loop, duration):
             trials.append(loop.params.delta_omega0)
             return SimpleNamespace(locked=loop.params.delta_omega0 <= limit)
 
