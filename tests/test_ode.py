@@ -1,5 +1,7 @@
 import ast
 import dis
+import functools
+import hashlib
 import importlib.util
 import inspect
 import math
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import traceback
+import warnings
 from pathlib import Path
 from types import CodeType, FunctionType, MethodType, SimpleNamespace
 
@@ -911,6 +914,25 @@ def inline_runs():
     return runs
 
 
+def _nonfinite_attempt_run(case, tol, raised):
+    """The model, state and controls of a run whose attempts turn non-finite
+    (see ``test_nonfinite_attempts_same_as_generic_and_reference``); each
+    NaN argument that the ``nan_then_raises`` PD function raises at is
+    appended to ``raised``."""
+    def nan_past(v):
+        if case == "nan_then_raises" and math.isnan(v):
+            raised.append(v)
+            math.floor(v)
+        return math.nan if v > -6.0 else math.sin(v)
+
+    model, state0 = pitfall_example_model(), PITFALL_STATE0
+    if case == "solution_only":
+        state0 = (1.1e306, 0.0)
+    else:
+        object.__setattr__(model, "_rhs_consts", model._rhs_consts[:-1] + (nan_past,))
+    return model, state0, dict(t_end=1.0, method="rk45", rtol=tol, atol=1e-2 * tol)
+
+
 class TestInlinePhaseSteppers:
     """``integrate`` runs the bound original ``classic_rhs`` on steppers
     that compute its slope inline, and any other rhs on the generic ones:
@@ -989,19 +1011,7 @@ class TestInlinePhaseSteppers:
     @pytest.mark.parametrize("case", ["nan_completes", "nan_then_raises", "solution_only"])
     def test_nonfinite_attempts_same_as_generic_and_reference(self, case, tol):
         raised = []
-
-        def nan_past(v):
-            if case == "nan_then_raises" and math.isnan(v):
-                raised.append(v)
-                math.floor(v)
-            return math.nan if v > -6.0 else math.sin(v)
-
-        model, state0 = pitfall_example_model(), PITFALL_STATE0
-        if case == "solution_only":
-            state0 = (1.1e306, 0.0)
-        else:
-            object.__setattr__(model, "_rhs_consts", model._rhs_consts[:-1] + (nan_past,))
-        controls = dict(t_end=1.0, method="rk45", rtol=tol, atol=1e-2 * tol)
+        model, state0, controls = _nonfinite_attempt_run(case, tol, raised)
         built = _phase_run(MethodType(classic_rhs, model), state0, controls)
         built_raised, slopes = len(raised), []
 
@@ -1064,6 +1074,101 @@ class TestInlinePhaseSteppers:
         assert (built_calls == 1 + 4 * 1000) == (case == "nan_state")
         assert (built_raised, generic_raised) == {
             "nan_state": (0, 0), "inf_state_then_raises": (1, 0), "raise_at_finite": (1, 1)}[case]
+
+
+def _pinned_run(rhs, state0, controls):
+    """A run on the generic steppers, pinned: the SHA-256 of its t and y
+    bytes, its rejected steps and blown_up (or its StiffnessError line),
+    and the calls a recording rhs saw, which ``rhs_calls`` must equal."""
+    seen = [0]
+
+    def recorded(t, y):
+        seen[0] += 1
+        return rhs(t, y)
+
+    try:
+        traj = integrate(recorded, state0, IntegratorConfig(**controls))
+    except StiffnessError as exc:
+        return str(exc), seen[0]
+    assert traj.rhs_calls == seen[0]
+    digest = hashlib.sha256(traj.t.tobytes() + traj.y.tobytes()).hexdigest()
+    return (digest, traj.rejected_steps, traj.blown_up), seen[0]
+
+
+# The trajectories of the equivalence cases (all but h_min_floor, whose test
+# rhs is keyed to its call sequence) and of the non-finite-attempt runs, and
+# separately the rhs calls they make: a non-finite rule in the steppers may
+# move the calls, but no trajectory, rejection count or error line.
+PINNED_RUNS = {
+    "pitfall-rk4": ("624452c2d340362830900baa57c4387a2e64790f9c89a5936b638d242c639c24", 0, False),
+    "off_grid-rk4": ("e2212194d81f995e7ee52353bb037bf8472ebede151f1e82a86b116b66effaee", 0, False),
+    "off_grid_rounded-rk4": (
+        "c7754dc0c50ee8fe87e6fd61dd6b61e9f51154965920a11ddfaf3738799cfe87", 0, False),
+    "pitfall-rk45": (
+        "d583d2f50dd50cba1e57bbfdf8385b9db1ec1c877655d2b291ea93aabc7ae2ba", 1775, False),
+    "delay-rk45": ("3142446f7f53996c3344f82a57f97cb5bb558a8f03fc8c43083a5fbf7ec80001", 19, False),
+    "mod_qpsk-rk45": (
+        "bfe28201261c5a20cdea1adad59cadfff572f9e1b9e62e0c77f90c93fccecfed", 134, False),
+    "ndarray-rk4": ("bb37b16f330adb4acf51727ea8405585d254f14e1449edf4d505c6a74f1f11a2", 0, False),
+    "ndarray-rk45": ("295c361cfaa31fc21c7e15f0ace887122806576e48fd19f6135abf48558a84af", 1, False),
+    "blow_up-rk4": ("5d3b1f5ef2b2929a804f80118ee83bfe0dcc68a4a3e715d664feb2f30bedce9e", 0, True),
+    "blow_up-rk45": "step size underflow at t=1",
+    "nonfinite_stage-rk45": (
+        "c5ebb5d2c2ba3932f801c0fd64a6566913f328ded0f26fe3f39faf7d05189c43", 77, True),
+    "nan_error-rk45": (
+        "293a79a722c1409d3af4f2161b8b72866d83d17f9b9116b4ca187159adf6a0ea", 49, False),
+    "late_nonfinite-rk45": (
+        "b0d78a536f8739312e7a9ce9fc133a338b572e74b0b9f0351b7d34b9b20732f6", 118, True),
+    "overflow-rk45": ("9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0", 15, True),
+    "nan_completes@1e-08": (
+        "f2567231eb952e02740615cb9908a5c116ab15cdc3c0c1342ae3211eaf7f047e", 40, True),
+    "nan_completes@0.001": (
+        "ff68f2b9d3ca52d8193e71ec3a184ee1834045a1605bb2ea8ad813b7007bc1e7", 47, True),
+    "nan_then_raises@1e-08": (
+        "f2567231eb952e02740615cb9908a5c116ab15cdc3c0c1342ae3211eaf7f047e", 40, True),
+    "nan_then_raises@0.001": (
+        "ff68f2b9d3ca52d8193e71ec3a184ee1834045a1605bb2ea8ad813b7007bc1e7", 47, True),
+    "solution_only@1e-08": (
+        "d3d1f9d27b87f06666e0b03d30a1faffac006aa5aadc72fd755824f5337caf1c", 15, True),
+    "solution_only@0.001": (
+        "d3d1f9d27b87f06666e0b03d30a1faffac006aa5aadc72fd755824f5337caf1c", 15, True),
+}
+PINNED_RHS_CALLS = {
+    "pitfall-rk4": 22001, "off_grid-rk4": 17, "off_grid_rounded-rk4": 57,
+    "pitfall-rk45": 77467, "delay-rk45": 1309, "mod_qpsk-rk45": 2011, "ndarray-rk4": 401,
+    "ndarray-rk45": 1207, "blow_up-rk4": 52, "blow_up-rk45": 1939,
+    "nonfinite_stage-rk45": 714, "nan_error-rk45": 595, "late_nonfinite-rk45": 1411,
+    "overflow-rk45": 91, "nan_completes@1e-08": 230, "nan_completes@0.001": 261,
+    "nan_then_raises@1e-08": 230, "nan_then_raises@0.001": 261,
+    "solution_only@1e-08": 91, "solution_only@0.001": 91,
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_runs():
+    runs = {}
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "overflow|invalid value", RuntimeWarning)
+        for case in PINNED_RUNS:
+            if case in EQUIVALENCE_CASES:
+                make_rhs, state0, controls = EQUIVALENCE_CASES[case]
+                rhs = make_rhs()
+            else:
+                name, tol = case.split("@")
+                model, state0, controls = _nonfinite_attempt_run(name, float(tol), [])
+                rhs = functools.partial(classic_rhs, model)
+            runs[case] = _pinned_run(rhs, state0, controls)
+    return runs
+
+
+class TestPinnedRuns:
+    @pytest.mark.parametrize("case", list(PINNED_RUNS))
+    def test_trajectory_pinned(self, pinned_runs, case):
+        assert pinned_runs[case][0] == PINNED_RUNS[case]
+
+    @pytest.mark.parametrize("case", list(PINNED_RHS_CALLS))
+    def test_rhs_calls_pinned(self, pinned_runs, case):
+        assert pinned_runs[case][1] == PINNED_RHS_CALLS[case]
 
 
 # a stepper with one good stage call before the line under test (line 5)
