@@ -23,16 +23,19 @@ rhs call at the start, then four per RK4 step (three stages and the end
 slope, which is also the next step's first stage: first same as last)
 and six per attempted RK45 step (the last stage is the end slope).  A
 rejected RK45 attempt costs the same six calls as an accepted one,
-unless it stops at a stage whose slope is not finite or whose rhs call
-raises: then it counts only the calls it made.  An rhs that carries
-state from call to call, as the delay model's rate seed does, sees
-exactly this call sequence.  An rhs call after the first that raises
+unless a stage's rhs call raises: then it counts only the calls it
+made.  ``rhs_calls`` counts exactly the calls an rhs sees, so one that
+carries state from call to call, as the delay model's rate seed does,
+sees this call sequence.  An rhs call after the first that raises
 ArithmeticError or ValueError (``math.sin(inf)``: a state that left the
 float range) counts as a non-finite slope: RK4 ends the run blown up,
-RK45 rejects the attempt and quarters the step.  RK4 takes ceil(t_end/h)
-steps, each h but at most the last, which is the time left where less
-than h is left and then ends exactly on t_end; a run whose last step is
-a full h ends at the sum of its steps, which may miss t_end by rounding.
+RK45 rejects the attempt and quarters the step.  At a non-finite state
+an rhs must return a non-finite slope or raise one of those, as every
+PD function and the delay model's rhs do: RK45 sees a non-finite stage
+only through its error estimate.  RK4 takes ceil(t_end/h) steps, each h
+but at most the last, which is the time left where less than h is left
+and then ends exactly on t_end; a run whose last step is a full h ends
+at the sum of its steps, which may miss t_end by rounding.
 A run takes at most :data:`MAX_STEPS` RK4 steps or RK45 attempts.
 
 The probe, the portrait and the CLI's phase fidelity build one phase rhs
@@ -45,16 +48,17 @@ counters and errors, with one Python call of ``classic_rhs``.  Any other
 rhs, a rebinding of ``baseband.classic_rhs`` made before the run (where
 a tracer counts the phase rhs) included, runs on the generic steppers
 and sees every call; ``rhs_calls`` counts slope evaluations on both
-paths.  The generic RK4 tests each new state finite; after a built run,
-``integrate`` ends the trajectory at the first non-finite state, found
-in one pass.  The generic RK45 tests each stage slope as it comes, and
-the solution, so an rhs sees no call after a non-finite slope.  The
-built one tests none on its accepted path: a non-finite slope or
-solution leaves its error estimate NaN or inf, and only then, or when a
-stage raises, does it look for the first one.  On the pitfall model
-(Python 3.11, shared 2-core x86-64, best of 15 runs in each of two
-processes) an RK4 step takes about 0.7 us and an accepted RK45 step
-3.1-3.4 us (rtol 1e-9 and 1e-8).
+paths.  The generic RK4 tests each new state finite, so that an rhs
+sees no call past a blow-up; after a built run, ``integrate`` ends the
+trajectory at the first non-finite state, found in one pass.  RK45 has
+one rule on both paths: an attempt tests no slope as it goes and makes
+every call up to a stage that raises; a non-finite slope or solution
+leaves its error estimate NaN or inf, and only then does it test them,
+to tell a non-finite attempt (rejected, the step quartered) from an
+error estimate that overflowed.  On the pitfall model (Python 3.11,
+shared 2-core x86-64, best of 15 runs in each of two processes) an RK4
+step takes about 0.7 us and an accepted RK45 step 3.1-3.4 us (rtol 1e-9
+and 1e-8).
 """
 
 from __future__ import annotations
@@ -180,7 +184,7 @@ def _rk4_step_count(t_end: float, h: float) -> int:
 
 
 class _NonFinite(Exception):
-    """An RK4 state, or an RK45 stage slope or solution, is not finite."""
+    """An RK4 state is not finite."""
 
 
 def _rk4_grid(t_end: float, h0: float):
@@ -246,28 +250,25 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
     calls, rejected attempts, blown up)``.
 
     Each stage state is ``y + (h*a1)*k1 + ...`` and each solution
-    ``y + h*(0.0 + b1*k1 + ...)``, term by term.  A non-finite attempt (a
-    non-finite stage slope, an rhs call that raises one of
-    :data:`_FLOAT_ERRORS`, or a non-finite solution) quarters the step and
-    a step below :data:`H_MIN` ends the run, blown up.  An error estimate
+    ``y + h*(0.0 + b1*k1 + ...)``, term by term.  A non-finite attempt (an
+    rhs call that raises one of :data:`_FLOAT_ERRORS`, which ends it with
+    the calls it made, or a non-finite error estimate from a non-finite
+    stage slope or solution) quarters the step and a step below
+    :data:`H_MIN` ends the run, blown up.  An error estimate
     that stays above 1 (or is NaN) at :data:`H_MIN`, or more than
     :data:`MAX_STEPS` attempts, raises StiffnessError.  The tableau is
     bound to locals once per run, and every min, max and abs of the
     controller is a comparison that picks the same float the builtin
     would, up to the sign of a zero the error scale adds to ``atol > 0``.
-    The build of :func:`_inline_phase` drops the finiteness tests of the
-    slopes and the solution: an attempt stopped by a raise, or whose error
-    estimate is not finite, then finds the first non-finite slope by stage
-    order and counts the rhs calls the tests would have let it make.
+    The build of :func:`_inline_phase` changes only the stage calls.
     """
     (C2, C3, C4, C5, A21, A31, A32, A41, A42, A43, A51, A52, A53, A54,
      A61, A62, A63, A64, A65, B1, B2, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7) = _TABLEAU
-    ninf, inf = -math.inf, math.inf
+    inf = math.inf
     sqrt, isfinite, h_min, max_steps = math.sqrt, math.isfinite, H_MIN, MAX_STEPS
     t_end, rtol, atol = config.t_end, config.rtol, config.atol
     put_t, put_x, put_th = ts.append, xs.append, ths.append
     attempts = short = 0            # attempts, and rhs calls they did not make
-    p2 = q2 = p3 = q3 = p4 = q4 = p5 = q5 = p6 = q6 = 0.0   # read when an attempt stops
     t = 0.0
     h = min(config.h, t_end / 10.0)
     while t < t_end:
@@ -281,42 +282,28 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
         try:
             ha = h * A21
             p2, q2 = rhs(t + C2 * h, (a + ha * p1, b + ha * q1))
-            if not (ninf < p2 < inf and ninf < q2 < inf):
-                raise _NonFinite
             ha, hb = h * A31, h * A32
             p3, q3 = rhs(t + C3 * h, (a + ha * p1 + hb * p2, b + ha * q1 + hb * q2))
-            if not (ninf < p3 < inf and ninf < q3 < inf):
-                raise _NonFinite
             ha, hb, hc = h * A41, h * A42, h * A43
             p4, q4 = rhs(t + C4 * h, (a + ha * p1 + hb * p2 + hc * p3,
                                       b + ha * q1 + hb * q2 + hc * q3))
-            if not (ninf < p4 < inf and ninf < q4 < inf):
-                raise _NonFinite
             ha, hb, hc = h * A51, h * A52, h * A53
             hd = h * A54
             p5, q5 = rhs(t + C5 * h, (a + ha * p1 + hb * p2 + hc * p3 + hd * p4,
                                       b + ha * q1 + hb * q2 + hc * q3 + hd * q4))
-            if not (ninf < p5 < inf and ninf < q5 < inf):
-                raise _NonFinite
             ha, hb, hc = h * A61, h * A62, h * A63
             hd, he = h * A64, h * A65
             p6, q6 = rhs(t + h, (a + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5,
                                  b + ha * q1 + hb * q2 + hc * q3 + hd * q4 + he * q5))
-            if not (ninf < p6 < inf and ninf < q6 < inf):
-                raise _NonFinite
             ha, hb, hc = h * B1, h * B2, h * B3
             hd, he, hf = h * B4, h * B5, h * B6
             p7, q7 = rhs(t + h, (a + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5 + hf * p6,
                                  b + ha * q1 + hb * q2 + hc * q3 + hd * q4 + he * q5 + hf * q6))
-            if not (ninf < p7 < inf and ninf < q7 < inf):
-                raise _NonFinite
             a5 = a + h * (0.0 + B1 * p1 + B3 * p3 + B4 * p4 + B5 * p5 + B6 * p6)
             b5 = b + h * (0.0 + B1 * q1 + B3 * q3 + B4 * q4 + B5 * q5 + B6 * q6)
-            if not (ninf < a5 < inf and ninf < b5 < inf):
-                raise _NonFinite
-        except (_NonFinite, *_FLOAT_ERRORS):
-            # stopped at the stage whose row ha starts (stage 7's at the solution)
-            made = (h * A21, h * A31, h * A41, h * A51, h * A61, h * B1).index(ha) + 1
+        except _FLOAT_ERRORS:
+            # stopped at the stage whose row ha starts, the calls after it not made
+            short += 5 - (h * A21, h * A31, h * A41, h * A51, h * A61, h * B1).index(ha)
         else:
             a4 = a + h * (0.0 + E1 * p1 + E3 * p3 + E4 * p4 + E5 * p5 + E6 * p6 + E7 * p7)
             b4 = b + h * (0.0 + E1 * q1 + E3 * q3 + E4 * q4 + E5 * q5 + E6 * q6 + E7 * q7)
@@ -347,13 +334,7 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
                 if not err <= 1.0 and h <= h_min:
                     raise StiffnessError(f"step size underflow at t={t:g}")
                 continue
-            made = 6                # a slope or the solution is not finite
-        for k, v in enumerate((p2, q2, p3, q3, p4, q4, p5, q5, p6, q6)[:2 * made - 2]):
-            if not ninf < v < inf:  # an earlier stage a built stepper did not test
-                made = k // 2 + 1
-                break
-        short += 6 - made
-        h *= 0.25
+        h *= 0.25                   # a slope or the solution is not finite
         if h < h_min:
             return 6 * attempts - short, attempts - (len(ts) - 1), True
     return 6 * attempts - short, attempts - (len(ts) - 1), False
@@ -367,10 +348,9 @@ _STAGE = "{p} = scale * fn(freq * ({y}))\n{q} = dw0 - k0 * (({x}) / tau1 + ratio
 
 class _InlineStages(ast.NodeTransformer):
     """Writes each stage call out as :data:`_STAGE`, at the call's position,
-    and drops the tests ``if ...: raise _NonFinite``: a written-out stage
-    makes no call to stop, and every PD function gives NaN or raises on a
-    non-finite argument, so a non-finite slope reaches RK45's error
-    estimate or RK4's state."""
+    and drops RK4's state test ``if ...: raise _NonFinite``: a written-out
+    stage makes no call to stop, and ``integrate`` tests the built run's
+    states after it, in one pass."""
 
     def visit_If(self, node):
         match node:

@@ -1,4 +1,5 @@
 import ast
+import difflib
 import dis
 import functools
 import hashlib
@@ -410,42 +411,27 @@ def _ref_rk4_step(f, t, y, k1, h):
 
 
 def _ref_dp_attempt(f, t, y, k1, h):
-    isfinite = math.isfinite
     ha = h * _R_A21
     k2 = f(t + _R_C2 * h, tuple([v + ha * p1 for v, p1 in zip(y, k1)]))
-    if not all(map(isfinite, k2)):
-        return (k1, k2), None, None
     ha, hb = h * _R_A31, h * _R_A32
     k3 = f(t + _R_C3 * h, tuple([v + ha * p1 + hb * p2 for v, p1, p2 in zip(y, k1, k2)]))
-    if not all(map(isfinite, k3)):
-        return (k1, k2, k3), None, None
     ha, hb, hc = h * _R_A41, h * _R_A42, h * _R_A43
     k4 = f(t + _R_C4 * h, tuple([v + ha * p1 + hb * p2 + hc * p3
                                  for v, p1, p2, p3 in zip(y, k1, k2, k3)]))
-    if not all(map(isfinite, k4)):
-        return (k1, k2, k3, k4), None, None
     ha, hb, hc, hd = h * _R_A51, h * _R_A52, h * _R_A53, h * _R_A54
     k5 = f(t + _R_C5 * h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4
                                  for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]))
-    if not all(map(isfinite, k5)):
-        return (k1, k2, k3, k4, k5), None, None
     ha, hb, hc, hd, he = h * _R_A61, h * _R_A62, h * _R_A63, h * _R_A64, h * _R_A65
     k6 = f(t + h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5
                          for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)]))
-    if not all(map(isfinite, k6)):
-        return (k1, k2, k3, k4, k5, k6), None, None
     ha, hb, hc, hd, he, hf = (h * _R_B1, h * _R_B2, h * _R_B3, h * _R_B4, h * _R_B5,
                               h * _R_B6)
     k7 = f(t + h, tuple([v + ha * p1 + hb * p2 + hc * p3 + hd * p4 + he * p5 + hf * p6
                          for v, p1, p2, p3, p4, p5, p6 in zip(y, k1, k2, k3, k4, k5, k6)]))
     ks = (k1, k2, k3, k4, k5, k6, k7)
-    if not all(map(isfinite, k7)):
-        return ks, None, None
     y5 = tuple([v + h * (0.0 + _R_B1 * p1 + _R_B2 * p2 + _R_B3 * p3 + _R_B4 * p4
                          + _R_B5 * p5 + _R_B6 * p6 + _R_B7 * p7)
                 for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, *ks)])
-    if not all(map(isfinite, y5)):
-        return ks, None, None
     y4 = tuple([v + h * (0.0 + _R_E1 * p1 + _R_E2 * p2 + _R_E3 * p3 + _R_E4 * p4
                          + _R_E5 * p5 + _R_E6 * p6 + _R_E7 * p7)
                 for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, *ks)])
@@ -479,6 +465,10 @@ def _ref_rk4_steps(rhs, y, f0, config, counts):
 
 
 def _ref_rk45_steps(rhs, y, f0, config, counts):
+    def f(t, y):                # rhs, counting every call, one that raises too
+        counts[0] += 1
+        return rhs(t, y)
+
     t_end = config.t_end
     rtol, atol = config.rtol, config.atol
     dim = len(y)
@@ -486,20 +476,24 @@ def _ref_rk45_steps(rhs, y, f0, config, counts):
     h = min(config.h, t_end / 10.0)
     while t < t_end:
         h = min(h, t_end - t)
-        ks, y5, y4 = _ref_dp_attempt(rhs, t, y, f0, h)
-        counts[0] += len(ks) - 1
-        if y5 is None:
+        try:
+            ks, y5, y4 = _ref_dp_attempt(f, t, y, f0, h)
+        except (ArithmeticError, ValueError):   # a stage raised: the attempt ends
+            ks = None
+        else:
+            sq = 0.0
+            for v, w, u in zip(y, y5, y4):
+                e = (w - u) / (atol + rtol * max(abs(v), abs(w)))
+                sq += e * e
+            err = math.sqrt(sq / dim)
+        # a raise, or a non-finite error from a non-finite slope or solution
+        if ks is None or not (err < math.inf or all(map(_ref_finite, (*ks, y5)))):
             counts[1] += 1
             h *= 0.25
             if h < ode.H_MIN:
                 counts[2] = True
                 return
             continue
-        sq = 0.0
-        for v, w, u in zip(y, y5, y4):
-            e = (w - u) / (atol + rtol * max(abs(v), abs(w)))
-            sq += e * e
-        err = math.sqrt(sq / dim)
         if err <= 1.0:
             t, y, f0 = t + h, y5, ks[6]
             yield t, y
@@ -564,7 +558,7 @@ def _square_rhs():
 
 def _capped_square_rhs():
     """x' = x^2 until x reaches 1e3, then a non-finite slope: RK45 attempts
-    stop at non-finite stages until the step falls below H_MIN."""
+    with a non-finite stage are rejected until the step falls below H_MIN."""
     return lambda t, y: (y[0] * y[0] if y[0] < 1e3 else math.inf, 0.0)
 
 
@@ -585,7 +579,8 @@ def _nan_error_rhs():
 
 def _late_nonfinite_rhs():
     """theta' = 1, except that the last stage of every other attempt has an
-    infinite slope: that attempt stops at the stage-7 check."""
+    infinite slope: that attempt's error estimate is not finite, and it is
+    rejected."""
     calls = [0]
 
     def rhs(t, y):
@@ -597,15 +592,18 @@ def _late_nonfinite_rhs():
 
 def _floor_at_h_min_rhs():
     """Zero slopes, except an infinite one at the first attempt's first
-    stage, which quarters h from 4e-12 to H_MIN, and an x slope of 4.85e5
-    at the next attempt's last stage.  That attempt is accepted with an
-    error near 0.85, so the controller's next step, about 0.93 * H_MIN, is
-    raised to H_MIN, and the run goes on."""
+    stage and x itself at a non-finite x, which leave that attempt's error
+    estimate not finite and quarter h from 4e-12 to H_MIN, and an x slope
+    of 4.85e5 at the next attempt's last stage.  That attempt is accepted
+    with an error near 0.85, so the controller's next step, about
+    0.93 * H_MIN, is raised to H_MIN, and the run goes on."""
     calls = [0]
 
     def rhs(t, y):
         calls[0] += 1
-        return {2: (math.inf, 0.0), 8: (4.85e5, 0.0)}.get(calls[0], (0.0, 0.0))
+        if not math.isfinite(y[0]):
+            return (y[0], 0.0)
+        return {2: (math.inf, 0.0), 13: (4.85e5, 0.0)}.get(calls[0], (0.0, 0.0))
 
     return rhs
 
@@ -999,14 +997,13 @@ class TestInlinePhaseSteppers:
         assert code_calls == rhs_calls > 1000
         assert rhs_calls == self._code_calls(MethodType(classic_rhs, model), method)[0]
 
-    # The built RK45 tests no slope as it goes.  The first two cases swap
-    # the pitfall model's PD function for one that gives NaN past
+    # Neither RK45 tests a slope as it goes.  The first two cases swap the
+    # pitfall model's PD function for one that gives NaN past
     # 2*theta_e = -6, which the run reaches within 5 ms: an attempt whose
-    # stage state crosses it has a NaN slope there, where the generic
-    # stepper stops.  The built one runs on, to the end of the attempt
-    # (sin(nan) is NaN) or to the next stage, which raises (floor(nan)
-    # does).  From (1.1e306, 0.0) every slope is finite, near -1.6e308, and
-    # only the sums of the solution overflow.
+    # stage state crosses it has a NaN slope there, and runs on to the end
+    # of the attempt (sin(nan) is NaN) or to the next stage, which raises
+    # (floor(nan) does).  From (1.1e306, 0.0) every slope is finite, near
+    # -1.6e308, and only the sums of the solution overflow.
     @pytest.mark.parametrize("tol", [1e-8, 1e-3])
     @pytest.mark.parametrize("case", ["nan_completes", "nan_then_raises", "solution_only"])
     def test_nonfinite_attempts_same_as_generic_and_reference(self, case, tol):
@@ -1024,11 +1021,12 @@ class TestInlinePhaseSteppers:
                              IntegratorConfig(**controls))
         assert built == (ref.t.tobytes(), ref.y.tobytes(), ref.rhs_calls, ref.rejected_steps,
                          ref.blown_up)
-        # each run ends blown up; the generic stepper never raised, and it
-        # stopped attempts short of six calls exactly where a slope was NaN
+        # each run ends blown up; the generic stepper and the reference
+        # raised where the built one did, and only a raise stopped an
+        # attempt short of six calls
         attempts = len(ref.t) - 1 + ref.rejected_steps
-        assert ref.blown_up and len(raised) == built_raised
-        assert (ref.rhs_calls < 1 + 6 * attempts) == (case != "solution_only")
+        assert ref.blown_up and len(raised) == 3 * built_raised
+        assert (ref.rhs_calls < 1 + 6 * attempts) == (case == "nan_then_raises")
         assert all(map(math.isfinite, slopes)) == (case == "solution_only")
         assert (built_raised > 0) == (case == "nan_then_raises")
 
@@ -1137,9 +1135,9 @@ PINNED_RHS_CALLS = {
     "pitfall-rk4": 22001, "off_grid-rk4": 17, "off_grid_rounded-rk4": 57,
     "pitfall-rk45": 77467, "delay-rk45": 1309, "mod_qpsk-rk45": 2011, "ndarray-rk4": 401,
     "ndarray-rk45": 1207, "blow_up-rk4": 52, "blow_up-rk45": 1939,
-    "nonfinite_stage-rk45": 714, "nan_error-rk45": 595, "late_nonfinite-rk45": 1411,
-    "overflow-rk45": 91, "nan_completes@1e-08": 230, "nan_completes@0.001": 261,
-    "nan_then_raises@1e-08": 230, "nan_then_raises@0.001": 261,
+    "nonfinite_stage-rk45": 847, "nan_error-rk45": 595, "late_nonfinite-rk45": 1411,
+    "overflow-rk45": 91, "nan_completes@1e-08": 379, "nan_completes@0.001": 445,
+    "nan_then_raises@1e-08": 270, "nan_then_raises@0.001": 308,
     "solution_only@1e-08": 91, "solution_only@0.001": 91,
 }
 
@@ -1210,8 +1208,9 @@ class TestInlineBuild:
         assert all("rhs" not in c.co_names + c.co_varnames + c.co_freevars for c in codes)
 
     def test_built_steppers_keep_no_cells_and_rk45_no_slope_tests(self):
-        # a cell variable turns each load of its name into a LOAD_DEREF; the
-        # built RK45 leaves its finiteness tests to its reject path
+        # a cell variable turns each load of its name into a LOAD_DEREF;
+        # neither RK45 tests a slope: a non-finite one reaches the error
+        # estimate
         for steps in self.GENERIC:
             built = ode._inline_phase(steps).__code__
             assert built.co_cellvars == built.co_freevars == ()
@@ -1222,7 +1221,7 @@ class TestInlineBuild:
                        and after.opname == "RAISE_VARARGS" for op, after in zip(ops, ops[1:]))
 
         assert nonfinite_raises(ode._inline_phase(ode._rk45_steps)) == 0
-        assert nonfinite_raises(ode._rk45_steps) == 7
+        assert nonfinite_raises(ode._rk45_steps) == 0
         # the built RK4 tests no state, appends nothing and reads no step
         # time: the times appear only in the stage calls it writes out
         built = ode._inline_phase(ode._rk4_steps)
@@ -1232,19 +1231,29 @@ class TestInlineBuild:
             assert "append" not in steps.__code__.co_names and "t" not in reads
             assert ("ts" in reads) == (steps is ode._rk4_steps)
 
-    def test_generic_rk45_tests_each_slope_and_the_solution(self):
-        # right after the statement that computes it, so that an rhs sees
-        # no call after a non-finite slope
+    def test_built_rk45_differs_only_at_its_stage_calls(self):
+        # one non-finite rule for both RK45 paths: the build writes out the
+        # six stage calls (stages 2-7; stage 1 is the previous end slope) and
+        # changes no other statement
         tree = ast.parse(textwrap.dedent(inspect.getsource(ode._rk45_steps)))
-        attempt = next(node for node in ast.walk(tree) if isinstance(node, ast.Try)).body
-        pairs = [(f"p{k}", f"q{k}") for k in range(2, 8)] + [("a5", "b5")]
-        tests = [(ast.unparse(before), ast.unparse(node))
-                 for before, node in zip(attempt, attempt[1:]) if isinstance(node, ast.If)]
-        assert [test for _, test in tests] == [
-            f"if not (ninf < {p} < inf and ninf < {q} < inf):\n    raise _NonFinite"
-            for p, q in pairs]
-        assert [before.split(" = ")[0] for before, _ in tests] == \
-            [f"{p}, {q}" for p, q in pairs[:-1]] + ["b5"]
+        generic = ast.unparse(tree).splitlines()
+        built = ast.unparse(ode._InlineStages().visit(tree)).splitlines()
+        matcher = difflib.SequenceMatcher(None, generic, built, autojunk=False)
+        changes = [(op, [line.strip().split("(")[0] for line in generic[i1:i2]],
+                    [line.strip().split("(")[0] for line in built[j1:j2]])
+                   for op, i1, i2, j1, j2 in matcher.get_opcodes() if op != "equal"]
+        assert changes == [("replace", [f"p{k}, q{k} = rhs"],
+                            [f"p{k} = scale * fn", f"q{k} = dw0 - k0 * "]) for k in range(2, 8)]
+
+    def test_only_rk4_raises_nonfinite(self):
+        # the generic RK4 tests each new state, so that a generic rhs is not
+        # called past a blow-up; RK45 leaves a non-finite slope to its error
+        # estimate
+        tree = ast.parse(inspect.getsource(ode))
+        raising = {func.name: sum(isinstance(node, ast.Raise) and ast.unparse(node.exc) ==
+                                  "_NonFinite" for node in ast.walk(func))
+                   for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)}
+        assert {name: n for name, n in raising.items() if n} == {"_rk4_steps": 1}
 
     def test_stage_call_written_out_as_classic_rhs(self, tmp_path):
         model = pitfall_example_model()
