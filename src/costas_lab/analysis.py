@@ -313,16 +313,15 @@ def averaged_pull_in_time_numeric(params: LoopParams, variant: LoopVariant,
     dt = tau1*d(dw)/(K0*ud(dw)) (:func:`averaged_ud`) over dw with
     Simpson's rule (20,000 intervals) instead.  RangeError outside the
     band between the lock-in and pull-in ranges, as the conventional
-    loops' :func:`pull_in_time_formula` raises it, and where zeta*omega_n
-    underflows the lock-in range to 0.0, a zero beat at the first node.
-    DesignError when omega_n, delta_omega0, the slope at a node or the
+    loops' :func:`pull_in_time_formula` raises it.  DesignError when
+    omega_n, delta_omega0, the lock-in range, the slope at a node or the
     time itself is out of the float range (:func:`_derived`): gains that
-    underflow omega_n to 0.0 leave no lock-in range to integrate down to.
+    underflow omega_n, or zeta*omega_n, to 0.0 leave no lock-in range to
+    integrate down to (a zero beat at the first node).
     """
     _derived("omega_n", params.omega_n)
-    dw_l = _beat_band(params, variant, _derived("delta_omega0", delta_omega0))[0]
-    if dw_l <= 0:
-        raise RangeError("averaged model is defined for delta_omega > 0")
+    band = _beat_band(params, variant, _derived("delta_omega0", delta_omega0))
+    dw_l = _derived("lock-in range", band[0])
     n_steps = 20000
     h = (delta_omega0 - dw_l) / n_steps
     total = 0.0

@@ -933,7 +933,8 @@ REFUSAL_LINES = {
     # a subnormal k0 leaves omega_n at 5e-160 rad/s and underflows the lock-in range to 0.0
     "averaged-lock-in-range-underflow": (
         "simulate", {**AVERAGED_CFG, "params": {**DESIGN_GAINS, "k0": 5e-324}},
-        "error: averaged model is defined for delta_omega > 0\n"),
+        "error: derived constant lock-in range = 0.0 is out of range: it must be finite "
+        "and at least 2.2250738585072014e-308\n"),
     "predict-without-omega3": (
         "predict", GAINS_WITHOUT_OMEGA3,
         "error: conventional-loop pull-in needs an LPF corner omega3\n"),
