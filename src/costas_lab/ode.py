@@ -254,13 +254,13 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
     rhs call that raises one of :data:`_FLOAT_ERRORS`, which ends it with
     the calls it made, or a non-finite error estimate from a non-finite
     stage slope or solution) quarters the step and a step below
-    :data:`H_MIN` ends the run, blown up.  An error estimate
-    that stays above 1 (or is NaN) at :data:`H_MIN`, or more than
-    :data:`MAX_STEPS` attempts, raises StiffnessError.  The tableau is
-    bound to locals once per run, and every min, max and abs of the
-    controller is a comparison that picks the same float the builtin
-    would, up to the sign of a zero the error scale adds to ``atol > 0``.
-    The build of :func:`_inline_phase` changes only the stage calls.
+    :data:`H_MIN` ends the run, blown up.  An error estimate that stays
+    above 1 (or is NaN) at :data:`H_MIN`, or more than :data:`MAX_STEPS`
+    attempts, raises StiffnessError.  The tableau is bound to locals once
+    per run, and every min, max and abs of the controller is a comparison
+    that picks the same float the builtin would, up to the sign of a zero
+    the error scale adds to ``atol > 0``.  The build of
+    :func:`_inline_phase` changes only the stage calls.
     """
     (C2, C3, C4, C5, A21, A31, A32, A41, A42, A43, A51, A52, A53, A54,
      A61, A62, A63, A64, A65, B1, B2, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7) = _TABLEAU
@@ -334,7 +334,7 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
                 if not err <= 1.0 and h <= h_min:
                     raise StiffnessError(f"step size underflow at t={t:g}")
                 continue
-        h *= 0.25                   # a slope or the solution is not finite
+        h *= 0.25                   # a stage raised, or a slope or the solution is not finite
         if h < h_min:
             return 6 * attempts - short, attempts - (len(ts) - 1), True
     return 6 * attempts - short, attempts - (len(ts) - 1), False
