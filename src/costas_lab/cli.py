@@ -295,8 +295,8 @@ def cmd_simulate(args) -> int:
     elif fidelity in ("phase", "delay"):
         traj, locked = _simulate_ode(cfg, variant, params)
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "trajectory.csv", "w", newline="") as fh:
-            fh.write("t,x,theta_e\n")
+        with open(outdir / "trajectory.csv", "wb") as fh:
+            fh.write(b"t,x,theta_e\n")
             write_csv_rows(fh, (traj.t, traj.y[:, 0], traj.y[:, 1]))
         summary = {"schema": 1, "locked": locked,
                    "cycle_slips": count_cycle_slips(traj.y[:, 1], pd_period(variant)),
@@ -344,8 +344,8 @@ def cmd_sweep(args) -> int:
                      result.locked))
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "sweep.csv", "w", newline="") as fh:
-        fh.write("delta_f0_hz,t_p_theory_s,t_p_sim_s,locked\n")
+    with open(outdir / "sweep.csv", "wb") as fh:
+        fh.write(b"delta_f0_hz,t_p_theory_s,t_p_sim_s,locked\n")
         write_csv_rows(fh, list(zip(*rows))[:3], ["%d" % locked for *_, locked in rows])
     write_manifest(outdir, "sweep", {**cfg, "offsets": offsets}, ["sweep.csv"])
     print(json.dumps({"outdir": str(args.output), "rows": len(rows)}))
@@ -387,8 +387,8 @@ def cmd_portrait(args) -> int:
     part = outdir / "portrait.csv.part"
     labels = set()
     try:
-        with open(part, "w", newline="") as fh:
-            fh.write("t,x,theta_e,class\n")
+        with open(part, "wb") as fh:
+            fh.write(b"t,x,theta_e,class\n")
 
             def emit(c):
                 t, y = c.trajectory.t, c.trajectory.y

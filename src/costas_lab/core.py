@@ -307,9 +307,10 @@ _EXP = _words("".join([f"{e:02d}".rjust(3) + sep for e in range(310) for sep in 
 del _PAIRS, _P2
 
 
-def _format_block(v: np.ndarray, text=None) -> str:
-    """The CSV lines of the float rows ``v``, each field ``"%.11e"``, and
-    the strings ``text`` as a last column if given.
+def _format_block(v: np.ndarray, buf: bytearray, text=None) -> bytes:
+    """The CSV lines of the float rows ``v`` as ASCII bytes, each field
+    ``"%.11e"``, and the strings ``text`` as a last column if given.
+    ``buf``, 20 bytes per field of ``v``, is overwritten with the fields.
 
     ``e = floor(log10|x|)`` and ``s = |x| * 10**(11 - e)`` in float: both
     rounding steps are correctly rounded, so ``s`` is within 2.3e-4 of its
@@ -321,7 +322,8 @@ def _format_block(v: np.ndarray, text=None) -> str:
     into the exponent: 1e11 and e + 1.  Zeros, signed by their sign bit,
     are the digits 0 and the exponent +00.  Every other value (nan, inf,
     subnormals, the range edges, near-ties) is formatted by ``"%.11e" %``
-    into its slot.
+    into its slot.  The digit groups come from ``//`` by constants, which
+    numpy does as a multiply (Granlund and Montgomery, PLDI 1994).
     """
     # temporaries are updated in place and dropped once used: a block's
     # arrays, not its values, set the writer's peak memory
@@ -347,15 +349,18 @@ def _format_block(v: np.ndarray, text=None) -> str:
     top |= ~fast                        # the rest keeps the table indices in range
     np.copyto(r, 1e11, where=top)
     del top
-    buf = bytearray(20 * v.size)
     words = np.frombuffer(buf, np.uint32).reshape(v.shape + (5,))
-    hi, lo = np.divmod(r.astype(np.int64), 1000000)     # d0-d5, d6-d11
+    lo = r.astype(np.int64)             # the 12 digits, 0 <= lo < 1e12
     del r
-    q, hi = np.divmod(hi, 10000)                         # d0d1, d2-d5
+    hi = lo // 1000000                  # d0-d5
+    lo -= hi * 1000000                  # d6-d11
+    q = hi // 10000                     # d0d1
+    hi -= q * 10000                     # d2-d5
     q += 100 * np.signbit(v)
     words[..., 0] = _LEAD[q]
     words[..., 1] = _DIGITS4[hi]
-    q, lo = np.divmod(lo, 100)                           # d6-d9, d10d11
+    q = lo // 100                       # d6-d9
+    lo -= q * 100                       # d10d11
     words[..., 2] = _DIGITS4[q]
     lo *= 2
     lo += e < 0
@@ -367,31 +372,33 @@ def _format_block(v: np.ndarray, text=None) -> str:
     e += last
     words[..., 4] = _EXP[e]
     del e
-    slow = np.nonzero(~fast)
-    if len(slow[0]):
-        vals = v[slow].tolist()
-        chars = words.view(np.uint8).reshape(v.shape + (20,))
+    slow = np.flatnonzero(~fast)        # flat: a 2-D nonzero costs 9x as much
+    if len(slow):
+        vals = v.ravel()[slow].tolist()
+        chars = words.view(np.uint8).reshape(-1, 20)
         # at most 19 characters ("-1.79769313486e+308"), then the separator
+        # that the exponent word has put in place
         fill = ("%-19.11e" * len(vals)) % tuple(vals)
-        chars[slow + (slice(0, 19),)] = np.frombuffer(fill.encode("ascii"), np.uint8).reshape(-1, 19)
-        chars[slow + (19,)] = np.where(last[slow[1]], ord("\n"), ord(","))
-    lines = buf.translate(None, b" ").decode("ascii")
+        chars[slow, :19] = np.frombuffer(fill.encode("ascii"), np.uint8).reshape(-1, 19)
+    lines = buf.translate(None, b" ")
     if text is None:
         return lines
-    return "".join([f"{line},{t}\n" for line, t in zip(lines.split("\n"), text)])
+    return "".join([f"{line},{t}\n" for line, t in zip(lines.decode().split("\n"), text)]).encode()
 
 
 def write_csv_rows(fh, columns, text=None) -> None:
-    """Write one CSV line per row of the equal-length float ``columns`` to
-    ``fh``, each field CPython's ``format(v, ".11e")`` (also for -0.0,
-    nan, inf and subnormals), in blocks of :data:`CSV_BLOCK` rows.
+    """Write one ASCII CSV line per row of the equal-length float ``columns``
+    to the binary file ``fh``, each field CPython's ``format(v, ".11e")``
+    (also for -0.0, nan, inf and subnormals), :data:`CSV_BLOCK` rows a pass.
 
     ``text``, if given, holds one string per row, written as a last column.
     """
+    buf = bytearray(20 * len(columns) * min(len(columns[0]), CSV_BLOCK))
     for start in range(0, len(columns[0]), CSV_BLOCK):
         rows = slice(start, start + CSV_BLOCK)
-        fh.write(_format_block(np.column_stack([c[rows] for c in columns]),
-                               None if text is None else text[rows]))
+        v = np.column_stack([c[rows] for c in columns])
+        del buf[20 * v.size:]           # the last block can be shorter
+        fh.write(_format_block(v, buf, None if text is None else text[rows]))
 
 
 def count_cycle_slips(theta_e: np.ndarray, period: float, out=None) -> int:

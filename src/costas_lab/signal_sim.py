@@ -696,13 +696,14 @@ def demod_ber(result: SimResult, source: ModulatedSource) -> float:
 
 
 def export_csv(result: SimResult, path: str) -> None:
-    """Time-series export, RFC 4180 with LF endings, 12 significant digits.
+    """Time-series export, RFC 4180 with LF endings, 12 significant digits,
+    written as ASCII bytes to a file opened in binary mode.
 
     ``result`` must come from ``run_loop(..., signals=True)`` (ValueError
     otherwise)."""
     _check_signals(result)
     cols = (result.t, result.theta_e, result.ud, result.uf,
             result.omega2, result.i2, result.q2)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,theta_e,u_d,u_f,omega2,I2,Q2\n")
+    with open(path, "wb") as fh:
+        fh.write(b"t,theta_e,u_d,u_f,omega2,I2,Q2\n")
         write_csv_rows(fh, cols)

@@ -1172,9 +1172,9 @@ class TestCsvExport(object):
         cycle = np.concatenate([self.SPECIALS, rng.normal(scale=1e3, size=20)])
         # the special values recur every 32 rows, in every block and column
         columns = [np.resize(np.roll(cycle, -j), rows) for j in range(7)]
-        fh = io.StringIO()
+        fh = io.BytesIO()
         write_csv_rows(fh, columns)
-        assert_same_csv(fh.getvalue(), reference_rows(columns))
+        assert_same_csv(fh.getvalue().decode(), reference_rows(columns))
         # the decade carry, 7 columns of it: a few ulps below +-10^k, whose
         # 12 digits round up to 1.00000000000e(k), and the values either
         # side of the carry's tie 9.999999999995e(k-1)
@@ -1185,9 +1185,9 @@ class TestCsvExport(object):
                          for k, d in zip(ks, rng.integers(-3, 4, size=len(ks)))])
         carries = np.concatenate([below, -below, _ulp_neighbours(ties)])
         columns = list(np.resize(carries, (7, -(-len(carries) // 7))))
-        fh = io.StringIO()
+        fh = io.BytesIO()
         write_csv_rows(fh, columns)
-        assert_same_csv(fh.getvalue(), reference_rows(columns))
+        assert_same_csv(fh.getvalue().decode(), reference_rows(columns))
 
     # Values the digit tables must get right or hand to "%": random bit
     # patterns (every sign, exponent and payload, nan and inf included),
@@ -1219,9 +1219,9 @@ class TestCsvExport(object):
         rows = -(-len(values) // ncols)
         values = np.resize(values, rows * ncols)    # every value, wrapping round
         columns = [values[j * rows:(j + 1) * rows] for j in range(ncols)]
-        fh = io.StringIO()
+        fh = io.BytesIO()
         write_csv_rows(fh, columns)
-        assert_same_csv(fh.getvalue(), reference_rows(columns))
+        assert_same_csv(fh.getvalue().decode(), reference_rows(columns))
 
     def test_signed_zeros_and_their_neighbours(self):
         # a locked modified loop can hold theta_e, u_d and Q2 at exactly
@@ -1233,9 +1233,9 @@ class TestCsvExport(object):
         values = rng.choice(near, size=(7, CSV_BLOCK + 5))
         values[:, :64] = rng.choice([0.0, -0.0], size=(7, 64))     # whole rows of zeros
         columns = list(values)
-        fh = io.StringIO()
+        fh = io.BytesIO()
         write_csv_rows(fh, columns)
-        lines = fh.getvalue().splitlines()
+        lines = fh.getvalue().decode().splitlines()
         assert lines == [",".join(format(v, ".11e") for v in row) for row in zip(*columns)]
         assert lines[0].count("0.00000000000e+00") == 7
 
@@ -1246,9 +1246,9 @@ class TestCsvExport(object):
         values = np.concatenate([self.SPECIALS, rng.normal(scale=1e-3, size=rows * ncols)])
         columns = [values[j * rows:(j + 1) * rows] for j in range(ncols)]
         text = [("eq", "cycle", "undecided", "1", "0", "")[i % 6] for i in range(rows)]
-        fh = io.StringIO()
+        fh = io.BytesIO()
         write_csv_rows(fh, columns, text)
-        assert_same_csv(fh.getvalue(), reference_rows(columns, text))
+        assert_same_csv(fh.getvalue().decode(), reference_rows(columns, text))
 
     def test_format(self, tmp_path, bpsk_reference_params):
         r = run_loop(bpsk_source(), DigitalLoop(bpsk_reference_params, F_SAMP), 1e-4,

@@ -11,13 +11,16 @@ from their source: a kernel is ``_sample_loop`` with its flags folded
 and its dead branches, front ends and phase detectors alike, pruned.
 ``signal_sim`` calls no ``.tolist()``: the sample loop reads its inputs
 through memoryviews of float64 arrays, not from Python float lists (32 B
-a value, where the array holds 8 B).  No module imports another module's
-underscore name (``__version__`` aside): a name one module shares with
-another is public.  ``baseband`` imports nothing from ``analysis``: the
-ODE models do not depend on the closed forms, and the averaged beat-note
-model lives beside the closed form it integrates.  Every public exception
-class derives from ValueError or ``core.NumericFailure``, the two that
-``cli.main`` maps to exit codes 2 and 3."""
+a value, where the array holds 8 B).  No module calls ``np.divmod``: it
+divides element by element, where ``//`` by a constant divides as a
+multiply, about 10x faster on the CSV writer's digit groups.  No module
+imports another module's underscore name (``__version__`` aside): a name
+one module shares with another is public.  ``baseband`` imports nothing
+from ``analysis``: the ODE models do not depend on the closed forms, and
+the averaged beat-note model lives beside the closed form it integrates.
+Every public exception class derives from ValueError or
+``core.NumericFailure``, the two that ``cli.main`` maps to exit codes 2
+and 3."""
 
 import ast
 import importlib
@@ -250,6 +253,26 @@ def test_tolist_call_found():
                      "def f(a):\n    return zip(range(3), a[1:].tolist(), memoryview(a))\n"
                      "g = a.tolist\n")
     assert _tolist_calls(tree) == [2, 4]
+
+
+def _divmod_calls(tree: ast.Module) -> list[int]:
+    """Lines that call a ``divmod`` attribute, such as ``np.divmod``; the
+    builtin ``divmod`` of two Python numbers is not one."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "divmod")
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_divmod(path):
+    assert _divmod_calls(ast.parse(path.read_text())) == []
+
+
+def test_numpy_divmod_found():
+    tree = ast.parse("import numpy as np\nhi, lo = np.divmod(r, 1000000)\n"
+                     "def f(a):\n    return numpy.divmod(a, 100)[0], divmod(7, 2), a // 100\n"
+                     "g = np.divmod\n")
+    assert _divmod_calls(tree) == [2, 4]
 
 
 def _package_imports(tree: ast.Module) -> list[ast.ImportFrom]:
