@@ -460,6 +460,34 @@ class TestSimulateCommand:
             "summary.json": "ec15f8f23b379e923d275cf7ca44afcf359cf34590e2e5e1c462ff8915597e5c",
         }
 
+    # RK45 runs from (0, 0.7) whose lock verdicts go both ways: each loop
+    # locks at 40 kHz and slips at 300 kHz
+    RK45_VERDICTS = {
+        ("bpsk", "phase", 40e3): (True, "f6b370888a85e01db82f7ec9ae1f670c"
+                                        "bd020f4649f9db1df041d89e9b732add"),
+        ("bpsk", "phase", 300e3): (False, "92d30a56a737194e30d3e7a5509b81ab"
+                                          "a3831b444af030b788494ebc09038045"),
+        ("bpsk", "delay", 40e3): (True, "c4e5753c7e500593a6aa784fb0dc9c57"
+                                        "600b6276cee08c4fb3cb9e35742dafa8"),
+        ("bpsk", "delay", 300e3): (False, "aa2f1f672e51dca622174f22ec2d074f"
+                                          "957b888c196989ac6545043570fd092d"),
+        ("qpsk", "phase", 40e3): (True, "b178283d829e631ab9e21660c285f9e0"
+                                        "c8ffa6dbd90ed7d589d3b11cb39ec63a"),
+        ("qpsk", "phase", 300e3): (False, "dc4a888f0c822521086bc8a91ffdf85c"
+                                          "39c90e9d8db1c533c57c93d0aa6cbede"),
+    }
+
+    @pytest.mark.parametrize("variant,fidelity,offset", list(RK45_VERDICTS))
+    def test_rk45_verdict_summary_digest(self, tmp_path, capsys, variant, fidelity, offset):
+        cfg = write_cfg(tmp_path, {**PHASE_CFG, "variant": variant, "fidelity": fidelity,
+                                   "delta_f0": offset, "t_end": 1.5e-4, "method": "rk45",
+                                   "state0": [0.0, 0.7]})
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+        blob = (tmp_path / "o" / "summary.json").read_bytes()
+        locked, digest = self.RK45_VERDICTS[variant, fidelity, offset]
+        assert json.loads(blob)["locked"] is locked
+        assert hashlib.sha256(blob).hexdigest() == digest
+
     def test_delay_fidelity_rejects_modified_loop(self, tmp_path, capsys):
         # the modified loops have no LPF; an omega3 in explicit params used
         # to reach the implicit solver, whose bracket misses the phase PD

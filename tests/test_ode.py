@@ -776,6 +776,11 @@ class TestPortrait:
         labels = {c.state0: c.label for c in portrait}
         assert labels[PITFALL_STATE0] == "cycle"
 
+    def test_labels_pinned(self, portrait):
+        # the three states near the equilibrium lock, the other three ride
+        # the cycle, in the order they were given
+        assert [c.label for c in portrait] == ["eq"] * 3 + ["cycle"] * 3
+
     def test_classification_order_invariant(self):
         model = pitfall_example_model()
         xeq = model.equilibrium_x()
