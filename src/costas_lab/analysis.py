@@ -196,17 +196,10 @@ def pull_in_range_numeric(params: LoopParams, variant: LoopVariant) -> float:
     if variant.is_modified:
         return math.inf
     _check_pullin_preconditions(params)
-    n = 4 if variant.is_qpsk else 2
-
-    def f(dw: float) -> float:
-        return n * math.atan(dw / params.omega3) - math.atan(n * dw / params.omega_c)
-
-    hi = 100.0 * params.omega3
-    if f(hi) <= 0.0:
-        raise RangeError("no sign change in the pull-in bisection bracket")
-    # f(0+) < 0 because omega_c < omega3
-    lo, hi = bisect(lambda dw: not f(dw) > 0.0, 0.0, hi,
-                    lambda lo, hi: hi - lo <= 1e-9 * hi)
+    # the lag starts above -pi/2 (omega_c < omega3) and is below it at
+    # 100*omega3, where n*atan(100) alone exceeds pi/2
+    lo, hi = bisect(lambda dw: not total_phase_lag(params, variant, dw) < -math.pi / 2,
+                    0.0, 100.0 * params.omega3, lambda lo, hi: hi - lo <= 1e-9 * hi)
     return 0.5 * (lo + hi)
 
 

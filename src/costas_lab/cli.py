@@ -272,7 +272,7 @@ def _simulate_ode(cfg: dict, variant: LoopVariant, params: LoopParams):
     traj = integrate(rhs, state0, icfg)
     if traj.blown_up:   # the step after the last recorded row failed
         raise NumericBlowUp(where=f"step {len(traj.t)}, from t={traj.t[-1]:g}")
-    return traj, lock_verdict(traj, rhs, params, variant)
+    return traj, lock_verdict(traj, params, variant)
 
 
 def cmd_simulate(args) -> int:

@@ -1,16 +1,18 @@
 """Numerical integration of the baseband models.
 
 Provides a fixed-step classic RK4 and an adaptive Dormand-Prince RK45
-that record every accepted step; a run that reaches a non-finite state
+that record every accepted step and, at each, the rate theta_e' of its
+end slope (``Trajectory.dtheta``); a run that reaches a non-finite state
 ends early, flagged as blown up.  Cycle slips (the probe's and the
 phase/delay ``summary.json``'s ``cycle_slips``) are counted on the
 recorded phase error by :func:`core.count_cycle_slips`: one per
 lock-cell boundary crossed between consecutive accepted steps.  On top
-of the integrator sit the two simulation-pitfall harnesses: the
-step-size-sensitivity probe (a fixed-step lock verdict that flips with h
-near a semistable cycle) and the phase-portrait classifier that
-separates equilibrium-convergent from cycle-convergent initial
-conditions.
+of the integrator sit the lock verdict and the two simulation-pitfall
+harnesses: the step-size-sensitivity probe (a fixed-step lock verdict
+that flips with h near a semistable cycle) and the phase-portrait
+classifier that separates equilibrium-convergent from cycle-convergent
+initial conditions.  They read the recorded phase error and rate, and
+call no rhs.
 
 The rhs contract: the state has two components, (x_lf, theta_e) in every
 model here.  ``rhs(t, y)`` takes the time and the state as a tuple of
@@ -86,11 +88,11 @@ H_MIN = 1e-12   # smallest RK45 step; below it a run ends or raises
 
 # Most steps one run may take: RK4 steps (an RK4 config over it is refused
 # before it runs) or RK45 attempts (exceeding it raises StiffnessError).
-# An RK4 run peaks at about 26 B of traced memory per step (the
-# trajectory's times and states, and the built run's finiteness scan) and
-# an RK45 run at about 41 B per accepted step (three array('d') buffers
-# and the trajectory's state array): near 26 and 41 MB at the cap, with a
-# trajectory.csv (about 57 B per row) near 60 MB.  That is 9 times the
+# An RK4 run peaks at about 34 B of traced memory per step (the
+# trajectory's times, states and rates, and the built run's finiteness
+# scan) and an RK45 run at about 49 B per accepted step (four array('d')
+# buffers and the trajectory's state array): near 34 and 49 MB at the
+# cap, with a trajectory.csv (about 57 B per row) near 60 MB.  That is 9 times the
 # longest run the tests or the benchmark make (the probe's 110,000 RK4
 # steps at h = 1e-3; the longest RK45 run makes 37,703 attempts).
 MAX_STEPS = 1_000_000
@@ -129,18 +131,18 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
+    """The recorded states and, at each, theta_e' of the end slope that the
+    next step reuses as its first stage: for RK4 the rhs at the state, bit
+    for bit (NaN where that call raised), for RK45 the first-same-as-last
+    slope at stage 7's state, which equals the recorded solution only to
+    rounding."""
+
     t: np.ndarray
     y: np.ndarray                 # shape (n_points, 2)
+    dtheta: np.ndarray            # theta_e' at each recorded state
     blown_up: bool = False        # a non-finite state ended the run early
     rhs_calls: int = 0            # slope evaluations the integrator made
     rejected_steps: int = 0       # RK45 attempts not accepted
-
-    def resample(self, t_grid: np.ndarray) -> np.ndarray:
-        """Linear-interpolated states on a uniform grid."""
-        out = np.empty((len(t_grid), self.y.shape[1]))
-        for j in range(self.y.shape[1]):
-            out[:, j] = np.interp(t_grid, self.t, self.y[:, j])
-        return out
 
 
 # The Dormand-Prince 5(4) tableau, in the order _rk45_steps binds it to
@@ -205,11 +207,12 @@ def _rk4_grid(t_end: float, h0: float):
     return ts, [(range(1, n), h0), (range(n, n + 1), r)]
 
 
-def _rk4_steps(rhs, a, b, p1, q1, segments, ts, xs, ths):
+def _rk4_steps(rhs, a, b, p1, q1, segments, ts, xs, ths, qs):
     """Fixed steps from (0, (a, b)), whose slope is (p1, q1), over the
     segments of :func:`_rk4_grid`, step k ending at ``ts[k]`` with its
-    state in ``xs[k]`` and ``ths[k]``; returns ``(rhs calls, blown up)``,
-    and the run keeps ``calls // 4 + 1`` states.  A step's first stage is
+    state in ``xs[k]`` and ``ths[k]`` and its end slope's theta_e' in
+    ``qs[k]``; returns ``(rhs calls, blown up)``, and the run keeps
+    ``calls // 4 + 1`` states.  A step's first stage is
     the previous end slope (first same as last).  A non-finite state ends
     the run, blown up, as does an rhs call that raises one of
     :data:`_FLOAT_ERRORS`; the run then counts the calls made.  A float v
@@ -241,13 +244,15 @@ def _rk4_steps(rhs, a, b, p1, q1, segments, ts, xs, ths):
                 p1, q1 = rhs(ts[k], (a, b))
             except _FLOAT_ERRORS:
                 return 4 * k, True
+            qs[k] = q1
     return 4 * (len(xs) - 1), False
 
 
-def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
+def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths, qs):
     """Adaptive Dormand-Prince steps under the elementary controller, each
-    accepted step appended to ``ts``, ``xs`` and ``ths``; returns ``(rhs
-    calls, rejected attempts, blown up)``.
+    accepted step appended to ``ts``, ``xs`` and ``ths``, and its end
+    slope's theta_e' to ``qs``; returns ``(rhs calls, rejected attempts,
+    blown up)``.
 
     Each stage state is ``y + (h*a1)*k1 + ...`` and each solution
     ``y + h*(0.0 + b1*k1 + ...)``, term by term.  A non-finite attempt (an
@@ -267,7 +272,7 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
     inf = math.inf
     sqrt, isfinite, h_min, max_steps = math.sqrt, math.isfinite, H_MIN, MAX_STEPS
     t_end, rtol, atol = config.t_end, config.rtol, config.atol
-    put_t, put_x, put_th = ts.append, xs.append, ths.append
+    put_t, put_x, put_th, put_q = ts.append, xs.append, ths.append, qs.append
     attempts = short = 0            # attempts, and rhs calls they did not make
     t = 0.0
     h = min(config.h, t_end / 10.0)
@@ -322,6 +327,7 @@ def _rk45_steps(rhs, a, b, p1, q1, config, ts, xs, ths):
                     put_t(t)
                     put_x(a)
                     put_th(b)
+                    put_q(q1)
                 if err > 0:         # h * min(5.0, max(0.2, 0.9 * err**-0.2))
                     factor = 0.9 * err ** -0.2
                     h = h * (5.0 if factor > 5.0 else factor if factor > 0.2 else 0.2)
@@ -413,21 +419,23 @@ def integrate(rhs: RhsFn, state0: Sequence[float], config: IntegratorConfig) -> 
     if built:
         rhs, steps = rhs.__self__._rhs_consts, _inline_phase(steps)
     if config.method == "rk45":
-        ts, xs, ths = array("d", [0.0]), array("d", [a]), array("d", [b])
-        calls, rejected, blown_up = steps(rhs, a, b, p, q, config, ts, xs, ths)
-        return Trajectory(np.frombuffer(ts), np.column_stack((xs, ths)), blown_up=blown_up,
-                          rhs_calls=1 + calls, rejected_steps=rejected)
+        ts, xs, ths, qs = array("d", [0.0]), array("d", [a]), array("d", [b]), array("d", [q])
+        calls, rejected, blown_up = steps(rhs, a, b, p, q, config, ts, xs, ths, qs)
+        return Trajectory(np.frombuffer(ts), np.column_stack((xs, ths)), np.frombuffer(qs),
+                          blown_up=blown_up, rhs_calls=1 + calls, rejected_steps=rejected)
     ts, segments = _rk4_grid(config.t_end, config.h)
     ys = np.empty((len(ts), 2))
     ys[0] = y
-    views = memoryview(ts), memoryview(ys[:, 0]), memoryview(ys[:, 1])
+    qs = np.full(len(ts), math.nan)
+    qs[0] = q
+    views = memoryview(ts), memoryview(ys[:, 0]), memoryview(ys[:, 1]), memoryview(qs)
     calls, blown_up = steps(rhs, a, b, p, q, segments, *views)
     if built:                       # the state test the build dropped, in one pass
         ok = np.isfinite(ys[1:calls // 4 + 1].ravel())
         if not ok.all():
             calls, blown_up = 4 * (int(ok.argmin()) // 2 + 1) - 1, True
     n = calls // 4 + 1              # a run that ended early keeps only its own steps
-    kept = (ts, ys) if n == len(ts) else (ts[:n].copy(), ys[:n].copy())
+    kept = (ts, ys, qs) if n == len(ts) else (ts[:n].copy(), ys[:n].copy(), qs[:n].copy())
     return Trajectory(*kept, blown_up=blown_up, rhs_calls=1 + calls)
 
 
@@ -437,30 +445,17 @@ LOCK_TOL_P = 0.05   # rad on wrapped |theta_e|
 LOCK_TAIL = 0.2     # fraction of t_end examined
 
 
-def lock_verdict(
-    traj: Trajectory,
-    rhs: RhsFn,
-    params: LoopParams,
-    variant: LoopVariant,
-) -> bool:
+def lock_verdict(traj: Trajectory, params: LoopParams, variant: LoopVariant) -> bool:
     """Locked iff phase and rate stay inside tolerance over the tail: the
     phase within :data:`LOCK_TOL_P` of a lock point (a multiple of the PD
-    period), the rate within 1e-3 * omega_n (1e-3 * K0 when omega_n is 0)."""
+    period), the recorded rate ``dtheta`` within 1e-3 * omega_n (1e-3 * K0
+    when omega_n is 0).  A NaN counts as inside."""
     if traj.blown_up:
         return False
     tol_f = 1e-3 * (params.omega_n if params.omega_n > 0 else params.k0)
-    t_end = traj.t[-1]
-    mask = traj.t >= (1.0 - LOCK_TAIL) * t_end
-    t_tail, tail = traj.t[mask], traj.y[mask]
-    phase_out = np.abs(wrap_phase(tail[:, 1], pd_period(variant))) > LOCK_TOL_P
-    n_in = int(phase_out.argmax()) if phase_out.any() else len(tail)
-    # the rates of the samples before the first phase out of tolerance, one
-    # rhs call each, in the calls a sample-by-sample scan makes
-    states = zip(tail[:n_in, 0].tolist(), tail[:n_in, 1].tolist())
-    for ti, yi in zip(t_tail[:n_in].tolist(), states):
-        if abs(rhs(ti, yi)[1]) > tol_f:
-            return False
-    return n_in == len(tail)
+    tail = traj.t >= (1.0 - LOCK_TAIL) * traj.t[-1]
+    return not ((np.abs(wrap_phase(traj.y[tail, 1], pd_period(variant))) > LOCK_TOL_P).any()
+                or (np.abs(traj.dtheta[tail]) > tol_f).any())
 
 
 # --- step-size sensitivity probe --------------------------------------------
@@ -505,16 +500,16 @@ def step_sensitivity_probe(
     for h in h_list:
         traj = integrate(rhs, state0, IntegratorConfig(t_end=t_end, method="rk4", h=h))
         slips = count_cycle_slips(traj.y[:, 1], pd_period(variant))
-        verdicts.append(ProbeVerdict(h, lock_verdict(traj, rhs, params, variant), slips))
+        verdicts.append(ProbeVerdict(h, lock_verdict(traj, params, variant), slips))
 
     ref = integrate(
         rhs, state0, IntegratorConfig(t_end=t_end, method="rk45", rtol=1e-8, atol=1e-10)
     )
-    ref_locked = lock_verdict(ref, rhs, params, variant)
+    ref_locked = lock_verdict(ref, params, variant)
     tight = integrate(
         rhs, state0, IntegratorConfig(t_end=t_end, method="rk45", rtol=1e-9, atol=1e-11)
     )
-    tight_locked = lock_verdict(tight, rhs, params, variant)
+    tight_locked = lock_verdict(tight, params, variant)
     return ProbeReport(
         verdicts=verdicts,
         reference_locked=ref_locked,
@@ -554,20 +549,17 @@ def _autocorr_peak(x: np.ndarray, min_lag: int) -> float:
     return float(corr.max()) if len(corr) else 0.0
 
 
-def _classify(traj: Trajectory, rhs: RhsFn, params: LoopParams, variant: LoopVariant) -> str:
+def _classify(traj: Trajectory, params: LoopParams, variant: LoopVariant) -> str:
     if traj.blown_up:
         return "undecided"
-    if lock_verdict(traj, rhs, params, variant):
+    if lock_verdict(traj, params, variant):
         return "eq"
     t_end = traj.t[-1]
-    t0 = (1.0 - LOCK_TAIL) * t_end
-    grid = np.linspace(t0, t_end, 4096)
-    tail = traj.resample(grid)
-    theta = tail[:, 1]
-    if abs(theta[-1] - theta[0]) < pd_period(variant):
+    grid = np.linspace((1.0 - LOCK_TAIL) * t_end, t_end, 4096)
+    first, last = np.interp(grid[[0, -1]], traj.t, traj.y[:, 1])
+    if abs(last - first) < pd_period(variant):
         return "undecided"
-    states = zip(tail[:, 0].tolist(), tail[:, 1].tolist())
-    rate = np.array([rhs(ti, yi)[1] for ti, yi in zip(grid.tolist(), states)])
+    rate = np.interp(grid, traj.t, traj.dtheta)
     return "cycle" if _autocorr_peak(rate, min_lag=8) > 0.99 else "undecided"
 
 
@@ -590,7 +582,7 @@ def phase_portrait(
 
     for s0 in initial_states:
         traj = integrate(rhs, s0, cfg)
-        emit(ClassifiedTrajectory(tuple(s0), _classify(traj, rhs, params, variant), traj))
+        emit(ClassifiedTrajectory(tuple(s0), _classify(traj, params, variant), traj))
         del traj
 
 

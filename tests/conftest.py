@@ -70,48 +70,42 @@ def modified_reference_params():
 
 
 @contextmanager
-def _counted_phase_rhs(sites):
+def _counted_phase_rhs(module):
     """Count the phase model's rhs calls at its measurement point and at
-    the sites that make them.
+    the integrator.
 
     ``baseband.classic_rhs`` and ``cli.classic_rhs``, the names a tracer
-    patches, are rebound to a counter (``counts["classic_rhs"]``).  Each
-    ``(module, function name, rhs argument index)`` in ``sites`` is
-    wrapped so that its rhs argument counts its calls under the function's
-    name; ``counts["rhs_calls"]`` sums the ``rhs_calls`` of the
-    trajectories ``integrate`` returns.  Yields ``(counts, rhs_seen)``,
-    where ``rhs_seen`` lists the rhs each site was given, each of which
-    must be the counter bound to its model.
+    patches, are rebound to a counter (``counts["classic_rhs"]``).
+    ``module.integrate`` is wrapped so that its rhs argument counts its
+    calls (``counts["integrate"]``), and ``counts["rhs_calls"]`` sums the
+    ``rhs_calls`` of the trajectories it returns.  Yields ``(counts,
+    rhs_seen)``, where ``rhs_seen`` lists the rhs each run was given, each
+    of which must be the counter bound to its model.
     """
     counts, seen = Counter(), []
     home = baseband.classic_rhs
+    integrate = module.integrate
 
     def counted(model, t, state):
         counts["classic_rhs"] += 1
         return home(model, t, state)
 
-    def site(fn, name, index):
-        def wrapped(*args):
-            rhs = args[index]
-            seen.append(rhs)
-            assert type(rhs) is MethodType and rhs.__func__ is counted
+    def wrapped(rhs, *args):
+        seen.append(rhs)
+        assert type(rhs) is MethodType and rhs.__func__ is counted
 
-            def site_rhs(t, y):
-                counts[name] += 1
-                return rhs(t, y)
+        def site_rhs(t, y):
+            counts["integrate"] += 1
+            return rhs(t, y)
 
-            out = fn(*args[:index], site_rhs, *args[index + 1:])
-            if name == "integrate":
-                counts["rhs_calls"] += out.rhs_calls
-            return out
-
-        return wrapped
+        out = integrate(site_rhs, *args)
+        counts["rhs_calls"] += out.rhs_calls
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baseband, "classic_rhs", counted)
         mp.setattr(cli, "classic_rhs", counted)
-        for module, name, index in sites:
-            mp.setattr(module, name, site(getattr(module, name), name, index))
+        mp.setattr(module, "integrate", wrapped)
         yield counts, seen
 
 

@@ -85,8 +85,8 @@ class TestIntegrate:
                                               rtol=1e-11, atol=1e-13))
         # compare at the adaptive solver's accepted points; the fixed-step
         # series is dense enough to interpolate without losing accuracy
-        ref_at_adaptive = fine.resample(adaptive.t)
-        worst = np.max(np.abs(ref_at_adaptive[:, 1] - adaptive.y[:, 1]))
+        ref_at_adaptive = np.interp(adaptive.t, fine.t, fine.y[:, 1])
+        worst = np.max(np.abs(ref_at_adaptive - adaptive.y[:, 1]))
         assert worst < 1e-5
 
     def test_rk4_fourth_order_convergence(self, bpsk_design):
@@ -452,15 +452,20 @@ def _ref_rk4_steps(rhs, y, f0, config, counts):
             break
         try:
             y1 = _ref_rk4_step(f, t, y, f0, h)
-            if not _ref_finite(y1):
-                counts[2] = True
-                break
-            t, y = t + h, y1
-            yield t, y
-            f0 = f(t, y)
         except (ArithmeticError, ValueError):   # a float error ends the run
             counts[2] = True
             break
+        if not _ref_finite(y1):
+            counts[2] = True
+            break
+        t, y = t + h, y1
+        try:
+            f0 = f(t, y)
+        except (ArithmeticError, ValueError):   # the state is kept, its rate NaN
+            counts[2] = True
+            yield t, y, math.nan
+            break
+        yield t, y, f0[1]
     counts[0] += len(calls)
 
 
@@ -496,7 +501,7 @@ def _ref_rk45_steps(rhs, y, f0, config, counts):
             continue
         if err <= 1.0:
             t, y, f0 = t + h, y5, ks[6]
-            yield t, y
+            yield t, y, f0[1]
         else:
             counts[1] += 1
         if err > 0:
@@ -516,14 +521,15 @@ def _ref_integrate(rhs, state0, config):
     f0 = rhs(0.0, y)
     if not _ref_finite(f0):
         raise ValueError("right-hand side not finite at the initial state")
-    ts, ys = [0.0], [y]
+    ts, ys, qs = [0.0], [y], [f0[1]]
     counts = [1, 0, False]
     steps = _ref_rk4_steps if config.method == "rk4" else _ref_rk45_steps
-    for t, y in steps(rhs, y, f0, config, counts):
+    for t, y, q in steps(rhs, y, f0, config, counts):
         ts.append(t)
         ys.append(y)
-    return Trajectory(np.array(ts), np.array(ys), blown_up=counts[2],
-                      rhs_calls=counts[0], rejected_steps=counts[1])
+        qs.append(q)
+    return Trajectory(np.array(ts), np.array(ys), np.array(qs, dtype=float),
+                      blown_up=counts[2], rhs_calls=counts[0], rejected_steps=counts[1])
 
 
 def _pitfall_rhs():
@@ -650,8 +656,9 @@ EQUIVALENCE_CASES = {     # rhs factory, state0, integrator controls
 
 
 def _outcome(integrator, case):
-    """Everything a run shows: the trajectory's bytes and counters (or the
-    StiffnessError it raised) and the bytes of every rhs argument."""
+    """Everything a run shows: the trajectory's bytes (its recorded rates
+    included) and counters (or the StiffnessError it raised) and the bytes
+    of every rhs argument."""
     make_rhs, state0, controls = EQUIVALENCE_CASES[case]
     rhs, seen = make_rhs(), []
 
@@ -664,8 +671,8 @@ def _outcome(integrator, case):
     except StiffnessError as exc:
         return str(exc), np.array(seen).tobytes()
     assert traj.rhs_calls == len(seen)
-    return (traj.t.tobytes(), traj.y.tobytes(), traj.rhs_calls, traj.rejected_steps,
-            traj.blown_up, np.array(seen).tobytes())
+    return (traj.t.tobytes(), traj.y.tobytes(), traj.dtheta.tobytes(), traj.rhs_calls,
+            traj.rejected_steps, traj.blown_up, np.array(seen).tobytes())
 
 
 class TestEquivalence:
@@ -678,15 +685,15 @@ class TestEquivalence:
         kinds = set()
         for case in ("blow_up-rk4", "blow_up-rk45", "nonfinite_stage-rk45"):
             out = _outcome(integrate, case)
-            kinds.add("stiff" if isinstance(out[0], str) else ("blown_up" if out[4] else "ok"))
+            kinds.add("stiff" if isinstance(out[0], str) else ("blown_up" if out[5] else "ok"))
         assert kinds == {"stiff", "blown_up"}
 
 
 @pytest.fixture(scope="module")
 def counted_probe(counted_phase_rhs):
     """The pitfall probe, with every phase rhs call counted at
-    ``baseband.classic_rhs`` and at the integrator and the lock verdict."""
-    with counted_phase_rhs([(ode, "integrate", 0), (ode, "lock_verdict", 1)]) as (counts, seen):
+    ``baseband.classic_rhs`` and at the integrator."""
+    with counted_phase_rhs(ode) as (counts, seen):
         report = step_sensitivity_probe(pitfall_example_model(), PITFALL_STATE0,
                                         PITFALL_H_LIST, PITFALL_T_END)
     return report, counts, seen
@@ -707,14 +714,14 @@ def classified(model, states, t_end):
 @pytest.fixture(scope="module")
 def counted_portrait(counted_phase_rhs):
     """A portrait, with every phase rhs call counted at
-    ``baseband.classic_rhs`` and at the integrator and the classifier."""
+    ``baseband.classic_rhs`` and at the integrator."""
     model = pitfall_example_model()
     xeq = model.equilibrium_x()
     states = [
         (xeq, 0.3), (xeq, -0.25), (xeq * 1.02, 0.0),
         PITFALL_STATE0, (0.0125, 0.4), (0.002, 1.0),
     ]
-    with counted_phase_rhs([(ode, "integrate", 0), (ode, "_classify", 1)]) as (counts, seen):
+    with counted_phase_rhs(ode) as (counts, seen):
         port = classified(model, states, 15.0)
     return port, counts, seen
 
@@ -746,20 +753,19 @@ class TestProbe:
             [(2e-2, 1_398), (1e-2, 1_609), (1e-3, 1_631)]
 
     def test_rhs_calls_pinned(self, counted_probe):
-        # the three RK4 runs take 126,500 steps; at five calls per step the
-        # probe made 1,014,619 calls, at four (first same as last) it makes
-        # one per step fewer
-        assert counted_probe[1]["classic_rhs"] == 1_014_619 - 126_500
+        # the three RK4 runs take 126,500 steps at four calls each (first
+        # same as last), and the five verdicts read the recorded rates: the
+        # probe made 888,119 calls when each verdict called the rhs at its
+        # tail states
+        assert counted_probe[1]["classic_rhs"] == 887_017
 
     def test_measurement_point_sees_every_call(self, counted_probe):
         # a rebinding of baseband.classic_rhs made before the probe counts
-        # the integrator's own rhs_calls plus the lock verdicts' calls
+        # the integrator's own rhs_calls, and no other call
         _, counts, seen = counted_probe
-        assert counts["integrate"] == counts["rhs_calls"]
-        assert counts["classic_rhs"] == counts["integrate"] + counts["lock_verdict"]
-        assert counts["lock_verdict"] > 0
-        # one rhs, bound once, for the five runs and their five verdicts
-        assert len(seen) == 10 and all(rhs is seen[0] for rhs in seen)
+        assert counts["classic_rhs"] == counts["integrate"] == counts["rhs_calls"]
+        # one rhs, bound once, for the five runs
+        assert len(seen) == 5 and all(rhs is seen[0] for rhs in seen)
 
 
 class TestPortrait:
@@ -840,15 +846,12 @@ class TestPhaseRhsBinding:
         assert given[0] is given[1] is given[2] and given[3] is given[4]
 
     def test_portrait_counts(self, counted_portrait):
-        # the integrator's rhs_calls plus the classifier's (its lock
-        # verdicts and the rate series of the cycles), all at the
-        # measurement point
+        # the integrator's rhs_calls and no other call at the measurement
+        # point: the classifier reads the recorded rates, cycles included
         port, counts, seen = counted_portrait
-        assert counts["integrate"] == counts["rhs_calls"]
-        cycles = sum(c.label == "cycle" for c in port)
-        assert cycles and counts["_classify"] > 4096 * cycles
-        assert counts["classic_rhs"] == counts["integrate"] + counts["_classify"]
-        assert len(seen) == 2 * len(port) and all(rhs is seen[0] for rhs in seen)
+        assert any(c.label == "cycle" for c in port)
+        assert counts["classic_rhs"] == counts["integrate"] == counts["rhs_calls"]
+        assert len(seen) == len(port) and all(rhs is seen[0] for rhs in seen)
 
 
 # The six (variant, PD flavor) pairs of the phase model.
@@ -869,14 +872,14 @@ INLINE_METHODS = {
 
 
 def _phase_run(rhs, state0, controls):
-    """A run's bytes and counters, or the StiffnessError or ValueError it
-    raised."""
+    """A run's bytes (its recorded rates included) and counters, or the
+    StiffnessError or ValueError it raised."""
     try:
         traj = integrate(rhs, state0, IntegratorConfig(**controls))
     except (StiffnessError, ValueError) as exc:
         return type(exc).__name__, str(exc)
-    return (traj.t.tobytes(), traj.y.tobytes(), traj.rhs_calls, traj.rejected_steps,
-            traj.blown_up)
+    return (traj.t.tobytes(), traj.y.tobytes(), traj.dtheta.tobytes(), traj.rhs_calls,
+            traj.rejected_steps, traj.blown_up)
 
 
 @pytest.fixture(scope="module")
@@ -951,11 +954,11 @@ class TestInlinePhaseSteppers:
 
     def test_runs_reach_every_exit(self, inline_runs):
         outcomes = [inline for pairs, _ in inline_runs.values() for inline, _ in pairs]
-        kinds = {out[0] if isinstance(out[0], str) else ("blown_up" if out[4] else "ok")
+        kinds = {out[0] if isinstance(out[0], str) else ("blown_up" if out[5] else "ok")
                  for out in outcomes}
         assert kinds == {"ok", "blown_up", "StiffnessError", "ValueError"}
         # a mid-run blow-up, with accepted steps before it
-        assert any(out[4] and len(out[0]) > 8 * 100 for out in outcomes
+        assert any(out[5] and len(out[0]) > 8 * 100 for out in outcomes
                    if not isinstance(out[0], str))
         # a stage call whose fn raised
         assert sum(raised for _, raised in inline_runs.values()) > 0
@@ -1024,8 +1027,8 @@ class TestInlinePhaseSteppers:
         assert built == _phase_run(generic, state0, controls)
         ref = _ref_integrate(lambda t, y: classic_rhs(model, t, y), state0,
                              IntegratorConfig(**controls))
-        assert built == (ref.t.tobytes(), ref.y.tobytes(), ref.rhs_calls, ref.rejected_steps,
-                         ref.blown_up)
+        assert built == (ref.t.tobytes(), ref.y.tobytes(), ref.dtheta.tobytes(), ref.rhs_calls,
+                         ref.rejected_steps, ref.blown_up)
         # each run ends blown up; the generic stepper and the reference
         # raised where the built one did, and only a raise stopped an
         # attempt short of six calls
@@ -1068,7 +1071,8 @@ class TestInlinePhaseSteppers:
         generic_raised = len(raised) - built_raised
         ref = _ref_integrate(lambda t, y: classic_rhs(model, t, y), PITFALL_STATE0,
                              IntegratorConfig(**controls))
-        assert built == (ref.t.tobytes(), ref.y.tobytes(), ref.rhs_calls, 0, ref.blown_up)
+        assert built == (ref.t.tobytes(), ref.y.tobytes(), ref.dtheta.tobytes(), ref.rhs_calls,
+                         0, ref.blown_up)
         assert ref.blown_up and 2 < len(ref.t) < 100 and np.isfinite(ref.y).all()
         # where each run stopped: the built NaN run went through its 1,000
         # steps, the built inf run raised at the stage after the state
@@ -1077,6 +1081,95 @@ class TestInlinePhaseSteppers:
         assert (built_calls == 1 + 4 * 1000) == (case == "nan_state")
         assert (built_raised, generic_raised) == {
             "nan_state": (0, 0), "inf_state_then_raises": (1, 0), "raise_at_finite": (1, 1)}[case]
+
+
+def _pitfall_past(case):
+    """The pitfall model with its PD function swapped for one that, past
+    2*theta_e = -6 (5 ms into the run), gives NaN (``nan_state``) or raises
+    while the state is finite (``raise_at_finite``); ``pitfall`` keeps the
+    model as it is."""
+    model = pitfall_example_model()
+    if case != "pitfall":
+        def past(v):
+            if v > -6.0:
+                if case == "raise_at_finite":
+                    raise ValueError("math domain error")
+                return math.nan
+            return math.sin(v)
+
+        object.__setattr__(model, "_rhs_consts", model._rhs_consts[:-1] + (past,))
+    return model
+
+
+def _rates_at(model, traj):
+    """theta_e' of the phase rhs at each recorded state, NaN where the call
+    raises."""
+    out = []
+    for t, x, th in zip(traj.t.tolist(), traj.y[:, 0].tolist(), traj.y[:, 1].tolist()):
+        try:
+            out.append(classic_rhs(model, t, (x, th))[1])
+        except (ArithmeticError, ValueError):
+            out.append(math.nan)
+    return np.array(out)
+
+
+class TestRecordedRate:
+    """``Trajectory.dtheta`` holds theta_e' of the end slope at each recorded
+    state, the rate the lock verdict and the portrait classifier read."""
+
+    @pytest.mark.parametrize("path", ["built", "generic"])
+    @pytest.mark.parametrize("case", ["pitfall", "nan_state", "raise_at_finite"])
+    def test_rk4_rate_is_the_rhs_at_the_state(self, case, path):
+        # bit for bit, over the kept prefix of a blown-up run too
+        model = _pitfall_past(case)
+        rhs = (MethodType(classic_rhs, model) if path == "built"
+               else lambda t, y: classic_rhs(model, t, y))
+        controls = (dict(t_end=PITFALL_T_END, h=1e-2) if case == "pitfall"
+                    else dict(t_end=1.0, h=1e-3))
+        traj = integrate(rhs, PITFALL_STATE0, IntegratorConfig(method="rk4", **controls))
+        assert traj.blown_up is (case != "pitfall")
+        assert len(traj.dtheta) == len(traj.t) > 2
+        assert traj.dtheta.tobytes() == _rates_at(model, traj).tobytes()
+
+    def test_rate_nan_where_the_end_slope_raises(self):
+        # the state is kept, as the calls that reached it count it
+        calls = [0]
+
+        def rhs(t, y):
+            calls[0] += 1
+            if calls[0] == 1 + 4 * 5:      # the end slope of step 5
+                raise ValueError("math domain error")
+            return _drift_2d(t, y)
+
+        traj = integrate(rhs, PITFALL_STATE0, IntegratorConfig(t_end=1.0, method="rk4", h=0.1))
+        assert traj.blown_up and traj.rhs_calls == 21 and len(traj.t) == 6
+        assert math.isnan(traj.dtheta[5]) and np.isfinite(traj.dtheta[:5]).all()
+
+    @pytest.mark.parametrize("method", sorted(CONTRACT_CONFIGS))
+    @pytest.mark.parametrize("case", ["pitfall", "nan_state", "raise_at_finite"])
+    def test_built_same_as_generic(self, case, method):
+        model = _pitfall_past(case)
+        config = IntegratorConfig(t_end=20.0, **CONTRACT_CONFIGS[method])
+        built = integrate(MethodType(classic_rhs, model), PITFALL_STATE0, config)
+        generic = integrate(lambda t, y: classic_rhs(model, t, y), PITFALL_STATE0, config)
+        assert built.blown_up is generic.blown_up is (case != "pitfall")
+        assert len(built.dtheta) == len(built.t)
+        assert built.dtheta.tobytes() == generic.dtheta.tobytes()
+
+    @pytest.mark.parametrize("method", sorted(CONTRACT_CONFIGS))
+    def test_first_rate_is_the_initial_slope(self, method):
+        model = pitfall_example_model()
+        config = IntegratorConfig(t_end=1.0, **CONTRACT_CONFIGS[method])
+        traj = integrate(MethodType(classic_rhs, model), PITFALL_STATE0, config)
+        assert traj.dtheta[0] == classic_rhs(model, 0.0, PITFALL_STATE0)[1]
+
+    def test_rk45_rate_is_the_rhs_at_the_state_to_rounding(self):
+        # the first-same-as-last slope is taken at stage 7's state, which
+        # sums the same terms as the recorded solution in another order
+        model = pitfall_example_model()
+        traj = integrate(MethodType(classic_rhs, model), PITFALL_STATE0,
+                         IntegratorConfig(t_end=20.0, rtol=1e-8, atol=1e-10))
+        assert np.abs(traj.dtheta - _rates_at(model, traj)).max() < 1e-10
 
 
 def _pinned_run(rhs, state0, controls):
@@ -1289,9 +1382,9 @@ class TestInlineBuild:
         consts = pitfall_example_model()._rhs_consts[:-1] + (fn,)
         if steps is ode._rk4_steps:
             t, segments = ode._rk4_grid(1.0, 1e-3)
-            run = (segments, memoryview(t), *(memoryview(np.empty(len(t))) for _ in "xy"))
+            run = (segments, memoryview(t), *(memoryview(np.empty(len(t))) for _ in "xyq"))
         else:
-            run = (IntegratorConfig(t_end=1.0), [0.0], [0.0], [0.0])
+            run = (IntegratorConfig(t_end=1.0), [0.0], [0.0], [0.0], [1.0])
         with pytest.raises(_StageError) as info:
             ode._inline_phase(steps)(consts, 0.0, 0.0, 1.0, 1.0, *run)
         frame = traceback.extract_tb(info.value.__traceback__)[-2]
@@ -1327,15 +1420,15 @@ class TestLockVerdict:
 
         traj = integrate(rhs, (0.0, 0.2),
                          IntegratorConfig(t_end=200e-6, method="rk45"))
-        assert lock_verdict(traj, rhs, bpsk_design, CONVENTIONAL_BPSK)
+        assert lock_verdict(traj, bpsk_design, CONVENTIONAL_BPSK)
 
     def test_blow_up_never_locked(self, bpsk_design):
-        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)), blown_up=True)
-        assert not lock_verdict(traj, harmonic_rhs, bpsk_design, CONVENTIONAL_BPSK)
+        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)), np.zeros(2), blown_up=True)
+        assert not lock_verdict(traj, bpsk_design, CONVENTIONAL_BPSK)
 
     def test_rhs_gets_float_tuples(self, monkeypatch):
-        # the rhs contract holds in the verdict and the classifier too: the
-        # state is a tuple of two floats, the time a float
+        # the rhs contract holds in a portrait's runs: the state is a tuple
+        # of two floats, the time a float
         seen = set()
 
         def recorded(model, t, y):
@@ -1346,13 +1439,13 @@ class TestLockVerdict:
         model = pitfall_example_model()
         labels = [c.label for c in classified(model, [(model.equilibrium_x(), 0.3),
                                                       PITFALL_STATE0], 15.0)]
-        assert labels == ["eq", "cycle"]     # a lock verdict, then a rate series
+        assert labels == ["eq", "cycle"]
         assert seen == {(float, tuple, 2, float, float)}
 
 
-def _scan_lock_verdict(traj, rhs, params, variant):
+def _scan_lock_verdict(traj, params, variant):
     """lock_verdict as a sample-by-sample scan: the oracle of its numpy
-    phase check."""
+    form."""
     if traj.blown_up:
         return False
     period = pd_period(variant)
@@ -1360,10 +1453,10 @@ def _scan_lock_verdict(traj, rhs, params, variant):
     mask = traj.t >= (1.0 - ode.LOCK_TAIL) * traj.t[-1]
     if not np.any(mask):
         return False
-    for ti, yi in zip(traj.t[mask].tolist(), traj.y[mask].tolist()):
+    for yi, rate in zip(traj.y[mask].tolist(), traj.dtheta[mask].tolist()):
         if abs(wrap_phase(yi[1], period)) > ode.LOCK_TOL_P:
             return False
-        if abs(rhs(ti, tuple(yi))[1]) > tol_f:
+        if abs(rate) > tol_f:
             return False
     return True
 
@@ -1371,52 +1464,47 @@ def _scan_lock_verdict(traj, rhs, params, variant):
 @pytest.fixture(scope="module")
 def verdict_cases():
     """Trajectories whose tails lock, leave the phase tolerance, or leave the
-    rate tolerance first, each with an rhs."""
+    rate tolerance first."""
     model = pitfall_example_model()
     rhs = MethodType(classic_rhs, model)
     cases = {}
     for h in PITFALL_H_LIST[:2]:
-        cases[f"pitfall-{h}"] = (integrate(rhs, PITFALL_STATE0, IntegratorConfig(
-            t_end=PITFALL_T_END, method="rk4", h=h)), rhs)
-    cases["eq"] = (integrate(rhs, (model.equilibrium_x(), 0.3),
-                             IntegratorConfig(t_end=15.0, rtol=1e-9, atol=1e-11)), rhs)
-
-    def still(t, y):
-        return (0.0, 0.0)
-
-    def late_rate(t, y):                 # out of the 0.012 rate tolerance from t = 0.95
-        return (0.0, 0.02 * (t > 0.95))
+        cases[f"pitfall-{h}"] = integrate(rhs, PITFALL_STATE0, IntegratorConfig(
+            t_end=PITFALL_T_END, method="rk4", h=h))
+    cases["eq"] = integrate(rhs, (model.equilibrium_x(), 0.3),
+                            IntegratorConfig(t_end=15.0, rtol=1e-9, atol=1e-11))
 
     t = np.linspace(0.0, 1.0, 101)
+    still = np.zeros(101)
+    late_rate = 0.02 * (t > 0.95)        # out of the 0.012 rate tolerance from t = 0.95
     for name, theta, rate in [
         ("locked", np.full(101, math.pi), still),          # on the lock point pi
         ("phase_out", np.where(t > 0.9, 0.06, -0.01), late_rate),
         ("rate_out", np.where(t > 0.97, 0.06, 0.0), late_rate),   # the rate fails first
         ("tie", np.full(101, ode.LOCK_TOL_P), late_rate),  # in tolerance: not above it
     ]:
-        cases[name] = (Trajectory(t, np.column_stack((np.zeros(101), theta))), rate)
+        cases[name] = Trajectory(t, np.column_stack((np.zeros(101), theta)), rate)
     return cases
 
 
 class TestLockVerdictScan:
     @pytest.mark.parametrize("case", ["pitfall-0.02", "pitfall-0.01", "eq", "locked",
                                       "phase_out", "rate_out", "tie"])
-    def test_same_verdict_and_rhs_calls_as_scan(self, verdict_cases, case):
-        traj, rhs = verdict_cases[case]
+    def test_same_verdict_and_rhs_calls_as_scan(self, verdict_cases, case, monkeypatch):
+        # both read the recorded rates: neither calls the phase rhs
+        traj, calls = verdict_cases[case], [0]
+        home = baseband.classic_rhs
+
+        def counted(model, t, y):
+            calls[0] += 1
+            return home(model, t, y)
+
+        monkeypatch.setattr(baseband, "classic_rhs", counted)
         model = pitfall_example_model()
-        runs = []
-        for verdict in (lock_verdict, _scan_lock_verdict):
-            seen = []
-
-            def recorded(t, y):
-                seen.append((t, *y))
-                return rhs(t, y)
-
-            runs.append((verdict(traj, recorded, model.params, CONVENTIONAL_BPSK),
-                         np.array(seen).tobytes(), len(seen)))
-        assert runs[0] == runs[1]
-        if case in ("pitfall-0.02", "eq", "locked"):
-            assert runs[0][0] is True
+        runs = [verdict(traj, model.params, CONVENTIONAL_BPSK)
+                for verdict in (lock_verdict, _scan_lock_verdict)]
+        assert runs[0] is runs[1] and calls == [0]
+        assert runs[0] is (case in ("pitfall-0.02", "eq", "locked"))
 
 
 def _loop_autocorr_peak(x, min_lag):
