@@ -754,9 +754,8 @@ class TestProbe:
 
     def test_rhs_calls_pinned(self, counted_probe):
         # the three RK4 runs take 126,500 steps at four calls each (first
-        # same as last), and the five verdicts read the recorded rates: the
-        # probe made 888,119 calls when each verdict called the rhs at its
-        # tail states
+        # same as last); the five verdicts read the recorded rates and make
+        # no call
         assert counted_probe[1]["classic_rhs"] == 887_017
 
     def test_measurement_point_sees_every_call(self, counted_probe):
@@ -1146,14 +1145,14 @@ class TestRecordedRate:
         assert math.isnan(traj.dtheta[5]) and np.isfinite(traj.dtheta[:5]).all()
 
     @pytest.mark.parametrize("method", sorted(CONTRACT_CONFIGS))
-    @pytest.mark.parametrize("case", ["pitfall", "nan_state", "raise_at_finite"])
-    def test_built_same_as_generic(self, case, method):
-        model = _pitfall_past(case)
+    def test_built_same_as_generic(self, method):
+        # as on every run of TestInlinePhaseSteppers, whose outcomes carry
+        # the rate bytes, blown-up and raising runs included
+        model = pitfall_example_model()
         config = IntegratorConfig(t_end=20.0, **CONTRACT_CONFIGS[method])
         built = integrate(MethodType(classic_rhs, model), PITFALL_STATE0, config)
         generic = integrate(lambda t, y: classic_rhs(model, t, y), PITFALL_STATE0, config)
-        assert built.blown_up is generic.blown_up is (case != "pitfall")
-        assert len(built.dtheta) == len(built.t)
+        assert len(built.dtheta) == len(built.t) > 100
         assert built.dtheta.tobytes() == generic.dtheta.tobytes()
 
     @pytest.mark.parametrize("method", sorted(CONTRACT_CONFIGS))
