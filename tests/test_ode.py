@@ -26,6 +26,7 @@ from costas_lab import (
     DesignSpec,
     baseband,
     classic_rhs,
+    cli,
     delay_rhs,
     design,
     ode,
@@ -1084,7 +1085,9 @@ class TestInlinePhaseSteppers:
 
 def _pitfall_past(case):
     """The pitfall model with its PD function swapped for one that, past
-    2*theta_e = -6 (5 ms into the run), gives NaN (``nan_state``) or raises
+    2*theta_e = -6 (5 ms into the run), gives NaN (``nan_state``), gives
+    1.5e308 (``inf_state_then_raises``: theta_e's slope overflows, the
+    state turns infinite and the next stage's sin(-inf) raises) or raises
     while the state is finite (``raise_at_finite``); ``pitfall`` keeps the
     model as it is."""
     model = pitfall_example_model()
@@ -1093,7 +1096,7 @@ def _pitfall_past(case):
             if v > -6.0:
                 if case == "raise_at_finite":
                     raise ValueError("math domain error")
-                return math.nan
+                return math.nan if case == "nan_state" else 1.5e308
             return math.sin(v)
 
         object.__setattr__(model, "_rhs_consts", model._rhs_consts[:-1] + (past,))
@@ -1264,6 +1267,123 @@ class TestPinnedRuns:
     @pytest.mark.parametrize("case", list(PINNED_RHS_CALLS))
     def test_rhs_calls_pinned(self, pinned_runs, case):
         assert pinned_runs[case][1] == PINNED_RHS_CALLS[case]
+
+
+def _cli_blow_up_model(name):
+    """The phase model of the CLI's RK4 blow-up config for loop ``name``
+    (``phase-<name>-rk4`` of test_cli's ``NUMERIC_FAILURES``): the designed
+    BPSK gains detuned by 1e300 rad/s, whose theta_e passes 9e307, where
+    the PD's math calls raise, within a few thousand steps of h = 1e5."""
+    gains = design(DesignSpec(f0=400e3, f_symbol=100e3, variant=CONVENTIONAL_BPSK)).to_dict()
+    variant = LoopVariant.from_name(name)
+    params = cli.params_from_config({"params": {
+        **{k: gains[k] for k in ("omega1", "k0", "kd", "tau1", "tau2", "omega3")},
+        "omega_free": -1e300}}, variant)
+    return ClassicPhaseModel(params, PdCharacteristic(variant))
+
+
+# Every RK4 fixture whose rhs is the phase model: the pitfall equivalence
+# cases, the non-finite-state runs of _pitfall_past and the CLI's three
+# phase-fidelity RK4 blow-ups (model, state0, controls).  Each runs on the
+# built path (the bound classic_rhs) and on the generic one (a function
+# around it).  The two other RK4 equivalence cases have no phase model and
+# run on the generic path only.
+RK4_PHASE_RUNS = {
+    **{case: (functools.partial(_pitfall_past, "pitfall"), *EQUIVALENCE_CASES[case][1:])
+       for case in ("pitfall-rk4", "off_grid-rk4", "off_grid_rounded-rk4")},
+    **{case: (functools.partial(_pitfall_past, case), PITFALL_STATE0,
+              dict(t_end=1.0, method="rk4", h=1e-3))
+       for case in ("nan_state", "inf_state_then_raises", "raise_at_finite")},
+    **{f"cli-{name}": (functools.partial(_cli_blow_up_model, name), (0.0, 0.0),
+                       dict(t_end=1e10, method="rk4", h=1e5))
+       for name in ("bpsk", "qpsk", "mod_bpsk")},
+}
+RK4_RUNS = [(case, path) for case in RK4_PHASE_RUNS for path in ("built", "generic")]
+RK4_RUNS += [("ndarray-rk4", "generic"), ("blow_up-rk4", "generic")]
+
+
+def _rk4_run(case, path):
+    """An RK4 fixture's run: the trajectory, and the calls a recording rhs
+    saw.  A phase model records at its PD function, which each slope calls
+    once, so that the built path, which calls no rhs, records too."""
+    seen = [0]
+    if case in RK4_PHASE_RUNS:
+        make_model, state0, controls = RK4_PHASE_RUNS[case]
+        model = make_model()
+        *consts, fn = model._rhs_consts
+
+        def recorded(v):
+            seen[0] += 1
+            return fn(v)
+
+        object.__setattr__(model, "_rhs_consts", (*consts, recorded))
+        rhs = (MethodType(classic_rhs, model) if path == "built"
+               else lambda t, y: classic_rhs(model, t, y))
+    else:
+        make_rhs, state0, controls = EQUIVALENCE_CASES[case]
+        inner = make_rhs()
+
+        def rhs(t, y):
+            seen[0] += 1
+            return inner(t, y)
+
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "overflow|invalid value", RuntimeWarning)
+        traj = integrate(rhs, state0, IntegratorConfig(**controls))
+    return traj, seen[0]
+
+
+# The SHA-256 of each RK4 fixture's t, y and dtheta bytes, with blown_up: the
+# same on both paths.  A non-finite rule may move the calls, not these.
+PINNED_RK4_TRAJECTORIES = {
+    "pitfall-rk4": ("fb4d1f35443bf6faad3f3fd426255a640b0a59c8af02de9a1398a197c4fe13e0", False),
+    "off_grid-rk4": ("81916a0bbd68cca6fe55e175950a863b02b5aea72e0c44630bd739a3ebefe3e8", False),
+    "off_grid_rounded-rk4": (
+        "ecb7920aea5be6a9d4bc2562f021df721c2131f6c27783612cfe8ac3490a9474", False),
+    "nan_state": ("5b57a000a02ff4f69370f0a3ae8b13dac85086a579ce30693016431a637a74da", True),
+    "inf_state_then_raises": (
+        "5b57a000a02ff4f69370f0a3ae8b13dac85086a579ce30693016431a637a74da", True),
+    "raise_at_finite": ("5b57a000a02ff4f69370f0a3ae8b13dac85086a579ce30693016431a637a74da", True),
+    "cli-bpsk": ("bf4df5c7867435cc964a8acf1a006b73cbdc02ce9bc0f7baabc849e3b0a7fbd2", True),
+    "cli-qpsk": ("992846ed183ea68fa0c4a165da7b12c29f5b1e52e59a36de60ab7734898d66df", True),
+    "cli-mod_bpsk": ("88590f71e7dd128f2ee97f1b662b243b85dba58e63b8d38de41339dc15159a87", True),
+    "ndarray-rk4": ("a94bc99a49e027c78a5271636dddd9fb7b6a0d7f3aab8f5f653c53b3bd4d780c", False),
+    "blow_up-rk4": ("addb8901131b8ee82797c0faad1bd1e075a9a8900fa78fb8ab8446c78acf9e45", True),
+}
+# The calls a recording rhs sees on each path
+PINNED_RK4_SEEN = {
+    ("pitfall-rk4", "built"): 22001, ("pitfall-rk4", "generic"): 22001,
+    ("off_grid-rk4", "built"): 17, ("off_grid-rk4", "generic"): 17,
+    ("off_grid_rounded-rk4", "built"): 57, ("off_grid_rounded-rk4", "generic"): 57,
+    ("nan_state", "built"): 4001, ("nan_state", "generic"): 20,
+    ("inf_state_then_raises", "built"): 21, ("inf_state_then_raises", "generic"): 20,
+    ("raise_at_finite", "built"): 20, ("raise_at_finite", "generic"): 20,
+    ("cli-bpsk", "built"): 3596, ("cli-bpsk", "generic"): 3596,
+    ("cli-qpsk", "built"): 7192, ("cli-qpsk", "generic"): 7192,
+    ("cli-mod_bpsk", "built"): 8, ("cli-mod_bpsk", "generic"): 8,
+    ("ndarray-rk4", "generic"): 401, ("blow_up-rk4", "generic"): 52,
+}
+
+
+@pytest.fixture(scope="module")
+def rk4_runs():
+    return {run: _rk4_run(*run) for run in RK4_RUNS}
+
+
+class TestPinnedRk4Runs:
+    @pytest.mark.parametrize("case,path", RK4_RUNS)
+    def test_trajectory_pinned(self, rk4_runs, case, path):
+        traj, _ = rk4_runs[case, path]
+        digest = hashlib.sha256(traj.t.tobytes() + traj.y.tobytes()
+                                + traj.dtheta.tobytes()).hexdigest()
+        assert (digest, traj.blown_up) == PINNED_RK4_TRAJECTORIES[case]
+
+    @pytest.mark.parametrize("case,path", RK4_RUNS)
+    def test_calls_seen_pinned(self, rk4_runs, case, path):
+        traj, seen = rk4_runs[case, path]
+        assert seen == PINNED_RK4_SEEN[case, path]
+        if path == "generic":
+            assert traj.rhs_calls == seen
 
 
 # a stepper with one good stage call before the line under test (line 5)
