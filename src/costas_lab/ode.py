@@ -50,17 +50,16 @@ counters and errors, with one Python call of ``classic_rhs``.  Any other
 rhs, a rebinding of ``baseband.classic_rhs`` made before the run (where
 a tracer counts the phase rhs) included, runs on the generic steppers
 and sees every call; ``rhs_calls`` counts slope evaluations on both
-paths.  The generic RK4 tests each new state finite, so that an rhs
-sees no call past a blow-up; after a built run, ``integrate`` ends the
-trajectory at the first non-finite state, found in one pass.  RK45 has
-one rule on both paths: an attempt tests no slope as it goes and makes
-every call up to a stage that raises; a non-finite slope or solution
-leaves its error estimate NaN or inf, and only then does it test them,
-to tell a non-finite attempt (rejected, the step quartered) from an
-error estimate that overflowed.  On the pitfall model (Python 3.11,
-shared 2-core x86-64, best of 15 runs in each of two processes) an RK4
-step takes about 0.7 us and an accepted RK45 step 3.1-3.4 us (rtol 1e-9
-and 1e-8).
+paths.  Each method has one non-finite rule on both paths and tests no
+slope or state as it goes: an RK4 run, or an RK45 attempt, makes every
+call up to one that raises.  After an RK4 run, ``integrate`` ends the
+trajectory before its first non-finite state, found in one pass.  A
+non-finite RK45 slope or solution leaves the attempt's error estimate
+NaN or inf, and only then does it test them, to tell a non-finite
+attempt (rejected, the step quartered) from an error estimate that
+overflowed.  On the pitfall model (Python 3.11, shared 2-core x86-64,
+best of 15 runs in each of two processes) an RK4 step takes about
+0.7 us and an accepted RK45 step 3.1-3.4 us (rtol 1e-9 and 1e-8).
 """
 
 from __future__ import annotations
@@ -89,8 +88,7 @@ H_MIN = 1e-12   # smallest RK45 step; below it a run ends or raises
 # Most steps one run may take: RK4 steps (an RK4 config over it is refused
 # before it runs) or RK45 attempts (exceeding it raises StiffnessError).
 # An RK4 run peaks at about 34 B of traced memory per step (the
-# trajectory's times, states and rates, and the built run's finiteness
-# scan) and an RK45 run at about 49 B per accepted step (four array('d')
+# trajectory's times, states and rates, and its finiteness scan) and an RK45 run at about 49 B per accepted step (four array('d')
 # buffers and the trajectory's state array): near 34 and 49 MB at the
 # cap, with a trajectory.csv (about 57 B per row) near 60 MB.  That is 9 times the
 # longest run the tests or the benchmark make (the probe's 110,000 RK4
@@ -185,10 +183,6 @@ def _rk4_step_count(t_end: float, h: float) -> int:
     return max(1, math.ceil(n))
 
 
-class _NonFinite(Exception):
-    """An RK4 state is not finite."""
-
-
 def _rk4_grid(t_end: float, h0: float):
     """An RK4 run's step times and its ``(step indices, h)`` segments: the
     steps' times are one cumsum of h0, bit for bit ``t = t + h0``, but at
@@ -211,15 +205,13 @@ def _rk4_steps(rhs, a, b, p1, q1, segments, ts, xs, ths, qs):
     """Fixed steps from (0, (a, b)), whose slope is (p1, q1), over the
     segments of :func:`_rk4_grid`, step k ending at ``ts[k]`` with its
     state in ``xs[k]`` and ``ths[k]`` and its end slope's theta_e' in
-    ``qs[k]``; returns ``(rhs calls, blown up)``, and the run keeps
-    ``calls // 4 + 1`` states.  A step's first stage is
-    the previous end slope (first same as last).  A non-finite state ends
-    the run, blown up, as does an rhs call that raises one of
-    :data:`_FLOAT_ERRORS`; the run then counts the calls made.  A float v
-    is tested finite as ``ninf < v < inf``, which a NaN fails, without a
-    call.  The build of :func:`_inline_phase` drops that test, and its
-    stages read no step time."""
-    ninf, inf = -math.inf, math.inf
+    ``qs[k]``; returns ``(rhs calls, blown up)``, and the run wrote
+    ``calls // 4 + 1`` states.  A step's first stage is the previous end
+    slope (first same as last).  An rhs call that raises one of
+    :data:`_FLOAT_ERRORS` ends the run, blown up, with the calls made; a
+    non-finite state does not: ``integrate`` ends the trajectory there
+    after the run.  The build of :func:`_inline_phase` changes only the
+    stage calls, which read no step time."""
     for ks, h in segments:
         hh, h6 = 0.5 * h, h / 6.0
         for k in ks:
@@ -235,9 +227,7 @@ def _rk4_steps(rhs, a, b, p1, q1, segments, ts, xs, ths, qs):
                 p4, q4 = rhs(ts[k], (a + h * p3, b + h * q3))
                 a = a + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
                 b = b + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-                if not (ninf < a < inf and ninf < b < inf):
-                    raise _NonFinite
-            except (_NonFinite, *_FLOAT_ERRORS):    # either way, three calls made
+            except _FLOAT_ERRORS:
                 return 4 * k - 1, True
             xs[k], ths[k] = a, b
             try:
@@ -353,16 +343,7 @@ _STAGE = "{p} = scale * fn(freq * ({y}))\n{q} = dw0 - k0 * (({x}) / tau1 + ratio
 
 
 class _InlineStages(ast.NodeTransformer):
-    """Writes each stage call out as :data:`_STAGE`, at the call's position,
-    and drops RK4's state test ``if ...: raise _NonFinite``: a written-out
-    stage makes no call to stop, and ``integrate`` tests the built run's
-    states after it, in one pass."""
-
-    def visit_If(self, node):
-        match node:
-            case ast.If(body=[ast.Raise(exc=ast.Name(id="_NonFinite"))], orelse=[]):
-                return None
-        return self.generic_visit(node)
+    """Writes each stage call out as :data:`_STAGE`, at the call's position."""
 
     def visit_Assign(self, node):
         match node:
@@ -398,8 +379,15 @@ def integrate(rhs: RhsFn, state0: Sequence[float], config: IntegratorConfig) -> 
     """Integrate the two-component state0 to t_end, recording every
     accepted step.
 
-    A non-finite state stops the run early with ``blown_up`` set; a slope
-    that is not finite at the initial state raises ValueError.
+    A run that reaches a non-finite state, or whose rhs raises one of
+    :data:`_FLOAT_ERRORS` after the first call, ends early with
+    ``blown_up`` set, and its trajectory holds finite states only: RK4
+    ends it before the first non-finite state (the stepper's calls past
+    that state still count), RK45 rejects a non-finite attempt and stops
+    once the step falls below :data:`H_MIN`.  ``rhs_calls`` is 1 + the
+    calls the stepper made, as many as an rhs that records its calls
+    sees.  A slope that is not finite at the initial state raises
+    ValueError.
     """
     y = tuple([float(v) for v in state0])
     if len(y) != 2:
@@ -414,9 +402,8 @@ def integrate(rhs: RhsFn, state0: Sequence[float], config: IntegratorConfig) -> 
     if not (math.isfinite(p) and math.isfinite(q)):
         raise ValueError("right-hand side not finite at the initial state")
     steps = _rk4_steps if config.method == "rk4" else _rk45_steps
-    built = (type(rhs) is MethodType and rhs.__func__ is _CLASSIC_RHS
-             and isinstance(rhs.__self__, ClassicPhaseModel))
-    if built:
+    if (type(rhs) is MethodType and rhs.__func__ is _CLASSIC_RHS
+            and isinstance(rhs.__self__, ClassicPhaseModel)):
         rhs, steps = rhs.__self__._rhs_consts, _inline_phase(steps)
     if config.method == "rk45":
         ts, xs, ths, qs = array("d", [0.0]), array("d", [a]), array("d", [b]), array("d", [q])
@@ -430,11 +417,10 @@ def integrate(rhs: RhsFn, state0: Sequence[float], config: IntegratorConfig) -> 
     qs[0] = q
     views = memoryview(ts), memoryview(ys[:, 0]), memoryview(ys[:, 1]), memoryview(qs)
     calls, blown_up = steps(rhs, a, b, p, q, segments, *views)
-    if built:                       # the state test the build dropped, in one pass
-        ok = np.isfinite(ys[1:calls // 4 + 1].ravel())
-        if not ok.all():
-            calls, blown_up = 4 * (int(ok.argmin()) // 2 + 1) - 1, True
-    n = calls // 4 + 1              # a run that ended early keeps only its own steps
+    n = calls // 4 + 1              # the states the run wrote
+    ok = np.isfinite(ys[1:n].ravel())
+    if not ok.all():                # the trajectory ends before the first non-finite one
+        n, blown_up = int(ok.argmin()) // 2 + 1, True
     kept = (ts, ys, qs) if n == len(ts) else (ts[:n].copy(), ys[:n].copy(), qs[:n].copy())
     return Trajectory(*kept, blown_up=blown_up, rhs_calls=1 + calls)
 

@@ -456,9 +456,6 @@ def _ref_rk4_steps(rhs, y, f0, config, counts):
         except (ArithmeticError, ValueError):   # a float error ends the run
             counts[2] = True
             break
-        if not _ref_finite(y1):
-            counts[2] = True
-            break
         t, y = t + h, y1
         try:
             f0 = f(t, y)
@@ -529,6 +526,11 @@ def _ref_integrate(rhs, state0, config):
         ts.append(t)
         ys.append(y)
         qs.append(q)
+    finite = [_ref_finite(y) for y in ys]
+    if not all(finite):         # the trajectory ends before its first non-finite state
+        n = finite.index(False)
+        ts, ys, qs = ts[:n], ys[:n], qs[:n]
+        counts[2] = True
     return Trajectory(np.array(ts), np.array(ys), np.array(qs, dtype=float),
                       blown_up=counts[2], rhs_calls=counts[0], rejected_steps=counts[1])
 
@@ -1038,49 +1040,24 @@ class TestInlinePhaseSteppers:
         assert all(map(math.isfinite, slopes)) == (case == "solution_only")
         assert (built_raised > 0) == (case == "nan_then_raises")
 
-    # The built RK4 tests no state: integrate finds the first non-finite
-    # one after the run.  Each case swaps the pitfall model's PD function
-    # for one that, past 2*theta_e = -6 (5 ms into the run), gives NaN (the
-    # state turns NaN, and the built run goes on to the end of its grid),
-    # gives 1.5e308 (theta_e's slope overflows, the state turns infinite
-    # and the next stage's sin(-inf) raises) or raises while the state is
-    # finite.
+    # Neither RK4 tests a state: integrate ends the trajectory before the
+    # first non-finite one after the run.  Each case is a model of
+    # _pitfall_past: past 2*theta_e = -6 the state turns NaN (both runs go
+    # on to the end of their grid), turns infinite (the next stage's
+    # sin(-inf) raises) or stays finite while the PD function raises.
     @pytest.mark.parametrize("case", ["nan_state", "inf_state_then_raises", "raise_at_finite"])
     def test_rk4_nonfinite_states_same_as_generic_and_reference(self, case):
-        calls, raised = [], []
-
-        def past(v):
-            calls.append(v)
-            if v > -6.0:
-                if case == "raise_at_finite":
-                    raised.append(v)
-                    raise ValueError("math domain error")
-                return math.nan if case == "nan_state" else 1.5e308
-            try:
-                return math.sin(v)
-            except ValueError:
-                raised.append(v)
-                raise
-
-        model = pitfall_example_model()
-        object.__setattr__(model, "_rhs_consts", model._rhs_consts[:-1] + (past,))
+        model = _pitfall_past(case)
         controls = dict(t_end=1.0, method="rk4", h=1e-3)
         built = _phase_run(MethodType(classic_rhs, model), PITFALL_STATE0, controls)
-        built_calls, built_raised = len(calls), len(raised)
         assert built == _phase_run(lambda t, y: classic_rhs(model, t, y), PITFALL_STATE0, controls)
-        generic_raised = len(raised) - built_raised
         ref = _ref_integrate(lambda t, y: classic_rhs(model, t, y), PITFALL_STATE0,
                              IntegratorConfig(**controls))
         assert built == (ref.t.tobytes(), ref.y.tobytes(), ref.dtheta.tobytes(), ref.rhs_calls,
                          0, ref.blown_up)
         assert ref.blown_up and 2 < len(ref.t) < 100 and np.isfinite(ref.y).all()
-        # where each run stopped: the built NaN run went through its 1,000
-        # steps, the built inf run raised at the stage after the state
-        # overflowed (the generic one stopped at its test), and both
-        # raising runs raised
-        assert (built_calls == 1 + 4 * 1000) == (case == "nan_state")
-        assert (built_raised, generic_raised) == {
-            "nan_state": (0, 0), "inf_state_then_raises": (1, 0), "raise_at_finite": (1, 1)}[case]
+        # only the NaN runs made the calls of all 1,000 steps
+        assert (ref.rhs_calls == 1 + 4 * 1000) == (case == "nan_state")
 
 
 def _pitfall_past(case):
@@ -1234,7 +1211,7 @@ PINNED_RUNS = {
 PINNED_RHS_CALLS = {
     "pitfall-rk4": 22001, "off_grid-rk4": 17, "off_grid_rounded-rk4": 57,
     "pitfall-rk45": 77467, "delay-rk45": 1309, "mod_qpsk-rk45": 2011, "ndarray-rk4": 401,
-    "ndarray-rk45": 1207, "blow_up-rk4": 52, "blow_up-rk45": 1939,
+    "ndarray-rk45": 1207, "blow_up-rk4": 401, "blow_up-rk45": 1939,
     "nonfinite_stage-rk45": 847, "nan_error-rk45": 595, "late_nonfinite-rk45": 1411,
     "overflow-rk45": 91, "nan_completes@1e-08": 379, "nan_completes@0.001": 445,
     "nan_then_raises@1e-08": 270, "nan_then_raises@0.001": 308,
@@ -1350,18 +1327,18 @@ PINNED_RK4_TRAJECTORIES = {
     "ndarray-rk4": ("a94bc99a49e027c78a5271636dddd9fb7b6a0d7f3aab8f5f653c53b3bd4d780c", False),
     "blow_up-rk4": ("addb8901131b8ee82797c0faad1bd1e075a9a8900fa78fb8ab8446c78acf9e45", True),
 }
-# The calls a recording rhs sees on each path
+# The calls a recording rhs sees on each path, which rhs_calls counts
 PINNED_RK4_SEEN = {
     ("pitfall-rk4", "built"): 22001, ("pitfall-rk4", "generic"): 22001,
     ("off_grid-rk4", "built"): 17, ("off_grid-rk4", "generic"): 17,
     ("off_grid_rounded-rk4", "built"): 57, ("off_grid_rounded-rk4", "generic"): 57,
-    ("nan_state", "built"): 4001, ("nan_state", "generic"): 20,
-    ("inf_state_then_raises", "built"): 21, ("inf_state_then_raises", "generic"): 20,
+    ("nan_state", "built"): 4001, ("nan_state", "generic"): 4001,
+    ("inf_state_then_raises", "built"): 21, ("inf_state_then_raises", "generic"): 21,
     ("raise_at_finite", "built"): 20, ("raise_at_finite", "generic"): 20,
     ("cli-bpsk", "built"): 3596, ("cli-bpsk", "generic"): 3596,
     ("cli-qpsk", "built"): 7192, ("cli-qpsk", "generic"): 7192,
     ("cli-mod_bpsk", "built"): 8, ("cli-mod_bpsk", "generic"): 8,
-    ("ndarray-rk4", "generic"): 401, ("blow_up-rk4", "generic"): 52,
+    ("ndarray-rk4", "generic"): 401, ("blow_up-rk4", "generic"): 401,
 }
 
 
@@ -1381,9 +1358,15 @@ class TestPinnedRk4Runs:
     @pytest.mark.parametrize("case,path", RK4_RUNS)
     def test_calls_seen_pinned(self, rk4_runs, case, path):
         traj, seen = rk4_runs[case, path]
-        assert seen == PINNED_RK4_SEEN[case, path]
-        if path == "generic":
-            assert traj.rhs_calls == seen
+        assert traj.rhs_calls == seen == PINNED_RK4_SEEN[case, path]
+
+    @pytest.mark.parametrize("case", list(RK4_PHASE_RUNS))
+    def test_built_same_as_generic(self, rk4_runs, case):
+        # the CLI's blow-ups included: the same bytes, flag and counters
+        built, generic = ((traj.t.tobytes(), traj.y.tobytes(), traj.dtheta.tobytes(),
+                           traj.blown_up, traj.rhs_calls, seen)
+                          for traj, seen in (rk4_runs[case, "built"], rk4_runs[case, "generic"]))
+        assert built == generic
 
 
 # a stepper with one good stage call before the line under test (line 5)
@@ -1426,51 +1409,54 @@ class TestInlineBuild:
 
     def test_built_steppers_keep_no_cells_and_rk45_no_slope_tests(self):
         # a cell variable turns each load of its name into a LOAD_DEREF;
-        # neither RK45 tests a slope: a non-finite one reaches the error
-        # estimate
+        # no stepper raises at a non-finite slope or state: the only
+        # exception class one names is RK45's StiffnessError
+        def exceptions(steps):
+            return {name for name in steps.__code__.co_names
+                    if isinstance(cls := getattr(ode, name, None), type)
+                    and issubclass(cls, BaseException)}
+
         for steps in self.GENERIC:
-            built = ode._inline_phase(steps).__code__
-            assert built.co_cellvars == built.co_freevars == ()
-
-        def nonfinite_raises(func):
-            ops = list(dis.get_instructions(func))
-            return sum(op.opname == "LOAD_GLOBAL" and op.argval == "_NonFinite"
-                       and after.opname == "RAISE_VARARGS" for op, after in zip(ops, ops[1:]))
-
-        assert nonfinite_raises(ode._inline_phase(ode._rk45_steps)) == 0
-        assert nonfinite_raises(ode._rk45_steps) == 0
-        # the built RK4 tests no state, appends nothing and reads no step
-        # time: the times appear only in the stage calls it writes out
+            built = ode._inline_phase(steps)
+            assert built.__code__.co_cellvars == built.__code__.co_freevars == ()
+            assert exceptions(built) == exceptions(steps) == (
+                {"StiffnessError"} if steps is ode._rk45_steps else set())
+        # the built RK4 appends nothing and reads no step time: the times
+        # appear only in the stage calls it writes out
         built = ode._inline_phase(ode._rk4_steps)
-        assert nonfinite_raises(built) == 0 and nonfinite_raises(ode._rk4_steps) == 1
         for steps in (built, ode._rk4_steps):
             reads = {op.argval for op in dis.get_instructions(steps) if op.opname == "LOAD_FAST"}
             assert "append" not in steps.__code__.co_names and "t" not in reads
             assert ("ts" in reads) == (steps is ode._rk4_steps)
 
+    @staticmethod
+    def _build_changes(steps):
+        """The statements the build changes in ``steps``, by the first word
+        of each line of the unparsed source, generic and built."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(steps)))
+        generic = ast.unparse(tree).splitlines()
+        built = ast.unparse(ode._InlineStages().visit(tree)).splitlines()
+        matcher = difflib.SequenceMatcher(None, generic, built, autojunk=False)
+        return [(op, [line.strip().split("(")[0] for line in generic[i1:i2]],
+                 [line.strip().split("(")[0] for line in built[j1:j2]])
+                for op, i1, i2, j1, j2 in matcher.get_opcodes() if op != "equal"]
+
+    @staticmethod
+    def _stage_changes(stages):
+        return [("replace", [f"p{k}, q{k} = rhs"], [f"p{k} = scale * fn", f"q{k} = dw0 - k0 * "])
+                for k in stages]
+
     def test_built_rk45_differs_only_at_its_stage_calls(self):
         # one non-finite rule for both RK45 paths: the build writes out the
         # six stage calls (stages 2-7; stage 1 is the previous end slope) and
         # changes no other statement
-        tree = ast.parse(textwrap.dedent(inspect.getsource(ode._rk45_steps)))
-        generic = ast.unparse(tree).splitlines()
-        built = ast.unparse(ode._InlineStages().visit(tree)).splitlines()
-        matcher = difflib.SequenceMatcher(None, generic, built, autojunk=False)
-        changes = [(op, [line.strip().split("(")[0] for line in generic[i1:i2]],
-                    [line.strip().split("(")[0] for line in built[j1:j2]])
-                   for op, i1, i2, j1, j2 in matcher.get_opcodes() if op != "equal"]
-        assert changes == [("replace", [f"p{k}, q{k} = rhs"],
-                            [f"p{k} = scale * fn", f"q{k} = dw0 - k0 * "]) for k in range(2, 8)]
+        assert self._build_changes(ode._rk45_steps) == self._stage_changes(range(2, 8))
 
-    def test_only_rk4_raises_nonfinite(self):
-        # the generic RK4 tests each new state, so that a generic rhs is not
-        # called past a blow-up; RK45 leaves a non-finite slope to its error
-        # estimate
-        tree = ast.parse(inspect.getsource(ode))
-        raising = {func.name: sum(isinstance(node, ast.Raise) and ast.unparse(node.exc) ==
-                                  "_NonFinite" for node in ast.walk(func))
-                   for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)}
-        assert {name: n for name, n in raising.items() if n} == {"_rk4_steps": 1}
+    def test_built_rk4_differs_only_at_its_stage_calls(self):
+        # one non-finite rule for both RK4 paths: the build writes out the
+        # three stage calls and the end slope (the next step's stage 1) and
+        # changes no other statement
+        assert self._build_changes(ode._rk4_steps) == self._stage_changes((2, 3, 4, 1))
 
     def test_stage_call_written_out_as_classic_rhs(self, tmp_path):
         model = pitfall_example_model()

@@ -20,7 +20,7 @@ from ``analysis``: the ODE models do not depend on the closed forms, and
 the averaged beat-note model lives beside the closed form it integrates.
 Every public exception class derives from ValueError or
 ``core.NumericFailure``, the two that ``cli.main`` maps to exit codes 2
-and 3."""
+and 3, and ``ode`` defines one exception class, ``StiffnessError``."""
 
 import ast
 import importlib
@@ -344,6 +344,20 @@ def test_cli_main_catches_the_two_bases():
             if isinstance(node, ast.ExceptHandler)] == ["(ValueError, OSError)", "NumericFailure"]
 
 
+def _exception_classes(module) -> list[str]:
+    """Every exception class defined in ``module``, private ones too."""
+    return sorted(name for name, obj in vars(module).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__)
+
+
+def test_ode_defines_only_stiffness_error():
+    # a non-finite slope or state ends no run by a private sentinel: RK4
+    # stops at a raising rhs call and ends its trajectory after the run,
+    # RK45 rejects the attempt
+    assert _exception_classes(importlib.import_module("costas_lab.ode")) == ["StiffnessError"]
+
+
 def test_stray_exception_found():
     module = ModuleType("stray")
     for name, bases in (("Bad", (RuntimeError,)), ("Overflowed", (ArithmeticError,)),
@@ -352,3 +366,4 @@ def test_stray_exception_found():
         setattr(module, name, type(name, bases, {"__module__": "stray"}))
     module.Imported = RuntimeError      # a name imported, not defined, here
     assert _stray_exceptions(module) == ["Bad", "Overflowed"]
+    assert _exception_classes(module) == ["Bad", "Failure", "Fine", "Overflowed", "_Caught"]
