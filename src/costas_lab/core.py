@@ -188,14 +188,21 @@ class LoopParams:
 
     def with_offset(self, delta_omega0: float) -> "LoopParams":
         """Same loop, retuned so that omega1 - omega_free = delta_omega0.
-        ValueError when that omega_free is not finite or loses an offset != 0."""
+        ValueError when that omega_free is not finite, or when omega1's
+        resolution moves the offset it realizes by more than :data:`REL_TOL`
+        relative."""
         omega_free = self.omega1 - delta_omega0
         if not math.isfinite(omega_free):
             raise ValueError(f"derived constant delta_omega0 = {delta_omega0!r} is out of "
                              f"range: omega1 - delta_omega0 must be finite")
-        if delta_omega0 != 0 and self.omega1 - omega_free == 0:
+        realized = self.omega1 - omega_free
+        if delta_omega0 != 0 and realized == 0:
             raise ValueError(f"offset delta_omega0 = {delta_omega0!r} rad/s is below the "
                              f"resolution of omega1 = {self.omega1!r} rad/s: it retunes to 0.0")
+        if abs(realized - delta_omega0) > REL_TOL * abs(delta_omega0):
+            raise ValueError(f"offset delta_omega0 = {delta_omega0!r} rad/s is too fine for the "
+                             f"resolution of omega1 = {self.omega1!r} rad/s: it retunes to "
+                             f"{realized!r}, more than {REL_TOL:g} relative off")
         return replace(self, omega_free=omega_free)
 
     def to_dict(self) -> dict:

@@ -931,7 +931,22 @@ def test_offset_below_omega1_resolution_exits_2(tmp_path, capsys, cfg):
     assert len(err.splitlines()) == 1 and not out.exists()
 
 
-GAINS_WITHOUT_OMEGA3 = {k: v for k, v in DESIGN_GAINS.items() if k != "omega3"}
+# An offset that omega1's resolution moves by more than REL_TOL relative
+# (1e-7 Hz, 6.3e-7 rad/s, retunes about 0.04% off at 400 kHz)
+@pytest.mark.parametrize("argv,cfg", [(["simulate"], {**BASE_SIGNAL_CFG, "delta_f0": 1e-7}),
+                                      (["sweep", "--offsets", "1e-7"], SWEEP_CFG)],
+                         ids=["simulate", "sweep"])
+def test_offset_rounded_by_omega1_exits_2(tmp_path, capsys, argv, cfg):
+    out = tmp_path / "o"
+    assert main([*argv, "--config", write_cfg(tmp_path, cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: offset delta_omega0 = {2.0 * math.pi * 1e-7!r} rad/s is "
+                          "too fine for the resolution of omega1 = ")
+    assert err.endswith(", more than 1e-09 relative off\n")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
+GAINS_WITHOUT_OMEGA3 ={k: v for k, v in DESIGN_GAINS.items() if k != "omega3"}
 # (command, the config or params file it reads, its error line): each
 # exits 2 and leaves no output directory
 REFUSAL_LINES = {

@@ -23,7 +23,7 @@ from costas_lab import (
     pd_period,
     wrap_phase,
 )
-from costas_lab.core import bisect, count_cycle_slips, lock_cells
+from costas_lab.core import REL_TOL, bisect, count_cycle_slips, lock_cells
 
 
 class TestLoopVariant:
@@ -146,8 +146,28 @@ class TestPhaseHelpers:
                                              r"resolution of omega1 = 2513274.1228718343 rad/s"):
             p.with_offset(2e-10)
         assert p.with_offset(0.0).delta_omega0 == 0.0
-        assert p.with_offset(1e-9).delta_omega0 == pytest.approx(1e-9, rel=0.1)
-        assert p.with_offset(1e-9).delta_omega0 != 1e-9
+        with pytest.raises(ValueError, match=r"^offset delta_omega0 = 1e-09 rad/s is too fine "
+                                             r"for the resolution of omega1 = 2513274.1228718343 "
+                                             r"rad/s: it retunes to 9.313225746154785e-10, more "
+                                             r"than 1e-09 relative off$"):
+            p.with_offset(1e-9)
+
+    @pytest.mark.parametrize("delta_omega0", [2.4e-10, 7e-10, 1e-9, 1e-6, -1e-6])
+    def test_with_offset_refuses_an_offset_omega1_rounds(self, delta_omega0):
+        # each retunes to a nonzero offset more than REL_TOL off: 1e-6 to
+        # 9.9977e-07, 2.3e-4 relative
+        p = LoopParams(2 * math.pi * 400e3, 2 * math.pi * 400e3, 1e6, 1.0, 2e-5, 4e-6)
+        with pytest.raises(ValueError, match=rf"^offset delta_omega0 = {delta_omega0!r} rad/s "
+                                             r"is too fine for the resolution of omega1"):
+            p.with_offset(delta_omega0)
+
+    @pytest.mark.parametrize("delta_omega0", [0.5, 1.0, 6.28, -6.28])
+    def test_with_offset_keeps_an_offset_within_rel_tol(self, delta_omega0):
+        # 6.28 retunes to 6.2799999998, 3.3e-11 relative off
+        p = LoopParams(2 * math.pi * 400e3, 2 * math.pi * 400e3, 1e6, 1.0, 2e-5, 4e-6)
+        realized = p.with_offset(delta_omega0).delta_omega0
+        assert abs(realized - delta_omega0) <= REL_TOL * abs(delta_omega0)
+        assert (realized == delta_omega0) == (abs(delta_omega0) != 6.28)
 
     def test_cycle_slip_count_monotone_ramp(self):
         theta = np.linspace(0.0, 5.2 * math.pi, 4000)
