@@ -152,7 +152,7 @@ class TestPhaseHelpers:
                                              r"than 1e-09 relative off$"):
             p.with_offset(1e-9)
 
-    @pytest.mark.parametrize("delta_omega0", [2.4e-10, 7e-10, 1e-9, 1e-6, -1e-6])
+    @pytest.mark.parametrize("delta_omega0", [2.4e-10, 7e-10, 1e-6, -1e-6])
     def test_with_offset_refuses_an_offset_omega1_rounds(self, delta_omega0):
         # each retunes to a nonzero offset more than REL_TOL off: 1e-6 to
         # 9.9977e-07, 2.3e-4 relative
